@@ -24,6 +24,7 @@ from .errors import (
     ClassificationError,
     ContactLabError,
     DomainMismatchError,
+    InternalError,
     PreconditionError,
     SchemaError,
     ValidationError,

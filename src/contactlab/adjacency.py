@@ -20,6 +20,7 @@ from .config import require_enum_width
 from .errors import DomainMismatchError, PreconditionError
 from .precontact import (
     PrecontactAlgebra,
+    RelationKernel,
     axiom_report,
     pca_from_pairs,
     restrict_relation,
@@ -271,16 +272,14 @@ def stone_representation_report(pca):
         witness=f"image count {len(set(images))}",
     )
     table = pca.kernel.forward_table()
+    # some literal pair joins images[a] to images[b] iff the forward table
+    # of the literal pairs at images[a] meets images[b]
+    literal_table = RelationKernel(algebra, literal).forward_table()
     iso_ok, iso_witness = True, None
     for a in range(size):
+        row = literal_table[images[a]]
         for b in range(size):
-            left = bool(table[a] & b)
-            right = any(
-                (p, q) in literal
-                for p in bit_indices(images[a])
-                for q in bit_indices(images[b])
-            )
-            if left != right:
+            if bool(table[a] & b) != bool(row & images[b]):
                 iso_ok, iso_witness = False, f"(a, b) = ({a}, {b})"
                 break
         if not iso_ok:

@@ -21,6 +21,7 @@ from .errors import (
     ClassificationError,
     ContactLabError,
     DomainMismatchError,
+    InternalError,
     PreconditionError,
     SchemaError,
     ValidationError,
@@ -378,6 +379,9 @@ def main(argv=None):
         ClassificationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return FAIL
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return FAIL
     except ContactLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
-"""Size budgets, enforced explicitly and overridable through the environment.
+"""Size budgets, enforced explicitly.
 
-Three independent caps:
+Three independent caps are overridable through the environment:
 
 * atom width (``CONTACTLAB_ATOM_LIMIT``, default 16) bounds plain algebra
   operations on bitmask elements;
@@ -8,6 +8,11 @@ Three independent caps:
   that quantifies over the full 2**n carrier or materialises families;
 * point budget (``CONTACTLAB_POINT_LIMIT``, default 12) bounds operations
   that enumerate all closed or open sets of a finite space.
+
+A budget variable that is set must hold a positive integer; any other
+value raises CapacityError instead of silently falling back.
+
+The fixed caps below bound single searches and are not overridable.
 """
 
 import os
@@ -22,6 +27,13 @@ DEFAULT_ATOM_LIMIT = 16
 DEFAULT_ENUM_LIMIT = 6
 DEFAULT_POINT_LIMIT = 12
 
+# family size at which the union closure of a closed base gives up
+UNION_CLOSURE_CAP = 200_000
+# point count above which PCS-morphism enumeration is refused
+ENUMERATION_POINT_CAP = 6
+# point or atom count above which permutation searches are refused
+ISOMORPHISM_POINT_CAP = 8
+
 
 def _read_limit(env_name, default):
     raw = os.environ.get(env_name)
@@ -30,8 +42,10 @@ def _read_limit(env_name, default):
     try:
         value = int(raw)
     except ValueError:
-        return default
-    return value if value > 0 else default
+        value = None
+    if value is None or value <= 0:
+        raise CapacityError(f"{env_name}={raw!r} is not a positive integer")
+    return value
 
 
 def atom_limit():

@@ -42,6 +42,10 @@ class ClassificationError(ContactLabError):
     """An object is outside the requested subcategory."""
 
 
+class InternalError(ContactLabError):
+    """An internal invariant of the package failed: a bug, not bad input."""
+
+
 class SchemaError(ContactLabError):
     """A serialized instance does not match its schema."""
 

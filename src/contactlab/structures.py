@@ -11,7 +11,8 @@ stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .adjacency import is_closed_relation
 from .boolean import FiniteBooleanAlgebra, bit_indices, mask_of
@@ -183,9 +184,13 @@ def validate_pcs(space, subset, relation):
 
     clopens = clopens_of_subset(space, subset)
     succ = _relation_out_masks(space, relation)
+    # per clopen, once: its closure and the points related to one of its
+    # points (f C g iff reach[f] meets g)
+    closed = {f: closure(space, f) for f in clopens}
+    reach = {f: reduce(or_, (succ[x] for x in bit_indices(f)), 0) for f in clopens}
 
     def contact(f, g):
-        return any(succ[x] & g for x in bit_indices(f))
+        return bool(reach[f] & g)
 
     def contact_sharp(f, g):
         return contact(f, g) or contact(g, f) or bool(f & g)
@@ -193,7 +198,7 @@ def validate_pcs(space, subset, relation):
     pcs4_ok, pcs4_witness = True, None
     for f in clopens:
         for g in clopens:
-            if closure(space, f) & closure(space, g) and not contact_sharp(f, g):
+            if closed[f] & closed[g] and not contact_sharp(f, g):
                 pcs4_ok = False
                 pcs4_witness = f"({space.name_set(f)},{space.name_set(g)})"
                 break
@@ -204,9 +209,7 @@ def validate_pcs(space, subset, relation):
     co_pca, co_atoms = _family_algebra(clopens, contact)
     clan_sets = _clan_element_sets(co_pca, co_atoms, clopens)
     traces = {
-        frozenset(
-            f for f in clopens if closure(space, f) >> x & 1
-        )
+        frozenset(f for f in clopens if closed[f] >> x & 1)
         for x in range(space.point_count)
     }
     pcs5_ok, pcs5_witness = True, None

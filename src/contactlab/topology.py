@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .boolean import FiniteBooleanAlgebra, bit_indices
-from .config import require_point_budget
+from .config import UNION_CLOSURE_CAP, require_point_budget
 from .errors import (
     CapacityError,
     DomainMismatchError,
     PreconditionError,
 )
-
-UNION_CLOSURE_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -109,9 +107,12 @@ def indiscrete_space(point_names):
 
 
 def closure(space, mask):
+    closures = space.point_closures
     out = 0
-    for x in bit_indices(mask):
-        out |= space.point_closures[x]
+    while mask:
+        low = mask & -mask
+        out |= closures[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -384,14 +385,6 @@ def subspace(space, mask):
     return FiniteSpace(names, tuple(closures))
 
 
-def embed_subspace_mask(space, subset_mask, local_mask):
-    indices = list(bit_indices(subset_mask))
-    out = 0
-    for i in bit_indices(local_mask):
-        out |= 1 << indices[i]
-    return out
-
-
 def restrict_to_subspace_mask(subset_mask, global_mask):
     out = 0
     for i, x in enumerate(bit_indices(subset_mask)):
@@ -439,10 +432,6 @@ def clopens_of_subset(space, subset):
 
 def rc_members_of_subset(space, subset):
     return tuple(sorted({closure(space, f) for f in clopens_of_subset(space, subset)}))
-
-
-def pair_clopens(pair):
-    return clopens_of_subset(pair.space, pair.subset)
 
 
 def rc_pair_members(pair):

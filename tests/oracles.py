@@ -79,18 +79,73 @@ def oracle_axioms(n, rel):
     }
 
 
-def satisfies_c0_cplus(n, rel):
+def oracle_normalize(n, rel):
+    """The literal (C0) and (C+) sweep over all pairs and triples.
+
+    Returns ("(C0)", pair) for the first pair with a zero side, in the
+    iteration order of ``rel``; ("(C+)", (a, b, c)) for the
+    lexicographically first triple breaking additivity on either side;
+    otherwise ("ok", kernel pairs read off the atom singletons).
+    """
     size = 1 << n
-    if any(a == 0 or b == 0 for a, b in rel):
-        return False
+    for a, b in rel:
+        if a == 0 or b == 0:
+            return "(C0)", (a, b)
     for a in range(size):
         for b in range(size):
             for c in range(size):
                 if ((a, b | c) in rel) != ((a, b) in rel or (a, c) in rel):
-                    return False
+                    return "(C+)", (a, b, c)
                 if ((b | c, a) in rel) != ((b, a) in rel or (c, a) in rel):
-                    return False
-    return True
+                    return "(C+)", (a, b, c)
+    kernel = frozenset(
+        (p, q) for p in range(n) for q in range(n) if (1 << p, 1 << q) in rel
+    )
+    return "ok", kernel
+
+
+def satisfies_c0_cplus(n, rel):
+    return oracle_normalize(n, rel)[0] == "ok"
+
+
+def oracle_well_inside_axioms(n, rel):
+    """Literal quantifiers for (<<1)..(<<7), (<<2') and (<<4') on an
+    explicit relation, keyed by the report's field names."""
+    size = 1 << n
+    full = size - 1
+
+    def related(a, b):
+        return (a, b) in rel
+
+    def subsets(m):
+        return [s for s in range(size) if s | m == m]
+
+    def supersets(m):
+        return [s for s in range(size) if s | m == s]
+
+    below = {a: [b for b in range(size) if related(a, b)] for a in range(size)}
+    above = {c: [a for a in range(size) if related(a, c)] for c in range(size)}
+    return {
+        "ax1": all(a | b == b for a, b in rel),
+        "ax2": related(0, 0),
+        "ax2_prime": related(full, full),
+        "ax3": all(
+            related(s, d) for b, c in rel for s in subsets(b) for d in supersets(c)
+        ),
+        "ax4": all(
+            related(a, b & c) for a in range(size) for b in below[a] for c in below[a]
+        ),
+        "ax4_prime": all(
+            related(a | b, c) for c in range(size) for a in above[c] for b in above[c]
+        ),
+        "ax5": all(
+            any(related(a, b) and related(b, c) for b in range(size)) for a, c in rel
+        ),
+        "ax6": all(
+            any(b != 0 and related(b, a) for b in range(size)) for a in range(1, size)
+        ),
+        "ax7": all(related(full ^ b, full ^ a) for a, b in rel),
+    }
 
 
 def upward_closed(n, masks):

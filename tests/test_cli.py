@@ -302,3 +302,45 @@ def test_full_workflow_chain_is_deterministic(tmp_path, capsys):
 
 def test_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_internal_error_exits_1_with_its_own_message(files, capsys, monkeypatch):
+    from contactlab import cli as cli_module
+    from contactlab.errors import InternalError
+
+    def broken(args):
+        raise InternalError("kernel round trip failed")
+
+    monkeypatch.setattr(cli_module, "cmd_validate", broken)
+    code, out, err = run(capsys, "validate", files["pca"])
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: kernel round trip failed\n"
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_malformed_budget_variable_exits_2(files, capsys, monkeypatch, raw):
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", raw)
+    code, _, err = run(capsys, "validate", files["pca"])
+    assert code == 2
+    assert f"CONTACTLAB_ENUM_LIMIT={raw!r}" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+@pytest.mark.parametrize(
+    "variable, read",
+    [
+        ("CONTACTLAB_ATOM_LIMIT", "atom_limit"),
+        ("CONTACTLAB_ENUM_LIMIT", "enum_limit"),
+        ("CONTACTLAB_POINT_LIMIT", "point_limit"),
+    ],
+)
+def test_malformed_budget_variable_is_rejected(monkeypatch, variable, read, raw):
+    from contactlab import config
+    from contactlab.errors import CapacityError
+
+    monkeypatch.setenv(variable, raw)
+    with pytest.raises(CapacityError, match=variable):
+        getattr(config, read)()
+    monkeypatch.setenv(variable, "7")
+    assert getattr(config, read)() == 7
