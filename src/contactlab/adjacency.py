@@ -6,9 +6,11 @@ regions (cell sets) carry the precontact relation
     M C N  iff  some x in M and y in N are adjacent,
 
 whose kernel is the relation itself.  Ultrafilters of a finite algebra
-are identified with atoms throughout; the literal ultrafilter-pair
-quantifier is exercised by `canonical_adjacency_literal_pairs` and in
-the representation report, not in the hot path.
+are identified with atoms throughout.  The ultrafilter-pair quantifier
+of the representation report is decided exactly by
+`canonical_adjacency_literal_pairs`; the literal sweep over the
+ultrafilters' members is kept in `tests/oracles.py`, and the two are
+compared there.
 """
 
 from __future__ import annotations
@@ -180,21 +182,25 @@ def canonical_adjacency(pca):
 
 
 def canonical_adjacency_literal_pairs(pca):
-    """The ultrafilter adjacency computed by the literal quantifier:
-    every element of the one ultrafilter is in contact with every element
-    of the other."""
+    """The ultrafilter adjacency given by the quantifier: the atom pair
+    (p, q) is adjacent iff every element of the ultrafilter at p is in
+    contact with every element of the ultrafilter at q.
+
+    Reduction, O(n**2) probes instead of n**2 * 4**(n-1): with tab the
+    forward table, a C b iff tab[a] & b != 0.  The members of the
+    ultrafilter at p are the a with a >= {p}, and tab is monotone, so
+    tab[a] contains tab[{p}]; every member b of the ultrafilter at q
+    contains {q}.  Hence tab[{p}] holding q makes every pair related,
+    and the pair a = {p}, b = {q} needs exactly that: the quantifier
+    holds iff tab[1 << p] >> q & 1.
+    """
     algebra = pca.algebra
     require_enum_width(algebra.atom_count)
     n = algebra.atom_count
-    size = algebra.size
     table = pca.kernel.forward_table()
-    out = set()
-    for p in range(n):
-        ups = [m for m in range(size) if m >> p & 1]
-        for q in range(n):
-            if all(table[a] & b for a in ups for b in range(size) if b >> q & 1):
-                out.add((p, q))
-    return frozenset(out)
+    return frozenset(
+        (p, q) for p in range(n) for q in range(n) if table[1 << p] >> q & 1
+    )
 
 
 def product_space(space, other=None):
@@ -239,8 +245,9 @@ def stone_representation_report(pca):
     symmetry and transitivity axioms match the relation properties.
 
     Every side is computed independently: the adjacency is rebuilt from
-    the literal ultrafilter quantifier and the region relation from the
-    existential cell formula.
+    the ultrafilter quantifier (decided through the forward table, see
+    `canonical_adjacency_literal_pairs`) and the region relation from
+    the existential cell formula.
     """
     algebra = pca.algebra
     if algebra.is_degenerate:

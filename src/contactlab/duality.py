@@ -11,7 +11,7 @@ witness maps or witness-bearing reports, never bare booleans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import permutations, product
 from operator import or_
 
@@ -25,6 +25,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
+from .memo import remember
 from .precontact import (
     PcaMorphism,
     PrecontactAlgebra,
@@ -127,6 +128,36 @@ class PcsMorphism:
             if target_mask >> self.point_map[x] & 1
         )
 
+    @cached_property
+    def _dual_algebra_map(self):
+        # dual_algebra_map, computed once per object
+        source_alg = pcs_algebra(self.source)
+        target_alg = pcs_algebra(self.target)
+        action = _pointwise_dual_hom(self)
+        images = {
+            m: action(target_alg.to_point_mask(m))
+            for m in range(target_alg.pca.algebra.size)
+        }
+        member_set = set(source_alg.members)
+        for m, img in images.items():
+            if img not in member_set:
+                raise InternalError("image leaves the pair's regular closed sets")
+        atom_map = []
+        for q, atom_mask in enumerate(source_alg.atom_masks):
+            hits = [
+                p
+                for p in range(target_alg.pca.algebra.atom_count)
+                if atom_mask | images[1 << p] == images[1 << p]
+            ]
+            if len(hits) != 1:
+                raise InternalError("the dual map is not a Boolean homomorphism")
+            atom_map.append(hits[0])
+        hom = BooleanHom(target_alg.pca.algebra, source_alg.pca.algebra, tuple(atom_map))
+        for m in range(target_alg.pca.algebra.size):
+            if source_alg.to_point_mask(hom.apply_mask(m)) != images[m]:
+                raise InternalError("atom map does not reproduce the dual action")
+        return PcaMorphism(hom, target_alg.pca, source_alg.pca)
+
 
 def identity_pcs_morphism(pcs):
     return PcsMorphism(pcs, pcs, tuple(range(pcs.space.point_count)))
@@ -177,7 +208,8 @@ def pcs_iso_report(morphism):
 
 
 def dual_space(pca):
-    """Algebra to space: the canonical 2-precontact triple on the clans."""
+    """Algebra to space: the canonical 2-precontact triple on the clans,
+    computed once per object and held weakly (``canonical_pcs_of_pca``)."""
     return canonical_pcs_of_pca(pca)
 
 
@@ -188,7 +220,11 @@ def dual_algebra(pcs):
 
 def dual_space_map(morphism):
     """A PCA-morphism induces the clan-preimage map between the dual
-    triples, in the reverse direction."""
+    triples, in the reverse direction.  Computed once per object."""
+    return remember(morphism, "_dual_space_map", _dual_space_map)
+
+
+def _dual_space_map(morphism):
     source_pca, target_pca = morphism.source, morphism.target
     amap = morphism.hom.atom_map
     dual_of_target = dual_space(target_pca)
@@ -219,30 +255,10 @@ def _pointwise_dual_hom(f):
 
 def dual_algebra_map(f):
     """A PCS-morphism induces a PCA-morphism between the canonical
-    algebras, in the reverse direction."""
-    source_alg = pcs_algebra(f.source)
-    target_alg = pcs_algebra(f.target)
-    action = _pointwise_dual_hom(f)
-    images = {m: action(target_alg.to_point_mask(m)) for m in range(target_alg.pca.algebra.size)}
-    member_set = set(source_alg.members)
-    for m, img in images.items():
-        if img not in member_set:
-            raise InternalError("image leaves the pair's regular closed sets")
-    atom_map = []
-    for q, atom_mask in enumerate(source_alg.atom_masks):
-        hits = [
-            p
-            for p in range(target_alg.pca.algebra.atom_count)
-            if atom_mask | images[1 << p] == images[1 << p]
-        ]
-        if len(hits) != 1:
-            raise InternalError("the dual map is not a Boolean homomorphism")
-        atom_map.append(hits[0])
-    hom = BooleanHom(target_alg.pca.algebra, source_alg.pca.algebra, tuple(atom_map))
-    for m in range(target_alg.pca.algebra.size):
-        if source_alg.to_point_mask(hom.apply_mask(m)) != images[m]:
-            raise InternalError("atom map does not reproduce the dual action")
-    return PcaMorphism(hom, target_alg.pca, source_alg.pca)
+    algebras, in the reverse direction: each member of the target pair
+    goes to the closure of the preimage of its dense trace.  Computed
+    once per object."""
+    return f._dual_algebra_map
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ They are the ground truth the rest of the package is tested against.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
@@ -140,6 +141,26 @@ class PrecontactAlgebra:
     @cached_property
     def axioms(self):
         return axiom_report(self)
+
+    @cached_property
+    def _clan_supports(self):
+        # clan_supports, computed once per object
+        require_enum_width(self.algebra.atom_count)
+        sharp = contact_closure(self).kernel.pairs
+        out = []
+        for m in range(1, self.algebra.size):
+            atoms = tuple(bit_indices(m))
+            if all((p, q) in sharp for p in atoms for q in atoms):
+                out.append(m)
+        out.sort(key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
+        return tuple(out)
+
+    def __getstate__(self):
+        # the dual triple is held weakly (see memo.remember), and a weak
+        # reference does not pickle
+        return {
+            k: v for k, v in self.__dict__.items() if not isinstance(v, weakref.ref)
+        }
 
     def contact(self, a, b):
         if a.algebra != self.algebra or b.algebra != self.algebra:
@@ -526,17 +547,9 @@ class Clan:
 
 def clan_supports(pca):
     """Supports of all clans: nonempty atom sets pairwise related under
-    the contact-closure kernel, in (size, atoms) order."""
-    algebra = pca.algebra
-    require_enum_width(algebra.atom_count)
-    sharp = contact_closure(pca).kernel.pairs
-    out = []
-    for m in range(1, algebra.size):
-        atoms = tuple(bit_indices(m))
-        if all((p, q) in sharp for p in atoms for q in atoms):
-            out.append(m)
-    out.sort(key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
-    return out
+    the contact-closure kernel, in (size, atoms) order.  Computed once
+    per object; each call returns a fresh list."""
+    return list(pca._clan_supports)
 
 
 def clans(pca):

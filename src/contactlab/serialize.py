@@ -204,8 +204,7 @@ def decode(payload):
         members = payload.get("members")
         _expect(isinstance(members, list), "expected member list", "$.members")
         masks = tuple(
-            mask_of(_int_list(m, "expected index list", f"$.members[{i}]"))
-            for i, m in enumerate(members)
+            _subset_mask(space, m, f"$.members[{i}]") for i, m in enumerate(members)
         )
         return MereotopologicalPair(space, masks)
     if kind == "adjacency":

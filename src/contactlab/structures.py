@@ -17,6 +17,7 @@ from operator import or_
 from .adjacency import is_closed_relation
 from .boolean import FiniteBooleanAlgebra, bit_indices, mask_of
 from .errors import DomainMismatchError, PreconditionError, ValidationError
+from .memo import remember
 from .precontact import PrecontactAlgebra, RelationKernel, clan_supports
 from .report import Check
 from .topology import (
@@ -113,6 +114,25 @@ class TwoPrecontactSpace:
     def failures(self):
         return tuple(c for c in self.checks if not c.passed)
 
+    @cached_property
+    def _algebra(self):
+        # pcs_algebra, computed once per object
+        if not self.is_valid:
+            raise ValidationError(
+                "not a 2-precontact space: "
+                + "; ".join(f"{c.name} {c.witness}" for c in self.failures())
+            )
+        space, subset = self.space, self.subset
+        members = rc_members_of_subset(space, subset)
+        succ = _relation_out_masks(space, self.relation)
+
+        def contact(f, g):
+            g_inside = g & subset
+            return any(succ[x] & g_inside for x in bit_indices(f & subset))
+
+        pca, atoms = _family_algebra(members, contact)
+        return PcsAlgebra(self, pca, tuple(atoms), tuple(members))
+
 
 def _check_relation_span(space, subset, relation):
     for x, y in relation:
@@ -122,14 +142,6 @@ def _check_relation_span(space, subset, relation):
             raise DomainMismatchError(
                 f"relation pair ({x}, {y}) leaves the chosen subset"
             )
-
-
-def pcs_contact_masks(space, subset, relation, f_mask, g_mask):
-    """The canonical relation of the triple on arbitrary point sets:
-    related points of the subset, one inside each set."""
-    succ = _relation_out_masks(space, relation)
-    g_inside = g_mask & subset
-    return any(succ[x] & g_inside for x in bit_indices(f_mask & subset))
 
 
 def validate_pcs(space, subset, relation):
@@ -242,7 +254,15 @@ def clan_point_name(support_mask):
 def canonical_pcs_of_pca(pca):
     """Points are the clans (by support), the closed base is the family
     of clan sets of the elements, the dense subset is the ultrafilter
-    clans and the relation is the kernel on them."""
+    clans and the relation is the kernel on them.
+
+    Computed once per object and held weakly: the algebra shares its
+    triple with every caller while one of them holds it, and does not
+    keep it alive by itself."""
+    return remember(pca, "_dual_triple", _canonical_pcs, weak=True)
+
+
+def _canonical_pcs(pca):
     algebra = pca.algebra
     if algebra.is_degenerate:
         raise PreconditionError("duality rejects the degenerate algebra")
@@ -292,23 +312,10 @@ class PcsAlgebra:
 
 
 def pcs_algebra(pcs):
-    """Build the canonical algebra of a valid triple: the pair's regular
-    closed sets under the existential relation of the triple."""
-    if not pcs.is_valid:
-        raise ValidationError(
-            "not a 2-precontact space: "
-            + "; ".join(f"{c.name} {c.witness}" for c in pcs.failures())
-        )
-    space, subset, relation = pcs.space, pcs.subset, pcs.relation
-    members = rc_members_of_subset(space, subset)
-    succ = _relation_out_masks(space, relation)
-
-    def contact(f, g):
-        g_inside = g & subset
-        return any(succ[x] & g_inside for x in bit_indices(f & subset))
-
-    pca, atoms = _family_algebra(members, contact)
-    return PcsAlgebra(pcs, pca, tuple(atoms), tuple(members))
+    """The canonical algebra of a valid triple: the pair's regular
+    closed sets under the existential relation of the triple.  Computed
+    once per object."""
+    return pcs._algebra
 
 
 def canonical_pca_of_pcs(pcs):

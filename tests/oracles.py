@@ -108,6 +108,20 @@ def satisfies_c0_cplus(n, rel):
     return oracle_normalize(n, rel)[0] == "ok"
 
 
+def oracle_ultrafilter_adjacency(n, rel):
+    """Atom pairs (p, q) such that every element of the ultrafilter at p
+    is related to every element of the ultrafilter at q, quantified over
+    the members of both ultrafilters."""
+    size = 1 << n
+    ultrafilters = [[m for m in range(size) if m >> p & 1] for p in range(n)]
+    return frozenset(
+        (p, q)
+        for p in range(n)
+        for q in range(n)
+        if all((a, b) in rel for a in ultrafilters[p] for b in ultrafilters[q])
+    )
+
+
 def oracle_well_inside_axioms(n, rel):
     """Literal quantifiers for (<<1)..(<<7), (<<2') and (<<4') on an
     explicit relation, keyed by the report's field names."""

@@ -344,3 +344,22 @@ def test_malformed_budget_variable_is_rejected(monkeypatch, variable, read, raw)
         getattr(config, read)()
     monkeypatch.setenv(variable, "7")
     assert getattr(config, read)() == 7
+
+
+@pytest.mark.parametrize("index", [2, 10**30])
+@pytest.mark.parametrize(
+    "command", [["validate"], ["dualize"], ["enumerate", "rc"]], ids=lambda c: c[0]
+)
+def test_mereo_member_index_out_of_range_exits_2(tmp_path, capsys, command, index):
+    payload = {
+        "schema_version": "1",
+        "kind": "mereo",
+        "space": {"points": ["a", "b"], "closed_base": [[0], [1]]},
+        "members": [[], [index], [1], [0, 1]],
+    }
+    path = tmp_path / "mereo.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: $.members[1]: point index out of range\n"

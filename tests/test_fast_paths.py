@@ -3,16 +3,18 @@ quantifier it replaces.
 
 The reductions in ``precontact`` (row/column forms for (C+), one-atom
 moves and extremal members for the well-inside axioms, the smallest
-interpolant for (Ctr)) are proved in their docstrings; here they must
-agree with the sweeps of ``oracles.py`` on every kernel with at most 3
-atoms, on seeded kernels with 4 to 6 atoms, and on one-pair
-perturbations that break the axioms.
+interpolant for (Ctr)) and in ``adjacency`` (the ultrafilter adjacency
+read off the forward table at the atoms) are proved in their
+docstrings; here they must agree with the sweeps of ``oracles.py`` on
+every kernel with at most 3 atoms, on seeded kernels with 4 to 6 atoms,
+and on one-pair perturbations that break the axioms.
 """
 
 import random
 
 import pytest
 
+from contactlab.adjacency import canonical_adjacency_literal_pairs
 from contactlab.boolean import FiniteBooleanAlgebra
 from contactlab.errors import AxiomViolationError, DomainMismatchError
 from contactlab.precontact import (
@@ -31,6 +33,7 @@ from oracles import (
     expand_relation,
     oracle_axioms,
     oracle_normalize,
+    oracle_ultrafilter_adjacency,
     oracle_well_inside_axioms,
 )
 
@@ -207,3 +210,16 @@ def test_axiom_report_matches_the_literal_quantifiers():
         for name, value in got.items():
             seen[name].add(value)
     assert all(values == {True, False} for values in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# canonical_adjacency_literal_pairs: the forward table at the atoms
+
+
+def test_ultrafilter_adjacency_matches_the_literal_quantifier():
+    population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    population += seeded_kernels(17, {4: 12, 5: 4, 6: 2})
+    for n, pairs in population:
+        got = canonical_adjacency_literal_pairs(pca_from_pairs(n, pairs))
+        expected = oracle_ultrafilter_adjacency(n, expand_relation(n, pairs))
+        assert got == expected, (n, sorted(pairs))
