@@ -37,6 +37,16 @@ def mask_of(indices):
     return out
 
 
+def joins_table(atom_values):
+    """table[m] = the union of atom_values[p] over the atoms p of m, for
+    every m of the 2**n masks; the table preserves joins by construction."""
+    table = [0] * (1 << len(atom_values))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | atom_values[low.bit_length() - 1]
+    return table
+
+
 @dataclass(frozen=True)
 class FiniteBooleanAlgebra:
     """The powerset algebra over ``atom_count`` atoms.

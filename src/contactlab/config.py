@@ -12,7 +12,9 @@ Three independent caps are overridable through the environment:
 A budget variable that is set must hold a positive integer; any other
 value raises CapacityError instead of silently falling back.
 
-The fixed caps below bound single searches and are not overridable.
+The two fixed caps below bound the exhaustive morphism and permutation
+searches and are not overridable.  Closed bases need no cap: they are
+resolved point by point, in time polynomial in the base.
 """
 
 import os
@@ -27,8 +29,6 @@ DEFAULT_ATOM_LIMIT = 16
 DEFAULT_ENUM_LIMIT = 6
 DEFAULT_POINT_LIMIT = 12
 
-# family size at which the union closure of a closed base gives up
-UNION_CLOSURE_CAP = 200_000
 # point count above which PCS-morphism enumeration is refused
 ENUMERATION_POINT_CAP = 6
 # point or atom count above which permutation searches are refused

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .boolean import BooleanHom, Element, FiniteBooleanAlgebra, bit_indices, mask_of
+from .boolean import (
+    BooleanHom,
+    Element,
+    FiniteBooleanAlgebra,
+    bit_indices,
+    joins_table,
+    mask_of,
+)
 from .config import require_enum_width
 from .errors import (
     AxiomViolationError,
@@ -58,13 +65,7 @@ class RelationKernel:
     def forward_table(self):
         """table[a] = mask of atoms q reachable from the atoms of a; then
         a C b iff table[a] & b != 0.  Size 2**n."""
-        n = self.algebra.atom_count
-        succ = self._succ
-        table = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            table[m] = table[m ^ low] | succ[low.bit_length() - 1]
-        return table
+        return joins_table(self._succ)
 
     @property
     def is_symmetric(self):
@@ -146,11 +147,18 @@ class PrecontactAlgebra:
     def _clan_supports(self):
         # clan_supports, computed once per object
         require_enum_width(self.algebra.atom_count)
-        sharp = contact_closure(self).kernel.pairs
+        # adj[p]: the atoms related to p under the contact closure, which
+        # is reflexive and symmetric.  So m is a clique iff m ^ low is one
+        # and every atom of m is adjacent to its lowest atom: one pass in
+        # ascending order decides all 2**n masks.
+        adj = contact_closure(self).kernel._succ
+        clique = bytearray(self.algebra.size)
+        clique[0] = 1
         out = []
         for m in range(1, self.algebra.size):
-            atoms = tuple(bit_indices(m))
-            if all((p, q) in sharp for p in atoms for q in atoms):
+            low = m & -m
+            if clique[m ^ low] and not m & ~adj[low.bit_length() - 1]:
+                clique[m] = 1
                 out.append(m)
         out.sort(key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
         return tuple(out)

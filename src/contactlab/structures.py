@@ -29,6 +29,7 @@ from .topology import (
     is_closed_base,
     is_stone,
     is_t0,
+    minimal_members,
     point_trace,
     rc_members_of_subset,
     space_from_closed_base,
@@ -40,17 +41,10 @@ from .topology import (
 # shared helpers for the clopen algebra of a subspace
 
 
-def _minimal_nonzero(masks):
-    nonzero = [m for m in masks if m]
-    return [
-        m for m in nonzero if not any(o != m and o | m == m for o in nonzero)
-    ]
-
-
 def _family_algebra(members, kernel_pairs_of_atoms):
     """Abstract precontact algebra of a finite set family, with the given
     relation evaluated on its minimal nonzero members."""
-    atoms = sorted(_minimal_nonzero(members))
+    atoms = minimal_members(members)
     algebra = FiniteBooleanAlgebra(len(atoms))
     pairs = frozenset(
         (i, j)
@@ -61,25 +55,20 @@ def _family_algebra(members, kernel_pairs_of_atoms):
     return PrecontactAlgebra(algebra, RelationKernel(algebra, pairs)), atoms
 
 
+def _element_set(atoms, members, support):
+    """The members above one of the atoms in the support: the element set
+    of the grill (or clan) with that support."""
+    chosen = [atoms[i] for i in bit_indices(support)]
+    return frozenset(m for m in members if any(a | m == m for a in chosen))
+
+
 def _clan_element_sets(pca, atoms, members):
     """Element sets of all clans of the family algebra, as member masks."""
-    out = []
-    for support in clan_supports(pca):
-        chosen = [atoms[i] for i in bit_indices(support)]
-        out.append(
-            frozenset(m for m in members if any(a | m == m for a in chosen))
-        )
-    return out
+    return [_element_set(atoms, members, s) for s in clan_supports(pca)]
 
 
 def _grill_element_sets(atoms, members):
-    out = []
-    for support in range(1, 1 << len(atoms)):
-        chosen = [atoms[i] for i in bit_indices(support)]
-        out.append(
-            frozenset(m for m in members if any(a | m == m for a in chosen))
-        )
-    return out
+    return [_element_set(atoms, members, s) for s in range(1, 1 << len(atoms))]
 
 
 def _relation_out_masks(space, relation):
@@ -207,34 +196,45 @@ def validate_pcs(space, subset, relation):
     def contact_sharp(f, g):
         return contact(f, g) or contact(g, f) or bool(f & g)
 
-    pcs4_ok, pcs4_witness = True, None
-    for f in clopens:
-        for g in clopens:
-            if closed[f] & closed[g] and not contact_sharp(f, g):
-                pcs4_ok = False
-                pcs4_witness = f"({space.name_set(f)},{space.name_set(g)})"
-                break
-        if not pcs4_ok:
-            break
+    # The clopens of the dense part form a finite Boolean algebra of sets
+    # whose atoms partition the subset, so each clopen is the union of
+    # the atoms below it.  Closure, reach and overlap are additive, so
+    # both sides of (PCS4) hold on (f, g) iff they hold on some pair of
+    # atoms below f and g: (PCS4) holds iff it holds on the atom pairs.
+    # On failure the pair sweep names the first witness.
+    co_pca, co_atoms = _family_algebra(clopens, contact)
+
+    def pcs4_fails(f, g):
+        return closed[f] & closed[g] and not contact_sharp(f, g)
+
+    pcs4_ok = not any(pcs4_fails(f, g) for f in co_atoms for g in co_atoms)
+    pcs4_witness = None
+    if not pcs4_ok:
+        f, g = next((f, g) for f in clopens for g in clopens if pcs4_fails(f, g))
+        pcs4_witness = f"({space.name_set(f)},{space.name_set(g)})"
     checks.append(Check("(PCS4)", pcs4_ok, pcs4_witness))
 
-    co_pca, co_atoms = _family_algebra(clopens, contact)
-    clan_sets = _clan_element_sets(co_pca, co_atoms, clopens)
-    traces = {
-        frozenset(f for f in clopens if closed[f] >> x & 1)
+    # A clan's element set is the clopens above one of its support's
+    # atoms; by additivity of closure, the closure trace of x is the
+    # clopens above one of the atoms whose closure holds x.  The two
+    # sets are equal iff the atom sets are, so a clan is realized iff
+    # its support is the closure support of some point.
+    closure_supports = {
+        mask_of(i for i, a in enumerate(co_atoms) if closed[a] >> x & 1)
         for x in range(space.point_count)
     }
-    pcs5_ok, pcs5_witness = True, None
-    for clan_set in clan_sets:
-        if clan_set not in traces:
-            pcs5_ok = False
-            pcs5_witness = (
-                "unrealized clan {"
-                + ",".join(space.name_set(f) for f in sorted(clan_set))
-                + "}"
-            )
-            break
-    checks.append(Check("(PCS5)", pcs5_ok, pcs5_witness))
+    unrealized = next(
+        (s for s in clan_supports(co_pca) if s not in closure_supports), None
+    )
+    pcs5_witness = None
+    if unrealized is not None:
+        clan_set = _element_set(co_atoms, clopens, unrealized)
+        pcs5_witness = (
+            "unrealized clan {"
+            + ",".join(space.name_set(f) for f in sorted(clan_set))
+            + "}"
+        )
+    checks.append(Check("(PCS5)", unrealized is None, pcs5_witness))
 
     return TwoPrecontactSpace(space, subset, relation, tuple(checks))
 
@@ -425,7 +425,7 @@ def validate_s2s(space, subset):
     clopen algebra must be a closure trace."""
     checks = _pair_axiom_checks(space, subset)
     clopens = clopens_of_subset(space, subset)
-    atoms = sorted(_minimal_nonzero(clopens))
+    atoms = minimal_members(clopens)
     grill_sets = _grill_element_sets(atoms, clopens)
     checks.append(_realization_check(space, subset, "(S2S4)", grill_sets, clopens))
     return StoneTwoSpace(space, subset, tuple(checks))
@@ -536,7 +536,7 @@ def mereocompactness_report(mereo):
     uniqueness_witness = None
 
     if space_ok and t0 and mereocompact:
-        atoms = sorted(_minimal_nonzero(members))
+        atoms = minimal_members(members)
         ultra_points = mask_of(
             x
             for x in range(space.point_count)

@@ -15,13 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .boolean import FiniteBooleanAlgebra, bit_indices
-from .config import UNION_CLOSURE_CAP, require_point_budget
-from .errors import (
-    CapacityError,
-    DomainMismatchError,
-    PreconditionError,
-)
+from .boolean import FiniteBooleanAlgebra, bit_indices, mask_of
+from .config import require_point_budget
+from .errors import DomainMismatchError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -63,36 +59,36 @@ class FiniteSpace:
         return self.point_names.index(name)
 
 
-def _union_closure(masks):
-    family = set(masks)
-    frontier = list(family)
-    while frontier:
-        m = frontier.pop()
-        for other in tuple(family):
-            u = m | other
-            if u not in family:
-                family.add(u)
-                frontier.append(u)
-                if len(family) > UNION_CLOSURE_CAP:
-                    raise CapacityError("union closure of the base exploded")
-    return family
+def _avoiders(point_count, members):
+    """avoid[y]: the union of the members that miss the point y.
+
+    A finite union of members avoids y iff each of its members misses y,
+    so avoid[y] is the largest finite union that avoids y.  Hence a set T
+    lies in some finite union avoiding y iff T is inside avoid[y], and y
+    is in the hull of T (the intersection of all finite unions containing
+    T, the empty union and the whole space included) iff T is not inside
+    avoid[y].  See `_hull`."""
+    avoid = [0] * point_count
+    for m in set(members):
+        for y in range(point_count):
+            if not m >> y & 1:
+                avoid[y] |= m
+    return avoid
+
+
+def _hull(avoid, target):
+    return mask_of(y for y, a in enumerate(avoid) if target & ~a)
 
 
 def space_from_closed_base(point_names, base_masks):
     """Build the space whose closed sets are all intersections of finite
-    unions of the base members, plus the empty set and the whole space."""
+    unions of the base members, plus the empty set and the whole space.
+
+    cl{x} is the hull of {x}: the points y with x outside avoid[y]
+    (`_avoiders`), in O(n * |base|)."""
     names = tuple(point_names)
-    n = len(names)
-    united = _union_closure(set(base_masks) | {0})
-    full = (1 << n) - 1
-    closures = []
-    for x in range(n):
-        acc = full
-        for m in united:
-            if m >> x & 1:
-                acc &= m
-        closures.append(acc)
-    return FiniteSpace(names, tuple(closures))
+    avoid = _avoiders(len(names), base_masks)
+    return FiniteSpace(names, tuple(_hull(avoid, 1 << x) for x in range(len(names))))
 
 
 def discrete_space(point_names):
@@ -222,28 +218,15 @@ def is_closed_base(space, members):
     """Is the family a closed base, i.e. is every closed set an
     intersection of finite unions of members?
 
-    Checked on singleton closures: with the union closure of the family,
-    the hull of each cl{x} (and of the empty set) must be exact.
+    Checked on singleton closures, since every closed set is a finite
+    union of them: the hull of each cl{x} (`_avoiders`) must be cl{x}
+    itself.  The hull of the empty set is always empty.
     """
     members = set(members)
     if any(not is_closed(space, m) for m in members):
         return False
-    united = _union_closure(members | {0})
-    full = space.full_mask
-    hull_empty = full
-    for m in united:
-        hull_empty &= m
-    if hull_empty != 0:
-        return False
-    for x in range(space.point_count):
-        target = space.point_closures[x]
-        acc = full
-        for m in united:
-            if target | m == m:
-                acc &= m
-        if acc != target:
-            return False
-    return True
+    avoid = _avoiders(space.point_count, members)
+    return all(_hull(avoid, cl) == cl for cl in space.point_closures)
 
 
 @dataclass(frozen=True)
@@ -281,6 +264,21 @@ def space_predicates(space):
         is_stone=is_stone(space),
         is_extremally_disconnected=is_extremally_disconnected(space),
     )
+
+
+def minimal_members(masks):
+    """The minimal nonzero members of a family of sets, ascending as masks;
+    a repeated minimal member is kept once per occurrence.
+
+    Members are taken in popcount order and compared only with the
+    minimal members found so far: a member with a proper nonzero subset
+    in the family has one of smaller popcount, and below that a minimal
+    one, found earlier."""
+    found = []
+    for m in sorted((m for m in masks if m), key=int.bit_count):
+        if not any(o != m and o | m == m for o in found):
+            found.append(m)
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)
@@ -323,14 +321,7 @@ class RegularClosedAlgebra:
         return bool(f & g)
 
     def atom_masks(self):
-        nonzero = [m for m in self.members if m]
-        return tuple(
-            sorted(
-                m
-                for m in nonzero
-                if not any(other != m and other | m == m for other in nonzero)
-            )
-        )
+        return minimal_members(self.members)
 
     def as_boolean(self):
         """View the member family as an abstract finite Boolean algebra.

@@ -302,3 +302,135 @@ def oracle_product_family(point_count, family):
                     mask |= 1 << (x * n + y)
             rectangles.append(mask)
     return family_from_base(n * n, rectangles)
+
+
+def oracle_closed_family(point_closures):
+    """Closed sets of a space given by its singleton closures: the sets
+    that hold the closure of each of their points."""
+    return {
+        m
+        for m in range(1 << len(point_closures))
+        if all(point_closures[x] | m == m for x in bits(m))
+    }
+
+
+def oracle_is_closed_base(point_closures, members):
+    """Members are closed, and the intersections of their finite unions
+    are every closed set."""
+    closed = oracle_closed_family(point_closures)
+    return set(members) <= closed and family_from_base(
+        len(point_closures), members
+    ) == closed
+
+
+def _support_order(k):
+    """Nonempty atom sets of a k-atom algebra in (size, atoms) order."""
+    return sorted(range(1, 1 << k), key=lambda s: (len(bits(s)), bits(s)))
+
+
+def oracle_clan_supports(n, kernel_pairs):
+    """Supports of all clans in (size, atoms) order.  The grills of a
+    finite algebra are the families of the elements meeting a nonempty
+    atom set S; such a grill is a clan iff each two of its members are
+    related by the contact closure of the expanded relation."""
+    rel = expand_relation(n, kernel_pairs)
+    out = []
+    for support in _support_order(n):
+        grill = [a for a in range(1 << n) if a & support]
+        if all(
+            (a, b) in rel or (b, a) in rel or a & b for a in grill for b in grill
+        ):
+            out.append(support)
+    return out
+
+
+def oracle_first_mismatch(n, rel, other):
+    """The first element pair, in lexicographic order, on which two
+    element-level relations differ, or None."""
+    size = 1 << n
+    return next(
+        (
+            (a, b)
+            for a in range(size)
+            for b in range(size)
+            if ((a, b) in rel) != ((a, b) in other)
+        ),
+        None,
+    )
+
+
+def _closure_of(point_closures, mask):
+    out = 0
+    for x in bits(mask):
+        out |= point_closures[x]
+    return out
+
+
+def oracle_subspace_clopens(point_closures, subset):
+    """Clopen sets of the subspace on ``subset``, ascending: the subsets
+    that, like their complements in the subset, are their own closure
+    traced on the subset."""
+    out = []
+    for m in range(subset + 1):
+        rest = subset ^ m
+        if m & ~subset:
+            continue
+        if (
+            _closure_of(point_closures, m) & subset == m
+            and _closure_of(point_closures, rest) & subset == rest
+        ):
+            out.append(m)
+    return out
+
+
+def oracle_pcs4_pcs5(point_closures, subset, relation):
+    """(PCS4) and (PCS5) by their quantifiers over all clopens of the
+    dense part, in the order the validator reports them.
+
+    (PCS4): if the closures of clopens f and g meet, then f C g, g C f
+    or f and g overlap, where f C g iff some point of f is related to
+    some point of g.  (PCS5): every clan of the clopen algebra under C
+    is the closure trace {f : x in cl f} of some point x.
+
+    Returns (pcs4, pcs5): None for a pass, else the first failing clopen
+    pair and the first unrealized clan as an ascending list of clopens.
+    """
+    clopens = oracle_subspace_clopens(point_closures, subset)
+    closed = {f: _closure_of(point_closures, f) for f in clopens}
+
+    def related(f, g):
+        return any((x, y) in relation for x in bits(f) for y in bits(g))
+
+    sharp = {
+        (f, g): related(f, g) or related(g, f) or bool(f & g)
+        for f in clopens
+        for g in clopens
+    }
+    pcs4 = next(
+        (
+            (f, g)
+            for f in clopens
+            for g in clopens
+            if closed[f] & closed[g] and not sharp[f, g]
+        ),
+        None,
+    )
+
+    atoms = sorted(
+        f
+        for f in clopens
+        if f and not any(g and g != f and g | f == f for g in clopens)
+    )
+    traces = [
+        {f for f in clopens if closed[f] >> x & 1}
+        for x in range(len(point_closures))
+    ]
+    pcs5 = None
+    for support in _support_order(len(atoms)):
+        chosen = [atoms[i] for i in bits(support)]
+        grill = [f for f in clopens if any(a | f == f for a in chosen)]
+        is_clan = all(sharp[f, g] for f in grill for g in grill)
+        if is_clan and set(grill) not in traces:
+            pcs5 = grill
+            break
+    return pcs4, pcs5

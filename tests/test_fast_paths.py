@@ -3,36 +3,56 @@ quantifier it replaces.
 
 The reductions in ``precontact`` (row/column forms for (C+), one-atom
 moves and extremal members for the well-inside axioms, the smallest
-interpolant for (Ctr)) and in ``adjacency`` (the ultrafilter adjacency
-read off the forward table at the atoms) are proved in their
-docstrings; here they must agree with the sweeps of ``oracles.py`` on
-every kernel with at most 3 atoms, on seeded kernels with 4 to 6 atoms,
-and on one-pair perturbations that break the axioms.
+interpolant for (Ctr), the clique pass of ``clan_supports``), in
+``adjacency`` (the ultrafilter adjacency read off the forward table at
+the atoms), in ``topology`` (closed bases by the largest union avoiding
+each point), in ``structures`` ((PCS4) and (PCS5) at the atoms of the
+clopen algebra) and in ``duality`` (the round-trip relation checks at
+the atom pairs) are proved in their docstrings or comments; here they
+must agree with the sweeps of ``oracles.py`` on every kernel with at
+most 3 atoms, on seeded kernels with 4 to 6 atoms or seeded spaces of up
+to 7 points, and on perturbations that break the axioms.
 """
 
 import random
 
 import pytest
 
+from contactlab import duality
 from contactlab.adjacency import canonical_adjacency_literal_pairs
-from contactlab.boolean import FiniteBooleanAlgebra
+from contactlab.boolean import FiniteBooleanAlgebra, bit_indices
+from contactlab.duality import _first_pair_mismatch, algebra_roundtrip_iso
 from contactlab.errors import AxiomViolationError, DomainMismatchError
 from contactlab.precontact import (
     RawRelation,
     RelationKernel,
     axiom_report,
+    clan_supports,
     expand_kernel,
     normalize_relation,
     pca_from_pairs,
     well_inside_axiom_report,
     well_inside_pairs,
 )
+from contactlab.structures import canonical_pcs_of_pca, validate_pcs
+from contactlab.topology import (
+    FiniteSpace,
+    is_closed_base,
+    rc_members,
+    space_from_closed_base,
+)
 
 from conftest import all_kernels
 from oracles import (
     expand_relation,
+    family_from_base,
     oracle_axioms,
+    oracle_clan_supports,
+    oracle_closed_family,
+    oracle_first_mismatch,
+    oracle_is_closed_base,
     oracle_normalize,
+    oracle_pcs4_pcs5,
     oracle_ultrafilter_adjacency,
     oracle_well_inside_axioms,
 )
@@ -223,3 +243,220 @@ def test_ultrafilter_adjacency_matches_the_literal_quantifier():
         got = canonical_adjacency_literal_pairs(pca_from_pairs(n, pairs))
         expected = oracle_ultrafilter_adjacency(n, expand_relation(n, pairs))
         assert got == expected, (n, sorted(pairs))
+
+
+# ---------------------------------------------------------------------------
+# clan_supports: the clique pass
+
+
+def test_clan_supports_match_the_literal_clans():
+    population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    population += seeded_kernels(19, {4: 10, 5: 4, 6: 2})
+    for n, pairs in population:
+        got = clan_supports(pca_from_pairs(n, pairs))
+        assert got == oracle_clan_supports(n, pairs), (n, sorted(pairs))
+
+
+# ---------------------------------------------------------------------------
+# closed bases: the largest union of members avoiding each point
+
+
+def random_space(n, rng):
+    """Singleton closures from the reflexive transitive closure of
+    random arrows."""
+    density = rng.choice((0.05, 0.15, 0.3, 0.5))
+    closures = [
+        (1 << x) | sum(1 << y for y in range(n) if rng.random() < density)
+        for x in range(n)
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            grown = closures[x]
+            for y in bit_indices(closures[x]):
+                grown |= closures[y]
+            if grown != closures[x]:
+                closures[x], changed = grown, True
+    return FiniteSpace(tuple(f"p{x}" for x in range(n)), tuple(closures))
+
+
+def test_space_from_closed_base_matches_the_generated_family():
+    rng = random.Random(20261001)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        base = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
+        space = space_from_closed_base(tuple(f"p{x}" for x in range(n)), base)
+        assert oracle_closed_family(space.point_closures) == family_from_base(
+            n, base
+        ), (n, base)
+
+
+def test_is_closed_base_matches_the_union_closure_hull():
+    rng = random.Random(20261002)
+    seen = set()
+    for _ in range(300):
+        space = random_space(rng.randint(1, 6), rng)
+        closed = sorted(oracle_closed_family(space.point_closures))
+        families = [
+            rc_members(space),
+            space.point_closures,
+            rng.sample(closed, rng.randint(0, len(closed))),
+            rng.sample(closed, rng.randint(0, len(closed)))
+            + [rng.randrange(space.full_mask + 1)],
+        ]
+        for members in families:
+            got = is_closed_base(space, members)
+            assert got == oracle_is_closed_base(space.point_closures, members), (
+                space.point_closures,
+                members,
+            )
+            seen.add(got)
+    assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# validate_pcs: (PCS4) and (PCS5) at the atoms of the clopen algebra
+
+
+def random_relation(subset, rng):
+    density = rng.choice((0.0, 0.1, 0.3, 0.6, 1.0))
+    points = list(bit_indices(subset))
+    return frozenset(
+        (x, y) for x in points for y in points if rng.random() < density
+    )
+
+
+def pcs_population():
+    """Seeded triples on spaces of 1 to 7 points with subsets of at most
+    6 points, dense or not, Stone or not; and the canonical triples of
+    every kernel on at most 2 atoms and of seeded 3-atom kernels, with a
+    relation pair dropped or added and a point dropped from the subset."""
+    rng = random.Random(20261003)
+    out = []
+    for _ in range(800):
+        space = random_space(rng.randint(1, 7), rng)
+        points = rng.sample(range(space.point_count), min(6, space.point_count))
+        subset = sum(1 << x for x in points[: rng.randint(1, len(points))])
+        out.append((space, subset, random_relation(subset, rng)))
+    kernels = [(n, k) for n in (1, 2) for k in all_kernels(n)]
+    kernels += seeded_kernels(23, {3: 20})
+    for n, pairs in kernels:
+        triple = canonical_pcs_of_pca(pca_from_pairs(n, pairs))
+        space, subset, relation = triple.space, triple.subset, triple.relation
+        out.append((space, subset, relation))
+        points = list(bit_indices(subset))
+        if relation:
+            out.append((space, subset, relation - {rng.choice(sorted(relation))}))
+        out.append((space, subset, relation | {(rng.choice(points), rng.choice(points))}))
+        if len(points) > 1:
+            dropped = subset ^ (1 << rng.choice(points))
+            kept = frozenset((x, y) for x, y in relation if dropped >> x & dropped >> y & 1)
+            out.append((space, dropped, kept))
+    return out
+
+
+def test_validate_pcs_matches_the_literal_pcs4_pcs5_sweeps():
+    seen = {"(PCS4)": set(), "(PCS5)": set()}
+    for space, subset, relation in pcs_population():
+        checks = {c.name: c for c in validate_pcs(space, subset, relation).checks}
+        pcs4, pcs5 = oracle_pcs4_pcs5(space.point_closures, subset, relation)
+        expected = {
+            "(PCS4)": None
+            if pcs4 is None
+            else f"({space.name_set(pcs4[0])},{space.name_set(pcs4[1])})",
+            "(PCS5)": None
+            if pcs5 is None
+            else "unrealized clan {" + ",".join(space.name_set(f) for f in pcs5) + "}",
+        }
+        for name, witness in expected.items():
+            got = checks[name]
+            assert (got.passed, got.witness) == (witness is None, witness), (
+                name,
+                space.point_closures,
+                subset,
+                sorted(relation),
+            )
+            seen[name].add(got.passed)
+    assert seen == {"(PCS4)": {True, False}, "(PCS5)": {True, False}}, seen
+
+
+# ---------------------------------------------------------------------------
+# algebra_roundtrip_iso: relation checks at the atom pairs
+
+
+def test_first_pair_mismatch_matches_the_literal_sweep():
+    """Two forward tables, one of a kernel with one atom pair toggled:
+    the atom-pair comparison must see the mismatch and the fallback
+    sweep must name the first differing element pair."""
+    rng = random.Random(20261004)
+    population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    population += seeded_kernels(29, {4: 6, 5: 3, 6: 2})
+    for n, pairs in population:
+        toggled = pairs ^ {(rng.randrange(n), rng.randrange(n))}
+        for other in (pairs, toggled):
+            table = pca_from_pairs(n, pairs).kernel.forward_table()
+            other_table = pca_from_pairs(n, other).kernel.forward_table()
+            got = _first_pair_mismatch(
+                1 << n,
+                lambda a, b: bool(table[a] & b),
+                lambda a, b: bool(other_table[a] & b),
+            )
+            expected = oracle_first_mismatch(
+                n, expand_relation(n, pairs), expand_relation(n, other)
+            )
+            assert got == expected, (n, sorted(pairs), sorted(other))
+
+
+def test_roundtrip_images_preserve_joins():
+    """The literal join sweep that the round trip records from the
+    construction of its images; every check of these round trips,
+    including the ones decided at the atom pairs, passes."""
+    population = [(n, k) for n in (1, 2) for k in all_kernels(n)]
+    population += seeded_kernels(31, {3: 6, 4: 3})
+    for n, pairs in population:
+        round_trip = algebra_roundtrip_iso(pca_from_pairs(n, pairs))
+        images, size = round_trip.images, 1 << n
+        assert all(
+            images[a | b] == images[a] | images[b]
+            for a in range(size)
+            for b in range(size)
+        )
+        assert round_trip.report.ok, round_trip.report.failures
+
+
+def test_roundtrip_failures_name_witnesses(path_pca, monkeypatch):
+    """Break the closure and the contact closure inside the round trip:
+    complements, meets, proximity and the closed canonical relation fail,
+    each naming its first witness."""
+    monkeypatch.setattr(duality, "closure", lambda space, mask: mask)
+    monkeypatch.setattr(duality, "contact_closure", lambda pca: pca)
+    round_trip = algebra_roundtrip_iso(path_pca)
+    images, size, full = round_trip.images, 8, 7
+    points = round_trip.space.space.full_mask
+    report = round_trip.report
+
+    comp = next(a for a in range(size) if images[full ^ a] != points ^ images[a])
+    meet = next(
+        (a, b)
+        for a in range(size)
+        for b in range(size)
+        if images[a & b] != images[a] & images[b]
+    )
+    rel = expand_relation(3, path_pca.kernel.pairs)
+    overlap = {(a, b) for a in range(size) for b in range(size) if images[a] & images[b]}
+    atoms = round_trip.canonical.atom_masks
+    kernel = round_trip.canonical.pca.kernel.pairs
+    proximity = {
+        (i, j) for i in range(len(atoms)) for j in range(len(atoms)) if atoms[i] & atoms[j]
+    }
+    assert report.check("preserves complements").witness == f"a = {comp}"
+    assert report.check("preserves meets").witness == f"(a, b) = {meet}"
+    assert (
+        report.check("contact closure matches the pair's proximity").witness
+        == f"(a, b) = {oracle_first_mismatch(3, rel, overlap)}"
+    )
+    assert (
+        report.check("closed canonical relation coincides with the pair's proximity").witness
+        == f"atom pair {sorted(kernel ^ proximity)[0]}"
+    )

@@ -20,6 +20,7 @@ from contactlab.topology import (
     interior_trace,
     is_c_semiregular,
     is_closed,
+    is_closed_base,
     is_connected,
     is_extremally_disconnected,
     is_semiregular,
@@ -81,6 +82,17 @@ def test_space_from_closed_base_discrete():
 def test_space_from_closed_base_indiscrete():
     space = space_from_closed_base(("a", "b"), [0b11])
     assert space == indiscrete_space(("a", "b"))
+
+
+def test_closed_base_with_a_huge_union_closure():
+    """20 singletons have 2**20 finite unions; the space and the base
+    check come from the largest union avoiding each point instead."""
+    names = tuple(f"p{i}" for i in range(20))
+    singletons = [1 << i for i in range(20)]
+    space = space_from_closed_base(names, singletons)
+    assert space == discrete_space(names)
+    assert is_closed_base(space, singletons)
+    assert not is_closed_base(space, singletons[1:])
 
 
 def test_generated_family_matches_oracle():
