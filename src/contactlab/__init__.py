@@ -11,7 +11,6 @@ from .boolean import (
     ElementFamily,
     FiniteBooleanAlgebra,
     grills,
-    hom_apply,
     hom_from_atom_map,
     is_family,
     sandwich_ultrafilter,

@@ -359,10 +359,6 @@ def hom_from_atom_map(source, target, atom_map):
     return BooleanHom(source, target, tuple(atom_map))
 
 
-def hom_apply(hom, element):
-    return hom.apply(element)
-
-
 def identity_hom(algebra):
     return BooleanHom(algebra, algebra, tuple(range(algebra.atom_count)))
 

@@ -37,6 +37,7 @@ from .precontact import (
 from .report import Check, ReportBuilder
 from .structures import (
     TwoPrecontactSpace,
+    _local_relation,
     _relation_out_masks,
     canonical_pcs_of_pca,
     contact_relation_of_pair,
@@ -184,22 +185,37 @@ def pcs_iso_report(morphism):
     report.add("bijective", bijective, witness=f"map {pm}")
     if not bijective:
         return report.done()
-    homeo = all(
-        mask_of(pm[y] for y in bit_indices(src.space.point_closures[x]))
-        == dst.space.point_closures[pm[x]]
-        for x in range(src.space.point_count)
+    names = src.space.point_names
+    moved = next(
+        (
+            f"the closure of {names[x]} does not transfer"
+            for x in range(src.space.point_count)
+            if mask_of(pm[y] for y in bit_indices(src.space.point_closures[x]))
+            != dst.space.point_closures[pm[x]]
+        ),
+        None,
     )
-    report.add("homeomorphism", homeo, witness="a singleton closure does not transfer")
+    report.add("homeomorphism", moved is None, witness=moved)
     iso1 = mask_of(pm[x] for x in bit_indices(src.subset)) == dst.subset
     report.add("dense parts correspond", iso1, witness="image of the dense part differs")
-    forward = all((pm[x], pm[y]) in dst.relation for x, y in src.relation)
-    backward = all(
-        (x, y) in src.relation
-        for x in bit_indices(src.subset)
-        for y in bit_indices(src.subset)
-        if (pm[x], pm[y]) in dst.relation
+    points = list(bit_indices(src.subset))
+    broken = next(
+        (
+            f"({names[x]},{names[y]}) is not preserved"
+            for x, y in sorted(src.relation)
+            if (pm[x], pm[y]) not in dst.relation
+        ),
+        None,
+    ) or next(
+        (
+            f"({names[x]},{names[y]}) is not reflected"
+            for x in points
+            for y in points
+            if (pm[x], pm[y]) in dst.relation and (x, y) not in src.relation
+        ),
+        None,
     )
-    report.add("relation preserved and reflected", forward and backward)
+    report.add("relation preserved and reflected", broken is None, witness=broken)
     return report.done()
 
 
@@ -526,10 +542,7 @@ def dense_part(pcs):
     """Forget down to the dense part with its relation: a Stone adjacency
     space at finite scale."""
     sub = subspace(pcs.space, pcs.subset)
-    indices = list(bit_indices(pcs.subset))
-    position = {x: i for i, x in enumerate(indices)}
-    local = frozenset((position[x], position[y]) for x, y in pcs.relation)
-    return AdjacencySpace(sub.point_names, local, sub)
+    return AdjacencySpace(sub.point_names, _local_relation(pcs.subset, pcs.relation), sub)
 
 
 def dense_part_map(f):
@@ -551,7 +564,11 @@ def pcs_from_stone_adjacency(adjacency, candidate=None):
     pca = contact_from_adjacency(adjacency)
     triple = dual_space(pca)
     report = ReportBuilder("reconstruction from a Stone adjacency space")
-    report.add("triple validates", triple.is_valid)
+    report.add(
+        "triple validates",
+        triple.is_valid,
+        witness="; ".join(f"{c.name} {c.witness}" for c in triple.failures()),
+    )
     reduct = dense_part(triple)
     report.add(
         "dense part reproduces the input cells",

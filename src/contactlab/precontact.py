@@ -23,6 +23,7 @@ from .boolean import (
     BooleanHom,
     Element,
     FiniteBooleanAlgebra,
+    _upward_closed,
     bit_indices,
     joins_table,
     mask_of,
@@ -182,10 +183,6 @@ class PrecontactAlgebra:
 def pca_from_pairs(atom_count, pairs):
     algebra = FiniteBooleanAlgebra(atom_count)
     return PrecontactAlgebra(algebra, RelationKernel(algebra, frozenset(pairs)))
-
-
-def holds(pca, a, b):
-    return pca.contact(a, b)
 
 
 def _nonzero_meets(n):
@@ -572,15 +569,8 @@ def is_clan(pca, members):
     if not masks or 0 in masks:
         return False
     size = algebra.size
-    for m in masks:
-        rest = algebra.full_mask ^ m
-        extra = rest
-        while True:
-            if (m | extra) not in masks:
-                return False
-            if extra == 0:
-                break
-            extra = (extra - 1) & rest
+    if not _upward_closed(size, masks):
+        return False
     for a in range(size):
         for b in range(size):
             if (a | b) in masks and a not in masks and b not in masks:

@@ -71,6 +71,26 @@ def _grill_element_sets(atoms, members):
     return [_element_set(atoms, members, s) for s in range(1, 1 << len(atoms))]
 
 
+def _dense_part_verdicts(space, subset, atom_closures):
+    """Is the dense part a Stone space, and do the pair's regular closed
+    sets form a closed base?  ``atom_closures`` are the closures of the
+    atoms of the dense part's clopen algebra.
+
+    Stone: a finite space is compact, Hausdorff is T1 there, T1 forces
+    discrete and discrete forces zero-dimensional.  So the dense part is
+    Stone iff each of its singleton closures, cl{x} & subset, is {x}.
+
+    Closed base: the pair's regular closed sets are the closures of the
+    clopens, each clopen is the union of the atoms below it and closure
+    is additive, so they are the finite unions of the atom closures.  A
+    union misses y iff each of its members does, so both families have
+    the same largest union avoiding each point (`is_closed_base`), and
+    both consist of closed sets: they get the same verdict.
+    """
+    stone = all(space.point_closures[x] & subset == 1 << x for x in bit_indices(subset))
+    return stone, is_closed_base(space, atom_closures)
+
+
 def _relation_out_masks(space, relation):
     succ = [0] * space.point_count
     for x, y in relation:
@@ -155,16 +175,28 @@ def validate_pcs(space, subset, relation):
         )
     )
 
-    sub = subspace(space, subset)
-    local = frozenset(
-        (
-            _local_index(subset, x),
-            _local_index(subset, y),
-        )
-        for x, y in relation
+    clopens = clopens_of_subset(space, subset)
+    succ = _relation_out_masks(space, relation)
+    # The clopens of the dense part form a finite Boolean algebra of sets
+    # whose atoms partition the subset, so each clopen is the union of
+    # the atoms below it.  Closure and reach (the points related to one
+    # of a set's points: f C g iff reach[f] meets g) are additive, so
+    # (PCS3), (PCS4) and (PCS5) read them only at the atoms.
+    co_atoms = minimal_members(clopens)
+
+    def reach_of(f):
+        return reduce(or_, (succ[x] for x in bit_indices(f)), 0)
+
+    closed = {a: closure(space, a) for a in co_atoms}
+    reach = {a: reach_of(a) for a in co_atoms}
+
+    stone, base_ok = _dense_part_verdicts(space, subset, closed.values())
+    # A finite Stone dense part is discrete, so is its square, and every
+    # relation on it is closed.  Only a dense part that is not Stone needs
+    # the product topology, to name the second half of the witness.
+    closed_rel = stone or is_closed_relation(
+        _local_relation(subset, relation), subspace(space, subset)
     )
-    stone = is_stone(sub)
-    closed_rel = is_closed_relation(local, sub)
     checks.append(
         Check(
             "(PCS2)",
@@ -172,9 +204,6 @@ def validate_pcs(space, subset, relation):
             None if stone and closed_rel else f"stone={stone}, closed relation={closed_rel}",
         )
     )
-
-    rc_members = rc_members_of_subset(space, subset)
-    base_ok = is_closed_base(space, rc_members)
     checks.append(
         Check(
             "(PCS3)",
@@ -183,26 +212,18 @@ def validate_pcs(space, subset, relation):
         )
     )
 
-    clopens = clopens_of_subset(space, subset)
-    succ = _relation_out_masks(space, relation)
-    # per clopen, once: its closure and the points related to one of its
-    # points (f C g iff reach[f] meets g)
-    closed = {f: closure(space, f) for f in clopens}
-    reach = {f: reduce(or_, (succ[x] for x in bit_indices(f)), 0) for f in clopens}
-
     def contact(f, g):
         return bool(reach[f] & g)
 
     def contact_sharp(f, g):
         return contact(f, g) or contact(g, f) or bool(f & g)
 
-    # The clopens of the dense part form a finite Boolean algebra of sets
-    # whose atoms partition the subset, so each clopen is the union of
-    # the atoms below it.  Closure, reach and overlap are additive, so
-    # both sides of (PCS4) hold on (f, g) iff they hold on some pair of
+    # Both sides of (PCS4) hold on (f, g) iff they hold on some pair of
     # atoms below f and g: (PCS4) holds iff it holds on the atom pairs.
-    # On failure the pair sweep names the first witness.
-    co_pca, co_atoms = _family_algebra(clopens, contact)
+    # On failure the pair sweep over all clopens names the first witness.
+    # The atoms are their own minimal members, so the family algebra of
+    # the atoms is the clopen algebra.
+    co_pca, _ = _family_algebra(co_atoms, contact)
 
     def pcs4_fails(f, g):
         return closed[f] & closed[g] and not contact_sharp(f, g)
@@ -210,6 +231,8 @@ def validate_pcs(space, subset, relation):
     pcs4_ok = not any(pcs4_fails(f, g) for f in co_atoms for g in co_atoms)
     pcs4_witness = None
     if not pcs4_ok:
+        for f in clopens:
+            closed[f], reach[f] = closure(space, f), reach_of(f)
         f, g = next((f, g) for f in clopens for g in clopens if pcs4_fails(f, g))
         pcs4_witness = f"({space.name_set(f)},{space.name_set(g)})"
     checks.append(Check("(PCS4)", pcs4_ok, pcs4_witness))
@@ -239,8 +262,10 @@ def validate_pcs(space, subset, relation):
     return TwoPrecontactSpace(space, subset, relation, tuple(checks))
 
 
-def _local_index(subset, x):
-    return sum(1 for y in bit_indices(subset) if y < x)
+def _local_relation(subset, relation):
+    """The relation in the point indexing of `subspace(space, subset)`."""
+    position = {x: i for i, x in enumerate(bit_indices(subset))}
+    return frozenset((position[x], position[y]) for x, y in relation)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +293,14 @@ def _canonical_pcs(pca):
         raise PreconditionError("duality rejects the degenerate algebra")
     supports = clan_supports(pca)
     names = tuple(clan_point_name(s) for s in supports)
-    base = []
-    for a in range(algebra.size):
-        base.append(mask_of(i for i, s in enumerate(supports) if s & a))
+    # The closed base is the clan sets of the elements.  The clan set of
+    # an element is the union of its atoms' clan sets, so the n atom clan
+    # sets generate the same finite unions, hence the same avoid[y] in
+    # `space_from_closed_base` and the same space.
+    base = [0] * algebra.atom_count
+    for i, s in enumerate(supports):
+        for p in bit_indices(s):
+            base[p] |= 1 << i
     space = space_from_closed_base(names, base)
     position = {s: i for i, s in enumerate(supports)}
     x0 = mask_of(position[1 << p] for p in range(algebra.atom_count))
@@ -362,9 +392,10 @@ class StoneTwoSpace:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _pair_axiom_checks(space, subset):
+def _pair_axiom_checks(space, subset, co_atoms):
     """The shared axioms: density precondition, (CS1) T0, (CS2) Stone
-    dense part, (CS3) closed base."""
+    dense part, (CS3) closed base.  ``co_atoms`` are the atoms of the
+    dense part's clopen algebra."""
     checks = []
     dense = closure(space, subset) == space.full_mask
     checks.append(
@@ -376,9 +407,10 @@ def _pair_axiom_checks(space, subset):
     )
     t0 = is_t0(space)
     checks.append(Check("(CS1)", t0, None if t0 else "space is not T0"))
-    stone = is_stone(subspace(space, subset))
+    stone, base_ok = _dense_part_verdicts(
+        space, subset, [closure(space, a) for a in co_atoms]
+    )
     checks.append(Check("(CS2)", stone, None if stone else "dense part is not a Stone space"))
-    base_ok = is_closed_base(space, rc_members_of_subset(space, subset))
     checks.append(
         Check(
             "(CS3)",
@@ -408,13 +440,14 @@ def _realization_check(space, subset, name, element_sets, clopens):
 def validate_cs(space, subset):
     """Check the 2-contact axioms: the clans of the proximity of the
     dense part's clopens must all be closure traces of points."""
-    checks = _pair_axiom_checks(space, subset)
     clopens = clopens_of_subset(space, subset)
+    co_atoms = minimal_members(clopens)
+    checks = _pair_axiom_checks(space, subset, co_atoms)
 
     def delta(f, g):
         return bool(closure(space, f) & closure(space, g))
 
-    co_pca, co_atoms = _family_algebra(clopens, delta)
+    co_pca, _ = _family_algebra(co_atoms, delta)
     clan_sets = _clan_element_sets(co_pca, co_atoms, clopens)
     checks.append(_realization_check(space, subset, "(CS4)", clan_sets, clopens))
     return TwoContactSpace(space, subset, tuple(checks))
@@ -423,9 +456,9 @@ def validate_cs(space, subset):
 def validate_s2s(space, subset):
     """Stone 2-space: like a 2-contact space but every grill of the
     clopen algebra must be a closure trace."""
-    checks = _pair_axiom_checks(space, subset)
     clopens = clopens_of_subset(space, subset)
     atoms = minimal_members(clopens)
+    checks = _pair_axiom_checks(space, subset, atoms)
     grill_sets = _grill_element_sets(atoms, clopens)
     checks.append(_realization_check(space, subset, "(S2S4)", grill_sets, clopens))
     return StoneTwoSpace(space, subset, tuple(checks))

@@ -434,3 +434,50 @@ def oracle_pcs4_pcs5(point_closures, subset, relation):
             pcs5 = grill
             break
     return pcs4, pcs5
+
+
+def oracle_pcs2_pcs3(point_closures, subset, relation):
+    """(PCS2) and (PCS3) by their definitions.
+
+    The dense part carries the trace topology: its closed sets are the
+    closed sets of the space cut down to the subset.  It is Stone when it
+    is compact (always, being finite), Hausdorff (distinct points have
+    disjoint open neighbourhoods) and zero-dimensional (every point of an
+    open set has a clopen neighbourhood inside it).  The smallest open
+    neighbourhood of a point is the intersection of the open sets that
+    hold it, and the products of two of them are the smallest
+    neighbourhoods in the square, so the relation is closed when each
+    pair outside it has such a product missing it.  (PCS3): the closures
+    of the dense part's clopens form a closed base of the space.
+
+    Returns (stone, closed_relation, closed_base).
+    """
+    closed = {c & subset for c in oracle_closed_family(point_closures)}
+    opens = [subset ^ c for c in closed]
+    points = bits(subset)
+    nbhd = {}
+    for x in points:
+        nbhd[x] = subset
+        for u in opens:
+            if u >> x & 1:
+                nbhd[x] &= u
+    hausdorff = all(not nbhd[x] & nbhd[y] for x in points for y in points if x != y)
+    clopens = [u for u in opens if u in closed]
+    zero_dimensional = all(
+        any(k >> x & 1 and k | u == u for k in clopens) for u in opens for x in bits(u)
+    )
+    closed_relation = all(
+        not any((p, q) in relation for p in bits(nbhd[x]) for q in bits(nbhd[y]))
+        for x in points
+        for y in points
+        if (x, y) not in relation
+    )
+    regular_closed = [
+        _closure_of(point_closures, f)
+        for f in oracle_subspace_clopens(point_closures, subset)
+    ]
+    return (
+        hausdorff and zero_dimensional,
+        closed_relation,
+        oracle_is_closed_base(point_closures, regular_closed),
+    )

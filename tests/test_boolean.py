@@ -10,7 +10,6 @@ from contactlab.boolean import (
     compose_homs,
     grill_from_support,
     grills,
-    hom_apply,
     hom_from_atom_map,
     identity_hom,
     is_family,
@@ -203,10 +202,10 @@ def test_sandwich_exhaustive_small():
 
 def test_hom_from_atom_map(b4, b2):
     phi = hom_from_atom_map(b4, b2, (0,))
-    assert hom_apply(phi, b4.atom(0)) == b2.one
-    assert hom_apply(phi, b4.atom(1)) == b2.zero
-    assert hom_apply(phi, b4.one) == b2.one
-    assert hom_apply(phi, b4.zero) == b2.zero
+    assert phi.apply(b4.atom(0)) == b2.one
+    assert phi.apply(b4.atom(1)) == b2.zero
+    assert phi.apply(b4.one) == b2.one
+    assert phi.apply(b4.zero) == b2.zero
 
 
 def test_hom_validates_atom_map(b4, b2):
@@ -219,7 +218,7 @@ def test_hom_validates_atom_map(b4, b2):
 def test_identity_hom(b8):
     ident = identity_hom(b8)
     for a in b8.elements():
-        assert hom_apply(ident, a) == a
+        assert ident.apply(a) == a
 
 
 def test_homs_preserve_operations_exhaustively():

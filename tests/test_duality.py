@@ -33,7 +33,8 @@ from contactlab.precontact import (
     pca_from_pairs,
     smallest_contact,
 )
-from contactlab.structures import pcs_algebra, validate_cs
+from contactlab import structures
+from contactlab.structures import TwoPrecontactSpace, pcs_algebra, validate_cs
 from contactlab.topology import discrete_space, is_connected
 
 from conftest import all_kernels
@@ -279,6 +280,33 @@ def test_reconstruction_from_stone_adjacency(xl_space):
     triple3, report3 = pcs_from_stone_adjacency(path)
     assert report3.ok
     assert triple3.space.point_count == 5
+
+
+def test_iso_and_reconstruction_failures_name_witnesses(disc2, sierpinski, monkeypatch):
+    """Break each check on purpose: a continuous bijection onto the
+    Sierpinski space, a bijection onto a larger relation, and a
+    reconstruction whose triple fails (PCS1)."""
+    plain = TwoPrecontactSpace(disc2, 0b11, frozenset())
+    onto_sierpinski = PcsMorphism(
+        plain, TwoPrecontactSpace(sierpinski, 0b11, frozenset()), (0, 1)
+    )
+    onto_larger = PcsMorphism(
+        plain, TwoPrecontactSpace(disc2, 0b11, frozenset({(0, 1)})), (0, 1)
+    )
+    assert (
+        pcs_iso_report(onto_sierpinski).check("homeomorphism").witness
+        == "the closure of b does not transfer"
+    )
+    assert (
+        pcs_iso_report(onto_larger).check("relation preserved and reflected").witness
+        == "(a,b) is not reflected"
+    )
+
+    monkeypatch.setattr(structures, "is_t0", lambda space: False)
+    diag = AdjacencySpace(("a", "b"), frozenset({(0, 0), (1, 1)}),
+                          discrete_space(("a", "b")))
+    _, report = pcs_from_stone_adjacency(diag)
+    assert report.check("triple validates").witness == "(PCS1) dense=True, T0=False"
 
 
 def test_reconstruction_uniqueness_against_candidate():

@@ -6,10 +6,11 @@ moves and extremal members for the well-inside axioms, the smallest
 interpolant for (Ctr), the clique pass of ``clan_supports``), in
 ``adjacency`` (the ultrafilter adjacency read off the forward table at
 the atoms), in ``topology`` (closed bases by the largest union avoiding
-each point), in ``structures`` ((PCS4) and (PCS5) at the atoms of the
-clopen algebra) and in ``duality`` (the round-trip relation checks at
-the atom pairs) are proved in their docstrings or comments; here they
-must agree with the sweeps of ``oracles.py`` on every kernel with at
+each point), in ``structures`` ((PCS2) by the Stone trace, (PCS3) to
+(PCS5) and (CS2), (CS3) at the atoms of the clopen algebra, the closed
+base of the canonical space from the atom clan sets) and in
+``duality`` (the round-trip relation checks at the atom pairs) are
+proved in their docstrings or comments; here they must agree with the sweeps of ``oracles.py`` on every kernel with at
 most 3 atoms, on seeded kernels with 4 to 6 atoms or seeded spaces of up
 to 7 points, and on perturbations that break the axioms.
 """
@@ -34,7 +35,7 @@ from contactlab.precontact import (
     well_inside_axiom_report,
     well_inside_pairs,
 )
-from contactlab.structures import canonical_pcs_of_pca, validate_pcs
+from contactlab.structures import canonical_pcs_of_pca, validate_cs, validate_pcs
 from contactlab.topology import (
     FiniteSpace,
     is_closed_base,
@@ -52,6 +53,7 @@ from oracles import (
     oracle_first_mismatch,
     oracle_is_closed_base,
     oracle_normalize,
+    oracle_pcs2_pcs3,
     oracle_pcs4_pcs5,
     oracle_ultrafilter_adjacency,
     oracle_well_inside_axioms,
@@ -316,7 +318,7 @@ def test_is_closed_base_matches_the_union_closure_hull():
 
 
 # ---------------------------------------------------------------------------
-# validate_pcs: (PCS4) and (PCS5) at the atoms of the clopen algebra
+# validate_pcs: (PCS2)..(PCS5) at the atoms of the clopen algebra
 
 
 def random_relation(subset, rng):
@@ -379,6 +381,64 @@ def test_validate_pcs_matches_the_literal_pcs4_pcs5_sweeps():
             )
             seen[name].add(got.passed)
     assert seen == {"(PCS4)": {True, False}, "(PCS5)": {True, False}}, seen
+
+
+def test_validate_pcs_matches_the_literal_pcs2_pcs3_definitions():
+    """(PCS2) by the Stone trace and the discreteness of a Stone square,
+    (PCS3) on the closures of the clopen atoms; (CS2) and (CS3) of the
+    2-contact validator share both reductions."""
+    seen = {"(PCS2)": set(), "(PCS3)": set(), "(CS2)": set(), "(CS3)": set()}
+    for space, subset, relation in pcs_population():
+        stone, closed_rel, base_ok = oracle_pcs2_pcs3(
+            space.point_closures, subset, relation
+        )
+        pcs2 = stone and closed_rel
+        expected = {
+            "(PCS2)": None if pcs2 else f"stone={stone}, closed relation={closed_rel}",
+            "(PCS3)": None
+            if base_ok
+            else "the pair's regular closed sets are not a closed base",
+            "(CS2)": None if stone else "dense part is not a Stone space",
+            "(CS3)": None
+            if base_ok
+            else "the pair's regular closed sets are not a closed base",
+        }
+        checks = {c.name: c for c in validate_pcs(space, subset, relation).checks}
+        checks.update((c.name, c) for c in validate_cs(space, subset).checks)
+        for name, witness in expected.items():
+            got = checks[name]
+            assert (got.passed, got.witness) == (witness is None, witness), (
+                name,
+                space.point_closures,
+                subset,
+                sorted(relation),
+            )
+            seen[name].add(witness)
+    assert seen["(PCS2)"] == {
+        None,
+        "stone=False, closed relation=True",
+        "stone=False, closed relation=False",
+    }, seen["(PCS2)"]
+    for name in ("(PCS3)", "(CS2)", "(CS3)"):
+        assert len(seen[name]) == 2, (name, seen[name])
+
+
+def test_canonical_space_matches_the_element_clan_set_base():
+    """The atom clan sets generate the closed base of all element clan
+    sets."""
+    population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    population += seeded_kernels(37, {4: 10, 5: 5, 6: 3})
+    for n, pairs in population:
+        pca = pca_from_pairs(n, pairs)
+        supports = clan_supports(pca)
+        base = [
+            sum(1 << i for i, s in enumerate(supports) if s & a) for a in range(1 << n)
+        ]
+        space = canonical_pcs_of_pca(pca).space
+        assert space == space_from_closed_base(space.point_names, base), (
+            n,
+            sorted(pairs),
+        )
 
 
 # ---------------------------------------------------------------------------
