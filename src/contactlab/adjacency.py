@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolean import bit_indices
+from .boolean import _first_pair_mismatch, bit_indices
 from .config import require_enum_width
 from .errors import DomainMismatchError, PreconditionError
 from .precontact import (
@@ -278,20 +278,22 @@ def stone_representation_report(pca):
         len(set(images)) == size,
         witness=f"image count {len(set(images))}",
     )
-    table = pca.kernel.forward_table()
     # some literal pair joins images[a] to images[b] iff the forward table
-    # of the literal pairs at images[a] meets images[b]
+    # of the literal pairs at images[a] meets images[b].  Both sides are
+    # additive in a and in b (images is the identity on masks), so they
+    # are compared at the atom pairs; see `_first_pair_mismatch`.
+    table = pca.kernel.forward_table()
     literal_table = RelationKernel(algebra, literal).forward_table()
-    iso_ok, iso_witness = True, None
-    for a in range(size):
-        row = literal_table[images[a]]
-        for b in range(size):
-            if bool(table[a] & b) != bool(row & images[b]):
-                iso_ok, iso_witness = False, f"(a, b) = ({a}, {b})"
-                break
-        if not iso_ok:
-            break
-    report.add("stone map preserves and reflects the relation", iso_ok, iso_witness)
+    iso_witness = _first_pair_mismatch(
+        size,
+        lambda a, b: bool(table[a] & b),
+        lambda a, b: bool(literal_table[images[a]] & images[b]),
+    )
+    report.add(
+        "stone map preserves and reflects the relation",
+        iso_witness is None,
+        f"(a, b) = {iso_witness}",
+    )
 
     flags = pca.axioms
     kernel = pca.kernel

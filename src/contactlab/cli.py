@@ -296,6 +296,29 @@ def cmd_random(args):
 # argument parsing
 
 
+def _int_at_least(low):
+    def parse(raw):
+        try:
+            value = int(raw)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {raw!r}")
+        return value
+
+    return parse
+
+
+def _density(raw):
+    try:
+        value = float(raw)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {raw!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="contactlab",
@@ -328,10 +351,10 @@ def build_parser():
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("suite", help="run the property suite on seeded instances")
-    p.add_argument("--atoms", type=int, required=True)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--atoms", type=_int_at_least(1), required=True)
+    p.add_argument("--count", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=None)
+    p.add_argument("--density", type=_density, default=None)
     p.add_argument(
         "--constraint",
         choices=("none", "contact", "connected", "complete"),
@@ -347,8 +370,8 @@ def build_parser():
 
     p = sub.add_parser("random", help="generate a seeded random instance")
     p.add_argument("--kind", choices=("pca",), default="pca")
-    p.add_argument("--atoms", type=int, required=True)
-    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--atoms", type=_int_at_least(0), required=True)
+    p.add_argument("--density", type=_density, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--constraint",

@@ -16,7 +16,13 @@ from itertools import permutations, product
 from operator import or_
 
 from .adjacency import AdjacencySpace, contact_from_adjacency, is_closed_relation
-from .boolean import BooleanHom, bit_indices, joins_table, mask_of
+from .boolean import (
+    BooleanHom,
+    _first_pair_mismatch,
+    bit_indices,
+    joins_table,
+    mask_of,
+)
 from .config import ENUMERATION_POINT_CAP, ISOMORPHISM_POINT_CAP
 from .errors import (
     CapacityError,
@@ -311,27 +317,6 @@ class AlgebraRoundTrip:
 
     def image_of(self, element_mask):
         return self.images[element_mask]
-
-
-def _first_pair_mismatch(size, left, right):
-    """The first (a, b), in lexicographic order over the elements of an
-    algebra of ``size`` elements, where the predicates differ; None when
-    they agree everywhere.
-
-    Both predicates must be additive in a and in b: false when a side is
-    0, and true on a join iff true on one of its parts.  Such a predicate
-    holds on (a, b) iff it holds on some pair of atoms below a and b, so
-    two of them agree everywhere iff they agree on the atom pairs.  The
-    4^n sweep runs only on a mismatch, to find the first witness."""
-    atoms = [1 << p for p in range(size.bit_length() - 1)]
-    if all(left(a, b) == right(a, b) for a in atoms for b in atoms):
-        return None
-    return next(
-        (a, b)
-        for a in range(size)
-        for b in range(size)
-        if left(a, b) != right(a, b)
-    )
 
 
 def algebra_roundtrip_iso(pca):

@@ -7,23 +7,32 @@ is always derived:
 
     a C b  iff  some kernel pair (p, q) has p in a and q in b.
 
+Element-level relations (a raw relation to normalize, a well-inside
+relation, the contact read back from one) are held as rows of bitsets:
+2**n Python ints, bit b of rows[a] meaning a R b, packed into one
+4**n-bit matrix where a check reads every row at once.  Sets of element
+pairs appear only where a public function takes or returns them, and are
+converted once there.
+
 Axiom checks decide exactly over the carrier, never by sampling; every
-reduction is tested against the literal quantifiers in `tests/oracles.py`.
-They are the ground truth the rest of the package is tested against.
+reduction is proved next to its code and tested against the literal
+quantifiers in `tests/oracles.py`.  They are the ground truth the rest
+of the package is tested against.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import and_, or_
+from functools import cached_property, lru_cache, reduce
+from operator import or_
+from typing import NamedTuple
 
 from .boolean import (
     BooleanHom,
     Element,
     FiniteBooleanAlgebra,
-    _upward_closed,
+    _is_grill,
     bit_indices,
     joins_table,
     mask_of,
@@ -185,19 +194,115 @@ def pca_from_pairs(atom_count, pairs):
     return PrecontactAlgebra(algebra, RelationKernel(algebra, frozenset(pairs)))
 
 
-def _nonzero_meets(n):
-    """hits[s] = the set of elements b with b & s != 0, as a bitmask over
-    the 2**n elements (bit b set).  Size 2**n."""
+class _RowTables(NamedTuple):
+    """Constants of the row form for one atom count n, with size = 2**n.
+
+    A relation is held as ``size`` rows: bit b of rows[a] means a R b.
+    Packed into one matrix of size**2 bits, the pair (a, b) sits at bit
+    i = a * size + b, so index bits 0..n-1 are the atoms of b and bits
+    n..2n-1 those of a.
+    """
+
+    row: int  # the full row, every b
+    everything: int  # the full matrix, every (a, b)
+    hits: list  # hits[s]: the b with b & s != 0
+    up: list  # up[m]: the b containing m
+    order: int  # the matrix of inclusion, a <= b
+    bits: tuple  # bits[j]: the matrix positions whose index bit j is set
+    swaps: tuple  # swaps[j]: bit j set and bit n + j clear, for transposing
+
+
+@lru_cache(maxsize=4)
+def _row_tables(n):
+    # Keyed on the atom count alone.  Every constant is a bit pattern
+    # built by doubling: bits[j] repeats 2**j zeros then 2**j ones, and
+    # each entry of hits and up is one join or meet of two earlier ones.
     size = 1 << n
-    hits = [0] * size
-    for q in range(n):
-        atom = 1 << q
-        hits[atom] = sum(1 << b for b in range(size) if b & atom)
-    for s in range(1, size):
-        low = s & -s
-        if s != low:
-            hits[s] = hits[s ^ low] | hits[low]
-    return hits
+    span = size * size
+    bits = []
+    for j in range(2 * n):
+        width = 1 << j
+        pattern, period = ((1 << width) - 1) << width, 2 * width
+        while period < span:
+            pattern |= pattern << period
+            period *= 2
+        bits.append(pattern)
+    row = (1 << size) - 1
+    hits, up = [0] * size, [row] * size
+    for m in range(1, size):
+        low = m & -m
+        if m == low:
+            hits[m] = up[m] = bits[low.bit_length() - 1] & row
+        else:
+            hits[m] = hits[m ^ low] | hits[low]
+            up[m] = up[m ^ low] & up[low]
+    return _RowTables(
+        row=row,
+        everything=(1 << span) - 1,
+        hits=hits,
+        up=up,
+        order=_pack(up),
+        bits=tuple(bits),
+        swaps=tuple(bits[j] & ~bits[n + j] for j in range(n)),
+    )
+
+
+def _pack(rows):
+    """The rows as one matrix of len(rows)**2 bits, row a at bit
+    a * len(rows)."""
+    size = len(rows)
+    if size < 8:
+        return sum(r << (a * size) for a, r in enumerate(rows))
+    width = size >> 3
+    return int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
+
+
+def _unpack(matrix, size):
+    """The ``size`` rows of a packed matrix."""
+    if size < 8:
+        row = (1 << size) - 1
+        return [matrix >> (a * size) & row for a in range(size)]
+    width = size >> 3
+    data = matrix.to_bytes(width * size, "little")
+    return [
+        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
+    ]
+
+
+def _flip(matrix, bits, indices):
+    """The matrix with the given index bits complemented: for each j, the
+    blocks of 2**j positions with bit j clear and set trade places."""
+    for j in indices:
+        shift = 1 << j
+        matrix = (matrix & bits[j]) >> shift | (matrix & ~bits[j]) << shift
+    return matrix
+
+
+def _transpose(matrix, tables, n):
+    """(a, b) -> (b, a): index bits j and n + j exchanged by delta swaps."""
+    for j, mask in enumerate(tables.swaps):
+        shift = (1 << (n + j)) - (1 << j)
+        t = (matrix >> shift ^ matrix) & mask
+        matrix ^= t ^ t << shift
+    return matrix
+
+
+def _rows_of_pairs(algebra, pairs, what):
+    """Rows of an explicit relation; a pair outside the algebra raises
+    DomainMismatchError, naming the first one met."""
+    full = algebra.full_mask
+    rows = [0] * algebra.size
+    for a, b in frozenset(pairs):
+        if not (0 <= a <= full and 0 <= b <= full):
+            raise DomainMismatchError(
+                f"{what} pair {(a, b)} outside algebra with {algebra.atom_count} atoms"
+            )
+        rows[a] |= 1 << b
+    return rows
+
+
+def _pairs_of_rows(rows):
+    return frozenset((a, b) for a, row in enumerate(rows) for b in bit_indices(row))
 
 
 def _atoms_in(row, n):
@@ -210,18 +315,49 @@ def _atoms_in(row, n):
     return out
 
 
-def _first_cplus_witness(rel, size):
+def _first_cplus_witness(rows):
     """The lexicographically first triple (a, b, c) breaking (C+) on the
     literal relation, or None."""
+    size = len(rows)
     for a in range(size):
+        row = rows[a]
         for b in range(size):
-            ab = (a, b) in rel
             for c in range(size):
-                if ((a, b | c) in rel) != (ab or (a, c) in rel):
+                if row >> (b | c) & 1 != (row >> b | row >> c) & 1:
                     return a, b, c
-                if ((b | c, a) in rel) != ((b, a) in rel or (c, a) in rel):
+                if rows[b | c] >> a & 1 != (rows[b] | rows[c]) >> a & 1:
                     return a, b, c
     return None
+
+
+def _kernel_of_rows(algebra, rows):
+    """The kernel of a relation given by rows that satisfy (C0), after
+    deciding (C+); AxiomViolationError names the first breaking triple.
+
+    Reduction, O(2**n) row comparisons instead of the 8**n triple sweep:
+    write S_a for the atoms q with a C {q}.  Under (C0), (C+) holds iff
+    rows[a] = hits[S_a] for every a and S is a join-homomorphism.  Proof:
+    (C0) and (C+) make each row and each column a join-preserving map
+    into {0, 1} sending 0 to 0, which is fixed by its value on the atoms,
+    so rows[a] = hits[S_a]; and then the columns are additive iff
+    S_{b | c} = S_b | S_c, as the atoms tell the sets S apart.
+    Conversely rows of that form are additive in b, and with S additive
+    in a.  S is a join-homomorphism with S_0 = 0 iff it is the joins
+    table of its atom values, the kernel's forward table, so both halves
+    are the single test rows == hits[table].  On failure the literal
+    triple search names the lexicographically first witness.
+    """
+    n = algebra.atom_count
+    succ = [_atoms_in(rows[1 << p], n) for p in range(n)]
+    hits = _row_tables(n).hits
+    if rows != [hits[t] for t in joins_table(succ)]:
+        witness = _first_cplus_witness(rows)
+        if witness is None:
+            raise InternalError("(C+) fails on the rows but no triple breaks it")
+        raise AxiomViolationError("(C+)", witness)
+    return RelationKernel(
+        algebra, frozenset((p, q) for p in range(n) for q in bit_indices(succ[p]))
+    )
 
 
 def normalize_relation(raw):
@@ -230,73 +366,38 @@ def normalize_relation(raw):
 
     Raises AxiomViolationError with a concrete witness pair for (C0) or a
     witness triple (a, b, c) for (C+), and DomainMismatchError for a pair
-    outside the algebra.
-
-    Reduction, O(4**n) instead of the 8**n triple sweep: write row[a]
-    for the set of b with a C b, col[b] for the set of a with a C b,
-    S_a for the atoms q with a C {q} and T_b for the atoms p with
-    {p} C b.  Under (C0), (C+) holds iff row[a] = {b : b & S_a != 0}
-    and col[b] = {a : a & T_b != 0} for every a and b.  Proof: (C0)
-    and (C+) make each row and each column a join-preserving map into
-    {0, 1} sending 0 to 0, which is fixed by its value on the atoms;
-    conversely a row of that form is additive in b, and a column of
-    that form in a.  The same two forms prove the kernel round trip:
-    a C b iff a & T_b != 0 iff some atom p of a has b & S_{p} != 0 iff
-    b meets the kernel's forward table at a.  On failure the literal
-    triple search names the lexicographically first witness.
+    outside the algebra.  The pairs are read into rows once; (C+) is
+    decided on the rows (see `_kernel_of_rows`).
     """
     algebra = raw.algebra
     n = algebra.atom_count
     require_enum_width(n)
-    rel = raw.pairs
-    size = algebra.size
     full = algebra.full_mask
-    row = [0] * size
-    col = [0] * size
+    rows = [0] * algebra.size
     outside = None
-    for a, b in rel:
+    for a, b in raw.pairs:
         if a == 0 or b == 0:
             raise AxiomViolationError("(C0)", (a, b))
         if not (0 <= a <= full and 0 <= b <= full):
             outside = (a, b)
             continue
-        row[a] |= 1 << b
-        col[b] |= 1 << a
+        rows[a] |= 1 << b
     if outside is not None:
         raise DomainMismatchError(
             f"relation pair {outside} outside algebra with {n} atoms"
         )
-    hits = _nonzero_meets(n)
-    row_atoms = [_atoms_in(r, n) for r in row]
-    if any(row[a] != hits[row_atoms[a]] for a in range(size)) or any(
-        c != hits[_atoms_in(c, n)] for c in col
-    ):
-        witness = _first_cplus_witness(rel, size)
-        if witness is None:
-            raise InternalError("(C+) fails on rows or columns but no triple breaks it")
-        raise AxiomViolationError("(C+)", witness)
-    kernel = RelationKernel(
-        algebra,
-        frozenset((p, q) for p in range(n) for q in bit_indices(row_atoms[1 << p])),
-    )
-    table = kernel.forward_table()
-    if any(row[a] != hits[table[a]] for a in range(size)):
-        raise InternalError("kernel round trip failed")
-    return kernel
+    return _kernel_of_rows(algebra, rows)
 
 
 def expand_kernel(kernel):
-    """The full element-level relation of a kernel, as a RawRelation."""
-    algebra = kernel.algebra
-    require_enum_width(algebra.atom_count)
-    table = kernel.forward_table()
-    pairs = frozenset(
-        (a, b)
-        for a in range(algebra.size)
-        for b in range(algebra.size)
-        if table[a] & b
+    """The full element-level relation of a kernel, as a RawRelation:
+    a C b iff the forward table at a meets b, so rows[a] = hits[table[a]]."""
+    n = kernel.algebra.atom_count
+    require_enum_width(n)
+    hits = _row_tables(n).hits
+    return RawRelation(
+        kernel.algebra, _pairs_of_rows([hits[t] for t in kernel.forward_table()])
     )
-    return RawRelation(algebra, pairs)
 
 
 def contact_closure(pca):
@@ -331,18 +432,21 @@ def well_inside(pca, a, b):
     return not pca.kernel.holds_masks(a.mask, pca.algebra.full_mask ^ b.mask)
 
 
+def well_inside_rows(pca):
+    """below[a] = the elements b with a well inside b, as 2**n bitsets.
+
+    a << b iff tab[a] & b* = 0 iff tab[a] <= b, with tab the forward
+    table, so below[a] = up[tab[a]].
+    """
+    n = pca.algebra.atom_count
+    require_enum_width(n)
+    up = _row_tables(n).up
+    return [up[t] for t in pca.kernel.forward_table()]
+
+
 def well_inside_pairs(pca):
     """All mask pairs (a, b) with a well inside b."""
-    algebra = pca.algebra
-    require_enum_width(algebra.atom_count)
-    table = pca.kernel.forward_table()
-    full = algebra.full_mask
-    return frozenset(
-        (a, b)
-        for a in range(algebra.size)
-        for b in range(algebra.size)
-        if not table[a] & (full ^ b)
-    )
+    return _pairs_of_rows(well_inside_rows(pca))
 
 
 @dataclass(frozen=True)
@@ -385,85 +489,101 @@ class WellInsideAxioms:
 
 def well_inside_axiom_report(algebra, pairs):
     """Flags for (<<1)..(<<7), (<<2') and (<<4') on an explicit relation,
-    each decided exactly over the carrier.
-
-    Reductions, with below[a] = {b : a << b} and above[c] = {a : a << c}
-    built in one pass over the pairs:
-
-    * (<<3) holds iff every pair stays related after removing one atom
-      from its left side or adding one atom to its right side, which
-      takes O(|rel| n): any smaller left side and larger right side is
-      reached by such moves, each from a related pair.
-    * When (<<3) holds, below[a] is an up-set, so it is closed under
-      meets iff it contains its own meet (every meet of two members lies
-      above that one), and (<<4) is O(4**n).  Dually above[c] is a
-      down-set and (<<4') reduces to the join of above[c].  When (<<3)
-      fails, (<<4) and (<<4') are checked on every pair of members.
-    * (<<5) asks below[a] and above[c] to meet, and (<<6) asks above[a]
-      to hold a nonzero element: bitmask tests over the elements.
-    """
+    each decided exactly over the carrier (see `_well_inside_flags`)."""
     n = algebra.atom_count
     require_enum_width(n)
-    size = algebra.size
-    full = algebra.full_mask
-    rel = frozenset(pairs)
-    below = [0] * size
-    above = [0] * size
-    for a, b in rel:
-        if not (0 <= a <= full and 0 <= b <= full):
-            raise DomainMismatchError(
-                f"well-inside pair {(a, b)} outside algebra with {n} atoms"
-            )
-        below[a] |= 1 << b
-        above[b] |= 1 << a
+    below = _rows_of_pairs(algebra, pairs, "well-inside")
+    return _well_inside_flags(n, below)
 
-    ax1 = all(a | b == b for a, b in rel)
-    ax2 = (0, 0) in rel
-    ax2_prime = (full, full) in rel
-    ax3 = all(
-        all((b ^ 1 << p, c) in rel for p in bit_indices(b))
-        and all((b, c | 1 << q) in rel for q in bit_indices(full ^ c))
-        for b, c in rel
+
+def _well_inside_flags(n, below):
+    """The nine well-inside flags of the relation with rows ``below``,
+    below[a] = {b : a << b}.
+
+    Reductions, each O(n) operations on the matrix or O(2**n) on the
+    rows; the literal row sweeps run only where (<<3) or (<<4) fails:
+
+    * (<<1) is the matrix inside the inclusion matrix.
+    * (<<3) holds iff every row is an up-set and below[a] lies inside
+      below[a - p] for each atom p of a: any smaller left side and
+      larger right side is reached by removing or adding one atom at a
+      time.  On the matrix that is 2n shifted subset tests, one per
+      index bit: add an atom of b, or remove an atom of a.
+    * Given (<<3), a nonempty row is an up-set, so it is closed under
+      meets iff it is up[m] for its numerically smallest member m:
+      up[m] is a filter, and a member x not above m would put x & m,
+      smaller than m, in a meet-closed row.  That decides (<<4).
+    * Given (<<3), rows shrink as a grows, so below[a | b] lies inside
+      below[a] & below[b], and (<<4') asks for equality: below is a
+      join-to-meet map, which holds iff below[m] = below[m - low] &
+      below[low] for every m, low its lowest atom.
+    * Given (<<3) and (<<4), with below[a] = up[m]: a << b << c forces
+      m << c by (<<3), and a << m, so (<<5) holds iff below[a] lies
+      inside below[m].  Otherwise (<<5) asks each row to lie inside the
+      join of the rows of its members.
+    * (<<6) asks the join of the nonzero rows to hold every nonzero b.
+    * (<<7) maps (a, b) to (b*, a*): complementing all 2n index bits
+      and transposing; it holds iff the matrix lies inside its image.
+    """
+    tables = _row_tables(n)
+    size = 1 << n
+    full = size - 1
+    up, bits = tables.up, tables.bits
+    matrix = _pack(below)
+
+    ax1 = not matrix & ~tables.order
+    ax2 = bool(below[0] & 1)
+    ax2_prime = bool(below[full] >> full & 1)
+    ax3 = not any(
+        ((matrix & ~bits[q]) << (1 << q)) & ~matrix for q in range(n)
+    ) and not any(
+        ((matrix & bits[n + p]) >> (size << p)) & ~matrix for p in range(n)
     )
-    below_sets = [tuple(bit_indices(m)) for m in below]
-    above_sets = [tuple(bit_indices(m)) for m in above]
+    lowest = [(row & -row).bit_length() - 1 for row in below]
     if ax3:
-        ax4 = all(
-            below[a] >> reduce(and_, below_sets[a], full) & 1
-            for a in range(size)
-            if below[a]
-        )
+        ax4 = all(row == up[m] for row, m in zip(below, lowest) if row)
         ax4_prime = all(
-            above[c] >> reduce(or_, above_sets[c], 0) & 1
-            for c in range(size)
-            if above[c]
+            below[m] == below[m ^ (m & -m)] & below[m & -m] for m in range(1, size)
         )
     else:
         ax4 = all(
-            (a, x & y) in rel
-            for a in range(size)
-            for x in below_sets[a]
-            for y in below_sets[a]
+            row >> (x & y) & 1
+            for row in below
+            for x in bit_indices(row)
+            for y in bit_indices(row)
         )
-        ax4_prime = all(
-            (x | y, c) in rel
-            for c in range(size)
-            for x in above_sets[c]
-            for y in above_sets[c]
+        ax4_prime = not any(
+            below[a] & below[b] & ~below[a | b] for a in range(size) for b in range(a)
         )
-    ax5 = all(below[a] & above[c] for a, c in rel)
-    ax6 = all(above[a] >> 1 for a in range(1, size))
-    ax7 = all((full ^ b, full ^ a) in rel for a, b in rel)
+    if ax3 and ax4:
+        ax5 = not any(row & ~below[m] for row, m in zip(below, lowest) if row)
+    else:
+        ax5 = not any(
+            row & ~reduce(or_, (below[b] for b in bit_indices(row)), 0)
+            for row in below
+        )
+    ax6 = reduce(or_, below[1:], 0) | 1 == tables.row
+    image = _transpose(_flip(matrix, bits, range(2 * n)), tables, n)
+    ax7 = not matrix & ~image
     return WellInsideAxioms(ax1, ax2, ax2_prime, ax3, ax4, ax4_prime, ax5, ax6, ax7)
 
 
-def contact_from_well_inside(algebra, pairs):
-    """Invert interdefinability: a C b iff a is not well inside b*.
+def contact_from_well_inside_rows(algebra, below):
+    """Invert interdefinability on rows: a C b iff not a << b*.
 
-    The pairs must satisfy the precontact-defining well-inside axioms;
-    the round trip through ``well_inside_pairs`` is the identity.
+    ``below`` holds 2**n bitsets, below[a] = {b : a << b}, and must
+    satisfy the precontact-defining axioms (<<2), (<<2'), (<<3), (<<4)
+    and (<<4').  b -> b* reverses the order of the 2**n bits of a row,
+    so the contact row of a is the complement of the bit-reversed
+    below[a].  (C0) holds: (<<2) and (<<3) put every b in below[0], and
+    (<<2') and (<<3) put 1 in every row.
     """
-    report = well_inside_axiom_report(algebra, pairs)
+    n = algebra.atom_count
+    require_enum_width(n)
+    tables = _row_tables(n)
+    if len(below) != algebra.size or not all(0 <= row <= tables.row for row in below):
+        raise DomainMismatchError(f"expected {algebra.size} rows of {algebra.size} bits")
+    report = _well_inside_flags(n, below)
     for tag, okay in (
         ("(<<2)", report.ax2),
         ("(<<2')", report.ax2_prime),
@@ -473,15 +593,20 @@ def contact_from_well_inside(algebra, pairs):
     ):
         if not okay:
             raise AxiomViolationError(tag)
-    rel = frozenset(pairs)
-    full = algebra.full_mask
-    contact = frozenset(
-        (a, b)
-        for a in range(algebra.size)
-        for b in range(algebra.size)
-        if (a, full ^ b) not in rel
+    contact = tables.everything ^ _flip(_pack(below), tables.bits, range(n))
+    return _kernel_of_rows(algebra, _unpack(contact, algebra.size))
+
+
+def contact_from_well_inside(algebra, pairs):
+    """Invert interdefinability: a C b iff a is not well inside b*.
+
+    The pairs must satisfy the precontact-defining well-inside axioms;
+    the round trip through ``well_inside_pairs`` is the identity.
+    """
+    require_enum_width(algebra.atom_count)
+    return contact_from_well_inside_rows(
+        algebra, _rows_of_pairs(algebra, pairs, "well-inside")
     )
-    return normalize_relation(RawRelation(algebra, contact))
 
 
 def axiom_report(pca):
@@ -494,18 +619,24 @@ def axiom_report(pca):
     candidate interpolant.  Hence some b has a << b << c iff
     tab[tab[a]] <= c, and the axiom holds iff tab[tab[a]] <= tab[a]
     for every a (take c = tab[a]): O(2**n) instead of O(8**n).
+
+    (Csym): a C b iff some kernel pair joins an atom of a to an atom of
+    b, so C is symmetric iff its kernel is (take a and b atoms).
+    (C6): if b != 0 has not b C a, neither has any atom of b, as tab is
+    monotone; and every nonzero a* contains an atom.  So (C6) holds iff
+    every atom q has an atom p with tab[{p}] <= {q}, i.e. tab[{p}] is
+    empty or {q}.
     """
     algebra = pca.algebra
-    require_enum_width(algebra.atom_count)
+    n = algebra.atom_count
+    require_enum_width(n)
     size = algebra.size
     full = algebra.full_mask
     table = pca.kernel.forward_table()
     sharp_table = contact_closure(pca).kernel.forward_table()
 
     cref = all(table[a] & a for a in range(1, size))
-    csym = all(
-        not (table[a] & b) or (table[b] & a) for a in range(size) for b in range(size)
-    )
+    csym = pca.kernel.is_symmetric
 
     def interpolates(tab):
         return all(tab[tab[a]] | tab[a] == tab[a] for a in range(size))
@@ -515,11 +646,8 @@ def axiom_report(pca):
     ccon = all(
         table[a] & (full ^ a) or table[full ^ a] & a for a in range(1, full)
     )
-    c6 = all(
-        any(b != 0 and not (table[b] & a) for b in range(size))
-        for a in range(size)
-        if a != full
-    )
+    atom_rows = {table[1 << p] for p in range(n)}
+    c6 = 0 in atom_rows or all(1 << q in atom_rows for q in range(n))
     return RelationAxioms(cref, csym, ctr, ctr_sharp, ccon, c6)
 
 
@@ -562,21 +690,22 @@ def clans(pca):
 
 
 def is_clan(pca, members):
-    """Literal check of the four clan conditions on an explicit element set."""
+    """Check the four clan conditions on an explicit element set.
+
+    A grill of a finite algebra holds exactly the elements that meet its
+    atom support S (each member is a join of atoms, one of which the
+    grill must hold).  Its members are pairwise in contact under the
+    contact closure iff the atoms of S are: every member holds an atom
+    of S, and the closure's relation is monotone.
+    """
     algebra = pca.algebra
     require_enum_width(algebra.atom_count)
     masks = frozenset(e.mask if isinstance(e, Element) else e for e in members)
-    if not masks or 0 in masks:
+    if not _is_grill(algebra.size, masks):
         return False
-    size = algebra.size
-    if not _upward_closed(size, masks):
-        return False
-    for a in range(size):
-        for b in range(size):
-            if (a | b) in masks and a not in masks and b not in masks:
-                return False
-    sharp = contact_closure(pca)
-    return all(sharp.holds_masks(a, b) for a in masks for b in masks)
+    support = mask_of(p for p in range(algebra.atom_count) if 1 << p in masks)
+    succ = contact_closure(pca).kernel._succ
+    return all(succ[p] & support == support for p in bit_indices(support))
 
 
 def restrict_relation(pca, blocks):
@@ -620,32 +749,21 @@ class PcaMorphism:
     target: PrecontactAlgebra
 
     def __post_init__(self):
-        if self.hom.source != self.source.algebra or self.hom.target != self.target.algebra:
-            raise DomainMismatchError("hom does not match the given algebras")
         if not is_pca_morphism(self.hom, self.source, self.target):
             raise PreconditionError("the hom does not reflect the contact relation")
 
 
 def is_pca_morphism(hom, source_pca, target_pca):
-    """Exhaustive check of the reflection condition over all element pairs."""
+    """Does the hom reflect the relation: h(a) C' h(b) implies a C b?
+
+    Decided on the kernels: every target kernel pair (p, q) must pull
+    back into the source kernel along the atom map.  h(a) holds the
+    target atoms mapped into a, so h(a) C' h(b) iff some target kernel
+    pair has p mapped into a and q into b; pulled-back pairs then give
+    a C b, and a = {map p}, b = {map q} shows each pullback is needed.
+    """
     if hom.source != source_pca.algebra or hom.target != target_pca.algebra:
         raise DomainMismatchError("hom does not match the given algebras")
-    require_enum_width(source_pca.algebra.atom_count)
-    size = source_pca.algebra.size
-    src_table = source_pca.kernel.forward_table()
-    dst_table = target_pca.kernel.forward_table()
-    images = [hom.apply_mask(a) for a in range(size)]
-    for a in range(size):
-        ia = images[a]
-        for b in range(size):
-            if dst_table[ia] & images[b] and not src_table[a] & b:
-                return False
-    return True
-
-
-def is_pca_morphism_on_kernel(hom, source_pca, target_pca):
-    """Equivalent kernel-level form: every target kernel pair pulls back
-    into the source kernel along the atom map."""
     amap = hom.atom_map
     src = source_pca.kernel.pairs
     return all((amap[p], amap[q]) in src for p, q in target_pca.kernel.pairs)

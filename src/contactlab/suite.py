@@ -15,10 +15,10 @@ from .duality import algebra_roundtrip_iso, specialization_report
 from .precontact import (
     clan_supports,
     contact_closure,
-    contact_from_well_inside,
+    contact_from_well_inside_rows,
     largest_contact,
     smallest_contact,
-    well_inside_pairs,
+    well_inside_rows,
 )
 from .report import ReportBuilder
 from .serialize import decode, encode
@@ -57,7 +57,7 @@ def instance_suite(pca, deep=None):
         flags.ccon == is_connected(triple.space),
     )
 
-    rebuilt = contact_from_well_inside(pca.algebra, well_inside_pairs(pca))
+    rebuilt = contact_from_well_inside_rows(pca.algebra, well_inside_rows(pca))
     report.add("interdefinability round trip", rebuilt.pairs == kernel.pairs)
 
     closed = contact_closure(pca)

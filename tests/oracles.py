@@ -104,6 +104,25 @@ def oracle_normalize(n, rel):
     return "ok", kernel
 
 
+def oracle_is_pca_morphism(hom, source_pca, target_pca):
+    """Reflection by its quantifier over all element pairs: h(a) C' h(b)
+    implies a C b, with both relations expanded from their kernels and
+    h applied atom by atom."""
+    ns, nt = source_pca.algebra.atom_count, target_pca.algebra.atom_count
+    source = expand_relation(ns, source_pca.kernel.pairs)
+    target = expand_relation(nt, target_pca.kernel.pairs)
+
+    def image(a):
+        return sum(1 << q for q in range(nt) if a >> hom.atom_map[q] & 1)
+
+    return all(
+        (a, b) in source
+        for a in range(1 << ns)
+        for b in range(1 << ns)
+        if (image(a), image(b)) in target
+    )
+
+
 def satisfies_c0_cplus(n, rel):
     return oracle_normalize(n, rel)[0] == "ok"
 

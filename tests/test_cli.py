@@ -158,6 +158,27 @@ def test_suite_cap_exceeded(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("suite", "--atoms", "2", "--count", "-3"), "--count"),
+        (("suite", "--atoms", "2", "--density", "1.5"), "--density"),
+        (("suite", "--atoms", "2", "--density", "nan"), "--density"),
+        (("random", "--atoms", "2", "--density", "1.5"), "--density"),
+        (("random", "--atoms", "2", "--density", "-0.1"), "--density"),
+        (("suite", "--atoms", "0"), "--atoms"),
+        (("suite", "--atoms", "-1"), "--atoms"),
+        (("random", "--atoms", "-1"), "--atoms"),
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, monkeypatch, tmp_path, argv, option):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: must be" in err
+
+
 def test_suite_constraint_contact(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(

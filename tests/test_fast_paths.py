@@ -1,41 +1,53 @@
 """Differential tests: each reduced decision procedure against the literal
 quantifier it replaces.
 
-The reductions in ``precontact`` (row/column forms for (C+), one-atom
-moves and extremal members for the well-inside axioms, the smallest
-interpolant for (Ctr), the clique pass of ``clan_supports``), in
+The reductions in ``precontact`` (the row form of (C+), the well-inside
+axioms read off the rows and the packed matrix, the smallest
+interpolant for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
+``clan_supports``, the grill and clan conditions of ``is_clan``), in
 ``adjacency`` (the ultrafilter adjacency read off the forward table at
-the atoms), in ``topology`` (closed bases by the largest union avoiding
-each point), in ``structures`` ((PCS2) by the Stone trace, (PCS3) to
-(PCS5) and (CS2), (CS3) at the atoms of the clopen algebra, the closed
-base of the canonical space from the atom clan sets) and in
-``duality`` (the round-trip relation checks at the atom pairs) are
-proved in their docstrings or comments; here they must agree with the sweeps of ``oracles.py`` on every kernel with at
-most 3 atoms, on seeded kernels with 4 to 6 atoms or seeded spaces of up
-to 7 points, and on perturbations that break the axioms.
+the atoms, the Stone relation check at the atom pairs), in ``topology``
+(closed bases by the largest union avoiding each point), in
+``structures`` ((PCS2) by the Stone trace, (PCS3) to (PCS5) and (CS2),
+(CS3) at the atoms of the clopen algebra, the closed base of the
+canonical space from the atom clan sets) and in ``duality`` (the
+round-trip relation checks at the atom pairs) are proved in their
+docstrings or comments; here they must agree with the sweeps of
+``oracles.py`` on every kernel with at most 3 atoms, on seeded kernels
+with 4 to 6 atoms or seeded spaces of up to 7 points, and on
+perturbations that break the axioms.  The row form is also run on
+seeded 7- and 8-atom kernels, and the suite is run with the element
+pair sets made unavailable.
 """
 
+import itertools
 import random
+import sys
 
 import pytest
 
-from contactlab import duality
+from contactlab import adjacency, duality, suite
 from contactlab.adjacency import canonical_adjacency_literal_pairs
-from contactlab.boolean import FiniteBooleanAlgebra, bit_indices
-from contactlab.duality import _first_pair_mismatch, algebra_roundtrip_iso
+from contactlab.boolean import FiniteBooleanAlgebra, _first_pair_mismatch, bit_indices
+from contactlab.duality import algebra_roundtrip_iso
 from contactlab.errors import AxiomViolationError, DomainMismatchError
 from contactlab.precontact import (
     RawRelation,
     RelationKernel,
     axiom_report,
     clan_supports,
+    contact_from_well_inside_rows,
     expand_kernel,
+    is_clan,
     normalize_relation,
     pca_from_pairs,
     well_inside_axiom_report,
     well_inside_pairs,
+    well_inside_rows,
 )
+from contactlab.randgen import RandomSpec, random_pca
 from contactlab.structures import canonical_pcs_of_pca, validate_cs, validate_pcs
+from contactlab.suite import instance_suite
 from contactlab.topology import (
     FiniteSpace,
     is_closed_base,
@@ -51,6 +63,8 @@ from oracles import (
     oracle_clan_supports,
     oracle_closed_family,
     oracle_first_mismatch,
+    oracle_is_clan,
+    oracle_is_grill,
     oracle_is_closed_base,
     oracle_normalize,
     oracle_pcs2_pcs3,
@@ -150,6 +164,25 @@ def test_normalize_relation_matches_the_literal_sweep():
     assert set(tags) == {"ok", "(C0)", "(C+)"}, tags
 
 
+def test_normalize_rows_of_the_row_form_with_a_non_additive_s():
+    """Every 2-atom relation whose rows are rows[a] = {b : b & S_a != 0}
+    with S_0 = 0 but S_3 != S_1 | S_2: each row is additive, so only the
+    column half of (C+) fails, and the witness must be the literal one."""
+    rows_seen = 0
+    for s1, s2, s3 in itertools.product(range(4), repeat=3):
+        if s3 == s1 | s2:
+            continue
+        support = (0, s1, s2, s3)
+        rel = frozenset(
+            (a, b) for a in range(4) for b in range(4) if b & support[a]
+        )
+        got = normalize_verdict(2, rel)
+        assert got[0] == "(C+)", support
+        assert got == oracle_normalize(2, rel), support
+        rows_seen += 1
+    assert rows_seen == 48
+
+
 @pytest.mark.parametrize("pair", [(1, 4), (4, 1), (-1, 1), (1, -2)])
 def test_normalize_rejects_pairs_outside_the_algebra(b4, pair):
     with pytest.raises(DomainMismatchError):
@@ -217,6 +250,44 @@ def test_well_inside_rejects_pairs_outside_the_algebra(b4):
         well_inside_axiom_report(b4, frozenset({(0, 0), (0, 4)}))
 
 
+def moves_closure(n, generators):
+    """The smallest relation holding the generator pairs and closed
+    under (<<3): every smaller left side and larger right side."""
+    size = 1 << n
+    return frozenset(
+        (x, y)
+        for a, b in generators
+        for x in range(size)
+        if x | a == a
+        for y in range(size)
+        if y | b == y
+    )
+
+
+def test_well_inside_flags_on_relations_closed_under_moves():
+    """Relations that satisfy (<<3) without coming from a kernel: the
+    (<<4), (<<4'), (<<5) and (<<7) reductions that (<<3) enables."""
+    rng = random.Random(20261005)
+    seen = {name: set() for name in WELL_INSIDE_FLAGS}
+    ax4_ax5 = set()
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        size = 1 << n
+        generators = [
+            (rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(0, 4))
+        ]
+        rel = moves_closure(n, generators)
+        got = well_inside_flags(n, rel)
+        assert got == oracle_well_inside_axioms(n, rel), (n, generators)
+        for name, value in got.items():
+            seen[name].add(value)
+        ax4_ax5.add((got["ax4"], got["ax5"]))
+    assert seen.pop("ax3") == {True}
+    assert all(values == {True, False} for values in seen.values()), seen
+    # (<<5) both ways on the path where (<<4) holds and on the one where it fails
+    assert len(ax4_ax5) == 4, ax4_ax5
+
+
 # ---------------------------------------------------------------------------
 # axiom_report: (Ctr) and (Ctr#) by the smallest interpolant
 
@@ -257,6 +328,25 @@ def test_clan_supports_match_the_literal_clans():
     for n, pairs in population:
         got = clan_supports(pca_from_pairs(n, pairs))
         assert got == oracle_clan_supports(n, pairs), (n, sorted(pairs))
+
+
+def test_is_clan_matches_the_literal_conditions():
+    """Every element set on at most 3 atoms, under every kernel on at most
+    2 atoms and seeded 3-atom kernels: the grill condition by the join of
+    the non-members, the clan condition on the atom support."""
+    population = [(n, k) for n in (1, 2) for k in all_kernels(n)]
+    population += seeded_kernels(47, {3: 3})
+    outcomes = set()
+    for n, pairs in population:
+        pca = pca_from_pairs(n, pairs)
+        rel = expand_relation(n, pairs)
+        size = 1 << n
+        for chosen in range(1 << size):
+            masks = frozenset(m for m in range(size) if chosen >> m & 1)
+            got = is_clan(pca, masks)
+            assert got == oracle_is_clan(n, masks, rel), (n, sorted(pairs), sorted(masks))
+            outcomes.add((oracle_is_grill(n, masks), got))
+    assert outcomes == {(False, False), (True, False), (True, True)}, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -520,3 +610,71 @@ def test_roundtrip_failures_name_witnesses(path_pca, monkeypatch):
         report.check("closed canonical relation coincides with the pair's proximity").witness
         == f"atom pair {sorted(kernel ^ proximity)[0]}"
     )
+
+
+# ---------------------------------------------------------------------------
+# the row form above the default enumeration width
+
+
+def test_row_form_round_trips_on_seven_and_eight_atoms(monkeypatch):
+    """The interdefinability round trip of the suite and the kernel
+    expansion both give back the kernel."""
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
+    for n, pairs in seeded_kernels(41, {7: 2, 8: 1}):
+        pca = pca_from_pairs(n, pairs)
+        rebuilt = contact_from_well_inside_rows(pca.algebra, well_inside_rows(pca))
+        assert rebuilt.pairs == pairs, (n, sorted(pairs))
+        assert normalize_relation(expand_kernel(pca.kernel)).pairs == pairs
+
+
+# ---------------------------------------------------------------------------
+# stone_representation_report: the relation check at the atom pairs
+
+
+def test_stone_relation_check_names_the_literal_first_witness(monkeypatch):
+    """A literal adjacency with one atom pair toggled: the relation check
+    fails and names the first element pair on which the two relations
+    differ, the pair a sweep over all element pairs finds first."""
+    rng = random.Random(20261006)
+    population = [(n, k) for n in (1, 2) for k in all_kernels(n)]
+    population += seeded_kernels(43, {3: 4, 4: 2})
+    for n, pairs in population:
+        toggled = frozenset(pairs ^ {(rng.randrange(n), rng.randrange(n))})
+        monkeypatch.setattr(
+            adjacency, "canonical_adjacency_literal_pairs", lambda pca: toggled
+        )
+        report = adjacency.stone_representation_report(pca_from_pairs(n, pairs))
+        first = oracle_first_mismatch(
+            n, expand_relation(n, pairs), expand_relation(n, toggled)
+        )
+        check = report.check("stone map preserves and reflects the relation")
+        assert check.passed == (first is None), (n, sorted(pairs))
+        assert check.witness == (None if first is None else f"(a, b) = {first}")
+
+
+# ---------------------------------------------------------------------------
+# the suite path builds no element pair sets
+
+
+def test_instance_suite_builds_no_pair_sets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an element pair set was built on the suite path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "contactlab" or name.startswith("contactlab."):
+            for attr in ("well_inside_pairs", "expand_kernel"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    pca = random_pca(RandomSpec(atoms=6, density=0.5, seed=20261007))
+    report = instance_suite(pca)
+    assert report.ok, report.failures
+    assert report.check("interdefinability round trip").passed
+
+
+def test_interdefinability_line_fails_on_a_foreign_relation(monkeypatch):
+    """The suite line compares the kernel with the one read back from the
+    rows: rows of another kernel make it fail."""
+    other = pca_from_pairs(3, {(0, 1)})
+    monkeypatch.setattr(suite, "well_inside_rows", lambda pca: well_inside_rows(other))
+    report = instance_suite(pca_from_pairs(3, {(1, 2)}))
+    assert not report.check("interdefinability round trip").passed

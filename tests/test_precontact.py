@@ -15,7 +15,6 @@ from contactlab.precontact import (
     expand_kernel,
     is_clan,
     is_pca_morphism,
-    is_pca_morphism_on_kernel,
     largest_contact,
     normalize_relation,
     pca_from_pairs,
@@ -27,7 +26,13 @@ from contactlab.precontact import (
     well_inside_pairs,
 )
 
-from oracles import expand_relation, oracle_axioms, oracle_clans, satisfies_c0_cplus
+from oracles import (
+    expand_relation,
+    oracle_axioms,
+    oracle_clans,
+    oracle_is_pca_morphism,
+    satisfies_c0_cplus,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -314,5 +319,5 @@ def test_pca_morphism_kernel_check_equals_exhaustive(kernels_upto_2):
             for amap in itertools.product(range(ns), repeat=nt):
                 hom = hom_from_atom_map(source.algebra, target.algebra, amap)
                 assert is_pca_morphism(hom, source, target) == (
-                    is_pca_morphism_on_kernel(hom, source, target)
+                    oracle_is_pca_morphism(hom, source, target)
                 )
