@@ -92,15 +92,9 @@ def cmd_validate(args):
         sys.stdout.write(dot_export(obj))
         return PASS
     if isinstance(obj, FiniteSpace):
-        payload = {"kind": "space", "valid": True}
-        try:
-            predicates = space_predicates(obj).as_dict()
-        except CapacityError:
-            predicates = None
-        payload["predicates"] = predicates
-        lines = ["space: pass"] + (
-            [f"{k}: {v}" for k, v in predicates.items()] if predicates else []
-        )
+        predicates = space_predicates(obj).as_dict()
+        payload = {"kind": "space", "valid": True, "predicates": predicates}
+        lines = ["space: pass"] + [f"{k}: {v}" for k, v in predicates.items()]
         _emit(payload, lines, args.text)
         return PASS
     if isinstance(obj, (TwoPrecontactSpace, TwoContactSpace)):

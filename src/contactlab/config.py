@@ -6,8 +6,10 @@ Three independent caps are overridable through the environment:
   operations on bitmask elements;
 * enumeration width (``CONTACTLAB_ENUM_LIMIT``, default 6) bounds anything
   that quantifies over the full 2**n carrier or materialises families;
-* point budget (``CONTACTLAB_POINT_LIMIT``, default 12) bounds operations
-  that enumerate all closed or open sets of a finite space.
+* point budget (``CONTACTLAB_POINT_LIMIT``, default 12) bounds only the
+  functions that return a whole family of sets of a finite space (all
+  closed, open, clopen or regular closed sets, the clopens of a subspace
+  and their closures); predicates and validators decide at the atoms.
 
 A budget variable that is set must hold a positive integer; any other
 value raises CapacityError instead of silently falling back.

@@ -53,15 +53,16 @@ from .structures import (
 )
 from .topology import (
     MereotopologicalPair,
+    clopen_atoms,
     closure,
-    clopens_of_subset,
     interior,
     is_c_semiregular,
     is_connected,
     is_discrete,
     is_extremally_disconnected,
     is_stone,
-    rc_members,
+    rc_atoms,
+    rc_atoms_of_subset,
     rc_members_of_subset,
     subspace,
 )
@@ -90,7 +91,10 @@ def _is_valid_pcs_map(source, target, point_map):
     # trace coherence: the map is determined by its dense restriction.
     # Landing in the closure of a dense clopen must force membership in
     # the closure of that clopen's preimage (the converse is continuity).
-    for clopen in clopens_of_subset(tp, target.subset):
+    # A clopen is the union of the clopen atoms below it, and closure and
+    # preimage are additive: the condition holds for every clopen iff it
+    # holds for the atoms.
+    for clopen in clopen_atoms(tp, target.subset):
         target_closure = closure(tp, clopen)
         pre = mask_of(
             x for x in bit_indices(source.subset) if clopen >> point_map[x] & 1
@@ -743,10 +747,12 @@ def specialization_report(pca, which=None):
                     contact_relation_of_pair(cs) == triple.relation,
                 )
         elif name == "complete-contact":
+            # Both families are the unions of their atoms, so they are
+            # equal iff their atom lists are.
             report.add(
                 "regular closed sets of the dual all come from the pair",
-                frozenset(rc_members(triple.space))
-                == frozenset(rc_members_of_subset(triple.space, triple.subset)),
+                rc_atoms(triple.space)
+                == rc_atoms_of_subset(triple.space, triple.subset),
             )
             report.add("dual space is C-semiregular", is_c_semiregular(triple.space))
             report.add(

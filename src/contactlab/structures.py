@@ -15,60 +15,70 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .adjacency import is_closed_relation
-from .boolean import FiniteBooleanAlgebra, bit_indices, mask_of
+from .boolean import bit_indices, mask_of
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .memo import remember
-from .precontact import PrecontactAlgebra, RelationKernel, clan_supports
+from .precontact import PrecontactAlgebra, clan_supports, pca_from_pairs
 from .report import Check
 from .topology import (
     FiniteSpace,
     MereotopologicalPair,
     TopologicalPair,
-    closure,
+    clopen_atoms,
     clopens_of_subset,
+    closure,
+    first_unrealized_support,
     is_closed_base,
     is_stone,
     is_t0,
+    maximal_points,
     minimal_members,
-    point_trace,
-    rc_members_of_subset,
+    rc_atoms,
+    rc_atoms_of_subset,
     space_from_closed_base,
     subspace,
     u_point_of_pair,
+    unions,
 )
 
 # ---------------------------------------------------------------------------
 # shared helpers for the clopen algebra of a subspace
 
 
-def _family_algebra(members, kernel_pairs_of_atoms):
-    """Abstract precontact algebra of a finite set family, with the given
-    relation evaluated on its minimal nonzero members."""
-    atoms = minimal_members(members)
-    algebra = FiniteBooleanAlgebra(len(atoms))
-    pairs = frozenset(
-        (i, j)
-        for i in range(len(atoms))
-        for j in range(len(atoms))
-        if kernel_pairs_of_atoms(atoms[i], atoms[j])
+def _atom_algebra(atoms, related):
+    """Abstract precontact algebra on the given atoms, with atom i
+    related to atom j when ``related(atoms[i], atoms[j])``."""
+    return pca_from_pairs(
+        len(atoms),
+        ((i, j) for i, a in enumerate(atoms) for j, b in enumerate(atoms) if related(a, b)),
     )
-    return PrecontactAlgebra(algebra, RelationKernel(algebra, pairs)), atoms
 
 
-def _element_set(atoms, members, support):
-    """The members above one of the atoms in the support: the element set
-    of the grill (or clan) with that support."""
+def _element_set_names(space, atoms, members, support):
+    """The members above one of the atoms in the support (the element set
+    of the grill or clan with that support), named in ascending order."""
     chosen = [atoms[i] for i in bit_indices(support)]
-    return frozenset(m for m in members if any(a | m == m for a in chosen))
+    element_set = sorted(m for m in set(members) if any(a | m == m for a in chosen))
+    return "{" + ",".join(space.name_set(m) for m in element_set) + "}"
 
 
-def _clan_element_sets(pca, atoms, members):
-    """Element sets of all clans of the family algebra, as member masks."""
-    return [_element_set(atoms, members, s) for s in clan_supports(pca)]
-
-
-def _grill_element_sets(atoms, members):
-    return [_element_set(atoms, members, s) for s in range(1, 1 << len(atoms))]
+def _closure_support_check(space, subset, name, prefix, atom_closures, supports):
+    """Is every element set with one of the ``supports`` (masks over the
+    clopen atoms of the dense part, whose closures are ``atom_closures``)
+    the closure trace {f clopen : x in cl f} of some point x?"""
+    # f |-> cl f sends the clopens onto the unions of the atom closures
+    # (`rc_atoms_of_subset`), f above an atom iff cl f is above its
+    # closure.  So an element set is a closure trace iff its support is
+    # the support of a point over the atom closures.  The clopen family
+    # is built only to name a failing witness.
+    unrealized = first_unrealized_support(atom_closures, supports, space.point_count)
+    if unrealized is None:
+        return Check(name, True)
+    co_atoms = clopen_atoms(space, subset)
+    clopens = clopens_of_subset(space, subset)
+    return Check(
+        name, False, prefix + _element_set_names(space, co_atoms, clopens, unrealized)
+    )
 
 
 def _dense_part_verdicts(space, subset, atom_closures):
@@ -102,15 +112,9 @@ def _relation_out_masks(space, relation):
 # 2-precontact spaces
 
 
-@dataclass(frozen=True)
-class TwoPrecontactSpace:
-    """A space, a subset of its points and a relation on the subset,
-    together with the cached validation verdicts for (PCS1)..(PCS5)."""
-
-    space: FiniteSpace
-    subset: int
-    relation: frozenset
-    checks: tuple = field(default=(), compare=False)
+class _CheckedPair:
+    """The shared reading of a validated space with a dense subset: the
+    ``space``, ``subset`` and ``checks`` fields of its dataclass."""
 
     @property
     def is_valid(self):
@@ -123,6 +127,17 @@ class TwoPrecontactSpace:
     def failures(self):
         return tuple(c for c in self.checks if not c.passed)
 
+
+@dataclass(frozen=True)
+class TwoPrecontactSpace(_CheckedPair):
+    """A space, a subset of its points and a relation on the subset,
+    together with the cached validation verdicts for (PCS1)..(PCS5)."""
+
+    space: FiniteSpace
+    subset: int
+    relation: frozenset
+    checks: tuple = field(default=(), compare=False)
+
     @cached_property
     def _algebra(self):
         # pcs_algebra, computed once per object
@@ -131,16 +146,21 @@ class TwoPrecontactSpace:
                 "not a 2-precontact space: "
                 + "; ".join(f"{c.name} {c.witness}" for c in self.failures())
             )
-        space, subset = self.space, self.subset
-        members = rc_members_of_subset(space, subset)
+        space = self.space
         succ = _relation_out_masks(space, self.relation)
-
-        def contact(f, g):
-            g_inside = g & subset
-            return any(succ[x] & g_inside for x in bit_indices(f & subset))
-
-        pca, atoms = _family_algebra(members, contact)
-        return PcsAlgebra(self, pca, tuple(atoms), tuple(members))
+        # The members are the closures cl f of the clopens f of the dense
+        # part: the unions of the closures of the clopen atoms, which are
+        # their atoms (`rc_atoms_of_subset`), taken here in ascending
+        # order.  cl f meets the dense part in f, so cl f and cl g are in
+        # contact iff some point of f is related to some point of g.
+        co_atoms = sorted(
+            clopen_atoms(space, self.subset), key=lambda a: closure(space, a)
+        )
+        pca = _atom_algebra(
+            co_atoms, lambda f, g: any(succ[x] & g for x in bit_indices(f))
+        )
+        atoms = tuple(closure(space, a) for a in co_atoms)
+        return PcsAlgebra(self, pca, atoms, unions(atoms))
 
 
 def _check_relation_span(space, subset, relation):
@@ -175,14 +195,13 @@ def validate_pcs(space, subset, relation):
         )
     )
 
-    clopens = clopens_of_subset(space, subset)
     succ = _relation_out_masks(space, relation)
     # The clopens of the dense part form a finite Boolean algebra of sets
-    # whose atoms partition the subset, so each clopen is the union of
-    # the atoms below it.  Closure and reach (the points related to one
-    # of a set's points: f C g iff reach[f] meets g) are additive, so
-    # (PCS3), (PCS4) and (PCS5) read them only at the atoms.
-    co_atoms = minimal_members(clopens)
+    # whose atoms partition the subset (`clopen_atoms`), so each clopen
+    # is the union of the atoms below it.  Closure and reach (the points
+    # related to one of a set's points: f C g iff reach[f] meets g) are
+    # additive, so (PCS3), (PCS4) and (PCS5) read them only at the atoms.
+    co_atoms = clopen_atoms(space, subset)
 
     def reach_of(f):
         return reduce(or_, (succ[x] for x in bit_indices(f)), 0)
@@ -221,9 +240,7 @@ def validate_pcs(space, subset, relation):
     # Both sides of (PCS4) hold on (f, g) iff they hold on some pair of
     # atoms below f and g: (PCS4) holds iff it holds on the atom pairs.
     # On failure the pair sweep over all clopens names the first witness.
-    # The atoms are their own minimal members, so the family algebra of
-    # the atoms is the clopen algebra.
-    co_pca, _ = _family_algebra(co_atoms, contact)
+    co_pca = _atom_algebra(co_atoms, contact)
 
     def pcs4_fails(f, g):
         return closed[f] & closed[g] and not contact_sharp(f, g)
@@ -231,33 +248,23 @@ def validate_pcs(space, subset, relation):
     pcs4_ok = not any(pcs4_fails(f, g) for f in co_atoms for g in co_atoms)
     pcs4_witness = None
     if not pcs4_ok:
+        clopens = clopens_of_subset(space, subset)
         for f in clopens:
             closed[f], reach[f] = closure(space, f), reach_of(f)
         f, g = next((f, g) for f in clopens for g in clopens if pcs4_fails(f, g))
         pcs4_witness = f"({space.name_set(f)},{space.name_set(g)})"
     checks.append(Check("(PCS4)", pcs4_ok, pcs4_witness))
 
-    # A clan's element set is the clopens above one of its support's
-    # atoms; by additivity of closure, the closure trace of x is the
-    # clopens above one of the atoms whose closure holds x.  The two
-    # sets are equal iff the atom sets are, so a clan is realized iff
-    # its support is the closure support of some point.
-    closure_supports = {
-        mask_of(i for i, a in enumerate(co_atoms) if closed[a] >> x & 1)
-        for x in range(space.point_count)
-    }
-    unrealized = next(
-        (s for s in clan_supports(co_pca) if s not in closure_supports), None
-    )
-    pcs5_witness = None
-    if unrealized is not None:
-        clan_set = _element_set(co_atoms, clopens, unrealized)
-        pcs5_witness = (
-            "unrealized clan {"
-            + ",".join(space.name_set(f) for f in sorted(clan_set))
-            + "}"
+    checks.append(
+        _closure_support_check(
+            space,
+            subset,
+            "(PCS5)",
+            "unrealized clan ",
+            [closed[a] for a in co_atoms],
+            clan_supports(co_pca),
         )
-    checks.append(Check("(PCS5)", unrealized is None, pcs5_witness))
+    )
 
     return TwoPrecontactSpace(space, subset, relation, tuple(checks))
 
@@ -357,45 +364,23 @@ def canonical_pca_of_pcs(pcs):
 
 
 @dataclass(frozen=True)
-class TwoContactSpace:
+class TwoContactSpace(_CheckedPair):
     space: FiniteSpace
     subset: int
     checks: tuple = field(default=(), compare=False)
-
-    @property
-    def is_valid(self):
-        return all(c.passed for c in self.checks)
-
-    @property
-    def pair(self):
-        return TopologicalPair(self.space, self.subset)
-
-    def failures(self):
-        return tuple(c for c in self.checks if not c.passed)
 
 
 @dataclass(frozen=True)
-class StoneTwoSpace:
+class StoneTwoSpace(_CheckedPair):
     space: FiniteSpace
     subset: int
     checks: tuple = field(default=(), compare=False)
 
-    @property
-    def is_valid(self):
-        return all(c.passed for c in self.checks)
 
-    @property
-    def pair(self):
-        return TopologicalPair(self.space, self.subset)
-
-    def failures(self):
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def _pair_axiom_checks(space, subset, co_atoms):
+def _pair_axiom_checks(space, subset, atom_closures):
     """The shared axioms: density precondition, (CS1) T0, (CS2) Stone
-    dense part, (CS3) closed base.  ``co_atoms`` are the atoms of the
-    dense part's clopen algebra."""
+    dense part, (CS3) closed base.  ``atom_closures`` are the closures
+    of the atoms of the dense part's clopen algebra."""
     checks = []
     dense = closure(space, subset) == space.full_mask
     checks.append(
@@ -407,9 +392,7 @@ def _pair_axiom_checks(space, subset, co_atoms):
     )
     t0 = is_t0(space)
     checks.append(Check("(CS1)", t0, None if t0 else "space is not T0"))
-    stone, base_ok = _dense_part_verdicts(
-        space, subset, [closure(space, a) for a in co_atoms]
-    )
+    stone, base_ok = _dense_part_verdicts(space, subset, atom_closures)
     checks.append(Check("(CS2)", stone, None if stone else "dense part is not a Stone space"))
     checks.append(
         Check(
@@ -421,46 +404,33 @@ def _pair_axiom_checks(space, subset, co_atoms):
     return checks
 
 
-def _realization_check(space, subset, name, element_sets, clopens):
-    traces = {
-        frozenset(f for f in clopens if closure(space, f) >> x & 1)
-        for x in range(space.point_count)
-    }
-    for es in element_sets:
-        if es not in traces:
-            witness = (
-                "unrealized {"
-                + ",".join(space.name_set(f) for f in sorted(es))
-                + "}"
-            )
-            return Check(name, False, witness)
-    return Check(name, True)
-
-
 def validate_cs(space, subset):
     """Check the 2-contact axioms: the clans of the proximity of the
-    dense part's clopens must all be closure traces of points."""
-    clopens = clopens_of_subset(space, subset)
-    co_atoms = minimal_members(clopens)
-    checks = _pair_axiom_checks(space, subset, co_atoms)
-
-    def delta(f, g):
-        return bool(closure(space, f) & closure(space, g))
-
-    co_pca, _ = _family_algebra(co_atoms, delta)
-    clan_sets = _clan_element_sets(co_pca, co_atoms, clopens)
-    checks.append(_realization_check(space, subset, "(CS4)", clan_sets, clopens))
+    dense part's clopens (closures meet) must all be closure traces of
+    points."""
+    closed = [closure(space, a) for a in clopen_atoms(space, subset)]
+    checks = _pair_axiom_checks(space, subset, closed)
+    co_pca = _atom_algebra(closed, lambda f, g: bool(f & g))
+    checks.append(
+        _closure_support_check(
+            space, subset, "(CS4)", "unrealized ", closed, clan_supports(co_pca)
+        )
+    )
     return TwoContactSpace(space, subset, tuple(checks))
 
 
 def validate_s2s(space, subset):
     """Stone 2-space: like a 2-contact space but every grill of the
-    clopen algebra must be a closure trace."""
-    clopens = clopens_of_subset(space, subset)
-    atoms = minimal_members(clopens)
-    checks = _pair_axiom_checks(space, subset, atoms)
-    grill_sets = _grill_element_sets(atoms, clopens)
-    checks.append(_realization_check(space, subset, "(S2S4)", grill_sets, clopens))
+    clopen algebra must be a closure trace.  The grills are the nonzero
+    supports; at most one per point is realized, so the scan stops
+    within point count + 1 of them."""
+    closed = [closure(space, a) for a in clopen_atoms(space, subset)]
+    checks = _pair_axiom_checks(space, subset, closed)
+    checks.append(
+        _closure_support_check(
+            space, subset, "(S2S4)", "unrealized ", closed, range(1, 1 << len(closed))
+        )
+    )
     return StoneTwoSpace(space, subset, tuple(checks))
 
 
@@ -478,19 +448,19 @@ def contact_relation_of_pair(cs):
     when every pair of clopen neighbourhoods has meeting closures."""
     if not cs.is_valid:
         raise ValidationError("not a 2-contact space")
-    space, subset = cs.space, cs.subset
-    clopens = clopens_of_subset(space, subset)
-    points = list(bit_indices(subset))
-    out = set()
-    for x in points:
-        ux = [f for f in clopens if f >> x & 1]
-        for y in points:
-            uy = [g for g in clopens if g >> y & 1]
-            if all(
-                closure(space, f) & closure(space, g) for f in ux for g in uy
-            ):
-                out.add((x, y))
-    return frozenset(out)
+    # Every clopen holding x holds the clopen atom of x, and meeting
+    # closures is monotone in both sides: x and y are related iff the
+    # closures of their clopen atoms meet.
+    co_atoms = clopen_atoms(cs.space, cs.subset)
+    closed = [closure(cs.space, a) for a in co_atoms]
+    return frozenset(
+        (x, y)
+        for a, cl_a in zip(co_atoms, closed)
+        for b, cl_b in zip(co_atoms, closed)
+        if cl_a & cl_b
+        for x in bit_indices(a)
+        for y in bit_indices(b)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -519,16 +489,6 @@ class MereocompactReport:
         return all(c.passed for c in self.checks)
 
 
-def sigma_clan_sets(mereo):
-    """Clans of the member algebra under ambient contact, as member sets."""
-
-    def overlap(f, g):
-        return bool(f & g)
-
-    pca, atoms = _family_algebra(mereo.members, overlap)
-    return _clan_element_sets(pca, atoms, mereo.members)
-
-
 def mereocompactness_report(mereo):
     space, members = mereo.space, mereo.members
     checks = []
@@ -544,22 +504,25 @@ def mereocompactness_report(mereo):
     t0 = is_t0(space)
     checks.append(Check("space is T0", t0, None if t0 else "not T0"))
 
-    traces = {
-        x: frozenset(point_trace(members, x)) for x in range(space.point_count)
-    }
-    trace_sets = set(traces.values())
-    clan_sets = sigma_clan_sets(mereo)
-    unrealized = [cs for cs in clan_sets if cs not in trace_sets]
-    mereocompact = not unrealized
+    # The members form a Boolean subalgebra of RC(X), whose order is
+    # inclusion: they are the unions of their distinct atoms, atom i
+    # inside the union over T iff i is in T.  So a clan of the members
+    # under overlap is a point trace iff its support is the support of
+    # a point over the atoms (`first_unrealized_support`).
+    distinct_atoms = minimal_members(set(members))
+    sigma = _atom_algebra(distinct_atoms, lambda f, g: bool(f & g))
+    unrealized = first_unrealized_support(
+        distinct_atoms, clan_supports(sigma), space.point_count
+    )
+    mereocompact = unrealized is None
     checks.append(
         Check(
             "every clan is a point trace",
             mereocompact,
             None
             if mereocompact
-            else "unrealized clan {"
-            + ",".join(space.name_set(f) for f in sorted(unrealized[0]))
-            + "}",
+            else "unrealized clan "
+            + _element_set_names(space, distinct_atoms, members, unrealized),
         )
     )
 
@@ -593,12 +556,10 @@ def mereocompactness_report(mereo):
         checks.append(
             Check("u-point set is a Stone subspace", stone, None if stone else space.name_set(u_set))
         )
-        member_set = frozenset(members)
-        reproduced = (
-            frozenset(rc_members_of_subset(space, u_set)) == member_set
-            if dense
-            else False
-        )
+        # The closures of the clopens of a subset are the unions of
+        # `rc_atoms_of_subset`, and the members the unions of their atoms:
+        # the two families are equal iff their atom lists are.
+        reproduced = dense and rc_atoms_of_subset(space, u_set) == distinct_atoms
         checks.append(
             Check(
                 "closures of u-point clopens reproduce the members",
@@ -606,19 +567,15 @@ def mereocompactness_report(mereo):
                 None if reproduced else space.name_set(u_set),
             )
         )
-        for candidate in range(1, space.full_mask + 1):
-            if candidate == u_set:
-                continue
-            if closure(space, candidate) != space.full_mask:
-                continue
-            if any(
-                space.point_closures[x] & candidate != 1 << x
-                for x in bit_indices(candidate)
-            ):
-                continue
-            if frozenset(rc_members_of_subset(space, candidate)) == member_set:
-                uniqueness_witness = candidate
-                break
+        # In a finite T0 space the only dense subset D that is discrete
+        # as a subspace is the set M of maximal points.  A maximal m is in
+        # cl D, so below some d in D, hence d is below m and d = m by T0;
+        # a d in D is below some maximal m, which lies in D, and cl{m} n D
+        # = {m} forces d = m.  The clopen atoms of M are its points, so M
+        # reproduces the members iff `rc_atoms` are their atoms.
+        candidate = maximal_points(space)
+        if candidate and candidate != u_set and rc_atoms(space) == distinct_atoms:
+            uniqueness_witness = candidate
         checks.append(
             Check(
                 "no other dense Stone subspace reproduces the members",

@@ -3,8 +3,13 @@
 A finite topology is determined by its singleton closures: a set is
 closed exactly when it contains the closure of each of its points.  A
 space is therefore stored as the tuple of point-closure masks, which
-keeps closure, interior, subspaces and products polynomial; the full
-closed-set family is only enumerated on demand, under the point budget.
+keeps closure, interior, subspaces and products polynomial.  Families
+are held by their atoms: the clopens of a subspace by its connected
+components (`clopen_atoms`), the regular closed sets by the closures of
+the maximal points (`rc_atoms`).  The point budget bounds only the
+functions that return a whole family: `closed_sets`, `open_sets`,
+`clopen_sets`, `rc_members`, `clopens_of_subset`, `rc_members_of_subset`
+and `closure_trace`.  Predicates decide at the atoms at any size.
 
 Point sets are integer bitmasks over the point index, matching the
 element encoding of the Boolean side.
@@ -13,7 +18,6 @@ element encoding of the Boolean side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .boolean import FiniteBooleanAlgebra, bit_indices, mask_of
 from .config import require_point_budget
@@ -133,7 +137,6 @@ def minimal_open(space, x):
     )
 
 
-@lru_cache(maxsize=512)
 def closed_sets(space):
     """All closed sets, ascending as masks.  Point-budget bound."""
     require_point_budget(space.point_count)
@@ -176,25 +179,8 @@ def is_compact(space):
 
 
 def is_connected(space):
-    """No proper nonempty clopen set; equivalently the undirected
-    specialization graph is connected."""
-    n = space.point_count
-    if n == 0:
-        return True
-    adj = [0] * n
-    for x in range(n):
-        for y in bit_indices(space.point_closures[x]):
-            adj[x] |= 1 << y
-            adj[y] |= 1 << x
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for x in bit_indices(frontier):
-            nxt |= adj[x]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == space.full_mask
+    """No proper nonempty clopen set: at most one clopen atom."""
+    return len(clopen_atoms(space, space.full_mask)) <= 1
 
 
 def is_zero_dimensional(space):
@@ -210,8 +196,14 @@ def is_stone(space):
 
 
 def is_extremally_disconnected(space):
-    """Closures of open sets are open.  Enumerates all opens."""
-    return all(is_open(space, closure(space, u)) for u in open_sets(space))
+    """Closures of open sets are open."""
+    # Every open set is the union of the smallest open sets of its
+    # points, unions of opens are open and closure is additive: it
+    # suffices that cl(minimal_open(x)) is open for every point x.
+    return all(
+        is_open(space, closure(space, minimal_open(space, x)))
+        for x in range(space.point_count)
+    )
 
 
 def is_closed_base(space, members):
@@ -348,10 +340,45 @@ class RegularClosedAlgebra:
         return algebra, atoms, to_member
 
 
-@lru_cache(maxsize=512)
+def unions(atoms):
+    """All unions of the given sets, ascending as masks."""
+    out = [0]
+    for a in atoms:
+        out += [m | a for m in out]
+    return tuple(sorted(out))
+
+
+def maximal_points(space):
+    """The points whose closure holds every point above them (y is above
+    x when x is in cl{y}), as a mask."""
+    closures = space.point_closures
+    above = [0] * space.point_count
+    for x, cl in enumerate(closures):
+        for y in bit_indices(cl):
+            above[y] |= 1 << x
+    return mask_of(x for x, cl in enumerate(closures) if not above[x] & ~cl)
+
+
+def rc_atoms(space):
+    """The atoms of RC(X): the distinct closures cl{m} of the maximal
+    points m, ascending as masks."""
+    # Open sets are up-sets of the specialization order (y in cl{x}
+    # means y <= x), and every point lies below a maximal one.  An open U
+    # holds a maximal point above each of its points, so cl U = cl(U n M)
+    # for the maximal points M.  Conversely, for S inside M the points
+    # above S form an open set inside cl S (a point above a maximal point
+    # is below it too), so cl S is regular closed: RC(X) is the finite
+    # unions of the cl{m}.  A nonzero cl S inside cl{m} has a point s of
+    # S below m, so m is below s and cl S holds cl{m}: each cl{m} is
+    # minimal, and cl{m} = cl{m'} only for m, m' below each other.
+    closures = space.point_closures
+    return tuple(sorted({closures[m] for m in bit_indices(maximal_points(space))}))
+
+
 def rc_members(space):
-    """All regular closed sets: closures of open sets, deduplicated."""
-    return tuple(sorted({closure(space, u) for u in open_sets(space)}))
+    """All regular closed sets: the unions of `rc_atoms`."""
+    require_point_budget(space.point_count)
+    return unions(rc_atoms(space))
 
 
 def rc_algebra(space):
@@ -359,7 +386,10 @@ def rc_algebra(space):
 
 
 def is_semiregular(space):
-    return is_closed_base(space, rc_members(space))
+    """RC(X) is a closed base."""
+    # The members are the finite unions of the atoms, all closed: both
+    # have the same largest union avoiding each point (`is_closed_base`).
+    return is_closed_base(space, rc_atoms(space))
 
 
 def subspace(space, mask):
@@ -402,37 +432,61 @@ class TopologicalPair:
         return subspace(self.space, self.subset)
 
 
-@lru_cache(maxsize=1024)
+def clopen_atoms(space, subset):
+    """The atoms of the clopen algebra of the subspace on ``subset``,
+    ascending as masks in the ambient point indexing."""
+    # A inside the subset is closed there iff it holds cl{x} n subset for
+    # each of its points x, and open there iff its complement is closed,
+    # i.e. iff it holds each point of the subset whose closure meets A.
+    # So the clopens are the unions of connected components of the graph
+    # joining x to the points of cl{x} n subset: those are the atoms.
+    adj = {x: 0 for x in bit_indices(subset)}
+    for x in adj:
+        for y in bit_indices(space.point_closures[x] & subset):
+            adj[x] |= 1 << y
+            adj[y] |= 1 << x
+    atoms = []
+    rest = subset
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            grown = 0
+            for x in bit_indices(frontier):
+                grown |= adj[x]
+            frontier = grown & ~seen
+            seen |= grown
+        atoms.append(seen)
+        rest &= ~seen
+    return tuple(sorted(atoms))
+
+
 def clopens_of_subset(space, subset):
     """Clopen subsets of the subspace on ``subset``, kept in the ambient
-    point indexing.  Enumerates 2**|subset| candidates."""
+    point indexing: the unions of `clopen_atoms`."""
     require_point_budget(subset.bit_count())
-    out = []
-    members = [0]
-    for x in bit_indices(subset):
-        members = members + [m | (1 << x) for m in members]
-    for m in members:
-        if closure(space, m) & subset != m:
-            continue
-        rest = subset ^ m
-        if closure(space, rest) & subset != rest:
-            continue
-        out.append(m)
-    return tuple(sorted(out))
+    return unions(clopen_atoms(space, subset))
+
+
+def rc_atoms_of_subset(space, subset):
+    """The closures of `clopen_atoms`, ascending as masks: the atoms of
+    the closures of the clopens of the subspace."""
+    # A clopen f is closed in the subset, so cl f n subset = f: f |-> cl f
+    # preserves and reflects inclusion, and closure is additive, so the
+    # closures of the clopens are the unions of these atoms.
+    return tuple(sorted(closure(space, a) for a in clopen_atoms(space, subset)))
 
 
 def rc_members_of_subset(space, subset):
-    return tuple(sorted({closure(space, f) for f in clopens_of_subset(space, subset)}))
-
-
-def rc_pair_members(pair):
-    """Closures of the clopens of the dense part: the pair's regular
-    closed algebra."""
-    return rc_members_of_subset(pair.space, pair.subset)
+    """The closures of the clopens of the subspace: the unions of
+    `rc_atoms_of_subset`."""
+    require_point_budget(subset.bit_count())
+    return unions(rc_atoms_of_subset(space, subset))
 
 
 def rc_pair_algebra(pair):
-    return RegularClosedAlgebra(pair.space, rc_pair_members(pair))
+    """Closures of the clopens of the dense part: the pair's regular
+    closed algebra."""
+    return RegularClosedAlgebra(pair.space, rc_members_of_subset(pair.space, pair.subset))
 
 
 def delta_contact(pair, f, g):
@@ -482,14 +536,13 @@ def closure_trace(pair, x):
 
 def is_u_point(space, x):
     """Membership in two closures of opens forces membership in the
-    closure of their intersection.  Quantifies over all open pairs."""
-    opens = open_sets(space)
-    reaching = [u for u in opens if closure(space, u) >> x & 1]
-    for u in reaching:
-        for v in reaching:
-            if not closure(space, u & v) >> x & 1:
-                return False
-    return True
+    closure of their intersection."""
+    # x is in cl U iff the up-set U holds a maximal point above x.  If
+    # only one atom cl{m} of `rc_atoms` holds x, each such U holds the
+    # up-set of m, and so does U n V.  If cl{m} and cl{m'} are distinct
+    # atoms holding x, the up-sets of m and m' are disjoint opens whose
+    # closures hold x.  So x is a u-point iff exactly one atom holds x.
+    return sum(a >> x & 1 for a in rc_atoms(space)) == 1
 
 
 @dataclass(frozen=True)
@@ -529,31 +582,33 @@ def u_point_of_pair(mereo, x):
     return True
 
 
+def first_unrealized_support(atoms, supports, point_count):
+    """The first support (a mask over ``atoms``) that is not the atom
+    support {i : x in atoms[i]} of any point x, or None."""
+    # On a family of the unions of distinct atoms, atom i inside the
+    # union over T iff i is in T, the members above an atom of S are the
+    # unions over the T meeting S, and the members holding x those over
+    # the T meeting the atom support of x.  By singleton T, the two agree
+    # iff S is that support: an element set is a point trace iff its
+    # support is realized here.
+    support_of = [0] * point_count
+    for i, a in enumerate(atoms):
+        for x in bit_indices(a):
+            support_of[x] |= 1 << i
+    realized = set(support_of)
+    return next((s for s in supports if s not in realized), None)
+
+
 def is_c_semiregular(space):
     """Semiregular T0 space where every clan of the regular closed
     contact algebra is the sigma trace of a point."""
-    from .precontact import PrecontactAlgebra, RelationKernel, clans
+    # RC(X) is the unions of the distinct `rc_atoms`, so a clan is a trace
+    # iff its support is an atom support (`first_unrealized_support`).
+    from .precontact import clan_supports, pca_from_pairs
 
     if not is_t0(space) or not is_semiregular(space):
         return False
-    rc = rc_algebra(space)
-    algebra, atoms, _ = rc.as_boolean()
-    if algebra.is_degenerate:
-        return space.point_count == 0
-    pairs = frozenset(
-        (i, j)
-        for i in range(len(atoms))
-        for j in range(len(atoms))
-        if atoms[i] & atoms[j]
-    )
-    pca = PrecontactAlgebra(algebra, RelationKernel(algebra, pairs))
-    traces = {
-        frozenset(point_trace(rc.members, x)) for x in range(space.point_count)
-    }
-    for clan in clans(pca):
-        realized = frozenset(
-            m for m in rc.members if any(atoms[i] | m == m for i in clan.support)
-        )
-        if realized not in traces:
-            return False
-    return True
+    atoms = rc_atoms(space)
+    pairs = ((i, j) for i, a in enumerate(atoms) for j, b in enumerate(atoms) if a & b)
+    pca = pca_from_pairs(len(atoms), pairs)
+    return first_unrealized_support(atoms, clan_supports(pca), space.point_count) is None

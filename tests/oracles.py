@@ -500,3 +500,185 @@ def oracle_pcs2_pcs3(point_closures, subset, relation):
         closed_relation,
         oracle_is_closed_base(point_closures, regular_closed),
     )
+
+
+# ---------------------------------------------------------------------------
+# family sweeps: regular closed sets, clopens of a subspace and the traces
+# of points, by quantifying over every member
+
+
+def _minimal_nonzero(family):
+    return sorted(
+        f for f in set(family) if f and not any(g and g != f and g | f == f for g in family)
+    )
+
+
+def _first_unrealized(atoms, members, supports, traces, related=None):
+    """The first element set, over the supports in the given order, that
+    is none of the ``traces`` and, unless ``related`` is None, holds only
+    pairwise related members: the members above one of the support's
+    atoms, as an ascending list."""
+    for support in supports:
+        chosen = [atoms[i] for i in bits(support)]
+        element_set = sorted(f for f in set(members) if any(a | f == f for a in chosen))
+        if related is not None and not all(
+            related(f, g) for f in element_set for g in element_set
+        ):
+            continue
+        if set(element_set) not in traces:
+            return element_set
+    return None
+
+
+def _overlap(f, g):
+    return bool(f & g)
+
+
+def oracle_open_family(point_closures):
+    full = (1 << len(point_closures)) - 1
+    return sorted(full ^ c for c in oracle_closed_family(point_closures))
+
+
+def oracle_rc_family(point_closures):
+    """Regular closed sets: the closures of all open sets."""
+    return sorted(
+        {_closure_of(point_closures, u) for u in oracle_open_family(point_closures)}
+    )
+
+
+def oracle_extremally_disconnected(point_closures):
+    """The closure of every open set is open."""
+    opens = set(oracle_open_family(point_closures))
+    return all(_closure_of(point_closures, u) in opens for u in opens)
+
+
+def oracle_is_u_point(point_closures, x):
+    """x in cl U and x in cl V force x in cl(U n V), over all open pairs."""
+    closed = {u: _closure_of(point_closures, u) for u in oracle_open_family(point_closures)}
+    reaching = [u for u, c in closed.items() if c >> x & 1]
+    return all(closed[u & v] >> x & 1 for u in reaching for v in reaching)
+
+
+def oracle_c_semiregular(point_closures):
+    """T0, RC(X) a closed base, and every clan of RC(X) under overlap the
+    set {F : x in F} of the members holding some point x."""
+    n = len(point_closures)
+    if len(set(point_closures)) != n:
+        return False
+    rc = oracle_rc_family(point_closures)
+    if not oracle_is_closed_base(point_closures, rc):
+        return False
+    atoms = _minimal_nonzero(rc)
+    traces = [{f for f in rc if f >> x & 1} for x in range(n)]
+    return _first_unrealized(atoms, rc, _support_order(len(atoms)), traces, _overlap) is None
+
+
+def oracle_cs4_s2s4(point_closures, subset):
+    """(CS4) and (S2S4) by their quantifiers over all clopens of the
+    subspace: the first clan (closures meeting pairwise, in (size, atoms)
+    order) and the first grill (in ascending support order) whose element
+    set is not the closure trace {f : x in cl f} of any point, as
+    ascending lists, or None."""
+    clopens = oracle_subspace_clopens(point_closures, subset)
+    closed = {f: _closure_of(point_closures, f) for f in clopens}
+    atoms = _minimal_nonzero(clopens)
+    traces = [
+        {f for f in clopens if closed[f] >> x & 1} for x in range(len(point_closures))
+    ]
+
+    def delta(f, g):
+        return bool(closed[f] & closed[g])
+
+    cs4 = _first_unrealized(atoms, clopens, _support_order(len(atoms)), traces, delta)
+    s2s4 = _first_unrealized(atoms, clopens, range(1, 1 << len(atoms)), traces)
+    return cs4, s2s4
+
+
+def oracle_contact_relation(point_closures, subset):
+    """x R y iff every clopen holding x and every clopen holding y have
+    meeting closures."""
+    clopens = oracle_subspace_clopens(point_closures, subset)
+    return {
+        (x, y)
+        for x in bits(subset)
+        for y in bits(subset)
+        if all(
+            _closure_of(point_closures, f) & _closure_of(point_closures, g)
+            for f in clopens
+            if f >> x & 1
+            for g in clopens
+            if g >> y & 1
+        )
+    }
+
+
+def oracle_pcs_algebra(point_closures, subset, relation):
+    """The pair's regular closed sets (the closures of all clopens of the
+    subspace), their atoms and the atom pairs (i, j) with a point of
+    atom i in the subset related to a point of atom j in the subset."""
+    members = sorted(
+        {_closure_of(point_closures, f) for f in oracle_subspace_clopens(point_closures, subset)}
+    )
+    atoms = _minimal_nonzero(members)
+    kernel = {
+        (i, j)
+        for i, a in enumerate(atoms)
+        for j, b in enumerate(atoms)
+        if any((x, y) in relation for x in bits(a & subset) for y in bits(b & subset))
+    }
+    return atoms, members, kernel
+
+
+def oracle_pcs_map_failure(source, target, point_map):
+    """The first morphism condition the point map breaks, or None:
+    "continuity" (a closed set with a preimage that is not closed),
+    "dense part" (a dense point mapped outside the target's), "relation"
+    (a related pair mapped to an unrelated one) or "trace coherence" (a
+    clopen c of the target's dense part and a point x with f(x) in cl c
+    but x outside the closure of the dense points mapped into c).
+    ``source`` and ``target`` are (point closures, subset, relation)."""
+    (s_cl, s_sub, s_rel), (t_cl, t_sub, t_rel) = source, target
+    s_closed = oracle_closed_family(s_cl)
+
+    def preimage(mask):
+        return sum(1 << x for x in range(len(s_cl)) if mask >> point_map[x] & 1)
+
+    if any(preimage(c) not in s_closed for c in oracle_closed_family(t_cl)):
+        return "continuity"
+    if any(not t_sub >> point_map[x] & 1 for x in bits(s_sub)):
+        return "dense part"
+    if any((point_map[x], point_map[y]) not in t_rel for x, y in s_rel):
+        return "relation"
+    for c in oracle_subspace_clopens(t_cl, t_sub):
+        landing = preimage(_closure_of(t_cl, c))
+        if landing & ~_closure_of(s_cl, preimage(c) & s_sub):
+            return "trace coherence"
+    return None
+
+
+def oracle_sigma_unrealized(point_closures, members):
+    """The first clan of the member algebra under overlap, in (size,
+    atoms) order, that is not {F : x in F} for any point x, as an
+    ascending list, or None."""
+    atoms = _minimal_nonzero(members)
+    traces = [{f for f in set(members) if f >> x & 1} for x in range(len(point_closures))]
+    return _first_unrealized(atoms, members, _support_order(len(atoms)), traces, _overlap)
+
+
+def oracle_uniqueness_witness(point_closures, u_set, members):
+    """The first nonzero subset other than ``u_set``, in ascending order,
+    that is dense, discrete as a subspace, and whose clopens have the
+    members as their closures; or None."""
+    full = (1 << len(point_closures)) - 1
+    for candidate in range(1, full + 1):
+        if candidate == u_set or _closure_of(point_closures, candidate) != full:
+            continue
+        if any(point_closures[x] & candidate != 1 << x for x in bits(candidate)):
+            continue
+        closures = {
+            _closure_of(point_closures, f)
+            for f in oracle_subspace_clopens(point_closures, candidate)
+        }
+        if closures == set(members):
+            return candidate
+    return None

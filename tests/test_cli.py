@@ -196,7 +196,7 @@ def test_suite_dumps_failing_instance(capsys, monkeypatch, tmp_path):
     from contactlab import cli as cli_module
     from contactlab.report import Check, DualityReport
 
-    def broken(pca, deep=None):
+    def broken(pca):
         return DualityReport("forced", (Check("forced", False, "witness"),))
 
     monkeypatch.setattr(cli_module, "instance_suite", broken)

@@ -7,17 +7,21 @@ interpolant for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
 ``clan_supports``, the grill and clan conditions of ``is_clan``), in
 ``adjacency`` (the ultrafilter adjacency read off the forward table at
 the atoms, the Stone relation check at the atom pairs), in ``topology``
-(closed bases by the largest union avoiding each point), in
-``structures`` ((PCS2) by the Stone trace, (PCS3) to (PCS5) and (CS2),
-(CS3) at the atoms of the clopen algebra, the closed base of the
-canonical space from the atom clan sets) and in ``duality`` (the
-round-trip relation checks at the atom pairs) are proved in their
-docstrings or comments; here they must agree with the sweeps of
-``oracles.py`` on every kernel with at most 3 atoms, on seeded kernels
-with 4 to 6 atoms or seeded spaces of up to 7 points, and on
-perturbations that break the axioms.  The row form is also run on
-seeded 7- and 8-atom kernels, and the suite is run with the element
-pair sets made unavailable.
+(closed bases by the largest union avoiding each point, clopens of a
+subspace by its components, RC(X) by the closures of the maximal points
+and the predicates read off them), in ``structures`` ((PCS2) by the
+Stone trace, (PCS3) to (PCS5), (CS2) to (CS4) and (S2S4) at the atoms
+of the clopen algebra, the pair's algebra and contact relation from the
+closures of the clopen atoms, the closed base of the canonical space
+from the atom clan sets, the mereocompactness checks at the member
+atoms and the maximal points) and in ``duality`` (the round-trip
+relation checks at the atom pairs, trace coherence at the clopen atoms)
+are proved in their docstrings or comments; here they must agree with
+the sweeps of ``oracles.py`` on every kernel with at most 3 atoms, on
+seeded kernels with 4 to 6 atoms, on every space with at most 4 points
+or seeded spaces of up to 8 points, and on perturbations that break the
+axioms.  The row form is also run on seeded 7- and 8-atom kernels, and
+the suite is run with the element pair sets made unavailable.
 """
 
 import itertools
@@ -26,7 +30,7 @@ import sys
 
 import pytest
 
-from contactlab import adjacency, duality, suite
+from contactlab import adjacency, duality, structures, suite
 from contactlab.adjacency import canonical_adjacency_literal_pairs
 from contactlab.boolean import FiniteBooleanAlgebra, _first_pair_mismatch, bit_indices
 from contactlab.duality import algebra_roundtrip_iso
@@ -46,32 +50,67 @@ from contactlab.precontact import (
     well_inside_rows,
 )
 from contactlab.randgen import RandomSpec, random_pca
-from contactlab.structures import canonical_pcs_of_pca, validate_cs, validate_pcs
+from contactlab.structures import (
+    TwoPrecontactSpace,
+    canonical_pcs_of_pca,
+    contact_relation_of_pair,
+    mereocompactness_report,
+    pcs_algebra,
+    validate_cs,
+    validate_pcs,
+    validate_s2s,
+)
+from contactlab.errors import PreconditionError
 from contactlab.suite import instance_suite
 from contactlab.topology import (
     FiniteSpace,
+    MereotopologicalPair,
+    clopen_sets,
+    clopens_of_subset,
+    closure,
+    is_c_semiregular,
     is_closed_base,
+    is_connected,
+    is_extremally_disconnected,
+    is_semiregular,
+    is_u_point,
+    rc_atoms,
+    rc_atoms_of_subset,
     rc_members,
+    rc_members_of_subset,
     space_from_closed_base,
 )
 
 from conftest import all_kernels
 from oracles import (
+    _closure_of as oracle_closure_of,
     expand_relation,
     family_from_base,
     oracle_axioms,
+    oracle_c_semiregular,
     oracle_clan_supports,
     oracle_closed_family,
+    oracle_contact_relation,
+    oracle_cs4_s2s4,
+    oracle_extremally_disconnected,
     oracle_first_mismatch,
     oracle_is_clan,
     oracle_is_grill,
     oracle_is_closed_base,
+    oracle_is_u_point,
     oracle_normalize,
     oracle_pcs2_pcs3,
     oracle_pcs4_pcs5,
+    oracle_pcs_algebra,
+    oracle_pcs_map_failure,
+    oracle_rc_family,
+    oracle_sigma_unrealized,
+    oracle_subspace_clopens,
     oracle_ultrafilter_adjacency,
+    oracle_uniqueness_witness,
     oracle_well_inside_axioms,
 )
+from test_topology import all_small_spaces
 
 WELL_INSIDE_FLAGS = (
     "ax1", "ax2", "ax2_prime", "ax3", "ax4", "ax4_prime", "ax5", "ax6", "ax7",
@@ -529,6 +568,219 @@ def test_canonical_space_matches_the_element_clan_set_base():
             n,
             sorted(pairs),
         )
+
+
+# ---------------------------------------------------------------------------
+# clopen and regular closed families at their atoms
+
+
+@pytest.fixture(scope="module")
+def spaces_with_subsets():
+    """Every space with at most 4 points with each of its dense subsets,
+    and seeded spaces of 5 to 8 points with a random subset of at most 6
+    points, dense or not."""
+    out = [
+        (space, sub)
+        for n in range(1, 5)
+        for space in all_small_spaces(n)
+        for sub in range(1, space.full_mask + 1)
+        if closure(space, sub) == space.full_mask
+    ]
+    rng = random.Random(20261008)
+    for _ in range(80):
+        space = random_space(rng.randint(5, 8), rng)
+        points = rng.sample(range(space.point_count), rng.randint(1, min(6, space.point_count)))
+        out.append((space, sum(1 << x for x in points)))
+    return out
+
+
+def test_clopen_and_rc_atoms_match_the_family_sweeps(spaces_with_subsets):
+    """The clopens of a subspace are the unions of its components, RC(X)
+    the unions of the closures of the maximal points, and the pair's
+    regular closed sets those of the closures of the clopen atoms."""
+    seen = {"semiregular": set(), "connected": set(), "complete": set()}
+    rc_of = {}
+    for space, sub in spaces_with_subsets:
+        closures = space.point_closures
+        clopens = oracle_subspace_clopens(closures, sub)
+        pair_rc = sorted({oracle_closure_of(closures, f) for f in clopens})
+        assert list(clopens_of_subset(space, sub)) == clopens, (closures, sub)
+        assert list(rc_members_of_subset(space, sub)) == pair_rc, (closures, sub)
+        if sub == space.full_mask or sub.bit_count() < 4:
+            rc = oracle_rc_family(closures)
+            assert list(rc_members(space)) == rc, closures
+            semiregular = oracle_is_closed_base(closures, rc)
+            connected = len(oracle_subspace_clopens(closures, space.full_mask)) <= 2
+            assert is_semiregular(space) == semiregular, closures
+            assert is_connected(space) == connected, closures
+            seen["semiregular"].add(semiregular)
+            seen["connected"].add(connected)
+        if closures not in rc_of:
+            rc_of[closures] = set(oracle_rc_family(closures))
+        complete = rc_of[closures] == set(pair_rc)
+        assert (rc_atoms(space) == rc_atoms_of_subset(space, sub)) == complete
+        seen["complete"].add(complete)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_space_predicates_match_the_open_set_sweeps():
+    """Extremal disconnectedness by the smallest open sets, u-points by
+    the atoms of RC(X) above them, C-semiregularity by the atom supports
+    of the points."""
+    seen = {"ed": set(), "u": set(), "csr": set()}
+    spaces = [space for n in range(5) for space in all_small_spaces(n)]
+    rng = random.Random(20261009)
+    spaces += [random_space(rng.randint(5, 8), rng) for _ in range(30)]
+    for space in spaces:
+        closures = space.point_closures
+        ed = oracle_extremally_disconnected(closures)
+        assert is_extremally_disconnected(space) == ed, closures
+        for x in range(space.point_count):
+            u = oracle_is_u_point(closures, x)
+            assert is_u_point(space, x) == u, (closures, x)
+            seen["u"].add(u)
+        if len(rc_atoms(space)) <= 5:
+            csr = oracle_c_semiregular(closures)
+            assert is_c_semiregular(space) == csr, closures
+            seen["csr"].add(csr)
+        seen["ed"].add(ed)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_closure_trace_checks_match_the_all_clopens_sweeps(spaces_with_subsets):
+    """(CS4) and (S2S4) by the closure supports of the points, with the
+    witness of the literal sweep, and the pair's contact relation by the
+    closures of the clopen atoms."""
+    seen = {"(CS4)": set(), "(S2S4)": set(), "related": set()}
+    for space, sub in spaces_with_subsets:
+        closures = space.point_closures
+        cs4, s2s4 = oracle_cs4_s2s4(closures, sub)
+        cs = validate_cs(space, sub)
+        checks = {c.name: c for c in cs.checks + validate_s2s(space, sub).checks}
+        for name, unrealized in (("(CS4)", cs4), ("(S2S4)", s2s4)):
+            witness = (
+                None
+                if unrealized is None
+                else "unrealized {" + ",".join(space.name_set(f) for f in unrealized) + "}"
+            )
+            got = checks[name]
+            assert (got.passed, got.witness) == (witness is None, witness), (
+                name,
+                closures,
+                sub,
+            )
+            seen[name].add(got.passed)
+        if cs.is_valid:
+            relation = oracle_contact_relation(closures, sub)
+            assert contact_relation_of_pair(cs) == relation, (closures, sub)
+            seen["related"].update(
+                (x, y) in relation for x in bit_indices(sub) for y in bit_indices(sub)
+            )
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_pcs_algebra_matches_the_pair_family():
+    """The canonical algebra of a valid triple: atoms, members and kernel
+    of the closures of all clopens of the dense part."""
+    seen = set()
+    for space, subset, relation in pcs_population():
+        triple = validate_pcs(space, subset, relation)
+        if not triple.is_valid:
+            continue
+        algebra = pcs_algebra(triple)
+        atoms, members, kernel = oracle_pcs_algebra(space.point_closures, subset, relation)
+        assert list(algebra.atom_masks) == atoms
+        assert list(algebra.members) == members
+        assert algebra.pca.kernel.pairs == kernel
+        seen.update(
+            (i, j) in kernel for i in range(len(atoms)) for j in range(len(atoms))
+        )
+    assert seen == {True, False}
+
+
+def test_pcs_map_check_matches_the_all_clopens_trace_coherence():
+    """Trace coherence on the clopen atoms of the target's dense part
+    against the sweep over all its clopens, on seeded point maps between
+    triples on at most 3 points; every failing condition is seen."""
+    rng = random.Random(20261010)
+    triples = []
+    for space in (s for n in range(1, 4) for s in all_small_spaces(n)):
+        for sub in range(1, space.full_mask + 1):
+            if closure(space, sub) == space.full_mask:
+                triples.append(TwoPrecontactSpace(space, sub, random_relation(sub, rng)))
+    seen = set()
+    for _ in range(4000):
+        source, target = rng.choice(triples), rng.choice(triples)
+        point_map = tuple(
+            rng.randrange(target.space.point_count) for _ in range(source.space.point_count)
+        )
+        failure = oracle_pcs_map_failure(
+            (source.space.point_closures, source.subset, source.relation),
+            (target.space.point_closures, target.subset, target.relation),
+            point_map,
+        )
+        assert duality._is_valid_pcs_map(source, target, point_map) == (failure is None)
+        seen.add(failure)
+    assert seen == {None, "continuity", "dense part", "relation", "trace coherence"}, seen
+
+
+def test_mereocompactness_matches_the_clan_and_candidate_sweeps(monkeypatch):
+    """The clan check by the atom supports of the points, the
+    reproduction check by atom lists, and the uniqueness check by the
+    maximal points, against the sweeps over all member sets and all
+    2**points candidate subsets.  On mereocompact T0 pairs the u-points
+    always reproduce the members and are the maximal points, so the last
+    two checks are also run with every subset posing as the u-point set
+    of the pairs on at most 4 points."""
+    seen = {"clan": set(), "reproduced": set(), "unique": set()}
+    families = []
+    rng = random.Random(20261011)
+    spaces = [space for n in range(1, 5) for space in all_small_spaces(n)]
+    spaces += [random_space(rng.randint(5, 6), rng) for _ in range(12)]
+    for space in spaces:
+        rc = rc_members(space)
+        families += [(space, rc), (space, clopen_sets(space))]
+        if space.point_count != 4:
+            families.append((space, rc + rc[1:2]))
+    reached = []
+    for space, members in families:
+        try:
+            mereo = MereotopologicalPair(space, members)
+        except (PreconditionError, DomainMismatchError):
+            continue
+        report = mereocompactness_report(mereo)
+        unrealized = oracle_sigma_unrealized(space.point_closures, members)
+        clan = next(c for c in report.checks if c.name == "every clan is a point trace")
+        witness = None
+        if unrealized is not None:
+            witness = "unrealized clan {" + ",".join(space.name_set(f) for f in unrealized) + "}"
+        assert (clan.passed, clan.witness) == (unrealized is None, witness), (
+            space.point_closures,
+            members,
+        )
+        seen["clan"].add(clan.passed)
+        if report.is_space and report.is_t0 and report.is_mereocompact:
+            posed = range(space.full_mask + 1) if space.point_count <= 4 else [None]
+            reached += [(mereo, u_set) for u_set in posed]
+    for mereo, u_set in reached:
+        space, members = mereo.space, mereo.members
+        if u_set is not None:
+            monkeypatch.setattr(
+                structures, "u_point_of_pair", lambda mereo, x, u=u_set: bool(u >> x & 1)
+            )
+        report = mereocompactness_report(mereo)
+        closures, u_set = space.point_closures, report.u_set
+        pair_rc = {
+            oracle_closure_of(closures, f) for f in oracle_subspace_clopens(closures, u_set)
+        }
+        reproduced = closure(space, u_set) == space.full_mask and pair_rc == set(members)
+        check = next(c for c in report.checks if c.name.startswith("closures of u-point"))
+        assert check.passed == reproduced, (closures, members, u_set)
+        witness = oracle_uniqueness_witness(closures, u_set, members)
+        assert report.uniqueness_witness == witness, (closures, members, u_set)
+        seen["reproduced"].add(reproduced)
+        seen["unique"].add(witness is None)
+    assert all(v == {True, False} for v in seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

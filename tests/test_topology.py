@@ -2,7 +2,10 @@ import itertools
 
 import pytest
 
+from contactlab.duality import dual_space
 from contactlab.errors import CapacityError, DomainMismatchError, PreconditionError
+from contactlab.precontact import pca_from_pairs
+from contactlab.structures import validate_cs, validate_s2s
 from contactlab.topology import (
     FiniteSpace,
     MereotopologicalPair,
@@ -433,4 +436,36 @@ def test_point_budget(monkeypatch):
     monkeypatch.setenv("CONTACTLAB_POINT_LIMIT", "3")
     big = discrete_space(tuple(f"x{i}" for i in range(4)))
     with pytest.raises(CapacityError):
-        closed_sets.__wrapped__(big)
+        closed_sets(big)
+
+
+def test_point_budget_bounds_only_whole_families(monkeypatch):
+    """Above the point budget, validators and predicates still decide
+    (here on the 5-point dual of the path contact on three atoms, whose
+    dense part has 3 points), and only the functions that return a whole
+    family refuse."""
+    kernel = {(p, p) for p in range(3)} | {(0, 1), (1, 0), (1, 2), (2, 1)}
+    triple = dual_space(pca_from_pairs(3, kernel))
+    space, subset = triple.space, triple.subset
+    assert space.point_count == 5
+
+    def verdicts():
+        return (
+            [(c.name, c.passed, c.witness) for c in validate_cs(space, subset).checks],
+            [(c.name, c.passed, c.witness) for c in validate_s2s(space, subset).checks],
+            is_extremally_disconnected(space),
+            [is_u_point(space, x) for x in range(space.point_count)],
+            is_c_semiregular(space),
+        )
+
+    expected = verdicts()
+    assert not all(passed for _, passed, _ in expected[1])
+    monkeypatch.setenv("CONTACTLAB_POINT_LIMIT", "3")
+    assert verdicts() == expected
+    for family in (
+        lambda: closed_sets(space),
+        lambda: rc_members(space),
+        lambda: clopens_of_subset(space, space.full_mask),
+    ):
+        with pytest.raises(CapacityError):
+            family()
