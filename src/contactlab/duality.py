@@ -345,9 +345,10 @@ def algebra_roundtrip_iso(pca):
     images = tuple(joins_table(atom_clans))
     size = len(images)
 
+    bijective = len(set(images)) == size and set(images) == set(alg.members)
     report.add(
         "bijective onto the pair's regular closed sets",
-        len(set(images)) == size and set(images) == set(alg.members),
+        bijective,
         witness=f"images {sorted(set(images))} vs members {sorted(alg.members)}",
     )
 
@@ -355,37 +356,47 @@ def algebra_roundtrip_iso(pca):
     # construction: the check is recorded, not swept.
     report.add("preserves joins", True)
 
-    # F* = cl(X \ F).  For any point sets, cl(int(F & G)) = (F* | G*)*
-    # because closure is additive, so the meet and complement checks read
-    # one table of stars, keyed on the point set.
-    points = space.full_mask
-    stars = {}
+    # Complements follow from bijectivity.  `pcs_algebra` accepts only a
+    # valid triple, so (PCS1) makes its subset D dense.  The members are
+    # the unions of the closures A_i of the clopen atoms f_i of D, A_i
+    # below cl f iff f_i is inside f.  For a member F = cl f, F n D = f,
+    # and the open X \ F has the closure of its trace on the dense D:
+    # F* = cl(X \ F) = cl(D \ f), the union of the A_i not below F, which
+    # is the complement of F among the members.  The images preserve
+    # joins, so a bijection onto the members is an order isomorphism,
+    # which preserves complements.  With joins and complements preserved,
+    # De Morgan forces the meets: images[a & b] = images[~(~a | ~b)] =
+    # (images[a]* | images[b]*)*, since cl(int(F & G)) = (F* | G*)* for
+    # any point sets (closure is additive).  So the complement sweep runs
+    # only when bijectivity fails, and the meet sweep only when
+    # complements fail.  Both read one table of stars F* = cl(X \ F),
+    # keyed on the point set.
+    comp_witness = meet_witness = None
+    if not bijective:
+        points = space.full_mask
+        stars = {}
 
-    def star(f):
-        out = stars.get(f)
-        if out is None:
-            out = stars[f] = closure(space, points ^ f)
-        return out
+        def star(f):
+            out = stars.get(f)
+            if out is None:
+                out = stars[f] = closure(space, points ^ f)
+            return out
 
-    image_stars = [star(image) for image in images]
-    full = pca.algebra.full_mask
-    comp_witness = next(
-        (a for a in range(size) if images[full ^ a] != image_stars[a]), None
-    )
-    # With joins preserved and complements preserved, De Morgan forces
-    # the meets: images[a & b] = images[~(~a | ~b)] = (images[a]* |
-    # images[b]*)*.  So the meet sweep runs only when complements fail.
-    meet_witness = None
-    if comp_witness is not None:
-        meet_witness = next(
-            (
-                (a, b)
-                for a in range(size)
-                for b in range(size)
-                if images[a & b] != star(image_stars[a] | image_stars[b])
-            ),
-            None,
+        image_stars = [star(image) for image in images]
+        full = pca.algebra.full_mask
+        comp_witness = next(
+            (a for a in range(size) if images[full ^ a] != image_stars[a]), None
         )
+        if comp_witness is not None:
+            meet_witness = next(
+                (
+                    (a, b)
+                    for a in range(size)
+                    for b in range(size)
+                    if images[a & b] != star(image_stars[a] | image_stars[b])
+                ),
+                None,
+            )
     report.add("preserves meets", meet_witness is None, f"(a, b) = {meet_witness}")
     report.add("preserves complements", comp_witness is None, f"a = {comp_witness}")
 

@@ -2,10 +2,12 @@
 
 Where a class and a construction on it share a module, the class holds
 the construction in a ``cached_property``.  ``remember`` serves the
-constructions that live in a later module than their class: the value
-is kept in the object's ``__dict__`` beside the ``cached_property``
-values, so the dataclass fields, equality and hashing are untouched and
-no object is ever hashed to find its value.
+constructions that live in a later module than their class, and the
+tables a validator has already computed for the object it returns (it
+hands them over with ``build`` returning the table): the value is kept
+in the object's ``__dict__`` beside the ``cached_property`` values, so
+the dataclass fields, equality and hashing are untouched and no object
+is ever hashed to find its value.
 """
 
 from __future__ import annotations

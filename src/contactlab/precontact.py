@@ -157,21 +157,7 @@ class PrecontactAlgebra:
     def _clan_supports(self):
         # clan_supports, computed once per object
         require_enum_width(self.algebra.atom_count)
-        # adj[p]: the atoms related to p under the contact closure, which
-        # is reflexive and symmetric.  So m is a clique iff m ^ low is one
-        # and every atom of m is adjacent to its lowest atom: one pass in
-        # ascending order decides all 2**n masks.
-        adj = contact_closure(self).kernel._succ
-        clique = bytearray(self.algebra.size)
-        clique[0] = 1
-        out = []
-        for m in range(1, self.algebra.size):
-            low = m & -m
-            if clique[m ^ low] and not m & ~adj[low.bit_length() - 1]:
-                clique[m] = 1
-                out.append(m)
-        out.sort(key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
-        return tuple(out)
+        return clique_supports(contact_closure(self).kernel._succ)
 
     def __getstate__(self):
         # the dual triple is held weakly (see memo.remember), and a weak
@@ -187,6 +173,33 @@ class PrecontactAlgebra:
 
     def holds_masks(self, a_mask, b_mask):
         return self.kernel.holds_masks(a_mask, b_mask)
+
+
+def clique_supports(adj):
+    """The nonempty cliques of a reflexive and symmetric adjacency on
+    len(adj) atoms (adj[p]: the mask of the atoms adjacent to p), in
+    (size, atoms) order.  Under the contact closure's adjacency these
+    are the clan supports."""
+    # m is a clique iff m ^ low is one and every atom of m is adjacent to
+    # its lowest atom: one pass in ascending order decides all masks.
+    # rev[m] is the clique m with its n bits reversed (-1 off the
+    # cliques).  Two atom sets of one size first differ, in ascending
+    # order, at the lowest bit of a ^ b, and the set holding it comes
+    # first: that bit is the highest of rev[a] ^ rev[b], so the larger
+    # rev comes first.
+    n = len(adj)
+    size = 1 << n
+    rev = [-1] * size
+    rev[0] = 0
+    out = []
+    for m in range(1, size):
+        low = m & -m
+        p = low.bit_length() - 1
+        if rev[m ^ low] >= 0 and not m & ~adj[p]:
+            rev[m] = rev[m ^ low] | 1 << (n - 1 - p)
+            out.append(m)
+    out.sort(key=lambda m: (m.bit_count(), -rev[m]))
+    return tuple(out)
 
 
 def pca_from_pairs(atom_count, pairs):

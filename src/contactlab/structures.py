@@ -16,9 +16,10 @@ from operator import or_
 
 from .adjacency import is_closed_relation
 from .boolean import bit_indices, mask_of
+from .config import require_atom_width, require_enum_width
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .memo import remember
-from .precontact import PrecontactAlgebra, clan_supports, pca_from_pairs
+from .precontact import PrecontactAlgebra, clan_supports, clique_supports, pca_from_pairs
 from .report import Check
 from .topology import (
     FiniteSpace,
@@ -93,9 +94,9 @@ def _dense_part_verdicts(space, subset, atom_closures):
     Closed base: the pair's regular closed sets are the closures of the
     clopens, each clopen is the union of the atoms below it and closure
     is additive, so they are the finite unions of the atom closures.  A
-    union misses y iff each of its members does, so both families have
-    the same largest union avoiding each point (`is_closed_base`), and
-    both consist of closed sets: they get the same verdict.
+    union holds x iff one of its members does, so both families have
+    the same meet of the members holding each point (`is_closed_base`),
+    and both consist of closed sets: they get the same verdict.
     """
     stone = all(space.point_closures[x] & subset == 1 << x for x in bit_indices(subset))
     return stone, is_closed_base(space, atom_closures)
@@ -146,20 +147,27 @@ class TwoPrecontactSpace(_CheckedPair):
                 "not a 2-precontact space: "
                 + "; ".join(f"{c.name} {c.witness}" for c in self.failures())
             )
-        space = self.space
-        succ = _relation_out_masks(space, self.relation)
         # The members are the closures cl f of the clopens f of the dense
         # part: the unions of the closures of the clopen atoms, which are
         # their atoms (`rc_atoms_of_subset`), taken here in ascending
         # order.  cl f meets the dense part in f, so cl f and cl g are in
-        # contact iff some point of f is related to some point of g.
-        co_atoms = sorted(
-            clopen_atoms(space, self.subset), key=lambda a: closure(space, a)
+        # contact iff some point of f is related to some point of g, i.e.
+        # iff reach[f] meets g.  The atom table is the one `validate_pcs`
+        # computed, rebuilt only for a triple constructed directly.
+        co_atoms, closed, reach = remember(
+            self, "_atom_table", lambda t: _atom_table(t.space, t.subset, t.relation)
         )
-        pca = _atom_algebra(
-            co_atoms, lambda f, g: any(succ[x] & g for x in bit_indices(f))
+        order = sorted(range(len(co_atoms)), key=closed.__getitem__)
+        pca = pca_from_pairs(
+            len(order),
+            (
+                (i, j)
+                for i, p in enumerate(order)
+                for j, q in enumerate(order)
+                if reach[p] & co_atoms[q]
+            ),
         )
-        atoms = tuple(closure(space, a) for a in co_atoms)
+        atoms = tuple(closed[p] for p in order)
         return PcsAlgebra(self, pca, atoms, unions(atoms))
 
 
@@ -195,21 +203,10 @@ def validate_pcs(space, subset, relation):
         )
     )
 
-    succ = _relation_out_masks(space, relation)
-    # The clopens of the dense part form a finite Boolean algebra of sets
-    # whose atoms partition the subset (`clopen_atoms`), so each clopen
-    # is the union of the atoms below it.  Closure and reach (the points
-    # related to one of a set's points: f C g iff reach[f] meets g) are
-    # additive, so (PCS3), (PCS4) and (PCS5) read them only at the atoms.
-    co_atoms = clopen_atoms(space, subset)
+    table = _atom_table(space, subset, relation)
+    co_atoms, closed, reach = table
 
-    def reach_of(f):
-        return reduce(or_, (succ[x] for x in bit_indices(f)), 0)
-
-    closed = {a: closure(space, a) for a in co_atoms}
-    reach = {a: reach_of(a) for a in co_atoms}
-
-    stone, base_ok = _dense_part_verdicts(space, subset, closed.values())
+    stone, base_ok = _dense_part_verdicts(space, subset, closed)
     # A finite Stone dense part is discrete, so is its square, and every
     # relation on it is closed.  Only a dense part that is not Stone needs
     # the product topology, to name the second half of the witness.
@@ -231,42 +228,72 @@ def validate_pcs(space, subset, relation):
         )
     )
 
-    def contact(f, g):
-        return bool(reach[f] & g)
-
-    def contact_sharp(f, g):
-        return contact(f, g) or contact(g, f) or bool(f & g)
+    # The clopen algebra of the dense part is held to the algebra width
+    # like any other, before (PCS4) and (PCS5) read it.
+    require_atom_width(len(co_atoms))
+    # adj[i]: the atoms j with f_i C# f_j under the contact closure C# of
+    # f C g iff reach[f] meets g (the overlap of distinct atoms is empty).
+    adj = [
+        (1 << i)
+        | mask_of(j for j, g in enumerate(co_atoms) if reach[i] & g or reach[j] & f)
+        for i, f in enumerate(co_atoms)
+    ]
 
     # Both sides of (PCS4) hold on (f, g) iff they hold on some pair of
     # atoms below f and g: (PCS4) holds iff it holds on the atom pairs.
     # On failure the pair sweep over all clopens names the first witness.
-    co_pca = _atom_algebra(co_atoms, contact)
-
-    def pcs4_fails(f, g):
-        return closed[f] & closed[g] and not contact_sharp(f, g)
-
-    pcs4_ok = not any(pcs4_fails(f, g) for f in co_atoms for g in co_atoms)
+    pcs4_ok = all(
+        adj[i] >> j & 1
+        for i, cl_f in enumerate(closed)
+        for j, cl_g in enumerate(closed)
+        if cl_f & cl_g
+    )
     pcs4_witness = None
     if not pcs4_ok:
+
+        def over(values, f):
+            # a clopen is the union of the atoms it meets
+            return reduce(or_, (v for a, v in zip(co_atoms, values) if a & f), 0)
+
+        def pcs4_fails(f, g):
+            return over(closed, f) & over(closed, g) and not (
+                over(reach, f) & g or over(reach, g) & f or f & g
+            )
+
         clopens = clopens_of_subset(space, subset)
-        for f in clopens:
-            closed[f], reach[f] = closure(space, f), reach_of(f)
         f, g = next((f, g) for f in clopens for g in clopens if pcs4_fails(f, g))
         pcs4_witness = f"({space.name_set(f)},{space.name_set(g)})"
     checks.append(Check("(PCS4)", pcs4_ok, pcs4_witness))
 
+    # The clans of the clopen algebra under C# are the cliques of adj.
+    require_enum_width(len(co_atoms))
     checks.append(
         _closure_support_check(
-            space,
-            subset,
-            "(PCS5)",
-            "unrealized clan ",
-            [closed[a] for a in co_atoms],
-            clan_supports(co_pca),
+            space, subset, "(PCS5)", "unrealized clan ", closed, clique_supports(adj)
         )
     )
 
-    return TwoPrecontactSpace(space, subset, relation, tuple(checks))
+    triple = TwoPrecontactSpace(space, subset, relation, tuple(checks))
+    remember(triple, "_atom_table", lambda _: table)
+    return triple
+
+
+def _atom_table(space, subset, relation):
+    """The clopen atoms of the dense part, ascending as masks, with their
+    closures and their reach masks (the points related to one of the
+    atom's points)."""
+    # The clopens of the dense part form a finite Boolean algebra of sets
+    # whose atoms partition the subset (`clopen_atoms`), so each clopen
+    # is the union of the atoms below it.  Closure and reach (f C g iff
+    # reach[f] meets g) are additive, so (PCS3), (PCS4), (PCS5) and the
+    # canonical algebra read them only at the atoms.
+    succ = _relation_out_masks(space, relation)
+    co_atoms = clopen_atoms(space, subset)
+    return (
+        co_atoms,
+        tuple(closure(space, a) for a in co_atoms),
+        tuple(reduce(or_, (succ[x] for x in bit_indices(a)), 0) for a in co_atoms),
+    )
 
 
 def _local_relation(subset, relation):
@@ -302,7 +329,7 @@ def _canonical_pcs(pca):
     names = tuple(clan_point_name(s) for s in supports)
     # The closed base is the clan sets of the elements.  The clan set of
     # an element is the union of its atoms' clan sets, so the n atom clan
-    # sets generate the same finite unions, hence the same avoid[y] in
+    # sets generate the same finite unions, hence the same meets in
     # `space_from_closed_base` and the same space.
     base = [0] * algebra.atom_count
     for i, s in enumerate(supports):
@@ -532,11 +559,10 @@ def mereocompactness_report(mereo):
     uniqueness_witness = None
 
     if space_ok and t0 and mereocompact:
-        atoms = minimal_members(members)
         ultra_points = mask_of(
             x
             for x in range(space.point_count)
-            if sum(1 for a in atoms if a >> x & 1) == 1
+            if sum(1 for a in distinct_atoms if a >> x & 1) == 1
         )
         agree = u_set == ultra_points
         checks.append(

@@ -3,13 +3,16 @@
 A finite topology is determined by its singleton closures: a set is
 closed exactly when it contains the closure of each of its points.  A
 space is therefore stored as the tuple of point-closure masks, which
-keeps closure, interior, subspaces and products polynomial.  Families
-are held by their atoms: the clopens of a subspace by its connected
-components (`clopen_atoms`), the regular closed sets by the closures of
-the maximal points (`rc_atoms`).  The point budget bounds only the
-functions that return a whole family: `closed_sets`, `open_sets`,
-`clopen_sets`, `rc_members`, `clopens_of_subset`, `rc_members_of_subset`
-and `closure_trace`.  Predicates decide at the atoms at any size.
+keeps closure, interior, subspaces and products polynomial.  A space
+built from a closed base, and the closed-base test, read the closure of
+a point as the meet of the base members that hold it (`_meets`).
+Families are held by their atoms: the clopens of a subspace by its
+connected components (`clopen_atoms`), the regular closed sets by the
+closures of the maximal points (`rc_atoms`).  The point budget bounds
+only the functions that return a whole family: `closed_sets`,
+`open_sets`, `clopen_sets`, `rc_members`, `clopens_of_subset`,
+`rc_members_of_subset` and `closure_trace`.  Predicates decide at the
+atoms at any size.
 
 Point sets are integer bitmasks over the point index, matching the
 element encoding of the Boolean side.
@@ -63,36 +66,35 @@ class FiniteSpace:
         return self.point_names.index(name)
 
 
-def _avoiders(point_count, members):
-    """avoid[y]: the union of the members that miss the point y.
+def _meets(point_count, members):
+    """meet[x]: the intersection of the members that hold the point x,
+    the whole space when none does, in one pass over the members' bits.
 
-    A finite union of members avoids y iff each of its members misses y,
-    so avoid[y] is the largest finite union that avoids y.  Hence a set T
-    lies in some finite union avoiding y iff T is inside avoid[y], and y
-    is in the hull of T (the intersection of all finite unions containing
-    T, the empty union and the whole space included) iff T is not inside
-    avoid[y].  See `_hull`."""
-    avoid = [0] * point_count
-    for m in set(members):
-        for y in range(point_count):
-            if not m >> y & 1:
-                avoid[y] |= m
-    return avoid
-
-
-def _hull(avoid, target):
-    return mask_of(y for y, a in enumerate(avoid) if target & ~a)
+    meet[x] is the hull of {x}, the intersection of all finite unions of
+    members that hold x (the empty union and the whole space included):
+    a finite union holds x iff one of its members does, and then it
+    holds that member, so the members holding x and the whole space
+    leave the same intersection as all those unions.  Bits of a member
+    outside the points are dropped."""
+    full = (1 << point_count) - 1
+    meet = [full] * point_count
+    for m in {m & full for m in members}:
+        rest = m
+        while rest:
+            low = rest & -rest
+            meet[low.bit_length() - 1] &= m
+            rest ^= low
+    return meet
 
 
 def space_from_closed_base(point_names, base_masks):
     """Build the space whose closed sets are all intersections of finite
     unions of the base members, plus the empty set and the whole space.
 
-    cl{x} is the hull of {x}: the points y with x outside avoid[y]
-    (`_avoiders`), in O(n * |base|)."""
+    cl{x} is the hull of {x}, the meet of the members holding x
+    (`_meets`), in one pass over the bits of the members."""
     names = tuple(point_names)
-    avoid = _avoiders(len(names), base_masks)
-    return FiniteSpace(names, tuple(_hull(avoid, 1 << x) for x in range(len(names))))
+    return FiniteSpace(names, tuple(_meets(len(names), base_masks)))
 
 
 def discrete_space(point_names):
@@ -211,14 +213,18 @@ def is_closed_base(space, members):
     intersection of finite unions of members?
 
     Checked on singleton closures, since every closed set is a finite
-    union of them: the hull of each cl{x} (`_avoiders`) must be cl{x}
-    itself.  The hull of the empty set is always empty.
+    union of them: the members must be closed, and the hull of each
+    cl{x} must be cl{x} itself.  The hull of the empty set is always
+    empty.  With closed members that hull is meet[x] (`_meets`): the
+    hull of {x} is an intersection of finite unions of closed sets, so
+    a closed set holding x, and it holds cl{x}; the hull is monotone,
+    and the hull of a hull is itself, so hull(cl{x}) = hull({x}).
     """
     members = set(members)
     if any(not is_closed(space, m) for m in members):
         return False
-    avoid = _avoiders(space.point_count, members)
-    return all(_hull(avoid, cl) == cl for cl in space.point_closures)
+    meet = _meets(space.point_count, members)
+    return all(cl == meet[x] for x, cl in enumerate(space.point_closures))
 
 
 @dataclass(frozen=True)
@@ -387,8 +393,9 @@ def rc_algebra(space):
 
 def is_semiregular(space):
     """RC(X) is a closed base."""
-    # The members are the finite unions of the atoms, all closed: both
-    # have the same largest union avoiding each point (`is_closed_base`).
+    # The members are the finite unions of the atoms, all closed.  A
+    # member holding x holds an atom holding x, so both families have
+    # the same meet at each point (`is_closed_base`).
     return is_closed_base(space, rc_atoms(space))
 
 
@@ -572,14 +579,13 @@ class MereotopologicalPair:
 def u_point_of_pair(mereo, x):
     """u-point of (X, B): x in F n G forces x in cl(int(F n G)) for all
     members F, G."""
-    space = mereo.space
-    for f in mereo.members:
-        if not f >> x & 1:
-            continue
-        for g in mereo.members:
-            if g >> x & 1 and not closure(space, interior(space, f & g)) >> x & 1:
-                return False
-    return True
+    # cl(int(F n G)) is the meet F . G of B, a Boolean subalgebra of RC(X)
+    # whose join is union: each member is the union of the distinct atoms
+    # of B below it, and those atoms cover X, the top member.  If exactly
+    # one atom a holds x, each member holding x holds a, so F . G holds
+    # a and x.  If distinct atoms a and b hold x, then a . b = 0 misses x.
+    # So x is a u-point iff exactly one distinct atom holds x.
+    return sum(a >> x & 1 for a in minimal_members(set(mereo.members))) == 1
 
 
 def first_unrealized_support(atoms, supports, point_count):

@@ -385,6 +385,20 @@ def _closure_of(point_closures, mask):
     return out
 
 
+def oracle_u_point_of_pair(point_closures, members, x):
+    """u-point of a mereotopological pair, literally: for all members F
+    and G holding x, x is in cl(int(F n G))."""
+    full = (1 << len(point_closures)) - 1
+    holding = [f for f in set(members) if f >> x & 1]
+    return all(
+        _closure_of(point_closures, full ^ _closure_of(point_closures, full ^ (f & g)))
+        >> x
+        & 1
+        for f in holding
+        for g in holding
+    )
+
+
 def oracle_subspace_clopens(point_closures, subset):
     """Clopen sets of the subspace on ``subset``, ascending: the subsets
     that, like their complements in the subset, are their own closure

@@ -48,6 +48,7 @@ from contactlab.boolean import grills, sandwich_ultrafilter
 from conftest import all_kernels
 from oracles import (
     family_from_base,
+    oracle_clan_supports,
     oracle_clans,
     oracle_closure,
     oracle_grills,
@@ -105,6 +106,28 @@ def test_criterion_1_representation():
         f"clan-set map is a relation isomorphism and a proximity isomorphism "
         f"on {len(population)} instances in {elapsed:.1f}s",
     )
+
+
+def test_criterion_1_slice_on_seven_and_eight_atoms(monkeypatch):
+    """Seeded round trips above the default enumeration width: each
+    report passes and sends an element to the clans that contain it, by
+    the literal clans of ``oracle_clan_supports``."""
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
+    specs = [
+        RandomSpec(atoms=n, density=density, seed=child_seed(BASE_SEED + n, k))
+        for k, (n, density) in enumerate(((7, 0.15), (7, 0.5), (8, 0.15)))
+    ]
+    for spec in specs:
+        pca = random_pca(spec)
+        trip = algebra_roundtrip_iso(pca)
+        assert trip.report.ok, (spec, [(c.name, c.witness) for c in trip.report.failures])
+        supports = oracle_clan_supports(spec.atoms, pca.kernel.pairs)
+        expected = tuple(
+            sum(1 << i for i, s in enumerate(supports) if s & a)
+            for a in range(1 << spec.atoms)
+        )
+        assert tuple(trip.images) == expected, spec
+    verdict(1, f"clan-set map checked on {len(specs)} seeded 7- and 8-atom round trips")
 
 
 def test_criterion_2_axiom_correspondence():

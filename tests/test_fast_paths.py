@@ -2,28 +2,31 @@
 quantifier it replaces.
 
 The reductions in ``precontact`` (the row form of (C+), the well-inside
-axioms read off the rows and the packed matrix, the smallest
-interpolant for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
-``clan_supports``, the grill and clan conditions of ``is_clan``), in
+axioms read off the rows and the packed matrix, the smallest interpolant
+for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
+``clique_supports``, the grill and clan conditions of ``is_clan``), in
 ``adjacency`` (the ultrafilter adjacency read off the forward table at
 the atoms, the Stone relation check at the atom pairs), in ``topology``
-(closed bases by the largest union avoiding each point, clopens of a
-subspace by its components, RC(X) by the closures of the maximal points
-and the predicates read off them), in ``structures`` ((PCS2) by the
-Stone trace, (PCS3) to (PCS5), (CS2) to (CS4) and (S2S4) at the atoms
-of the clopen algebra, the pair's algebra and contact relation from the
-closures of the clopen atoms, the closed base of the canonical space
-from the atom clan sets, the mereocompactness checks at the member
-atoms and the maximal points) and in ``duality`` (the round-trip
-relation checks at the atom pairs, trace coherence at the clopen atoms)
-are proved in their docstrings or comments; here they must agree with
-the sweeps of ``oracles.py`` on every kernel with at most 3 atoms, on
-seeded kernels with 4 to 6 atoms, on every space with at most 4 points
-or seeded spaces of up to 8 points, and on perturbations that break the
-axioms.  The row form is also run on seeded 7- and 8-atom kernels, and
-the suite is run with the element pair sets made unavailable.
+(closed bases by the meet of the members holding each point, clopens of
+a subspace by its components, RC(X) by the closures of the maximal
+points and the predicates read off them, u-points of a pair at its
+member atoms), in ``structures`` ((PCS2) by the Stone trace, (PCS3) to
+(PCS5), (CS2) to (CS4) and (S2S4) at the atoms of the clopen algebra,
+the pair's algebra and contact relation from the closures of the clopen
+atoms, the closed base of the canonical space from the atom clan sets,
+the mereocompactness checks at the member atoms and the maximal points)
+and in ``duality`` (the round-trip relation checks at the atom pairs,
+complements and meets from bijectivity, trace coherence at the clopen
+atoms) are proved in their docstrings or comments; here they must agree
+with the sweeps of ``oracles.py`` on every kernel with at most 3 atoms,
+on seeded kernels with 4 to 6 atoms, on every space with at most 4
+points or seeded spaces of up to 8 points, and on perturbations that
+break the axioms.  The row form is also run on seeded 7- and 8-atom
+kernels, and the suite is run with the element pair sets made
+unavailable.
 """
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -40,6 +43,7 @@ from contactlab.precontact import (
     RelationKernel,
     axiom_report,
     clan_supports,
+    clique_supports,
     contact_from_well_inside_rows,
     expand_kernel,
     is_clan,
@@ -79,6 +83,8 @@ from contactlab.topology import (
     rc_members,
     rc_members_of_subset,
     space_from_closed_base,
+    u_point_of_pair,
+    unions,
 )
 
 from conftest import all_kernels
@@ -106,6 +112,8 @@ from oracles import (
     oracle_rc_family,
     oracle_sigma_unrealized,
     oracle_subspace_clopens,
+    oracle_u_point,
+    oracle_u_point_of_pair,
     oracle_ultrafilter_adjacency,
     oracle_uniqueness_witness,
     oracle_well_inside_axioms,
@@ -362,11 +370,19 @@ def test_ultrafilter_adjacency_matches_the_literal_quantifier():
 
 
 def test_clan_supports_match_the_literal_clans():
+    """``clan_supports``, and the clique pass on the contact closure's
+    adjacency read off the kernel pairs, give the literal clan supports
+    in (size, atoms) order."""
     population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
     population += seeded_kernels(19, {4: 10, 5: 4, 6: 2})
     for n, pairs in population:
-        got = clan_supports(pca_from_pairs(n, pairs))
-        assert got == oracle_clan_supports(n, pairs), (n, sorted(pairs))
+        expected = oracle_clan_supports(n, pairs)
+        assert clan_supports(pca_from_pairs(n, pairs)) == expected, (n, sorted(pairs))
+        adj = [1 << p for p in range(n)]
+        for p, q in pairs:
+            adj[p] |= 1 << q
+            adj[q] |= 1 << p
+        assert list(clique_supports(adj)) == expected, (n, sorted(pairs))
 
 
 def test_is_clan_matches_the_literal_conditions():
@@ -389,7 +405,7 @@ def test_is_clan_matches_the_literal_conditions():
 
 
 # ---------------------------------------------------------------------------
-# closed bases: the largest union of members avoiding each point
+# closed bases: the meet of the members holding each point
 
 
 def random_space(n, rng):
@@ -412,11 +428,34 @@ def random_space(n, rng):
     return FiniteSpace(tuple(f"p{x}" for x in range(n)), tuple(closures))
 
 
+def with_edge_members(members, full, rng, kind):
+    """Nonempty ``members`` with the empty set, the full mask or a
+    repeated member added, or no members at all, by ``kind``."""
+    if kind == "none":
+        return []
+    if kind == "zero":
+        return members + [0]
+    if kind == "full":
+        return members + [full]
+    return members + [rng.choice(members)]
+
+
+EDGE_KINDS = ("none", "zero", "full", "repeated")
+
+
 def test_space_from_closed_base_matches_the_generated_family():
+    """Random bases on 1 to 6 points, and on seeded 7- and 8-point spaces
+    with the empty set, the full mask, a repeated member or no member."""
     rng = random.Random(20261001)
+    cases = []
     for _ in range(300):
         n = rng.randint(1, 6)
-        base = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
+        cases.append((n, [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]))
+    for k in range(24):
+        n = rng.randint(7, 8)
+        base = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
+        cases.append((n, with_edge_members(base, (1 << n) - 1, rng, EDGE_KINDS[k % 4])))
+    for n, base in cases:
         space = space_from_closed_base(tuple(f"p{x}" for x in range(n)), base)
         assert oracle_closed_family(space.point_closures) == family_from_base(
             n, base
@@ -424,26 +463,44 @@ def test_space_from_closed_base_matches_the_generated_family():
 
 
 def test_is_closed_base_matches_the_union_closure_hull():
+    """Member families of random spaces on 1 to 6 points, and of seeded
+    7- and 8-point spaces with the empty set, the full mask, a repeated
+    member or no member."""
     rng = random.Random(20261002)
     seen = set()
+    cases = []
     for _ in range(300):
         space = random_space(rng.randint(1, 6), rng)
         closed = sorted(oracle_closed_family(space.point_closures))
-        families = [
-            rc_members(space),
-            space.point_closures,
-            rng.sample(closed, rng.randint(0, len(closed))),
-            rng.sample(closed, rng.randint(0, len(closed)))
-            + [rng.randrange(space.full_mask + 1)],
+        cases += [
+            (space, rc_members(space)),
+            (space, space.point_closures),
+            (space, rng.sample(closed, rng.randint(0, len(closed)))),
+            (
+                space,
+                rng.sample(closed, rng.randint(0, len(closed)))
+                + [rng.randrange(space.full_mask + 1)],
+            ),
         ]
-        for members in families:
-            got = is_closed_base(space, members)
-            assert got == oracle_is_closed_base(space.point_closures, members), (
-                space.point_closures,
-                members,
-            )
-            seen.add(got)
-    assert seen == {True, False}
+    for k in range(24):
+        space = random_space(rng.randint(7, 8), rng)
+        closed = sorted(oracle_closed_family(space.point_closures))
+        kind = EDGE_KINDS[k % 4]
+        for members in (
+            list(space.point_closures),
+            list(rc_atoms(space)),
+            rng.sample(closed, min(len(closed), rng.randint(1, 6))),
+            [rng.randrange(space.full_mask + 1) for _ in range(rng.randint(1, 4))],
+        ):
+            cases.append((space, with_edge_members(members, space.full_mask, rng, kind)))
+    for space, members in cases:
+        got = is_closed_base(space, members)
+        assert got == oracle_is_closed_base(space.point_closures, members), (
+            space.point_closures,
+            members,
+        )
+        seen.add((got, space.point_count > 6))
+    assert seen == {(True, False), (False, False), (True, True), (False, True)}, seen
 
 
 # ---------------------------------------------------------------------------
@@ -681,17 +738,21 @@ def test_closure_trace_checks_match_the_all_clopens_sweeps(spaces_with_subsets):
 
 def test_pcs_algebra_matches_the_pair_family():
     """The canonical algebra of a valid triple: atoms, members and kernel
-    of the closures of all clopens of the dense part."""
+    of the closures of all clopens of the dense part, whether the triple
+    comes from ``validate_pcs`` or is constructed directly."""
     seen = set()
     for space, subset, relation in pcs_population():
         triple = validate_pcs(space, subset, relation)
         if not triple.is_valid:
             continue
-        algebra = pcs_algebra(triple)
         atoms, members, kernel = oracle_pcs_algebra(space.point_closures, subset, relation)
-        assert list(algebra.atom_masks) == atoms
-        assert list(algebra.members) == members
-        assert algebra.pca.kernel.pairs == kernel
+        # the atom table handed over by validate_pcs, and rebuilt on a
+        # triple constructed directly
+        rebuilt = TwoPrecontactSpace(space, subset, relation, triple.checks)
+        for algebra in (pcs_algebra(triple), pcs_algebra(rebuilt)):
+            assert list(algebra.atom_masks) == atoms
+            assert list(algebra.members) == members
+            assert algebra.pca.kernel.pairs == kernel
         seen.update(
             (i, j) in kernel for i in range(len(atoms)) for j in range(len(atoms))
         )
@@ -783,6 +844,53 @@ def test_mereocompactness_matches_the_clan_and_candidate_sweeps(monkeypatch):
     assert all(v == {True, False} for v in seen.values()), seen
 
 
+def boolean_subalgebras(atoms):
+    """Every Boolean subalgebra of the unions of ``atoms``: the unions of
+    the blocks of each partition of the atoms."""
+    partitions = [[]]
+    for a in atoms:
+        partitions = [
+            blocks[:i] + [blocks[i] | a] + blocks[i + 1 :]
+            for blocks in partitions
+            for i in range(len(blocks))
+        ] + [blocks + [a] for blocks in partitions]
+    return [unions(blocks) for blocks in partitions]
+
+
+def test_u_point_of_pair_matches_the_member_pair_sweep():
+    """u-points of a pair by the distinct atoms holding the point,
+    against the sweep over all member pairs: on every Boolean subalgebra
+    of RC(X) for every space with at most 4 points, and on seeded
+    subalgebras of spaces with 5 to 8 points.  On RC(X) itself, for at
+    most 4 points, the pair's u-points are the space's (``oracle_u_point``)."""
+    rng = random.Random(20261012)
+    pairs = []
+    for space in (s for n in range(1, 5) for s in all_small_spaces(n)):
+        pairs += [(space, members) for members in boolean_subalgebras(rc_atoms(space))]
+    for _ in range(30):
+        space = random_space(rng.randint(5, 8), rng)
+        atoms = rc_atoms(space)
+        labels = [rng.randrange(len(atoms)) for _ in atoms]
+        blocks = {}
+        for label, a in zip(labels, atoms):
+            blocks[label] = blocks.get(label, 0) | a
+        pairs.append((space, unions(blocks.values())))
+        pairs.append((space, rc_members(space)))
+    seen = set()
+    for space, members in pairs:
+        mereo = MereotopologicalPair(space, members)
+        closures = space.point_closures
+        whole = space.point_count <= 4 and members == rc_members(space)
+        family = oracle_closed_family(closures) if whole else None
+        for x in range(space.point_count):
+            expected = oracle_u_point_of_pair(closures, members, x)
+            assert u_point_of_pair(mereo, x) == expected, (closures, members, x)
+            if whole:
+                assert expected == oracle_u_point(family, space.full_mask, x)
+            seen.add((expected, space.point_count > 4))
+    assert seen == {(True, False), (False, False), (True, True), (False, True)}, seen
+
+
 # ---------------------------------------------------------------------------
 # algebra_roundtrip_iso: relation checks at the atom pairs
 
@@ -810,6 +918,23 @@ def test_first_pair_mismatch_matches_the_literal_sweep():
             assert got == expected, (n, sorted(pairs), sorted(other))
 
 
+def test_valid_round_trips_take_no_closure(monkeypatch):
+    """A bijective round trip decides complements and meets without a
+    closure: on every kernel with at most 3 atoms and on 30 seeded 4- and
+    5-atom kernels (15 random ones and their transitive closures), a
+    valid round trip passes with the closure refused."""
+
+    def refuse(space, mask):
+        raise AssertionError("a closure was taken on a bijective round trip")
+
+    monkeypatch.setattr(duality, "closure", refuse)
+    population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    population += seeded_kernels(53, {4: 10, 5: 5})
+    for n, pairs in population:
+        report = algebra_roundtrip_iso(pca_from_pairs(n, pairs)).report
+        assert report.ok, (n, sorted(pairs), report.failures)
+
+
 def test_roundtrip_images_preserve_joins():
     """The literal join sweep that the round trip records from the
     construction of its images; every check of these round trips,
@@ -828,12 +953,24 @@ def test_roundtrip_images_preserve_joins():
 
 
 def test_roundtrip_failures_name_witnesses(path_pca, monkeypatch):
-    """Break the closure and the contact closure inside the round trip:
-    complements, meets, proximity and the closed canonical relation fail,
-    each naming its first witness."""
+    """Break bijectivity, the closure and the contact closure inside the
+    round trip: bijectivity, complements, meets, proximity and the closed
+    canonical relation fail, each naming its first witness.  Bijectivity
+    is broken by dropping the top member, since the complement and meet
+    sweeps run only when it fails."""
+    real_pcs_algebra = duality.pcs_algebra
+
+    def without_top(triple):
+        alg = real_pcs_algebra(triple)
+        return dataclasses.replace(alg, members=alg.members[:-1])
+
+    monkeypatch.setattr(duality, "pcs_algebra", without_top)
     monkeypatch.setattr(duality, "closure", lambda space, mask: mask)
     monkeypatch.setattr(duality, "contact_closure", lambda pca: pca)
     round_trip = algebra_roundtrip_iso(path_pca)
+    assert not round_trip.report.check(
+        "bijective onto the pair's regular closed sets"
+    ).passed
     images, size, full = round_trip.images, 8, 7
     points = round_trip.space.space.full_mask
     report = round_trip.report

@@ -261,6 +261,19 @@ def test_mereo_discrete_powerset(disc2):
     assert report.ok
 
 
+def test_mereo_repeated_member_counts_once():
+    """A repeated minimal member is one atom: each point of the discrete
+    space {a,b} lies in exactly one distinct atom of (0, 1, 1, 2, 3)."""
+    space = discrete_space(("a", "b"))
+    report = mereocompactness_report(MereotopologicalPair(space, (0, 1, 1, 2, 3)))
+    line = next(
+        c for c in report.checks if c.name == "u-points are exactly the ultrafilter traces"
+    )
+    assert (line.passed, line.witness) == (True, None)
+    assert report.u_set == space.full_mask
+    assert report.ok
+
+
 def test_mereo_pair_validates_subalgebra(xl_space):
     with pytest.raises(PreconditionError):
         MereotopologicalPair(xl_space, (0, 0b101, 0b111))  # no complement

@@ -82,6 +82,13 @@ def test_space_from_closed_base_discrete():
     assert space == discrete_space(("a", "b"))
 
 
+def test_space_from_closed_base_drops_bits_outside_the_points():
+    """Only the points exist: a member's higher bits, or the infinite
+    high bits of a negative mask, are ignored."""
+    space = space_from_closed_base(("a", "b"), [0b1101, -2])
+    assert space == discrete_space(("a", "b"))
+
+
 def test_space_from_closed_base_indiscrete():
     space = space_from_closed_base(("a", "b"), [0b11])
     assert space == indiscrete_space(("a", "b"))
@@ -89,7 +96,7 @@ def test_space_from_closed_base_indiscrete():
 
 def test_closed_base_with_a_huge_union_closure():
     """20 singletons have 2**20 finite unions; the space and the base
-    check come from the largest union avoiding each point instead."""
+    check come from the meet of the members holding each point instead."""
     names = tuple(f"p{i}" for i in range(20))
     singletons = [1 << i for i in range(20)]
     space = space_from_closed_base(names, singletons)
