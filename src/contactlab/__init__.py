@@ -106,9 +106,7 @@ from .duality import (
     check_naturality,
     dense_part,
     dense_part_map,
-    dual_algebra,
     dual_algebra_map,
-    dual_space,
     dual_space_map,
     enumerate_pca_morphisms,
     enumerate_pcs_morphisms,

@@ -45,6 +45,7 @@ from .topology import (
     rc_members,
     rc_members_of_subset,
     space_predicates,
+    u_point_of_pair,
 )
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -65,10 +66,6 @@ def _load_file(path):
     except OSError as exc:
         raise SchemaError(f"cannot read file: {exc}", path) from exc
     return loads(raw)
-
-
-def _checks_payload(checks):
-    return [{"name": c.name, "pass": c.passed, "witness": c.witness} for c in checks]
 
 
 def _checks_lines(checks):
@@ -99,10 +96,10 @@ def cmd_validate(args):
         return PASS
     if isinstance(obj, (TwoPrecontactSpace, TwoContactSpace)):
         payload = {"kind": "pcs" if isinstance(obj, TwoPrecontactSpace) else "cs"}
-        payload["checks"] = _checks_payload(obj.checks)
-        payload["valid"] = obj.is_valid
+        payload["checks"] = [c.as_dict() for c in obj.checks]
+        payload["valid"] = obj.ok
         _emit(payload, _checks_lines(obj.checks), args.text)
-        return PASS if obj.is_valid else FAIL
+        return PASS if obj.ok else FAIL
     if isinstance(obj, PrecontactAlgebra):
         flags = obj.axioms.as_dict()
         payload = {"kind": "pca", "valid": True, "axioms": flags}
@@ -115,7 +112,7 @@ def cmd_validate(args):
             "kind": "mereo",
             "valid": result.is_space,
             "is_mereocompact": result.is_mereocompact,
-            "checks": _checks_payload(result.checks),
+            "checks": [c.as_dict() for c in result.checks],
         }
         _emit(payload, _checks_lines(result.checks), args.text)
         return PASS if result.is_space else FAIL
@@ -133,31 +130,24 @@ def cmd_dualize(args):
     if direction == "to-space":
         if not isinstance(obj, PrecontactAlgebra):
             raise SchemaError("to-space needs a pca instance", args.file)
-        triple = canonical_pcs_of_pca(obj)
-        payload = encode(triple)
-        extra_checks = ()
+        payload = encode(canonical_pcs_of_pca(obj))
         if args.roundtrip:
-            trip = algebra_roundtrip_iso(obj)
-            extra_checks = trip.report.checks
+            report = algebra_roundtrip_iso(obj).report
     else:
         if not isinstance(obj, TwoPrecontactSpace):
             raise SchemaError("to-algebra needs a pcs instance", args.file)
-        algebra = canonical_pca_of_pcs(obj)
-        payload = encode(algebra)
-        extra_checks = ()
+        payload = encode(canonical_pca_of_pcs(obj))
         if args.roundtrip:
-            iso = space_roundtrip_iso(obj)
-            extra_checks = pcs_iso_report(iso).checks
+            report = pcs_iso_report(space_roundtrip_iso(obj))
     body = dumps(payload)
     if args.out:
         Path(args.out).write_text(body)
     else:
         sys.stdout.write(body)
     if args.roundtrip:
-        ok = all(c.passed for c in extra_checks)
-        report_payload = {"roundtrip": _checks_payload(extra_checks), "pass": ok}
-        _emit(report_payload, _checks_lines(extra_checks), args.text)
-        return PASS if ok else FAIL
+        report_payload = {"roundtrip": [c.as_dict() for c in report.checks], "pass": report.ok}
+        _emit(report_payload, _checks_lines(report.checks), args.text)
+        return PASS if report.ok else FAIL
     return PASS
 
 
@@ -204,8 +194,6 @@ def cmd_enumerate(args):
             space = obj.space
             points = [x for x in range(space.point_count) if is_u_point(space, x)]
         elif isinstance(obj, MereotopologicalPair):
-            from .topology import u_point_of_pair
-
             space = obj.space
             points = [
                 x for x in range(space.point_count) if u_point_of_pair(obj, x)

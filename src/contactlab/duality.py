@@ -1,11 +1,12 @@
 """The duality between precontact algebras and 2-precontact triples.
 
-Objects travel through ``dual_space`` and ``dual_algebra``; morphisms
-through ``dual_space_map`` (clan preimages) and ``dual_algebra_map``
-(closures of preimages of dense clopens).  The two round-trip
-isomorphisms send an element to its clan set and a point to its trace
-in the pair's regular closed sets.  Everything here returns explicit
-witness maps or witness-bearing reports, never bare booleans.
+Objects travel through ``canonical_pcs_of_pca`` and
+``canonical_pca_of_pcs`` of ``structures``; morphisms through
+``dual_space_map`` (clan preimages) and ``dual_algebra_map`` (closures
+of preimages of dense clopens).  The two round-trip isomorphisms send
+an element to its clan set and a point to its trace in the pair's
+regular closed sets.  Everything here returns explicit witness maps or
+witness-bearing reports, never bare booleans.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .precontact import (
     PrecontactAlgebra,
     clan_supports,
     contact_closure,
+    is_pca_morphism,
     largest_contact,
     smallest_contact,
 )
@@ -233,17 +235,6 @@ def pcs_iso_report(morphism):
 # the two functors
 
 
-def dual_space(pca):
-    """Algebra to space: the canonical 2-precontact triple on the clans,
-    computed once per object and held weakly (``canonical_pcs_of_pca``)."""
-    return canonical_pcs_of_pca(pca)
-
-
-def dual_algebra(pcs):
-    """Space to algebra: the canonical precontact algebra of the triple."""
-    return pcs_algebra(pcs).pca
-
-
 def dual_space_map(morphism):
     """A PCA-morphism induces the clan-preimage map between the dual
     triples, in the reverse direction.  Computed once per object."""
@@ -253,8 +244,8 @@ def dual_space_map(morphism):
 def _dual_space_map(morphism):
     source_pca, target_pca = morphism.source, morphism.target
     amap = morphism.hom.atom_map
-    dual_of_target = dual_space(target_pca)
-    dual_of_source = dual_space(source_pca)
+    dual_of_target = canonical_pcs_of_pca(target_pca)
+    dual_of_source = canonical_pcs_of_pca(source_pca)
     source_positions = {s: i for i, s in enumerate(clan_supports(source_pca))}
     point_map = []
     for support in clan_supports(target_pca):
@@ -295,7 +286,7 @@ def space_roundtrip_iso(pcs):
     """The triple against the dual of its dual: a point goes to its
     trace in the pair's regular closed sets, read as a clan."""
     alg = pcs_algebra(pcs)
-    rebuilt = dual_space(alg.pca)
+    rebuilt = canonical_pcs_of_pca(alg.pca)
     positions = {s: i for i, s in enumerate(clan_supports(alg.pca))}
     point_map = []
     for x in range(pcs.space.point_count):
@@ -329,11 +320,11 @@ def algebra_roundtrip_iso(pca):
     for the raw relation and, through the contact closure, for the
     pair's proximity."""
     report = ReportBuilder(f"algebra round trip on {pca.algebra.atom_count} atoms")
-    triple = dual_space(pca)
+    triple = canonical_pcs_of_pca(pca)
     report.add(
         "canonical triple validates",
-        triple.is_valid,
-        witness="; ".join(f"{c.name} {c.witness}" for c in triple.failures()),
+        triple.ok,
+        witness=triple.failure_summary(" "),
     )
     alg = pcs_algebra(triple)
     space = triple.space
@@ -562,12 +553,12 @@ def pcs_from_stone_adjacency(adjacency, candidate=None):
     ):
         raise PreconditionError("not a Stone adjacency space")
     pca = contact_from_adjacency(adjacency)
-    triple = dual_space(pca)
+    triple = canonical_pcs_of_pca(pca)
     report = ReportBuilder("reconstruction from a Stone adjacency space")
     report.add(
         "triple validates",
-        triple.is_valid,
-        witness="; ".join(f"{c.name} {c.witness}" for c in triple.failures()),
+        triple.ok,
+        witness=triple.failure_summary(" "),
     )
     reduct = dense_part(triple)
     report.add(
@@ -646,8 +637,6 @@ def enumerate_boolean_homs(source, target):
 
 
 def enumerate_pca_morphisms(source_pca, target_pca):
-    from .precontact import is_pca_morphism
-
     out = []
     for hom in enumerate_boolean_homs(source_pca.algebra, target_pca.algebra):
         if is_pca_morphism(hom, source_pca, target_pca):
@@ -717,7 +706,7 @@ def specialization_report(pca, which=None):
     if which is None:
         selected.append("connected-correspondence")
 
-    triple = dual_space(pca)
+    triple = canonical_pcs_of_pca(pca)
     supports = clan_supports(pca)
     n = pca.algebra.atom_count
 
@@ -749,10 +738,10 @@ def specialization_report(pca, which=None):
             cs = validate_cs(triple.space, triple.subset)
             report.add(
                 "dual pair is a 2-contact space",
-                cs.is_valid,
-                witness="; ".join(f"{c.name} {c.witness}" for c in cs.failures()),
+                cs.ok,
+                witness=cs.failure_summary(" "),
             )
-            if cs.is_valid:
+            if cs.ok:
                 report.add(
                     "the pair determines the relation",
                     contact_relation_of_pair(cs) == triple.relation,
@@ -799,7 +788,7 @@ def gmcs_hom_check(source_cs, target_cs, point_map):
     the target pair's regular closed sets must give a Boolean
     homomorphism into the source pair's."""
     report = ReportBuilder("preimage homomorphism of a pair map")
-    if not (source_cs.is_valid and target_cs.is_valid):
+    if not (source_cs.ok and target_cs.ok):
         raise PreconditionError("both pairs must be valid 2-contact spaces")
     src_space = source_cs.space
     src_members = set(rc_members_of_subset(src_space, source_cs.subset))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .boolean import FiniteBooleanAlgebra
+from .boolean import BooleanHom, FiniteBooleanAlgebra
 from .errors import PreconditionError
 from .precontact import PcaMorphism, PrecontactAlgebra, RelationKernel
 
@@ -78,8 +78,6 @@ def random_pca_morphism(atoms_source, atoms_target, density, seed):
     """A seeded valid morphism: draw the target kernel and the atom map,
     then force the source kernel to contain the pullback of the target
     one (plus independent extra pairs)."""
-    from .boolean import BooleanHom
-
     rng = random.Random(child_seed(seed, 1))
     source_algebra = FiniteBooleanAlgebra(atoms_source)
     target_algebra = FiniteBooleanAlgebra(atoms_target)

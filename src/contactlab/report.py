@@ -16,16 +16,9 @@ class Check:
         return {"name": self.name, "pass": self.passed, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    """Outcome of a verification run.
-
-    Failure entries always carry a concrete witness string.
-    """
-
-    subject: str
-    checks: tuple[Check, ...] = ()
-    elapsed_ms: float | None = field(default=None, compare=False)
+class CheckList:
+    """The reading shared by reports and validated structures: the
+    ``checks`` field of their dataclass, a tuple of `Check` entries."""
 
     @property
     def ok(self):
@@ -40,6 +33,22 @@ class DualityReport:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+    def failure_summary(self, sep):
+        """The failures as ``name<sep>witness``, joined with "; "."""
+        return "; ".join(f"{c.name}{sep}{c.witness}" for c in self.failures)
+
+
+@dataclass(frozen=True)
+class DualityReport(CheckList):
+    """Outcome of a verification run.
+
+    Failure entries always carry a concrete witness string.
+    """
+
+    subject: str
+    checks: tuple[Check, ...] = ()
+    elapsed_ms: float | None = field(default=None, compare=False)
 
     def as_dict(self, include_elapsed=False):
         out = {"subject": self.subject, "checks": [c.as_dict() for c in self.checks]}
@@ -65,19 +74,6 @@ class ReportBuilder:
         self._checks.append(Check(name, bool(passed), witness))
         return passed
 
-    def merge(self, report):
-        self._checks.extend(report.checks)
-
-    def done(self, elapsed_ms=None):
-        if elapsed_ms is None:
-            elapsed_ms = (time.perf_counter() - self._started) * 1000.0
+    def done(self):
+        elapsed_ms = (time.perf_counter() - self._started) * 1000.0
         return DualityReport(self.subject, tuple(self._checks), elapsed_ms)
-
-
-def merge_reports(subject, reports):
-    """Deterministic merge: checks ordered by name, then original position."""
-    entries = []
-    for r in reports:
-        entries.extend(r.checks)
-    entries.sort(key=lambda c: c.name)
-    return DualityReport(subject, tuple(entries))

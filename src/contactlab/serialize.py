@@ -12,12 +12,31 @@ from __future__ import annotations
 import json
 
 from .adjacency import AdjacencySpace
-from .boolean import ElementFamily, FiniteBooleanAlgebra, bit_indices, mask_of
+from .boolean import (
+    BooleanHom,
+    Element,
+    ElementFamily,
+    FiniteBooleanAlgebra,
+    bit_indices,
+    mask_of,
+)
+from .duality import PcsMorphism
 from .errors import SchemaError
-from .precontact import PrecontactAlgebra, RelationKernel
+from .precontact import (
+    PcaMorphism,
+    PrecontactAlgebra,
+    RawRelation,
+    RelationKernel,
+    normalize_relation,
+)
 from .report import DualityReport
 from .structures import TwoContactSpace, TwoPrecontactSpace, validate_cs, validate_pcs
-from .topology import FiniteSpace, MereotopologicalPair, TopologicalPair
+from .topology import (
+    FiniteSpace,
+    MereotopologicalPair,
+    TopologicalPair,
+    space_from_closed_base,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -222,8 +241,6 @@ def decode(payload):
     if kind == "family":
         algebra = _decode_algebra(payload.get("algebra"), "$.algebra")
         members = _int_list(payload.get("members"), "expected mask list", "$.members")
-        from .boolean import Element
-
         family_kind = payload.get("family_kind", "arbitrary")
         return ElementFamily(
             algebra, frozenset(Element(algebra, m) for m in members), family_kind
@@ -257,8 +274,6 @@ def _decode_pca(payload, location):
             "pca requires a kernel or a raw relation",
             f"{location}.kernel",
         )
-        from .precontact import RawRelation, normalize_relation
-
         raw = RawRelation(
             algebra, frozenset(_pair_list(relation, f"{location}.relation"))
         )
@@ -288,8 +303,6 @@ def _decode_space(payload, location):
             f"{location}.closed_base[{i}]",
         )
         masks.append(mask_of(indices))
-    from .topology import space_from_closed_base
-
     return space_from_closed_base(points, masks)
 
 
@@ -315,9 +328,6 @@ def _decode_morphism(payload):
             "pca morphism endpoints must be pca instances",
             "$.source",
         )
-        from .boolean import BooleanHom
-        from .precontact import PcaMorphism
-
         hom = BooleanHom(source.algebra, target.algebra, tuple(mapping))
         return PcaMorphism(hom, source, target)
     source = decode(payload.get("source"))
@@ -327,8 +337,6 @@ def _decode_morphism(payload):
         "pcs morphism endpoints must be pcs instances",
         "$.source",
     )
-    from .duality import PcsMorphism
-
     return PcsMorphism(source, target, tuple(mapping))
 
 

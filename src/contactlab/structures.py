@@ -20,11 +20,10 @@ from .config import require_atom_width, require_enum_width
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .memo import remember
 from .precontact import PrecontactAlgebra, clan_supports, clique_supports, pca_from_pairs
-from .report import Check
+from .report import CheckList, ReportBuilder
 from .topology import (
     FiniteSpace,
     MereotopologicalPair,
-    TopologicalPair,
     clopen_atoms,
     clopens_of_subset,
     closure,
@@ -34,6 +33,7 @@ from .topology import (
     is_t0,
     maximal_points,
     minimal_members,
+    overlap_clans,
     rc_atoms,
     rc_atoms_of_subset,
     space_from_closed_base,
@@ -46,15 +46,6 @@ from .topology import (
 # shared helpers for the clopen algebra of a subspace
 
 
-def _atom_algebra(atoms, related):
-    """Abstract precontact algebra on the given atoms, with atom i
-    related to atom j when ``related(atoms[i], atoms[j])``."""
-    return pca_from_pairs(
-        len(atoms),
-        ((i, j) for i, a in enumerate(atoms) for j, b in enumerate(atoms) if related(a, b)),
-    )
-
-
 def _element_set_names(space, atoms, members, support):
     """The members above one of the atoms in the support (the element set
     of the grill or clan with that support), named in ascending order."""
@@ -63,23 +54,23 @@ def _element_set_names(space, atoms, members, support):
     return "{" + ",".join(space.name_set(m) for m in element_set) + "}"
 
 
-def _closure_support_check(space, subset, name, prefix, atom_closures, supports):
-    """Is every element set with one of the ``supports`` (masks over the
-    clopen atoms of the dense part, whose closures are ``atom_closures``)
-    the closure trace {f clopen : x in cl f} of some point x?"""
+def _closure_support_check(report, space, subset, name, prefix, atom_closures, supports):
+    """Add the check: is every element set with one of the ``supports``
+    (masks over the clopen atoms of the dense part, whose closures are
+    ``atom_closures``) the closure trace {f clopen : x in cl f} of some
+    point x?"""
     # f |-> cl f sends the clopens onto the unions of the atom closures
     # (`rc_atoms_of_subset`), f above an atom iff cl f is above its
     # closure.  So an element set is a closure trace iff its support is
     # the support of a point over the atom closures.  The clopen family
     # is built only to name a failing witness.
     unrealized = first_unrealized_support(atom_closures, supports, space.point_count)
-    if unrealized is None:
-        return Check(name, True)
-    co_atoms = clopen_atoms(space, subset)
-    clopens = clopens_of_subset(space, subset)
-    return Check(
-        name, False, prefix + _element_set_names(space, co_atoms, clopens, unrealized)
-    )
+    witness = None
+    if unrealized is not None:
+        co_atoms = clopen_atoms(space, subset)
+        clopens = clopens_of_subset(space, subset)
+        witness = prefix + _element_set_names(space, co_atoms, clopens, unrealized)
+    report.add(name, unrealized is None, witness)
 
 
 def _dense_part_verdicts(space, subset, atom_closures):
@@ -113,24 +104,8 @@ def _relation_out_masks(space, relation):
 # 2-precontact spaces
 
 
-class _CheckedPair:
-    """The shared reading of a validated space with a dense subset: the
-    ``space``, ``subset`` and ``checks`` fields of its dataclass."""
-
-    @property
-    def is_valid(self):
-        return all(c.passed for c in self.checks)
-
-    @property
-    def pair(self):
-        return TopologicalPair(self.space, self.subset)
-
-    def failures(self):
-        return tuple(c for c in self.checks if not c.passed)
-
-
 @dataclass(frozen=True)
-class TwoPrecontactSpace(_CheckedPair):
+class TwoPrecontactSpace(CheckList):
     """A space, a subset of its points and a relation on the subset,
     together with the cached validation verdicts for (PCS1)..(PCS5)."""
 
@@ -142,11 +117,8 @@ class TwoPrecontactSpace(_CheckedPair):
     @cached_property
     def _algebra(self):
         # pcs_algebra, computed once per object
-        if not self.is_valid:
-            raise ValidationError(
-                "not a 2-precontact space: "
-                + "; ".join(f"{c.name} {c.witness}" for c in self.failures())
-            )
+        if not self.ok:
+            raise ValidationError("not a 2-precontact space: " + self.failure_summary(" "))
         # The members are the closures cl f of the clopens f of the dense
         # part: the unions of the closures of the clopen atoms, which are
         # their atoms (`rc_atoms_of_subset`), taken here in ascending
@@ -189,19 +161,11 @@ def validate_pcs(space, subset, relation):
     """
     relation = frozenset(relation)
     _check_relation_span(space, subset, relation)
-    checks = []
+    report = ReportBuilder("(PCS1)..(PCS5)")
 
     dense = closure(space, subset) == space.full_mask
     t0 = is_t0(space)
-    checks.append(
-        Check(
-            "(PCS1)",
-            dense and t0,
-            None
-            if dense and t0
-            else f"dense={dense}, T0={t0}",
-        )
-    )
+    report.add("(PCS1)", dense and t0, f"dense={dense}, T0={t0}")
 
     table = _atom_table(space, subset, relation)
     co_atoms, closed, reach = table
@@ -213,20 +177,8 @@ def validate_pcs(space, subset, relation):
     closed_rel = stone or is_closed_relation(
         _local_relation(subset, relation), subspace(space, subset)
     )
-    checks.append(
-        Check(
-            "(PCS2)",
-            stone and closed_rel,
-            None if stone and closed_rel else f"stone={stone}, closed relation={closed_rel}",
-        )
-    )
-    checks.append(
-        Check(
-            "(PCS3)",
-            base_ok,
-            None if base_ok else "the pair's regular closed sets are not a closed base",
-        )
-    )
+    report.add("(PCS2)", stone and closed_rel, f"stone={stone}, closed relation={closed_rel}")
+    report.add("(PCS3)", base_ok, "the pair's regular closed sets are not a closed base")
 
     # The clopen algebra of the dense part is held to the algebra width
     # like any other, before (PCS4) and (PCS5) read it.
@@ -263,17 +215,15 @@ def validate_pcs(space, subset, relation):
         clopens = clopens_of_subset(space, subset)
         f, g = next((f, g) for f in clopens for g in clopens if pcs4_fails(f, g))
         pcs4_witness = f"({space.name_set(f)},{space.name_set(g)})"
-    checks.append(Check("(PCS4)", pcs4_ok, pcs4_witness))
+    report.add("(PCS4)", pcs4_ok, pcs4_witness)
 
     # The clans of the clopen algebra under C# are the cliques of adj.
     require_enum_width(len(co_atoms))
-    checks.append(
-        _closure_support_check(
-            space, subset, "(PCS5)", "unrealized clan ", closed, clique_supports(adj)
-        )
+    _closure_support_check(
+        report, space, subset, "(PCS5)", "unrealized clan ", closed, clique_supports(adj)
     )
 
-    triple = TwoPrecontactSpace(space, subset, relation, tuple(checks))
+    triple = TwoPrecontactSpace(space, subset, relation, report.done().checks)
     remember(triple, "_atom_table", lambda _: table)
     return triple
 
@@ -391,44 +341,33 @@ def canonical_pca_of_pcs(pcs):
 
 
 @dataclass(frozen=True)
-class TwoContactSpace(_CheckedPair):
+class TwoContactSpace(CheckList):
     space: FiniteSpace
     subset: int
     checks: tuple = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
-class StoneTwoSpace(_CheckedPair):
+class StoneTwoSpace(CheckList):
     space: FiniteSpace
     subset: int
     checks: tuple = field(default=(), compare=False)
 
 
-def _pair_axiom_checks(space, subset, atom_closures):
-    """The shared axioms: density precondition, (CS1) T0, (CS2) Stone
-    dense part, (CS3) closed base.  ``atom_closures`` are the closures
-    of the atoms of the dense part's clopen algebra."""
-    checks = []
-    dense = closure(space, subset) == space.full_mask
-    checks.append(
-        Check(
-            "(CS-precondition)",
-            dense,
-            None if dense else f"closure of the subset is {space.name_set(closure(space, subset))}",
-        )
+def _pair_axiom_checks(report, space, subset, atom_closures):
+    """Add the shared axioms: density precondition, (CS1) T0, (CS2)
+    Stone dense part, (CS3) closed base.  ``atom_closures`` are the
+    closures of the atoms of the dense part's clopen algebra."""
+    cl = closure(space, subset)
+    report.add(
+        "(CS-precondition)",
+        cl == space.full_mask,
+        f"closure of the subset is {space.name_set(cl)}",
     )
-    t0 = is_t0(space)
-    checks.append(Check("(CS1)", t0, None if t0 else "space is not T0"))
+    report.add("(CS1)", is_t0(space), "space is not T0")
     stone, base_ok = _dense_part_verdicts(space, subset, atom_closures)
-    checks.append(Check("(CS2)", stone, None if stone else "dense part is not a Stone space"))
-    checks.append(
-        Check(
-            "(CS3)",
-            base_ok,
-            None if base_ok else "the pair's regular closed sets are not a closed base",
-        )
-    )
-    return checks
+    report.add("(CS2)", stone, "dense part is not a Stone space")
+    report.add("(CS3)", base_ok, "the pair's regular closed sets are not a closed base")
 
 
 def validate_cs(space, subset):
@@ -436,14 +375,12 @@ def validate_cs(space, subset):
     dense part's clopens (closures meet) must all be closure traces of
     points."""
     closed = [closure(space, a) for a in clopen_atoms(space, subset)]
-    checks = _pair_axiom_checks(space, subset, closed)
-    co_pca = _atom_algebra(closed, lambda f, g: bool(f & g))
-    checks.append(
-        _closure_support_check(
-            space, subset, "(CS4)", "unrealized ", closed, clan_supports(co_pca)
-        )
+    report = ReportBuilder("2-contact axioms")
+    _pair_axiom_checks(report, space, subset, closed)
+    _closure_support_check(
+        report, space, subset, "(CS4)", "unrealized ", closed, overlap_clans(closed)
     )
-    return TwoContactSpace(space, subset, tuple(checks))
+    return TwoContactSpace(space, subset, report.done().checks)
 
 
 def validate_s2s(space, subset):
@@ -452,13 +389,12 @@ def validate_s2s(space, subset):
     supports; at most one per point is realized, so the scan stops
     within point count + 1 of them."""
     closed = [closure(space, a) for a in clopen_atoms(space, subset)]
-    checks = _pair_axiom_checks(space, subset, closed)
-    checks.append(
-        _closure_support_check(
-            space, subset, "(S2S4)", "unrealized ", closed, range(1, 1 << len(closed))
-        )
+    report = ReportBuilder("Stone 2-space axioms")
+    _pair_axiom_checks(report, space, subset, closed)
+    _closure_support_check(
+        report, space, subset, "(S2S4)", "unrealized ", closed, range(1, 1 << len(closed))
     )
-    return StoneTwoSpace(space, subset, tuple(checks))
+    return StoneTwoSpace(space, subset, report.done().checks)
 
 
 def canonical_cs_of_ca(pca):
@@ -473,7 +409,7 @@ def contact_relation_of_pair(cs):
     """The unique reflexive and symmetric relation turning a 2-contact
     pair into a 2-precontact triple: points of the dense part are related
     when every pair of clopen neighbourhoods has meeting closures."""
-    if not cs.is_valid:
+    if not cs.ok:
         raise ValidationError("not a 2-contact space")
     # Every clopen holding x holds the clopen atom of x, and meeting
     # closures is monotone in both sides: x and y are related iff the
@@ -495,7 +431,7 @@ def contact_relation_of_pair(cs):
 
 
 @dataclass(frozen=True)
-class MereocompactReport:
+class MereocompactReport(CheckList):
     """Verdicts for one mereotopological pair.
 
     ``u_set`` is the point set of u-points; ``uniqueness_witness`` names
@@ -511,25 +447,15 @@ class MereocompactReport:
     uniqueness_witness: int | None
     checks: tuple
 
-    @property
-    def ok(self):
-        return all(c.passed for c in self.checks)
-
 
 def mereocompactness_report(mereo):
     space, members = mereo.space, mereo.members
-    checks = []
+    report = ReportBuilder("mereocompactness")
 
     space_ok = is_closed_base(space, members)
-    checks.append(
-        Check(
-            "members form a closed base",
-            space_ok,
-            None if space_ok else "not a mereotopological space",
-        )
-    )
+    report.add("members form a closed base", space_ok, "not a mereotopological space")
     t0 = is_t0(space)
-    checks.append(Check("space is T0", t0, None if t0 else "not T0"))
+    report.add("space is T0", t0, "not T0")
 
     # The members form a Boolean subalgebra of RC(X), whose order is
     # inclusion: they are the unions of their distinct atoms, atom i
@@ -537,21 +463,16 @@ def mereocompactness_report(mereo):
     # under overlap is a point trace iff its support is the support of
     # a point over the atoms (`first_unrealized_support`).
     distinct_atoms = minimal_members(set(members))
-    sigma = _atom_algebra(distinct_atoms, lambda f, g: bool(f & g))
     unrealized = first_unrealized_support(
-        distinct_atoms, clan_supports(sigma), space.point_count
+        distinct_atoms, overlap_clans(distinct_atoms), space.point_count
     )
     mereocompact = unrealized is None
-    checks.append(
-        Check(
-            "every clan is a point trace",
-            mereocompact,
-            None
-            if mereocompact
-            else "unrealized clan "
-            + _element_set_names(space, distinct_atoms, members, unrealized),
+    witness = None
+    if not mereocompact:
+        witness = "unrealized clan " + _element_set_names(
+            space, distinct_atoms, members, unrealized
         )
-    )
+    report.add("every clan is a point trace", mereocompact, witness)
 
     u_set = mask_of(
         x for x in range(space.point_count) if u_point_of_pair(mereo, x)
@@ -564,34 +485,23 @@ def mereocompactness_report(mereo):
             for x in range(space.point_count)
             if sum(1 for a in distinct_atoms if a >> x & 1) == 1
         )
-        agree = u_set == ultra_points
-        checks.append(
-            Check(
-                "u-points are exactly the ultrafilter traces",
-                agree,
-                None
-                if agree
-                else f"u-points {space.name_set(u_set)}, ultrafilter traces {space.name_set(ultra_points)}",
-            )
+        report.add(
+            "u-points are exactly the ultrafilter traces",
+            u_set == ultra_points,
+            f"u-points {space.name_set(u_set)}, ultrafilter traces {space.name_set(ultra_points)}",
         )
         dense = closure(space, u_set) == space.full_mask
-        checks.append(
-            Check("u-point set is dense", dense, None if dense else space.name_set(u_set))
-        )
+        report.add("u-point set is dense", dense, space.name_set(u_set))
         stone = is_stone(subspace(space, u_set)) if u_set else False
-        checks.append(
-            Check("u-point set is a Stone subspace", stone, None if stone else space.name_set(u_set))
-        )
+        report.add("u-point set is a Stone subspace", stone, space.name_set(u_set))
         # The closures of the clopens of a subset are the unions of
         # `rc_atoms_of_subset`, and the members the unions of their atoms:
         # the two families are equal iff their atom lists are.
         reproduced = dense and rc_atoms_of_subset(space, u_set) == distinct_atoms
-        checks.append(
-            Check(
-                "closures of u-point clopens reproduce the members",
-                reproduced,
-                None if reproduced else space.name_set(u_set),
-            )
+        report.add(
+            "closures of u-point clopens reproduce the members",
+            reproduced,
+            space.name_set(u_set),
         )
         # In a finite T0 space the only dense subset D that is discrete
         # as a subspace is the set M of maximal points.  A maximal m is in
@@ -602,29 +512,16 @@ def mereocompactness_report(mereo):
         candidate = maximal_points(space)
         if candidate and candidate != u_set and rc_atoms(space) == distinct_atoms:
             uniqueness_witness = candidate
-        checks.append(
-            Check(
-                "no other dense Stone subspace reproduces the members",
-                uniqueness_witness is None,
-                None
-                if uniqueness_witness is None
-                else space.name_set(uniqueness_witness),
-            )
+        report.add(
+            "no other dense Stone subspace reproduces the members",
+            uniqueness_witness is None,
+            space.name_set(candidate),
         )
         cs = validate_cs(space, u_set) if dense else None
-        cs_ok = cs is not None and cs.is_valid
-        checks.append(
-            Check(
-                "the pair with its u-points is a 2-contact space",
-                cs_ok,
-                None
-                if cs_ok
-                else (
-                    "; ".join(f"{c.name} {c.witness}" for c in cs.failures())
-                    if cs is not None
-                    else "u-point set not dense"
-                ),
-            )
+        report.add(
+            "the pair with its u-points is a 2-contact space",
+            cs is not None and cs.ok,
+            cs.failure_summary(" ") if cs is not None else "u-point set not dense",
         )
 
     return MereocompactReport(
@@ -634,5 +531,5 @@ def mereocompactness_report(mereo):
         is_mereocompact=mereocompact,
         u_set=u_set,
         uniqueness_witness=uniqueness_witness,
-        checks=tuple(checks),
+        checks=report.done().checks,
     )

@@ -38,14 +38,14 @@ def instance_suite(pca):
     report.add(
         "stone representation",
         representation.ok,
-        witness="; ".join(f"{c.name}: {c.witness}" for c in representation.failures),
+        witness=representation.failure_summary(": "),
     )
 
     roundtrip = algebra_roundtrip_iso(pca)
     report.add(
         "algebra round trip",
         roundtrip.report.ok,
-        witness="; ".join(f"{c.name}: {c.witness}" for c in roundtrip.report.failures),
+        witness=roundtrip.report.failure_summary(": "),
     )
     triple = roundtrip.space
 
@@ -90,6 +90,6 @@ def instance_suite(pca):
         report.add(
             "specialization suite",
             special.ok,
-            witness="; ".join(f"{c.name}: {c.witness}" for c in special.failures),
+            witness=special.failure_summary(": "),
         )
     return report.done()

@@ -21,10 +21,12 @@ element encoding of the Boolean side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .boolean import FiniteBooleanAlgebra, bit_indices, mask_of
-from .config import require_point_budget
-from .errors import DomainMismatchError, PreconditionError
+from .config import require_atom_width, require_enum_width, require_point_budget
+from .errors import DomainMismatchError, InternalError, PreconditionError
+from .precontact import clique_supports
 
 
 @dataclass(frozen=True)
@@ -329,8 +331,9 @@ class RegularClosedAlgebra:
         its point mask.
         """
         atoms = self.atom_masks()
-        if 1 << len(atoms) != len(set(self.members)):
-            raise DomainMismatchError("member family is not a Boolean algebra")
+        failure = _atom_generation_failure(set(self.members), atoms)
+        if failure is not None:
+            raise DomainMismatchError(failure)
         algebra = FiniteBooleanAlgebra(len(atoms))
 
         def to_member(element_mask):
@@ -339,10 +342,6 @@ class RegularClosedAlgebra:
                 out |= atoms[i]
             return out
 
-        members = set(self.members)
-        for m in range(algebra.size):
-            if to_member(m) not in members:
-                raise DomainMismatchError("member family is not atom-generated")
         return algebra, atoms, to_member
 
 
@@ -352,6 +351,18 @@ def unions(atoms):
     for a in atoms:
         out += [m | a for m in out]
     return tuple(sorted(out))
+
+
+def _atom_generation_failure(family, atoms):
+    """Why the set ``family`` is not exactly the 2**k unions of the k
+    sets ``atoms``, or None.  The count is compared first, so a family
+    that fails it builds no unions, and one that passes it builds at
+    most len(family) of them."""
+    if len(family) != 1 << len(atoms):
+        return "member family is not a Boolean algebra"
+    if family != set(unions(atoms)):
+        return "member family is not atom-generated"
+    return None
 
 
 def maximal_points(space):
@@ -564,12 +575,33 @@ class MereotopologicalPair:
         family = set(self.members)
         if 0 not in family or self.space.full_mask not in family:
             raise PreconditionError("the subalgebra must contain 0 and 1")
+        # Decided at the distinct minimal members A_1..A_k.  Suppose the
+        # family is exactly their 2**k unions and int(A_i n A_j) = 0 for
+        # i != j.  Unions of unions are unions.  X, a member, is the union
+        # of all atoms.  For i != j, int A_j misses A_i: an open set that
+        # meets A_i = cl(int A_i) meets int A_i, and int A_i n int A_j =
+        # int(A_i n A_j) is empty.  Let F be the union over T and F' the
+        # union of the other atoms.  X \ F lies in the closed F', and each
+        # atom A_j of F' is cl(int A_j) with int A_j inside X \ F, so the
+        # complement F* = cl(X \ F) is F', a member.  By De Morgan the
+        # meet cl(int(F n H)) = cl(int F n int H) of members F and H is
+        # (F* u H*)*, a member.  Conversely, a family closed under the
+        # three operations is a Boolean subalgebra of RC(X) whose join is
+        # union: it is the 2**k unions of its k atoms, and distinct atoms
+        # meet in cl(int(A_i n A_j)) = 0.  So the member-pair loop below
+        # runs only to name the first failure.
+        atoms = minimal_members(family)
+        if _atom_generation_failure(family, atoms) is None and not any(
+            interior(self.space, a & b) for a, b in combinations(atoms, 2)
+        ):
+            return
         for f in self.members:
             if rc.complement(f) not in family:
                 raise PreconditionError("subalgebra not closed under complement")
             for g in self.members:
                 if (f | g) not in family or rc.meet(f, g) not in family:
                     raise PreconditionError("subalgebra not closed under join/meet")
+        raise InternalError("the atom test and the member-pair loop disagree")
 
     @property
     def algebra(self):
@@ -586,6 +618,18 @@ def u_point_of_pair(mereo, x):
     # a and x.  If distinct atoms a and b hold x, then a . b = 0 misses x.
     # So x is a u-point iff exactly one distinct atom holds x.
     return sum(a >> x & 1 for a in minimal_members(set(mereo.members))) == 1
+
+
+def overlap_clans(atoms):
+    """The clan supports of the contact algebra on the nonzero sets
+    ``atoms`` whose kernel is overlap (atom i related to atom j when
+    atoms[i] meets atoms[j]), in (size, atoms) order."""
+    # Overlap is reflexive and symmetric, so it is its own contact
+    # closure, and the clans are the cliques of its adjacency.  The
+    # width checks are those of building that algebra and its clans.
+    require_atom_width(len(atoms))
+    require_enum_width(len(atoms))
+    return clique_supports([mask_of(j for j, b in enumerate(atoms) if a & b) for a in atoms])
 
 
 def first_unrealized_support(atoms, supports, point_count):
@@ -610,11 +654,7 @@ def is_c_semiregular(space):
     contact algebra is the sigma trace of a point."""
     # RC(X) is the unions of the distinct `rc_atoms`, so a clan is a trace
     # iff its support is an atom support (`first_unrealized_support`).
-    from .precontact import clan_supports, pca_from_pairs
-
     if not is_t0(space) or not is_semiregular(space):
         return False
     atoms = rc_atoms(space)
-    pairs = ((i, j) for i, a in enumerate(atoms) for j, b in enumerate(atoms) if a & b)
-    pca = pca_from_pairs(len(atoms), pairs)
-    return first_unrealized_support(atoms, clan_supports(pca), space.point_count) is None
+    return first_unrealized_support(atoms, overlap_clans(atoms), space.point_count) is None

@@ -399,6 +399,26 @@ def oracle_u_point_of_pair(point_closures, members, x):
     )
 
 
+def oracle_mereo_closure_failure(point_closures, members):
+    """Why a family of regular closed sets holding 0 and X is not closed
+    under complement, join and meet, by the literal loop over all member
+    pairs in the given order, or None: the message that
+    ``MereotopologicalPair`` raises."""
+    full = (1 << len(point_closures)) - 1
+    family = set(members)
+
+    def star(f):  # cl(X \ f); the meet cl(int h) is star(star(h))
+        return _closure_of(point_closures, full ^ f)
+
+    for f in members:
+        if star(f) not in family:
+            return "subalgebra not closed under complement"
+        for g in members:
+            if (f | g) not in family or star(star(f & g)) not in family:
+                return "subalgebra not closed under join/meet"
+    return None
+
+
 def oracle_subspace_clopens(point_closures, subset):
     """Clopen sets of the subspace on ``subset``, ascending: the subsets
     that, like their complements in the subset, are their own closure

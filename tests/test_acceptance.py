@@ -17,7 +17,6 @@ from contactlab.duality import (
     algebra_roundtrip_iso,
     check_naturality,
     dense_part_map,
-    dual_space,
     dual_space_map,
     enumerate_pca_morphisms,
     enumerate_pcs_morphisms,
@@ -32,7 +31,7 @@ from contactlab.precontact import (
     well_inside_pairs,
 )
 from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
-from contactlab.structures import pcs_algebra, validate_cs
+from contactlab.structures import canonical_pcs_of_pca, pcs_algebra, validate_cs
 from contactlab.topology import (
     MereotopologicalPair,
     closure,
@@ -159,8 +158,8 @@ def test_criterion_3_extremal_specializations():
         from contactlab.precontact import clan_supports
 
         assert clan_supports(overlap) == [1 << p for p in range(n)]
-        triple = dual_space(overlap)
-        assert triple.is_valid
+        triple = canonical_pcs_of_pca(overlap)
+        assert triple.ok
         assert triple.subset == triple.space.full_mask
         assert triple.relation == frozenset((i, i) for i in range(n))
         assert is_discrete(triple.space)
@@ -171,8 +170,8 @@ def test_criterion_3_extremal_specializations():
             key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]),
         )
         assert len(clan_supports(everything)) == algebra.size - 1
-        triple = dual_space(everything)
-        assert triple.is_valid
+        triple = canonical_pcs_of_pca(everything)
+        assert triple.ok
         x0 = [i for i in range(triple.space.point_count) if triple.subset >> i & 1]
         assert triple.relation == frozenset(
             (x, y) for x in x0 for y in x0
@@ -196,7 +195,7 @@ def test_criterion_4_naturality():
                 g_squares += 1
     t_squares = 0
     preimage_checks = 0
-    duals = [dual_space(a) for a in small]
+    duals = [canonical_pcs_of_pca(a) for a in small]
     for s in duals:
         for t in duals:
             for f in enumerate_pcs_morphisms(s, t):
@@ -230,10 +229,10 @@ def test_criterion_4_naturality():
 
 def test_criterion_5_faithfulness():
     fixtures = [
-        dual_space(smallest_contact(FiniteBooleanAlgebra(1))),
-        dual_space(smallest_contact(FiniteBooleanAlgebra(2))),
-        dual_space(largest_contact(FiniteBooleanAlgebra(2))),
-        dual_space(pca_from_pairs(3, {(0, 1), (1, 2)})),
+        canonical_pcs_of_pca(smallest_contact(FiniteBooleanAlgebra(1))),
+        canonical_pcs_of_pca(smallest_contact(FiniteBooleanAlgebra(2))),
+        canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2))),
+        canonical_pcs_of_pca(pca_from_pairs(3, {(0, 1), (1, 2)})),
     ]
     assert max(f.space.point_count for f in fixtures) <= 6
     pairs_checked = 0
@@ -270,7 +269,7 @@ def test_criterion_6_mereocompact_machinery(monkeypatch):
         for pairs in contact_kernels(n):
             pca = pca_from_pairs(n, pairs)
             assert pca.axioms.is_contact
-            triple = dual_space(pca)
+            triple = canonical_pcs_of_pca(pca)
             members = tuple(rc_members_of_subset(triple.space, triple.subset))
             mereo = MereotopologicalPair(triple.space, members)
 
@@ -303,7 +302,7 @@ def test_criterion_6_mereocompact_machinery(monkeypatch):
                     matches.append(candidate)
             assert matches == [u_set]
 
-            assert validate_cs(space, u_set).is_valid
+            assert validate_cs(space, u_set).ok
             count += 1
     assert count == 1 + 2 + 8 + 64
     verdict(
@@ -458,15 +457,15 @@ def test_criterion_9_fixture_regression():
     # canonical spaces against the library: the overlap dual is discrete
     # on two points, the total dual reproduces X_L, the path kernel's
     # dual has five points with a three-point dense part
-    disc = dual_space(smallest_contact(b4))
+    disc = canonical_pcs_of_pca(smallest_contact(b4))
     assert disc.space == discrete_space(("c0", "c1"))
     assert disc.subset == 0b11 and disc.relation == diag
 
-    xl_dual = dual_space(largest_contact(b4))
+    xl_dual = canonical_pcs_of_pca(largest_contact(b4))
     assert xl_dual.space.point_closures == xl.point_closures
     assert xl_dual.subset == 0b011 and xl_dual.relation == total
 
-    path_dual = dual_space(pca_from_pairs(3, path))
+    path_dual = canonical_pcs_of_pca(pca_from_pairs(3, path))
     assert path_dual.space.point_count == 5
     assert path_dual.subset == 0b00111
     assert path_dual.relation == {(0, 1), (1, 2)}

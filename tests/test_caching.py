@@ -20,13 +20,12 @@ from contactlab.duality import (
     algebra_roundtrip_iso,
     check_naturality,
     dual_algebra_map,
-    dual_space,
     dual_space_map,
     gt_preimage_check,
 )
 from contactlab.precontact import PcaMorphism, clan_supports, pca_from_pairs
 from contactlab.randgen import child_seed, random_pca_morphism
-from contactlab.structures import pcs_algebra, validate_pcs
+from contactlab.structures import canonical_pcs_of_pca, pcs_algebra, validate_pcs
 
 SIZES = ((3, 3), (4, 4), (5, 4), (4, 5), (5, 5))
 
@@ -68,8 +67,8 @@ def phi():
 
 
 def test_repeated_calls_return_the_same_object(phi):
-    triple = dual_space(phi.source)
-    assert dual_space(phi.source) is triple
+    triple = canonical_pcs_of_pca(phi.source)
+    assert canonical_pcs_of_pca(phi.source) is triple
     assert pcs_algebra(triple) is pcs_algebra(triple)
     f = dual_space_map(phi)
     assert dual_space_map(phi) is f
@@ -115,12 +114,12 @@ def test_dual_triple_is_not_kept_alive_by_its_algebra(phi):
     trip = algebra_roundtrip_iso(pca)
     assert trip.report.ok
     held = weakref.ref(trip.space)
-    assert dual_space(pca) is trip.space
+    assert canonical_pcs_of_pca(pca) is trip.space
     del trip
     gc.collect()
     assert held() is None
     # rebuilt on demand, equal to the collected one
-    assert dual_space(pca) == dual_space(fresh_pca(pca))
+    assert canonical_pcs_of_pca(pca) == canonical_pcs_of_pca(fresh_pca(pca))
 
 
 @pytest.mark.parametrize(
@@ -128,13 +127,13 @@ def test_dual_triple_is_not_kept_alive_by_its_algebra(phi):
 )
 def test_algebra_with_a_dual_triple_pickles_and_copies(phi, clone):
     pca = phi.source
-    triple = dual_space(pca)
+    triple = canonical_pcs_of_pca(pca)
     supports = clan_supports(pca)
     twin = clone(pca)
     assert twin == pca and twin is not pca
     assert clan_supports(twin) == supports
-    assert dual_space(twin) == triple
-    assert dual_space(twin) is not triple
+    assert canonical_pcs_of_pca(twin) == triple
+    assert canonical_pcs_of_pca(twin) is not triple
     # a morphism holding its dual map, and so the dual triples, clones too
     f = dual_space_map(phi)
     phi_twin = clone(phi)

@@ -4,10 +4,9 @@ import pytest
 
 from contactlab.boolean import FiniteBooleanAlgebra
 from contactlab.cli import main
-from contactlab.duality import dual_space
 from contactlab.precontact import largest_contact, pca_from_pairs
 from contactlab.serialize import dumps, encode
-from contactlab.structures import validate_pcs
+from contactlab.structures import canonical_pcs_of_pca, validate_pcs
 
 
 @pytest.fixture
@@ -16,7 +15,7 @@ def files(tmp_path):
     out = {}
     out["pca"] = tmp_path / "rl.json"
     out["pca"].write_text(dumps(encode(rho_l)))
-    triple = dual_space(rho_l)
+    triple = canonical_pcs_of_pca(rho_l)
     out["pcs"] = tmp_path / "xl.json"
     out["pcs"].write_text(dumps(encode(triple)))
     bad = validate_pcs(triple.space, triple.subset, frozenset({(0, 0), (1, 1)}))
@@ -384,3 +383,287 @@ def test_mereo_member_index_out_of_range_exits_2(tmp_path, capsys, command, inde
     assert code == 2
     assert out == ""
     assert err == "error: $.members[1]: point index out of range\n"
+
+
+# ---------------------------------------------------------------------------
+# golden output of validate: exact stdout, stderr and exit code
+
+XL = {"points": ["c0", "c1", "c0-1"], "closed_base": [[0, 2], [1, 2], [2]]}
+# three dense points, each pair sharing one boundary point, and no point
+# in all three closures: (CS4) finds the clan of all three unrealized
+TRIANGLE = {
+    "points": ["a", "b", "c", "pab", "pbc", "pac"],
+    "closed_base": [[0, 3, 5], [1, 3, 4], [2, 4, 5], [3], [4], [5]],
+}
+DISCRETE2 = {"points": ["a", "b"], "closed_base": [[0], [1]]}
+# RC is {0, X}, which does not generate the closed set {b}
+SIERPINSKI = {"points": ["a", "b"], "closed_base": [[0, 1], [1]]}
+DISCRETE4 = {"points": ["a", "b", "c", "d"], "closed_base": [[0], [1], [2], [3]]}
+
+GOLDEN_VALIDATE = {
+    "pcs-valid": (
+        {"kind": "pcs", "space": XL, "subset": [0, 1], "R": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+        0,
+        """\
+{
+  "checks": [
+    {
+      "name": "(PCS1)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(PCS2)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(PCS3)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(PCS4)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(PCS5)",
+      "pass": true,
+      "witness": null
+    }
+  ],
+  "kind": "pcs",
+  "valid": true
+}
+""",
+        "",
+    ),
+    "pcs-failing": (
+        {"kind": "pcs", "space": XL, "subset": [0, 1], "R": [[0, 0], [1, 1]]},
+        1,
+        """\
+{
+  "checks": [
+    {
+      "name": "(PCS1)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(PCS2)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(PCS3)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(PCS4)",
+      "pass": false,
+      "witness": "({c0},{c1})"
+    },
+    {
+      "name": "(PCS5)",
+      "pass": true,
+      "witness": null
+    }
+  ],
+  "kind": "pcs",
+  "valid": false
+}
+""",
+        "",
+    ),
+    "cs-valid": (
+        {"kind": "cs", "space": XL, "subset": [0, 1]},
+        0,
+        """\
+{
+  "checks": [
+    {
+      "name": "(CS-precondition)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(CS1)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(CS2)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(CS3)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(CS4)",
+      "pass": true,
+      "witness": null
+    }
+  ],
+  "kind": "cs",
+  "valid": true
+}
+""",
+        "",
+    ),
+    "cs-failing": (
+        {"kind": "cs", "space": TRIANGLE, "subset": [0, 1, 2]},
+        1,
+        """\
+{
+  "checks": [
+    {
+      "name": "(CS-precondition)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(CS1)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(CS2)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(CS3)",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "(CS4)",
+      "pass": false,
+      "witness": "unrealized {{a},{b},{a,b},{c},{a,c},{b,c},{a,b,c}}"
+    }
+  ],
+  "kind": "cs",
+  "valid": false
+}
+""",
+        "",
+    ),
+    "mereo-valid": (
+        {"kind": "mereo", "space": DISCRETE2, "members": [[], [0], [1], [0, 1]]},
+        0,
+        """\
+{
+  "checks": [
+    {
+      "name": "members form a closed base",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "space is T0",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "every clan is a point trace",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "u-points are exactly the ultrafilter traces",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "u-point set is dense",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "u-point set is a Stone subspace",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "closures of u-point clopens reproduce the members",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "no other dense Stone subspace reproduces the members",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "the pair with its u-points is a 2-contact space",
+      "pass": true,
+      "witness": null
+    }
+  ],
+  "is_mereocompact": true,
+  "kind": "mereo",
+  "valid": true
+}
+""",
+        "",
+    ),
+    "mereo-failing": (
+        {"kind": "mereo", "space": SIERPINSKI, "members": [[], [0, 1]]},
+        1,
+        """\
+{
+  "checks": [
+    {
+      "name": "members form a closed base",
+      "pass": false,
+      "witness": "not a mereotopological space"
+    },
+    {
+      "name": "space is T0",
+      "pass": true,
+      "witness": null
+    },
+    {
+      "name": "every clan is a point trace",
+      "pass": true,
+      "witness": null
+    }
+  ],
+  "is_mereocompact": true,
+  "kind": "mereo",
+  "valid": false
+}
+""",
+        "",
+    ),
+    "mereo-without-complements": (
+        {"kind": "mereo", "space": DISCRETE2, "members": [[], [0], [0, 1]]},
+        1,
+        "",
+        "error: subalgebra not closed under complement\n",
+    ),
+    "mereo-without-joins": (
+        {
+            "kind": "mereo",
+            "space": DISCRETE4,
+            "members": [[], [0, 1, 2, 3], [0, 1], [2, 3], [0, 2], [1, 3]],
+        },
+        1,
+        "",
+        "error: subalgebra not closed under join/meet\n",
+    ),
+
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_VALIDATE))
+def test_validate_golden_output(tmp_path, capsys, case):
+    payload, code, out, err = GOLDEN_VALIDATE[case]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"schema_version": "1", **payload}))
+    assert run(capsys, "validate", path) == (code, out, err)

@@ -6,8 +6,12 @@ import pytest
 
 from contactlab.precontact import largest_contact, pca_from_pairs
 from contactlab.boolean import FiniteBooleanAlgebra
-from contactlab.duality import dual_space
-from contactlab.structures import validate_cs, validate_pcs, validate_s2s
+from contactlab.structures import (
+    canonical_pcs_of_pca,
+    validate_cs,
+    validate_pcs,
+    validate_s2s,
+)
 from contactlab.topology import (
     FiniteSpace,
     closure,
@@ -44,7 +48,7 @@ def test_c_semiregular_spaces_pair_with_their_u_points():
         assert u_set, space
         assert closure(space, u_set) == space.full_mask
         assert is_discrete(subspace(space, u_set))
-        assert validate_cs(space, u_set).is_valid
+        assert validate_cs(space, u_set).ok
         others = [
             sub
             for sub in dense_subsets(space)
@@ -64,7 +68,7 @@ def test_extremally_disconnected_dense_part_forces_c_semiregular():
     for space in all_small_spaces(3):
         for sub in dense_subsets(space):
             cs = validate_cs(space, sub)
-            if not cs.is_valid:
+            if not cs.ok:
                 continue
             assert is_extremally_disconnected(subspace(space, sub))
             assert is_c_semiregular(space), (space, bin(sub))
@@ -89,13 +93,13 @@ def test_stone_two_space_iff_total_relation_triple():
             total = frozenset((x, y) for x in x0 for y in x0)
             s2s = validate_s2s(space, sub)
             triple = validate_pcs(space, sub, total)
-            assert s2s.is_valid == triple.is_valid, (space, bin(sub))
+            assert s2s.ok == triple.ok, (space, bin(sub))
 
 
 def test_canonical_duals_of_total_contacts_are_stone_two_spaces():
     for n in (1, 2, 3):
-        triple = dual_space(largest_contact(FiniteBooleanAlgebra(n)))
-        assert validate_s2s(triple.space, triple.subset).is_valid
+        triple = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(n)))
+        assert validate_s2s(triple.space, triple.subset).ok
 
 
 def test_diagonal_triple_iff_discrete_stone_space():
@@ -105,4 +109,4 @@ def test_diagonal_triple_iff_discrete_stone_space():
         full = space.full_mask
         diagonal = frozenset((x, x) for x in range(space.point_count))
         triple = validate_pcs(space, full, diagonal)
-        assert triple.is_valid == is_discrete(space)
+        assert triple.ok == is_discrete(space)

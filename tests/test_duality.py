@@ -10,9 +10,7 @@ from contactlab.duality import (
     compose_pcs_morphisms,
     dense_part,
     dense_part_map,
-    dual_algebra,
     dual_algebra_map,
-    dual_space,
     dual_space_map,
     enumerate_pca_morphisms,
     enumerate_pcs_morphisms,
@@ -34,7 +32,13 @@ from contactlab.precontact import (
     smallest_contact,
 )
 from contactlab import structures
-from contactlab.structures import TwoPrecontactSpace, pcs_algebra, validate_cs
+from contactlab.structures import (
+    TwoPrecontactSpace,
+    canonical_pca_of_pcs,
+    canonical_pcs_of_pca,
+    pcs_algebra,
+    validate_cs,
+)
 from contactlab.topology import discrete_space, is_connected
 
 from conftest import all_kernels
@@ -53,13 +57,13 @@ def small_algebras():
 
 
 def test_dual_space_objects(b4, path_pca):
-    assert dual_space(smallest_contact(b4)).space == discrete_space(("c0", "c1"))
-    assert dual_space(largest_contact(b4)).space.point_count == 3
-    assert dual_space(path_pca).space.point_count == 5
+    assert canonical_pcs_of_pca(smallest_contact(b4)).space == discrete_space(("c0", "c1"))
+    assert canonical_pcs_of_pca(largest_contact(b4)).space.point_count == 3
+    assert canonical_pcs_of_pca(path_pca).space.point_count == 5
 
 
 def test_dual_algebra_round_trip_on_path_kernel(path_pca):
-    rebuilt = dual_algebra(dual_space(path_pca))
+    rebuilt = canonical_pca_of_pcs(canonical_pcs_of_pca(path_pca))
     assert pca_isomorphic(path_pca, rebuilt) is not None
 
 
@@ -94,15 +98,15 @@ def test_dual_space_map_collapsing_example(b4, b2):
 
 
 def test_space_roundtrip_on_one_point_triple(b2):
-    one = dual_space(smallest_contact(b2))
+    one = canonical_pcs_of_pca(smallest_contact(b2))
     t = space_roundtrip_iso(one)
     assert t.point_map == (0,)
     assert pcs_iso_report(t).ok
 
 
 def test_dual_algebra_map_constant_to_point(xl_space):
-    xl = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
-    one = dual_space(smallest_contact(FiniteBooleanAlgebra(1)))
+    xl = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
+    one = canonical_pcs_of_pca(smallest_contact(FiniteBooleanAlgebra(1)))
     constant = PcsMorphism(xl, one, (0, 0, 0))
     psi = dual_algebra_map(constant)
     # the terminal map pulls the point back to the whole space
@@ -111,7 +115,7 @@ def test_dual_algebra_map_constant_to_point(xl_space):
 
 
 def test_dual_algebra_map_identity(xl_space):
-    xl = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
+    xl = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
     psi = dual_algebra_map(identity_pcs_morphism(xl))
     for m in range(psi.hom.source.size):
         assert psi.hom.apply_mask(m) == m
@@ -140,8 +144,8 @@ def test_functoriality_on_composable_pairs():
 
 
 def test_gt_functoriality_on_pcs_morphisms():
-    s_small = dual_space(smallest_contact(FiniteBooleanAlgebra(2)))
-    s_large = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
+    s_small = canonical_pcs_of_pca(smallest_contact(FiniteBooleanAlgebra(2)))
+    s_large = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
     for f in enumerate_pcs_morphisms(s_small, s_large):
         for g in enumerate_pcs_morphisms(s_large, s_small):
             both = compose_pcs_morphisms(g, f)
@@ -183,7 +187,7 @@ def test_algebra_roundtrip_images_fixture(b4, path_pca):
 
 
 def test_space_roundtrip_iso_fixture(xl_space):
-    xl = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
+    xl = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
     t = space_roundtrip_iso(xl)
     assert pcs_iso_report(t).ok
     # the closed point has the two-atom trace
@@ -192,7 +196,7 @@ def test_space_roundtrip_iso_fixture(xl_space):
 
 def test_space_roundtrip_iso_on_canonical_duals(kernels_3):
     for pairs in list(kernels_3)[::13]:
-        triple = dual_space(pca_from_pairs(3, pairs))
+        triple = canonical_pcs_of_pca(pca_from_pairs(3, pairs))
         t = space_roundtrip_iso(triple)
         assert pcs_iso_report(t).ok
 
@@ -214,7 +218,7 @@ def test_naturality_full_hom_sets_small():
 
 def test_naturality_for_space_morphisms():
     spaces = [
-        dual_space(pca_from_pairs(2, pairs)) for pairs in all_kernels(2)
+        canonical_pcs_of_pca(pca_from_pairs(2, pairs)) for pairs in all_kernels(2)
     ]
     seen = 0
     for s in spaces[::3]:
@@ -226,8 +230,8 @@ def test_naturality_for_space_morphisms():
 
 
 def test_gt_acts_as_preimage():
-    s = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
-    t = dual_space(smallest_contact(FiniteBooleanAlgebra(1)))
+    s = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
+    t = canonical_pcs_of_pca(smallest_contact(FiniteBooleanAlgebra(1)))
     for f in enumerate_pcs_morphisms(s, t):
         alg = pcs_algebra(f.target)
         for member in alg.members:
@@ -239,7 +243,7 @@ def test_gt_acts_as_preimage():
 
 
 def test_dense_part_of_xl():
-    xl = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
+    xl = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
     reduct = dense_part(xl)
     assert reduct.cells == ("c0", "c1")
     assert reduct.pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -247,13 +251,13 @@ def test_dense_part_of_xl():
 
 
 def test_dense_part_of_discrete():
-    disc = dual_space(smallest_contact(FiniteBooleanAlgebra(2)))
+    disc = canonical_pcs_of_pca(smallest_contact(FiniteBooleanAlgebra(2)))
     reduct = dense_part(disc)
     assert reduct.pairs == {(0, 0), (1, 1)}
 
 
 def test_restriction_determines_morphism():
-    xl = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
+    xl = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
     morphisms = enumerate_pcs_morphisms(xl, xl)
     by_restriction = {}
     for f in morphisms:
@@ -311,14 +315,14 @@ def test_iso_and_reconstruction_failures_name_witnesses(disc2, sierpinski, monke
 
 def test_reconstruction_uniqueness_against_candidate():
     total = AdjacencySpace(("a", "b"), frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
-    candidate = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
+    candidate = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
     _, report = pcs_from_stone_adjacency(total, candidate)
     assert report.ok
 
 
 def test_pcs_isomorphic_detects_mismatch():
-    xl = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
-    disc = dual_space(smallest_contact(FiniteBooleanAlgebra(2)))
+    xl = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
+    disc = canonical_pcs_of_pca(smallest_contact(FiniteBooleanAlgebra(2)))
     assert pcs_isomorphic(xl, disc) is None
     assert pcs_isomorphic(xl, xl) is not None
 
@@ -339,7 +343,7 @@ def test_every_canonical_dual_is_complete(kernels_upto_2, kernels_3):
     from contactlab.topology import rc_members, rc_members_of_subset
 
     for n, pairs in list(kernels_upto_2) + [(3, k) for k in kernels_3]:
-        triple = dual_space(pca_from_pairs(n, pairs))
+        triple = canonical_pcs_of_pca(pca_from_pairs(n, pairs))
         assert frozenset(rc_members(triple.space)) == frozenset(
             rc_members_of_subset(triple.space, triple.subset)
         )
@@ -354,7 +358,7 @@ def test_hom_set_bijection_small():
     for a in algebras[::3]:
         for b in algebras[::5]:
             n_pca = len(enumerate_pca_morphisms(a, b))
-            n_pcs = len(enumerate_pcs_morphisms(dual_space(b), dual_space(a)))
+            n_pcs = len(enumerate_pcs_morphisms(canonical_pcs_of_pca(b), canonical_pcs_of_pca(a)))
             assert n_pca == n_pcs, (a.kernel.pairs, b.kernel.pairs)
 
 
@@ -381,22 +385,22 @@ def test_specialization_membership_errors(b4, path_pca):
 
 def test_connectedness_correspondence(b4):
     assert not smallest_contact(b4).axioms.ccon
-    assert not is_connected(dual_space(smallest_contact(b4)).space)
+    assert not is_connected(canonical_pcs_of_pca(smallest_contact(b4)).space)
     assert largest_contact(b4).axioms.ccon
-    assert is_connected(dual_space(largest_contact(b4)).space)
+    assert is_connected(canonical_pcs_of_pca(largest_contact(b4)).space)
 
 
 def test_gmcs_preimage_hom(b4):
-    xl = dual_space(largest_contact(b4))
+    xl = canonical_pcs_of_pca(largest_contact(b4))
     cs = validate_cs(xl.space, xl.subset)
-    one_triple = dual_space(smallest_contact(FiniteBooleanAlgebra(1)))
+    one_triple = canonical_pcs_of_pca(smallest_contact(FiniteBooleanAlgebra(1)))
     one = validate_cs(one_triple.space, one_triple.subset)
     report = gmcs_hom_check(cs, one, (0, 0, 0))
     assert report.ok
 
 
 def test_pcs_morphism_constructor_rejects_incoherent_maps():
-    xl = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
+    xl = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
     # continuous, dense-preserving, relation-preserving, but moving the
     # closed point independently of the dense restriction
     with pytest.raises(PreconditionError):

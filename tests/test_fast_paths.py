@@ -104,6 +104,7 @@ from oracles import (
     oracle_is_grill,
     oracle_is_closed_base,
     oracle_is_u_point,
+    oracle_mereo_closure_failure,
     oracle_normalize,
     oracle_pcs2_pcs3,
     oracle_pcs4_pcs5,
@@ -727,7 +728,7 @@ def test_closure_trace_checks_match_the_all_clopens_sweeps(spaces_with_subsets):
                 sub,
             )
             seen[name].add(got.passed)
-        if cs.is_valid:
+        if cs.ok:
             relation = oracle_contact_relation(closures, sub)
             assert contact_relation_of_pair(cs) == relation, (closures, sub)
             seen["related"].update(
@@ -743,7 +744,7 @@ def test_pcs_algebra_matches_the_pair_family():
     seen = set()
     for space, subset, relation in pcs_population():
         triple = validate_pcs(space, subset, relation)
-        if not triple.is_valid:
+        if not triple.ok:
             continue
         atoms, members, kernel = oracle_pcs_algebra(space.point_closures, subset, relation)
         # the atom table handed over by validate_pcs, and rebuilt on a
@@ -855,6 +856,62 @@ def boolean_subalgebras(atoms):
             for i in range(len(blocks))
         ] + [blocks + [a] for blocks in partitions]
     return [unions(blocks) for blocks in partitions]
+
+
+def mereo_verdict(space, members):
+    """The message ``MereotopologicalPair`` raises, or None."""
+    try:
+        MereotopologicalPair(space, members)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def test_mereotopological_pair_matches_the_member_pair_loop():
+    """Closure under complement, join and meet decided at the distinct
+    minimal members, against the loop over all member pairs: on every
+    family of regular closed sets holding 0 and X, ascending and
+    reversed, of every space with at most 3 points, and on seeded
+    Boolean subalgebras of RC(X) of spaces with 4 to 8 points, each
+    with one member dropped or one regular closed set added."""
+    families = []
+    for space in (s for n in range(1, 4) for s in all_small_spaces(n)):
+        rc = rc_members(space)
+        inner = [m for m in rc if m not in (0, space.full_mask)]
+        for r in range(len(inner) + 1):
+            for chosen in itertools.combinations(inner, r):
+                members = tuple(sorted({0, space.full_mask, *chosen}))
+                families += [(space, members, False), (space, members[::-1], False)]
+    rng = random.Random(20261018)
+    for _ in range(40):
+        space = random_space(rng.randint(4, 8), rng)
+        atoms = rc_atoms(space)
+        blocks = {}
+        for a in atoms:
+            label = rng.randrange(len(atoms))
+            blocks[label] = blocks.get(label, 0) | a
+        members = list(unions(blocks.values()))
+        families.append((space, tuple(members), True))
+        inner = [m for m in members if m not in (0, space.full_mask)]
+        if inner:
+            dropped = rng.choice(inner)
+            families.append((space, tuple(m for m in members if m != dropped), True))
+        outside = [m for m in rc_members(space) if m not in members]
+        if outside:
+            added = members + [rng.choice(outside)]
+            rng.shuffle(added)
+            families.append((space, tuple(added), True))
+    seen = set()
+    for space, members, seeded in families:
+        expected = oracle_mereo_closure_failure(space.point_closures, members)
+        assert mereo_verdict(space, members) == expected, (space.point_closures, members)
+        seen.add((expected, seeded))
+    messages = {
+        None,
+        "subalgebra not closed under complement",
+        "subalgebra not closed under join/meet",
+    }
+    assert seen == {(m, seeded) for m in messages for seeded in (False, True)}, seen
 
 
 def test_u_point_of_pair_matches_the_member_pair_sweep():

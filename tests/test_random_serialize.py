@@ -4,7 +4,7 @@ import pytest
 
 from contactlab.adjacency import AdjacencySpace
 from contactlab.boolean import Element, ElementFamily, FiniteBooleanAlgebra
-from contactlab.duality import dual_space, enumerate_pcs_morphisms
+from contactlab.duality import enumerate_pcs_morphisms
 from contactlab.errors import PreconditionError, SchemaError
 from contactlab.precontact import largest_contact, pca_from_pairs
 from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
@@ -17,7 +17,7 @@ from contactlab.serialize import (
     encode_pcs_morphism,
     loads,
 )
-from contactlab.structures import validate_cs, validate_pcs
+from contactlab.structures import canonical_pcs_of_pca, validate_cs, validate_pcs
 from contactlab.topology import (
     MereotopologicalPair,
     TopologicalPair,
@@ -104,7 +104,7 @@ def test_roundtrip_pcs_preserves_validation(xl_space):
     )
     back = roundtrip(triple)
     assert back == triple
-    assert back.is_valid
+    assert back.ok
 
 
 def test_roundtrip_cs_and_mereo(xl_space):
@@ -139,7 +139,7 @@ def test_roundtrip_morphisms():
     back = decode(json.loads(dumps(encode_pca_morphism(phi))))
     assert back.hom.atom_map == (1, 0)
 
-    triple = dual_space(rho)
+    triple = canonical_pcs_of_pca(rho)
     f = enumerate_pcs_morphisms(triple, triple)[0]
     back_f = decode(json.loads(dumps(encode_pcs_morphism(f))))
     assert back_f.point_map == f.point_map
@@ -177,7 +177,7 @@ def test_raw_relation_in_pca_files():
 
 
 def test_dot_export_of_xl_triple():
-    triple = dual_space(largest_contact(FiniteBooleanAlgebra(2)))
+    triple = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
     dot = dot_export(triple)
     assert dot.count("doublecircle") == 2
     assert dot.count("style=solid") == 2

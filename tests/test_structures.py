@@ -41,7 +41,7 @@ def test_validate_pcs_fixture_passes(xl_space):
     triple = validate_pcs(
         xl_space, 0b011, frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
     )
-    assert triple.is_valid
+    assert triple.ok
     assert [c.name for c in triple.checks] == [
         "(PCS1)", "(PCS2)", "(PCS3)", "(PCS4)", "(PCS5)",
     ]
@@ -49,15 +49,15 @@ def test_validate_pcs_fixture_passes(xl_space):
 
 def test_validate_pcs_diagonal_fails_fourth_axiom(xl_space):
     triple = validate_pcs(xl_space, 0b011, frozenset({(0, 0), (1, 1)}))
-    assert not triple.is_valid
-    failed = triple.failures()
+    assert not triple.ok
+    failed = triple.failures
     assert [c.name for c in failed] == ["(PCS4)"]
     assert failed[0].witness == "({g1},{g2})"
 
 
 def test_validate_pcs_discrete_diagonal_passes(disc2):
     triple = validate_pcs(disc2, 0b11, frozenset({(0, 0), (1, 1)}))
-    assert triple.is_valid
+    assert triple.ok
 
 
 def test_validate_pcs_rejects_relation_outside_subset(xl_space):
@@ -74,7 +74,7 @@ def test_validate_pcs_reports_density_failure(disc2):
 def test_empty_relation_on_one_point_is_valid():
     one = discrete_space(("u",))
     triple = validate_pcs(one, 0b1, frozenset())
-    assert triple.is_valid
+    assert triple.ok
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_canonical_triple_of_smallest_contact(b4):
     assert triple.space == discrete_space(("c0", "c1"))
     assert triple.subset == triple.space.full_mask
     assert triple.relation == {(0, 0), (1, 1)}
-    assert triple.is_valid
+    assert triple.ok
 
 
 def test_canonical_triple_of_largest_contact(b4, xl_space):
@@ -94,14 +94,14 @@ def test_canonical_triple_of_largest_contact(b4, xl_space):
     assert triple.space.point_closures == xl_space.point_closures
     assert triple.subset == 0b011
     assert triple.relation == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert triple.is_valid
+    assert triple.ok
 
 
 def test_canonical_triple_of_path_kernel(path_pca):
     triple = canonical_pcs_of_pca(path_pca)
     assert triple.space.point_count == 5
     assert triple.subset.bit_count() == 3
-    assert triple.is_valid
+    assert triple.ok
 
 
 def test_canonical_triple_rejects_degenerate():
@@ -112,7 +112,7 @@ def test_canonical_triple_rejects_degenerate():
 def test_canonical_triple_validates_exhaustively(kernels_upto_2, kernels_3):
     for n, pairs in list(kernels_upto_2) + [(3, k) for k in kernels_3]:
         triple = canonical_pcs_of_pca(pca_from_pairs(n, pairs))
-        assert triple.is_valid, (n, sorted(pairs), triple.failures())
+        assert triple.ok, (n, sorted(pairs), triple.failures)
 
 
 def test_element_point_mask_additivity(kernels_3):
@@ -172,27 +172,27 @@ def test_proximities_coincide_on_canonical_algebra(kernels_3):
 
 def test_validate_cs_fixture(xl_space):
     cs = validate_cs(xl_space, 0b011)
-    assert cs.is_valid
+    assert cs.ok
     s2s = validate_s2s(xl_space, 0b011)
-    assert s2s.is_valid
+    assert s2s.ok
 
 
 def test_discrete_pair_is_cs_but_not_s2s(disc2):
-    assert validate_cs(disc2, 0b11).is_valid
+    assert validate_cs(disc2, 0b11).ok
     s2s = validate_s2s(disc2, 0b11)
-    assert not s2s.is_valid
-    assert s2s.failures()[0].name == "(S2S4)"
+    assert not s2s.ok
+    assert s2s.failures[0].name == "(S2S4)"
 
 
 def test_cs_density_precondition_reported(disc2):
     cs = validate_cs(disc2, 0b01)
-    names = [c.name for c in cs.failures()]
+    names = [c.name for c in cs.failures]
     assert "(CS-precondition)" in names
 
 
 def test_canonical_cs_of_contact_algebra(b4, xl_space):
     cs = canonical_cs_of_ca(largest_contact(b4))
-    assert cs.is_valid
+    assert cs.ok
     assert cs.space.point_closures == xl_space.point_closures
     disc = canonical_cs_of_ca(smallest_contact(b4))
     assert disc.space == discrete_space(("c0", "c1"))
@@ -229,7 +229,7 @@ def test_contact_relation_is_unique_pcs_completion(xl_space, disc2):
                 for x, y in chosen:
                     rel.add((x, y))
                     rel.add((y, x))
-                if validate_pcs(space, subset, frozenset(rel)).is_valid:
+                if validate_pcs(space, subset, frozenset(rel)).ok:
                     winners.append(frozenset(rel))
         assert winners == [expected]
 

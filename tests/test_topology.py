@@ -2,10 +2,9 @@ import itertools
 
 import pytest
 
-from contactlab.duality import dual_space
 from contactlab.errors import CapacityError, DomainMismatchError, PreconditionError
 from contactlab.precontact import pca_from_pairs
-from contactlab.structures import validate_cs, validate_s2s
+from contactlab.structures import canonical_pcs_of_pca, validate_cs, validate_s2s
 from contactlab.topology import (
     FiniteSpace,
     MereotopologicalPair,
@@ -452,7 +451,7 @@ def test_point_budget_bounds_only_whole_families(monkeypatch):
     dense part has 3 points), and only the functions that return a whole
     family refuse."""
     kernel = {(p, p) for p in range(3)} | {(0, 1), (1, 0), (1, 2), (2, 1)}
-    triple = dual_space(pca_from_pairs(3, kernel))
+    triple = canonical_pcs_of_pca(pca_from_pairs(3, kernel))
     space, subset = triple.space, triple.subset
     assert space.point_count == 5
 
