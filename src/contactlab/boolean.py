@@ -38,6 +38,17 @@ def mask_of(indices):
     return out
 
 
+def join_at(values, mask):
+    """The union of values[i] over the set bits i of ``mask``: the entry
+    at ``mask`` of `joins_table`, without building the table."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= values[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def joins_table(atom_values):
     """table[m] = the union of atom_values[p] over the atoms p of m, for
     every m of the 2**n masks; the table preserves joins by construction."""
@@ -48,25 +59,43 @@ def joins_table(atom_values):
     return table
 
 
-def _first_pair_mismatch(size, left, right):
-    """The first (a, b), in lexicographic order over the elements of an
-    algebra of ``size`` elements, where the predicates differ; None when
-    they agree everywhere.
+def _first_map_mismatch(left_values, right_values):
+    """The first element a, in ascending mask order, where two maps
+    differ; None when they agree everywhere.  The maps are given by their
+    values at the atoms, left_values[p] and right_values[p] at 1 << p.
 
-    Both predicates must be additive in a and in b: false when a side is
-    0, and true on a join iff true on one of its parts.  Such a predicate
-    holds on (a, b) iff it holds on some pair of atoms below a and b, so
-    two of them agree everywhere iff they agree on the atom pairs.  The
-    4^n sweep runs only on a mismatch, to find the first witness."""
-    atoms = [1 << p for p in range(size.bit_length() - 1)]
-    if all(left(a, b) == right(a, b) for a in atoms for b in atoms):
-        return None
+    Both maps must send 0 to 0 and preserve joins.  Such a map sends a
+    to the join of its values at the atoms of a, so two of them agree
+    everywhere iff they agree at the atoms.  Let p be the first atom
+    where they differ: every a below 1 << p holds only atoms below p, at
+    which the maps agree, so 1 << p is the first element where they
+    differ, and no element is swept."""
     return next(
-        (a, b)
-        for a in range(size)
-        for b in range(size)
-        if left(a, b) != right(a, b)
+        (1 << p for p, (x, y) in enumerate(zip(left_values, right_values)) if x != y),
+        None,
     )
+
+
+def _first_pair_mismatch(left_rows, right_rows):
+    """The first (a, b), in lexicographic order over the element pairs,
+    where two relations differ; None when they agree everywhere.  The
+    relations are given by their atom rows: bit q of left_rows[p] means
+    {p} R {q}.
+
+    Both relations must be additive in a and in b: false when a side is
+    0, and true on a join iff true on one of its parts.  Such a relation
+    holds on (a, b) iff some atom p of a has a row meeting b, so two of
+    them agree everywhere iff their rows agree.  Let p be the first atom
+    whose rows differ and q the lowest atom of the difference of those
+    rows.  Every a below 1 << p holds only atoms whose rows agree, so the
+    relations agree on (a, b) for every b.  At a = 1 << p the relations
+    read the two rows, which agree on every b below 1 << q (b holds only
+    atoms below q) and differ at b = 1 << q.  So (1 << p, 1 << q) is the
+    first witness, and no element pair is swept."""
+    for p, (x, y) in enumerate(zip(left_rows, right_rows)):
+        if x != y:
+            return 1 << p, (x ^ y) & -(x ^ y)
+    return None
 
 
 @dataclass(frozen=True)
@@ -358,11 +387,7 @@ class BooleanHom:
         return tuple(out)
 
     def apply_mask(self, mask):
-        images = self._atom_images
-        out = 0
-        for p in bit_indices(mask):
-            out |= images[p]
-        return out
+        return join_at(self._atom_images, mask)
 
     def apply(self, element):
         if element.algebra != self.source:

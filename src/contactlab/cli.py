@@ -41,11 +41,12 @@ from .topology import (
     FiniteSpace,
     MereotopologicalPair,
     TopologicalPair,
-    is_u_point,
+    held_once,
+    minimal_members,
+    rc_atoms,
     rc_members,
     rc_members_of_subset,
     space_predicates,
-    u_point_of_pair,
 )
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -187,21 +188,19 @@ def cmd_enumerate(args):
         items = [sorted(bit_indices(m)) for m in members]
         lines = [space.name_set(m) for m in members]
     elif what == "u-points":
-        if isinstance(obj, FiniteSpace):
-            space = obj
-            points = [x for x in range(space.point_count) if is_u_point(space, x)]
-        elif isinstance(obj, (TopologicalPair, TwoPrecontactSpace, TwoContactSpace)):
-            space = obj.space
-            points = [x for x in range(space.point_count) if is_u_point(space, x)]
+        # A u-point is a point held by exactly one atom: of RC(X) for a
+        # space (`is_u_point`), of the member algebra for a pair
+        # (`u_point_of_pair`).  The atoms are computed once per listing.
+        if isinstance(obj, (FiniteSpace, TopologicalPair, TwoPrecontactSpace, TwoContactSpace)):
+            space = obj if isinstance(obj, FiniteSpace) else obj.space
+            u_set = held_once(rc_atoms(space))
         elif isinstance(obj, MereotopologicalPair):
             space = obj.space
-            points = [
-                x for x in range(space.point_count) if u_point_of_pair(obj, x)
-            ]
+            u_set = held_once(minimal_members(set(obj.members)))
         else:
             raise SchemaError("u-points needs a space-bearing instance", args.file)
-        items = points
-        lines = [space.point_names[x] for x in points]
+        items = list(bit_indices(u_set))
+        lines = [space.point_names[x] for x in items]
     else:
         raise SchemaError(f"cannot enumerate {what!r}", args.file)
     payload = {"what": what, "items": items, "count": len(items)}

@@ -7,20 +7,30 @@ of preimages of dense clopens).  The two round-trip isomorphisms send
 an element to its clan set and a point to its trace in the pair's
 regular closed sets.  Everything here returns explicit witness maps or
 witness-bearing reports, never bare booleans.
+
+The maps compared here preserve joins and the relations compared are
+additive, so each comparison is decided at the atoms: a map by its
+values at the atoms (`_first_map_mismatch`: the naturality square of
+the algebra round trip and the invariants of the dual algebra map), a
+relation by its atom rows (`_first_pair_mismatch`: the round trip's
+relation and proximity checks), and the first witness is read off the
+first atom where they differ.  A point map is read through its fibres,
+so a preimage costs one union per target point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import permutations, product
-from operator import or_
 
 from .adjacency import AdjacencySpace, contact_from_adjacency, is_closed_relation
 from .boolean import (
     BooleanHom,
+    _first_map_mismatch,
     _first_pair_mismatch,
     bit_indices,
+    join_at,
     joins_table,
     mask_of,
 )
@@ -36,8 +46,8 @@ from .memo import remember
 from .precontact import (
     PcaMorphism,
     PrecontactAlgebra,
+    _closure_succ,
     clan_supports,
-    contact_closure,
     is_pca_morphism,
     largest_contact,
     smallest_contact,
@@ -47,6 +57,7 @@ from .structures import (
     TwoPrecontactSpace,
     _local_relation,
     _relation_out_masks,
+    _triple_atom_table,
     canonical_pcs_of_pca,
     contact_relation_of_pair,
     mereocompactness_report,
@@ -55,7 +66,6 @@ from .structures import (
 )
 from .topology import (
     MereotopologicalPair,
-    clopen_atoms,
     closure,
     interior,
     is_c_semiregular,
@@ -74,37 +84,47 @@ from .topology import (
 # morphisms on the space side
 
 
+def _point_fibres(point_count, point_map):
+    """fibres[y]: the points x with point_map[x] = y, for each of the
+    ``point_count`` target points.  The preimage of a set is the union of
+    the fibres of its points (`join_at`), so preimage preserves unions."""
+    fibres = [0] * point_count
+    for x, y in enumerate(point_map):
+        fibres[y] |= 1 << x
+    return fibres
+
+
 def _is_valid_pcs_map(source, target, point_map):
     sp, tp = source.space, target.space
     if len(point_map) != sp.point_count:
         return False
     if any(not 0 <= i < tp.point_count for i in point_map):
         return False
-    for x in range(sp.point_count):
-        image_closure = mask_of(point_map[y] for y in bit_indices(sp.point_closures[x]))
-        if image_closure | tp.point_closures[point_map[x]] != tp.point_closures[point_map[x]]:
+    fibres = _point_fibres(tp.point_count, point_map)
+    # Each condition is an inclusion of preimages, as f(A) <= B iff A <=
+    # f^-1(B).  Continuity: f(cl{x}) <= cl{f(x)}, i.e. cl{x} lies inside
+    # f^-1(cl{f(x)}), for every x.
+    for x, cl in enumerate(sp.point_closures):
+        if cl & ~join_at(fibres, tp.point_closures[point_map[x]]):
             return False
-    for x in bit_indices(source.subset):
-        if not target.subset >> point_map[x] & 1:
-            return False
+    # The dense part: f(X0) <= X0', i.e. X0 lies inside f^-1(X0').
+    if source.subset & ~join_at(fibres, target.subset):
+        return False
     for x, y in source.relation:
         if (point_map[x], point_map[y]) not in target.relation:
             return False
     # trace coherence: the map is determined by its dense restriction.
     # Landing in the closure of a dense clopen must force membership in
-    # the closure of that clopen's preimage (the converse is continuity).
-    # A clopen is the union of the clopen atoms below it, and closure and
-    # preimage are additive: the condition holds for every clopen iff it
-    # holds for the atoms.
-    for clopen in clopen_atoms(tp, target.subset):
-        target_closure = closure(tp, clopen)
-        pre = mask_of(
-            x for x in bit_indices(source.subset) if clopen >> point_map[x] & 1
-        )
-        source_closure = closure(sp, pre)
-        for x in range(sp.point_count):
-            if target_closure >> point_map[x] & 1 and not source_closure >> x & 1:
-                return False
+    # the closure of that clopen's preimage (the converse is continuity):
+    # f^-1(cl c) lies inside cl(f^-1(c) n X0).  A clopen is the union of
+    # the clopen atoms below it, and closure and preimage are additive:
+    # the condition holds for every clopen iff it holds for the atoms,
+    # which the target's atom table holds with their closures.
+    co_atoms, closed, _ = _triple_atom_table(target)
+    for clopen, target_closure in zip(co_atoms, closed):
+        source_closure = closure(sp, join_at(fibres, clopen) & source.subset)
+        if join_at(fibres, target_closure) & ~source_closure:
+            return False
     return True
 
 
@@ -134,41 +154,43 @@ class PcsMorphism:
     def apply(self, x):
         return self.point_map[x]
 
+    @cached_property
+    def _fibres(self):
+        return _point_fibres(self.target.space.point_count, self.point_map)
+
     def preimage_mask(self, target_mask):
-        return mask_of(
-            x
-            for x in range(self.source.space.point_count)
-            if target_mask >> self.point_map[x] & 1
-        )
+        return join_at(self._fibres, target_mask & self.target.space.full_mask)
 
     @cached_property
     def _dual_algebra_map(self):
-        # dual_algebra_map, computed once per object
+        # dual_algebra_map, computed once per object.  The action sends 0
+        # to 0 and preserves unions, as each of its steps does: the trace
+        # on X0', the preimage, the cut to X0 and the closure.  So the
+        # image of an element is the union of the images of its atoms,
+        # and the action is evaluated at the target atoms only:
+        # * the members are the unions of the source atoms, so every
+        #   image is a member iff the image of every atom is;
+        # * the hom and `to_point_mask` (a joins table) send 0 to 0 and
+        #   preserve joins, so the atom map reproduces the action on
+        #   every element iff it does at the atoms (`_first_map_mismatch`).
         source_alg = pcs_algebra(self.source)
         target_alg = pcs_algebra(self.target)
         action = _pointwise_dual_hom(self)
-        images = {
-            m: action(target_alg.to_point_mask(m))
-            for m in range(target_alg.pca.algebra.size)
-        }
-        member_set = set(source_alg.members)
-        for m, img in images.items():
-            if img not in member_set:
-                raise InternalError("image leaves the pair's regular closed sets")
+        images = [action(atom) for atom in target_alg.atom_masks]
+        if not all(source_alg.is_member(img) for img in images):
+            raise InternalError("image leaves the pair's regular closed sets")
         atom_map = []
-        for q, atom_mask in enumerate(source_alg.atom_masks):
-            hits = [
-                p
-                for p in range(target_alg.pca.algebra.atom_count)
-                if atom_mask | images[1 << p] == images[1 << p]
-            ]
+        for atom_mask in source_alg.atom_masks:
+            hits = [p for p, img in enumerate(images) if atom_mask | img == img]
             if len(hits) != 1:
                 raise InternalError("the dual map is not a Boolean homomorphism")
             atom_map.append(hits[0])
         hom = BooleanHom(target_alg.pca.algebra, source_alg.pca.algebra, tuple(atom_map))
-        for m in range(target_alg.pca.algebra.size):
-            if source_alg.to_point_mask(hom.apply_mask(m)) != images[m]:
-                raise InternalError("atom map does not reproduce the dual action")
+        reproduced = [
+            source_alg.to_point_mask(hom.apply_mask(1 << p)) for p in range(len(images))
+        ]
+        if _first_map_mismatch(reproduced, images) is not None:
+            raise InternalError("atom map does not reproduce the dual action")
         return PcaMorphism(hom, target_alg.pca, source_alg.pca)
 
 
@@ -314,6 +336,11 @@ class AlgebraRoundTrip:
         return self.images[element_mask]
 
 
+def _meeting_rows(left, right):
+    """rows[p]: the indices q with left[p] meeting right[q], as a mask."""
+    return [mask_of(q for q, r in enumerate(right) if l & r) for l in left]
+
+
 def algebra_roundtrip_iso(pca):
     """Verify that sending an element to the set of clans containing it
     is an isomorphism onto the canonical algebra of the dual triple, both
@@ -336,11 +363,12 @@ def algebra_roundtrip_iso(pca):
     images = tuple(joins_table(atom_clans))
     size = len(images)
 
-    bijective = len(set(images)) == size and set(images) == set(alg.members)
+    image_set = set(images)
+    bijective = len(image_set) == size and image_set == set(alg.members)
     report.add(
         "bijective onto the pair's regular closed sets",
         bijective,
-        witness=f"images {sorted(set(images))} vs members {sorted(alg.members)}",
+        None if bijective else f"images {sorted(image_set)} vs members {sorted(alg.members)}",
     )
 
     # images is built by `joins_table`, which preserves joins by
@@ -391,21 +419,21 @@ def algebra_roundtrip_iso(pca):
     report.add("preserves meets", meet_witness is None, f"(a, b) = {meet_witness}")
     report.add("preserves complements", comp_witness is None, f"a = {comp_witness}")
 
-    # reach[a]: the points related to some dense point of images[a]; the
-    # relation lies inside the dense part, so the triple relates the
-    # point sets of a and b iff reach[a] meets images[b]
+    # Each relation below is additive in a and in b, so each check
+    # compares atom rows (`_first_pair_mismatch`).  The kernel relates a
+    # and b iff its forward table at a meets b: its rows are the kernel's
+    # successors, and those of the contact closure C# are `_closure_succ`.
+    # The relation of the triple lies inside the dense part, so it relates
+    # the point sets images[a] and images[b] iff the points related to a
+    # dense point of images[a], the union of reach[p] over the atoms p of
+    # a, meet images[b], the union of the clan sets of the atoms of b.
+    # Overlap of unions is the union of the overlaps, so the rows of the
+    # triple's relation and of the pair's proximity (images[a] meets
+    # images[b]) are `_meeting_rows`.
     succ = _relation_out_masks(space, triple.relation)
-    reach = joins_table(
-        [
-            reduce(or_, (succ[x] for x in bit_indices(image & triple.subset)), 0)
-            for image in atom_clans
-        ]
-    )
-    table = pca.kernel.forward_table()
+    reach = [join_at(succ, image & triple.subset) for image in atom_clans]
     relation_witness = _first_pair_mismatch(
-        size,
-        lambda a, b: bool(table[a] & b),
-        lambda a, b: bool(reach[a] & images[b]),
+        pca.kernel._succ, _meeting_rows(reach, atom_clans)
     )
     report.add(
         "preserves and reflects the relation",
@@ -413,11 +441,8 @@ def algebra_roundtrip_iso(pca):
         f"(a, b) = {relation_witness}",
     )
 
-    sharp_table = contact_closure(pca).kernel.forward_table()
     proximity_witness = _first_pair_mismatch(
-        size,
-        lambda a, b: bool(sharp_table[a] & b),
-        lambda a, b: bool(images[a] & images[b]),
+        _closure_succ(pca.kernel), _meeting_rows(atom_clans, atom_clans)
     )
     report.add(
         "contact closure matches the pair's proximity",
@@ -425,18 +450,19 @@ def algebra_roundtrip_iso(pca):
         f"(a, b) = {proximity_witness}",
     )
 
+    # Two kernels differ iff their atom rows do, and the first pair of
+    # their symmetric difference, in sorted order, is the first atom pair
+    # (1 << i, 1 << j) where the rows differ.
     atoms = alg.atom_masks
-    proximity_pairs = frozenset(
-        (i, j)
-        for i in range(len(atoms))
-        for j in range(len(atoms))
-        if atoms[i] & atoms[j]
+    kernel_diff = _first_pair_mismatch(
+        _closure_succ(alg.pca.kernel), _meeting_rows(atoms, atoms)
     )
-    kernel_diff = sorted(contact_closure(alg.pca).kernel.pairs ^ proximity_pairs)
     report.add(
         "closed canonical relation coincides with the pair's proximity",
-        not kernel_diff,
-        f"atom pair {kernel_diff[0]}" if kernel_diff else None,
+        kernel_diff is None,
+        None
+        if kernel_diff is None
+        else f"atom pair {tuple(m.bit_length() - 1 for m in kernel_diff)}",
     )
 
     return AlgebraRoundTrip(pca, triple, alg, images, report.done())
@@ -464,27 +490,30 @@ def _check_algebra_square(phi):
     a_alg = pcs_algebra(a_trip.space)
     b_alg = pcs_algebra(b_trip.space)
 
-    basic_ok, basic_witness = True, None
-    for a in range(phi.source.algebra.size):
-        pre = f.preimage_mask(a_trip.images[a])
-        if pre != b_trip.images[phi.hom.apply_mask(a)]:
-            basic_ok, basic_witness = False, f"element mask {a}"
-            break
+    # Every map here sends 0 to 0 and preserves joins: the round-trip
+    # images and `to_point_mask` (joins tables), the hom, the preimage
+    # under f, and `from_point_mask`, the inverse on the members of the
+    # injective join-preserving `to_point_mask`.  So both checks compare
+    # their two composites at the atoms (`_first_map_mismatch`), which
+    # names the first element mask where they differ.
+    atoms = [1 << p for p in range(phi.source.algebra.atom_count)]
+    hom_images = [b_trip.images[phi.hom.apply_mask(a)] for a in atoms]
+    basic = _first_map_mismatch(
+        [f.preimage_mask(a_trip.images[a]) for a in atoms], hom_images
+    )
     report.add(
         "preimages of basic closed sets match the hom images",
-        basic_ok,
-        basic_witness,
+        basic is None,
+        f"element mask {basic}",
     )
-
-    square_ok, square_witness = True, None
-    for a in range(phi.source.algebra.size):
-        left = b_trip.images[phi.hom.apply_mask(a)]
-        element = a_alg.from_point_mask(a_trip.images[a])
-        right = b_alg.to_point_mask(psi.hom.apply_mask(element))
-        if left != right:
-            square_ok, square_witness = False, f"element mask {a}"
-            break
-    report.add("the square commutes", square_ok, square_witness)
+    square = _first_map_mismatch(
+        hom_images,
+        [
+            b_alg.to_point_mask(psi.hom.apply_mask(a_alg.from_point_mask(a_trip.images[a])))
+            for a in atoms
+        ],
+    )
+    report.add("the square commutes", square is None, f"element mask {square}")
     return report.done()
 
 

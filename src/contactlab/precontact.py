@@ -157,7 +157,7 @@ class PrecontactAlgebra:
     def _clan_supports(self):
         # clan_supports, computed once per object
         require_enum_width(self.algebra.atom_count)
-        return clique_supports(contact_closure(self).kernel._succ)
+        return clique_supports(_closure_succ(self.kernel))
 
     def __getstate__(self):
         # the dual triple is held weakly (see memo.remember), and a weak
@@ -413,15 +413,28 @@ def expand_kernel(kernel):
     )
 
 
+def _closure_succ(kernel):
+    """The atom rows of the contact closure of the kernel: row p holds p,
+    the successors of p and the atoms that have p as a successor.  The
+    clans, (Ctr#) and the round trip read the closure in this form; the
+    closed kernel's pair set is built only by `contact_closure`."""
+    succ = kernel._succ
+    rows = [s | 1 << p for p, s in enumerate(succ)]
+    for p, s in enumerate(succ):
+        while s:
+            low = s & -s
+            rows[low.bit_length() - 1] |= 1 << p
+            s ^= low
+    return rows
+
+
 def contact_closure(pca):
     """The smallest contact relation containing the given precontact one:
     symmetrize the kernel and add the diagonal (overlap) pairs."""
-    kernel = pca.kernel
-    n = pca.algebra.atom_count
-    closed = set(kernel.pairs)
-    closed.update((q, p) for p, q in kernel.pairs)
-    closed.update((p, p) for p in range(n))
-    return PrecontactAlgebra(pca.algebra, RelationKernel(pca.algebra, frozenset(closed)))
+    pairs = frozenset(
+        (p, q) for p, row in enumerate(_closure_succ(pca.kernel)) for q in bit_indices(row)
+    )
+    return PrecontactAlgebra(pca.algebra, RelationKernel(pca.algebra, pairs))
 
 
 def smallest_contact(algebra):
@@ -646,7 +659,7 @@ def axiom_report(pca):
     size = algebra.size
     full = algebra.full_mask
     table = pca.kernel.forward_table()
-    sharp_table = contact_closure(pca).kernel.forward_table()
+    sharp_table = joins_table(_closure_succ(pca.kernel))
 
     cref = all(table[a] & a for a in range(1, size))
     csym = pca.kernel.is_symmetric
@@ -717,7 +730,7 @@ def is_clan(pca, members):
     if not _is_grill(algebra.size, masks):
         return False
     support = mask_of(p for p in range(algebra.atom_count) if 1 << p in masks)
-    succ = contact_closure(pca).kernel._succ
+    succ = _closure_succ(pca.kernel)
     return all(succ[p] & support == support for p in bit_indices(support))
 
 

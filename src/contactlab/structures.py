@@ -15,7 +15,7 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .adjacency import is_closed_relation
-from .boolean import bit_indices, mask_of
+from .boolean import bit_indices, join_at, joins_table, mask_of
 from .config import require_atom_width, require_enum_width
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .memo import remember
@@ -28,6 +28,7 @@ from .topology import (
     clopens_of_subset,
     closure,
     first_unrealized_support,
+    held_once,
     is_closed_base,
     is_stone,
     is_t0,
@@ -38,7 +39,6 @@ from .topology import (
     rc_atoms_of_subset,
     space_from_closed_base,
     subspace,
-    u_point_of_pair,
     unions,
 )
 
@@ -124,11 +124,8 @@ class TwoPrecontactSpace(CheckList):
         # their atoms (`rc_atoms_of_subset`), taken here in ascending
         # order.  cl f meets the dense part in f, so cl f and cl g are in
         # contact iff some point of f is related to some point of g, i.e.
-        # iff reach[f] meets g.  The atom table is the one `validate_pcs`
-        # computed, rebuilt only for a triple constructed directly.
-        co_atoms, closed, reach = remember(
-            self, "_atom_table", lambda t: _atom_table(t.space, t.subset, t.relation)
-        )
+        # iff reach[f] meets g.
+        co_atoms, closed, reach = _triple_atom_table(self)
         order = sorted(range(len(co_atoms)), key=closed.__getitem__)
         pca = pca_from_pairs(
             len(order),
@@ -165,7 +162,8 @@ def validate_pcs(space, subset, relation):
 
     dense = closure(space, subset) == space.full_mask
     t0 = is_t0(space)
-    report.add("(PCS1)", dense and t0, f"dense={dense}, T0={t0}")
+    pcs1 = dense and t0
+    report.add("(PCS1)", pcs1, None if pcs1 else f"dense={dense}, T0={t0}")
 
     table = _atom_table(space, subset, relation)
     co_atoms, closed, reach = table
@@ -177,7 +175,8 @@ def validate_pcs(space, subset, relation):
     closed_rel = stone or is_closed_relation(
         _local_relation(subset, relation), subspace(space, subset)
     )
-    report.add("(PCS2)", stone and closed_rel, f"stone={stone}, closed relation={closed_rel}")
+    pcs2 = stone and closed_rel
+    report.add("(PCS2)", pcs2, None if pcs2 else f"stone={stone}, closed relation={closed_rel}")
     report.add("(PCS3)", base_ok, "the pair's regular closed sets are not a closed base")
 
     # The clopen algebra of the dense part is held to the algebra width
@@ -242,7 +241,15 @@ def _atom_table(space, subset, relation):
     return (
         co_atoms,
         tuple(closure(space, a) for a in co_atoms),
-        tuple(reduce(or_, (succ[x] for x in bit_indices(a)), 0) for a in co_atoms),
+        tuple(join_at(succ, a) for a in co_atoms),
+    )
+
+
+def _triple_atom_table(triple):
+    """`_atom_table` of a triple: the one `validate_pcs` computed, rebuilt
+    only for a triple constructed directly."""
+    return remember(
+        triple, "_atom_table", lambda t: _atom_table(t.space, t.subset, t.relation)
     )
 
 
@@ -312,17 +319,23 @@ class PcsAlgebra:
     members: tuple
 
     @cached_property
+    def _point_masks(self):
+        # _point_masks[m]: the point set of the element m, the union of
+        # the atom masks of its atoms
+        return joins_table(self.atom_masks)
+
+    @cached_property
     def _member_index(self):
-        return {self.to_point_mask(m): m for m in range(self.pca.algebra.size)}
+        return {mask: m for m, mask in enumerate(self._point_masks)}
 
     def to_point_mask(self, element_mask):
-        out = 0
-        for i in bit_indices(element_mask):
-            out |= self.atom_masks[i]
-        return out
+        return self._point_masks[element_mask]
 
     def from_point_mask(self, point_mask):
         return self._member_index[point_mask]
+
+    def is_member(self, point_mask):
+        return point_mask in self._member_index
 
 
 def pcs_algebra(pcs):
@@ -474,9 +487,9 @@ def mereocompactness_report(mereo):
         )
     report.add("every clan is a point trace", mereocompact, witness)
 
-    u_set = mask_of(
-        x for x in range(space.point_count) if u_point_of_pair(mereo, x)
-    )
+    # x is a u-point iff exactly one distinct atom holds x (see
+    # `u_point_of_pair`), read off the atoms computed above.
+    u_set = held_once(distinct_atoms)
     uniqueness_witness = None
 
     if space_ok and t0 and mereocompact:

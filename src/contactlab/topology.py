@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .boolean import FiniteBooleanAlgebra, bit_indices, mask_of
+from .boolean import FiniteBooleanAlgebra, bit_indices, join_at, mask_of
 from .config import require_atom_width, require_enum_width, require_point_budget
 from .errors import DomainMismatchError, InternalError, PreconditionError
 from .precontact import clique_supports
@@ -43,15 +43,19 @@ class FiniteSpace:
         if len(self.point_closures) != n:
             raise PreconditionError("one closure mask per point required")
         full = (1 << n) - 1
-        for x, cl in enumerate(self.point_closures):
+        closures = self.point_closures
+        for x, cl in enumerate(closures):
             if not 0 <= cl <= full:
                 raise DomainMismatchError(f"closure mask of point {x} out of range")
             if not cl >> x & 1:
                 raise PreconditionError(f"point {x} missing from its own closure")
-        for x in range(n):
-            for y in bit_indices(self.point_closures[x]):
-                if self.point_closures[y] | self.point_closures[x] != self.point_closures[x]:
+        for cl in closures:
+            rest = cl
+            while rest:
+                low = rest & -rest
+                if closures[low.bit_length() - 1] & ~cl:
                     raise PreconditionError("singleton closures are not transitive")
+                rest ^= low
 
     @property
     def point_count(self):
@@ -458,19 +462,25 @@ def clopen_atoms(space, subset):
     # i.e. iff it holds each point of the subset whose closure meets A.
     # So the clopens are the unions of connected components of the graph
     # joining x to the points of cl{x} n subset: those are the atoms.
-    adj = {x: 0 for x in bit_indices(subset)}
-    for x in adj:
-        for y in bit_indices(space.point_closures[x] & subset):
-            adj[x] |= 1 << y
-            adj[y] |= 1 << x
+    closures = space.point_closures
+    adj = [0] * len(closures)
+    rest = subset
+    while rest:
+        low = rest & -rest
+        x = low.bit_length() - 1
+        near = closures[x] & subset
+        adj[x] |= near
+        while near:
+            y = near & -near
+            adj[y.bit_length() - 1] |= low
+            near ^= y
+        rest ^= low
     atoms = []
     rest = subset
     while rest:
         seen = frontier = rest & -rest
         while frontier:
-            grown = 0
-            for x in bit_indices(frontier):
-                grown |= adj[x]
+            grown = join_at(adj, frontier)
             frontier = grown & ~seen
             seen |= grown
         atoms.append(seen)
@@ -560,7 +570,16 @@ def is_u_point(space, x):
     # up-set of m, and so does U n V.  If cl{m} and cl{m'} are distinct
     # atoms holding x, the up-sets of m and m' are disjoint opens whose
     # closures hold x.  So x is a u-point iff exactly one atom holds x.
-    return sum(a >> x & 1 for a in rc_atoms(space)) == 1
+    return bool(held_once(rc_atoms(space)) >> x & 1)
+
+
+def held_once(sets):
+    """The points held by exactly one of the sets, as a mask."""
+    once = twice = 0
+    for s in sets:
+        twice |= once & s
+        once |= s
+    return once & ~twice
 
 
 @dataclass(frozen=True)
@@ -617,7 +636,7 @@ def u_point_of_pair(mereo, x):
     # one atom a holds x, each member holding x holds a, so F . G holds
     # a and x.  If distinct atoms a and b hold x, then a . b = 0 misses x.
     # So x is a u-point iff exactly one distinct atom holds x.
-    return sum(a >> x & 1 for a in minimal_members(set(mereo.members))) == 1
+    return bool(held_once(minimal_members(set(mereo.members))) >> x & 1)
 
 
 def overlap_clans(atoms):

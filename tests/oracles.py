@@ -716,3 +716,84 @@ def oracle_uniqueness_witness(point_closures, u_set, members):
         if closures == set(members):
             return candidate
     return None
+
+
+def oracle_first_map_mismatch(size, left, right):
+    """The first element mask, of an algebra of ``size`` elements, on
+    which two maps differ, or None."""
+    return next((a for a in range(size) if left(a) != right(a)), None)
+
+
+def oracle_preimage(point_map, mask):
+    """The points x with point_map[x] in the mask."""
+    return sum(1 << x for x, y in enumerate(point_map) if mask >> y & 1)
+
+
+def oracle_point_mask(atom_masks, element_mask):
+    """The union of the atom masks of the element's atoms."""
+    out = 0
+    for i in bits(element_mask):
+        out |= atom_masks[i]
+    return out
+
+
+def oracle_hom_image(atom_map, mask):
+    """The image of an element under the Boolean hom with this atom map:
+    the target atoms q with atom_map[q] in the element."""
+    return sum(1 << q for q, p in enumerate(atom_map) if mask >> p & 1)
+
+
+def oracle_algebra_square_witnesses(size, maps, images, atoms):
+    """The first element masks, of an algebra of ``size`` elements, that
+    break the two checks of the algebra naturality square, by the sweeps
+    over all elements; None for a check that holds.  ``maps`` are the
+    atom map of phi, the point map of f and the atom map of psi;
+    ``images`` the round-trip images of the source and the target;
+    ``atoms`` the atom masks of their canonical algebras."""
+    hom_map, point_map, psi_map = maps
+    a_images, b_images = images
+    a_atoms, b_atoms = atoms
+    a_members = {oracle_point_mask(a_atoms, m): m for m in range(1 << len(a_atoms))}
+
+    def hom_side(a):
+        return b_images[oracle_hom_image(hom_map, a)]
+
+    basic = next(
+        (a for a in range(size) if oracle_preimage(point_map, a_images[a]) != hom_side(a)),
+        None,
+    )
+    square = next(
+        (
+            a
+            for a in range(size)
+            if hom_side(a)
+            != oracle_point_mask(b_atoms, oracle_hom_image(psi_map, a_members[a_images[a]]))
+        ),
+        None,
+    )
+    return basic, square
+
+
+def oracle_dual_map_failure(source_atoms, target_atoms, action, reorder):
+    """The message of the first invariant of the dual algebra map broken
+    by the sweeps over all target elements, or None.  ``action`` sends a
+    target point set to a source point set; ``reorder`` is applied to
+    the atom map before it is checked against the action."""
+    members = {oracle_point_mask(source_atoms, m) for m in range(1 << len(source_atoms))}
+    size = 1 << len(target_atoms)
+    images = [action(oracle_point_mask(target_atoms, m)) for m in range(size)]
+    if any(image not in members for image in images):
+        return "image leaves the pair's regular closed sets"
+    atom_map = []
+    for atom in source_atoms:
+        hits = [p for p in range(len(target_atoms)) if atom | images[1 << p] == images[1 << p]]
+        if len(hits) != 1:
+            return "the dual map is not a Boolean homomorphism"
+        atom_map.append(hits[0])
+    atom_map = reorder(tuple(atom_map))
+    if any(
+        oracle_point_mask(source_atoms, oracle_hom_image(atom_map, m)) != images[m]
+        for m in range(size)
+    ):
+        return "atom map does not reproduce the dual action"
+    return None

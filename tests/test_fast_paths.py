@@ -15,9 +15,10 @@ member atoms), in ``structures`` ((PCS2) by the Stone trace, (PCS3) to
 the pair's algebra and contact relation from the closures of the clopen
 atoms, the closed base of the canonical space from the atom clan sets,
 the mereocompactness checks at the member atoms and the maximal points)
-and in ``duality`` (the round-trip relation checks at the atom pairs,
+and in ``duality`` (the round-trip relation checks at the atom rows,
 complements and meets from bijectivity, trace coherence at the clopen
-atoms) are proved in their docstrings or comments; here they must agree
+atoms, the algebra naturality square and the invariants of the dual
+algebra map at the atoms) are proved in their docstrings or comments; here they must agree
 with the sweeps of ``oracles.py`` on every kernel with at most 3 atoms,
 on seeded kernels with 4 to 6 atoms, on every space with at most 4
 points or seeded spaces of up to 8 points, and on perturbations that
@@ -35,9 +36,15 @@ import pytest
 
 from contactlab import adjacency, duality, structures, suite
 from contactlab.adjacency import canonical_adjacency_literal_pairs
-from contactlab.boolean import FiniteBooleanAlgebra, _first_pair_mismatch, bit_indices
-from contactlab.duality import algebra_roundtrip_iso
-from contactlab.errors import AxiomViolationError, DomainMismatchError
+from contactlab.boolean import (
+    BooleanHom,
+    FiniteBooleanAlgebra,
+    _first_map_mismatch,
+    _first_pair_mismatch,
+    bit_indices,
+)
+from contactlab.duality import algebra_roundtrip_iso, enumerate_pca_morphisms
+from contactlab.errors import AxiomViolationError, DomainMismatchError, InternalError
 from contactlab.precontact import (
     RawRelation,
     RelationKernel,
@@ -53,7 +60,7 @@ from contactlab.precontact import (
     well_inside_pairs,
     well_inside_rows,
 )
-from contactlab.randgen import RandomSpec, random_pca
+from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
 from contactlab.structures import (
     TwoPrecontactSpace,
     canonical_pcs_of_pca,
@@ -99,7 +106,12 @@ from oracles import (
     oracle_contact_relation,
     oracle_cs4_s2s4,
     oracle_extremally_disconnected,
+    oracle_algebra_square_witnesses,
+    oracle_dual_map_failure,
+    oracle_first_map_mismatch,
     oracle_first_mismatch,
+    oracle_hom_image,
+    oracle_preimage,
     oracle_is_clan,
     oracle_is_grill,
     oracle_is_closed_base,
@@ -827,9 +839,7 @@ def test_mereocompactness_matches_the_clan_and_candidate_sweeps(monkeypatch):
     for mereo, u_set in reached:
         space, members = mereo.space, mereo.members
         if u_set is not None:
-            monkeypatch.setattr(
-                structures, "u_point_of_pair", lambda mereo, x, u=u_set: bool(u >> x & 1)
-            )
+            monkeypatch.setattr(structures, "held_once", lambda sets, u=u_set: u)
         report = mereocompactness_report(mereo)
         closures, u_set = space.point_closures, report.u_set
         pair_rc = {
@@ -953,21 +963,17 @@ def test_u_point_of_pair_matches_the_member_pair_sweep():
 
 
 def test_first_pair_mismatch_matches_the_literal_sweep():
-    """Two forward tables, one of a kernel with one atom pair toggled:
-    the atom-pair comparison must see the mismatch and the fallback
-    sweep must name the first differing element pair."""
+    """Two kernels, one with one atom pair toggled: the comparison of
+    their atom rows must see the mismatch and name the first differing
+    element pair of the expanded relations."""
     rng = random.Random(20261004)
     population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
     population += seeded_kernels(29, {4: 6, 5: 3, 6: 2})
     for n, pairs in population:
         toggled = pairs ^ {(rng.randrange(n), rng.randrange(n))}
         for other in (pairs, toggled):
-            table = pca_from_pairs(n, pairs).kernel.forward_table()
-            other_table = pca_from_pairs(n, other).kernel.forward_table()
             got = _first_pair_mismatch(
-                1 << n,
-                lambda a, b: bool(table[a] & b),
-                lambda a, b: bool(other_table[a] & b),
+                pca_from_pairs(n, pairs).kernel._succ, pca_from_pairs(n, other).kernel._succ
             )
             expected = oracle_first_mismatch(
                 n, expand_relation(n, pairs), expand_relation(n, other)
@@ -1023,7 +1029,7 @@ def test_roundtrip_failures_name_witnesses(path_pca, monkeypatch):
 
     monkeypatch.setattr(duality, "pcs_algebra", without_top)
     monkeypatch.setattr(duality, "closure", lambda space, mask: mask)
-    monkeypatch.setattr(duality, "contact_closure", lambda pca: pca)
+    monkeypatch.setattr(duality, "_closure_succ", lambda kernel: kernel._succ)
     round_trip = algebra_roundtrip_iso(path_pca)
     assert not round_trip.report.check(
         "bijective onto the pair's regular closed sets"
@@ -1056,6 +1062,202 @@ def test_roundtrip_failures_name_witnesses(path_pca, monkeypatch):
         report.check("closed canonical relation coincides with the pair's proximity").witness
         == f"atom pair {sorted(kernel ^ proximity)[0]}"
     )
+
+
+# ---------------------------------------------------------------------------
+# join-preserving maps at their atoms: the naturality square and the dual
+# algebra map
+
+
+def hom_population():
+    """Every hom between algebras of 1 to 3 atoms, and 24 seeded homs
+    between algebras of 4 to 6 atoms."""
+    homs = [
+        hom
+        for s, t in itertools.product((1, 2, 3), repeat=2)
+        for hom in duality.enumerate_boolean_homs(FiniteBooleanAlgebra(s), FiniteBooleanAlgebra(t))
+    ]
+    rng = random.Random(20261018)
+    for _ in range(24):
+        source = FiniteBooleanAlgebra(rng.randint(4, 6))
+        target = FiniteBooleanAlgebra(rng.randint(4, 6))
+        atom_map = tuple(rng.randrange(source.atom_count) for _ in range(target.atom_count))
+        homs.append(BooleanHom(source, target, atom_map))
+    return homs
+
+
+def test_first_map_mismatch_matches_the_literal_sweep():
+    """Each hom against every hom with the same algebras (a seeded few,
+    and the hom with one atom moved, above 3 atoms): the comparison at
+    the atoms names the first element of the sweep over all elements."""
+    homs = hom_population()
+    by_algebras = {}
+    for hom in homs:
+        by_algebras.setdefault((hom.source, hom.target), []).append(hom)
+    rng = random.Random(20261019)
+    seen = set()
+    for hom in homs:
+        n = hom.source.atom_count
+        others = by_algebras[(hom.source, hom.target)]
+        if n > 3:
+            moved = list(hom.atom_map)
+            moved[rng.randrange(len(moved))] = rng.randrange(n)
+            others = others[:3] + [BooleanHom(hom.source, hom.target, tuple(moved))]
+        for other in others:
+            got = _first_map_mismatch(
+                [hom.apply_mask(1 << p) for p in range(n)],
+                [other.apply_mask(1 << p) for p in range(n)],
+            )
+            expected = oracle_first_map_mismatch(
+                1 << n,
+                lambda a: oracle_hom_image(hom.atom_map, a),
+                lambda a: oracle_hom_image(other.atom_map, a),
+            )
+            assert got == expected, (hom.atom_map, other.atom_map)
+            seen.add((expected is None, n > 3))
+    assert seen == {(True, False), (False, False), (True, True), (False, True)}, seen
+
+
+def morphism_population():
+    """Seeded PCA-morphisms between algebras of 1 to 4 atoms."""
+    sizes = [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)]
+    return [
+        random_pca_morphism(s, t, 0.3 + 0.1 * (i % 4), child_seed(20261020, i))
+        for i, (s, t) in enumerate(sizes * 2)
+    ]
+
+
+SQUARE_CHECKS = (
+    "preimages of basic closed sets match the hom images",
+    "the square commutes",
+)
+
+
+def test_algebra_square_witnesses_match_the_literal_sweeps(monkeypatch):
+    """Break the algebra naturality square on purpose: the dual space map
+    of phi, or only the dual algebra map, is replaced by the one of
+    another morphism between the same algebras.  Each check names the
+    first element mask of the sweep over all elements."""
+    real_space_map, real_algebra_map = duality.dual_space_map, duality.dual_algebra_map
+    seen = {name: set() for name in SQUARE_CHECKS}
+    for phi in morphism_population():
+        others = [
+            g for g in enumerate_pca_morphisms(phi.source, phi.target) if g.hom != phi.hom
+        ]
+        a_trip = algebra_roundtrip_iso(phi.source)
+        b_trip = algebra_roundtrip_iso(phi.target)
+        atoms = (
+            pcs_algebra(a_trip.space).atom_masks,
+            pcs_algebra(b_trip.space).atom_masks,
+        )
+        for g in [phi] + others[:3]:
+            for broken in ("space map", "algebra map"):
+                f = real_space_map(g if broken == "space map" else phi)
+                psi = real_algebra_map(real_space_map(g))
+                monkeypatch.setattr(duality, "dual_space_map", lambda m, f=f: f)
+                monkeypatch.setattr(duality, "dual_algebra_map", lambda m, psi=psi: psi)
+                report = duality.check_naturality(phi)
+                expected = oracle_algebra_square_witnesses(
+                    phi.source.algebra.size,
+                    (phi.hom.atom_map, f.point_map, psi.hom.atom_map),
+                    (a_trip.images, b_trip.images),
+                    atoms,
+                )
+                for name, first in zip(SQUARE_CHECKS, expected):
+                    check = report.check(name)
+                    assert check.passed == (first is None), (phi, g.hom, broken, name)
+                    assert check.witness == (None if first is None else f"element mask {first}")
+                    seen[name].add(first is None)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_dual_algebra_map_invariants_match_the_literal_sweeps(monkeypatch):
+    """Break the dual algebra map on purpose: add a point set to the
+    image of every target member that holds the first target atom (the
+    action still preserves unions), or rotate the atom map before it is
+    checked.  The map fails with the message of the first invariant that
+    the sweeps over all target elements break, or is built when they
+    pass; each message is seen."""
+    real_action = duality._pointwise_dual_hom
+    seen = set()
+    for phi in morphism_population():
+        f = duality.dual_space_map(phi)
+        source, target = f.source, f.target
+        source_atoms = pcs_algebra(source).atom_masks
+        target_atoms = pcs_algebra(target).atom_masks
+        first_dense = target_atoms[0] & target.subset
+        extras = [0] + [1 << x for x in range(source.space.point_count)] + list(source_atoms)
+        for extra, rotated in [(e, False) for e in extras] + [(0, True)]:
+
+            def reorder(atom_map, rotated=rotated):
+                return atom_map[1:] + atom_map[:1] if rotated else atom_map
+
+            def literal_action(member, extra=extra):
+                pre = oracle_preimage(f.point_map, member & target.subset) & source.subset
+                image = oracle_closure_of(source.space.point_closures, pre)
+                return image | (extra if member & first_dense else 0)
+
+            def broken_action(morphism, extra=extra):
+                action = real_action(morphism)
+                return lambda member: action(member) | (extra if member & first_dense else 0)
+
+            monkeypatch.setattr(duality, "_pointwise_dual_hom", broken_action)
+            monkeypatch.setattr(
+                duality,
+                "BooleanHom",
+                lambda s, t, atom_map, reorder=reorder: BooleanHom(s, t, reorder(atom_map)),
+            )
+            expected = oracle_dual_map_failure(source_atoms, target_atoms, literal_action, reorder)
+            try:
+                duality.dual_algebra_map(duality.PcsMorphism(source, target, f.point_map))
+                got = None
+            except InternalError as error:
+                got = str(error)
+            except PreconditionError:
+                got = "not a PCA-morphism"
+            assert got == expected, (phi, extra, rotated)
+            seen.add(got)
+    assert seen >= {
+        None,
+        "image leaves the pair's regular closed sets",
+        "the dual map is not a Boolean homomorphism",
+        "atom map does not reproduce the dual action",
+    }, seen
+
+
+def test_naturality_evaluates_maps_at_the_atoms_only(monkeypatch):
+    """On a valid 6-atom morphism, the algebra naturality square and the
+    dual algebra map take preimages and hom images at the atoms only:
+    no more than one preimage per atom for each of them, and each hom
+    image of an atom, where the sweeps took 2**6 of each."""
+    phi = random_pca_morphism(6, 6, 0.4, child_seed(20261021, 0))
+    n = 6
+    preimages, hom_arguments = [], []
+    real_preimage, real_apply = duality.PcsMorphism.preimage_mask, BooleanHom.apply_mask
+
+    def counted_preimage(self, mask):
+        preimages.append(mask)
+        return real_preimage(self, mask)
+
+    def recorded_apply(self, mask):
+        hom_arguments.append(mask)
+        return real_apply(self, mask)
+
+    monkeypatch.setattr(duality.PcsMorphism, "preimage_mask", counted_preimage)
+    monkeypatch.setattr(BooleanHom, "apply_mask", recorded_apply)
+    assert duality.check_naturality(phi).ok
+    # the square: n preimages; the dual algebra map inside it: n more
+    assert len(preimages) <= 2 * n, len(preimages)
+    assert len(hom_arguments) <= 3 * n, len(hom_arguments)
+    assert all(m.bit_count() == 1 for m in hom_arguments), hom_arguments
+
+    f = duality.dual_space_map(phi)
+    preimages.clear()
+    hom_arguments.clear()
+    duality.dual_algebra_map(duality.PcsMorphism(f.source, f.target, f.point_map))
+    assert len(preimages) <= n, len(preimages)
+    assert len(hom_arguments) <= n, len(hom_arguments)
+    assert all(m.bit_count() == 1 for m in hom_arguments), hom_arguments
 
 
 # ---------------------------------------------------------------------------
