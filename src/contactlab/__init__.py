@@ -64,7 +64,6 @@ from .adjacency import (
 from .topology import (
     FiniteSpace,
     MereotopologicalPair,
-    RegularClosedAlgebra,
     TopologicalPair,
     closure,
     closure_trace,

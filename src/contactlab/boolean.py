@@ -230,9 +230,6 @@ class ElementFamily:
     def __contains__(self, element):
         return element in self.members
 
-    def issubset(self, other):
-        return self.members <= other.members
-
 
 def _upward_closed(size, masks):
     for m in masks:
@@ -393,15 +390,6 @@ class BooleanHom:
         if element.algebra != self.source:
             raise DomainMismatchError("element not in the hom's source algebra")
         return Element(self.target, self.apply_mask(element.mask))
-
-    @property
-    def is_injective(self):
-        return set(self.atom_map) == set(range(self.source.atom_count))
-
-    @property
-    def is_surjective(self):
-        # surjective onto the target algebra iff the atom map is injective
-        return len(set(self.atom_map)) == len(self.atom_map)
 
 
 def hom_from_atom_map(source, target, atom_map):

@@ -42,7 +42,6 @@ from .topology import (
     MereotopologicalPair,
     TopologicalPair,
     held_once,
-    minimal_members,
     rc_atoms,
     rc_members,
     rc_members_of_subset,
@@ -196,7 +195,7 @@ def cmd_enumerate(args):
             u_set = held_once(rc_atoms(space))
         elif isinstance(obj, MereotopologicalPair):
             space = obj.space
-            u_set = held_once(minimal_members(set(obj.members)))
+            u_set = held_once(obj.atoms)
         else:
             raise SchemaError("u-points needs a space-bearing instance", args.file)
         items = list(bit_indices(u_set))

@@ -9,7 +9,8 @@ Three independent caps are overridable through the environment:
 * point budget (``CONTACTLAB_POINT_LIMIT``, default 12) bounds only the
   functions that return a whole family of sets of a finite space (all
   closed, open, clopen or regular closed sets, the clopens of a subspace
-  and their closures); predicates and validators decide at the atoms.
+  and their closures); predicates, validators and the regular closed
+  algebras, held by their atoms, are outside it.
 
 A budget variable that is set must hold a positive integer; any other
 value raises CapacityError instead of silently falling back.

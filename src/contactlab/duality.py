@@ -680,8 +680,10 @@ def enumerate_pcs_morphisms(source, target):
         )
     out = []
     for pm in product(range(target.space.point_count), repeat=source.space.point_count):
-        if _is_valid_pcs_map(source, target, pm):
+        try:
             out.append(PcsMorphism(source, target, pm))
+        except PreconditionError:
+            continue
     return out
 
 
@@ -789,12 +791,11 @@ def specialization_report(pca, which=None):
                 is_extremally_disconnected(subspace(triple.space, triple.subset)),
             )
         elif name == "mereocompact":
-            members = rc_members_of_subset(triple.space, triple.subset)
-            mereo = MereotopologicalPair(triple.space, tuple(members))
-            result = mereocompactness_report(mereo)
+            atoms = rc_atoms_of_subset(triple.space, triple.subset)
+            result = mereocompactness_report(MereotopologicalPair(triple.space, atoms))
             report.add(
                 "dual pair's member algebra is mereocompact",
-                result.is_space and result.is_t0 and result.is_mereocompact,
+                result.is_t0 and result.is_mereocompact,
             )
             report.add(
                 "u-points recover the dense part",

@@ -94,9 +94,6 @@ class RelationKernel:
             if q2 == q
         )
 
-    def transpose(self):
-        return RelationKernel(self.algebra, frozenset((q, p) for p, q in self.pairs))
-
 
 @dataclass(frozen=True)
 class RawRelation:
@@ -695,9 +692,6 @@ class Clan:
     @property
     def support_mask(self):
         return mask_of(self.support)
-
-    def contains_mask(self, mask):
-        return bool(mask & self.support_mask)
 
     def member_masks(self):
         smask = self.support_mask

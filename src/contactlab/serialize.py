@@ -225,7 +225,7 @@ def decode(payload):
         masks = tuple(
             _subset_mask(space, m, f"$.members[{i}]") for i, m in enumerate(members)
         )
-        return MereotopologicalPair(space, masks)
+        return MereotopologicalPair.from_members(space, masks)
     if kind == "adjacency":
         cells = payload.get("cells")
         _expect(

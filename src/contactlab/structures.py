@@ -33,7 +33,6 @@ from .topology import (
     is_stone,
     is_t0,
     maximal_points,
-    minimal_members,
     overlap_clans,
     rc_atoms,
     rc_atoms_of_subset,
@@ -447,9 +446,11 @@ def contact_relation_of_pair(cs):
 class MereocompactReport(CheckList):
     """Verdicts for one mereotopological pair.
 
-    ``u_set`` is the point set of u-points; ``uniqueness_witness`` names
-    a second dense Stone subspace reproducing the member algebra, when
-    one exists (there should be none for mereocompact T0 pairs).
+    ``is_mereocompact`` holds when the members form a closed base and
+    every clan is a point trace.  ``u_set`` is the point set of
+    u-points; ``uniqueness_witness`` names a second dense Stone subspace
+    reproducing the member algebra, when one exists (there should be
+    none for mereocompact T0 pairs).
     """
 
     pair: MereotopologicalPair
@@ -462,41 +463,41 @@ class MereocompactReport(CheckList):
 
 
 def mereocompactness_report(mereo):
-    space, members = mereo.space, mereo.members
+    space, atoms = mereo.space, mereo.atoms
     report = ReportBuilder("mereocompactness")
 
-    space_ok = is_closed_base(space, members)
+    # The members are the unions of the atoms, all closed, and a member
+    # holding x holds an atom holding x, so both families have the same
+    # meet at each point (`is_closed_base`, `is_semiregular`).
+    space_ok = is_closed_base(space, atoms)
     report.add("members form a closed base", space_ok, "not a mereotopological space")
     t0 = is_t0(space)
     report.add("space is T0", t0, "not T0")
 
     # The members form a Boolean subalgebra of RC(X), whose order is
-    # inclusion: they are the unions of their distinct atoms, atom i
-    # inside the union over T iff i is in T.  So a clan of the members
-    # under overlap is a point trace iff its support is the support of
-    # a point over the atoms (`first_unrealized_support`).
-    distinct_atoms = minimal_members(set(members))
-    unrealized = first_unrealized_support(
-        distinct_atoms, overlap_clans(distinct_atoms), space.point_count
-    )
-    mereocompact = unrealized is None
+    # inclusion: they are the unions of their atoms, atom i inside the
+    # union over T iff i is in T.  So a clan of the members under
+    # overlap is a point trace iff its support is the support of a point
+    # over the atoms (`first_unrealized_support`).
+    unrealized = first_unrealized_support(atoms, overlap_clans(atoms), space.point_count)
+    clans_ok = unrealized is None
     witness = None
-    if not mereocompact:
+    if not clans_ok:
         witness = "unrealized clan " + _element_set_names(
-            space, distinct_atoms, members, unrealized
+            space, atoms, mereo.members, unrealized
         )
-    report.add("every clan is a point trace", mereocompact, witness)
+    report.add("every clan is a point trace", clans_ok, witness)
+    mereocompact = space_ok and clans_ok
 
-    # x is a u-point iff exactly one distinct atom holds x (see
-    # `u_point_of_pair`), read off the atoms computed above.
-    u_set = held_once(distinct_atoms)
+    # x is a u-point iff exactly one atom holds x (see `u_point_of_pair`).
+    u_set = held_once(atoms)
     uniqueness_witness = None
 
-    if space_ok and t0 and mereocompact:
+    if t0 and mereocompact:
         ultra_points = mask_of(
             x
             for x in range(space.point_count)
-            if sum(1 for a in distinct_atoms if a >> x & 1) == 1
+            if sum(1 for a in atoms if a >> x & 1) == 1
         )
         report.add(
             "u-points are exactly the ultrafilter traces",
@@ -510,7 +511,7 @@ def mereocompactness_report(mereo):
         # The closures of the clopens of a subset are the unions of
         # `rc_atoms_of_subset`, and the members the unions of their atoms:
         # the two families are equal iff their atom lists are.
-        reproduced = dense and rc_atoms_of_subset(space, u_set) == distinct_atoms
+        reproduced = dense and rc_atoms_of_subset(space, u_set) == atoms
         report.add(
             "closures of u-point clopens reproduce the members",
             reproduced,
@@ -523,7 +524,7 @@ def mereocompactness_report(mereo):
         # = {m} forces d = m.  The clopen atoms of M are its points, so M
         # reproduces the members iff `rc_atoms` are their atoms.
         candidate = maximal_points(space)
-        if candidate and candidate != u_set and rc_atoms(space) == distinct_atoms:
+        if candidate and candidate != u_set and rc_atoms(space) == atoms:
             uniqueness_witness = candidate
         report.add(
             "no other dense Stone subspace reproduces the members",

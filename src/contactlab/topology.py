@@ -8,9 +8,11 @@ built from a closed base, and the closed-base test, read the closure of
 a point as the meet of the base members that hold it (`_meets`).
 Families are held by their atoms: the clopens of a subspace by its
 connected components (`clopen_atoms`), the regular closed sets by the
-closures of the maximal points (`rc_atoms`).  The point budget bounds
-only the functions that return a whole family: `closed_sets`,
-`open_sets`, `clopen_sets`, `rc_members`, `clopens_of_subset`,
+closures of the maximal points (`rc_atoms`), and a Boolean subalgebra
+of them, RC(X) and the pair's algebra included, as a
+`MereotopologicalPair` of its atoms.  The point budget bounds only the
+functions that return a whole family: `closed_sets`, `open_sets`,
+`clopen_sets`, `rc_members`, `clopens_of_subset`,
 `rc_members_of_subset` and `closure_trace`.  Predicates decide at the
 atoms at any size.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .boolean import FiniteBooleanAlgebra, bit_indices, join_at, mask_of
+from .boolean import bit_indices, join_at, mask_of
 from .config import require_atom_width, require_enum_width, require_point_budget
 from .errors import DomainMismatchError, InternalError, PreconditionError
 from .precontact import clique_supports
@@ -67,9 +69,6 @@ class FiniteSpace:
 
     def name_set(self, mask):
         return "{" + ",".join(self.point_names[i] for i in bit_indices(mask)) + "}"
-
-    def index_of(self, name):
-        return self.point_names.index(name)
 
 
 def _meets(point_count, members):
@@ -285,88 +284,12 @@ def minimal_members(masks):
     return tuple(sorted(found))
 
 
-@dataclass(frozen=True)
-class RegularClosedAlgebra:
-    """The regular closed sets of a space (or a subalgebra of them) with
-    the standard operations:
-
-        F + G = F u G,   F . G = cl(int(F n G)),   F* = cl(X \\ F),
-        F C G  iff  F n G is nonempty.
-    """
-
-    space: FiniteSpace
-    members: tuple
-
-    def __post_init__(self):
-        for m in self.members:
-            if closure(self.space, interior(self.space, m)) != m:
-                raise DomainMismatchError(
-                    f"{self.space.name_set(m)} is not regular closed"
-                )
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return self.space.full_mask
-
-    def join(self, f, g):
-        return f | g
-
-    def meet(self, f, g):
-        return closure(self.space, interior(self.space, f & g))
-
-    def complement(self, f):
-        return closure(self.space, self.space.full_mask ^ f)
-
-    def contact(self, f, g):
-        return bool(f & g)
-
-    def atom_masks(self):
-        return minimal_members(self.members)
-
-    def as_boolean(self):
-        """View the member family as an abstract finite Boolean algebra.
-
-        Returns (algebra, atoms, to_member) where atoms[i] is the point
-        mask of abstract atom i and to_member sends an element mask to
-        its point mask.
-        """
-        atoms = self.atom_masks()
-        failure = _atom_generation_failure(set(self.members), atoms)
-        if failure is not None:
-            raise DomainMismatchError(failure)
-        algebra = FiniteBooleanAlgebra(len(atoms))
-
-        def to_member(element_mask):
-            out = 0
-            for i in bit_indices(element_mask):
-                out |= atoms[i]
-            return out
-
-        return algebra, atoms, to_member
-
-
 def unions(atoms):
     """All unions of the given sets, ascending as masks."""
     out = [0]
     for a in atoms:
         out += [m | a for m in out]
     return tuple(sorted(out))
-
-
-def _atom_generation_failure(family, atoms):
-    """Why the set ``family`` is not exactly the 2**k unions of the k
-    sets ``atoms``, or None.  The count is compared first, so a family
-    that fails it builds no unions, and one that passes it builds at
-    most len(family) of them."""
-    if len(family) != 1 << len(atoms):
-        return "member family is not a Boolean algebra"
-    if family != set(unions(atoms)):
-        return "member family is not atom-generated"
-    return None
 
 
 def maximal_points(space):
@@ -403,7 +326,8 @@ def rc_members(space):
 
 
 def rc_algebra(space):
-    return RegularClosedAlgebra(space, rc_members(space))
+    """RC(X) as a pair held by its atoms (`rc_atoms`)."""
+    return MereotopologicalPair(space, rc_atoms(space))
 
 
 def is_semiregular(space):
@@ -513,8 +437,8 @@ def rc_members_of_subset(space, subset):
 
 def rc_pair_algebra(pair):
     """Closures of the clopens of the dense part: the pair's regular
-    closed algebra."""
-    return RegularClosedAlgebra(pair.space, rc_members_of_subset(pair.space, pair.subset))
+    closed algebra, held by its atoms (`rc_atoms_of_subset`)."""
+    return MereotopologicalPair(pair.space, rc_atoms_of_subset(pair.space, pair.subset))
 
 
 def delta_contact(pair, f, g):
@@ -584,47 +508,101 @@ def held_once(sets):
 
 @dataclass(frozen=True)
 class MereotopologicalPair:
-    """A space with a chosen Boolean subalgebra of its regular closed sets."""
+    """A space with a chosen Boolean subalgebra of its regular closed
+    sets, held by the subalgebra's atoms, its minimal nonzero members,
+    ascending as masks.  The members are the unions of the atoms, with
+
+        F + G = F u G,   F . G = cl(int(F n G)),   F* = cl(X \\ F),
+        F C G  iff  F n G is nonempty.
+    """
 
     space: FiniteSpace
-    members: tuple
+    atoms: tuple
 
     def __post_init__(self):
-        rc = RegularClosedAlgebra(self.space, self.members)  # validates regularity
-        family = set(self.members)
-        if 0 not in family or self.space.full_mask not in family:
-            raise PreconditionError("the subalgebra must contain 0 and 1")
-        # Decided at the distinct minimal members A_1..A_k.  Suppose the
-        # family is exactly their 2**k unions and int(A_i n A_j) = 0 for
-        # i != j.  Unions of unions are unions.  X, a member, is the union
-        # of all atoms.  For i != j, int A_j misses A_i: an open set that
-        # meets A_i = cl(int A_i) meets int A_i, and int A_i n int A_j =
-        # int(A_i n A_j) is empty.  Let F be the union over T and F' the
-        # union of the other atoms.  X \ F lies in the closed F', and each
-        # atom A_j of F' is cl(int A_j) with int A_j inside X \ F, so the
+        # Let A_1..A_k be nonzero regular closed sets that cover X with
+        # int(A_i n A_j) = 0 for i != j.  For i != j, int A_j misses A_i:
+        # an open set that meets A_i = cl(int A_i) meets int A_i, and
+        # int A_i n int A_j = int(A_i n A_j) is empty.  So a nonzero
+        # union below A_i = cl(int A_i) is A_i itself: the A_i are the
+        # minimal members of their unions.  Unions of regular closed sets
+        # are regular closed, unions of unions are unions, and X is the
+        # union of all atoms.  Let F be the union over T and F' the union
+        # of the other atoms.  X \ F lies in the closed F', and each atom
+        # A_j of F' is cl(int A_j) with int A_j inside X \ F, so the
         # complement F* = cl(X \ F) is F', a member.  By De Morgan the
         # meet cl(int(F n H)) = cl(int F n int H) of members F and H is
-        # (F* u H*)*, a member.  Conversely, a family closed under the
-        # three operations is a Boolean subalgebra of RC(X) whose join is
-        # union: it is the 2**k unions of its k atoms, and distinct atoms
-        # meet in cl(int(A_i n A_j)) = 0.  So the member-pair loop below
-        # runs only to name the first failure.
+        # (F* u H*)*, a member.  So the 2**k unions are a Boolean
+        # subalgebra of RC(X) with atoms A_1..A_k.  Conversely, a Boolean
+        # subalgebra of RC(X) has union as its join: it is the 2**k
+        # unions of its k atoms, which cover X, the top member, and
+        # distinct atoms meet in cl(int(A_i n A_j)) = 0.
+        space, atoms = self.space, self.atoms
+        if list(atoms) != sorted(set(atoms)):
+            raise PreconditionError("the atoms must be distinct and ascending")
+        covered = 0
+        for a in atoms:
+            if not 0 < a <= space.full_mask:
+                raise DomainMismatchError(f"atom mask {a} is zero or out of range")
+            if closure(space, interior(space, a)) != a:
+                raise DomainMismatchError(f"{space.name_set(a)} is not regular closed")
+            covered |= a
+        if covered != space.full_mask:
+            raise PreconditionError("the atoms do not cover the space")
+        for a, b in combinations(atoms, 2):
+            if interior(space, a & b):
+                raise PreconditionError(
+                    f"the atoms {space.name_set(a)} and {space.name_set(b)} share an interior point"
+                )
+
+    @classmethod
+    def from_members(cls, space, members):
+        """The pair whose members are the given sets.  Raises on the first
+        member that is not regular closed, in input order, then when 0
+        or X is missing, then when the family is not closed under
+        complement, join and meet."""
+        for m in members:
+            if closure(space, interior(space, m)) != m:
+                raise DomainMismatchError(f"{space.name_set(m)} is not regular closed")
+        family = set(members)
+        full = space.full_mask
+        if 0 not in family or full not in family:
+            raise PreconditionError("the subalgebra must contain 0 and 1")
+        # A Boolean subalgebra is the unions of its distinct minimal
+        # members, which then pass the atom test (`__post_init__`).  The
+        # count is compared first, so a family that fails it builds no
+        # unions.  When the family holding X is their unions, the minimal
+        # members are distinct, ascending, regular closed and cover X, so
+        # the constructor can only reject two of them that share an
+        # interior point.  The member-pair loop below runs only to name
+        # the first failure.
         atoms = minimal_members(family)
-        if _atom_generation_failure(family, atoms) is None and not any(
-            interior(self.space, a & b) for a, b in combinations(atoms, 2)
-        ):
-            return
-        for f in self.members:
-            if rc.complement(f) not in family:
+        if len(family) == 1 << len(atoms) and family == set(unions(atoms)):
+            try:
+                return cls(space, atoms)
+            except PreconditionError:
+                pass
+        for f in members:
+            if closure(space, full ^ f) not in family:
                 raise PreconditionError("subalgebra not closed under complement")
-            for g in self.members:
-                if (f | g) not in family or rc.meet(f, g) not in family:
+            for g in members:
+                if (f | g) not in family or closure(space, interior(space, f & g)) not in family:
                     raise PreconditionError("subalgebra not closed under join/meet")
         raise InternalError("the atom test and the member-pair loop disagree")
 
     @property
-    def algebra(self):
-        return RegularClosedAlgebra(self.space, self.members)
+    def members(self):
+        """All members, the unions of the atoms, ascending as masks."""
+        return unions(self.atoms)
+
+    def meet(self, f, g):
+        return closure(self.space, interior(self.space, f & g))
+
+    def complement(self, f):
+        return closure(self.space, self.space.full_mask ^ f)
+
+    def contact(self, f, g):
+        return bool(f & g)
 
 
 def u_point_of_pair(mereo, x):
@@ -635,8 +613,8 @@ def u_point_of_pair(mereo, x):
     # of B below it, and those atoms cover X, the top member.  If exactly
     # one atom a holds x, each member holding x holds a, so F . G holds
     # a and x.  If distinct atoms a and b hold x, then a . b = 0 misses x.
-    # So x is a u-point iff exactly one distinct atom holds x.
-    return bool(held_once(minimal_members(set(mereo.members))) >> x & 1)
+    # So x is a u-point iff exactly one atom holds x.
+    return bool(held_once(mereo.atoms) >> x & 1)
 
 
 def overlap_clans(atoms):

@@ -271,7 +271,7 @@ def test_criterion_6_mereocompact_machinery(monkeypatch):
             assert pca.axioms.is_contact
             triple = canonical_pcs_of_pca(pca)
             members = tuple(rc_members_of_subset(triple.space, triple.subset))
-            mereo = MereotopologicalPair(triple.space, members)
+            mereo = MereotopologicalPair.from_members(triple.space, members)
 
             u_set = 0
             from contactlab.topology import u_point_of_pair

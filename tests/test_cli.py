@@ -634,7 +634,7 @@ GOLDEN_VALIDATE = {
       "witness": null
     }
   ],
-  "is_mereocompact": true,
+  "is_mereocompact": false,
   "kind": "mereo",
   "valid": false
 }

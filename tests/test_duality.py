@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from contactlab import duality
 from contactlab.boolean import FiniteBooleanAlgebra, hom_from_atom_map
 from contactlab.adjacency import AdjacencySpace
 from contactlab.duality import (
@@ -42,6 +45,7 @@ from contactlab.structures import (
 from contactlab.topology import discrete_space, is_connected
 
 from conftest import all_kernels
+from oracles import oracle_pcs_map_failure
 
 
 def small_algebras():
@@ -264,6 +268,35 @@ def test_restriction_determines_morphism():
         key = dense_part_map(f)
         assert key not in by_restriction, "two morphisms share a restriction"
         by_restriction[key] = f
+
+
+def test_enumeration_checks_each_candidate_map_once(monkeypatch):
+    """One validity check per candidate point map, made as the morphism
+    is built: 27 between the 3-point triples of the largest contact on
+    two atoms, 4 between the 2-point triples of the smallest, and the
+    morphisms are the maps the literal conditions accept."""
+    calls = []
+    checked = duality._is_valid_pcs_map
+
+    def counted(source, target, point_map):
+        calls.append(point_map)
+        return checked(source, target, point_map)
+
+    monkeypatch.setattr(duality, "_is_valid_pcs_map", counted)
+    b2 = FiniteBooleanAlgebra(2)
+    for pca, expected_calls in ((largest_contact(b2), 27), (smallest_contact(b2), 4)):
+        triple = canonical_pcs_of_pca(pca)
+        calls.clear()
+        found = [f.point_map for f in enumerate_pcs_morphisms(triple, triple)]
+        assert len(calls) == expected_calls
+        side = (triple.space.point_closures, triple.subset, triple.relation)
+        n = triple.space.point_count
+        literal = [
+            pm
+            for pm in itertools.product(range(n), repeat=n)
+            if oracle_pcs_map_failure(side, side, pm) is None
+        ]
+        assert found == literal
 
 
 def test_reconstruction_from_stone_adjacency(xl_space):

@@ -9,11 +9,12 @@ for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
 the atoms, the Stone relation check at the atom pairs), in ``topology``
 (closed bases by the meet of the members holding each point, clopens of
 a subspace by its components, RC(X) by the closures of the maximal
-points and the predicates read off them, u-points of a pair at its
-member atoms), in ``structures`` ((PCS2) by the Stone trace, (PCS3) to
-(PCS5), (CS2) to (CS4) and (S2S4) at the atoms of the clopen algebra,
-the pair's algebra and contact relation from the closures of the clopen
-atoms, the closed base of the canonical space from the atom clan sets,
+points and the predicates read off them, pairs held by their atoms,
+u-points of a pair at its atoms), in ``structures`` ((PCS2) by the
+Stone trace, (PCS3) to (PCS5), (CS2) to (CS4) and (S2S4) at the atoms
+of the clopen algebra, the pair's algebra and contact relation from
+the closures of the clopen atoms, the closed base of the canonical
+space from the atom clan sets,
 the mereocompactness checks at the member atoms and the maximal points)
 and in ``duality`` (the round-trip relation checks at the atom rows,
 complements and meets from bijectivity, trace coherence at the clopen
@@ -43,7 +44,11 @@ from contactlab.boolean import (
     _first_pair_mismatch,
     bit_indices,
 )
-from contactlab.duality import algebra_roundtrip_iso, enumerate_pca_morphisms
+from contactlab.duality import (
+    algebra_roundtrip_iso,
+    enumerate_pca_morphisms,
+    specialization_report,
+)
 from contactlab.errors import AxiomViolationError, DomainMismatchError, InternalError
 from contactlab.precontact import (
     RawRelation,
@@ -819,7 +824,7 @@ def test_mereocompactness_matches_the_clan_and_candidate_sweeps(monkeypatch):
     reached = []
     for space, members in families:
         try:
-            mereo = MereotopologicalPair(space, members)
+            mereo = MereotopologicalPair.from_members(space, members)
         except (PreconditionError, DomainMismatchError):
             continue
         report = mereocompactness_report(mereo)
@@ -869,11 +874,13 @@ def boolean_subalgebras(atoms):
 
 
 def mereo_verdict(space, members):
-    """The message ``MereotopologicalPair`` raises, or None."""
+    """The message ``MereotopologicalPair.from_members`` raises, or None
+    when the pair it returns has exactly the given members."""
     try:
-        MereotopologicalPair(space, members)
+        pair = MereotopologicalPair.from_members(space, members)
     except PreconditionError as exc:
         return str(exc)
+    assert set(pair.members) == set(members), (space.point_closures, members)
     return None
 
 
@@ -883,7 +890,8 @@ def test_mereotopological_pair_matches_the_member_pair_loop():
     family of regular closed sets holding 0 and X, ascending and
     reversed, of every space with at most 3 points, and on seeded
     Boolean subalgebras of RC(X) of spaces with 4 to 8 points, each
-    with one member dropped or one regular closed set added."""
+    with one member dropped, one regular closed set added, or one
+    member swapped for a regular closed set outside it."""
     families = []
     for space in (s for n in range(1, 4) for s in all_small_spaces(n)):
         rc = rc_members(space)
@@ -893,6 +901,7 @@ def test_mereotopological_pair_matches_the_member_pair_loop():
                 members = tuple(sorted({0, space.full_mask, *chosen}))
                 families += [(space, members, False), (space, members[::-1], False)]
     rng = random.Random(20261018)
+    swap_rng = random.Random(20261020)
     for _ in range(40):
         space = random_space(rng.randint(4, 8), rng)
         atoms = rc_atoms(space)
@@ -911,6 +920,9 @@ def test_mereotopological_pair_matches_the_member_pair_loop():
             added = members + [rng.choice(outside)]
             rng.shuffle(added)
             families.append((space, tuple(added), True))
+        if inner and outside:
+            kept = [m for m in members if m != swap_rng.choice(inner)]
+            families.append((space, tuple(kept + [swap_rng.choice(outside)]), True))
     seen = set()
     for space, members, seeded in families:
         expected = oracle_mereo_closure_failure(space.point_closures, members)
@@ -922,6 +934,93 @@ def test_mereotopological_pair_matches_the_member_pair_loop():
         "subalgebra not closed under join/meet",
     }
     assert seen == {(m, seeded) for m in messages for seeded in (False, True)}, seen
+
+
+def literal_minimal_members(family):
+    """The nonzero members with no other nonzero member inside them,
+    ascending."""
+    return sorted(
+        m for m in family if m and not any(o and o != m and o | m == m for o in family)
+    )
+
+
+def test_pair_atoms_match_the_member_pair_loop():
+    """A pair held by its atoms is accepted iff the unions of the atoms
+    are closed under complement, join and meet (the member-pair loop)
+    and the atoms are their minimal members: on every ascending list of
+    distinct nonzero regular closed sets of every space with at most 3
+    points, and on seeded lists for spaces of 4 to 8 points: the blocks
+    of a partition of the atoms of RC(X), those blocks with one dropped
+    or with the union of two added, the atoms with a block added, and a
+    random choice of regular closed sets."""
+    lists = []
+    for space in (s for n in range(1, 4) for s in all_small_spaces(n)):
+        nonzero = rc_members(space)[1:]
+        for r in range(len(nonzero) + 1):
+            lists += [(space, atoms, False) for atoms in itertools.combinations(nonzero, r)]
+    rng = random.Random(20261019)
+    for _ in range(60):
+        space = random_space(rng.randint(4, 8), rng)
+        atoms = rc_atoms(space)
+        blocks = {}
+        for a in atoms:
+            label = rng.randrange(len(atoms))
+            blocks[label] = blocks.get(label, 0) | a
+        blocks = sorted(blocks.values())
+        candidates = [blocks, blocks[1:], blocks + [blocks[0] | blocks[-1]]]
+        candidates.append(list(atoms) + [blocks[-1]])
+        nonzero = rc_members(space)[1:]
+        candidates.append(rng.sample(nonzero, min(len(nonzero), rng.randint(1, 4))))
+        lists += [(space, tuple(sorted(set(c))), True) for c in candidates]
+    seen = set()
+    for space, atoms, seeded in lists:
+        closures = space.point_closures
+        family = {0}
+        for a in atoms:
+            family |= {m | a for m in family}
+        members = sorted(family)
+        expected = (
+            oracle_mereo_closure_failure(closures, members) is None
+            and literal_minimal_members(family) == list(atoms)
+        )
+        try:
+            MereotopologicalPair(space, atoms)
+            accepted = True
+        except PreconditionError:
+            accepted = False
+        assert accepted == expected, (closures, atoms)
+        seen.add((expected, seeded))
+    assert seen == {(v, seeded) for v in (True, False) for seeded in (False, True)}, seen
+
+
+def test_pair_reports_build_no_member_family(monkeypatch):
+    """`specialization_report` and `mereocompactness_report` read a pair
+    at its atoms: on 30 seeded contact algebras of 1 to 6 atoms, with
+    the member view made to raise, both pass with the checks they give
+    when it is there."""
+    population = [
+        random_pca(RandomSpec(atoms=n, density=d, seed=child_seed(53, i), constraint="contact"))
+        for n in range(1, 7)
+        for i, d in enumerate((0.15, 0.3, 0.5, 0.7, 0.85))
+    ]
+
+    def reports(pca):
+        triple = canonical_pcs_of_pca(pca)
+        pair = MereotopologicalPair(triple.space, rc_atoms_of_subset(triple.space, triple.subset))
+        return specialization_report(pca), mereocompactness_report(pair)
+
+    expected = [reports(pca) for pca in population]
+
+    def refuse(pair):
+        raise AssertionError("the member family of a pair was built")
+
+    monkeypatch.setattr(MereotopologicalPair, "members", property(refuse))
+    for pca, (special, mereo) in zip(population, expected):
+        got_special, got_mereo = reports(pca)
+        assert special.ok and mereo.ok, (pca.kernel.pairs, special.failures, mereo.failures)
+        assert "dual pair's member algebra is mereocompact" in [c.name for c in special.checks]
+        assert got_special.checks == special.checks
+        assert got_mereo.checks == mereo.checks
 
 
 def test_u_point_of_pair_matches_the_member_pair_sweep():
@@ -945,7 +1044,7 @@ def test_u_point_of_pair_matches_the_member_pair_sweep():
         pairs.append((space, rc_members(space)))
     seen = set()
     for space, members in pairs:
-        mereo = MereotopologicalPair(space, members)
+        mereo = MereotopologicalPair.from_members(space, members)
         closures = space.point_closures
         whole = space.point_count <= 4 and members == rc_members(space)
         family = oracle_closed_family(closures) if whole else None

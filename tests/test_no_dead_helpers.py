@@ -1,11 +1,14 @@
 """Every module-level private function of the package is used: some code
-in ``src/`` outside its own definition names it."""
+in ``src/`` outside its own definition names it.  Every public method of
+a package class is used too: some code in ``src/``, ``tests/`` or
+``benchmarks/`` outside its own definition names it."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "contactlab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "contactlab"
 
 
 def private_functions(tree):
@@ -46,6 +49,36 @@ def dead_helpers(paths):
     )
 
 
+def public_methods(tree):
+    """(class name, method node) of each method of a module-level class
+    whose name does not start with an underscore."""
+    return [
+        (node.name, method)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not method.name.startswith("_")
+    ]
+
+
+def dead_methods(package_paths, other_paths):
+    """(file name, class name, method name) of each public method of a
+    class in ``package_paths`` that nothing in either set of files refers
+    to outside the method's own body."""
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for path in [*package_paths, *other_paths]
+    }
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    return sorted(
+        (path.name, cls, method.name)
+        for path in package_paths
+        for cls, method in public_methods(trees[path])
+        if everywhere[method.name] == references(method)[method.name]
+    )
+
+
 def test_package_has_no_dead_private_helpers():
     sources = sorted(PACKAGE.glob("*.py"))
     assert len(sources) > 10
@@ -75,4 +108,38 @@ def test_the_guard_sees_unused_and_self_recursive_helpers(tmp_path):
     assert dead_helpers([first, second]) == [
         ("first.py", "_recursive"),
         ("first.py", "_unused"),
+    ]
+
+
+def test_package_has_no_dead_public_methods():
+    sources = sorted(PACKAGE.glob("*.py"))
+    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "benchmarks").rglob("*.py"))
+    assert len(sources) > 10 and len(others) > 10
+    assert dead_methods(sources, others) == []
+
+
+def test_the_guard_sees_unused_public_methods(tmp_path):
+    package = tmp_path / "package.py"
+    user = tmp_path / "user.py"
+    package.write_text(
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        return self.side() ** 2\n"
+        "    def side(self):\n"
+        "        return 1\n"
+        "    def unused(self):\n"
+        "        return 0\n"
+        "    def recursive(self, n):\n"
+        "        return self.recursive(n - 1) if n else 0\n"
+        "    def _private(self):\n"
+        "        return 2\n"
+        "    @property\n"
+        "    def stale(self):\n"
+        "        return 3\n"
+    )
+    user.write_text("from package import Shape\nprint(Shape().area())\n")
+    assert dead_methods([package], [user]) == [
+        ("package.py", "Shape", "recursive"),
+        ("package.py", "Shape", "stale"),
+        ("package.py", "Shape", "unused"),
     ]

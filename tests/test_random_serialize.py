@@ -110,7 +110,7 @@ def test_roundtrip_pcs_preserves_validation(xl_space):
 def test_roundtrip_cs_and_mereo(xl_space):
     cs = validate_cs(xl_space, 0b011)
     assert roundtrip(cs) == cs
-    mereo = MereotopologicalPair(xl_space, rc_members(xl_space))
+    mereo = MereotopologicalPair.from_members(xl_space, rc_members(xl_space))
     assert roundtrip(mereo) == mereo
 
 

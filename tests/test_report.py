@@ -81,7 +81,8 @@ def _broken_mereo():
         ("a", "b", "c", "pab", "pbc", "pac"),
         (0b101001, 0b011010, 0b110100, 0b001000, 0b010000, 0b100000),
     )
-    return mereocompactness_report(MereotopologicalPair(space, rc_members(space)))
+    mereo = MereotopologicalPair.from_members(space, rc_members(space))
+    return mereocompactness_report(mereo)
 
 
 XL = space_from_closed_base(("g1", "g2", "g3"), [0b101, 0b110])

@@ -239,7 +239,7 @@ def test_contact_relation_is_unique_pcs_completion(xl_space, disc2):
 
 
 def test_mereo_report_on_xl(xl_space):
-    mereo = MereotopologicalPair(xl_space, rc_members(xl_space))
+    mereo = MereotopologicalPair.from_members(xl_space, rc_members(xl_space))
     report = mereocompactness_report(mereo)
     assert report.is_space and report.is_t0 and report.is_mereocompact
     assert report.u_set == 0b011
@@ -248,13 +248,13 @@ def test_mereo_report_on_xl(xl_space):
 
 
 def test_mereo_trivial_subalgebra_is_not_a_space(xl_space):
-    mereo = MereotopologicalPair(xl_space, (0, xl_space.full_mask))
+    mereo = MereotopologicalPair.from_members(xl_space, (0, xl_space.full_mask))
     report = mereocompactness_report(mereo)
     assert not report.is_space
 
 
 def test_mereo_discrete_powerset(disc2):
-    mereo = MereotopologicalPair(disc2, closed_sets(disc2))
+    mereo = MereotopologicalPair.from_members(disc2, closed_sets(disc2))
     report = mereocompactness_report(mereo)
     assert report.is_mereocompact
     assert report.u_set == disc2.full_mask
@@ -265,7 +265,8 @@ def test_mereo_repeated_member_counts_once():
     """A repeated minimal member is one atom: each point of the discrete
     space {a,b} lies in exactly one distinct atom of (0, 1, 1, 2, 3)."""
     space = discrete_space(("a", "b"))
-    report = mereocompactness_report(MereotopologicalPair(space, (0, 1, 1, 2, 3)))
+    mereo = MereotopologicalPair.from_members(space, (0, 1, 1, 2, 3))
+    report = mereocompactness_report(mereo)
     line = next(
         c for c in report.checks if c.name == "u-points are exactly the ultrafilter traces"
     )
@@ -276,4 +277,4 @@ def test_mereo_repeated_member_counts_once():
 
 def test_mereo_pair_validates_subalgebra(xl_space):
     with pytest.raises(PreconditionError):
-        MereotopologicalPair(xl_space, (0, 0b101, 0b111))  # no complement
+        MereotopologicalPair.from_members(xl_space, (0, 0b101, 0b111))  # no complement

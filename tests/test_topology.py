@@ -211,11 +211,32 @@ def test_rc_closed_under_join():
                 assert (f | g) in members
 
 
-def test_rc_as_boolean(xl_space):
-    algebra, atoms, to_member = rc_algebra(xl_space).as_boolean()
-    assert algebra.atom_count == 2
-    assert atoms == (0b101, 0b110)
-    assert to_member(0b11) == 0b111
+def test_rc_algebra_is_held_by_its_atoms(xl_space):
+    rc = rc_algebra(xl_space)
+    assert rc.atoms == (0b101, 0b110)
+    assert rc.members == rc_members(xl_space)
+
+
+@pytest.mark.parametrize(
+    "atoms, error, message",
+    [
+        ((0b110, 0b101), PreconditionError, "the atoms must be distinct and ascending"),
+        ((0b101, 0b101, 0b110), PreconditionError, "the atoms must be distinct and ascending"),
+        ((0, 0b101, 0b110), DomainMismatchError, "atom mask 0 is zero or out of range"),
+        ((0b101, 0b1010), DomainMismatchError, "atom mask 10 is zero or out of range"),
+        ((0b100, 0b101), DomainMismatchError, "{g3} is not regular closed"),
+        ((0b101,), PreconditionError, "the atoms do not cover the space"),
+        (
+            (0b101, 0b111),
+            PreconditionError,
+            "the atoms {g1,g3} and {g1,g2,g3} share an interior point",
+        ),
+    ],
+)
+def test_pair_rejects_each_broken_atom_condition(xl_space, atoms, error, message):
+    with pytest.raises(error) as caught:
+        MereotopologicalPair(xl_space, atoms)
+    assert str(caught.value) == message
 
 
 def test_semiregular(xl_space, sierpinski):
@@ -378,14 +399,14 @@ def test_u_points_match_oracle():
 
 
 def test_u_point_of_pair_agrees_with_space(xl_space):
-    mereo = MereotopologicalPair(xl_space, rc_members(xl_space))
+    mereo = MereotopologicalPair.from_members(xl_space, rc_members(xl_space))
     for x in range(3):
         assert u_point_of_pair(mereo, x) == is_u_point(xl_space, x)
 
 
 def test_u_point_of_clopen_pair_always(xl_space):
     clopens = clopen_sets(xl_space)
-    mereo = MereotopologicalPair(xl_space, tuple(clopens))
+    mereo = MereotopologicalPair.from_members(xl_space, tuple(clopens))
     assert all(u_point_of_pair(mereo, x) for x in range(3))
 
 
@@ -393,7 +414,7 @@ def test_u_points_restrict_to_dense_subspaces():
     for space in all_small_spaces(3):
         members = rc_members(space)
         try:
-            mereo = MereotopologicalPair(space, members)
+            mereo = MereotopologicalPair.from_members(space, members)
         except PreconditionError:
             continue
         full = space.full_mask
@@ -410,7 +431,7 @@ def test_u_points_restrict_to_dense_subspaces():
                         local |= 1 << i
                 traced.append(local)
             try:
-                inner_pair = MereotopologicalPair(inner, tuple(sorted(set(traced))))
+                inner_pair = MereotopologicalPair.from_members(inner, tuple(sorted(set(traced))))
             except (PreconditionError, DomainMismatchError):
                 continue
             for i, x in enumerate(positions):
@@ -420,9 +441,8 @@ def test_u_points_restrict_to_dense_subspaces():
 def test_sigma_ultrafilter_characterizes_u_points():
     for space in all_small_spaces(3):
         members = rc_members(space)
-        mereo = MereotopologicalPair(space, members)
-        rc = rc_algebra(space)
-        atoms = rc.atom_masks()
+        mereo = MereotopologicalPair.from_members(space, members)
+        atoms = rc_algebra(space).atoms
         for x in range(space.point_count):
             support = [a for a in atoms if a >> x & 1]
             assert u_point_of_pair(mereo, x) == (len(support) == 1)
