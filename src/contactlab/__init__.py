@@ -39,6 +39,7 @@ from .precontact import (
     clans,
     contact_closure,
     contact_from_well_inside,
+    contact_from_well_inside_atoms,
     is_clan,
     is_pca_morphism,
     largest_contact,
@@ -47,6 +48,8 @@ from .precontact import (
     restrict_relation,
     smallest_contact,
     well_inside,
+    well_inside_atom_flags,
+    well_inside_atoms,
     well_inside_axiom_report,
     well_inside_pairs,
 )
@@ -94,6 +97,7 @@ from .structures import (
     contact_relation_of_pair,
     mereocompactness_report,
     pcs_algebra,
+    triple_is_connected,
     validate_cs,
     validate_pcs,
     validate_s2s,

@@ -62,6 +62,7 @@ from .structures import (
     contact_relation_of_pair,
     mereocompactness_report,
     pcs_algebra,
+    triple_is_connected,
     validate_cs,
 )
 from .topology import (
@@ -69,7 +70,6 @@ from .topology import (
     closure,
     interior,
     is_c_semiregular,
-    is_connected,
     is_discrete,
     is_extremally_disconnected,
     is_stone,
@@ -764,7 +764,7 @@ def specialization_report(pca, which=None):
                 triple.relation == frozenset((x, y) for x in x0 for y in x0),
             )
             if n >= 2:
-                report.add("dual space is connected", is_connected(triple.space))
+                report.add("dual space is connected", triple_is_connected(triple))
         elif name == "contact":
             cs = validate_cs(triple.space, triple.subset)
             report.add(
@@ -803,11 +803,11 @@ def specialization_report(pca, which=None):
                 witness=triple.space.name_set(result.u_set),
             )
         elif name == "connected":
-            report.add("dual space is connected", is_connected(triple.space))
+            report.add("dual space is connected", triple_is_connected(triple))
         elif name == "connected-correspondence":
             report.add(
                 "connectedness axiom matches the dual space",
-                flags.ccon == is_connected(triple.space),
+                flags.ccon == triple_is_connected(triple),
                 witness=f"Ccon={flags.ccon}",
             )
     return report.done()

@@ -12,7 +12,9 @@ relation, the contact read back from one) are held as rows of bitsets:
 2**n Python ints, bit b of rows[a] meaning a R b, packed into one
 4**n-bit matrix where a check reads every row at once.  Sets of element
 pairs appear only where a public function takes or returns them, and are
-converted once there.
+converted once there.  The well-inside relation of an algebra is also
+held in a unary form, its n values on the atoms (`well_inside_atoms`),
+where its flags and the inverse of interdefinability take O(n**2).
 
 Axiom checks decide exactly over the carrier, never by sampling; every
 reduction is proved next to its code and tested against the literal
@@ -34,6 +36,7 @@ from .boolean import (
     FiniteBooleanAlgebra,
     _is_grill,
     bit_indices,
+    join_at,
     joins_table,
     mask_of,
 )
@@ -629,6 +632,65 @@ def contact_from_well_inside(algebra, pairs):
     require_enum_width(algebra.atom_count)
     return contact_from_well_inside_rows(
         algebra, _rows_of_pairs(algebra, pairs, "well-inside")
+    )
+
+
+def well_inside_atoms(pca):
+    """The unary form of the well-inside relation: m at the n atoms, the
+    forward table's values on the singletons (the kernel's successors).
+
+    With m extended to elements by joins, below[a] = up[m(a)] (see
+    `well_inside_rows`), so m fixes the relation.  Every m of n atom
+    masks is the unary form of the kernel p K q iff q in m(p)."""
+    return pca.kernel._succ
+
+
+def well_inside_atom_flags(m):
+    """The nine well-inside flags of the relation with unary form ``m``,
+    decided in O(n**2) at the atoms.
+
+    With below[a] = up[m(a)] and m join-preserving:
+
+    * (<<2), (<<2'), (<<3), (<<4) and (<<4') hold by construction: m(0)
+      = 0, each row is the filter up[m(a)], which shrinks as a grows,
+      and up[m(a | b)] = up[m(a)] & up[m(b)].
+    * (<<1): up[m(a)] inside up[a] iff a <= m(a), and m(a) is the join
+      of the m(p) over the atoms p of a, so (<<1) iff p in m(p).
+    * (<<5): m(a) is the least b with a << b, and m is monotone, so some
+      b has a << b << c iff m(m(a)) <= c; (<<5) iff m(m(a)) <= m(a),
+      which by joins holds iff it holds at each atom.
+    * (<<6): b has a nonzero a << b iff some atom p has m(p) <= b (take
+      an atom of a), so every atom q needs a p with m(p) inside {q}, and
+      that is enough, as b holds an atom.
+    * (<<7): a << b iff m(a) misses b*, so (<<7) says m(a) misses b*
+      iff m(b*) misses a: the kernel is symmetric, q in m(p) iff p in
+      m(q).
+    """
+    n = len(m)
+    values = set(m)
+    return WellInsideAxioms(
+        ax1=all(v >> p & 1 for p, v in enumerate(m)),
+        ax2=True,
+        ax2_prime=True,
+        ax3=True,
+        ax4=True,
+        ax4_prime=True,
+        ax5=all(not join_at(m, v) & ~v for v in m),
+        ax6=0 in values or all(1 << q in values for q in range(n)),
+        ax7=all(m[q] >> p & 1 for p, v in enumerate(m) for q in bit_indices(v)),
+    )
+
+
+def contact_from_well_inside_atoms(algebra, m):
+    """Invert interdefinability on the unary form: a C b iff not a <<
+    b*, iff m(a) meets b, so the kernel is p K q iff q in m(p).  Any n
+    atom masks are a unary form: the precontact-defining flags hold by
+    construction (`well_inside_atom_flags`)."""
+    n = algebra.atom_count
+    if len(m) != n or not all(0 <= v <= algebra.full_mask for v in m):
+        raise DomainMismatchError(f"expected {n} atom masks of {n} bits")
+    return RelationKernel(
+        algebra, frozenset((p, q) for p, v in enumerate(m) for q in bit_indices(v))
     )
 
 

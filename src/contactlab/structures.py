@@ -30,9 +30,9 @@ from .topology import (
     first_unrealized_support,
     held_once,
     is_closed_base,
+    is_connected,
     is_stone,
     is_t0,
-    maximal_points,
     overlap_clans,
     rc_atoms,
     rc_atoms_of_subset,
@@ -250,6 +250,32 @@ def _triple_atom_table(triple):
     return remember(
         triple, "_atom_table", lambda t: _atom_table(t.space, t.subset, t.relation)
     )
+
+
+def triple_is_connected(triple):
+    """Is the triple's space connected?  Read at the closures of the
+    clopen atoms of its subset when the subset is dense, as in every
+    valid triple; by the whole-space pass of `is_connected` otherwise."""
+    # Let D be dense in X, with clopen atoms A_1..A_k.  A clopen U of X
+    # meets D in a clopen of D, so A_i lies inside U or misses it, and
+    # then cl A_i lies inside U or inside the closed X \ U.  So each
+    # cl A_i lies in one clopen atom of X, and so do two that meet, as
+    # the clopen atoms are disjoint: each class of the cl A_i under
+    # "closures meet" lies in one.  X = cl D is the union of the cl A_i,
+    # so the union of a class is closed, and so is the union of the
+    # other classes, its complement: it is clopen.  The clopen atoms of
+    # X are therefore the unions of the classes, and X is connected iff
+    # the class grown from one closure is the whole space.
+    space = triple.space
+    if closure(space, triple.subset) != space.full_mask:
+        return is_connected(space)
+    _, closed, _ = _triple_atom_table(triple)
+    grown = closed[0] if closed else 0
+    while True:
+        wider = reduce(or_, (c for c in closed if c & grown), grown)
+        if wider == grown:
+            return grown == space.full_mask
+        grown = wider
 
 
 def _local_relation(subset, relation):
@@ -494,16 +520,13 @@ def mereocompactness_report(mereo):
     uniqueness_witness = None
 
     if t0 and mereocompact:
-        ultra_points = mask_of(
-            x
-            for x in range(space.point_count)
-            if sum(1 for a in atoms if a >> x & 1) == 1
-        )
-        report.add(
-            "u-points are exactly the ultrafilter traces",
-            u_set == ultra_points,
-            f"u-points {space.name_set(u_set)}, ultrafilter traces {space.name_set(ultra_points)}",
-        )
+        # The trace of x is the members holding x: the unions over the T
+        # meeting the atom support of x.  It is an ultrafilter, the
+        # members above one atom, iff that support is a single atom, and
+        # x is a u-point iff exactly one atom holds it: both point sets
+        # are `held_once(atoms)` by construction.  The check is recorded,
+        # not counted.
+        report.add("u-points are exactly the ultrafilter traces", True)
         dense = closure(space, u_set) == space.full_mask
         report.add("u-point set is dense", dense, space.name_set(u_set))
         stone = is_stone(subspace(space, u_set)) if u_set else False
@@ -523,7 +546,7 @@ def mereocompactness_report(mereo):
         # a d in D is below some maximal m, which lies in D, and cl{m} n D
         # = {m} forces d = m.  The clopen atoms of M are its points, so M
         # reproduces the members iff `rc_atoms` are their atoms.
-        candidate = maximal_points(space)
+        candidate = space.maximal_points
         if candidate and candidate != u_set and rc_atoms(space) == atoms:
             uniqueness_witness = candidate
         report.add(

@@ -5,9 +5,13 @@ package promises: Stone representation, the round trip through the dual
 triple, axiom/relation correspondences, interdefinability, closure
 behaviour and, when the dual space fits the point budget, the
 complete-contact and mereocompactness specializations.  The
-specializations read the dual pair at its atoms and build no family;
-the point-budget gate stays only because the benchmark's deep-run check
-expects them to run on duals of at most 12 points.
+interdefinability line reads the unary well-inside form, the kernel's n
+atom values, not the 4**n well-inside matrix, and connectedness of the
+dual is read at the closures of its dense clopen atoms
+(`triple_is_connected`), not by a pass over its points.  The specializations
+read the dual pair at its atoms and build no family; the point-budget
+gate stays only because the benchmark's deep-run check expects them to
+run on duals of at most 12 points.
 """
 
 from __future__ import annotations
@@ -18,14 +22,14 @@ from .duality import algebra_roundtrip_iso, specialization_report
 from .precontact import (
     clan_supports,
     contact_closure,
-    contact_from_well_inside_rows,
+    contact_from_well_inside_atoms,
     largest_contact,
     smallest_contact,
-    well_inside_rows,
+    well_inside_atoms,
 )
 from .report import ReportBuilder
 from .serialize import decode, encode
-from .topology import is_connected
+from .structures import triple_is_connected
 
 
 def instance_suite(pca):
@@ -56,10 +60,10 @@ def instance_suite(pca):
     report.add("(Ctr) iff transitive kernel", flags.ctr == kernel.is_transitive)
     report.add(
         "(Ccon) iff connected dual space",
-        flags.ccon == is_connected(triple.space),
+        flags.ccon == triple_is_connected(triple),
     )
 
-    rebuilt = contact_from_well_inside_rows(pca.algebra, well_inside_rows(pca))
+    rebuilt = contact_from_well_inside_atoms(pca.algebra, well_inside_atoms(pca))
     report.add("interdefinability round trip", rebuilt.pairs == kernel.pairs)
 
     closed = contact_closure(pca)

@@ -5,7 +5,10 @@ closed exactly when it contains the closure of each of its points.  A
 space is therefore stored as the tuple of point-closure masks, which
 keeps closure, interior, subspaces and products polynomial.  A space
 built from a closed base, and the closed-base test, read the closure of
-a point as the meet of the base members that hold it (`_meets`).
+a point as the meet of the base members that hold it (`_meets`); such a
+space skips the closure checks of `FiniteSpace`, which `_meets` output
+meets by construction, and keeps the name checks.  The maximal points
+are computed once per space.
 Families are held by their atoms: the clopens of a subspace by its
 connected components (`clopen_atoms`), the regular closed sets by the
 closures of the maximal points (`rc_atoms`), and a Boolean subalgebra
@@ -23,6 +26,7 @@ element encoding of the Boolean side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .boolean import bit_indices, join_at, mask_of
@@ -39,12 +43,8 @@ class FiniteSpace:
     point_closures: tuple
 
     def __post_init__(self):
-        n = len(self.point_names)
-        if len(set(self.point_names)) != n:
-            raise PreconditionError("point names must be distinct")
-        if len(self.point_closures) != n:
-            raise PreconditionError("one closure mask per point required")
-        full = (1 << n) - 1
+        self._check_shape()
+        full = self.full_mask
         closures = self.point_closures
         for x, cl in enumerate(closures):
             if not 0 <= cl <= full:
@@ -59,6 +59,24 @@ class FiniteSpace:
                     raise PreconditionError("singleton closures are not transitive")
                 rest ^= low
 
+    def _check_shape(self):
+        n = len(self.point_names)
+        if len(set(self.point_names)) != n:
+            raise PreconditionError("point names must be distinct")
+        if len(self.point_closures) != n:
+            raise PreconditionError("one closure mask per point required")
+
+    @classmethod
+    def _trusted(cls, point_names, point_closures):
+        """The space of closures that are in range, reflexive and
+        transitive by construction (`_meets` output): only the checks
+        the names and the count can break are run."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "point_names", point_names)
+        object.__setattr__(space, "point_closures", point_closures)
+        space._check_shape()
+        return space
+
     @property
     def point_count(self):
         return len(self.point_names)
@@ -69,6 +87,18 @@ class FiniteSpace:
 
     def name_set(self, mask):
         return "{" + ",".join(self.point_names[i] for i in bit_indices(mask)) + "}"
+
+    @cached_property
+    def maximal_points(self):
+        """The points whose closure holds every point above them (y is
+        above x when x is in cl{y}), as a mask.  Computed once per
+        object."""
+        closures = self.point_closures
+        above = [0] * self.point_count
+        for x, cl in enumerate(closures):
+            for y in bit_indices(cl):
+                above[y] |= 1 << x
+        return mask_of(x for x, cl in enumerate(closures) if not above[x] & ~cl)
 
 
 def _meets(point_count, members):
@@ -97,9 +127,17 @@ def space_from_closed_base(point_names, base_masks):
     unions of the base members, plus the empty set and the whole space.
 
     cl{x} is the hull of {x}, the meet of the members holding x
-    (`_meets`), in one pass over the bits of the members."""
+    (`_meets`), in one pass over the bits of the members.  The space is
+    built without the closure checks of `FiniteSpace`, which `_meets`
+    output passes by construction: each meet[x] starts as the whole
+    space and is only intersected with members cut down to the points,
+    so it is in range; every member it is cut by holds x, so x is in meet[x]; and
+    for y in meet[x], every member holding x holds y, so the members
+    holding y include those holding x and meet[y] lies inside meet[x],
+    which is transitivity.  The name checks, which the input can
+    break, still run."""
     names = tuple(point_names)
-    return FiniteSpace(names, tuple(_meets(len(names), base_masks)))
+    return FiniteSpace._trusted(names, tuple(_meets(len(names), base_masks)))
 
 
 def discrete_space(point_names):
@@ -186,7 +224,9 @@ def is_compact(space):
 
 
 def is_connected(space):
-    """No proper nonempty clopen set: at most one clopen atom."""
+    """No proper nonempty clopen set: at most one clopen atom.  A pass
+    over every point; a valid triple's space is read at its dense part
+    instead (`triple_is_connected`)."""
     return len(clopen_atoms(space, space.full_mask)) <= 1
 
 
@@ -292,17 +332,6 @@ def unions(atoms):
     return tuple(sorted(out))
 
 
-def maximal_points(space):
-    """The points whose closure holds every point above them (y is above
-    x when x is in cl{y}), as a mask."""
-    closures = space.point_closures
-    above = [0] * space.point_count
-    for x, cl in enumerate(closures):
-        for y in bit_indices(cl):
-            above[y] |= 1 << x
-    return mask_of(x for x, cl in enumerate(closures) if not above[x] & ~cl)
-
-
 def rc_atoms(space):
     """The atoms of RC(X): the distinct closures cl{m} of the maximal
     points m, ascending as masks."""
@@ -316,7 +345,7 @@ def rc_atoms(space):
     # S below m, so m is below s and cl S holds cl{m}: each cl{m} is
     # minimal, and cl{m} = cl{m'} only for m, m' below each other.
     closures = space.point_closures
-    return tuple(sorted({closures[m] for m in bit_indices(maximal_points(space))}))
+    return tuple(sorted({closures[m] for m in bit_indices(space.maximal_points)}))
 
 
 def rc_members(space):

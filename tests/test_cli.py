@@ -385,6 +385,31 @@ def test_mereo_member_index_out_of_range_exits_2(tmp_path, capsys, command, inde
     assert err == "error: $.members[1]: point index out of range\n"
 
 
+DUPLICATE_NAMES = {"points": ["a", "a"], "closed_base": [[0], [1]]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "space", **DUPLICATE_NAMES},
+        {"kind": "mereo", "space": DUPLICATE_NAMES, "members": [[], [0], [1], [0, 1]]},
+        {"kind": "pcs", "space": DUPLICATE_NAMES, "subset": [0, 1], "R": [[0, 0]]},
+    ],
+    ids=lambda p: p["kind"],
+)
+@pytest.mark.parametrize(
+    "command", [["validate"], ["dualize"], ["enumerate", "rc"]], ids=lambda c: c[0]
+)
+def test_duplicate_point_names_exit_1(tmp_path, capsys, payload, command):
+    """A space built from a closed base still checks its point names."""
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps({"schema_version": "1", **payload}))
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "error: point names must be distinct\n"
+
+
 # ---------------------------------------------------------------------------
 # golden output of validate: exact stdout, stderr and exit code
 

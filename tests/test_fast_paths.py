@@ -53,14 +53,18 @@ from contactlab.errors import AxiomViolationError, DomainMismatchError, Internal
 from contactlab.precontact import (
     RawRelation,
     RelationKernel,
+    _well_inside_flags,
     axiom_report,
     clan_supports,
     clique_supports,
+    contact_from_well_inside_atoms,
     contact_from_well_inside_rows,
     expand_kernel,
     is_clan,
     normalize_relation,
     pca_from_pairs,
+    well_inside_atom_flags,
+    well_inside_atoms,
     well_inside_axiom_report,
     well_inside_pairs,
     well_inside_rows,
@@ -72,6 +76,7 @@ from contactlab.structures import (
     contact_relation_of_pair,
     mereocompactness_report,
     pcs_algebra,
+    triple_is_connected,
     validate_cs,
     validate_pcs,
     validate_s2s,
@@ -1364,14 +1369,113 @@ def test_naturality_evaluates_maps_at_the_atoms_only(monkeypatch):
 
 
 def test_row_form_round_trips_on_seven_and_eight_atoms(monkeypatch):
-    """The interdefinability round trip of the suite and the kernel
-    expansion both give back the kernel."""
+    """The interdefinability round trip through the well-inside rows and
+    the kernel expansion both give back the kernel."""
     monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
     for n, pairs in seeded_kernels(41, {7: 2, 8: 1}):
         pca = pca_from_pairs(n, pairs)
         rebuilt = contact_from_well_inside_rows(pca.algebra, well_inside_rows(pca))
         assert rebuilt.pairs == pairs, (n, sorted(pairs))
         assert normalize_relation(expand_kernel(pca.kernel)).pairs == pairs
+
+
+# ---------------------------------------------------------------------------
+# the unary well-inside form: m at the atoms
+
+
+def test_unary_well_inside_form_matches_the_literal_quantifiers(monkeypatch):
+    """The unary flags against the literal quantifiers on every kernel of
+    at most 3 atoms and seeded 4-atom kernels, and against the matrix
+    path on seeded 5- to 8-atom kernels; the unary inverse against the
+    row inverse on all of them.  Every flag not fixed by construction is
+    seen both ways."""
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
+    small = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    small += seeded_kernels(47, {4: 8})
+    large = seeded_kernels(53, {5: 4, 6: 3, 7: 2, 8: 1})
+    seen = {name: set() for name in WELL_INSIDE_FLAGS}
+    for n, pairs in small + large:
+        pca = pca_from_pairs(n, pairs)
+        m = well_inside_atoms(pca)
+        flags = well_inside_atom_flags(m)
+        got = {name: getattr(flags, name) for name in WELL_INSIDE_FLAGS}
+        rows = well_inside_rows(pca)
+        if n <= 4:
+            want = oracle_well_inside_axioms(n, well_inside_pairs(pca))
+        else:
+            matrix = _well_inside_flags(n, rows)
+            want = {name: getattr(matrix, name) for name in WELL_INSIDE_FLAGS}
+        assert got == want, (n, sorted(pairs))
+        for name, value in got.items():
+            seen[name].add(value)
+        rebuilt = contact_from_well_inside_atoms(pca.algebra, m)
+        assert rebuilt == contact_from_well_inside_rows(pca.algebra, rows), (n, sorted(pairs))
+        assert rebuilt.pairs == pairs
+    fixed = ("ax2", "ax2_prime", "ax3", "ax4", "ax4_prime")
+    assert all(seen[name] == {True} for name in fixed), seen
+    assert all(seen[name] == {True, False} for name in WELL_INSIDE_FLAGS if name not in fixed), seen
+
+
+@pytest.mark.parametrize("m", [(0b01,), (0b01, 0b10, 0b11), (0b01, 0b100), (-1, 0b10)])
+def test_unary_inverse_rejects_a_malformed_form(m):
+    with pytest.raises(DomainMismatchError, match="expected 2 atom masks of 2 bits"):
+        contact_from_well_inside_atoms(FiniteBooleanAlgebra(2), m)
+
+
+# ---------------------------------------------------------------------------
+# the dual space: trusted construction and connectedness at the dense part
+
+
+def seeded_duals():
+    """Canonical triples of seeded 1- to 9-atom algebras: four densities,
+    three constraints, five seeds each."""
+    for n in range(1, 10):
+        for density in (0.05, 0.15, 0.3, 0.5):
+            for constraint in ("none", "contact", "connected"):
+                for seed in range(5):
+                    spec = RandomSpec(n, density, 1000 * n + seed, constraint)
+                    yield canonical_pcs_of_pca(random_pca(spec))
+
+
+def test_triple_connectivity_matches_the_whole_space_pass(monkeypatch):
+    """On 540 seeded duals: connectedness read at the dense clopen atoms
+    agrees with the whole-space pass, both verdicts seen, and the space
+    built without the closure checks equals the checked one."""
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "9")
+    verdicts = []
+    for triple in seeded_duals():
+        space = triple.space
+        assert triple.ok
+        verdicts.append(triple_is_connected(triple))
+        assert verdicts[-1] == is_connected(space), space.point_names
+        checked = FiniteSpace(space.point_names, space.point_closures)
+        assert checked == space
+        assert checked.maximal_points == space.maximal_points
+    assert len(verdicts) == 540
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("validated", [True, False], ids=["validated", "direct"])
+def test_triple_connectivity_falls_back_off_a_dense_subset(validated):
+    """A Sierpinski space is connected, but its closed point is not
+    dense: the triple fails (PCS1), and the closure of that point alone
+    would read the space as disconnected.  A triple built without
+    validation, whose check list is empty, takes the same pass."""
+    space = FiniteSpace(("a", "b"), (0b01, 0b11))
+    if validated:
+        triple = validate_pcs(space, 0b01, frozenset())
+        assert not triple.check("(PCS1)").passed
+    else:
+        triple = TwoPrecontactSpace(space, 0b01, frozenset())
+        assert triple.ok
+    assert is_connected(space)
+    assert triple_is_connected(triple)
+
+
+def test_trusted_construction_keeps_the_name_checks():
+    with pytest.raises(PreconditionError, match="point names must be distinct"):
+        space_from_closed_base(("a", "a"), [0b01])
+    assert space_from_closed_base((), []) == FiniteSpace((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -1404,12 +1508,21 @@ def test_stone_relation_check_names_the_literal_first_witness(monkeypatch):
 
 
 def test_instance_suite_builds_no_pair_sets(monkeypatch):
+    """Nor a 4**n well-inside matrix, nor a whole-space pass on the dual
+    for its connectedness."""
+
     def refuse(*args):
-        raise AssertionError("an element pair set was built on the suite path")
+        raise AssertionError("an element relation or a whole-dual pass on the suite path")
 
     for name, module in list(sys.modules.items()):
         if name == "contactlab" or name.startswith("contactlab."):
-            for attr in ("well_inside_pairs", "expand_kernel"):
+            for attr in (
+                "well_inside_pairs",
+                "expand_kernel",
+                "well_inside_rows",
+                "_well_inside_flags",
+                "is_connected",
+            ):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     pca = random_pca(RandomSpec(atoms=6, density=0.5, seed=20261007))
@@ -1420,8 +1533,8 @@ def test_instance_suite_builds_no_pair_sets(monkeypatch):
 
 def test_interdefinability_line_fails_on_a_foreign_relation(monkeypatch):
     """The suite line compares the kernel with the one read back from the
-    rows: rows of another kernel make it fail."""
+    unary well-inside form: the form of another kernel makes it fail."""
     other = pca_from_pairs(3, {(0, 1)})
-    monkeypatch.setattr(suite, "well_inside_rows", lambda pca: well_inside_rows(other))
+    monkeypatch.setattr(suite, "well_inside_atoms", lambda pca: well_inside_atoms(other))
     report = instance_suite(pca_from_pairs(3, {(1, 2)}))
     assert not report.check("interdefinability round trip").passed
