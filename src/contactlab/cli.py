@@ -68,6 +68,13 @@ def _load_file(path):
     return loads(raw)
 
 
+def _write_file(path, body):
+    try:
+        Path(path).write_text(body)
+    except OSError as exc:
+        raise SchemaError(f"cannot write file: {exc}", path) from exc
+
+
 def _checks_lines(checks):
     out = []
     for c in checks:
@@ -141,7 +148,7 @@ def cmd_dualize(args):
             report = pcs_iso_report(space_roundtrip_iso(obj))
     body = dumps(payload)
     if args.out:
-        Path(args.out).write_text(body)
+        _write_file(args.out, body)
     else:
         sys.stdout.write(body)
     if args.roundtrip:
@@ -234,7 +241,7 @@ def cmd_suite(args):
                 "seed": args.seed,
             }
             path = Path(args.dump_dir) / f"failure_seed{args.seed}_case{index}.json"
-            path.write_text(dumps(dump))
+            _write_file(path, dumps(dump))
     payload = {
         "atoms": args.atoms,
         "count": args.count,
@@ -266,7 +273,7 @@ def cmd_random(args):
     pca = random_pca(spec)
     body = dumps(encode(pca))
     if args.out:
-        Path(args.out).write_text(body)
+        _write_file(args.out, body)
     else:
         sys.stdout.write(body)
     return PASS

@@ -8,7 +8,7 @@ Three independent caps are overridable through the environment:
   that quantifies over the full 2**n carrier or materialises families;
 * point budget (``CONTACTLAB_POINT_LIMIT``, default 12) bounds only the
   functions that return a whole family of sets of a finite space (all
-  closed, open, clopen or regular closed sets, the clopens of a subspace
+  closed, clopen or regular closed sets, the clopens of a subspace
   and their closures); predicates, validators and the regular closed
   algebras, held by their atoms, are outside it.
 

@@ -7,14 +7,15 @@ is always derived:
 
     a C b  iff  some kernel pair (p, q) has p in a and q in b.
 
-Element-level relations (a raw relation to normalize, a well-inside
-relation, the contact read back from one) are held as rows of bitsets:
-2**n Python ints, bit b of rows[a] meaning a R b, packed into one
-4**n-bit matrix where a check reads every row at once.  Sets of element
-pairs appear only where a public function takes or returns them, and are
-converted once there.  The well-inside relation of an algebra is also
-held in a unary form, its n values on the atoms (`well_inside_atoms`),
-where its flags and the inverse of interdefinability take O(n**2).
+Element-level relations (a raw relation to normalize, an explicit
+well-inside relation) are held as rows of bitsets: 2**n Python ints, bit
+b of rows[a] meaning a R b.  Sets of element pairs appear only where a
+public function takes or returns them, and are converted once there.
+The well-inside relation of an algebra is also held in a unary form, its
+n values on the atoms (`well_inside_atoms`), where its flags and the
+inverse of interdefinability take O(n**2).  An explicit well-inside
+relation has a unary form exactly when it defines a precontact relation,
+and is read into that form whenever it has one.
 
 Axiom checks decide exactly over the carrier, never by sampling; every
 reduction is proved next to its code and tested against the literal
@@ -208,96 +209,35 @@ def pca_from_pairs(atom_count, pairs):
 
 
 class _RowTables(NamedTuple):
-    """Constants of the row form for one atom count n, with size = 2**n.
-
-    A relation is held as ``size`` rows: bit b of rows[a] means a R b.
-    Packed into one matrix of size**2 bits, the pair (a, b) sits at bit
-    i = a * size + b, so index bits 0..n-1 are the atoms of b and bits
-    n..2n-1 those of a.
-    """
+    """Constants of the row form for one atom count n, with size = 2**n:
+    a relation is held as ``size`` rows, bit b of rows[a] meaning a R b."""
 
     row: int  # the full row, every b
-    everything: int  # the full matrix, every (a, b)
     hits: list  # hits[s]: the b with b & s != 0
     up: list  # up[m]: the b containing m
-    order: int  # the matrix of inclusion, a <= b
-    bits: tuple  # bits[j]: the matrix positions whose index bit j is set
-    swaps: tuple  # swaps[j]: bit j set and bit n + j clear, for transposing
 
 
 @lru_cache(maxsize=4)
 def _row_tables(n):
-    # Keyed on the atom count alone.  Every constant is a bit pattern
-    # built by doubling: bits[j] repeats 2**j zeros then 2**j ones, and
-    # each entry of hits and up is one join or meet of two earlier ones.
+    # Keyed on the atom count alone.  For an atom m = 2**q, up[m] (the b
+    # holding q) repeats m clear bits then m set ones, built by doubling;
+    # every other entry of hits and up is one join or meet of two earlier
+    # ones.
     size = 1 << n
-    span = size * size
-    bits = []
-    for j in range(2 * n):
-        width = 1 << j
-        pattern, period = ((1 << width) - 1) << width, 2 * width
-        while period < span:
-            pattern |= pattern << period
-            period *= 2
-        bits.append(pattern)
     row = (1 << size) - 1
     hits, up = [0] * size, [row] * size
     for m in range(1, size):
         low = m & -m
         if m == low:
-            hits[m] = up[m] = bits[low.bit_length() - 1] & row
+            pattern, period = ((1 << m) - 1) << m, 2 * m
+            while period < size:
+                pattern |= pattern << period
+                period *= 2
+            hits[m] = up[m] = pattern
         else:
             hits[m] = hits[m ^ low] | hits[low]
             up[m] = up[m ^ low] & up[low]
-    return _RowTables(
-        row=row,
-        everything=(1 << span) - 1,
-        hits=hits,
-        up=up,
-        order=_pack(up),
-        bits=tuple(bits),
-        swaps=tuple(bits[j] & ~bits[n + j] for j in range(n)),
-    )
-
-
-def _pack(rows):
-    """The rows as one matrix of len(rows)**2 bits, row a at bit
-    a * len(rows)."""
-    size = len(rows)
-    if size < 8:
-        return sum(r << (a * size) for a, r in enumerate(rows))
-    width = size >> 3
-    return int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
-
-
-def _unpack(matrix, size):
-    """The ``size`` rows of a packed matrix."""
-    if size < 8:
-        row = (1 << size) - 1
-        return [matrix >> (a * size) & row for a in range(size)]
-    width = size >> 3
-    data = matrix.to_bytes(width * size, "little")
-    return [
-        int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)
-    ]
-
-
-def _flip(matrix, bits, indices):
-    """The matrix with the given index bits complemented: for each j, the
-    blocks of 2**j positions with bit j clear and set trade places."""
-    for j in indices:
-        shift = 1 << j
-        matrix = (matrix & bits[j]) >> shift | (matrix & ~bits[j]) << shift
-    return matrix
-
-
-def _transpose(matrix, tables, n):
-    """(a, b) -> (b, a): index bits j and n + j exchanged by delta swaps."""
-    for j, mask in enumerate(tables.swaps):
-        shift = (1 << (n + j)) - (1 << j)
-        t = (matrix >> shift ^ matrix) & mask
-        matrix ^= t ^ t << shift
-    return matrix
+    return _RowTables(row=row, hits=hits, up=up)
 
 
 def _rows_of_pairs(algebra, pairs, what):
@@ -379,27 +319,16 @@ def normalize_relation(raw):
 
     Raises AxiomViolationError with a concrete witness pair for (C0) or a
     witness triple (a, b, c) for (C+), and DomainMismatchError for a pair
-    outside the algebra.  The pairs are read into rows once; (C+) is
-    decided on the rows (see `_kernel_of_rows`).
+    outside the algebra; a pair with a zero side is reported as (C0)
+    before any pair is checked for range.  The pairs are read into rows
+    once; (C+) is decided on the rows (see `_kernel_of_rows`).
     """
     algebra = raw.algebra
-    n = algebra.atom_count
-    require_enum_width(n)
-    full = algebra.full_mask
-    rows = [0] * algebra.size
-    outside = None
+    require_enum_width(algebra.atom_count)
     for a, b in raw.pairs:
         if a == 0 or b == 0:
             raise AxiomViolationError("(C0)", (a, b))
-        if not (0 <= a <= full and 0 <= b <= full):
-            outside = (a, b)
-            continue
-        rows[a] |= 1 << b
-    if outside is not None:
-        raise DomainMismatchError(
-            f"relation pair {outside} outside algebra with {n} atoms"
-        )
-    return _kernel_of_rows(algebra, rows)
+    return _kernel_of_rows(algebra, _rows_of_pairs(algebra, raw.pairs, "relation"))
 
 
 def expand_kernel(kernel):
@@ -515,26 +444,67 @@ class WellInsideAxioms:
 
 def well_inside_axiom_report(algebra, pairs):
     """Flags for (<<1)..(<<7), (<<2') and (<<4') on an explicit relation,
-    each decided exactly over the carrier (see `_well_inside_flags`)."""
+    each decided exactly over the carrier: at the atoms when the relation
+    has a unary form (`_well_inside_unary_form`), else off its rows
+    (`_well_inside_flags`)."""
     n = algebra.atom_count
     require_enum_width(n)
     below = _rows_of_pairs(algebra, pairs, "well-inside")
-    return _well_inside_flags(n, below)
+    m = _well_inside_unary_form(n, below)
+    if m is None:
+        return _well_inside_flags(n, below)
+    return well_inside_atom_flags(m)
+
+
+def _well_inside_unary_form(n, below):
+    """The unary form m of the relation with rows ``below``,
+    below[a] = {b : a << b}, or None when it has none.
+
+    m[p] is the numerically smallest member of below[{p}], and the rows
+    have the unary form iff every atom row is nonempty and below[a] =
+    up[m(a)] for every a, with m extended to elements by joins.  That
+    holds iff (<<2), (<<2'), (<<3), (<<4) and (<<4') all hold, so the
+    test decides `WellInsideAxioms.defines_precontact`.  Proof:
+
+    * If: rows of the form up[m(a)] satisfy the five axioms by
+      construction (see `well_inside_atom_flags`).
+    * Only if: let a C b iff not a << b*.  (C0) holds: (<<2) and (<<3)
+      put every b in below[0], and (<<2') and (<<3) put 1 in every row.
+      (C+) holds: by (<<3) and (<<4), a << b* & c* iff a << b* and a <<
+      c*, so a C (b | c) iff a C b or a C c; by (<<3) and (<<4') the
+      same holds on the left.  So C is a precontact relation, and its
+      well-inside relation is not a C b*, which is a << b.  Hence
+      below[a] = up[tab[a]], with tab the forward table of C's kernel
+      (see `well_inside_rows`).  Every member of up[tab[{p}]] contains
+      tab[{p}], so is numerically at least tab[{p}]: m[p] = tab[{p}],
+      the atom rows are nonempty, and tab, a join-homomorphism, is the
+      joins table of m.
+    """
+    atom_rows = [below[1 << p] for p in range(n)]
+    if not all(atom_rows):
+        return None
+    m = tuple((row & -row).bit_length() - 1 for row in atom_rows)
+    up = _row_tables(n).up
+    if not all(row == up[t] for row, t in zip(below, joins_table(m))):
+        return None
+    return m
 
 
 def _well_inside_flags(n, below):
     """The nine well-inside flags of the relation with rows ``below``,
-    below[a] = {b : a << b}.
+    below[a] = {b : a << b}, read off the rows; exact on every relation,
+    and run on those without a unary form.
 
-    Reductions, each O(n) operations on the matrix or O(2**n) on the
-    rows; the literal row sweeps run only where (<<3) or (<<4) fails:
+    Reductions, each O(2**n) row operations except (<<7), one test per
+    listed pair; the literal row sweeps run only where (<<3) or (<<4)
+    fails:
 
-    * (<<1) is the matrix inside the inclusion matrix.
+    * (<<1) asks row a to lie inside up[a].
     * (<<3) holds iff every row is an up-set and below[a] lies inside
       below[a - p] for each atom p of a: any smaller left side and
       larger right side is reached by removing or adding one atom at a
-      time.  On the matrix that is 2n shifted subset tests, one per
-      index bit: add an atom of b, or remove an atom of a.
+      time.  A row is an up-set iff, for each atom q, adding q to its
+      members without q gives members: one shifted test per atom.
     * Given (<<3), a nonempty row is an up-set, so it is closed under
       meets iff it is up[m] for its numerically smallest member m:
       up[m] is a filter, and a member x not above m would put x & m,
@@ -548,22 +518,19 @@ def _well_inside_flags(n, below):
       inside below[m].  Otherwise (<<5) asks each row to lie inside the
       join of the rows of its members.
     * (<<6) asks the join of the nonzero rows to hold every nonzero b.
-    * (<<7) maps (a, b) to (b*, a*): complementing all 2n index bits
-      and transposing; it holds iff the matrix lies inside its image.
+    * (<<7) asks b* << a* for each listed pair (a, b).
     """
     tables = _row_tables(n)
     size = 1 << n
     full = size - 1
-    up, bits = tables.up, tables.bits
-    matrix = _pack(below)
-
-    ax1 = not matrix & ~tables.order
+    up = tables.up
+    ax1 = not any(row & ~up[a] for a, row in enumerate(below))
     ax2 = bool(below[0] & 1)
     ax2_prime = bool(below[full] >> full & 1)
     ax3 = not any(
-        ((matrix & ~bits[q]) << (1 << q)) & ~matrix for q in range(n)
+        (row & ~up[1 << q]) << (1 << q) & ~row for q in range(n) for row in below
     ) and not any(
-        ((matrix & bits[n + p]) >> (size << p)) & ~matrix for p in range(n)
+        below[a] & ~below[a ^ (1 << p)] for a in range(size) for p in bit_indices(a)
     )
     lowest = [(row & -row).bit_length() - 1 for row in below]
     if ax3:
@@ -589,26 +556,31 @@ def _well_inside_flags(n, below):
             for row in below
         )
     ax6 = reduce(or_, below[1:], 0) | 1 == tables.row
-    image = _transpose(_flip(matrix, bits, range(2 * n)), tables, n)
-    ax7 = not matrix & ~image
+    ax7 = all(
+        below[full ^ b] >> (full ^ a) & 1
+        for a, row in enumerate(below)
+        for b in bit_indices(row)
+    )
     return WellInsideAxioms(ax1, ax2, ax2_prime, ax3, ax4, ax4_prime, ax5, ax6, ax7)
 
 
-def contact_from_well_inside_rows(algebra, below):
-    """Invert interdefinability on rows: a C b iff not a << b*.
+def contact_from_well_inside(algebra, pairs):
+    """Invert interdefinability: a C b iff a is not well inside b*.
 
-    ``below`` holds 2**n bitsets, below[a] = {b : a << b}, and must
-    satisfy the precontact-defining axioms (<<2), (<<2'), (<<3), (<<4)
-    and (<<4').  b -> b* reverses the order of the 2**n bits of a row,
-    so the contact row of a is the complement of the bit-reversed
-    below[a].  (C0) holds: (<<2) and (<<3) put every b in below[0], and
-    (<<2') and (<<3) put 1 in every row.
+    The pairs must satisfy the precontact-defining well-inside axioms,
+    which hold iff the relation has a unary form m
+    (`_well_inside_unary_form`); the kernel is then read off m by
+    `contact_from_well_inside_atoms`, and the round trip through
+    ``well_inside_pairs`` is the identity.  Otherwise
+    AxiomViolationError names the first of (<<2), (<<2'), (<<3), (<<4)
+    and (<<4') that fails.
     """
     n = algebra.atom_count
     require_enum_width(n)
-    tables = _row_tables(n)
-    if len(below) != algebra.size or not all(0 <= row <= tables.row for row in below):
-        raise DomainMismatchError(f"expected {algebra.size} rows of {algebra.size} bits")
+    below = _rows_of_pairs(algebra, pairs, "well-inside")
+    m = _well_inside_unary_form(n, below)
+    if m is not None:
+        return contact_from_well_inside_atoms(algebra, m)
     report = _well_inside_flags(n, below)
     for tag, okay in (
         ("(<<2)", report.ax2),
@@ -619,20 +591,7 @@ def contact_from_well_inside_rows(algebra, below):
     ):
         if not okay:
             raise AxiomViolationError(tag)
-    contact = tables.everything ^ _flip(_pack(below), tables.bits, range(n))
-    return _kernel_of_rows(algebra, _unpack(contact, algebra.size))
-
-
-def contact_from_well_inside(algebra, pairs):
-    """Invert interdefinability: a C b iff a is not well inside b*.
-
-    The pairs must satisfy the precontact-defining well-inside axioms;
-    the round trip through ``well_inside_pairs`` is the identity.
-    """
-    require_enum_width(algebra.atom_count)
-    return contact_from_well_inside_rows(
-        algebra, _rows_of_pairs(algebra, pairs, "well-inside")
-    )
+    raise InternalError("the precontact-defining axioms hold off the unary form")
 
 
 def well_inside_atoms(pca):

@@ -14,10 +14,9 @@ connected components (`clopen_atoms`), the regular closed sets by the
 closures of the maximal points (`rc_atoms`), and a Boolean subalgebra
 of them, RC(X) and the pair's algebra included, as a
 `MereotopologicalPair` of its atoms.  The point budget bounds only the
-functions that return a whole family: `closed_sets`, `open_sets`,
-`clopen_sets`, `rc_members`, `clopens_of_subset`,
-`rc_members_of_subset` and `closure_trace`.  Predicates decide at the
-atoms at any size.
+functions that return a whole family: `closed_sets`, `clopen_sets`,
+`rc_members`, `clopens_of_subset`, `rc_members_of_subset` and
+`closure_trace`.  Predicates decide at the atoms at any size.
 
 Point sets are integer bitmasks over the point index, matching the
 element encoding of the Boolean side.
@@ -189,11 +188,6 @@ def closed_sets(space):
         m for m in range(space.full_mask + 1) if is_closed(space, m)
     )
     return out
-
-
-def open_sets(space):
-    full = space.full_mask
-    return tuple(sorted(full ^ m for m in closed_sets(space)))
 
 
 def clopen_sets(space):

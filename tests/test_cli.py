@@ -216,6 +216,32 @@ def test_suite_dumps_failing_instance(capsys, monkeypatch, tmp_path):
     assert payload["report"]["checks"][0]["pass"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("random", "--atoms", "2", "--out"),
+        ("dualize", "{pca}", "--out"),
+        ("suite", "--atoms", "2", "--count", "1", "--dump-dir"),
+    ],
+)
+def test_unwritable_output_paths_exit_2(files, capsys, monkeypatch, tmp_path, argv):
+    # the suite writes only failure dumps, so force a failing report
+    from contactlab import cli as cli_module
+    from contactlab.report import Check, DualityReport
+
+    def broken(pca):
+        return DualityReport("forced", (Check("forced", False, "witness"),))
+
+    monkeypatch.setattr(cli_module, "instance_suite", broken)
+    missing = tmp_path / "missing"
+    target = missing if argv[0] == "suite" else missing / "out.json"
+    args = [str(a).format(pca=files["pca"]) for a in argv]
+    code, _, err = run(capsys, *args, target)
+    assert code == 2
+    assert err.startswith("error: ") and "cannot write file" in err
+    assert not missing.exists()
+
+
 def test_export_dot(files, capsys):
     code, out, _ = run(capsys, "export-dot", files["pcs"])
     assert code == 0

@@ -2,7 +2,8 @@
 quantifier it replaces.
 
 The reductions in ``precontact`` (the row form of (C+), the well-inside
-axioms read off the rows and the packed matrix, the smallest interpolant
+axioms read off the rows and at the unary form, the unary form of an
+explicit well-inside relation and its inverse, the smallest interpolant
 for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
 ``clique_supports``, the grill and clan conditions of ``is_clan``), in
 ``adjacency`` (the ultrafilter adjacency read off the forward table at
@@ -53,12 +54,14 @@ from contactlab.errors import AxiomViolationError, DomainMismatchError, Internal
 from contactlab.precontact import (
     RawRelation,
     RelationKernel,
+    _rows_of_pairs,
     _well_inside_flags,
+    _well_inside_unary_form,
     axiom_report,
     clan_supports,
     clique_supports,
+    contact_from_well_inside,
     contact_from_well_inside_atoms,
-    contact_from_well_inside_rows,
     expand_kernel,
     is_clan,
     normalize_relation,
@@ -274,12 +277,41 @@ def well_inside_flags(n, rel):
     return {name: getattr(report, name) for name in WELL_INSIDE_FLAGS}
 
 
+DEFINING_FLAGS = (
+    ("ax2", "(<<2)"),
+    ("ax2_prime", "(<<2')"),
+    ("ax3", "(<<3)"),
+    ("ax4", "(<<4)"),
+    ("ax4_prime", "(<<4')"),
+)
+
+
+def unary_form_and_inverse(n, rel, want):
+    """Check the unary test and the inverse on one relation against the
+    literal flags ``want``.  The relation has a unary form iff the five
+    precontact-defining flags hold; the inverse then round-trips, and
+    otherwise raises the first failing flag in the order (<<2), (<<2'),
+    (<<3), (<<4), (<<4').  Returns "defines" or that flag's tag."""
+    algebra = FiniteBooleanAlgebra(n)
+    failing = [tag for name, tag in DEFINING_FLAGS if not want[name]]
+    unary = _well_inside_unary_form(n, _rows_of_pairs(algebra, rel, "well-inside"))
+    assert (unary is None) == bool(failing), (n, sorted(rel))
+    if not failing:
+        kernel = contact_from_well_inside(algebra, rel)
+        assert well_inside_pairs(pca_from_pairs(n, kernel.pairs)) == rel, (n, sorted(rel))
+        return "defines"
+    with pytest.raises(AxiomViolationError) as err:
+        contact_from_well_inside(algebra, rel)
+    assert err.value.axiom == failing[0], (n, sorted(rel))
+    return failing[0]
+
+
 def well_inside_population():
-    """Every relation on 1 atom; the well-inside relations of every kernel
-    on at most 3 atoms and of seeded 4-5 atom kernels, with seeded
+    """Every relation on 0 and 1 atoms; the well-inside relations of every
+    kernel on at most 3 atoms and of seeded 4-5 atom kernels, with seeded
     one-pair perturbations; seeded arbitrary relations on 2-3 atoms."""
     rng = random.Random(20260902)
-    out = []
+    out = [(0, frozenset()), (0, frozenset({(0, 0)}))]
     pairs_1 = [(a, b) for a in range(2) for b in range(2)]
     for chosen in range(1 << len(pairs_1)):
         out.append((1, frozenset(p for i, p in enumerate(pairs_1) if chosen >> i & 1)))
@@ -300,11 +332,16 @@ def well_inside_population():
 
 
 def test_well_inside_axiom_report_matches_the_literal_quantifiers():
+    """The nine flags, the unary test and the inverse (see
+    `unary_form_and_inverse`) against the literal quantifiers."""
     seen = {name: set() for name in WELL_INSIDE_FLAGS}
     ax3_false_ax4_values = set()
+    outcomes = set()
     for n, rel in well_inside_population():
+        want = oracle_well_inside_axioms(n, rel)
         got = well_inside_flags(n, rel)
-        assert got == oracle_well_inside_axioms(n, rel), (n, sorted(rel))
+        assert got == want, (n, sorted(rel))
+        outcomes.add(unary_form_and_inverse(n, rel, want))
         for name, value in got.items():
             seen[name].add(value)
         if not got["ax3"]:
@@ -313,6 +350,7 @@ def test_well_inside_axiom_report_matches_the_literal_quantifiers():
     # up-set path that (<<3) enables
     assert all(values == {True, False} for values in seen.values()), seen
     assert {v for pair in ax3_false_ax4_values for v in pair} == {True, False}
+    assert outcomes == {"defines"} | {tag for _, tag in DEFINING_FLAGS}, outcomes
 
 
 def test_well_inside_rejects_pairs_outside_the_algebra(b4):
@@ -336,10 +374,12 @@ def moves_closure(n, generators):
 
 def test_well_inside_flags_on_relations_closed_under_moves():
     """Relations that satisfy (<<3) without coming from a kernel: the
-    (<<4), (<<4'), (<<5) and (<<7) reductions that (<<3) enables."""
+    (<<4), (<<4'), (<<5) and (<<7) reductions that (<<3) enables, and
+    the unary test and the inverse (see `unary_form_and_inverse`)."""
     rng = random.Random(20261005)
     seen = {name: set() for name in WELL_INSIDE_FLAGS}
     ax4_ax5 = set()
+    outcomes = set()
     for _ in range(3000):
         n = rng.randint(1, 3)
         size = 1 << n
@@ -347,8 +387,10 @@ def test_well_inside_flags_on_relations_closed_under_moves():
             (rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(0, 4))
         ]
         rel = moves_closure(n, generators)
+        want = oracle_well_inside_axioms(n, rel)
         got = well_inside_flags(n, rel)
-        assert got == oracle_well_inside_axioms(n, rel), (n, generators)
+        assert got == want, (n, generators)
+        outcomes.add(unary_form_and_inverse(n, rel, want))
         for name, value in got.items():
             seen[name].add(value)
         ax4_ax5.add((got["ax4"], got["ax5"]))
@@ -356,6 +398,7 @@ def test_well_inside_flags_on_relations_closed_under_moves():
     assert all(values == {True, False} for values in seen.values()), seen
     # (<<5) both ways on the path where (<<4) holds and on the one where it fails
     assert len(ax4_ax5) == 4, ax4_ax5
+    assert outcomes == {"defines", "(<<2)", "(<<2')", "(<<4)", "(<<4')"}, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -1369,12 +1412,12 @@ def test_naturality_evaluates_maps_at_the_atoms_only(monkeypatch):
 
 
 def test_row_form_round_trips_on_seven_and_eight_atoms(monkeypatch):
-    """The interdefinability round trip through the well-inside rows and
-    the kernel expansion both give back the kernel."""
+    """The interdefinability round trip through the explicit well-inside
+    relation and the kernel expansion both give back the kernel."""
     monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
     for n, pairs in seeded_kernels(41, {7: 2, 8: 1}):
         pca = pca_from_pairs(n, pairs)
-        rebuilt = contact_from_well_inside_rows(pca.algebra, well_inside_rows(pca))
+        rebuilt = contact_from_well_inside(pca.algebra, well_inside_pairs(pca))
         assert rebuilt.pairs == pairs, (n, sorted(pairs))
         assert normalize_relation(expand_kernel(pca.kernel)).pairs == pairs
 
@@ -1385,10 +1428,10 @@ def test_row_form_round_trips_on_seven_and_eight_atoms(monkeypatch):
 
 def test_unary_well_inside_form_matches_the_literal_quantifiers(monkeypatch):
     """The unary flags against the literal quantifiers on every kernel of
-    at most 3 atoms and seeded 4-atom kernels, and against the matrix
-    path on seeded 5- to 8-atom kernels; the unary inverse against the
-    row inverse on all of them.  Every flag not fixed by construction is
-    seen both ways."""
+    at most 3 atoms and seeded 4-atom kernels, and against the flags
+    read off the rows on seeded 5- to 8-atom kernels; the unary inverse
+    against the inverse of the explicit relation on all of them.  Every
+    flag not fixed by construction is seen both ways."""
     monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
     small = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
     small += seeded_kernels(47, {4: 8})
@@ -1399,17 +1442,17 @@ def test_unary_well_inside_form_matches_the_literal_quantifiers(monkeypatch):
         m = well_inside_atoms(pca)
         flags = well_inside_atom_flags(m)
         got = {name: getattr(flags, name) for name in WELL_INSIDE_FLAGS}
-        rows = well_inside_rows(pca)
         if n <= 4:
             want = oracle_well_inside_axioms(n, well_inside_pairs(pca))
         else:
-            matrix = _well_inside_flags(n, rows)
-            want = {name: getattr(matrix, name) for name in WELL_INSIDE_FLAGS}
+            from_rows = _well_inside_flags(n, well_inside_rows(pca))
+            want = {name: getattr(from_rows, name) for name in WELL_INSIDE_FLAGS}
         assert got == want, (n, sorted(pairs))
         for name, value in got.items():
             seen[name].add(value)
         rebuilt = contact_from_well_inside_atoms(pca.algebra, m)
-        assert rebuilt == contact_from_well_inside_rows(pca.algebra, rows), (n, sorted(pairs))
+        explicit = contact_from_well_inside(pca.algebra, well_inside_pairs(pca))
+        assert rebuilt == explicit, (n, sorted(pairs))
         assert rebuilt.pairs == pairs
     fixed = ("ax2", "ax2_prime", "ax3", "ax4", "ax4_prime")
     assert all(seen[name] == {True} for name in fixed), seen
@@ -1508,8 +1551,8 @@ def test_stone_relation_check_names_the_literal_first_witness(monkeypatch):
 
 
 def test_instance_suite_builds_no_pair_sets(monkeypatch):
-    """Nor a 4**n well-inside matrix, nor a whole-space pass on the dual
-    for its connectedness."""
+    """Nor the rows of a well-inside relation, nor a whole-space pass on
+    the dual for its connectedness."""
 
     def refuse(*args):
         raise AssertionError("an element relation or a whole-dual pass on the suite path")
@@ -1521,6 +1564,7 @@ def test_instance_suite_builds_no_pair_sets(monkeypatch):
                 "expand_kernel",
                 "well_inside_rows",
                 "_well_inside_flags",
+                "_well_inside_unary_form",
                 "is_connected",
             ):
                 if hasattr(module, attr):

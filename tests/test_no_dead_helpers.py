@@ -1,7 +1,10 @@
 """Every module-level private function of the package is used: some code
 in ``src/`` outside its own definition names it.  Every public method of
 a package class is used too: some code in ``src/``, ``tests/`` or
-``benchmarks/`` outside its own definition names it."""
+``benchmarks/`` outside its own definition names it.  So is every public
+module-level function, where an import counts only inside the package:
+an ``__init__`` re-export makes a function public, but a test or
+benchmark must use what it imports."""
 
 import ast
 from collections import Counter
@@ -22,16 +25,16 @@ def private_functions(tree):
     ]
 
 
-def references(node):
-    """How often each name is loaded, read as an attribute or imported
-    in the subtree."""
+def references(node, imports=True):
+    """How often each name is loaded, read as an attribute or, unless
+    ``imports`` is false, imported in the subtree."""
     out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
-        elif isinstance(sub, ast.alias):
+        elif isinstance(sub, ast.alias) and imports:
             out[sub.name] += 1
     return out
 
@@ -46,6 +49,36 @@ def dead_helpers(paths):
         for name, tree in trees.items()
         for helper in private_functions(tree)
         if everywhere[helper.name] == references(helper)[helper.name]
+    )
+
+
+def public_functions(tree):
+    """Module-level ``def name`` nodes whose name does not start with an
+    underscore."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def dead_public_functions(package_paths, other_paths):
+    """(file name, function name) of each public module-level function in
+    ``package_paths`` that nothing refers to outside its own body; an
+    import in ``other_paths`` is not a reference."""
+    def parse(path):
+        return ast.parse(path.read_text(), filename=str(path))
+
+    trees = {path: parse(path) for path in package_paths}
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    for path in other_paths:
+        everywhere += references(parse(path), imports=False)
+    return sorted(
+        (path.name, function.name)
+        for path, tree in trees.items()
+        for function in public_functions(tree)
+        if everywhere[function.name] == references(function)[function.name]
     )
 
 
@@ -142,4 +175,37 @@ def test_the_guard_sees_unused_public_methods(tmp_path):
         ("package.py", "Shape", "recursive"),
         ("package.py", "Shape", "stale"),
         ("package.py", "Shape", "unused"),
+    ]
+
+
+def test_package_has_no_dead_public_functions():
+    sources = sorted(PACKAGE.glob("*.py"))
+    others = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "benchmarks").rglob("*.py"))
+    assert len(sources) > 10 and len(others) > 10
+    assert dead_public_functions(sources, others) == []
+
+
+def test_the_guard_sees_unused_public_functions(tmp_path):
+    module = tmp_path / "module.py"
+    package = tmp_path / "__init__.py"
+    user = tmp_path / "user.py"
+    module.write_text(
+        "def used():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def reexported():\n"
+        "    return 2\n"
+        "def only_imported():\n"
+        "    return 3\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def _private():\n"
+        "    return 4\n"
+    )
+    package.write_text("from .module import reexported\n")
+    user.write_text("from module import only_imported, used\nprint(used())\n")
+    assert dead_public_functions([module, package], [user]) == [
+        ("module.py", "only_imported"),
+        ("module.py", "recursive"),
     ]

@@ -29,7 +29,6 @@ from contactlab.topology import (
     is_stone,
     is_t0,
     is_u_point,
-    open_sets,
     point_trace,
     rc_algebra,
     rc_members,
