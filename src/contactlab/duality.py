@@ -73,8 +73,8 @@ from .topology import (
     is_discrete,
     is_extremally_disconnected,
     is_stone,
+    rc_algebra,
     rc_atoms,
-    rc_atoms_of_subset,
     rc_members_of_subset,
     subspace,
 )
@@ -691,10 +691,6 @@ def enumerate_pcs_morphisms(source, target):
 # specializations of the duality
 
 
-def _diagonal(indices):
-    return frozenset((i, i) for i in indices)
-
-
 def specialization_report(pca, which=None):
     """Run the subcategory specializations that apply to the algebra.
 
@@ -740,6 +736,9 @@ def specialization_report(pca, which=None):
     triple = canonical_pcs_of_pca(pca)
     supports = clan_supports(pca)
     n = pca.algebra.atom_count
+    # The closures of the dense part's clopen atoms (`_atom_table`),
+    # ascending: `rc_atoms_of_subset` of the triple, the pair's atoms.
+    pair_atoms = tuple(sorted(_triple_atom_table(triple)[1]))
 
     for name in selected:
         if name == "stone":
@@ -750,7 +749,7 @@ def specialization_report(pca, which=None):
             report.add(
                 "dual triple is the whole space with the diagonal",
                 triple.subset == triple.space.full_mask
-                and triple.relation == _diagonal(range(triple.space.point_count))
+                and triple.relation == {(x, x) for x in range(triple.space.point_count)}
                 and is_discrete(triple.space),
             )
         elif name == "connected-stone":
@@ -773,29 +772,45 @@ def specialization_report(pca, which=None):
                 witness=cs.failure_summary(" "),
             )
             if cs.ok:
+                differ = contact_relation_of_pair(cs) ^ triple.relation
+                names = triple.space.point_names
                 report.add(
                     "the pair determines the relation",
-                    contact_relation_of_pair(cs) == triple.relation,
+                    not differ,
+                    "point pair ({}, {})".format(*(names[x] for x in min(differ)))
+                    if differ else None,
                 )
         elif name == "complete-contact":
             # Both families are the unions of their atoms, so they are
-            # equal iff their atom lists are.
+            # equal iff their atom sets are; the pair's atoms are distinct,
+            # as a clopen f of the dense part has cl f n subset = f.
+            differ = set(rc_atoms(triple.space)) ^ set(pair_atoms)
             report.add(
                 "regular closed sets of the dual all come from the pair",
-                rc_atoms(triple.space)
-                == rc_atoms_of_subset(triple.space, triple.subset),
+                not differ,
+                "atom " + triple.space.name_set(min(differ)) if differ else None,
             )
-            report.add("dual space is C-semiregular", is_c_semiregular(triple.space))
+            # X is C-semiregular iff it is T0 and (X, RC(X)) is
+            # mereocompact, by the same three tests; on failure the
+            # failing lines of that report are the witness.
+            c_semiregular = is_c_semiregular(triple.space)
+            report.add(
+                "dual space is C-semiregular",
+                c_semiregular,
+                None if c_semiregular
+                else mereocompactness_report(rc_algebra(triple.space)).failure_summary(" "),
+            )
             report.add(
                 "dense part is extremally disconnected",
                 is_extremally_disconnected(subspace(triple.space, triple.subset)),
+                "dense part " + triple.space.name_set(triple.subset),
             )
         elif name == "mereocompact":
-            atoms = rc_atoms_of_subset(triple.space, triple.subset)
-            result = mereocompactness_report(MereotopologicalPair(triple.space, atoms))
+            result = mereocompactness_report(MereotopologicalPair(triple.space, pair_atoms))
             report.add(
                 "dual pair's member algebra is mereocompact",
                 result.is_t0 and result.is_mereocompact,
+                result.failure_summary(" "),
             )
             report.add(
                 "u-points recover the dense part",

@@ -15,7 +15,8 @@ The well-inside relation of an algebra is also held in a unary form, its
 n values on the atoms (`well_inside_atoms`), where its flags and the
 inverse of interdefinability take O(n**2).  An explicit well-inside
 relation has a unary form exactly when it defines a precontact relation,
-and is read into that form whenever it has one.
+and is read into that form whenever it has one; without it, the inverse
+decides the defining axioms in order and stops at the first that fails.
 
 Axiom checks decide exactly over the carrier, never by sampling; every
 reduction is proved next to its code and tested against the literal
@@ -490,16 +491,14 @@ def _well_inside_unary_form(n, below):
     return m
 
 
-def _well_inside_flags(n, below):
-    """The nine well-inside flags of the relation with rows ``below``,
-    below[a] = {b : a << b}, read off the rows; exact on every relation,
-    and run on those without a unary form.
+def _defining_flags(n, below):
+    """(<<2), (<<2'), (<<3), (<<4) and (<<4') of the relation with rows
+    ``below``, below[a] = {b : a << b}, as (tag, holds) pairs in that
+    order, each decided only when its pair is asked for.  A caller that
+    stops at the first failure (`contact_from_well_inside`) reaches
+    (<<4) and (<<4') only when (<<3) holds, and so never runs the
+    literal sweeps.  Reductions, O(2**n) row operations each:
 
-    Reductions, each O(2**n) row operations except (<<7), one test per
-    listed pair; the literal row sweeps run only where (<<3) or (<<4)
-    fails:
-
-    * (<<1) asks row a to lie inside up[a].
     * (<<3) holds iff every row is an up-set and below[a] lies inside
       below[a - p] for each atom p of a: any smaller left side and
       larger right side is reached by removing or adding one atom at a
@@ -513,6 +512,48 @@ def _well_inside_flags(n, below):
       below[a] & below[b], and (<<4') asks for equality: below is a
       join-to-meet map, which holds iff below[m] = below[m - low] &
       below[low] for every m, low its lowest atom.
+    * Without (<<3), (<<4) and (<<4') are the literal meet and join
+      sweeps over the rows.
+    """
+    size = 1 << n
+    full = size - 1
+    up = _row_tables(n).up
+    yield "(<<2)", bool(below[0] & 1)
+    yield "(<<2')", bool(below[full] >> full & 1)
+    ax3 = not any(
+        (row & ~up[1 << q]) << (1 << q) & ~row for q in range(n) for row in below
+    ) and not any(
+        below[a] & ~below[a ^ (1 << p)] for a in range(size) for p in bit_indices(a)
+    )
+    yield "(<<3)", ax3
+    if ax3:
+        yield "(<<4)", all(row == up[(row & -row).bit_length() - 1] for row in below if row)
+        yield "(<<4')", all(
+            below[m] == below[m ^ (m & -m)] & below[m & -m] for m in range(1, size)
+        )
+    else:
+        yield "(<<4)", all(
+            row >> (x & y) & 1
+            for row in below
+            for x in bit_indices(row)
+            for y in bit_indices(row)
+        )
+        yield "(<<4')", not any(
+            below[a] & below[b] & ~below[a | b] for a in range(size) for b in range(a)
+        )
+
+
+def _well_inside_flags(n, below):
+    """The nine well-inside flags of the relation with rows ``below``,
+    below[a] = {b : a << b}, read off the rows; exact on every relation,
+    and run on those without a unary form.
+
+    (<<2), (<<2'), (<<3), (<<4) and (<<4') come from `_defining_flags`.
+    The others are O(2**n) row operations except (<<7), one test per
+    listed pair, and the literal (<<5) sweep, run only where (<<3) or
+    (<<4) fails:
+
+    * (<<1) asks row a to lie inside up[a].
     * Given (<<3) and (<<4), with below[a] = up[m]: a << b << c forces
       m << c by (<<3), and a << m, so (<<5) holds iff below[a] lies
       inside below[m].  Otherwise (<<5) asks each row to lie inside the
@@ -521,34 +562,11 @@ def _well_inside_flags(n, below):
     * (<<7) asks b* << a* for each listed pair (a, b).
     """
     tables = _row_tables(n)
-    size = 1 << n
-    full = size - 1
-    up = tables.up
-    ax1 = not any(row & ~up[a] for a, row in enumerate(below))
-    ax2 = bool(below[0] & 1)
-    ax2_prime = bool(below[full] >> full & 1)
-    ax3 = not any(
-        (row & ~up[1 << q]) << (1 << q) & ~row for q in range(n) for row in below
-    ) and not any(
-        below[a] & ~below[a ^ (1 << p)] for a in range(size) for p in bit_indices(a)
-    )
-    lowest = [(row & -row).bit_length() - 1 for row in below]
-    if ax3:
-        ax4 = all(row == up[m] for row, m in zip(below, lowest) if row)
-        ax4_prime = all(
-            below[m] == below[m ^ (m & -m)] & below[m & -m] for m in range(1, size)
-        )
-    else:
-        ax4 = all(
-            row >> (x & y) & 1
-            for row in below
-            for x in bit_indices(row)
-            for y in bit_indices(row)
-        )
-        ax4_prime = not any(
-            below[a] & below[b] & ~below[a | b] for a in range(size) for b in range(a)
-        )
+    full = (1 << n) - 1
+    ax2, ax2_prime, ax3, ax4, ax4_prime = (holds for _, holds in _defining_flags(n, below))
+    ax1 = not any(row & ~tables.up[a] for a, row in enumerate(below))
     if ax3 and ax4:
+        lowest = [(row & -row).bit_length() - 1 for row in below]
         ax5 = not any(row & ~below[m] for row, m in zip(below, lowest) if row)
     else:
         ax5 = not any(
@@ -573,7 +591,9 @@ def contact_from_well_inside(algebra, pairs):
     `contact_from_well_inside_atoms`, and the round trip through
     ``well_inside_pairs`` is the identity.  Otherwise
     AxiomViolationError names the first of (<<2), (<<2'), (<<3), (<<4)
-    and (<<4') that fails.
+    and (<<4') that fails, deciding them in that order and stopping
+    there (`_defining_flags`): (<<4) and (<<4') are reached only when
+    (<<3) holds, and read in their forms given (<<3).
     """
     n = algebra.atom_count
     require_enum_width(n)
@@ -581,15 +601,8 @@ def contact_from_well_inside(algebra, pairs):
     m = _well_inside_unary_form(n, below)
     if m is not None:
         return contact_from_well_inside_atoms(algebra, m)
-    report = _well_inside_flags(n, below)
-    for tag, okay in (
-        ("(<<2)", report.ax2),
-        ("(<<2')", report.ax2_prime),
-        ("(<<3)", report.ax3),
-        ("(<<4)", report.ax4),
-        ("(<<4')", report.ax4_prime),
-    ):
-        if not okay:
+    for tag, holds in _defining_flags(n, below):
+        if not holds:
             raise AxiomViolationError(tag)
     raise InternalError("the precontact-defining axioms hold off the unary form")
 

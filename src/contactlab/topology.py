@@ -8,12 +8,14 @@ built from a closed base, and the closed-base test, read the closure of
 a point as the meet of the base members that hold it (`_meets`); such a
 space skips the closure checks of `FiniteSpace`, which `_meets` output
 meets by construction, and keeps the name checks.  The maximal points
-are computed once per space.
+are the points held by exactly one distinct closure, computed once per
+space.
 Families are held by their atoms: the clopens of a subspace by its
 connected components (`clopen_atoms`), the regular closed sets by the
 closures of the maximal points (`rc_atoms`), and a Boolean subalgebra
 of them, RC(X) and the pair's algebra included, as a
-`MereotopologicalPair` of its atoms.  The point budget bounds only the
+`MereotopologicalPair` of its atoms, whose constructor takes one
+interior per atom.  The point budget bounds only the
 functions that return a whole family: `closed_sets`, `clopen_sets`,
 `rc_members`, `clopens_of_subset`, `rc_members_of_subset` and
 `closure_trace`.  Predicates decide at the atoms at any size.
@@ -51,12 +53,8 @@ class FiniteSpace:
             if not cl >> x & 1:
                 raise PreconditionError(f"point {x} missing from its own closure")
         for cl in closures:
-            rest = cl
-            while rest:
-                low = rest & -rest
-                if closures[low.bit_length() - 1] & ~cl:
-                    raise PreconditionError("singleton closures are not transitive")
-                rest ^= low
+            if join_at(closures, cl) & ~cl:
+                raise PreconditionError("singleton closures are not transitive")
 
     def _check_shape(self):
         n = len(self.point_names)
@@ -90,14 +88,13 @@ class FiniteSpace:
     @cached_property
     def maximal_points(self):
         """The points whose closure holds every point above them (y is
-        above x when x is in cl{y}), as a mask.  Computed once per
-        object."""
-        closures = self.point_closures
-        above = [0] * self.point_count
-        for x, cl in enumerate(closures):
-            for y in bit_indices(cl):
-                above[y] |= 1 << x
-        return mask_of(x for x, cl in enumerate(closures) if not above[x] & ~cl)
+        above x when x is in cl{y}), as a mask: the points held by
+        exactly one distinct closure.  Computed once per object."""
+        # If x is in cl{y}, then cl{x} lies inside cl{y}, and y is in
+        # cl{x} iff the two closures are equal.  So x is maximal iff
+        # every closure holding x is cl{x}, which holds x: iff exactly
+        # one distinct closure holds x.  No T0 assumption is used.
+        return held_once(set(self.point_closures))
 
 
 def _meets(point_count, members):
@@ -184,10 +181,7 @@ def minimal_open(space, x):
 def closed_sets(space):
     """All closed sets, ascending as masks.  Point-budget bound."""
     require_point_budget(space.point_count)
-    out = tuple(
-        m for m in range(space.full_mask + 1) if is_closed(space, m)
-    )
-    return out
+    return tuple(m for m in range(space.full_mask + 1) if is_closed(space, m))
 
 
 def clopen_sets(space):
@@ -563,17 +557,22 @@ class MereotopologicalPair:
         space, atoms = self.space, self.atoms
         if list(atoms) != sorted(set(atoms)):
             raise PreconditionError("the atoms must be distinct and ascending")
-        covered = 0
+        # The interior of each atom is taken once, for its regularity
+        # test, and each pair is tested by int(A n B) = int A n int B:
+        # int A n int B is an open set inside A n B, and int(A n B) lies
+        # inside int A and int B, as the interior is monotone.
+        covered, interiors = 0, []
         for a in atoms:
             if not 0 < a <= space.full_mask:
                 raise DomainMismatchError(f"atom mask {a} is zero or out of range")
-            if closure(space, interior(space, a)) != a:
+            interiors.append(interior(space, a))
+            if closure(space, interiors[-1]) != a:
                 raise DomainMismatchError(f"{space.name_set(a)} is not regular closed")
             covered |= a
         if covered != space.full_mask:
             raise PreconditionError("the atoms do not cover the space")
-        for a, b in combinations(atoms, 2):
-            if interior(space, a & b):
+        for (a, int_a), (b, int_b) in combinations(zip(atoms, interiors), 2):
+            if int_a & int_b:
                 raise PreconditionError(
                     f"the atoms {space.name_set(a)} and {space.name_set(b)} share an interior point"
                 )

@@ -586,6 +586,17 @@ def oracle_extremally_disconnected(point_closures):
     return all(_closure_of(point_closures, u) in opens for u in opens)
 
 
+def oracle_maximal_points(point_closures):
+    """The points x such that every y with x in cl{y} lies in cl{x}, as
+    a mask."""
+    n = len(point_closures)
+    return sum(
+        1 << x
+        for x in range(n)
+        if all(point_closures[x] >> y & 1 for y in range(n) if point_closures[y] >> x & 1)
+    )
+
+
 def oracle_is_u_point(point_closures, x):
     """x in cl U and x in cl V force x in cl(U n V), over all open pairs."""
     closed = {u: _closure_of(point_closures, u) for u in oracle_open_family(point_closures)}

@@ -21,6 +21,7 @@ from contactlab.duality import (
     enumerate_pca_morphisms,
     enumerate_pcs_morphisms,
     gt_preimage_check,
+    specialization_report,
 )
 from contactlab.precontact import (
     contact_from_well_inside,
@@ -107,15 +108,23 @@ def test_criterion_1_representation():
     )
 
 
+def seven_and_eight_atom_specs(shapes, constraint="none"):
+    """Seeded specs above the default enumeration width, one per (atoms,
+    density) shape."""
+    return [
+        RandomSpec(
+            atoms=n, density=density, seed=child_seed(BASE_SEED + n, k), constraint=constraint
+        )
+        for k, (n, density) in enumerate(shapes)
+    ]
+
+
 def test_criterion_1_slice_on_seven_and_eight_atoms(monkeypatch):
     """Seeded round trips above the default enumeration width: each
     report passes and sends an element to the clans that contain it, by
     the literal clans of ``oracle_clan_supports``."""
     monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
-    specs = [
-        RandomSpec(atoms=n, density=density, seed=child_seed(BASE_SEED + n, k))
-        for k, (n, density) in enumerate(((7, 0.15), (7, 0.5), (8, 0.15)))
-    ]
+    specs = seven_and_eight_atom_specs(((7, 0.15), (7, 0.5), (8, 0.15)))
     for spec in specs:
         pca = random_pca(spec)
         trip = algebra_roundtrip_iso(pca)
@@ -127,6 +136,39 @@ def test_criterion_1_slice_on_seven_and_eight_atoms(monkeypatch):
         )
         assert tuple(trip.images) == expected, spec
     verdict(1, f"clan-set map checked on {len(specs)} seeded 7- and 8-atom round trips")
+
+
+def test_criterion_2_and_specializations_on_seven_and_eight_atoms(monkeypatch):
+    """Criterion 2's correspondences on seeded 7- and 8-atom algebras,
+    plain and with the contact constraint, and `specialization_report`
+    on the contact algebras: every line passes, and the contact,
+    complete-contact and mereocompact lines are there."""
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
+    contact_lines = {
+        "the pair determines the relation",
+        "regular closed sets of the dual all come from the pair",
+        "dual pair's member algebra is mereocompact",
+    }
+    shapes = ((7, 0.15), (7, 0.3), (7, 0.5), (8, 0.15), (8, 0.3), (8, 0.5))
+    specs = seven_and_eight_atom_specs(shapes) + seven_and_eight_atom_specs(shapes, "contact")
+    for spec in specs:
+        pca = random_pca(spec)
+        flags, kernel = pca.axioms, pca.kernel
+        assert (flags.cref, flags.csym, flags.ctr, flags.ccon) == (
+            kernel.is_reflexive,
+            kernel.is_symmetric,
+            kernel.is_transitive,
+            is_connected(algebra_roundtrip_iso(pca).space.space),
+        ), spec
+        if spec.constraint == "contact":
+            report = specialization_report(pca)
+            assert report.ok, (spec, [(c.name, c.witness) for c in report.failures])
+            assert contact_lines <= {c.name for c in report.checks}, spec
+    verdict(
+        2,
+        f"axiom flags match the kernel and dual-space shape, and the contact "
+        f"specializations pass, on {len(specs)} seeded 7- and 8-atom instances",
+    )
 
 
 def test_criterion_2_axiom_correspondence():

@@ -42,7 +42,8 @@ from contactlab.structures import (
     pcs_algebra,
     validate_cs,
 )
-from contactlab.topology import discrete_space, is_connected
+from contactlab import topology
+from contactlab.topology import discrete_space, is_connected, rc_atoms_of_subset, rc_members
 
 from conftest import all_kernels
 from oracles import oracle_pcs_map_failure
@@ -414,6 +415,67 @@ def test_specialization_membership_errors(b4, path_pca):
         specialization_report(path_pca, which="contact")
     with pytest.raises(ClassificationError):
         specialization_report(smallest_contact(b4), which="connected")
+
+
+def _first_pair_names(triple):
+    x, y = min(triple.relation)
+    return f"point pair ({triple.space.point_names[x]}, {triple.space.point_names[y]})"
+
+
+# (specialization, line, module and function made to fail, expected
+# witness on the dual triple)
+BROKEN_SPECIALIZATION_LINES = [
+    (
+        "contact",
+        "the pair determines the relation",
+        (duality, "contact_relation_of_pair", lambda cs: frozenset()),
+        _first_pair_names,
+    ),
+    (
+        "complete-contact",
+        "regular closed sets of the dual all come from the pair",
+        (duality, "rc_atoms", lambda space: ()),
+        lambda t: "atom " + t.space.name_set(min(rc_atoms_of_subset(t.space, t.subset))),
+    ),
+    (
+        "complete-contact",
+        "dual space is C-semiregular",
+        (topology, "clique_supports", lambda adjacency: [(1 << len(adjacency)) - 1]),
+        lambda t: "every clan is a point trace unrealized clan {"
+        + ",".join(t.space.name_set(m) for m in rc_members(t.space)[1:])
+        + "}",
+    ),
+    (
+        "complete-contact",
+        "dense part is extremally disconnected",
+        (duality, "is_extremally_disconnected", lambda space: False),
+        lambda t: "dense part " + t.space.name_set(t.subset),
+    ),
+    (
+        "mereocompact",
+        "dual pair's member algebra is mereocompact",
+        (structures, "is_t0", lambda space: False),
+        lambda t: "space is T0 not T0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "which, line, broken, expected",
+    BROKEN_SPECIALIZATION_LINES,
+    ids=[line for _, line, _, _ in BROKEN_SPECIALIZATION_LINES],
+)
+def test_specialization_failures_name_witnesses(monkeypatch, which, line, broken, expected):
+    """A line of the contact, complete-contact and mereocompact
+    specializations, made to fail by patching one function it reads,
+    names a concrete witness, never "no witness recorded"."""
+    pca = pca_from_pairs(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)})
+    triple = canonical_pcs_of_pca(pca)  # built before the patch, and held
+    assert specialization_report(pca, which).check(line).passed
+    monkeypatch.setattr(*broken)
+    check = specialization_report(pca, which).check(line)
+    assert not check.passed
+    assert check.witness == expected(triple), check.witness
 
 
 def test_connectedness_correspondence(b4):

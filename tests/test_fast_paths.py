@@ -9,9 +9,10 @@ for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
 ``adjacency`` (the ultrafilter adjacency read off the forward table at
 the atoms, the Stone relation check at the atom pairs), in ``topology``
 (closed bases by the meet of the members holding each point, clopens of
-a subspace by its components, RC(X) by the closures of the maximal
-points and the predicates read off them, pairs held by their atoms,
-u-points of a pair at its atoms), in ``structures`` ((PCS2) by the
+a subspace by its components, maximal points as the points held by one
+distinct closure, RC(X) by the closures of the maximal points and the
+predicates read off them, pairs held by their atoms with one interior
+per atom, u-points of a pair at its atoms), in ``structures`` ((PCS2) by the
 Stone trace, (PCS3) to (PCS5), (CS2) to (CS4) and (S2S4) at the atoms
 of the clopen algebra, the pair's algebra and contact relation from
 the closures of the clopen atoms, the closed base of the canonical
@@ -36,7 +37,7 @@ import sys
 
 import pytest
 
-from contactlab import adjacency, duality, structures, suite
+from contactlab import adjacency, duality, precontact, structures, suite, topology
 from contactlab.adjacency import canonical_adjacency_literal_pairs
 from contactlab.boolean import (
     BooleanHom,
@@ -92,11 +93,13 @@ from contactlab.topology import (
     clopen_sets,
     clopens_of_subset,
     closure,
+    interior,
     is_c_semiregular,
     is_closed_base,
     is_connected,
     is_extremally_disconnected,
     is_semiregular,
+    is_t0,
     is_u_point,
     rc_atoms,
     rc_atoms_of_subset,
@@ -129,6 +132,7 @@ from oracles import (
     oracle_is_grill,
     oracle_is_closed_base,
     oracle_is_u_point,
+    oracle_maximal_points,
     oracle_mereo_closure_failure,
     oracle_normalize,
     oracle_pcs2_pcs3,
@@ -356,6 +360,42 @@ def test_well_inside_axiom_report_matches_the_literal_quantifiers():
 def test_well_inside_rejects_pairs_outside_the_algebra(b4):
     with pytest.raises(DomainMismatchError):
         well_inside_axiom_report(b4, frozenset({(0, 0), (0, 4)}))
+
+
+def test_well_inside_inverse_stops_at_the_first_failing_tag(monkeypatch):
+    """`contact_from_well_inside` on seeded 3- to 6-atom well-inside
+    relations with one chosen or random pair toggled raises the first failing tag of the
+    literal quantifiers (see `unary_form_and_inverse`), and decides no
+    flag after it: a relation that fails (<<3) never reaches (<<4) or
+    (<<4').  Each of the five tags is seen."""
+    decided = []
+    flags_in_order = precontact._defining_flags
+
+    def recorded(n, below):
+        for tag, holds in flags_in_order(n, below):
+            decided.append(tag)
+            yield tag, holds
+
+    monkeypatch.setattr(precontact, "_defining_flags", recorded)
+    rng = random.Random(20261021)
+    seen = set()
+    for n, pairs in seeded_kernels(61, {3: 12, 4: 10, 5: 6, 6: 4}):
+        pca = pca_from_pairs(n, pairs)
+        rel = well_inside_pairs(pca)
+        full = (1 << n) - 1
+        m = well_inside_atoms(pca)[0]
+        # (0, 0) and (full, full) break (<<2) and (<<2'); adding (atom 0, the
+        # complement of one atom of m(0)) keeps row 0 an up-set, which
+        # (<<4) or (<<4') then catch; a random pair mostly breaks (<<3)
+        toggles = ((0, 0), (full, full), (1, full ^ (m & -m)))
+        for pair in toggles + ((rng.randint(0, full), rng.randint(0, full)),):
+            toggled = rel ^ {pair}
+            decided.clear()
+            tag = unary_form_and_inverse(n, toggled, oracle_well_inside_axioms(n, toggled))
+            # a relation with the unary form decides no flag
+            assert decided[-1:] == ([] if tag == "defines" else [tag]), (n, pair, decided)
+            seen.add(tag)
+    assert seen - {"defines"} == {tag for _, tag in DEFINING_FLAGS}, seen
 
 
 def moves_closure(n, generators):
@@ -770,6 +810,21 @@ def test_space_predicates_match_the_open_set_sweeps():
     assert all(v == {True, False} for v in seen.values()), seen
 
 
+def test_maximal_points_match_the_literal_definition():
+    """Maximal points as the points held by one distinct closure, against
+    the literal definition, on every space with at most 4 points and on
+    seeded 5- to 9-point spaces, T0 and not."""
+    spaces = [space for n in range(5) for space in all_small_spaces(n)]
+    rng = random.Random(20261021)
+    spaces += [random_space(rng.randint(5, 9), rng) for _ in range(200)]
+    seen = set()
+    for space in spaces:
+        closures = space.point_closures
+        assert space.maximal_points == oracle_maximal_points(closures), closures
+        seen.add(is_t0(space))
+    assert seen == {True, False}, seen
+
+
 def test_closure_trace_checks_match_the_all_clopens_sweeps(spaces_with_subsets):
     """(CS4) and (S2S4) by the closure supports of the points, with the
     witness of the literal sweep, and the pair's contact relation by the
@@ -992,6 +1047,23 @@ def literal_minimal_members(family):
     )
 
 
+def literal_pair_message(space, atoms):
+    """The message the pair constructor raises on distinct, ascending,
+    nonzero regular closed ``atoms``, with the interior of the meet of
+    each pair of atoms taken by itself: the cover check, then the first
+    pair in `itertools.combinations` order whose meet has an interior
+    point; None when neither fails."""
+    covered = 0
+    for a in atoms:
+        covered |= a
+    if covered != space.full_mask:
+        return "the atoms do not cover the space"
+    for a, b in itertools.combinations(atoms, 2):
+        if interior(space, a & b):
+            return f"the atoms {space.name_set(a)} and {space.name_set(b)} share an interior point"
+    return None
+
+
 def test_pair_atoms_match_the_member_pair_loop():
     """A pair held by its atoms is accepted iff the unions of the atoms
     are closed under complement, join and meet (the member-pair loop)
@@ -1000,7 +1072,8 @@ def test_pair_atoms_match_the_member_pair_loop():
     points, and on seeded lists for spaces of 4 to 8 points: the blocks
     of a partition of the atoms of RC(X), those blocks with one dropped
     or with the union of two added, the atoms with a block added, and a
-    random choice of regular closed sets."""
+    random choice of regular closed sets.  The message also equals the
+    one of the pairwise interior loop (`literal_pair_message`)."""
     lists = []
     for space in (s for n in range(1, 4) for s in all_small_spaces(n)):
         nonzero = rc_members(space)[1:]
@@ -1020,7 +1093,7 @@ def test_pair_atoms_match_the_member_pair_loop():
         nonzero = rc_members(space)[1:]
         candidates.append(rng.sample(nonzero, min(len(nonzero), rng.randint(1, 4))))
         lists += [(space, tuple(sorted(set(c))), True) for c in candidates]
-    seen = set()
+    seen, messages = set(), set()
     for space, atoms, seeded in lists:
         closures = space.point_closures
         family = {0}
@@ -1033,12 +1106,40 @@ def test_pair_atoms_match_the_member_pair_loop():
         )
         try:
             MereotopologicalPair(space, atoms)
-            accepted = True
-        except PreconditionError:
-            accepted = False
-        assert accepted == expected, (closures, atoms)
+            message = None
+        except PreconditionError as exc:
+            message = str(exc)
+        assert (message is None) == expected, (closures, atoms)
+        assert message == literal_pair_message(space, atoms), (closures, atoms)
         seen.add((expected, seeded))
+        messages.add(message and message.split()[-1])
     assert seen == {(v, seeded) for v in (True, False) for seeded in (False, True)}, seen
+    assert messages == {None, "space", "point"}, messages
+
+
+def test_pair_constructor_takes_one_interior_per_atom(monkeypatch):
+    """`MereotopologicalPair(space, atoms)` takes the interior of each
+    atom once, in order, and of no meet of two atoms: on RC(X) of seeded
+    spaces and on the pair algebras of seeded contact duals."""
+    rng = random.Random(20261022)
+    cases = [(space, rc_atoms(space)) for space in (random_space(rng.randint(3, 8), rng) for _ in range(20))]
+    for n in (3, 4, 5):
+        spec = RandomSpec(atoms=n, density=0.3, seed=child_seed(59, n), constraint="contact")
+        triple = canonical_pcs_of_pca(random_pca(spec))
+        cases.append((triple.space, rc_atoms_of_subset(triple.space, triple.subset)))
+    calls = []
+    interior_of = topology.interior
+
+    def counted(space, mask):
+        calls.append(mask)
+        return interior_of(space, mask)
+
+    monkeypatch.setattr(topology, "interior", counted)
+    for space, atoms in cases:
+        calls.clear()
+        MereotopologicalPair(space, atoms)
+        assert calls == list(atoms), (space.point_closures, atoms, calls)
+    assert max(len(atoms) for _, atoms in cases) >= 3
 
 
 def test_pair_reports_build_no_member_family(monkeypatch):
