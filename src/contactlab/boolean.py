@@ -49,6 +49,21 @@ def join_at(values, mask):
     return out
 
 
+def transpose(rows, width):
+    """out[j]: the mask of the i with bit j set in rows[i], for each of
+    the ``width`` columns j; every row must lie below 1 << width.  One
+    pass over the set bits of the rows."""
+    out = [0] * width
+    bit = 1
+    for row in rows:
+        while row:
+            j = row.bit_length() - 1
+            out[j] |= bit
+            row ^= 1 << j
+        bit <<= 1
+    return out
+
+
 def joins_table(atom_values):
     """table[m] = the union of atom_values[p] over the atoms p of m, for
     every m of the 2**n masks; the table preserves joins by construction."""

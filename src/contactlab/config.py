@@ -12,8 +12,10 @@ Three independent caps are overridable through the environment:
   and their closures); predicates, validators and the regular closed
   algebras, held by their atoms, are outside it.
 
-A budget variable that is set must hold a positive integer; any other
-value raises CapacityError instead of silently falling back.
+A budget variable that is set must hold a positive integer written in
+ASCII digits only; any other value, including one with blanks, a sign,
+underscores or non-ASCII digits, raises CapacityError instead of
+silently falling back.
 
 The two fixed caps below bound the exhaustive morphism and permutation
 searches and are not overridable.  Closed bases need no cap: they are
@@ -42,11 +44,16 @@ def _read_limit(env_name, default):
     raw = os.environ.get(env_name)
     if raw is None:
         return default
-    try:
-        value = int(raw)
-    except ValueError:
-        value = None
-    if value is None or value <= 0:
+    # Only ASCII digits: int() alone would also take surrounding blanks,
+    # a sign, underscores and non-ASCII digits.  It still refuses digit
+    # strings longer than the interpreter's conversion limit.
+    value = 0
+    if raw.isascii() and raw.isdigit():
+        try:
+            value = int(raw)
+        except ValueError:
+            pass
+    if value <= 0:
         raise CapacityError(f"{env_name}={raw!r} is not a positive integer")
     return value
 

@@ -33,6 +33,7 @@ from .boolean import (
     join_at,
     joins_table,
     mask_of,
+    transpose,
 )
 from .config import ENUMERATION_POINT_CAP, ISOMORPHISM_POINT_CAP
 from .errors import (
@@ -356,10 +357,7 @@ def algebra_roundtrip_iso(pca):
     alg = pcs_algebra(triple)
     space = triple.space
     supports = clan_supports(pca)
-    atom_clans = [
-        mask_of(i for i, s in enumerate(supports) if s >> p & 1)
-        for p in range(pca.algebra.atom_count)
-    ]
+    atom_clans = transpose(supports, pca.algebra.atom_count)
     images = tuple(joins_table(atom_clans))
     size = len(images)
 
@@ -430,7 +428,7 @@ def algebra_roundtrip_iso(pca):
     # Overlap of unions is the union of the overlaps, so the rows of the
     # triple's relation and of the pair's proximity (images[a] meets
     # images[b]) are `_meeting_rows`.
-    succ = _relation_out_masks(space, triple.relation)
+    succ = _relation_out_masks(space, triple.subset, triple.relation)
     reach = [join_at(succ, image & triple.subset) for image in atom_clans]
     relation_witness = _first_pair_mismatch(
         pca.kernel._succ, _meeting_rows(reach, atom_clans)

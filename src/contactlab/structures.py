@@ -5,7 +5,12 @@ Validators return witness-bearing reports rather than booleans; a failed
 axiom never raises, it is recorded with a concrete counterexample.
 Canonical constructions index their points by clan support in
 (size, atoms) order, which keeps serialization and isomorphism checks
-stable.
+stable; a point's name extends the name of its support without the
+highest atom, and the ultrafilter clans are the first points.  The
+validators read a dual at the clopen atoms of its dense part: the
+relation in one pass into successor masks, the atoms' closures for
+(PCS2) and (PCS3), and their transpose, the atoms whose closures hold
+each point, for (PCS4) and (PCS5) (`boolean.transpose`).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .adjacency import is_closed_relation
-from .boolean import bit_indices, join_at, joins_table, mask_of
+from .boolean import bit_indices, join_at, joins_table, mask_of, transpose
 from .config import require_atom_width, require_enum_width
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .memo import remember
@@ -24,6 +29,7 @@ from .report import CheckList, ReportBuilder
 from .topology import (
     FiniteSpace,
     MereotopologicalPair,
+    _meets,
     clopen_atoms,
     clopens_of_subset,
     closure,
@@ -53,17 +59,17 @@ def _element_set_names(space, atoms, members, support):
     return "{" + ",".join(space.name_set(m) for m in element_set) + "}"
 
 
-def _closure_support_check(report, space, subset, name, prefix, atom_closures, supports):
+def _closure_support_check(report, space, subset, name, prefix, point_supports, supports):
     """Add the check: is every element set with one of the ``supports``
-    (masks over the clopen atoms of the dense part, whose closures are
-    ``atom_closures``) the closure trace {f clopen : x in cl f} of some
-    point x?"""
+    (masks over the clopen atoms of the dense part) the closure trace
+    {f clopen : x in cl f} of some point x?  ``point_supports[x]`` is
+    the mask of the atoms whose closures hold x."""
     # f |-> cl f sends the clopens onto the unions of the atom closures
     # (`rc_atoms_of_subset`), f above an atom iff cl f is above its
     # closure.  So an element set is a closure trace iff its support is
     # the support of a point over the atom closures.  The clopen family
     # is built only to name a failing witness.
-    unrealized = first_unrealized_support(atom_closures, supports, space.point_count)
+    unrealized = first_unrealized_support(point_supports, supports)
     witness = None
     if unrealized is not None:
         co_atoms = clopen_atoms(space, subset)
@@ -80,21 +86,43 @@ def _dense_part_verdicts(space, subset, atom_closures):
     Stone: a finite space is compact, Hausdorff is T1 there, T1 forces
     discrete and discrete forces zero-dimensional.  So the dense part is
     Stone iff each of its singleton closures, cl{x} & subset, is {x}.
+    The clopen atoms are the components of the graph joining each x of
+    the subset to the points of cl{x} & subset (`clopen_atoms`), so that
+    holds iff every atom is one point: iff there are as many atoms as
+    points in the subset.
 
     Closed base: the pair's regular closed sets are the closures of the
     clopens, each clopen is the union of the atoms below it and closure
     is additive, so they are the finite unions of the atom closures.  A
     union holds x iff one of its members does, so both families have
-    the same meet of the members holding each point (`is_closed_base`),
-    and both consist of closed sets: they get the same verdict.
+    the same meet of the members holding each point, and both consist
+    of closed sets: they get the same verdict (`is_closed_base`).  The
+    atom closures are closed without a test: for y in cl{x}, cl{y} lies
+    inside cl{x}, as point closures are transitive (checked by
+    `FiniteSpace`, and given by `_meets` to a space built from a closed
+    base), so a union of point closures holds the closure of each of
+    its points.  So the verdict is the comparison of the meets with the
+    point closures.
     """
-    stone = all(space.point_closures[x] & subset == 1 << x for x in bit_indices(subset))
-    return stone, is_closed_base(space, atom_closures)
+    stone = len(atom_closures) == subset.bit_count()
+    meet = _meets(space.point_count, atom_closures)
+    return stone, all(cl == m for cl, m in zip(space.point_closures, meet))
 
 
-def _relation_out_masks(space, relation):
-    succ = [0] * space.point_count
+def _relation_out_masks(space, subset, relation):
+    """succ[x]: the points y with (x, y) in the relation, as a mask.
+    Raises on the first pair, in iteration order, that is out of range
+    or leaves the subset; range is checked first, so no pair indexes
+    ``succ`` unchecked."""
+    count = space.point_count
+    succ = [0] * count
     for x, y in relation:
+        if not (0 <= x < count and 0 <= y < count):
+            raise DomainMismatchError(f"relation pair ({x}, {y}) out of range")
+        if not (subset >> x & 1 and subset >> y & 1):
+            raise DomainMismatchError(
+                f"relation pair ({x}, {y}) leaves the chosen subset"
+            )
         succ[x] |= 1 << y
     return succ
 
@@ -139,24 +167,18 @@ class TwoPrecontactSpace(CheckList):
         return PcsAlgebra(self, pca, atoms, unions(atoms))
 
 
-def _check_relation_span(space, subset, relation):
-    for x, y in relation:
-        if not (0 <= x < space.point_count and 0 <= y < space.point_count):
-            raise DomainMismatchError(f"relation pair ({x}, {y}) out of range")
-        if not (subset >> x & 1 and subset >> y & 1):
-            raise DomainMismatchError(
-                f"relation pair ({x}, {y}) leaves the chosen subset"
-            )
-
-
 def validate_pcs(space, subset, relation):
     """Check (PCS1)..(PCS5) and return the triple with its report.
 
-    Failures carry witnesses; precondition breaches (relation leaving the
-    subset) raise instead.
+    Failures carry witnesses; precondition breaches (a relation pair out
+    of range or leaving the subset) raise instead, in the one pass that
+    reads the relation into successor masks.  (PCS2) and (PCS3) read the
+    closures of the clopen atoms of the dense part, and (PCS4) and
+    (PCS5) one table of their transpose, the atoms whose closures hold
+    each point.
     """
     relation = frozenset(relation)
-    _check_relation_span(space, subset, relation)
+    succ = _relation_out_masks(space, subset, relation)
     report = ReportBuilder("(PCS1)..(PCS5)")
 
     dense = closure(space, subset) == space.full_mask
@@ -164,7 +186,7 @@ def validate_pcs(space, subset, relation):
     pcs1 = dense and t0
     report.add("(PCS1)", pcs1, None if pcs1 else f"dense={dense}, T0={t0}")
 
-    table = _atom_table(space, subset, relation)
+    table = _atom_table(space, subset, succ)
     co_atoms, closed, reach = table
 
     stone, base_ok = _dense_part_verdicts(space, subset, closed)
@@ -181,23 +203,28 @@ def validate_pcs(space, subset, relation):
     # The clopen algebra of the dense part is held to the algebra width
     # like any other, before (PCS4) and (PCS5) read it.
     require_atom_width(len(co_atoms))
+    count = space.point_count
     # adj[i]: the atoms j with f_i C# f_j under the contact closure C# of
     # f C g iff reach[f] meets g (the overlap of distinct atoms is empty).
-    adj = [
-        (1 << i)
-        | mask_of(j for j, g in enumerate(co_atoms) if reach[i] & g or reach[j] & f)
-        for i, f in enumerate(co_atoms)
-    ]
+    # The atoms partition the subset, so in_atom[y], the atoms holding y,
+    # is one bit on the subset, and reach[i] lies in the subset (the span
+    # check of `_relation_out_masks`): reached[i], the atoms j that
+    # reach[i] meets, is the join of in_atom over reach[i].  The atoms j
+    # whose reach meets f_i are the transpose of those rows.
+    in_atom = transpose(co_atoms, count)
+    reached = [join_at(in_atom, r) for r in reach]
+    reaching = transpose(reached, len(co_atoms))
+    adj = [(1 << i) | r | b for i, (r, b) in enumerate(zip(reached, reaching))]
 
     # Both sides of (PCS4) hold on (f, g) iff they hold on some pair of
     # atoms below f and g: (PCS4) holds iff it holds on the atom pairs.
-    # On failure the pair sweep over all clopens names the first witness.
-    pcs4_ok = all(
-        adj[i] >> j & 1
-        for i, cl_f in enumerate(closed)
-        for j, cl_g in enumerate(closed)
-        if cl_f & cl_g
-    )
+    # support[x] is the mask of the atoms whose closures hold x, so the
+    # atoms j whose closures meet cl f_i are the join of support over
+    # cl f_i, and (PCS4) holds iff that join lies inside adj[i] for each
+    # i.  On failure the pair sweep over all clopens names the first
+    # witness.
+    support = transpose(closed, count)
+    pcs4_ok = all(not join_at(support, c) & ~a for c, a in zip(closed, adj))
     pcs4_witness = None
     if not pcs4_ok:
 
@@ -218,7 +245,7 @@ def validate_pcs(space, subset, relation):
     # The clans of the clopen algebra under C# are the cliques of adj.
     require_enum_width(len(co_atoms))
     _closure_support_check(
-        report, space, subset, "(PCS5)", "unrealized clan ", closed, clique_supports(adj)
+        report, space, subset, "(PCS5)", "unrealized clan ", support, clique_supports(adj)
     )
 
     triple = TwoPrecontactSpace(space, subset, relation, report.done().checks)
@@ -226,16 +253,16 @@ def validate_pcs(space, subset, relation):
     return triple
 
 
-def _atom_table(space, subset, relation):
+def _atom_table(space, subset, succ):
     """The clopen atoms of the dense part, ascending as masks, with their
     closures and their reach masks (the points related to one of the
-    atom's points)."""
+    atom's points, read off the successor masks ``succ`` of the
+    relation, `_relation_out_masks`)."""
     # The clopens of the dense part form a finite Boolean algebra of sets
     # whose atoms partition the subset (`clopen_atoms`), so each clopen
     # is the union of the atoms below it.  Closure and reach (f C g iff
     # reach[f] meets g) are additive, so (PCS3), (PCS4), (PCS5) and the
     # canonical algebra read them only at the atoms.
-    succ = _relation_out_masks(space, relation)
     co_atoms = clopen_atoms(space, subset)
     return (
         co_atoms,
@@ -248,7 +275,11 @@ def _triple_atom_table(triple):
     """`_atom_table` of a triple: the one `validate_pcs` computed, rebuilt
     only for a triple constructed directly."""
     return remember(
-        triple, "_atom_table", lambda t: _atom_table(t.space, t.subset, t.relation)
+        triple,
+        "_atom_table",
+        lambda t: _atom_table(
+            t.space, t.subset, _relation_out_masks(t.space, t.subset, t.relation)
+        ),
     )
 
 
@@ -288,10 +319,6 @@ def _local_relation(subset, relation):
 # canonical constructions
 
 
-def clan_point_name(support_mask):
-    return "c" + "-".join(str(i) for i in bit_indices(support_mask))
-
-
 def canonical_pcs_of_pca(pca):
     """Points are the clans (by support), the closed base is the family
     of clan sets of the elements, the dense subset is the ultrafilter
@@ -304,26 +331,35 @@ def canonical_pcs_of_pca(pca):
 
 
 def _canonical_pcs(pca):
+    """The dual triple of a nondegenerate algebra, validated.
+
+    Point i is the clan with support supports[i], in (size, atoms)
+    order, named "c" and its atoms joined by "-" ("c0-2").  Clan
+    supports are the cliques of a reflexive and symmetric adjacency
+    (`clique_supports`), so they are closed under nonempty subsets:
+    without its highest atom a support is 0 or a support of one atom
+    less, which comes earlier, and its name is that one's name with
+    "-" and the highest atom appended.  Every singleton is a clique, as
+    the adjacency is reflexive, and the n singletons come first, in
+    atom order: the ultrafilter clan of atom p is point p.  So the
+    dense subset is the first n points and the relation is the kernel's
+    own pairs."""
     algebra = pca.algebra
     if algebra.is_degenerate:
         raise PreconditionError("duality rejects the degenerate algebra")
+    n = algebra.atom_count
     supports = clan_supports(pca)
-    names = tuple(clan_point_name(s) for s in supports)
+    name_of = {}
+    for s in supports:
+        top = s.bit_length() - 1
+        rest = s ^ (1 << top)
+        name_of[s] = (name_of[rest] + "-" if rest else "c") + str(top)
     # The closed base is the clan sets of the elements.  The clan set of
     # an element is the union of its atoms' clan sets, so the n atom clan
     # sets generate the same finite unions, hence the same meets in
     # `space_from_closed_base` and the same space.
-    base = [0] * algebra.atom_count
-    for i, s in enumerate(supports):
-        for p in bit_indices(s):
-            base[p] |= 1 << i
-    space = space_from_closed_base(names, base)
-    position = {s: i for i, s in enumerate(supports)}
-    x0 = mask_of(position[1 << p] for p in range(algebra.atom_count))
-    relation = frozenset(
-        (position[1 << p], position[1 << q]) for p, q in pca.kernel.pairs
-    )
-    return validate_pcs(space, x0, relation)
+    space = space_from_closed_base(tuple(name_of.values()), transpose(supports, n))
+    return validate_pcs(space, (1 << n) - 1, pca.kernel.pairs)
 
 
 def element_point_mask(pca, element_mask):
@@ -416,7 +452,13 @@ def validate_cs(space, subset):
     report = ReportBuilder("2-contact axioms")
     _pair_axiom_checks(report, space, subset, closed)
     _closure_support_check(
-        report, space, subset, "(CS4)", "unrealized ", closed, overlap_clans(closed)
+        report,
+        space,
+        subset,
+        "(CS4)",
+        "unrealized ",
+        transpose(closed, space.point_count),
+        overlap_clans(closed),
     )
     return TwoContactSpace(space, subset, report.done().checks)
 
@@ -430,7 +472,13 @@ def validate_s2s(space, subset):
     report = ReportBuilder("Stone 2-space axioms")
     _pair_axiom_checks(report, space, subset, closed)
     _closure_support_check(
-        report, space, subset, "(S2S4)", "unrealized ", closed, range(1, 1 << len(closed))
+        report,
+        space,
+        subset,
+        "(S2S4)",
+        "unrealized ",
+        transpose(closed, space.point_count),
+        range(1, 1 << len(closed)),
     )
     return StoneTwoSpace(space, subset, report.done().checks)
 
@@ -505,7 +553,9 @@ def mereocompactness_report(mereo):
     # union over T iff i is in T.  So a clan of the members under
     # overlap is a point trace iff its support is the support of a point
     # over the atoms (`first_unrealized_support`).
-    unrealized = first_unrealized_support(atoms, overlap_clans(atoms), space.point_count)
+    unrealized = first_unrealized_support(
+        transpose(atoms, space.point_count), overlap_clans(atoms)
+    )
     clans_ok = unrealized is None
     witness = None
     if not clans_ok:

@@ -11,7 +11,9 @@ connectedness of the dual is read at the closures of its dense clopen
 atoms (`triple_is_connected`), not by a pass over its points.  The specializations
 read the dual pair at its atoms and build no family; the point-budget
 gate stays only because the benchmark's deep-run check expects them to
-run on duals of at most 12 points.
+run on duals of at most 12 points.  Every line names a witness when it
+fails, built only then: the two flags that disagree, or the first
+kernel pair or clan support on which two results differ.
 """
 
 from __future__ import annotations
@@ -55,38 +57,56 @@ def instance_suite(pca):
 
     flags = pca.axioms
     kernel = pca.kernel
-    report.add("(Cref) iff reflexive kernel", flags.cref == kernel.is_reflexive)
-    report.add("(Csym) iff symmetric kernel", flags.csym == kernel.is_symmetric)
-    report.add("(Ctr) iff transitive kernel", flags.ctr == kernel.is_transitive)
+    for tag, flag, prop, holds in (
+        ("Cref", flags.cref, "reflexive", kernel.is_reflexive),
+        ("Csym", flags.csym, "symmetric", kernel.is_symmetric),
+        ("Ctr", flags.ctr, "transitive", kernel.is_transitive),
+    ):
+        report.add(
+            f"({tag}) iff {prop} kernel",
+            flag == holds,
+            None if flag == holds else f"{tag}={flag}, {prop} kernel={holds}",
+        )
+    connected = triple_is_connected(triple)
     report.add(
         "(Ccon) iff connected dual space",
-        flags.ccon == triple_is_connected(triple),
+        flags.ccon == connected,
+        None if flags.ccon == connected else f"Ccon={flags.ccon}, connected dual={connected}",
     )
 
     rebuilt = contact_from_well_inside_atoms(pca.algebra, well_inside_atoms(pca))
-    report.add("interdefinability round trip", rebuilt.pairs == kernel.pairs)
+    witness = _difference("kernel pair", rebuilt.pairs, kernel.pairs)
+    report.add("interdefinability round trip", witness is None, witness)
 
     closed = contact_closure(pca)
-    report.add("contact closure is a contact relation", closed.axioms.is_contact)
+    contact = closed.axioms.is_contact
     report.add(
-        "contact closure is idempotent",
-        contact_closure(closed).kernel.pairs == closed.kernel.pairs,
+        "contact closure is a contact relation",
+        contact,
+        None if contact else f"Cref={closed.axioms.cref}, Csym={closed.axioms.csym}",
     )
-    report.add(
-        "clans agree with the closure's clans",
-        clan_supports(pca) == clan_supports(closed),
+    witness = _difference(
+        "kernel pair", contact_closure(closed).kernel.pairs, closed.kernel.pairs
     )
+    report.add("contact closure is idempotent", witness is None, witness)
+    witness = _difference("clan support", clan_supports(pca), clan_supports(closed))
+    report.add("clans agree with the closure's clans", witness is None, witness)
     diagonal = smallest_contact(pca.algebra).kernel.pairs
     everything = largest_contact(pca.algebra).kernel.pairs
+    between = diagonal <= closed.kernel.pairs <= everything
     report.add(
         "closure sits between the extremal contacts",
-        diagonal <= closed.kernel.pairs <= everything,
+        between,
+        None if between else _first_outside(diagonal, closed.kernel.pairs, everything),
     )
 
-    report.add(
-        "serialization round trip",
-        decode(encode(pca)) == pca,
-    )
+    decoded = decode(encode(pca))
+    witness = None
+    if decoded != pca:
+        witness = _difference("kernel pair", decoded.kernel.pairs, kernel.pairs) or (
+            f"{decoded.algebra.atom_count} atoms decoded, {pca.algebra.atom_count} encoded"
+        )
+    report.add("serialization round trip", witness is None, witness)
 
     # Suite6.problems (benchmarks/workloads.py) fails deep runs on duals over 12 points
     if triple.space.point_count <= point_limit():
@@ -97,3 +117,25 @@ def instance_suite(pca):
             witness=special.failure_summary(": "),
         )
     return report.done()
+
+
+def _difference(what, left, right):
+    """None when the two collections are equal; else the first element,
+    in sorted order, held by one of them only, or, when they hold the
+    same elements, that only their order differs."""
+    if left == right:
+        return None
+    apart = set(left) ^ set(right)
+    if apart:
+        return f"first differing {what} {min(apart)}"
+    return f"the same {what}s in another order"
+
+
+def _first_outside(diagonal, pairs, everything):
+    """Why ``diagonal <= pairs <= everything`` fails: the first diagonal
+    pair missing from ``pairs``, else the first pair of ``pairs``
+    outside ``everything``."""
+    missing = diagonal - pairs
+    if missing:
+        return f"diagonal pair {min(missing)} missing"
+    return f"pair {min(pairs - everything)} outside the largest contact"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .boolean import bit_indices, join_at, mask_of
+from .boolean import bit_indices, join_at, mask_of, transpose
 from .config import require_atom_width, require_enum_width, require_point_budget
 from .errors import DomainMismatchError, InternalError, PreconditionError
 from .precontact import clique_supports
@@ -651,20 +651,18 @@ def overlap_clans(atoms):
     return clique_supports([mask_of(j for j, b in enumerate(atoms) if a & b) for a in atoms])
 
 
-def first_unrealized_support(atoms, supports, point_count):
-    """The first support (a mask over ``atoms``) that is not the atom
-    support {i : x in atoms[i]} of any point x, or None."""
+def first_unrealized_support(point_supports, supports):
+    """The first of ``supports`` (masks over a list of atoms) that is not
+    the atom support {i : x in atoms[i]} of any point x, or None.
+    ``point_supports[x]`` is that support, the `transpose` of the atoms
+    over the points."""
     # On a family of the unions of distinct atoms, atom i inside the
     # union over T iff i is in T, the members above an atom of S are the
     # unions over the T meeting S, and the members holding x those over
     # the T meeting the atom support of x.  By singleton T, the two agree
     # iff S is that support: an element set is a point trace iff its
     # support is realized here.
-    support_of = [0] * point_count
-    for i, a in enumerate(atoms):
-        for x in bit_indices(a):
-            support_of[x] |= 1 << i
-    realized = set(support_of)
+    realized = set(point_supports)
     return next((s for s in supports if s not in realized), None)
 
 
@@ -676,4 +674,5 @@ def is_c_semiregular(space):
     if not is_t0(space) or not is_semiregular(space):
         return False
     atoms = rc_atoms(space)
-    return first_unrealized_support(atoms, overlap_clans(atoms), space.point_count) is None
+    point_supports = transpose(atoms, space.point_count)
+    return first_unrealized_support(point_supports, overlap_clans(atoms)) is None

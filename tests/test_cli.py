@@ -364,7 +364,7 @@ def test_internal_error_exits_1_with_its_own_message(files, capsys, monkeypatch)
     assert err == "internal error: kernel round trip failed\n"
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "", " 7", "+5", "1_0", "\u0663"])
 def test_malformed_budget_variable_exits_2(files, capsys, monkeypatch, raw):
     monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", raw)
     code, _, err = run(capsys, "validate", files["pca"])
@@ -372,7 +372,7 @@ def test_malformed_budget_variable_exits_2(files, capsys, monkeypatch, raw):
     assert f"CONTACTLAB_ENUM_LIMIT={raw!r}" in err
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "", " 7", "+5", "1_0", "\u0663"])
 @pytest.mark.parametrize(
     "variable, read",
     [

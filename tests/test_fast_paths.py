@@ -16,9 +16,10 @@ per atom, u-points of a pair at its atoms), in ``structures`` ((PCS2) by the
 Stone trace, (PCS3) to (PCS5), (CS2) to (CS4) and (S2S4) at the atoms
 of the clopen algebra, the pair's algebra and contact relation from
 the closures of the clopen atoms, the closed base of the canonical
-space from the atom clan sets,
+space from the atom clan sets, its point names by prefix, its dense
+subset and relation without a position map,
 the mereocompactness checks at the member atoms and the maximal points)
-and in ``duality`` (the round-trip relation checks at the atom rows,
+in ``boolean`` (``transpose``) and in ``duality`` (the round-trip relation checks at the atom rows,
 complements and meets from bijectivity, trace coherence at the clopen
 atoms, the algebra naturality square and the invariants of the dual
 algebra map at the atoms) are proved in their docstrings or comments; here they must agree
@@ -45,6 +46,7 @@ from contactlab.boolean import (
     _first_map_mismatch,
     _first_pair_mismatch,
     bit_indices,
+    transpose,
 )
 from contactlab.duality import (
     algebra_roundtrip_iso,
@@ -624,8 +626,9 @@ def random_relation(subset, rng):
 def pcs_population():
     """Seeded triples on spaces of 1 to 7 points with subsets of at most
     6 points, dense or not, Stone or not; and the canonical triples of
-    every kernel on at most 2 atoms and of seeded 3-atom kernels, with a
-    relation pair dropped or added and a point dropped from the subset."""
+    every kernel on at most 2 atoms and of seeded 3-, 4- and 5-atom
+    kernels, with a relation pair dropped or added and a point dropped
+    from the subset.  The 4- and 5-atom duals have 4 to 31 points."""
     rng = random.Random(20261003)
     out = []
     for _ in range(800):
@@ -635,6 +638,7 @@ def pcs_population():
         out.append((space, subset, random_relation(subset, rng)))
     kernels = [(n, k) for n in (1, 2) for k in all_kernels(n)]
     kernels += seeded_kernels(23, {3: 20})
+    kernels += seeded_kernels(43, {4: 5, 5: 5})
     for n, pairs in kernels:
         triple = canonical_pcs_of_pca(pca_from_pairs(n, pairs))
         space, subset, relation = triple.space, triple.subset, triple.relation
@@ -678,9 +682,15 @@ def test_validate_pcs_matches_the_literal_pcs4_pcs5_sweeps():
 def test_validate_pcs_matches_the_literal_pcs2_pcs3_definitions():
     """(PCS2) by the Stone trace and the discreteness of a Stone square,
     (PCS3) on the closures of the clopen atoms; (CS2) and (CS3) of the
-    2-contact validator share both reductions."""
+    2-contact validator share both reductions.  The literal closed base
+    test enumerates all 2**points point sets, so it runs on the triples
+    of at most 12 points, canonical 4- and 5-atom duals among them."""
     seen = {"(PCS2)": set(), "(PCS3)": set(), "(CS2)": set(), "(CS3)": set()}
+    largest = 0
     for space, subset, relation in pcs_population():
+        if space.point_count > 12:
+            continue
+        largest = max(largest, space.point_count)
         stone, closed_rel, base_ok = oracle_pcs2_pcs3(
             space.point_closures, subset, relation
         )
@@ -713,6 +723,7 @@ def test_validate_pcs_matches_the_literal_pcs2_pcs3_definitions():
     }, seen["(PCS2)"]
     for name in ("(PCS3)", "(CS2)", "(CS3)"):
         assert len(seen[name]) == 2, (name, seen[name])
+    assert largest > 8, largest
 
 
 def test_canonical_space_matches_the_element_clan_set_base():
@@ -731,6 +742,41 @@ def test_canonical_space_matches_the_element_clan_set_base():
             n,
             sorted(pairs),
         )
+
+
+def test_canonical_names_subset_and_relation_match_the_literal_forms(monkeypatch):
+    """Point names built by prefix against "c" and the support's atoms
+    joined by "-"; the dense subset and the relation against the
+    position of each ultrafilter clan among the supports."""
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "7")
+    population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    population += seeded_kernels(59, {4: 6, 5: 4, 6: 3, 7: 2})
+    for n, pairs in population:
+        pca = pca_from_pairs(n, pairs)
+        supports = clan_supports(pca)
+        triple = canonical_pcs_of_pca(pca)
+        names = tuple("c" + "-".join(str(p) for p in bit_indices(s)) for s in supports)
+        position = {s: i for i, s in enumerate(supports)}
+        subset = sum(1 << position[1 << p] for p in range(n))
+        relation = {(position[1 << p], position[1 << q]) for p, q in pairs}
+        assert triple.space.point_names == names, (n, sorted(pairs))
+        assert (triple.subset, triple.relation) == (subset, relation), (n, sorted(pairs))
+
+
+def test_transpose_matches_the_literal_double_loop():
+    """Seeded rows of widths 0 to 9, empty row lists and zero rows
+    among them."""
+    rng = random.Random(20261018)
+    cases = [([], 0), ([0, 0], 0), ([], 3), ([0, 5, 0], 3)]
+    for _ in range(400):
+        width = rng.randint(0, 9)
+        rows = [rng.randrange(1 << width) for _ in range(rng.randint(0, 12))]
+        cases.append((rows, width))
+    for rows, width in cases:
+        literal = [
+            sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(width)
+        ]
+        assert transpose(rows, width) == literal, (rows, width)
 
 
 # ---------------------------------------------------------------------------
@@ -1683,3 +1729,53 @@ def test_interdefinability_line_fails_on_a_foreign_relation(monkeypatch):
     monkeypatch.setattr(suite, "well_inside_atoms", lambda pca: well_inside_atoms(other))
     report = instance_suite(pca_from_pairs(3, {(1, 2)}))
     assert not report.check("interdefinability round trip").passed
+
+
+SUITE_OWN_LINES = (
+    "(Cref) iff reflexive kernel",
+    "(Csym) iff symmetric kernel",
+    "(Ctr) iff transitive kernel",
+    "(Ccon) iff connected dual space",
+    "interdefinability round trip",
+    "contact closure is a contact relation",
+    "contact closure is idempotent",
+    "clans agree with the closure's clans",
+    "closure sits between the extremal contacts",
+    "serialization round trip",
+)
+
+
+def test_every_failing_suite_line_names_a_witness(monkeypatch):
+    """Each line the suite decides itself, made to fail by patching what
+    it reads, names a concrete witness, never "no witness recorded"."""
+    pca = pca_from_pairs(3, {(0, 0), (1, 1), (2, 2), (0, 1)})
+    flags = pca.axioms
+    flipped = dataclasses.replace(
+        flags, cref=not flags.cref, csym=not flags.csym, ctr=not flags.ctr, ccon=not flags.ccon
+    )
+    monkeypatch.setitem(pca.__dict__, "axioms", flipped)
+    other = pca_from_pairs(3, {(1, 2)})
+    monkeypatch.setattr(suite, "well_inside_atoms", lambda p: well_inside_atoms(other))
+    # the closure drops (0, 0), and applied twice puts it back
+    monkeypatch.setattr(
+        suite, "contact_closure", lambda p: pca_from_pairs(3, p.kernel.pairs ^ {(0, 0)})
+    )
+    monkeypatch.setattr(
+        suite, "clan_supports", lambda p: clan_supports(p) if p is pca else clan_supports(p)[1:]
+    )
+    monkeypatch.setattr(suite, "decode", lambda payload: pca_from_pairs(3, {(0, 0)}))
+    report = instance_suite(pca)
+    assert {c.name: c.witness for c in report.failures if c.name in SUITE_OWN_LINES} == {
+        "(Cref) iff reflexive kernel": "Cref=False, reflexive kernel=True",
+        "(Csym) iff symmetric kernel": "Csym=True, symmetric kernel=False",
+        "(Ctr) iff transitive kernel": "Ctr=False, transitive kernel=True",
+        "(Ccon) iff connected dual space": "Ccon=True, connected dual=False",
+        "interdefinability round trip": "first differing kernel pair (0, 0)",
+        "contact closure is a contact relation": "Cref=False, Csym=False",
+        "contact closure is idempotent": "first differing kernel pair (0, 0)",
+        "clans agree with the closure's clans": "first differing clan support 1",
+        "closure sits between the extremal contacts": "diagonal pair (0, 0) missing",
+        "serialization round trip": "first differing kernel pair (0, 1)",
+    }
+    assert all(c.witness != "no witness recorded" for c in report.failures), report.failures
+

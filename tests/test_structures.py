@@ -65,6 +65,27 @@ def test_validate_pcs_rejects_relation_outside_subset(xl_space):
         validate_pcs(xl_space, 0b011, frozenset({(0, 2)}))
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((3, 0), "relation pair (3, 0) out of range"),
+        ((0, 3), "relation pair (0, 3) out of range"),
+        ((-1, 0), "relation pair (-1, 0) out of range"),
+        ((0, -1), "relation pair (0, -1) out of range"),
+        ((2, 0), "relation pair (2, 0) leaves the chosen subset"),
+        ((1, 2), "relation pair (1, 2) leaves the chosen subset"),
+    ],
+)
+def test_validate_pcs_names_the_pair_that_leaves_its_span(xl_space, bad, message):
+    """One bad pair among good ones: out of range, a negative index
+    included, is refused before it indexes a point; a pair in range
+    that leaves the subset is refused too."""
+    relation = {(0, 0), (0, 1), (1, 0), (1, 1), bad}
+    with pytest.raises(DomainMismatchError) as caught:
+        validate_pcs(xl_space, 0b011, relation)
+    assert str(caught.value) == message
+
+
 def test_validate_pcs_reports_density_failure(disc2):
     triple = validate_pcs(disc2, 0b01, frozenset({(0, 0)}))
     verdicts = {c.name: c.passed for c in triple.checks}
