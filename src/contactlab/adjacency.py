@@ -187,19 +187,19 @@ def canonical_adjacency_literal_pairs(pca):
     contact with every element of the ultrafilter at q.
 
     Reduction, O(n**2) probes instead of n**2 * 4**(n-1): with tab the
-    forward table, a C b iff tab[a] & b != 0.  The members of the
-    ultrafilter at p are the a with a >= {p}, and tab is monotone, so
-    tab[a] contains tab[{p}]; every member b of the ultrafilter at q
-    contains {q}.  Hence tab[{p}] holding q makes every pair related,
-    and the pair a = {p}, b = {q} needs exactly that: the quantifier
-    holds iff tab[1 << p] >> q & 1.
+    forward table, tab[a] the join of the kernel's successor rows
+    succ[r] over the atoms r of a, a C b iff tab[a] & b != 0.  The
+    members of the ultrafilter at p are the a with a >= {p}, and tab is
+    monotone, so tab[a] contains tab[{p}]; every member b of the
+    ultrafilter at q contains {q}.  Hence tab[{p}] holding q makes every
+    pair related, and the pair a = {p}, b = {q} needs exactly that: the
+    quantifier holds iff tab[{p}] >> q & 1.  tab[{p}] is the join over
+    the single atom p, succ[p], so no table of 2**n entries is built.
     """
     algebra = pca.algebra
     require_enum_width(algebra.atom_count)
-    n = algebra.atom_count
-    table = pca.kernel.forward_table()
     return frozenset(
-        (p, q) for p in range(n) for q in range(n) if table[1 << p] >> q & 1
+        (p, q) for p, row in enumerate(pca.kernel._succ) for q in bit_indices(row)
     )
 
 
@@ -245,8 +245,8 @@ def stone_representation_report(pca):
     symmetry and transitivity axioms match the relation properties.
 
     Every side is computed independently: the adjacency is rebuilt from
-    the ultrafilter quantifier (decided through the forward table, see
-    `canonical_adjacency_literal_pairs`) and the region relation from
+    the ultrafilter quantifier (decided at the kernel's successor rows,
+    see `canonical_adjacency_literal_pairs`) and the region relation from
     the existential cell formula.
     """
     algebra = pca.algebra

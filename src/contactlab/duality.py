@@ -56,9 +56,9 @@ from .precontact import (
 from .report import Check, ReportBuilder
 from .structures import (
     TwoPrecontactSpace,
+    _first_component,
     _local_relation,
     _relation_out_masks,
-    _triple_atom_table,
     canonical_pcs_of_pca,
     contact_relation_of_pair,
     mereocompactness_report,
@@ -71,11 +71,12 @@ from .topology import (
     closure,
     interior,
     is_c_semiregular,
-    is_discrete,
     is_extremally_disconnected,
     is_stone,
+    pair_atoms,
     rc_algebra,
     rc_atoms,
+    rc_atoms_of_subset,
     rc_members_of_subset,
     subspace,
 )
@@ -120,9 +121,9 @@ def _is_valid_pcs_map(source, target, point_map):
     # f^-1(cl c) lies inside cl(f^-1(c) n X0).  A clopen is the union of
     # the clopen atoms below it, and closure and preimage are additive:
     # the condition holds for every clopen iff it holds for the atoms,
-    # which the target's atom table holds with their closures.
-    co_atoms, closed, _ = _triple_atom_table(target)
-    for clopen, target_closure in zip(co_atoms, closed):
+    # which the target pair's table holds with their closures.
+    table = pair_atoms(tp, target.subset)
+    for clopen, target_closure in zip(table.atoms, table.closures):
         source_closure = closure(sp, join_at(fibres, clopen) & source.subset)
         if join_at(fibres, target_closure) & ~source_closure:
             return False
@@ -734,34 +735,55 @@ def specialization_report(pca, which=None):
     triple = canonical_pcs_of_pca(pca)
     supports = clan_supports(pca)
     n = pca.algebra.atom_count
-    # The closures of the dense part's clopen atoms (`_atom_table`),
-    # ascending: `rc_atoms_of_subset` of the triple, the pair's atoms.
-    pair_atoms = tuple(sorted(_triple_atom_table(triple)[1]))
+    space = triple.space
+    # The closures of the dense part's clopen atoms, ascending: the
+    # pair's atoms, read off the pair's table (`pair_atoms`).
+    atoms_of_pair = rc_atoms_of_subset(space, triple.subset)
+
+    def atom_set(mask):
+        return "{" + ",".join(map(str, bit_indices(mask))) + "}"
+
+    def connected_line():
+        # the clopen atom grown from the first dense closure is the whole
+        # space iff the space is connected (`triple_is_connected`)
+        component = _first_component(triple)
+        report.add(
+            "dual space is connected",
+            component == space.full_mask,
+            "proper clopen atom " + space.name_set(component),
+        )
 
     for name in selected:
         if name == "stone":
+            wide = next((s for s in supports if s & (s - 1)), None)
             report.add(
                 "clans are exactly the ultrafilters",
                 supports == [1 << p for p in range(n)],
+                None if wide is None else "clan support " + atom_set(wide),
             )
             report.add(
                 "dual triple is the whole space with the diagonal",
-                triple.subset == triple.space.full_mask
-                and triple.relation == {(x, x) for x in range(triple.space.point_count)}
-                and is_discrete(triple.space),
+                *_diagonal_break(triple),
             )
         elif name == "connected-stone":
+            clans = set(supports)
+            missing = next((g for g in range(1, pca.algebra.size) if g not in clans), None)
             report.add(
                 "clans are exactly the grills",
                 sorted(supports) == list(range(1, pca.algebra.size)),
+                None if missing is None else f"grill {atom_set(missing)} is not a clan",
             )
             x0 = list(bit_indices(triple.subset))
+            absent = next(
+                ((x, y) for x in x0 for y in x0 if (x, y) not in triple.relation), None
+            )
             report.add(
                 "dual relation is total on the dense part",
                 triple.relation == frozenset((x, y) for x in x0 for y in x0),
+                None if absent is None else "missing point pair " + _pair_name(space, absent),
             )
             if n >= 2:
-                report.add("dual space is connected", triple_is_connected(triple))
+                connected_line()
         elif name == "contact":
             cs = validate_cs(triple.space, triple.subset)
             report.add(
@@ -771,40 +793,38 @@ def specialization_report(pca, which=None):
             )
             if cs.ok:
                 differ = contact_relation_of_pair(cs) ^ triple.relation
-                names = triple.space.point_names
                 report.add(
                     "the pair determines the relation",
                     not differ,
-                    "point pair ({}, {})".format(*(names[x] for x in min(differ)))
-                    if differ else None,
+                    "point pair " + _pair_name(space, min(differ)) if differ else None,
                 )
         elif name == "complete-contact":
             # Both families are the unions of their atoms, so they are
             # equal iff their atom sets are; the pair's atoms are distinct,
             # as a clopen f of the dense part has cl f n subset = f.
-            differ = set(rc_atoms(triple.space)) ^ set(pair_atoms)
+            differ = set(rc_atoms(space)) ^ set(atoms_of_pair)
             report.add(
                 "regular closed sets of the dual all come from the pair",
                 not differ,
-                "atom " + triple.space.name_set(min(differ)) if differ else None,
+                "atom " + space.name_set(min(differ)) if differ else None,
             )
             # X is C-semiregular iff it is T0 and (X, RC(X)) is
             # mereocompact, by the same three tests; on failure the
             # failing lines of that report are the witness.
-            c_semiregular = is_c_semiregular(triple.space)
+            c_semiregular = is_c_semiregular(space)
             report.add(
                 "dual space is C-semiregular",
                 c_semiregular,
                 None if c_semiregular
-                else mereocompactness_report(rc_algebra(triple.space)).failure_summary(" "),
+                else mereocompactness_report(rc_algebra(space)).failure_summary(" "),
             )
             report.add(
                 "dense part is extremally disconnected",
-                is_extremally_disconnected(subspace(triple.space, triple.subset)),
-                "dense part " + triple.space.name_set(triple.subset),
+                is_extremally_disconnected(subspace(space, triple.subset)),
+                "dense part " + space.name_set(triple.subset),
             )
         elif name == "mereocompact":
-            result = mereocompactness_report(MereotopologicalPair(triple.space, pair_atoms))
+            result = mereocompactness_report(MereotopologicalPair(space, atoms_of_pair))
             report.add(
                 "dual pair's member algebra is mereocompact",
                 result.is_t0 and result.is_mereocompact,
@@ -813,10 +833,10 @@ def specialization_report(pca, which=None):
             report.add(
                 "u-points recover the dense part",
                 result.u_set == triple.subset,
-                witness=triple.space.name_set(result.u_set),
+                witness=space.name_set(result.u_set),
             )
         elif name == "connected":
-            report.add("dual space is connected", triple_is_connected(triple))
+            connected_line()
         elif name == "connected-correspondence":
             report.add(
                 "connectedness axiom matches the dual space",
@@ -824,6 +844,31 @@ def specialization_report(pca, which=None):
                 witness=f"Ccon={flags.ccon}",
             )
     return report.done()
+
+
+def _pair_name(space, pair):
+    return "({}, {})".format(*(space.point_names[x] for x in pair))
+
+
+def _diagonal_break(triple):
+    """Is the triple the whole space with the diagonal relation, on a
+    discrete space?  The verdict and, when it fails, the first breach:
+    a point outside the dense part, else the first point pair of the
+    relation's difference with the diagonal, else a point whose closure
+    is more than itself."""
+    space = triple.space
+    names = space.point_names
+    outside = space.full_mask & ~triple.subset
+    if outside:
+        x = (outside & -outside).bit_length() - 1
+        return False, f"point {names[x]} outside the dense part"
+    differ = triple.relation ^ {(x, x) for x in range(space.point_count)}
+    if differ:
+        return False, "point pair " + _pair_name(space, min(differ))
+    wide = next((x for x, cl in enumerate(space.point_closures) if cl != 1 << x), None)
+    if wide is not None:
+        return False, f"closure of {names[wide]} is {space.name_set(space.point_closures[wide])}"
+    return True, None
 
 
 def gmcs_hom_check(source_cs, target_cs, point_map):

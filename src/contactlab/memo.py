@@ -7,7 +7,9 @@ tables a validator has already computed for the object it returns (it
 hands them over with ``build`` returning the table): the value is kept
 in the object's ``__dict__`` beside the ``cached_property`` values, so
 the dataclass fields, equality and hashing are untouched and no object
-is ever hashed to find its value.
+is ever hashed to find its value.  `topology.pair_atoms`, which depends
+on a subset as well as on the space, keeps its table, for the last
+subset asked for, as an attribute of the space in the same way.
 """
 
 from __future__ import annotations

@@ -341,11 +341,17 @@ def _decode_morphism(payload):
 
 
 def loads(text):
+    """Parse and decode an instance file.  Input nested past the
+    interpreter's recursion limit, in the JSON text or in the morphism
+    endpoints, is a schema error, not a crash."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", "$") from exc
-    return decode(payload)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc}", "$") from exc
+        return decode(payload)
+    except RecursionError as exc:
+        raise SchemaError("input is nested too deeply", "$") from exc
 
 
 # ---------------------------------------------------------------------------

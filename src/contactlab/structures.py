@@ -6,11 +6,15 @@ axiom never raises, it is recorded with a concrete counterexample.
 Canonical constructions index their points by clan support in
 (size, atoms) order, which keeps serialization and isomorphism checks
 stable; a point's name extends the name of its support without the
-highest atom, and the ultrafilter clans are the first points.  The
-validators read a dual at the clopen atoms of its dense part: the
-relation in one pass into successor masks, the atoms' closures for
-(PCS2) and (PCS3), and their transpose, the atoms whose closures hold
-each point, for (PCS4) and (PCS5) (`boolean.transpose`).
+highest atom, and the ultrafilter clans are the first points.  Every
+reader of a pair (X, X0) at the clopen atoms of X0 reads one table,
+`topology.pair_atoms`, built once per space and subset: the 2-precontact,
+2-contact and Stone 2-space validators take their Stone and closed-base
+verdicts from it, and (PCS4), (PCS5), (CS4) and (S2S4) its atoms whose
+closures hold each point; the canonical algebra, the pair-determined
+relation and connectedness read its atoms and their closures.  Only
+the relation's reach, read in one pass into successor masks, is kept
+on the triple.
 """
 
 from __future__ import annotations
@@ -29,17 +33,15 @@ from .report import CheckList, ReportBuilder
 from .topology import (
     FiniteSpace,
     MereotopologicalPair,
-    _meets,
+    _is_base_of_closed,
     clopen_atoms,
     clopens_of_subset,
     closure,
     first_unrealized_support,
     held_once,
-    is_closed_base,
-    is_connected,
-    is_stone,
     is_t0,
     overlap_clans,
+    pair_atoms,
     rc_atoms,
     rc_atoms_of_subset,
     space_from_closed_base,
@@ -59,54 +61,22 @@ def _element_set_names(space, atoms, members, support):
     return "{" + ",".join(space.name_set(m) for m in element_set) + "}"
 
 
-def _closure_support_check(report, space, subset, name, prefix, point_supports, supports):
+def _closure_support_check(report, space, table, name, prefix, supports):
     """Add the check: is every element set with one of the ``supports``
-    (masks over the clopen atoms of the dense part) the closure trace
-    {f clopen : x in cl f} of some point x?  ``point_supports[x]`` is
-    the mask of the atoms whose closures hold x."""
+    (masks over the clopen atoms of the dense part, ``table`` of
+    `pair_atoms`) the closure trace {f clopen : x in cl f} of some point
+    x?"""
     # f |-> cl f sends the clopens onto the unions of the atom closures
     # (`rc_atoms_of_subset`), f above an atom iff cl f is above its
     # closure.  So an element set is a closure trace iff its support is
     # the support of a point over the atom closures.  The clopen family
     # is built only to name a failing witness.
-    unrealized = first_unrealized_support(point_supports, supports)
+    unrealized = first_unrealized_support(table.support, supports)
     witness = None
     if unrealized is not None:
-        co_atoms = clopen_atoms(space, subset)
-        clopens = clopens_of_subset(space, subset)
-        witness = prefix + _element_set_names(space, co_atoms, clopens, unrealized)
+        clopens = clopens_of_subset(space, table.subset)
+        witness = prefix + _element_set_names(space, table.atoms, clopens, unrealized)
     report.add(name, unrealized is None, witness)
-
-
-def _dense_part_verdicts(space, subset, atom_closures):
-    """Is the dense part a Stone space, and do the pair's regular closed
-    sets form a closed base?  ``atom_closures`` are the closures of the
-    atoms of the dense part's clopen algebra.
-
-    Stone: a finite space is compact, Hausdorff is T1 there, T1 forces
-    discrete and discrete forces zero-dimensional.  So the dense part is
-    Stone iff each of its singleton closures, cl{x} & subset, is {x}.
-    The clopen atoms are the components of the graph joining each x of
-    the subset to the points of cl{x} & subset (`clopen_atoms`), so that
-    holds iff every atom is one point: iff there are as many atoms as
-    points in the subset.
-
-    Closed base: the pair's regular closed sets are the closures of the
-    clopens, each clopen is the union of the atoms below it and closure
-    is additive, so they are the finite unions of the atom closures.  A
-    union holds x iff one of its members does, so both families have
-    the same meet of the members holding each point, and both consist
-    of closed sets: they get the same verdict (`is_closed_base`).  The
-    atom closures are closed without a test: for y in cl{x}, cl{y} lies
-    inside cl{x}, as point closures are transitive (checked by
-    `FiniteSpace`, and given by `_meets` to a space built from a closed
-    base), so a union of point closures holds the closure of each of
-    its points.  So the verdict is the comparison of the meets with the
-    point closures.
-    """
-    stone = len(atom_closures) == subset.bit_count()
-    meet = _meets(space.point_count, atom_closures)
-    return stone, all(cl == m for cl, m in zip(space.point_closures, meet))
 
 
 def _relation_out_masks(space, subset, relation):
@@ -151,16 +121,18 @@ class TwoPrecontactSpace(CheckList):
         # their atoms (`rc_atoms_of_subset`), taken here in ascending
         # order.  cl f meets the dense part in f, so cl f and cl g are in
         # contact iff some point of f is related to some point of g, i.e.
-        # iff reach[f] meets g.
-        co_atoms, closed, reach = _triple_atom_table(self)
-        order = sorted(range(len(co_atoms)), key=closed.__getitem__)
+        # iff reach[f] meets g.  reach[f] lies in the subset, which cl g
+        # meets in g: iff reach[f] meets cl g.
+        closed = pair_atoms(self.space, self.subset).closures
+        reach = _reach(self)
+        order = sorted(range(len(closed)), key=closed.__getitem__)
         pca = pca_from_pairs(
             len(order),
             (
                 (i, j)
                 for i, p in enumerate(order)
                 for j, q in enumerate(order)
-                if reach[p] & co_atoms[q]
+                if reach[p] & closed[q]
             ),
         )
         atoms = tuple(closed[p] for p in order)
@@ -172,10 +144,9 @@ def validate_pcs(space, subset, relation):
 
     Failures carry witnesses; precondition breaches (a relation pair out
     of range or leaving the subset) raise instead, in the one pass that
-    reads the relation into successor masks.  (PCS2) and (PCS3) read the
-    closures of the clopen atoms of the dense part, and (PCS4) and
-    (PCS5) one table of their transpose, the atoms whose closures hold
-    each point.
+    reads the relation into successor masks.  (PCS2) and (PCS3) take the
+    Stone and closed-base verdicts of the pair's table (`pair_atoms`),
+    and (PCS4) and (PCS5) its atoms whose closures hold each point.
     """
     relation = frozenset(relation)
     succ = _relation_out_masks(space, subset, relation)
@@ -186,10 +157,8 @@ def validate_pcs(space, subset, relation):
     pcs1 = dense and t0
     report.add("(PCS1)", pcs1, None if pcs1 else f"dense={dense}, T0={t0}")
 
-    table = _atom_table(space, subset, succ)
-    co_atoms, closed, reach = table
-
-    stone, base_ok = _dense_part_verdicts(space, subset, closed)
+    table = pair_atoms(space, subset)
+    closed, support, stone = table.closures, table.support, table.stone
     # A finite Stone dense part is discrete, so is its square, and every
     # relation on it is closed.  Only a dense part that is not Stone needs
     # the product topology, to name the second half of the witness.
@@ -198,22 +167,25 @@ def validate_pcs(space, subset, relation):
     )
     pcs2 = stone and closed_rel
     report.add("(PCS2)", pcs2, None if pcs2 else f"stone={stone}, closed relation={closed_rel}")
-    report.add("(PCS3)", base_ok, "the pair's regular closed sets are not a closed base")
+    report.add("(PCS3)", table.closed_base, "the pair's regular closed sets are not a closed base")
 
     # The clopen algebra of the dense part is held to the algebra width
     # like any other, before (PCS4) and (PCS5) read it.
-    require_atom_width(len(co_atoms))
-    count = space.point_count
+    require_atom_width(len(closed))
+    # reach[i]: the points related to a point of the clopen atom f_i, the
+    # atom's closure cut to the subset, so that f C g iff reach[f] meets
+    # g, and reach is additive.
+    reach = tuple(join_at(succ, c & subset) for c in closed)
     # adj[i]: the atoms j with f_i C# f_j under the contact closure C# of
-    # f C g iff reach[f] meets g (the overlap of distinct atoms is empty).
-    # The atoms partition the subset, so in_atom[y], the atoms holding y,
-    # is one bit on the subset, and reach[i] lies in the subset (the span
-    # check of `_relation_out_masks`): reached[i], the atoms j that
-    # reach[i] meets, is the join of in_atom over reach[i].  The atoms j
-    # whose reach meets f_i are the transpose of those rows.
-    in_atom = transpose(co_atoms, count)
-    reached = [join_at(in_atom, r) for r in reach]
-    reaching = transpose(reached, len(co_atoms))
+    # C (the overlap of distinct atoms is empty).  reach[i] lies in the
+    # subset (the span check of `_relation_out_masks`), and a point y of
+    # the subset is held by the closure of its own atom only (cl f n
+    # subset = f for a clopen f): support[y] is that atom's bit, and
+    # reached[i], the atoms j that reach[i] meets, is the join of support
+    # over reach[i].  The atoms j whose reach meets f_i are the transpose
+    # of those rows.
+    reached = [join_at(support, r) for r in reach]
+    reaching = transpose(reached, len(closed))
     adj = [(1 << i) | r | b for i, (r, b) in enumerate(zip(reached, reaching))]
 
     # Both sides of (PCS4) hold on (f, g) iff they hold on some pair of
@@ -223,14 +195,14 @@ def validate_pcs(space, subset, relation):
     # cl f_i, and (PCS4) holds iff that join lies inside adj[i] for each
     # i.  On failure the pair sweep over all clopens names the first
     # witness.
-    support = transpose(closed, count)
     pcs4_ok = all(not join_at(support, c) & ~a for c, a in zip(closed, adj))
     pcs4_witness = None
     if not pcs4_ok:
 
         def over(values, f):
-            # a clopen is the union of the atoms it meets
-            return reduce(or_, (v for a, v in zip(co_atoms, values) if a & f), 0)
+            # a clopen is the union of the atoms it meets, those whose
+            # closures meet it
+            return reduce(or_, (v for c, v in zip(closed, values) if c & f), 0)
 
         def pcs4_fails(f, g):
             return over(closed, f) & over(closed, g) and not (
@@ -243,50 +215,40 @@ def validate_pcs(space, subset, relation):
     report.add("(PCS4)", pcs4_ok, pcs4_witness)
 
     # The clans of the clopen algebra under C# are the cliques of adj.
-    require_enum_width(len(co_atoms))
+    require_enum_width(len(closed))
     _closure_support_check(
-        report, space, subset, "(PCS5)", "unrealized clan ", support, clique_supports(adj)
+        report, space, table, "(PCS5)", "unrealized clan ", clique_supports(adj)
     )
 
     triple = TwoPrecontactSpace(space, subset, relation, report.done().checks)
-    remember(triple, "_atom_table", lambda _: table)
+    remember(triple, "_reach", lambda _: reach)
     return triple
 
 
-def _atom_table(space, subset, succ):
-    """The clopen atoms of the dense part, ascending as masks, with their
-    closures and their reach masks (the points related to one of the
-    atom's points, read off the successor masks ``succ`` of the
-    relation, `_relation_out_masks`)."""
-    # The clopens of the dense part form a finite Boolean algebra of sets
-    # whose atoms partition the subset (`clopen_atoms`), so each clopen
-    # is the union of the atoms below it.  Closure and reach (f C g iff
-    # reach[f] meets g) are additive, so (PCS3), (PCS4), (PCS5) and the
-    # canonical algebra read them only at the atoms.
-    co_atoms = clopen_atoms(space, subset)
-    return (
-        co_atoms,
-        tuple(closure(space, a) for a in co_atoms),
-        tuple(join_at(succ, a) for a in co_atoms),
-    )
-
-
-def _triple_atom_table(triple):
-    """`_atom_table` of a triple: the one `validate_pcs` computed, rebuilt
+def _reach(triple):
+    """The reach of the relation at the clopen atoms of the triple's
+    subset (`validate_pcs`): the one `validate_pcs` computed, rebuilt
     only for a triple constructed directly."""
-    return remember(
-        triple,
-        "_atom_table",
-        lambda t: _atom_table(
-            t.space, t.subset, _relation_out_masks(t.space, t.subset, t.relation)
-        ),
-    )
+
+    def build(t):
+        succ = _relation_out_masks(t.space, t.subset, t.relation)
+        return tuple(join_at(succ, c & t.subset) for c in pair_atoms(t.space, t.subset).closures)
+
+    return remember(triple, "_reach", build)
 
 
 def triple_is_connected(triple):
     """Is the triple's space connected?  Read at the closures of the
     clopen atoms of its subset when the subset is dense, as in every
-    valid triple; by the whole-space pass of `is_connected` otherwise."""
+    valid triple (`_first_component`)."""
+    return _first_component(triple) == triple.space.full_mask
+
+
+def _first_component(triple):
+    """A clopen atom of the triple's space (0 when it has no points): the
+    one holding the closure of the first clopen atom of its subset when
+    the subset is dense, as in every valid triple, read at those
+    closures; the first of the whole-space `clopen_atoms` otherwise."""
     # Let D be dense in X, with clopen atoms A_1..A_k.  A clopen U of X
     # meets D in a clopen of D, so A_i lies inside U or misses it, and
     # then cl A_i lies inside U or inside the closed X \ U.  So each
@@ -295,17 +257,17 @@ def triple_is_connected(triple):
     # "closures meet" lies in one.  X = cl D is the union of the cl A_i,
     # so the union of a class is closed, and so is the union of the
     # other classes, its complement: it is clopen.  The clopen atoms of
-    # X are therefore the unions of the classes, and X is connected iff
-    # the class grown from one closure is the whole space.
+    # X are therefore the unions of the classes: the class grown from the
+    # first closure is the clopen atom holding it.
     space = triple.space
     if closure(space, triple.subset) != space.full_mask:
-        return is_connected(space)
-    _, closed, _ = _triple_atom_table(triple)
+        return next(iter(clopen_atoms(space, space.full_mask)), 0)
+    closed = pair_atoms(space, triple.subset).closures
     grown = closed[0] if closed else 0
     while True:
         wider = reduce(or_, (c for c in closed if c & grown), grown)
         if wider == grown:
-            return grown == space.full_mask
+            return grown
         grown = wider
 
 
@@ -428,10 +390,14 @@ class StoneTwoSpace(CheckList):
     checks: tuple = field(default=(), compare=False)
 
 
-def _pair_axiom_checks(report, space, subset, atom_closures):
-    """Add the shared axioms: density precondition, (CS1) T0, (CS2)
-    Stone dense part, (CS3) closed base.  ``atom_closures`` are the
-    closures of the atoms of the dense part's clopen algebra."""
+def _validate_pair(cls, title, tag, space, subset, supports):
+    """The shared body of `validate_cs` and `validate_s2s`: the density
+    precondition, (CS1) T0, (CS2) Stone dense part and (CS3) closed base,
+    then the check ``tag`` that every element set with one of
+    ``supports(closures)`` is a closure trace, where ``closures`` are the
+    closures of the clopen atoms of the dense part (`pair_atoms`)."""
+    table = pair_atoms(space, subset)
+    report = ReportBuilder(title)
     cl = closure(space, subset)
     report.add(
         "(CS-precondition)",
@@ -439,28 +405,19 @@ def _pair_axiom_checks(report, space, subset, atom_closures):
         f"closure of the subset is {space.name_set(cl)}",
     )
     report.add("(CS1)", is_t0(space), "space is not T0")
-    stone, base_ok = _dense_part_verdicts(space, subset, atom_closures)
-    report.add("(CS2)", stone, "dense part is not a Stone space")
-    report.add("(CS3)", base_ok, "the pair's regular closed sets are not a closed base")
+    report.add("(CS2)", table.stone, "dense part is not a Stone space")
+    report.add("(CS3)", table.closed_base, "the pair's regular closed sets are not a closed base")
+    _closure_support_check(report, space, table, tag, "unrealized ", supports(table.closures))
+    return cls(space, subset, report.done().checks)
 
 
 def validate_cs(space, subset):
     """Check the 2-contact axioms: the clans of the proximity of the
     dense part's clopens (closures meet) must all be closure traces of
     points."""
-    closed = [closure(space, a) for a in clopen_atoms(space, subset)]
-    report = ReportBuilder("2-contact axioms")
-    _pair_axiom_checks(report, space, subset, closed)
-    _closure_support_check(
-        report,
-        space,
-        subset,
-        "(CS4)",
-        "unrealized ",
-        transpose(closed, space.point_count),
-        overlap_clans(closed),
+    return _validate_pair(
+        TwoContactSpace, "2-contact axioms", "(CS4)", space, subset, overlap_clans
     )
-    return TwoContactSpace(space, subset, report.done().checks)
 
 
 def validate_s2s(space, subset):
@@ -468,19 +425,14 @@ def validate_s2s(space, subset):
     clopen algebra must be a closure trace.  The grills are the nonzero
     supports; at most one per point is realized, so the scan stops
     within point count + 1 of them."""
-    closed = [closure(space, a) for a in clopen_atoms(space, subset)]
-    report = ReportBuilder("Stone 2-space axioms")
-    _pair_axiom_checks(report, space, subset, closed)
-    _closure_support_check(
-        report,
+    return _validate_pair(
+        StoneTwoSpace,
+        "Stone 2-space axioms",
+        "(S2S4)",
         space,
         subset,
-        "(S2S4)",
-        "unrealized ",
-        transpose(closed, space.point_count),
-        range(1, 1 << len(closed)),
+        lambda closures: range(1, 1 << len(closures)),
     )
-    return StoneTwoSpace(space, subset, report.done().checks)
 
 
 def canonical_cs_of_ca(pca):
@@ -499,16 +451,16 @@ def contact_relation_of_pair(cs):
         raise ValidationError("not a 2-contact space")
     # Every clopen holding x holds the clopen atom of x, and meeting
     # closures is monotone in both sides: x and y are related iff the
-    # closures of their clopen atoms meet.
-    co_atoms = clopen_atoms(cs.space, cs.subset)
-    closed = [closure(cs.space, a) for a in co_atoms]
+    # closures of their clopen atoms meet.  Each atom is its closure cut
+    # to the subset.
+    closures = pair_atoms(cs.space, cs.subset).closures
     return frozenset(
         (x, y)
-        for a, cl_a in zip(co_atoms, closed)
-        for b, cl_b in zip(co_atoms, closed)
+        for cl_a in closures
+        for cl_b in closures
         if cl_a & cl_b
-        for x in bit_indices(a)
-        for y in bit_indices(b)
+        for x in bit_indices(cl_a & cs.subset)
+        for y in bit_indices(cl_b & cs.subset)
     )
 
 
@@ -540,10 +492,11 @@ def mereocompactness_report(mereo):
     space, atoms = mereo.space, mereo.atoms
     report = ReportBuilder("mereocompactness")
 
-    # The members are the unions of the atoms, all closed, and a member
-    # holding x holds an atom holding x, so both families have the same
-    # meet at each point (`is_closed_base`, `is_semiregular`).
-    space_ok = is_closed_base(space, atoms)
+    # The members are the unions of the atoms, regular closed by the
+    # pair's constructor, and a member holding x holds an atom holding
+    # x, so both families have the same meet at each point
+    # (`is_closed_base`, `is_semiregular`).
+    space_ok = _is_base_of_closed(space, atoms)
     report.add("members form a closed base", space_ok, "not a mereotopological space")
     t0 = is_t0(space)
     report.add("space is T0", t0, "not T0")
@@ -577,9 +530,11 @@ def mereocompactness_report(mereo):
         # are `held_once(atoms)` by construction.  The check is recorded,
         # not counted.
         report.add("u-points are exactly the ultrafilter traces", True)
+        # The u-point lines read the pair (X, u-points) at its atoms, in
+        # the table that `validate_cs` below reads too (`pair_atoms`).
         dense = closure(space, u_set) == space.full_mask
         report.add("u-point set is dense", dense, space.name_set(u_set))
-        stone = is_stone(subspace(space, u_set)) if u_set else False
+        stone = bool(u_set) and pair_atoms(space, u_set).stone
         report.add("u-point set is a Stone subspace", stone, space.name_set(u_set))
         # The closures of the clopens of a subset are the unions of
         # `rc_atoms_of_subset`, and the members the unions of their atoms:

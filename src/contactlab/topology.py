@@ -15,7 +15,13 @@ connected components (`clopen_atoms`), the regular closed sets by the
 closures of the maximal points (`rc_atoms`), and a Boolean subalgebra
 of them, RC(X) and the pair's algebra included, as a
 `MereotopologicalPair` of its atoms, whose constructor takes one
-interior per atom.  The point budget bounds only the
+interior per atom.  A pair (X, X0) is read through one table,
+`pair_atoms`: the clopen atoms of X0, their closures, the atoms whose
+closures hold each point, and the Stone and closed-base verdicts of
+the pair, kept on the space for the last subset asked for.  A family
+whose members are closed by construction (atom closures, `rc_atoms`,
+the atoms of a pair) is decided a closed base without a closedness
+pass (`_is_base_of_closed`).  The point budget bounds only the
 functions that return a whole family: `closed_sets`, `clopen_sets`,
 `rc_members`, `clopens_of_subset`, `rc_members_of_subset` and
 `closure_trace`.  Predicates decide at the atoms at any size.
@@ -29,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .boolean import bit_indices, join_at, mask_of, transpose
 from .config import require_atom_width, require_enum_width, require_point_budget
@@ -256,8 +263,13 @@ def is_closed_base(space, members):
     members = set(members)
     if any(not is_closed(space, m) for m in members):
         return False
-    meet = _meets(space.point_count, members)
-    return all(cl == meet[x] for x, cl in enumerate(space.point_closures))
+    return _is_base_of_closed(space, members)
+
+
+def _is_base_of_closed(space, members):
+    """`is_closed_base` of members that are closed by construction: the
+    meets of the members holding each point are the point closures."""
+    return _meets(space.point_count, members) == list(space.point_closures)
 
 
 @dataclass(frozen=True)
@@ -349,10 +361,10 @@ def rc_algebra(space):
 
 def is_semiregular(space):
     """RC(X) is a closed base."""
-    # The members are the finite unions of the atoms, all closed.  A
-    # member holding x holds an atom holding x, so both families have
-    # the same meet at each point (`is_closed_base`).
-    return is_closed_base(space, rc_atoms(space))
+    # The members are the finite unions of the atoms, the closures of
+    # points.  A member holding x holds an atom holding x, so both
+    # families have the same meet at each point (`is_closed_base`).
+    return _is_base_of_closed(space, rc_atoms(space))
 
 
 def subspace(space, mask):
@@ -429,20 +441,93 @@ def clopen_atoms(space, subset):
     return tuple(sorted(atoms))
 
 
+class PairAtoms(NamedTuple):
+    """The pair (X, X0) read at the clopen atoms of X0 (`pair_atoms`)."""
+
+    subset: int
+    closures: tuple
+    support: list
+    stone: bool
+    closed_base: bool
+
+    @property
+    def atoms(self):
+        """The clopen atoms, ascending as masks.  Each closure meets the
+        subset in its atom, so the atoms are read back off the closures
+        instead of kept: each object a dual keeps alive is one more for
+        the cycle collector to trace."""
+        return tuple(c & self.subset for c in self.closures)
+
+
+def pair_atoms(space, subset):
+    """The table of the pair (space, subset) at the clopen atoms of the
+    subset (`clopen_atoms`, ascending as masks): ``closures``, their
+    closures in that order, and ``atoms``, read back off them;
+    ``support[x]``, the mask of the atoms whose closures hold the point
+    x; ``stone``, is the subspace a Stone space; ``closed_base``, do the
+    closures of the clopens of the subset form a closed base.  The space
+    keeps the table of the last subset asked for and rebuilds it for
+    another one.
+
+    The clopens of the subspace form a finite Boolean algebra of sets
+    whose atoms partition the subset, so each clopen is the union of
+    the atoms below it.  Closure is additive, so the closures of the
+    clopens are the unions of the atom closures, and a clopen f is
+    closed in the subset, so cl f n subset = f: each atom closure meets
+    the subset in its atom, and a point of the subset is held by the
+    closure of its own atom only.
+
+    Stone: a finite space is compact, Hausdorff is T1 there, T1 forces
+    discrete and discrete forces zero-dimensional.  So the subspace is
+    Stone iff each of its singleton closures, cl{x} & subset, is {x}.
+    The clopen atoms are the components of the graph joining each x of
+    the subset to the points of cl{x} & subset (`clopen_atoms`), so that
+    holds iff every atom is one point: iff there are as many atoms as
+    points in the subset.
+
+    Closed base: the closures of the clopens are the finite unions of
+    the atom closures.  A union holds x iff one of its members does, so
+    both families have the same meet of the members holding each point,
+    and both consist of closed sets: they get the same verdict
+    (`is_closed_base`).  The atom closures are closed without a test:
+    for y in cl{x}, cl{y} lies inside cl{x}, as point closures are
+    transitive (checked by `FiniteSpace`, and given by `_meets` to a
+    space built from a closed base), so a union of point closures holds
+    the closure of each of its points.  So the verdict is the comparison
+    of the meets with the point closures (`_is_base_of_closed`).
+    """
+    # An attribute of the frozen space rather than a `memo` entry: it is
+    # set without building the space's instance dictionary, which a
+    # canonical dual otherwise never needs.
+    table = getattr(space, "_pair_atoms", None)
+    if table is None or table.subset != subset:
+        closures = tuple(closure(space, a) for a in clopen_atoms(space, subset))
+        table = PairAtoms(
+            subset,
+            closures,
+            transpose(closures, space.point_count),
+            len(closures) == subset.bit_count(),
+            _is_base_of_closed(space, closures),
+        )
+        object.__setattr__(space, "_pair_atoms", table)
+    return table
+
+
 def clopens_of_subset(space, subset):
     """Clopen subsets of the subspace on ``subset``, kept in the ambient
-    point indexing: the unions of `clopen_atoms`."""
+    point indexing: the unions of its clopen atoms (`pair_atoms`)."""
     require_point_budget(subset.bit_count())
-    return unions(clopen_atoms(space, subset))
+    return unions(pair_atoms(space, subset).atoms)
 
 
 def rc_atoms_of_subset(space, subset):
-    """The closures of `clopen_atoms`, ascending as masks: the atoms of
-    the closures of the clopens of the subspace."""
+    """The closures of the clopen atoms of the subset (`pair_atoms`),
+    ascending as masks: the atoms of the closures of the clopens of the
+    subspace."""
     # A clopen f is closed in the subset, so cl f n subset = f: f |-> cl f
     # preserves and reflects inclusion, and closure is additive, so the
     # closures of the clopens are the unions of these atoms.
-    return tuple(sorted(closure(space, a) for a in clopen_atoms(space, subset)))
+    return tuple(sorted(pair_atoms(space, subset).closures))
 
 
 def rc_members_of_subset(space, subset):
@@ -670,9 +755,10 @@ def is_c_semiregular(space):
     """Semiregular T0 space where every clan of the regular closed
     contact algebra is the sigma trace of a point."""
     # RC(X) is the unions of the distinct `rc_atoms`, so a clan is a trace
-    # iff its support is an atom support (`first_unrealized_support`).
-    if not is_t0(space) or not is_semiregular(space):
-        return False
+    # iff its support is an atom support (`first_unrealized_support`);
+    # the semiregularity test is that of `is_semiregular`.
     atoms = rc_atoms(space)
+    if not (is_t0(space) and _is_base_of_closed(space, atoms)):
+        return False
     point_supports = transpose(atoms, space.point_count)
     return first_unrealized_support(point_supports, overlap_clans(atoms)) is None

@@ -58,6 +58,37 @@ def test_validate_malformed_json(files, capsys):
     assert "invalid JSON" in err
 
 
+def _morphism_chain(depth):
+    """A pca morphism whose source is a morphism, ``depth`` times over:
+    shallow enough for the JSON parser, too deep for the decoder."""
+    leaf = {"schema_version": "1", "kind": "algebra", "atoms": 1}
+    payload = leaf
+    for _ in range(depth):
+        payload = {
+            "schema_version": "1",
+            "kind": "morphism",
+            "variant": "pca",
+            "map": [0],
+            "source": payload,
+            "target": leaf,
+        }
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 200_000, _morphism_chain(900)], ids=["nested-lists", "nested-morphisms"]
+)
+def test_deeply_nested_input_exits_2(tmp_path, capsys, text):
+    """Input nested past the recursion limit is a schema error, not a
+    RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: $: input is nested too deeply\n"
+
+
 def test_validate_pca_reports_axioms(files, capsys):
     code, out, _ = run(capsys, "validate", files["pca"])
     assert code == 0

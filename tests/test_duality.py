@@ -34,7 +34,7 @@ from contactlab.precontact import (
     pca_from_pairs,
     smallest_contact,
 )
-from contactlab import structures
+from contactlab import precontact, structures
 from contactlab.structures import (
     TwoPrecontactSpace,
     canonical_pca_of_pcs,
@@ -422,9 +422,64 @@ def _first_pair_names(triple):
     return f"point pair ({triple.space.point_names[x]}, {triple.space.point_names[y]})"
 
 
+# Three-atom algebras in the stone, connected-stone and connected
+# subcategories; the other lines are broken on the contact algebra
+# CONTACT3.  A line of the first three is made to fail by reading the
+# clans or the dual triple of another of these algebras.
+DIAGONAL3 = smallest_contact(FiniteBooleanAlgebra(3))
+TOTAL3 = largest_contact(FiniteBooleanAlgebra(3))
+PATH3 = pca_from_pairs(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)})
+CONTACT3 = pca_from_pairs(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)})
+SPECIALIZATION_ALGEBRAS = {"stone": DIAGONAL3, "connected-stone": TOTAL3, "connected": PATH3}
+
+
+def _clans_of(pca):
+    return (duality, "clan_supports", lambda _: precontact.clan_supports(pca))
+
+
+def _dual_of(pca):
+    return (duality, "canonical_pcs_of_pca", lambda _: structures.canonical_pcs_of_pca(pca))
+
+
 # (specialization, line, module and function made to fail, expected
 # witness on the dual triple)
 BROKEN_SPECIALIZATION_LINES = [
+    (
+        "stone",
+        "clans are exactly the ultrafilters",
+        _clans_of(TOTAL3),
+        lambda t: "clan support {0,1}",
+    ),
+    (
+        "stone",
+        "dual triple is the whole space with the diagonal",
+        _dual_of(TOTAL3),
+        lambda t: "point c0-1 outside the dense part",
+    ),
+    (
+        "connected-stone",
+        "clans are exactly the grills",
+        _clans_of(DIAGONAL3),
+        lambda t: "grill {0,1} is not a clan",
+    ),
+    (
+        "connected-stone",
+        "dual relation is total on the dense part",
+        _dual_of(DIAGONAL3),
+        lambda t: "missing point pair (c0, c1)",
+    ),
+    (
+        "connected-stone",
+        "dual space is connected",
+        _dual_of(DIAGONAL3),
+        lambda t: "proper clopen atom {c0}",
+    ),
+    (
+        "connected",
+        "dual space is connected",
+        _dual_of(DIAGONAL3),
+        lambda t: "proper clopen atom {c0}",
+    ),
     (
         "contact",
         "the pair determines the relation",
@@ -463,13 +518,18 @@ BROKEN_SPECIALIZATION_LINES = [
 @pytest.mark.parametrize(
     "which, line, broken, expected",
     BROKEN_SPECIALIZATION_LINES,
-    ids=[line for _, line, _, _ in BROKEN_SPECIALIZATION_LINES],
+    # the lines of the stone, connected-stone and connected algebras are
+    # named with their specialization: two of them share a line name
+    ids=[
+        f"{which}: {line}" if which in SPECIALIZATION_ALGEBRAS else line
+        for which, line, _, _ in BROKEN_SPECIALIZATION_LINES
+    ],
 )
 def test_specialization_failures_name_witnesses(monkeypatch, which, line, broken, expected):
-    """A line of the contact, complete-contact and mereocompact
-    specializations, made to fail by patching one function it reads,
-    names a concrete witness, never "no witness recorded"."""
-    pca = pca_from_pairs(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)})
+    """A line of each specialization, made to fail by patching one
+    function it reads, names a concrete witness, never "no witness
+    recorded"."""
+    pca = SPECIALIZATION_ALGEBRAS.get(which, CONTACT3)
     triple = canonical_pcs_of_pca(pca)  # built before the patch, and held
     assert specialization_report(pca, which).check(line).passed
     monkeypatch.setattr(*broken)

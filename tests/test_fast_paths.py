@@ -6,10 +6,11 @@ axioms read off the rows and at the unary form, the unary form of an
 explicit well-inside relation and its inverse, the smallest interpolant
 for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
 ``clique_supports``, the grill and clan conditions of ``is_clan``), in
-``adjacency`` (the ultrafilter adjacency read off the forward table at
-the atoms, the Stone relation check at the atom pairs), in ``topology``
+``adjacency`` (the ultrafilter adjacency read off the kernel's successor
+rows, the Stone relation check at the atom pairs), in ``topology``
 (closed bases by the meet of the members holding each point, clopens of
-a subspace by its components, maximal points as the points held by one
+a subspace by its components, the pair table with its Stone and
+closed-base verdicts, maximal points as the points held by one
 distinct closure, RC(X) by the closures of the maximal points and the
 predicates read off them, pairs held by their atoms with one interior
 per atom, u-points of a pair at its atoms), in ``structures`` ((PCS2) by the
@@ -46,10 +47,12 @@ from contactlab.boolean import (
     _first_map_mismatch,
     _first_pair_mismatch,
     bit_indices,
+    mask_of,
     transpose,
 )
 from contactlab.duality import (
     algebra_roundtrip_iso,
+    identity_pcs_morphism,
     enumerate_pca_morphisms,
     specialization_report,
 )
@@ -101,13 +104,17 @@ from contactlab.topology import (
     is_connected,
     is_extremally_disconnected,
     is_semiregular,
+    is_stone,
     is_t0,
     is_u_point,
+    minimal_members,
+    pair_atoms,
     rc_atoms,
     rc_atoms_of_subset,
     rc_members,
     rc_members_of_subset,
     space_from_closed_base,
+    subspace,
     u_point_of_pair,
     unions,
 )
@@ -461,7 +468,8 @@ def test_axiom_report_matches_the_literal_quantifiers():
 
 
 # ---------------------------------------------------------------------------
-# canonical_adjacency_literal_pairs: the forward table at the atoms
+# canonical_adjacency_literal_pairs: the forward table at the atoms, the
+# kernel's successor rows
 
 
 def test_ultrafilter_adjacency_matches_the_literal_quantifier():
@@ -1216,6 +1224,134 @@ def test_pair_reports_build_no_member_family(monkeypatch):
         assert "dual pair's member algebra is mereocompact" in [c.name for c in special.checks]
         assert got_special.checks == special.checks
         assert got_mereo.checks == mereo.checks
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of the `topology` function ``name`` from every
+    module of the package that reads it."""
+    original = getattr(topology, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (topology, structures, duality, suite, adjacency, precontact):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
+    """The canonical build and `specialization_report` of a contact dual
+    derive its pair table once (`pair_atoms`): one `clopen_atoms` and at
+    most 4 `_meets` calls per dual, on seeded 3- to 6-atom contact
+    algebras; `is_c_semiregular` takes `rc_atoms` once."""
+    clopen_calls = _counted(monkeypatch, "clopen_atoms")
+    meet_calls = _counted(monkeypatch, "_meets")
+    rc_calls = _counted(monkeypatch, "rc_atoms")
+    for n in range(3, 7):
+        for i, density in enumerate((0.15, 0.3, 0.5, 0.7, 0.85)):
+            seed = child_seed(61, n * 10 + i)
+            pca = random_pca(RandomSpec(atoms=n, density=density, seed=seed, constraint="contact"))
+            clopen_calls.clear()
+            meet_calls.clear()
+            report = specialization_report(pca)
+            assert report.ok, report.failures
+            assert "dual pair's member algebra is mereocompact" in [c.name for c in report.checks]
+            assert len(clopen_calls) <= 1, (n, density, len(clopen_calls))
+            assert len(meet_calls) <= 4, (n, density, len(meet_calls))
+            space = canonical_pcs_of_pca(pca).space
+            rc_calls.clear()
+            assert is_c_semiregular(space)
+            assert len(rc_calls) == 1
+
+
+def test_pair_table_matches_the_subspace_and_closed_base_sweeps():
+    """`pair_atoms` on every space with at most 4 points and every subset:
+    its atoms and their closures against the clopens of the subspace
+    (`oracle_subspace_clopens`), its Stone verdict against `is_stone` of
+    the subspace, its closed-base verdict against `oracle_is_closed_base`
+    on the closures of the clopens, and its point supports against the
+    atom closures.  The subsets are asked for in a sequence that
+    alternates between two of them on one space object, and each answer
+    must be that of the subset asked for."""
+    seen = set()
+    for space in (s for n in range(1, 5) for s in all_small_spaces(n)):
+        closures = space.point_closures
+        subsets = range(space.full_mask + 1)
+        expected = {}
+        for sub in subsets:
+            clopens = oracle_subspace_clopens(closures, sub)
+            atoms = tuple(minimal_members(clopens))
+            expected[sub] = (
+                atoms,
+                tuple(oracle_closure_of(closures, a) for a in atoms),
+                is_stone(subspace(space, sub)),
+                oracle_is_closed_base(closures, {oracle_closure_of(closures, f) for f in clopens}),
+            )
+        order = [s for pair in zip(subsets, reversed(subsets)) for s in pair]
+        for sub in order:
+            table = pair_atoms(space, sub)
+            atoms, atom_closures, stone, base = expected[sub]
+            assert table.subset == sub
+            assert (table.atoms, table.closures, table.stone, table.closed_base) == expected[sub], (
+                closures,
+                sub,
+            )
+            assert table.support == [
+                mask_of(i for i, c in enumerate(atom_closures) if c >> x & 1)
+                for x in range(space.point_count)
+            ]
+            seen.add((stone, base))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}, seen
+
+
+def copy_of(space):
+    return FiniteSpace(space.point_names, space.point_closures)
+
+
+def test_triples_on_one_space_keep_their_own_pair_reading():
+    """Triples on one space object with different subsets, read in
+    alternation, give the checks, connectedness, pair relation and
+    canonical algebra of the same triple on a fresh copy of the space:
+    two triples on each space with at most 4 points and two dense
+    subsets, and canonical duals of seeded 2- to 4-atom algebras read
+    after the whole space's table has replaced their own."""
+    rng = random.Random(20261101)
+    for space in (s for n in range(2, 5) for s in all_small_spaces(n)):
+        dense = [
+            sub for sub in range(1, space.full_mask + 1)
+            if closure(space, sub) == space.full_mask
+        ]
+        if len(dense) < 2:
+            continue
+        subsets = rng.sample(dense, 2)
+        triples = [validate_pcs(space, sub, random_relation(sub, rng)) for sub in subsets]
+        # each triple alone, on a copy of the space of its own
+        fresh = [validate_pcs(copy_of(space), t.subset, t.relation) for t in triples]
+        for _ in range(2):
+            for triple, alone in zip(triples, fresh):
+                assert triple.checks == alone.checks
+                assert triple_is_connected(triple) == triple_is_connected(alone)
+                cs = validate_cs(space, triple.subset)
+                twin = validate_cs(alone.space, alone.subset)
+                assert cs.checks == twin.checks
+                if cs.ok:
+                    assert contact_relation_of_pair(cs) == contact_relation_of_pair(twin)
+    for n in (2, 3, 4):
+        for i, density in enumerate((0.2, 0.5, 0.8)):
+            pca = random_pca(RandomSpec(atoms=n, density=density, seed=child_seed(67, n * 10 + i)))
+            triple = canonical_pcs_of_pca(pca)
+            space = triple.space
+            alone = validate_pcs(copy_of(space), triple.subset, triple.relation)
+            pair_atoms(space, space.full_mask)
+            assert pcs_algebra(triple).pca == pcs_algebra(alone).pca
+            assert pcs_algebra(triple).atom_masks == pcs_algebra(alone).atom_masks
+            pair_atoms(space, space.full_mask)
+            assert triple_is_connected(triple) == triple_is_connected(alone)
+            pair_atoms(space, space.full_mask)
+            assert identity_pcs_morphism(triple).point_map == tuple(range(space.point_count))
 
 
 def test_u_point_of_pair_matches_the_member_pair_sweep():
