@@ -215,7 +215,6 @@ def cmd_enumerate(args):
 
 
 def cmd_suite(args):
-    failures = 0
     results = []
     for index in range(args.count):
         density = (
@@ -232,8 +231,7 @@ def cmd_suite(args):
         pca = random_pca(spec)
         report = instance_suite(pca)
         results.append(report.ok)
-        if not report.ok:
-            failures += 1
+        if not report.ok and args.dump_dir is not None:
             dump = {
                 "instance": encode(pca),
                 "report": report.as_dict(),
@@ -242,6 +240,7 @@ def cmd_suite(args):
             }
             path = Path(args.dump_dir) / f"failure_seed{args.seed}_case{index}.json"
             _write_file(path, dumps(dump))
+    failures = results.count(False)
     payload = {
         "atoms": args.atoms,
         "count": args.count,
@@ -347,7 +346,7 @@ def build_parser():
         choices=("none", "contact", "connected", "complete"),
         default="none",
     )
-    p.add_argument("--dump-dir", default=".")
+    p.add_argument("--dump-dir", default=None)
     p.add_argument("--text", action="store_true")
     p.set_defaults(func=cmd_suite)
 

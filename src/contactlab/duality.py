@@ -70,7 +70,6 @@ from .topology import (
     MereotopologicalPair,
     closure,
     interior,
-    is_c_semiregular,
     is_extremally_disconnected,
     is_stone,
     pair_atoms,
@@ -740,6 +739,12 @@ def specialization_report(pca, which=None):
     # pair's atoms, read off the pair's table (`pair_atoms`).
     atoms_of_pair = rc_atoms_of_subset(space, triple.subset)
 
+    # One report of the pair's member algebra serves the complete-contact
+    # and mereocompact lines.
+    pair_report = None
+    if {"complete-contact", "mereocompact"} & set(selected):
+        pair_report = mereocompactness_report(MereotopologicalPair(space, atoms_of_pair))
+
     def atom_set(mask):
         return "{" + ",".join(map(str, bit_indices(mask))) + "}"
 
@@ -809,14 +814,14 @@ def specialization_report(pca, which=None):
                 "atom " + space.name_set(min(differ)) if differ else None,
             )
             # X is C-semiregular iff it is T0 and (X, RC(X)) is
-            # mereocompact, by the same three tests; on failure the
-            # failing lines of that report are the witness.
-            c_semiregular = is_c_semiregular(space)
+            # mereocompact (`is_c_semiregular`, by the same three tests);
+            # on failure the failing lines of that report are the witness.
+            # When the line above holds, RC(X) is the pair's algebra.
+            result = mereocompactness_report(rc_algebra(space)) if differ else pair_report
             report.add(
                 "dual space is C-semiregular",
-                c_semiregular,
-                None if c_semiregular
-                else mereocompactness_report(rc_algebra(space)).failure_summary(" "),
+                result.is_t0 and result.is_mereocompact,
+                result.failure_summary(" "),
             )
             report.add(
                 "dense part is extremally disconnected",
@@ -824,7 +829,7 @@ def specialization_report(pca, which=None):
                 "dense part " + space.name_set(triple.subset),
             )
         elif name == "mereocompact":
-            result = mereocompactness_report(MereotopologicalPair(space, atoms_of_pair))
+            result = pair_report
             report.add(
                 "dual pair's member algebra is mereocompact",
                 result.is_t0 and result.is_mereocompact,

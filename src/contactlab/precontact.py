@@ -181,27 +181,32 @@ def clique_supports(adj):
     """The nonempty cliques of a reflexive and symmetric adjacency on
     len(adj) atoms (adj[p]: the mask of the atoms adjacent to p), in
     (size, atoms) order.  Under the contact closure's adjacency these
-    are the clan supports."""
-    # m is a clique iff m ^ low is one and every atom of m is adjacent to
-    # its lowest atom: one pass in ascending order decides all masks.
-    # rev[m] is the clique m with its n bits reversed (-1 off the
-    # cliques).  Two atom sets of one size first differ, in ascending
-    # order, at the lowest bit of a ^ b, and the set holding it comes
-    # first: that bit is the highest of rev[a] ^ rev[b], so the larger
-    # rev comes first.
-    n = len(adj)
-    size = 1 << n
-    rev = [-1] * size
-    rev[0] = 0
-    out = []
-    for m in range(1, size):
-        low = m & -m
-        p = low.bit_length() - 1
-        if rev[m ^ low] >= 0 and not m & ~adj[p]:
-            rev[m] = rev[m ^ low] | 1 << (n - 1 - p)
-            out.append(m)
-    out.sort(key=lambda m: (m.bit_count(), -rev[m]))
-    return tuple(out)
+    are the clan supports.
+
+    Each clique is grown once, from its prefix.  Drop the highest atom j
+    of a nonempty clique and what is left, its prefix s, is a clique or
+    0; j lies above every atom of s and is adjacent to each of them.
+    Conversely, adding to a clique s (or to 0) an atom j above its
+    highest atom and adjacent to all its atoms gives a clique with
+    prefix s, as j is adjacent to itself.  So growing each clique from
+    every such j reaches each nonempty clique exactly once.  Each clique
+    s carries common(s), the atoms adjacent to every atom of s: common(0)
+    is every atom and common(s | {j}) = common(s) & adj[j].
+
+    The cliques are grown in the order they are appended, so those of
+    size k come before those of size k + 1.  Within a size they come in
+    (prefix, j) order, which by induction on the size is their atom
+    order: two cliques with different prefixes first differ inside
+    them."""
+    cliques, commons = [0], [(1 << len(adj)) - 1]
+    for s, common in zip(cliques, commons):
+        rest = common & -(1 << s.bit_length())
+        while rest:
+            low = rest & -rest
+            cliques.append(s | low)
+            commons.append(common & adj[low.bit_length() - 1])
+            rest ^= low
+    return tuple(cliques[1:])
 
 
 def pca_from_pairs(atom_count, pairs):

@@ -297,15 +297,15 @@ def _canonical_pcs(pca):
 
     Point i is the clan with support supports[i], in (size, atoms)
     order, named "c" and its atoms joined by "-" ("c0-2").  Clan
-    supports are the cliques of a reflexive and symmetric adjacency
-    (`clique_supports`), so they are closed under nonempty subsets:
-    without its highest atom a support is 0 or a support of one atom
-    less, which comes earlier, and its name is that one's name with
-    "-" and the highest atom appended.  Every singleton is a clique, as
-    the adjacency is reflexive, and the n singletons come first, in
-    atom order: the ultrafilter clan of atom p is point p.  So the
-    dense subset is the first n points and the relation is the kernel's
-    own pairs."""
+    supports are the cliques of a reflexive and symmetric adjacency,
+    each grown from its prefix, the support without its highest atom
+    (`clique_supports`).  That prefix is 0 or a support of one atom
+    less, which comes earlier, so a point is named after the prefix its
+    support was grown from: that name with "-" and the highest atom
+    appended.  Every singleton is a clique, as the adjacency is
+    reflexive, and the n singletons come first, in atom order: the
+    ultrafilter clan of atom p is point p.  So the dense subset is the
+    first n points and the relation is the kernel's own pairs."""
     algebra = pca.algebra
     if algebra.is_degenerate:
         raise PreconditionError("duality rejects the degenerate algebra")

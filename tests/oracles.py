@@ -347,6 +347,17 @@ def _support_order(k):
     return sorted(range(1, 1 << k), key=lambda s: (len(bits(s)), bits(s)))
 
 
+def oracle_clique_supports(adj):
+    """Every nonempty atom set whose atoms are pairwise adjacent under
+    ``adj`` (adj[p]: the mask of the atoms adjacent to p), in (size,
+    atoms) order."""
+    return [
+        s
+        for s in _support_order(len(adj))
+        if all(adj[p] >> q & 1 for p in bits(s) for q in bits(s))
+    ]
+
+
 def oracle_clan_supports(n, kernel_pairs):
     """Supports of all clans in (size, atoms) order.  The grills of a
     finite algebra are the families of the elements meeting a nonempty

@@ -247,6 +247,23 @@ def test_suite_dumps_failing_instance(capsys, monkeypatch, tmp_path):
     assert payload["report"]["checks"][0]["pass"] is False
 
 
+def test_suite_without_dump_dir_writes_no_file(capsys, monkeypatch, tmp_path):
+    """With no ``--dump-dir``, a failing suite still reports its failures
+    and exits 1, but writes no dump into the working directory."""
+    from contactlab import cli as cli_module
+    from contactlab.report import Check, DualityReport
+
+    def broken(pca):
+        return DualityReport("forced", (Check("forced", False, "witness"),))
+
+    monkeypatch.setattr(cli_module, "instance_suite", broken)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "suite", "--atoms", "2", "--count", "2", "--seed", "5")
+    assert code == 1
+    assert json.loads(out)["failures"] == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
