@@ -7,8 +7,8 @@ regions (cell sets) carry the precontact relation
 
 whose kernel is the relation itself.  Ultrafilters of a finite algebra
 are identified with atoms throughout.  The ultrafilter-pair quantifier
-of the representation report is decided exactly by
-`canonical_adjacency_literal_pairs`; the literal sweep over the
+holds exactly on the kernel's pairs (proved at `canonical_adjacency`,
+which builds the adjacency from them); the literal sweep over the
 ultrafilters' members is kept in `tests/oracles.py`, and the two are
 compared there.
 """
@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolean import _first_pair_mismatch, bit_indices
+from .boolean import bit_indices
 from .config import require_enum_width
 from .errors import DomainMismatchError, PreconditionError
 from .precontact import (
     PrecontactAlgebra,
-    RelationKernel,
     axiom_report,
     pca_from_pairs,
     restrict_relation,
@@ -172,35 +171,22 @@ class CanonicalAdjacency:
 def canonical_adjacency(pca):
     """Cells are the ultrafilters (one per atom), adjacent exactly when
     the corresponding atom pair is in the kernel; the topology is the
-    finite Stone topology, i.e. discrete."""
+    finite Stone topology, i.e. discrete.
+
+    The adjacency of the ultrafilters at p and q is the quantifier: every
+    element of the one is in contact with every element of the other.
+    It holds iff (p, q) is a kernel pair, i.e. q is in succ[p].  The
+    members of the ultrafilter at p are the a with a >= {p}, and a C b
+    iff some atom r of a and s of b form a kernel pair.  So a kernel pair
+    (p, q) relates every member a of the one to every member b of the
+    other, and the members a = {p}, b = {q} are in contact only through
+    it."""
     algebra = pca.algebra
     if algebra.is_degenerate:
         raise PreconditionError("the degenerate algebra has no ultrafilters")
     names = tuple(f"u{p}" for p in range(algebra.atom_count))
     space = AdjacencySpace(names, frozenset(pca.kernel.pairs), discrete_space(names))
     return CanonicalAdjacency(pca, space)
-
-
-def canonical_adjacency_literal_pairs(pca):
-    """The ultrafilter adjacency given by the quantifier: the atom pair
-    (p, q) is adjacent iff every element of the ultrafilter at p is in
-    contact with every element of the ultrafilter at q.
-
-    Reduction, O(n**2) probes instead of n**2 * 4**(n-1): with tab the
-    forward table, tab[a] the join of the kernel's successor rows
-    succ[r] over the atoms r of a, a C b iff tab[a] & b != 0.  The
-    members of the ultrafilter at p are the a with a >= {p}, and tab is
-    monotone, so tab[a] contains tab[{p}]; every member b of the
-    ultrafilter at q contains {q}.  Hence tab[{p}] holding q makes every
-    pair related, and the pair a = {p}, b = {q} needs exactly that: the
-    quantifier holds iff tab[{p}] >> q & 1.  tab[{p}] is the join over
-    the single atom p, succ[p], so no table of 2**n entries is built.
-    """
-    algebra = pca.algebra
-    require_enum_width(algebra.atom_count)
-    return frozenset(
-        (p, q) for p, row in enumerate(pca.kernel._succ) for q in bit_indices(row)
-    )
 
 
 def product_space(space, other=None):
@@ -240,47 +226,25 @@ def is_closed_relation(pairs, space):
 
 
 def stone_representation_report(pca):
-    """Verify that the Stone map is an isomorphism onto the region
-    algebra of the canonical adjacency space, and that the reflexivity,
-    symmetry and transitivity axioms match the relation properties.
+    """Verify that the reflexivity, symmetry and transitivity axioms of
+    the algebra match the relation properties of its canonical adjacency
+    space.
 
-    Every side is computed independently: the adjacency is rebuilt from
-    the ultrafilter quantifier (decided at the kernel's successor rows,
-    see `canonical_adjacency_literal_pairs`) and the region relation from
-    the existential cell formula.
+    The Stone map onto that space's region algebra needs no check at
+    finite scale: the ultrafilters are the principal ones, one per atom,
+    and the map sends an element to those of its atoms, so read as masks
+    it is the identity, a bijection onto the 2**n regions.  The adjacency
+    is the kernel's own pairs (`canonical_adjacency`, where the
+    ultrafilter quantifier is proved to hold exactly there), so the map
+    preserves and reflects the relation as well.  The axiom flags come
+    from the algebra's carrier sweep and the relation properties from
+    the kernel's pairs, computed independently.
     """
     algebra = pca.algebra
     if algebra.is_degenerate:
         raise PreconditionError("representation needs a nondegenerate algebra")
     require_enum_width(algebra.atom_count)
     report = ReportBuilder(f"stone representation of a {algebra.atom_count}-atom algebra")
-
-    literal = canonical_adjacency_literal_pairs(pca)
-    literal_ok = literal == pca.kernel.pairs
-    report.add(
-        "canonical adjacency matches the literal quantifier",
-        literal_ok,
-        None if literal_ok else f"literal pairs {sorted(literal)}",
-    )
-
-    # The ultrafilters are the principal ones, one per atom, and the
-    # Stone map sends an element to those of its atoms: read as masks it
-    # is the identity, a bijection onto the 2**n clopens by construction.
-    # The check is recorded, not swept.
-    report.add("stone map is bijective onto the clopen algebra", True)
-    # Some literal pair joins the images of a and b iff the forward table
-    # of the literal pairs at a meets b.  The image is the identity on
-    # masks, so both sides are kernel relations, additive in a and in b:
-    # they are compared by their atom rows, the successors of the two
-    # kernels; see `_first_pair_mismatch`.
-    iso_witness = _first_pair_mismatch(
-        pca.kernel._succ, RelationKernel(algebra, literal)._succ
-    )
-    report.add(
-        "stone map preserves and reflects the relation",
-        iso_witness is None,
-        f"(a, b) = {iso_witness}",
-    )
 
     flags = pca.axioms
     kernel = pca.kernel

@@ -58,7 +58,7 @@ from .structures import (
     TwoPrecontactSpace,
     _first_component,
     _local_relation,
-    _relation_out_masks,
+    _reach,
     canonical_pcs_of_pca,
     contact_relation_of_pair,
     mereocompactness_report,
@@ -425,11 +425,17 @@ def algebra_roundtrip_iso(pca):
     # the point sets images[a] and images[b] iff the points related to a
     # dense point of images[a], the union of reach[p] over the atoms p of
     # a, meet images[b], the union of the clan sets of the atoms of b.
-    # Overlap of unions is the union of the overlaps, so the rows of the
-    # triple's relation and of the pair's proximity (images[a] meets
-    # images[b]) are `_meeting_rows`.
-    succ = _relation_out_masks(space, triple.subset, triple.relation)
-    reach = [join_at(succ, image & triple.subset) for image in atom_clans]
+    # Here reach[p] is the points related to the dense points of the clan
+    # set of atom p, which meets the dense part in {p}, the ultrafilter
+    # clan of p: reach[p] = succ[p].  That is the reach `validate_pcs`
+    # kept on the triple (`_reach`), read at the closures of the clopen
+    # atoms of the dense part: `pcs_algebra` above accepts only a valid
+    # triple, whose dense part is discrete by (PCS2), so those atoms are
+    # {0} .. {n-1} in order, each closure meeting the dense part in its
+    # own point.  Overlap of unions is the union of the overlaps, so the
+    # rows of the triple's relation and of the pair's proximity (images[a]
+    # meets images[b]) are `_meeting_rows`.
+    reach = _reach(triple)
     relation_witness = _first_pair_mismatch(
         pca.kernel._succ, _meeting_rows(reach, atom_clans)
     )
@@ -752,10 +758,11 @@ def specialization_report(pca, which=None):
         # the clopen atom grown from the first dense closure is the whole
         # space iff the space is connected (`triple_is_connected`)
         component = _first_component(triple)
+        connected = component == space.full_mask
         report.add(
             "dual space is connected",
-            component == space.full_mask,
-            "proper clopen atom " + space.name_set(component),
+            connected,
+            None if connected else "proper clopen atom " + space.name_set(component),
         )
 
     for name in selected:
@@ -771,13 +778,16 @@ def specialization_report(pca, which=None):
                 *_diagonal_break(triple),
             )
         elif name == "connected-stone":
-            clans = set(supports)
-            missing = next((g for g in range(1, pca.algebra.size) if g not in clans), None)
-            report.add(
-                "clans are exactly the grills",
-                sorted(supports) == list(range(1, pca.algebra.size)),
-                None if missing is None else f"grill {atom_set(missing)} is not a clan",
-            )
+            # The supports are distinct nonzero masks below the size, so
+            # they are all the grills iff there are size - 1 of them; the
+            # sweep for a missing grill runs only when there are fewer.
+            grills = len(supports) == pca.algebra.size - 1
+            witness = None
+            if not grills:
+                clans = set(supports)
+                missing = next(g for g in range(1, pca.algebra.size) if g not in clans)
+                witness = f"grill {atom_set(missing)} is not a clan"
+            report.add("clans are exactly the grills", grills, witness)
             x0 = list(bit_indices(triple.subset))
             absent = next(
                 ((x, y) for x in x0 for y in x0 if (x, y) not in triple.relation), None
@@ -823,10 +833,11 @@ def specialization_report(pca, which=None):
                 result.is_t0 and result.is_mereocompact,
                 result.failure_summary(" "),
             )
+            extremal = is_extremally_disconnected(subspace(space, triple.subset))
             report.add(
                 "dense part is extremally disconnected",
-                is_extremally_disconnected(subspace(space, triple.subset)),
-                "dense part " + space.name_set(triple.subset),
+                extremal,
+                None if extremal else "dense part " + space.name_set(triple.subset),
             )
         elif name == "mereocompact":
             result = pair_report
@@ -835,10 +846,11 @@ def specialization_report(pca, which=None):
                 result.is_t0 and result.is_mereocompact,
                 result.failure_summary(" "),
             )
+            recovered = result.u_set == triple.subset
             report.add(
                 "u-points recover the dense part",
-                result.u_set == triple.subset,
-                witness=space.name_set(result.u_set),
+                recovered,
+                None if recovered else space.name_set(result.u_set),
             )
         elif name == "connected":
             connected_line()

@@ -4,7 +4,6 @@ from contactlab.adjacency import (
     AdjacencySpace,
     adjacency_correspondence_report,
     canonical_adjacency,
-    canonical_adjacency_literal_pairs,
     contact_from_adjacency,
     is_closed_relation,
     product_space,
@@ -16,7 +15,7 @@ from contactlab.precontact import largest_contact, pca_from_pairs, smallest_cont
 from contactlab.topology import closed_sets
 
 from conftest import all_kernels
-from oracles import oracle_product_family
+from oracles import expand_relation, oracle_product_family, oracle_ultrafilter_adjacency
 
 
 def adj(n, pairs, topology=None):
@@ -103,7 +102,8 @@ def test_canonical_adjacency_rejects_degenerate():
 def test_canonical_adjacency_matches_literal_quantifier(kernels_3):
     for pairs in kernels_3:
         pca = pca_from_pairs(3, pairs)
-        assert canonical_adjacency_literal_pairs(pca) == pairs
+        expected = oracle_ultrafilter_adjacency(3, expand_relation(3, pairs))
+        assert canonical_adjacency(pca).space.pairs == expected == pairs
 
 
 def test_adjacency_roundtrip_through_regions():

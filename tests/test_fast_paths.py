@@ -6,8 +6,7 @@ axioms read off the rows and at the unary form, the unary form of an
 explicit well-inside relation and its inverse, the smallest interpolant
 for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
 ``clique_supports``, the grill and clan conditions of ``is_clan``), in
-``adjacency`` (the ultrafilter adjacency read off the kernel's successor
-rows, the Stone relation check at the atom pairs), in ``topology``
+``adjacency`` (the ultrafilter adjacency read off the kernel's pairs), in ``topology``
 (closed bases by the meet of the members holding each point, clopens of
 a subspace by its components, the pair table with its Stone and
 closed-base verdicts, maximal points as the points held by one
@@ -40,7 +39,7 @@ import sys
 import pytest
 
 from contactlab import adjacency, duality, precontact, structures, suite, topology
-from contactlab.adjacency import canonical_adjacency_literal_pairs
+from contactlab.adjacency import canonical_adjacency
 from contactlab.boolean import (
     BooleanHom,
     FiniteBooleanAlgebra,
@@ -469,15 +468,15 @@ def test_axiom_report_matches_the_literal_quantifiers():
 
 
 # ---------------------------------------------------------------------------
-# canonical_adjacency_literal_pairs: the forward table at the atoms, the
-# kernel's successor rows
+# canonical_adjacency: the ultrafilter quantifier holds exactly on the
+# kernel's pairs
 
 
 def test_ultrafilter_adjacency_matches_the_literal_quantifier():
     population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
     population += seeded_kernels(17, {4: 12, 5: 4, 6: 2})
     for n, pairs in population:
-        got = canonical_adjacency_literal_pairs(pca_from_pairs(n, pairs))
+        got = canonical_adjacency(pca_from_pairs(n, pairs)).space.pairs
         expected = oracle_ultrafilter_adjacency(n, expand_relation(n, pairs))
         assert got == expected, (n, sorted(pairs))
 
@@ -1254,10 +1253,10 @@ def test_pair_reports_build_no_member_family(monkeypatch):
         assert got_mereo.checks == mereo.checks
 
 
-def _counted(monkeypatch, name):
-    """Count the calls of the `topology` function ``name`` from every
-    module of the package that reads it."""
-    original = getattr(topology, name)
+def _counted(monkeypatch, name, home=topology):
+    """Count the calls of the function ``name`` of the module ``home``
+    from every module of the package that reads it."""
+    original = getattr(home, name)
     calls = []
 
     def counted(*args):
@@ -1293,6 +1292,22 @@ def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
             rc_calls.clear()
             assert is_c_semiregular(space)
             assert len(rc_calls) == 1
+
+
+def test_round_trip_reads_the_reach_of_the_canonical_build(monkeypatch):
+    """After the canonical build, `algebra_roundtrip_iso` reads the
+    triple's relation through the reach `validate_pcs` kept on it
+    (`_reach`), on seeded 1- to 6-atom algebras: no `_relation_out_masks`
+    call."""
+    out_mask_calls = _counted(monkeypatch, "_relation_out_masks", structures)
+    for n in range(1, 7):
+        for i, density in enumerate((0.15, 0.5, 0.85)):
+            pca = random_pca(RandomSpec(atoms=n, density=density, seed=child_seed(71, n * 10 + i)))
+            triple = canonical_pcs_of_pca(pca)  # built, and held
+            out_mask_calls.clear()
+            roundtrip = algebra_roundtrip_iso(pca)
+            assert roundtrip.report.ok and roundtrip.space is triple
+            assert not out_mask_calls, (n, density, len(out_mask_calls))
 
 
 def test_pair_table_matches_the_subspace_and_closed_base_sweeps():
@@ -1833,31 +1848,6 @@ def test_trusted_construction_keeps_the_name_checks():
 
 
 # ---------------------------------------------------------------------------
-# stone_representation_report: the relation check at the atom pairs
-
-
-def test_stone_relation_check_names_the_literal_first_witness(monkeypatch):
-    """A literal adjacency with one atom pair toggled: the relation check
-    fails and names the first element pair on which the two relations
-    differ, the pair a sweep over all element pairs finds first."""
-    rng = random.Random(20261006)
-    population = [(n, k) for n in (1, 2) for k in all_kernels(n)]
-    population += seeded_kernels(43, {3: 4, 4: 2})
-    for n, pairs in population:
-        toggled = frozenset(pairs ^ {(rng.randrange(n), rng.randrange(n))})
-        monkeypatch.setattr(
-            adjacency, "canonical_adjacency_literal_pairs", lambda pca: toggled
-        )
-        report = adjacency.stone_representation_report(pca_from_pairs(n, pairs))
-        first = oracle_first_mismatch(
-            n, expand_relation(n, pairs), expand_relation(n, toggled)
-        )
-        check = report.check("stone map preserves and reflects the relation")
-        assert check.passed == (first is None), (n, sorted(pairs))
-        assert check.witness == (None if first is None else f"(a, b) = {first}")
-
-
-# ---------------------------------------------------------------------------
 # the suite path builds no element pair sets
 
 
@@ -1941,5 +1931,13 @@ def test_every_failing_suite_line_names_a_witness(monkeypatch):
         "closure sits between the extremal contacts": "diagonal pair (0, 0) missing",
         "serialization round trip": "first differing kernel pair (0, 1)",
     }
+    # the flipped flags break exactly the three lines of the Stone report
+    assert report.check("stone representation").witness == "; ".join(
+        (
+            "(Cref) iff the canonical adjacency is reflexive: Cref=False, reflexive=True",
+            "(Csym) iff the canonical adjacency is symmetric: Csym=True, symmetric=False",
+            "(Ctr) iff the canonical adjacency is transitive: Ctr=False, transitive=True",
+        )
+    )
     assert all(c.witness != "no witness recorded" for c in report.failures), report.failures
 

@@ -1,8 +1,10 @@
 import itertools
+import json
 
 import pytest
 
 from contactlab.boolean import FiniteBooleanAlgebra
+from contactlab.cli import main
 from contactlab.errors import (
     DomainMismatchError,
     PreconditionError,
@@ -14,6 +16,7 @@ from contactlab.precontact import (
     pca_from_pairs,
     smallest_contact,
 )
+from contactlab.serialize import dumps, encode
 from contactlab.structures import (
     canonical_cs_of_ca,
     canonical_pca_of_pcs,
@@ -27,6 +30,7 @@ from contactlab.structures import (
     validate_s2s,
 )
 from contactlab.topology import (
+    FiniteSpace,
     MereotopologicalPair,
     closed_sets,
     discrete_space,
@@ -96,6 +100,29 @@ def test_empty_relation_on_one_point_is_valid():
     one = discrete_space(("u",))
     triple = validate_pcs(one, 0b1, frozenset())
     assert triple.ok
+
+
+def test_failing_pcs4_names_its_witness_past_the_point_budget(monkeypatch, tmp_path, capsys):
+    """A failed axiom never raises: (PCS4) is decided and named at the
+    clopen atoms, so a dense part wider than the point budget still
+    gets its witness.  Seven discrete dense points p0..p6, where cl{p0}
+    and cl{p1} share the point q outside, with the empty relation."""
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "7")
+    monkeypatch.setenv("CONTACTLAB_POINT_LIMIT", "6")
+    names = tuple(f"p{i}" for i in range(7)) + ("q",)
+    q = 1 << 7
+    closures = (0b1 | q, 0b10 | q) + tuple(1 << i for i in range(2, 7)) + (q,)
+    space = FiniteSpace(names, closures)
+    triple = validate_pcs(space, 0b1111111, frozenset())
+    assert [(c.name, c.witness) for c in triple.failures] == [("(PCS4)", "({p0},{p1})")]
+
+    path = tmp_path / "wide.json"
+    path.write_text(dumps(encode(triple)))
+    assert main(["validate", str(path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["name"], c["witness"]) for c in checks if not c["pass"]] == [
+        ("(PCS4)", "({p0},{p1})")
+    ]
 
 
 # ---------------------------------------------------------------------------
