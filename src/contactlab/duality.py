@@ -33,7 +33,6 @@ from .boolean import (
     join_at,
     joins_table,
     mask_of,
-    transpose,
 )
 from .config import ENUMERATION_POINT_CAP, ISOMORPHISM_POINT_CAP
 from .errors import (
@@ -47,7 +46,6 @@ from .memo import remember
 from .precontact import (
     PcaMorphism,
     PrecontactAlgebra,
-    _closure_succ,
     clan_supports,
     is_pca_morphism,
     largest_contact,
@@ -356,8 +354,10 @@ def algebra_roundtrip_iso(pca):
     )
     alg = pcs_algebra(triple)
     space = triple.space
-    supports = clan_supports(pca)
-    atom_clans = transpose(supports, pca.algebra.atom_count)
+    # The images come from the algebra alone, its atom clan sets (the
+    # ones `_canonical_pcs` passed as the closed base), and the members
+    # from the triple's pair table: the two sides stay independent.
+    atom_clans = pca._atom_clans
     images = tuple(joins_table(atom_clans))
     size = len(images)
 
@@ -420,7 +420,8 @@ def algebra_roundtrip_iso(pca):
     # Each relation below is additive in a and in b, so each check
     # compares atom rows (`_first_pair_mismatch`).  The kernel relates a
     # and b iff its forward table at a meets b: its rows are the kernel's
-    # successors, and those of the contact closure C# are `_closure_succ`.
+    # successors, and those of the contact closure C# are the kernel's
+    # `_closure_rows`.
     # The relation of the triple lies inside the dense part, so it relates
     # the point sets images[a] and images[b] iff the points related to a
     # dense point of images[a], the union of reach[p] over the atoms p of
@@ -446,7 +447,7 @@ def algebra_roundtrip_iso(pca):
     )
 
     proximity_witness = _first_pair_mismatch(
-        _closure_succ(pca.kernel), _meeting_rows(atom_clans, atom_clans)
+        pca.kernel._closure_rows, _meeting_rows(atom_clans, atom_clans)
     )
     report.add(
         "contact closure matches the pair's proximity",
@@ -459,7 +460,7 @@ def algebra_roundtrip_iso(pca):
     # (1 << i, 1 << j) where the rows differ.
     atoms = alg.atom_masks
     kernel_diff = _first_pair_mismatch(
-        _closure_succ(alg.pca.kernel), _meeting_rows(atoms, atoms)
+        alg.pca.kernel._closure_rows, _meeting_rows(atoms, atoms)
     )
     report.add(
         "closed canonical relation coincides with the pair's proximity",

@@ -18,6 +18,12 @@ relation has a unary form exactly when it defines a precontact relation,
 and is read into that form whenever it has one; without it, the inverse
 decides the defining axioms in order and stops at the first that fails.
 
+The atom rows of the contact closure are computed once per kernel
+(`RelationKernel._closure_rows`), and the clan supports and the atom
+clan sets (the clans holding each atom, the closed base of the dual)
+once per algebra; the clans, (Ctr#), `is_clan`, `contact_closure` and
+the round trip read those copies.
+
 Axiom checks decide exactly over the carrier, never by sampling; every
 reduction is proved next to its code and tested against the literal
 quantifiers in `tests/oracles.py`.  They are the ground truth the rest
@@ -41,6 +47,7 @@ from .boolean import (
     join_at,
     joins_table,
     mask_of,
+    transpose,
 )
 from .config import require_enum_width
 from .errors import (
@@ -72,6 +79,22 @@ class RelationKernel:
         for p, q in self.pairs:
             out[p] |= 1 << q
         return tuple(out)
+
+    @cached_property
+    def _closure_rows(self):
+        """The atom rows of the contact closure of the kernel, computed
+        once per object: row p holds p, the successors of p and the
+        atoms that have p as a successor.  The clans, (Ctr#), `is_clan`
+        and the round trip read the closure in this form; the closed
+        kernel's pair set is built only by `contact_closure`."""
+        succ = self._succ
+        rows = [s | 1 << p for p, s in enumerate(succ)]
+        for p, s in enumerate(succ):
+            while s:
+                low = s & -s
+                rows[low.bit_length() - 1] |= 1 << p
+                s ^= low
+        return tuple(rows)
 
     def holds_masks(self, a_mask, b_mask):
         succ = self._succ
@@ -159,7 +182,14 @@ class PrecontactAlgebra:
     def _clan_supports(self):
         # clan_supports, computed once per object
         require_enum_width(self.algebra.atom_count)
-        return clique_supports(_closure_succ(self.kernel))
+        return clique_supports(self.kernel._closure_rows)
+
+    @cached_property
+    def _atom_clans(self):
+        # _atom_clans[p]: the clans holding the atom p, as a mask over
+        # the clan supports; the closed base of the dual triple and the
+        # round trip's images, computed once per object
+        return tuple(transpose(self._clan_supports, self.algebra.atom_count))
 
     def __getstate__(self):
         # the dual triple is held weakly (see memo.remember), and a weak
@@ -348,26 +378,11 @@ def expand_kernel(kernel):
     )
 
 
-def _closure_succ(kernel):
-    """The atom rows of the contact closure of the kernel: row p holds p,
-    the successors of p and the atoms that have p as a successor.  The
-    clans, (Ctr#) and the round trip read the closure in this form; the
-    closed kernel's pair set is built only by `contact_closure`."""
-    succ = kernel._succ
-    rows = [s | 1 << p for p, s in enumerate(succ)]
-    for p, s in enumerate(succ):
-        while s:
-            low = s & -s
-            rows[low.bit_length() - 1] |= 1 << p
-            s ^= low
-    return rows
-
-
 def contact_closure(pca):
     """The smallest contact relation containing the given precontact one:
     symmetrize the kernel and add the diagonal (overlap) pairs."""
     pairs = frozenset(
-        (p, q) for p, row in enumerate(_closure_succ(pca.kernel)) for q in bit_indices(row)
+        (p, q) for p, row in enumerate(pca.kernel._closure_rows) for q in bit_indices(row)
     )
     return PrecontactAlgebra(pca.algebra, RelationKernel(pca.algebra, pairs))
 
@@ -695,7 +710,7 @@ def axiom_report(pca):
     size = algebra.size
     full = algebra.full_mask
     table = pca.kernel.forward_table()
-    sharp_table = joins_table(_closure_succ(pca.kernel))
+    sharp_table = joins_table(pca.kernel._closure_rows)
 
     cref = all(table[a] & a for a in range(1, size))
     csym = pca.kernel.is_symmetric
@@ -763,7 +778,7 @@ def is_clan(pca, members):
     if not _is_grill(algebra.size, masks):
         return False
     support = mask_of(p for p in range(algebra.atom_count) if 1 << p in masks)
-    succ = _closure_succ(pca.kernel)
+    succ = pca.kernel._closure_rows
     return all(succ[p] & support == support for p in bit_indices(support))
 
 

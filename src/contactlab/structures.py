@@ -14,7 +14,12 @@ verdicts from it, and (PCS4), (PCS5), (CS4) and (S2S4) its atoms whose
 closures hold each point; the canonical algebra, the pair-determined
 relation and connectedness read its atoms and their closures.  Only
 the relation's reach, read in one pass into successor masks, is kept
-on the triple.
+on the triple.  The canonical triple's space is built from the atom
+clan sets and the clan supports its algebra holds, as its closed base
+and signatures, so its dense part's table is read off them.  A failed
+closure-trace check, (PCS5), (CS4) or (S2S4), names its element set by
+its members within the point budget and by the atoms of its support
+past it.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from operator import or_
 
 from .adjacency import is_closed_relation
 from .boolean import bit_indices, join_at, joins_table, mask_of, transpose
-from .config import require_atom_width, require_enum_width
+from .config import point_limit, require_atom_width, require_enum_width
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .memo import remember
 from .precontact import PrecontactAlgebra, clan_supports, clique_supports, pca_from_pairs
@@ -35,7 +40,6 @@ from .topology import (
     MereotopologicalPair,
     _is_base_of_closed,
     clopen_atoms,
-    clopens_of_subset,
     closure,
     first_unrealized_support,
     held_once,
@@ -44,7 +48,6 @@ from .topology import (
     pair_atoms,
     rc_atoms,
     rc_atoms_of_subset,
-    space_from_closed_base,
     subspace,
     unions,
 )
@@ -70,12 +73,20 @@ def _closure_support_check(report, space, table, name, prefix, supports):
     # (`rc_atoms_of_subset`), f above an atom iff cl f is above its
     # closure.  So an element set is a closure trace iff its support is
     # the support of a point over the atom closures.  The clopen family
-    # is built only to name a failing witness.
+    # is built only to name a failing witness, and only within the point
+    # budget.
     unrealized = first_unrealized_support(table.support, supports)
     witness = None
     if unrealized is not None:
-        clopens = clopens_of_subset(space, table.subset)
-        witness = prefix + _element_set_names(space, table.atoms, clopens, unrealized)
+        atoms = table.atoms
+        if table.subset.bit_count() <= point_limit():
+            # the clopens are the unions of the atoms (`clopens_of_subset`)
+            witness = prefix + _element_set_names(space, atoms, unions(atoms), unrealized)
+        else:
+            # a failed axiom never raises: past the point budget, the
+            # element set is named by the atoms of its support
+            chosen = ",".join(space.name_set(atoms[i]) for i in bit_indices(unrealized))
+            witness = prefix + "support {" + chosen + "}"
     report.add(name, unrealized is None, witness)
 
 
@@ -301,7 +312,12 @@ def _canonical_pcs(pca):
     appended.  Every singleton is a clique, as the adjacency is
     reflexive, and the n singletons come first, in atom order: the
     ultrafilter clan of atom p is point p.  So the dense subset is the
-    first n points and the relation is the kernel's own pairs."""
+    first n points and the relation is the kernel's own pairs.
+
+    The space is built from the algebra's atom clan sets as its closed
+    base and its clan supports as the signatures of its points, both
+    computed once per algebra, so `pair_atoms` reads the dense part's
+    point supports and closed-base verdict off them (proof below)."""
     algebra = pca.algebra
     if algebra.is_degenerate:
         raise PreconditionError("duality rejects the degenerate algebra")
@@ -314,9 +330,21 @@ def _canonical_pcs(pca):
         name_of[s] = (name_of[rest] + "-" if rest else "c") + str(top)
     # The closed base is the clan sets of the elements.  The clan set of
     # an element is the union of its atoms' clan sets, so the n atom clan
-    # sets generate the same finite unions, hence the same meets in
-    # `space_from_closed_base` and the same space.
-    space = space_from_closed_base(tuple(name_of.values()), transpose(supports, n))
+    # sets B_0 .. B_{n-1}, base = transpose(supports, n), generate the
+    # same finite unions, hence the same meets in `space_from_closed_base`
+    # and the same space.  The signature of point x, {i : x in B_i}, is
+    # supports[x]: x is in B_i iff bit i of supports[x] is set, and every
+    # support lies below 1 << n, so transpose(base, P) = supports.  The
+    # space keeps both tuples the algebra already holds.
+    #
+    # `pair_atoms` then reads the dense part's table off them: the
+    # signature of dense point p is {p}, so the one member holding p is
+    # B_p and cl{p} = B_p, which meets the dense part in {p}.  The dense
+    # part is discrete, its clopen atoms are {0} .. {n-1} in order, and
+    # their closures are the base itself.
+    space = FiniteSpace._of_closed_base(
+        tuple(name_of.values()), pca._atom_clans, pca._clan_supports
+    )
     return validate_pcs(space, (1 << n) - 1, pca.kernel.pairs)
 
 

@@ -7,9 +7,12 @@ keeps closure, interior, subspaces and products polynomial.  A space
 built from a closed base, and the closed-base test, read the closure of
 a point as the meet of the base members that hold it (`_meets`); such a
 space skips the closure checks of `FiniteSpace`, which `_meets` output
-meets by construction, and keeps the name checks.  The maximal points
-are the points held by exactly one distinct closure, computed once per
-space.
+meets by construction, and keeps the name checks.  It also keeps its
+base and the signatures of its points, sig(x) = {i : x in base[i]}, as
+attributes outside the dataclass fields, so equality, hashing and repr
+are those of its closures.  The maximal points are the points held by
+exactly one distinct closure, computed once per space.
+
 Families are held by their atoms: the clopens of a subspace by its
 connected components (`clopen_atoms`), the regular closed sets by the
 closures of the maximal points (`rc_atoms`), and a Boolean subalgebra
@@ -18,7 +21,10 @@ of them, RC(X) and the pair's algebra included, as a
 interior per atom.  A pair (X, X0) is read through one table,
 `pair_atoms`: the clopen atoms of X0, their closures, the atoms whose
 closures hold each point, and the Stone and closed-base verdicts of
-the pair, kept on the space for the last subset asked for.  A family
+the pair, kept on the space for the last subset asked for.  When the
+closures of the clopen atoms are the base the space was built from, in
+order, the point supports are its signatures and the closed-base
+verdict is True, read off the base with no further pass.  A family
 whose members are closed by construction (atom closures, `rc_atoms`,
 the atoms of a pair) is decided a closed base without a closedness
 pass (`_is_base_of_closed`).  The point budget bounds only the
@@ -71,14 +77,22 @@ class FiniteSpace:
             raise PreconditionError("one closure mask per point required")
 
     @classmethod
-    def _trusted(cls, point_names, point_closures):
-        """The space of closures that are in range, reflexive and
-        transitive by construction (`_meets` output): only the checks
-        the names and the count can break are run."""
+    def _of_closed_base(cls, point_names, base, signatures):
+        """The space of the closed base ``base``, a tuple of masks, whose
+        signatures are ``signatures``: sig(x) = {i : x in base[i]}, the
+        `transpose` of the members cut to the points.  cl{x} is the meet
+        of the members holding x (`_meets`).  Its output is in range,
+        reflexive and transitive by construction (`space_from_closed_base`),
+        so only the checks the names and the count can break are run.
+        The base and the signatures are kept as attributes of the frozen
+        space, not as fields, so equality, hashing and repr see the
+        closures only; `pair_atoms` reads them."""
         space = object.__new__(cls)
         object.__setattr__(space, "point_names", point_names)
-        object.__setattr__(space, "point_closures", point_closures)
+        object.__setattr__(space, "point_closures", tuple(_meets(len(point_names), base)))
         space._check_shape()
+        object.__setattr__(space, "_base", base)
+        object.__setattr__(space, "_signatures", signatures)
         return space
 
     @property
@@ -138,9 +152,14 @@ def space_from_closed_base(point_names, base_masks):
     for y in meet[x], every member holding x holds y, so the members
     holding y include those holding x and meet[y] lies inside meet[x],
     which is transitivity.  The name checks, which the input can
-    break, still run."""
+    break, still run.  The space keeps the base and the signatures
+    sig(x) = {i : x in base[i]} of its points, one `transpose` of the
+    members cut to the points (`FiniteSpace._of_closed_base`)."""
     names = tuple(point_names)
-    return FiniteSpace._trusted(names, tuple(_meets(len(names), base_masks)))
+    base = tuple(base_masks)
+    full = (1 << len(names)) - 1
+    signatures = tuple(transpose([m & full for m in base], len(names)))
+    return FiniteSpace._of_closed_base(names, base, signatures)
 
 
 def discrete_space(point_names):
@@ -446,7 +465,7 @@ class PairAtoms(NamedTuple):
 
     subset: int
     closures: tuple
-    support: list
+    support: tuple | list  # a closed base's signatures, or a transpose
     stone: bool
     closed_base: bool
 
@@ -495,6 +514,12 @@ def pair_atoms(space, subset):
     space built from a closed base), so a union of point closures holds
     the closure of each of its points.  So the verdict is the comparison
     of the meets with the point closures (`_is_base_of_closed`).
+
+    A space built from a closed base keeps the base and the signatures
+    of its points (`FiniteSpace._of_closed_base`).  When the closures
+    are that base, in order, ``support`` is the signatures and
+    ``closed_base`` is True, with no `transpose` and no `_meets` pass;
+    the proof is beside the code.  Otherwise both are computed as above.
     """
     # An attribute of the frozen space rather than a `memo` entry: it is
     # set without building the space's instance dictionary, which a
@@ -502,12 +527,21 @@ def pair_atoms(space, subset):
     table = getattr(space, "_pair_atoms", None)
     if table is None or table.subset != subset:
         closures = tuple(closure(space, a) for a in clopen_atoms(space, subset))
+        # A space built from a closed base whose members are these
+        # closures, in this order, holds the table already.  The point
+        # closures are `_meets` of that base, so they are the meets of
+        # the closures holding each point: the closed-base verdict is
+        # True.  The members are then in range, as closures are, so the
+        # signatures are `transpose(closures)`: support[x] is sig(x).  On
+        # every canonical dual this holds for the dense part (see
+        # `structures._canonical_pcs`).
+        if closures == getattr(space, "_base", None):
+            support, closed_base = space._signatures, True
+        else:
+            support = transpose(closures, space.point_count)
+            closed_base = _is_base_of_closed(space, closures)
         table = PairAtoms(
-            subset,
-            closures,
-            transpose(closures, space.point_count),
-            len(closures) == subset.bit_count(),
-            _is_base_of_closed(space, closures),
+            subset, closures, support, len(closures) == subset.bit_count(), closed_base
         )
         object.__setattr__(space, "_pair_atoms", table)
     return table

@@ -25,7 +25,9 @@ from contactlab.duality import (
 )
 from contactlab.precontact import PcaMorphism, clan_supports, pca_from_pairs
 from contactlab.randgen import child_seed, random_pca_morphism
+from contactlab.serialize import dumps, encode
 from contactlab.structures import canonical_pcs_of_pca, pcs_algebra, validate_pcs
+from contactlab.topology import FiniteSpace, pair_atoms
 
 SIZES = ((3, 3), (4, 4), (5, 4), (4, 5), (5, 5))
 
@@ -139,3 +141,30 @@ def test_algebra_with_a_dual_triple_pickles_and_copies(phi, clone):
     phi_twin = clone(phi)
     assert phi_twin == phi
     assert dual_space_map(phi_twin).point_map == f.point_map
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy]
+)
+def test_a_space_keeps_its_base_out_of_sight(clone):
+    """A canonical dual's space keeps its closed base and signatures as
+    attributes, not fields: it equals and hashes like the space of its
+    names and closures alone, with the same repr and the same encoded
+    bytes, and a clone keeps the `validate_pcs` verdicts."""
+    for phi in seeded_morphisms(4):
+        for pca in (phi.source, phi.target):
+            triple = canonical_pcs_of_pca(pca)
+            space = triple.space
+            plain = FiniteSpace(space.point_names, space.point_closures)
+            assert space._base is pca._atom_clans
+            assert space._signatures is pca._clan_supports
+            assert space == plain and hash(space) == hash(plain)
+            assert repr(space) == repr(plain)
+            assert dumps(encode(space)) == dumps(encode(plain))
+            plain_triple = validate_pcs(plain, triple.subset, triple.relation)
+            assert dumps(encode(triple)) == dumps(encode(plain_triple))
+            twin = clone(space)
+            assert twin == space and twin._base == space._base
+            again = validate_pcs(twin, triple.subset, triple.relation)
+            assert checks(again) == checks(triple)
+            assert pair_atoms(twin, triple.subset) == pair_atoms(space, triple.subset)

@@ -5,11 +5,14 @@ The reductions in ``precontact`` (the row form of (C+), the well-inside
 axioms read off the rows and at the unary form, the unary form of an
 explicit well-inside relation and its inverse, the smallest interpolant
 for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
-``clique_supports``, the grill and clan conditions of ``is_clan``), in
+``clique_supports``, the grill and clan conditions of ``is_clan``, the
+contact-closure rows of a kernel), in
 ``adjacency`` (the ultrafilter adjacency read off the kernel's pairs), in ``topology``
 (closed bases by the meet of the members holding each point, clopens of
 a subspace by its components, the pair table with its Stone and
-closed-base verdicts, maximal points as the points held by one
+closed-base verdicts, read off the closed base a space was built from
+when the closures of the clopen atoms are that base, maximal points as
+the points held by one
 distinct closure, RC(X) by the closures of the maximal points and the
 predicates read off them, pairs held by their atoms with one interior
 per atom, u-points of a pair at its atoms), in ``structures`` ((PCS2) by the
@@ -32,13 +35,14 @@ unavailable.
 """
 
 import dataclasses
+import functools
 import itertools
 import random
 import sys
 
 import pytest
 
-from contactlab import adjacency, duality, precontact, structures, suite, topology
+from contactlab import adjacency, boolean, duality, precontact, structures, suite, topology
 from contactlab.adjacency import canonical_adjacency
 from contactlab.boolean import (
     BooleanHom,
@@ -1272,7 +1276,7 @@ def _counted(monkeypatch, name, home=topology):
 def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
     """The canonical build and `specialization_report` of a contact dual
     derive its pair table once (`pair_atoms`): one `clopen_atoms` and at
-    most 3 `_meets` calls per dual, on seeded 3- to 6-atom contact
+    most 2 `_meets` calls per dual, on seeded 3- to 6-atom contact
     algebras; `is_c_semiregular` takes `rc_atoms` once."""
     clopen_calls = _counted(monkeypatch, "clopen_atoms")
     meet_calls = _counted(monkeypatch, "_meets")
@@ -1287,7 +1291,7 @@ def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
             assert report.ok, report.failures
             assert "dual pair's member algebra is mereocompact" in [c.name for c in report.checks]
             assert len(clopen_calls) <= 1, (n, density, len(clopen_calls))
-            assert len(meet_calls) <= 3, (n, density, len(meet_calls))
+            assert len(meet_calls) <= 2, (n, density, len(meet_calls))
             space = canonical_pcs_of_pca(pca).space
             rc_calls.clear()
             assert is_c_semiregular(space)
@@ -1308,6 +1312,38 @@ def test_round_trip_reads_the_reach_of_the_canonical_build(monkeypatch):
             roundtrip = algebra_roundtrip_iso(pca)
             assert roundtrip.report.ok and roundtrip.space is triple
             assert not out_mask_calls, (n, density, len(out_mask_calls))
+
+
+def test_round_trip_derives_each_table_once(monkeypatch):
+    """One `algebra_roundtrip_iso` of a fresh algebra, its canonical
+    build included, derives each table once, on seeded 1- to 6-atom
+    algebras: one `_meets` (the point closures of the closed base), two
+    `transpose` calls (the atom clan sets and the reaching rows of
+    (PCS4)), and one pass of contact-closure rows per kernel, the
+    algebra's and its canonical algebra's."""
+    meet_calls = _counted(monkeypatch, "_meets")
+    transpose_calls = _counted(monkeypatch, "transpose", boolean)
+    rows_of = RelationKernel._closure_rows.func
+    row_calls = []
+
+    def counted_rows(kernel):
+        row_calls.append(kernel)
+        return rows_of(kernel)
+
+    rows = functools.cached_property(counted_rows)
+    rows.__set_name__(RelationKernel, "_closure_rows")
+    monkeypatch.setattr(RelationKernel, "_closure_rows", rows)
+    for n in range(1, 7):
+        for i, density in enumerate((0.15, 0.5, 0.85)):
+            pca = random_pca(RandomSpec(atoms=n, density=density, seed=child_seed(73, n * 10 + i)))
+            for calls in (meet_calls, transpose_calls, row_calls):
+                calls.clear()
+            roundtrip = algebra_roundtrip_iso(pca)
+            assert roundtrip.report.ok, roundtrip.report.failures
+            counts = (len(meet_calls), len(transpose_calls), len(row_calls))
+            assert counts == (1, 2, 2), (n, density, counts)
+            assert row_calls[0] is pca.kernel
+            assert row_calls[1] is roundtrip.canonical.pca.kernel
 
 
 def test_pair_table_matches_the_subspace_and_closed_base_sweeps():
@@ -1352,6 +1388,141 @@ def test_pair_table_matches_the_subspace_and_closed_base_sweeps():
 
 def copy_of(space):
     return FiniteSpace(space.point_names, space.point_closures)
+
+
+def _check_table_read_off_the_base(space, sub, oracle_memo):
+    """`pair_atoms` of a space built from a closed base against the
+    transpose and `_is_base_of_closed` path it replaces, taken on a copy
+    of the space that keeps no base, and against the literal point
+    supports; its closed-base verdict against `oracle_is_closed_base`
+    on the closures of the clopens, for spaces of at most 10 points.
+    Returns whether the table was read off the base."""
+    table = pair_atoms(space, sub)
+    plain = pair_atoms(copy_of(space), sub)
+    assert table._replace(support=list(table.support)) == plain, (space, sub)
+    assert list(table.support) == [
+        mask_of(i for i, c in enumerate(table.closures) if c >> x & 1)
+        for x in range(space.point_count)
+    ]
+    closures = space.point_closures
+    if len(closures) <= 10:
+        key = (closures, sub)
+        if key not in oracle_memo:
+            oracle_memo[key] = oracle_is_closed_base(
+                closures,
+                {oracle_closure_of(closures, f) for f in oracle_subspace_clopens(closures, sub)},
+            )
+        assert table.closed_base == oracle_memo[key], (space, sub)
+    return table.closures == space._base
+
+
+def _base_names(n):
+    return tuple(f"p{x}" for x in range(n))
+
+
+def test_pair_table_is_read_off_every_small_closed_base():
+    """Every family of masks over at most 3 points, ascending, also with
+    a repeated member and with a member outside the points, and every
+    family of at most 4 nonempty masks over 4 points, ascending: the
+    space from each and every subset.  A base with a repeated, empty or
+    out-of-range member never equals the closures of clopen atoms, which
+    are distinct, nonzero and in range, so it takes the plain path.  The
+    signatures are the transpose of the members cut to the points."""
+    bases = []
+    for n in (1, 2, 3):
+        for r in range((1 << n) + 1):
+            for base in itertools.combinations(range(1 << n), r):
+                bases += [(n, base), (n, base + (1 << n,))]
+                if base:
+                    bases.append((n, base + base[:1]))
+    for r in range(5):
+        bases += [(4, base) for base in itertools.combinations(range(1, 16), r)]
+    memo, branches = {}, set()
+    for n, base in bases:
+        space = space_from_closed_base(_base_names(n), base)
+        full = space.full_mask
+        assert space._base == base
+        assert list(space._signatures) == transpose([m & full for m in base], n)
+        for sub in range(full + 1):
+            read_off = _check_table_read_off_the_base(space, sub, memo)
+            plain_only = 0 in base or len(set(base)) < len(base) or max(base, default=0) > full
+            assert not (read_off and plain_only), (base, sub)
+            branches.add(read_off)
+    assert branches == {True, False}
+
+
+def test_pair_table_is_read_off_seeded_closed_bases():
+    """Seeded spaces of 5 to 9 points from random bases, from the point
+    closures of a random space, and from the clopen atom closures of a
+    subset of at most 5 points of a random space, whose space reads that
+    subset off its base when they form a closed base; each at that
+    subset, the whole space and subsets of at most 5 points."""
+    rng = random.Random(20261019)
+    memo, branches = {}, set()
+    for n in range(5, 10):
+        for _ in range(4):
+            shape = random_space(n, rng)
+            chosen = sum(1 << x for x in rng.sample(range(n), rng.randint(1, 5)))
+            generated = pair_atoms(shape, chosen).closures
+            bases = [
+                tuple(rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))),
+                shape.point_closures,
+                generated,
+            ]
+            for base in bases:
+                space = space_from_closed_base(_base_names(n), base)
+                assert list(space._signatures) == transpose(base, n)
+                subsets = [chosen, space.full_mask] + [
+                    sum(1 << x for x in rng.sample(range(n), rng.randint(0, 5))) for _ in range(3)
+                ]
+                for sub in subsets:
+                    read_off = _check_table_read_off_the_base(space, sub, memo)
+                    branches.add(read_off)
+                    if base is generated and sub == chosen and pair_atoms(shape, sub).closed_base:
+                        assert read_off, (shape, sub)
+    assert branches == {True, False}
+
+
+def test_pair_table_of_canonical_duals_is_read_off_the_base(monkeypatch):
+    """Canonical duals of every kernel on at most 2 atoms and of seeded
+    3- to 8-atom kernels: the dense part reads its table off the base,
+    and a subset other than the dense part takes the plain path; both
+    equal the plain path.  The signatures are the clan supports, the
+    transpose of the base."""
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
+    memo = {}
+    pcas = [pca_from_pairs(n, pairs) for n in (1, 2) for pairs in all_kernels(n)]
+    for n in range(3, 9):
+        for i, density in enumerate((0.15, 0.5, 0.85)):
+            for constraint in ("none", "contact"):
+                spec = RandomSpec(
+                    atoms=n, density=density, seed=child_seed(79, n * 10 + i), constraint=constraint
+                )
+                pcas.append(random_pca(spec))
+    for pca in pcas:
+        n = pca.algebra.atom_count
+        triple = canonical_pcs_of_pca(pca)
+        space = triple.space
+        assert space._signatures == tuple(clan_supports(pca))
+        assert list(space._signatures) == transpose(space._base, space.point_count)
+        assert _check_table_read_off_the_base(space, triple.subset, memo)
+        others = {triple.subset ^ 1, space.full_mask, space.full_mask ^ triple.subset}
+        for sub in others - {0, triple.subset}:
+            assert not _check_table_read_off_the_base(space, sub, memo), (pca, sub)
+        # the table of the dense part is read again after the others
+        assert _check_table_read_off_the_base(space, triple.subset, memo)
+
+
+def test_closure_rows_are_the_literal_contact_closure():
+    """`RelationKernel._closure_rows` against the symmetric-reflexive
+    closure of the kernel pairs, on every kernel with at most 3 atoms
+    and on seeded 4- to 6-atom kernels."""
+    kernels = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    kernels += seeded_kernels(83, {4: 20, 5: 20, 6: 20})
+    for n, pairs in kernels:
+        closed = set(pairs) | {(q, p) for p, q in pairs} | {(p, p) for p in range(n)}
+        rows = pca_from_pairs(n, pairs).kernel._closure_rows
+        assert rows == tuple(mask_of(q for q in range(n) if (p, q) in closed) for p in range(n))
 
 
 def test_triples_on_one_space_keep_their_own_pair_reading():
@@ -1502,7 +1673,10 @@ def test_roundtrip_failures_name_witnesses(path_pca, monkeypatch):
 
     monkeypatch.setattr(duality, "pcs_algebra", without_top)
     monkeypatch.setattr(duality, "closure", lambda space, mask: mask)
-    monkeypatch.setattr(duality, "_closure_succ", lambda kernel: kernel._succ)
+    # The clans read the real contact closure before the round trip's
+    # reads of it are broken.
+    clan_supports(path_pca)
+    monkeypatch.setattr(RelationKernel, "_closure_rows", property(lambda kernel: kernel._succ))
     round_trip = algebra_roundtrip_iso(path_pca)
     assert not round_trip.report.check(
         "bijective onto the pair's regular closed sets"
