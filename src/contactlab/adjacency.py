@@ -237,8 +237,9 @@ def stone_representation_report(pca):
     is the kernel's own pairs (`canonical_adjacency`, where the
     ultrafilter quantifier is proved to hold exactly there), so the map
     preserves and reflects the relation as well.  The axiom flags come
-    from the algebra's carrier sweep and the relation properties from
-    the kernel's pairs, computed independently.
+    from `axiom_report`, read off the kernel's atom rows, and the
+    relation properties from the kernel's pair set, computed
+    independently.
     """
     algebra = pca.algebra
     if algebra.is_degenerate:

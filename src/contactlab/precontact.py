@@ -22,7 +22,9 @@ The atom rows of the contact closure are computed once per kernel
 (`RelationKernel._closure_rows`), and the clan supports and the atom
 clan sets (the clans holding each atom, the closed base of the dual)
 once per algebra; the clans, (Ctr#), `is_clan`, `contact_closure` and
-the round trip read those copies.
+the round trip read those copies.  The six axiom flags of
+`axiom_report` are read off the kernel's atom rows (its successors and
+the closure rows) in O(n**2), with no 2**n table.
 
 Axiom checks decide exactly over the carrier, never by sampling; every
 reduction is proved next to its code and tested against the literal
@@ -688,44 +690,67 @@ def contact_from_well_inside_atoms(algebra, m):
 
 def axiom_report(pca):
     """Flags for (Cref), (Csym), (Ctr), (Ctr#), (Ccon), (C6), each decided
-    exactly over the whole carrier.
+    exactly over the whole carrier, and read in O(n**2) off the kernel's
+    atom rows: succ, the successors of each atom, and rows, the atom rows
+    of the contact closure.  No 2**n table is built.
+
+    Write tab for the forward table, tab[a] = the join of succ[p] over
+    the atoms p of a, so that a C b iff tab[a] meets b; tab sends 0 to 0
+    and preserves joins.
+
+    (Cref): a C a for every a != 0 iff p is in succ[p] for every atom p.
+    Take a = {p}; conversely, any a != 0 holds an atom p, and p in
+    succ[p] puts p in tab[a] & a.
 
     (Ctr) and (Ctr#) interpolate through the well-inside relation of C
-    and of its contact closure.  With tab the forward table, a << c iff
-    tab[a] <= c, and tab is monotone, so tab[a] is the smallest
-    candidate interpolant.  Hence some b has a << b << c iff
-    tab[tab[a]] <= c, and the axiom holds iff tab[tab[a]] <= tab[a]
-    for every a (take c = tab[a]): O(2**n) instead of O(8**n).
+    and of its contact closure.  a << c iff tab[a] <= c, and tab is
+    monotone, so tab[a] is the smallest candidate interpolant: some b
+    has a << b << c iff tab[tab[a]] <= c, and the axiom holds iff
+    tab[tab[a]] <= tab[a] for every a (take c = tab[a]).  tab and tab∘tab
+    both preserve joins, so that holds for every a iff it holds at the
+    atoms: join_at(succ, succ[p]) <= succ[p] for every p.  The same
+    argument on rows gives (Ctr#).
 
     (Csym): a C b iff some kernel pair joins an atom of a to an atom of
     b, so C is symmetric iff its kernel is (take a and b atoms).
+
+    (Ccon): a C a* or a* C a holds iff some kernel pair has exactly one
+    end in a, so every proper cut 0 < a < 1 is crossed iff the
+    undirected kernel graph is connected, iff the atoms form one class
+    under rows (the symmetrized kernel; its diagonal crosses no cut).
+    With n = 0 there is no proper cut and no atom to start from, and
+    (Ccon) holds.
+
     (C6): if b != 0 has not b C a, neither has any atom of b, as tab is
     monotone; and every nonzero a* contains an atom.  So (C6) holds iff
-    every atom q has an atom p with tab[{p}] <= {q}, i.e. tab[{p}] is
+    every atom q has an atom p with succ[p] <= {q}, i.e. succ[p] is
     empty or {q}.
     """
-    algebra = pca.algebra
-    n = algebra.atom_count
+    n = pca.algebra.atom_count
     require_enum_width(n)
-    size = algebra.size
-    full = algebra.full_mask
-    table = pca.kernel.forward_table()
-    sharp_table = joins_table(pca.kernel._closure_rows)
+    kernel = pca.kernel
+    succ = kernel._succ
+    rows = kernel._closure_rows
 
-    cref = all(table[a] & a for a in range(1, size))
-    csym = pca.kernel.is_symmetric
-
-    def interpolates(tab):
-        return all(tab[tab[a]] | tab[a] == tab[a] for a in range(size))
-
-    ctr = interpolates(table)
-    ctr_sharp = interpolates(sharp_table)
-    ccon = all(
-        table[a] & (full ^ a) or table[full ^ a] & a for a in range(1, full)
-    )
-    atom_rows = {table[1 << p] for p in range(n)}
-    c6 = 0 in atom_rows or all(1 << q in atom_rows for q in range(n))
+    cref = all(s >> p & 1 for p, s in enumerate(succ))
+    csym = kernel.is_symmetric
+    ctr = not any(join_at(succ, s) & ~s for s in succ)
+    ctr_sharp = not any(join_at(rows, r) & ~r for r in rows)
+    ccon = n == 0 or _reach_from_atom_zero(rows) == pca.algebra.full_mask
+    values = set(succ)
+    c6 = 0 in values or all(1 << q in values for q in range(n))
     return RelationAxioms(cref, csym, ctr, ctr_sharp, ccon, c6)
+
+
+def _reach_from_atom_zero(rows):
+    """The atoms reachable from atom 0 along the adjacency ``rows``
+    (rows[p]: the mask of the atoms adjacent to p), as a mask; one
+    breadth-first pass, each atom's row read once."""
+    reach = frontier = 1
+    while frontier:
+        frontier = join_at(rows, frontier) & ~reach
+        reach |= frontier
+    return reach
 
 
 @dataclass(frozen=True)

@@ -59,24 +59,30 @@ def _expect(condition, message, location):
         raise SchemaError(message, location)
 
 
+def _is_index(v):
+    # type, not isinstance: a JSON boolean decodes to bool, a subclass of int
+    return type(v) is int and v >= 0
+
+
 def _int_list(value, message, location):
     _expect(isinstance(value, list), message, location)
     for v in value:
-        _expect(isinstance(v, int) and v >= 0, message, location)
+        _expect(_is_index(v), message, location)
     return value
 
 
 def _pair_list(value, location):
+    """The index pairs of a JSON list; the location of a malformed item,
+    ``location[i]``, is formatted only when it is raised."""
     _expect(isinstance(value, list), "expected a list of index pairs", location)
     out = []
     for i, item in enumerate(value):
-        _expect(
-            isinstance(item, list) and len(item) == 2,
-            "expected an index pair",
-            f"{location}[{i}]",
-        )
-        _int_list(item, "expected nonnegative integers", f"{location}[{i}]")
-        out.append((item[0], item[1]))
+        if not (isinstance(item, list) and len(item) == 2):
+            raise SchemaError("expected an index pair", f"{location}[{i}]")
+        p, q = item
+        if not (_is_index(p) and _is_index(q)):
+            raise SchemaError("expected nonnegative integers", f"{location}[{i}]")
+        out.append((p, q))
     return out
 
 
@@ -254,7 +260,7 @@ def _decode_algebra(payload, location):
     _expect(isinstance(payload, dict), "expected an object", location)
     atoms = payload.get("atoms")
     _expect(
-        isinstance(atoms, int) and atoms >= 0,
+        _is_index(atoms),
         "atoms must be a nonnegative integer",
         f"{location}.atoms",
     )

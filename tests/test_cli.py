@@ -459,6 +459,33 @@ def test_mereo_member_index_out_of_range_exits_2(tmp_path, capsys, command, inde
     assert err == "error: $.members[1]: point index out of range\n"
 
 
+@pytest.mark.parametrize(
+    "payload, err",
+    [
+        (
+            {"kind": "pca", "algebra": {"atoms": True}, "kernel": [[False, False]]},
+            "error: $.algebra.atoms: atoms must be a nonnegative integer\n",
+        ),
+        (
+            {"kind": "pca", "algebra": {"atoms": 1}, "kernel": [[False, False]]},
+            "error: $.kernel[0]: expected nonnegative integers\n",
+        ),
+        (
+            {"kind": "pca", "algebra": {"atoms": 1}, "relation": [[True, True]]},
+            "error: $.relation[0]: expected nonnegative integers\n",
+        ),
+    ],
+    ids=["atoms", "kernel", "relation"],
+)
+@pytest.mark.parametrize("command", ["validate", "dualize"])
+def test_json_booleans_are_not_indices(tmp_path, capsys, payload, err, command):
+    """true and false are refused where an index or a count is read, as
+    any other non-integer is: exit 2 with the location."""
+    path = tmp_path / "booleans.json"
+    path.write_text(json.dumps({"schema_version": "1", **payload}))
+    assert run(capsys, command, path) == (2, "", err)
+
+
 DUPLICATE_NAMES = {"points": ["a", "a"], "closed_base": [[0], [1]]}
 
 

@@ -3,8 +3,8 @@ quantifier it replaces.
 
 The reductions in ``precontact`` (the row form of (C+), the well-inside
 axioms read off the rows and at the unary form, the unary form of an
-explicit well-inside relation and its inverse, the smallest interpolant
-for (Ctr), (Csym) and (C6) at the atoms, the clique pass of
+explicit well-inside relation and its inverse, the six axiom flags at
+the kernel's atom rows, the clique pass of
 ``clique_supports``, the grill and clan conditions of ``is_clan``, the
 contact-closure rows of a kernel), in
 ``adjacency`` (the ultrafilter adjacency read off the kernel's pairs), in ``topology``
@@ -39,6 +39,7 @@ import functools
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -455,11 +456,11 @@ def test_well_inside_flags_on_relations_closed_under_moves():
 
 
 # ---------------------------------------------------------------------------
-# axiom_report: (Ctr) and (Ctr#) by the smallest interpolant
+# axiom_report: the six flags at the kernel's atom rows
 
 
 def test_axiom_report_matches_the_literal_quantifiers():
-    population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    population = [(n, k) for n in (0, 1, 2, 3) for k in all_kernels(n)]
     population += seeded_kernels(13, {4: 20, 5: 8, 6: 4})
     seen = {name: set() for name in AXIOM_FLAGS}
     for n, pairs in population:
@@ -469,6 +470,55 @@ def test_axiom_report_matches_the_literal_quantifiers():
         for name, value in got.items():
             seen[name].add(value)
     assert all(values == {True, False} for values in seen.values()), seen
+
+
+def component_count(n, pairs):
+    """The classes of the atoms under the symmetric closure of the pairs."""
+    label = list(range(n))
+    for p, q in pairs:
+        old, new = label[p], label[q]
+        label = [new if x == old else x for x in label]
+    return len(set(label))
+
+
+def test_axiom_report_builds_no_table(monkeypatch):
+    """The six flags come from the kernel's atom rows: with the 2**n
+    tables refused, seeded 1- to 6-atom kernels and their contact
+    closures, and 20-atom kernels past the default width, answer in
+    milliseconds.  (Cref), (Csym) and (Ctr) are the kernel's own
+    properties, and (Ccon) says the kernel has one component."""
+
+    def refuse(*args):
+        raise AssertionError("axiom_report built a 2**n table")
+
+    monkeypatch.setattr(precontact, "joins_table", refuse)
+    monkeypatch.setattr(RelationKernel, "forward_table", refuse)
+    seeded = seeded_kernels(41, {n: 4 for n in range(1, 7)})
+    population = [pca_from_pairs(n, pairs) for n, pairs in seeded]
+    population += [precontact.contact_closure(pca) for pca in population]
+    monkeypatch.setenv("CONTACTLAB_ATOM_LIMIT", "20")
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "20")
+    path = pca_from_pairs(20, {(p, p + 1) for p in range(19)})
+    blocks = pca_from_pairs(
+        20, {(p, q) for p in range(20) for q in range(20) if (p < 10) == (q < 10)}
+    )
+    population += [path, precontact.contact_closure(path), blocks]
+    seen = set()
+    for pca in population:
+        kernel, n = pca.kernel, pca.algebra.atom_count
+        start = time.perf_counter()
+        flags = axiom_report(pca)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.05, (n, sorted(kernel.pairs), elapsed)
+        assert (flags.cref, flags.csym, flags.ctr) == (
+            kernel.is_reflexive,
+            kernel.is_symmetric,
+            kernel.is_transitive,
+        ), (n, sorted(kernel.pairs))
+        assert flags.ccon == (component_count(n, kernel.pairs) <= 1), (n, sorted(kernel.pairs))
+        seen.add((n, flags.ccon))
+    assert {(20, True), (20, False)} <= seen
+    assert component_count(20, blocks.kernel.pairs) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,80 @@ def test_schema_errors():
         loads('{"schema_version": "2", "kind": "algebra", "atoms": 1}')
     with pytest.raises(SchemaError):
         loads('{"schema_version": "1", "kind": "pca", "algebra": {"atoms": 2}}')
+    # JSON booleans are not indices, although Python's bool is an int
+    for text, location, message in (
+        (
+            '{"schema_version": "1", "kind": "algebra", "atoms": true}',
+            "$.atoms",
+            "atoms must be a nonnegative integer",
+        ),
+        (
+            '{"schema_version": "1", "kind": "pca", "algebra": {"atoms": true},'
+            ' "kernel": [[false, false]]}',
+            "$.algebra.atoms",
+            "atoms must be a nonnegative integer",
+        ),
+        (
+            '{"schema_version": "1", "kind": "pca", "algebra": {"atoms": 1},'
+            ' "kernel": [[false, false]]}',
+            "$.kernel[0]",
+            "expected nonnegative integers",
+        ),
+        (
+            '{"schema_version": "1", "kind": "family", "algebra": {"atoms": 1},'
+            ' "members": [true]}',
+            "$.members",
+            "expected mask list",
+        ),
+        (
+            '{"schema_version": "1", "kind": "pair",'
+            ' "space": {"points": ["a"], "closed_base": [[false]]}, "subset": [0]}',
+            "$.space.closed_base[0]",
+            "expected index list",
+        ),
+    ):
+        with pytest.raises(SchemaError) as err:
+            loads(text)
+        assert str(err.value) == f"{location}: {message}"
+
+
+PAIR_LIST_PAYLOADS = {
+    "$.kernel": {"kind": "pca", "algebra": {"atoms": 2}},
+    "$.relation": {"kind": "pca", "algebra": {"atoms": 2}},
+    "$.R": {"kind": "pcs", "space": {"points": ["a"], "closed_base": [[0]]}, "subset": [0]},
+}
+
+
+@pytest.mark.parametrize("location", sorted(PAIR_LIST_PAYLOADS))
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("0", "expected an index pair"),
+        ({"p": 0, "q": 0}, "expected an index pair"),
+        ([0, 0, 0], "expected an index pair"),
+        ([0], "expected an index pair"),
+        ([0, -1], "expected nonnegative integers"),
+        ([-1, 0], "expected nonnegative integers"),
+        ([0, "1"], "expected nonnegative integers"),
+        ([0.0, 1], "expected nonnegative integers"),
+        ([True, 0], "expected nonnegative integers"),
+        ([0, False], "expected nonnegative integers"),
+    ],
+)
+def test_malformed_pair_lists_name_the_item(location, item, message):
+    """A malformed item of an index-pair list is named by its position
+    after a well-formed one; a value that is no list is named itself."""
+    field = location[2:]
+    payload = {"schema_version": "1", **PAIR_LIST_PAYLOADS[location]}
+    with pytest.raises(SchemaError) as err:
+        decode({**payload, field: [[0, 0], item]})
+    assert (err.value.location, str(err.value)) == (
+        f"{location}[1]",
+        f"{location}[1]: {message}",
+    )
+    with pytest.raises(SchemaError) as err:
+        decode({**payload, field: {"0": [0, 0]}})
+    assert str(err.value) == f"{location}: expected a list of index pairs"
 
 
 def test_raw_relation_in_pca_files():
