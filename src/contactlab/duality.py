@@ -825,7 +825,7 @@ def specialization_report(pca, which=None):
                 "atom " + space.name_set(min(differ)) if differ else None,
             )
             # X is C-semiregular iff it is T0 and (X, RC(X)) is
-            # mereocompact (`is_c_semiregular`, by the same three tests);
+            # mereocompact (both read `topology._c_semiregular_tests`);
             # on failure the failing lines of that report are the witness.
             # When the line above holds, RC(X) is the pair's algebra.
             result = mereocompactness_report(rc_algebra(space)) if differ else pair_report

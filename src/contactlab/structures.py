@@ -16,10 +16,10 @@ relation and connectedness read its atoms and their closures.  Only
 the relation's reach, read in one pass into successor masks, is kept
 on the triple.  The canonical triple's space is built from the atom
 clan sets and the clan supports its algebra holds, as its closed base
-and signatures, so its dense part's table is read off them.  A failed
-closure-trace check, (PCS5), (CS4) or (S2S4), names its element set by
-its members within the point budget and by the atoms of its support
-past it.
+and signatures, so its dense part's table is read off them.  Every
+realization line, (PCS5), (CS4), (S2S4) and the mereocompactness clan
+line, is added by one function (`_realization_check`), which names a
+failing element set by the atoms of its support, at every size.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from operator import or_
 
 from .adjacency import is_closed_relation
 from .boolean import bit_indices, join_at, joins_table, mask_of, transpose
-from .config import point_limit, require_atom_width, require_enum_width
+from .config import require_atom_width, require_enum_width
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .memo import remember
 from .precontact import PrecontactAlgebra, clan_supports, clique_supports, pca_from_pairs
@@ -38,7 +38,7 @@ from .report import CheckList, ReportBuilder
 from .topology import (
     FiniteSpace,
     MereotopologicalPair,
-    _is_base_of_closed,
+    _c_semiregular_tests,
     clopen_atoms,
     closure,
     first_unrealized_support,
@@ -56,37 +56,18 @@ from .topology import (
 # shared helpers for the clopen algebra of a subspace
 
 
-def _element_set_names(space, atoms, members, support):
-    """The members above one of the atoms in the support (the element set
-    of the grill or clan with that support), named in ascending order."""
-    chosen = [atoms[i] for i in bit_indices(support)]
-    element_set = sorted(m for m in set(members) if any(a | m == m for a in chosen))
-    return "{" + ",".join(space.name_set(m) for m in element_set) + "}"
-
-
-def _closure_support_check(report, space, table, name, prefix, supports):
-    """Add the check: is every element set with one of the ``supports``
-    (masks over the clopen atoms of the dense part, ``table`` of
-    `pair_atoms`) the closure trace {f clopen : x in cl f} of some point
-    x?"""
-    # f |-> cl f sends the clopens onto the unions of the atom closures
-    # (`rc_atoms_of_subset`), f above an atom iff cl f is above its
-    # closure.  So an element set is a closure trace iff its support is
-    # the support of a point over the atom closures.  The clopen family
-    # is built only to name a failing witness, and only within the point
-    # budget.
-    unrealized = first_unrealized_support(table.support, supports)
+def _realization_check(report, name, prefix, space, family, unrealized):
+    """Add the realization line ``name``: is every element set asked
+    about a point trace?  ``unrealized`` is the support, a mask over
+    ``family.atoms`` (of a `pair_atoms` table or a pair), of the first
+    that is not (`first_unrealized_support`), or None.  A failing line
+    names that support by its atoms: the element set is the members
+    above one of them, so they fix it.  The atoms are read only then."""
     witness = None
     if unrealized is not None:
-        atoms = table.atoms
-        if table.subset.bit_count() <= point_limit():
-            # the clopens are the unions of the atoms (`clopens_of_subset`)
-            witness = prefix + _element_set_names(space, atoms, unions(atoms), unrealized)
-        else:
-            # a failed axiom never raises: past the point budget, the
-            # element set is named by the atoms of its support
-            chosen = ",".join(space.name_set(atoms[i]) for i in bit_indices(unrealized))
-            witness = prefix + "support {" + chosen + "}"
+        atoms = family.atoms
+        chosen = ",".join(space.name_set(atoms[i]) for i in bit_indices(unrealized))
+        witness = prefix + "support {" + chosen + "}"
     report.add(name, unrealized is None, witness)
 
 
@@ -221,11 +202,12 @@ def validate_pcs(space, subset, relation):
         pcs4_witness = f"({space.name_set(atoms[first])},{space.name_set(atoms[j])})"
     report.add("(PCS4)", first is None, pcs4_witness)
 
-    # The clans of the clopen algebra under C# are the cliques of adj.
+    # The clans of the clopen algebra under C# are the cliques of adj,
+    # and a clan is a closure trace iff its support is the support of a
+    # point (`_validate_pair`).
     require_enum_width(len(closed))
-    _closure_support_check(
-        report, space, table, "(PCS5)", "unrealized clan ", clique_supports(adj)
-    )
+    unrealized = first_unrealized_support(support, clique_supports(adj))
+    _realization_check(report, "(PCS5)", "unrealized clan ", space, table, unrealized)
 
     triple = TwoPrecontactSpace(space, subset, relation, report.done().checks)
     remember(triple, "_reach", lambda _: reach)
@@ -379,7 +361,12 @@ class PcsAlgebra:
         return self._point_masks[element_mask]
 
     def from_point_mask(self, point_mask):
-        return self._member_index[point_mask]
+        """The element whose point set is ``point_mask``; raises
+        DomainMismatchError when no member has that point set."""
+        element = self._member_index.get(point_mask)
+        if element is None:
+            raise DomainMismatchError(f"point mask {point_mask} is not a member")
+        return element
 
     def is_member(self, point_mask):
         return point_mask in self._member_index
@@ -432,7 +419,12 @@ def _validate_pair(cls, title, tag, space, subset, supports):
     report.add("(CS1)", is_t0(space), "space is not T0")
     report.add("(CS2)", table.stone, "dense part is not a Stone space")
     report.add("(CS3)", table.closed_base, "the pair's regular closed sets are not a closed base")
-    _closure_support_check(report, space, table, tag, "unrealized ", supports(table.closures))
+    # f |-> cl f sends the clopens onto the unions of the atom closures
+    # (`rc_atoms_of_subset`), f above an atom iff cl f is above its
+    # closure.  So an element set is a closure trace iff its support is
+    # the support of a point over the atom closures.
+    unrealized = first_unrealized_support(table.support, supports(table.closures))
+    _realization_check(report, tag, "unrealized ", space, table, unrealized)
     return cls(space, subset, report.done().checks)
 
 
@@ -517,44 +509,27 @@ def mereocompactness_report(mereo):
     space, atoms = mereo.space, mereo.atoms
     report = ReportBuilder("mereocompactness")
 
-    # The members are the unions of the atoms, regular closed by the
-    # pair's constructor, and a member holding x holds an atom holding
-    # x, so both families have the same meet at each point
-    # (`is_closed_base`, `is_semiregular`).
-    space_ok = _is_base_of_closed(space, atoms)
+    # The members are the unions of the atoms, a Boolean subalgebra of
+    # RC(X): the three tests of `is_c_semiregular`, over these atoms.
+    space_ok, t0, unrealized = _c_semiregular_tests(space, atoms)
     report.add("members form a closed base", space_ok, "not a mereotopological space")
-    t0 = is_t0(space)
     report.add("space is T0", t0, "not T0")
-
-    # The members form a Boolean subalgebra of RC(X), whose order is
-    # inclusion: they are the unions of their atoms, atom i inside the
-    # union over T iff i is in T.  So a clan of the members under
-    # overlap is a point trace iff its support is the support of a point
-    # over the atoms (`first_unrealized_support`).
-    unrealized = first_unrealized_support(
-        transpose(atoms, space.point_count), overlap_clans(atoms)
+    _realization_check(
+        report, "every clan is a point trace", "unrealized clan ", space, mereo, unrealized
     )
-    clans_ok = unrealized is None
-    witness = None
-    if not clans_ok:
-        witness = "unrealized clan " + _element_set_names(
-            space, atoms, mereo.members, unrealized
-        )
-    report.add("every clan is a point trace", clans_ok, witness)
-    mereocompact = space_ok and clans_ok
+    mereocompact = space_ok and unrealized is None
 
     # x is a u-point iff exactly one atom holds x (see `u_point_of_pair`).
+    # Its trace, the members holding x, is the unions over the T meeting
+    # the atom support of x; that is an ultrafilter, the members above
+    # one atom, iff the support is a single atom.  So the u-points are
+    # exactly the points whose trace is an ultrafilter, on every pair:
+    # both point sets are `held_once(atoms)`, so a line comparing them
+    # could not fail.
     u_set = held_once(atoms)
     uniqueness_witness = None
 
     if t0 and mereocompact:
-        # The trace of x is the members holding x: the unions over the T
-        # meeting the atom support of x.  It is an ultrafilter, the
-        # members above one atom, iff that support is a single atom, and
-        # x is a u-point iff exactly one atom holds it: both point sets
-        # are `held_once(atoms)` by construction.  The check is recorded,
-        # not counted.
-        report.add("u-points are exactly the ultrafilter traces", True)
         # The u-point lines read the pair (X, u-points) at its atoms, in
         # the table that `validate_cs` below reads too (`pair_atoms`).
         dense = closure(space, u_set) == space.full_mask
@@ -586,12 +561,26 @@ def mereocompactness_report(mereo):
             uniqueness_witness is None,
             None if uniqueness_witness is None else space.name_set(candidate),
         )
-        cs = validate_cs(space, u_set) if dense else None
-        report.add(
-            "the pair with its u-points is a 2-contact space",
-            cs is not None and cs.ok,
-            cs.failure_summary(" ") if cs is not None else "u-point set not dense",
-        )
+        # When the Stone and reproduction lines hold, `validate_cs(space,
+        # u_set)` holds, and it runs only to name a failure.  Its
+        # precondition is `dense`.  (CS1) is `t0`.  (CS2) is the Stone
+        # line, off the same table.  (CS3) is the closed-base test of the
+        # closures of the clopen atoms of the u-points, which are the
+        # pair's atoms, and `_meets` takes them as a set, so it is
+        # `space_ok`.  (CS4) asks whether the overlap clans of the same
+        # closures, in the table's order, are realized: a permutation of
+        # the atoms permutes the clans and the point supports alike, so
+        # it is the clan line.
+        line = "the pair with its u-points is a 2-contact space"
+        if stone and reproduced:
+            report.add(line, True)
+        else:
+            cs = validate_cs(space, u_set) if dense else None
+            report.add(
+                line,
+                cs is not None and cs.ok,
+                cs.failure_summary(" ") if cs is not None else "u-point set not dense",
+            )
 
     return MereocompactReport(
         pair=mereo,

@@ -224,15 +224,6 @@ def is_t1(space):
     return all(cl == 1 << x for x, cl in enumerate(space.point_closures))
 
 
-def is_hausdorff(space):
-    # at finite scale Hausdorff collapses to T1 (and then to discrete)
-    return is_t1(space)
-
-
-def is_discrete(space):
-    return is_t1(space)
-
-
 def is_compact(space):
     return True
 
@@ -253,7 +244,8 @@ def is_zero_dimensional(space):
 
 
 def is_stone(space):
-    return is_compact(space) and is_hausdorff(space) and is_zero_dimensional(space)
+    # at finite scale Hausdorff collapses to T1 (and then to discrete)
+    return is_compact(space) and is_t1(space) and is_zero_dimensional(space)
 
 
 def is_extremally_disconnected(space):
@@ -321,7 +313,7 @@ def space_predicates(space):
         is_semiregular=is_semiregular(space),
         is_connected=is_connected(space),
         is_compact=is_compact(space),
-        is_hausdorff=is_hausdorff(space),
+        is_hausdorff=is_t1(space),
         is_zero_dimensional=is_zero_dimensional(space),
         is_stone=is_stone(space),
         is_extremally_disconnected=is_extremally_disconnected(space),
@@ -785,14 +777,25 @@ def first_unrealized_support(point_supports, supports):
     return next((s for s in supports if s not in realized), None)
 
 
+def _c_semiregular_tests(space, atoms):
+    """The three tests of C-semiregularity over the distinct nonzero
+    closed sets ``atoms``, regular closed and covering the space: do
+    their unions form a closed base, is the space T0, and the support
+    of the first overlap clan of the atoms that no point realizes, or
+    None.  Each is run when its value is asked for."""
+    # A union holding x holds an atom holding x, so the unions and the
+    # atoms have the same meet at each point (`is_closed_base`).  The
+    # unions are a Boolean subalgebra of RC(X) whose atoms these are, so
+    # a clan is a trace iff its support is an atom support
+    # (`first_unrealized_support`).
+    yield _is_base_of_closed(space, atoms)
+    yield is_t0(space)
+    yield first_unrealized_support(transpose(atoms, space.point_count), overlap_clans(atoms))
+
+
 def is_c_semiregular(space):
     """Semiregular T0 space where every clan of the regular closed
-    contact algebra is the sigma trace of a point."""
-    # RC(X) is the unions of the distinct `rc_atoms`, so a clan is a trace
-    # iff its support is an atom support (`first_unrealized_support`);
-    # the semiregularity test is that of `is_semiregular`.
-    atoms = rc_atoms(space)
-    if not (is_t0(space) and _is_base_of_closed(space, atoms)):
-        return False
-    point_supports = transpose(atoms, space.point_count)
-    return first_unrealized_support(point_supports, overlap_clans(atoms)) is None
+    contact algebra is the sigma trace of a point: the tests of
+    `_c_semiregular_tests` over `rc_atoms`, up to the first that fails."""
+    tests = _c_semiregular_tests(space, rc_atoms(space))
+    return next(tests) and next(tests) and next(tests) is None

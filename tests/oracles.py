@@ -721,6 +721,42 @@ def oracle_sigma_unrealized(point_closures, members):
     return _first_unrealized(atoms, members, _support_order(len(atoms)), traces, _overlap)
 
 
+def oracle_support_of(element_set):
+    """The support of an unrealized element set, read off the set: its
+    minimal members, ascending.  The set is the members above one of its
+    support's atoms, so those atoms are its minimal members."""
+    return _minimal_nonzero(element_set)
+
+
+def oracle_ultrafilter_points(point_closures, members):
+    """The points x whose trace {F : x in F} is an ultrafilter of the
+    member algebra, ordered by inclusion, with F . G = cl(int(F n G))
+    and F* = cl(X \\ F): it misses 0, holds every member above one of
+    its own, holds F . G for F and G in it, and holds F or F* for every
+    member F.  As a mask."""
+    n = len(point_closures)
+    full = (1 << n) - 1
+    family = set(members)
+
+    def meet(f, g):
+        return _closure_of(point_closures, full ^ _closure_of(point_closures, full ^ (f & g)))
+
+    def complement(f):
+        return _closure_of(point_closures, full ^ f)
+
+    out = 0
+    for x in range(n):
+        trace = {f for f in family if f >> x & 1}
+        if (
+            0 not in trace
+            and all(g in trace for f in trace for g in family if f | g == g)
+            and all(meet(f, g) in trace for f in trace for g in trace)
+            and all(f in trace or complement(f) in trace for f in family)
+        ):
+            out |= 1 << x
+    return out
+
+
 def oracle_uniqueness_witness(point_closures, u_set, members):
     """The first nonzero subset other than ``u_set``, in ascending order,
     that is dense, discrete as a subspace, and whose clopens have the

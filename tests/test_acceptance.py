@@ -38,7 +38,7 @@ from contactlab.topology import (
     closure,
     discrete_space,
     is_connected,
-    is_discrete,
+    is_t1,
     rc_members_of_subset,
     space_from_closed_base,
     subspace,
@@ -204,7 +204,7 @@ def test_criterion_3_extremal_specializations():
         assert triple.ok
         assert triple.subset == triple.space.full_mask
         assert triple.relation == frozenset((i, i) for i in range(n))
-        assert is_discrete(triple.space)
+        assert is_t1(triple.space)
 
         everything = largest_contact(algebra)
         assert clan_supports(everything) == sorted(
@@ -338,7 +338,7 @@ def test_criterion_6_mereocompact_machinery(monkeypatch):
             for candidate in range(1, space.full_mask + 1):
                 if closure(space, candidate) != space.full_mask:
                     continue
-                if not is_discrete(subspace(space, candidate)):
+                if not is_t1(subspace(space, candidate)):
                     continue
                 if frozenset(rc_members_of_subset(space, candidate)) == member_set:
                     matches.append(candidate)

@@ -670,7 +670,7 @@ GOLDEN_VALIDATE = {
     {
       "name": "(CS4)",
       "pass": false,
-      "witness": "unrealized {{a},{b},{a,b},{c},{a,c},{b,c},{a,b,c}}"
+      "witness": "unrealized support {{a},{b},{c}}"
     }
   ],
   "kind": "cs",
@@ -697,11 +697,6 @@ GOLDEN_VALIDATE = {
     },
     {
       "name": "every clan is a point trace",
-      "pass": true,
-      "witness": null
-    },
-    {
-      "name": "u-points are exactly the ultrafilter traces",
       "pass": true,
       "witness": null
     },

@@ -16,8 +16,8 @@ from contactlab.topology import (
     FiniteSpace,
     closure,
     is_c_semiregular,
-    is_discrete,
     is_extremally_disconnected,
+    is_t1,
     is_u_point,
     rc_members,
     rc_members_of_subset,
@@ -47,12 +47,12 @@ def test_c_semiregular_spaces_pair_with_their_u_points():
         )
         assert u_set, space
         assert closure(space, u_set) == space.full_mask
-        assert is_discrete(subspace(space, u_set))
+        assert is_t1(subspace(space, u_set))
         assert validate_cs(space, u_set).ok
         others = [
             sub
             for sub in dense_subsets(space)
-            if sub != u_set and is_discrete(subspace(space, sub))
+            if sub != u_set and is_t1(subspace(space, sub))
             and frozenset(rc_members_of_subset(space, sub))
             == frozenset(rc_members(space))
         ]
@@ -109,4 +109,4 @@ def test_diagonal_triple_iff_discrete_stone_space():
         full = space.full_mask
         diagonal = frozenset((x, x) for x in range(space.point_count))
         triple = validate_pcs(space, full, diagonal)
-        assert triple.ok == is_discrete(space)
+        assert triple.ok == is_t1(space)

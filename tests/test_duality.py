@@ -27,7 +27,7 @@ from contactlab.duality import (
     space_roundtrip_iso,
     specialization_report,
 )
-from contactlab.errors import ClassificationError, PreconditionError
+from contactlab.errors import ClassificationError, DomainMismatchError, PreconditionError
 from contactlab.precontact import (
     PcaMorphism,
     largest_contact,
@@ -35,6 +35,7 @@ from contactlab.precontact import (
     smallest_contact,
 )
 from contactlab import precontact, structures
+from contactlab.randgen import random_pca_morphism
 from contactlab.structures import (
     TwoPrecontactSpace,
     canonical_pca_of_pcs,
@@ -43,7 +44,7 @@ from contactlab.structures import (
     validate_cs,
 )
 from contactlab import topology
-from contactlab.topology import discrete_space, is_connected, rc_atoms_of_subset, rc_members
+from contactlab.topology import discrete_space, is_connected, rc_atoms, rc_atoms_of_subset
 
 from conftest import all_kernels
 from oracles import oracle_pcs_map_failure
@@ -241,6 +242,19 @@ def test_gt_acts_as_preimage():
         alg = pcs_algebra(f.target)
         for member in alg.members:
             assert gt_preimage_check(f, member).passed
+
+
+def test_gt_rejects_a_point_set_that_is_not_a_member():
+    """A point mask that is no member of the target pair's regular
+    closed sets, in range or not, raises DomainMismatchError naming it."""
+    f = dual_space_map(random_pca_morphism(3, 3, 0.5, 7))
+    members = set(pcs_algebra(f.target).members)
+    full = f.target.space.full_mask
+    inside = next(m for m in range(full + 1) if m not in members)
+    assert inside == 1
+    for mask in (inside, full + 1, 1 << 40, -1):
+        with pytest.raises(DomainMismatchError, match=f"point mask {mask} is not a member"):
+            gt_preimage_check(f, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +510,8 @@ BROKEN_SPECIALIZATION_LINES = [
         "complete-contact",
         "dual space is C-semiregular",
         (topology, "clique_supports", lambda adjacency: [(1 << len(adjacency)) - 1]),
-        lambda t: "every clan is a point trace unrealized clan {"
-        + ",".join(t.space.name_set(m) for m in rc_members(t.space)[1:])
+        lambda t: "every clan is a point trace unrealized clan support {"
+        + ",".join(t.space.name_set(a) for a in rc_atoms(t.space))
         + "}",
     ),
     (
@@ -509,7 +523,7 @@ BROKEN_SPECIALIZATION_LINES = [
     (
         "mereocompact",
         "dual pair's member algebra is mereocompact",
-        (structures, "is_t0", lambda space: False),
+        (topology, "is_t0", lambda space: False),
         lambda t: "space is T0 not T0",
     ),
 ]

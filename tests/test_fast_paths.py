@@ -156,9 +156,11 @@ from oracles import (
     oracle_rc_family,
     oracle_sigma_unrealized,
     oracle_subspace_clopens,
+    oracle_support_of,
     oracle_u_point,
     oracle_u_point_of_pair,
     oracle_ultrafilter_adjacency,
+    oracle_ultrafilter_points,
     oracle_uniqueness_witness,
     oracle_well_inside_axioms,
 )
@@ -743,6 +745,12 @@ def pcs_population():
     return out
 
 
+def support_witness(space, element_set):
+    """The witness a realization line gives for an unrealized element
+    set of an oracle sweep: the atoms of its support."""
+    return "support {" + ",".join(space.name_set(a) for a in oracle_support_of(element_set)) + "}"
+
+
 def test_validate_pcs_matches_the_literal_pcs4_pcs5_sweeps():
     seen = {"(PCS4)": set(), "(PCS5)": set()}
     for space, subset, relation in pcs_population():
@@ -754,7 +762,7 @@ def test_validate_pcs_matches_the_literal_pcs4_pcs5_sweeps():
             else f"({space.name_set(pcs4[0])},{space.name_set(pcs4[1])})",
             "(PCS5)": None
             if pcs5 is None
-            else "unrealized clan {" + ",".join(space.name_set(f) for f in pcs5) + "}",
+            else "unrealized clan " + support_witness(space, pcs5),
         }
         for name, witness in expected.items():
             got = checks[name]
@@ -974,7 +982,7 @@ def test_closure_trace_checks_match_the_all_clopens_sweeps(spaces_with_subsets):
             witness = (
                 None
                 if unrealized is None
-                else "unrealized {" + ",".join(space.name_set(f) for f in unrealized) + "}"
+                else "unrealized " + support_witness(space, unrealized)
             )
             got = checks[name]
             assert (got.passed, got.witness) == (witness is None, witness), (
@@ -1045,11 +1053,14 @@ def test_mereocompactness_matches_the_clan_and_candidate_sweeps(monkeypatch):
     """The clan check by the atom supports of the points, the
     reproduction check by atom lists, and the uniqueness check by the
     maximal points, against the sweeps over all member sets and all
-    2**points candidate subsets.  On mereocompact T0 pairs the u-points
-    always reproduce the members and are the maximal points, so the last
-    two checks are also run with every subset posing as the u-point set
-    of the pairs on at most 4 points."""
-    seen = {"clan": set(), "reproduced": set(), "unique": set()}
+    2**points candidate subsets; the u-points against the points whose
+    trace is an ultrafilter, on every pair of at most 4 points.  On
+    mereocompact T0 pairs the u-points always reproduce the members and
+    are the maximal points, so the last three checks are also run with
+    every subset posing as the u-point set of the pairs on at most 4
+    points: the 2-contact line must then be the density of the set and
+    `validate_cs` of the pair, with the same witness."""
+    seen = {"clan": set(), "ultra": set(), "reproduced": set(), "unique": set(), "cs": set()}
     families = []
     rng = random.Random(20261011)
     spaces = [space for n in range(1, 5) for space in all_small_spaces(n)]
@@ -1070,12 +1081,16 @@ def test_mereocompactness_matches_the_clan_and_candidate_sweeps(monkeypatch):
         clan = next(c for c in report.checks if c.name == "every clan is a point trace")
         witness = None
         if unrealized is not None:
-            witness = "unrealized clan {" + ",".join(space.name_set(f) for f in unrealized) + "}"
+            witness = "unrealized clan " + support_witness(space, unrealized)
         assert (clan.passed, clan.witness) == (unrealized is None, witness), (
             space.point_closures,
             members,
         )
         seen["clan"].add(clan.passed)
+        if space.point_count <= 4:
+            ultra = oracle_ultrafilter_points(space.point_closures, members)
+            assert report.u_set == ultra, (space.point_closures, members)
+            seen["ultra"].add(ultra == space.full_mask)
         if report.is_space and report.is_t0 and report.is_mereocompact:
             posed = range(space.full_mask + 1) if space.point_count <= 4 else [None]
             reached += [(mereo, u_set) for u_set in posed]
@@ -1093,8 +1108,15 @@ def test_mereocompactness_matches_the_clan_and_candidate_sweeps(monkeypatch):
         assert check.passed == reproduced, (closures, members, u_set)
         witness = oracle_uniqueness_witness(closures, u_set, members)
         assert report.uniqueness_witness == witness, (closures, members, u_set)
+        expected = (False, "u-point set not dense")
+        if closure(space, u_set) == space.full_mask:
+            cs = validate_cs(space, u_set)
+            expected = (cs.ok, cs.failure_summary(" ") or None)
+        line = report.check("the pair with its u-points is a 2-contact space")
+        assert (line.passed, line.witness) == expected, (closures, members, u_set)
         seen["reproduced"].add(reproduced)
         seen["unique"].add(witness is None)
+        seen["cs"].add(line.passed)
     assert all(v == {True, False} for v in seen.values()), seen
 
 
@@ -1323,25 +1345,42 @@ def _counted(monkeypatch, name, home=topology):
     return calls
 
 
+# Per fresh `specialization_report` of a contact algebra, its canonical
+# build included: one `validate_cs` of the dual pair (the contact
+# line's); a T0 test and a realization sweep each for (PCS5), the pair's
+# mereocompactness report and that validation; overlap clans for the
+# last two.
+DUAL_PAIR_READS = {
+    "validate_cs": 1,
+    "overlap_clans": 2,
+    "first_unrealized_support": 3,
+    "is_t0": 3,
+}
+
+
 def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
     """The canonical build and `specialization_report` of a contact dual
     derive its pair table once (`pair_atoms`): one `clopen_atoms` and at
     most 2 `_meets` calls per dual, on seeded 3- to 6-atom contact
-    algebras; `is_c_semiregular` takes `rc_atoms` once."""
+    algebras, and validate the pair and sweep its clans as often as
+    `DUAL_PAIR_READS` says; `is_c_semiregular` takes `rc_atoms` once."""
     clopen_calls = _counted(monkeypatch, "clopen_atoms")
     meet_calls = _counted(monkeypatch, "_meets")
     rc_calls = _counted(monkeypatch, "rc_atoms")
+    counted = {name: _counted(monkeypatch, name, structures) for name in DUAL_PAIR_READS}
     for n in range(3, 7):
         for i, density in enumerate((0.15, 0.3, 0.5, 0.7, 0.85)):
             seed = child_seed(61, n * 10 + i)
             pca = random_pca(RandomSpec(atoms=n, density=density, seed=seed, constraint="contact"))
-            clopen_calls.clear()
-            meet_calls.clear()
+            for calls in (clopen_calls, meet_calls, *counted.values()):
+                calls.clear()
             report = specialization_report(pca)
             assert report.ok, report.failures
             assert "dual pair's member algebra is mereocompact" in [c.name for c in report.checks]
             assert len(clopen_calls) <= 1, (n, density, len(clopen_calls))
             assert len(meet_calls) <= 2, (n, density, len(meet_calls))
+            counts = {name: len(calls) for name, calls in counted.items()}
+            assert counts == DUAL_PAIR_READS, (n, density, counts)
             space = canonical_pcs_of_pca(pca).space
             rc_calls.clear()
             assert is_c_semiregular(space)

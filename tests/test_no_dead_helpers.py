@@ -4,7 +4,9 @@ a package class is used too: some code in ``src/``, ``tests/`` or
 ``benchmarks/`` outside its own definition names it.  So is every public
 module-level function, where an import counts only inside the package:
 an ``__init__`` re-export makes a function public, but a test or
-benchmark must use what it imports."""
+benchmark must use what it imports.  No module-level function of the
+package is only another name for a call of another function on its own
+parameters."""
 
 import ast
 from collections import Counter
@@ -209,3 +211,64 @@ def test_the_guard_sees_unused_public_functions(tmp_path):
         ("module.py", "only_imported"),
         ("module.py", "recursive"),
     ]
+
+
+def alias_functions(paths):
+    """(file name, function name) of each module-level function whose
+    body, after its docstring, is only ``return g(<its own parameters,
+    in order>)``: another name for ``g``."""
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            params = [a.arg for a in node.args.posonlyargs + node.args.args]
+            if (
+                isinstance(call, ast.Call)
+                and not call.keywords
+                and [a.id if isinstance(a, ast.Name) else None for a in call.args] == params
+            ):
+                out.append((path.name, node.name))
+    return sorted(out)
+
+
+def test_package_has_no_alias_functions():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 10
+    assert alias_functions(sources) == []
+
+
+def test_the_guard_sees_alias_functions(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import math\n"
+        "def target(a, b):\n"
+        "    return a + b\n"
+        "def alias(a, b):\n"
+        "    return target(a, b)\n"
+        "def documented(x):\n"
+        "    '''Another name.'''\n"
+        "    return math.floor(x)\n"
+        "def swapped(a, b):\n"
+        "    return target(b, a)\n"
+        "def partial(a):\n"
+        "    return target(a, 1)\n"
+        "def keyword(a, b):\n"
+        "    return target(a, b=b)\n"
+        "def attribute(a):\n"
+        "    return a.value\n"
+        "def two_lines(a, b):\n"
+        "    c = a\n"
+        "    return target(c, b)\n"
+        "class Shape:\n"
+        "    def method(self):\n"
+        "        return target(self)\n"
+    )
+    assert alias_functions([module]) == [("module.py", "alias"), ("module.py", "documented")]
