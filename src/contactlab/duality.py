@@ -15,7 +15,11 @@ the algebra round trip and the invariants of the dual algebra map), a
 relation by its atom rows (`_first_pair_mismatch`: the round trip's
 relation and proximity checks), and the first witness is read off the
 first atom where they differ.  A point map is read through its fibres,
-so a preimage costs one union per target point.
+so a preimage costs one union per target point.  The algebra round trip
+is a join-preserving map, held by its n atom images: it is a bijection
+onto the pair's regular closed sets iff those images are the pair's
+atoms, each once (`_bijectivity_witness`), and its 2**n images are
+built only when bijectivity fails or a caller asks for them.
 """
 
 from __future__ import annotations
@@ -323,28 +327,78 @@ def space_roundtrip_iso(pcs):
 @dataclass(frozen=True)
 class AlgebraRoundTrip:
     """The clan-set map from an algebra onto the canonical algebra of its
-    dual triple, with the verification report."""
+    dual triple, with the verification report.  The map is held by its
+    atom images, the algebra's atom clan sets; the 2**n images are built
+    on request."""
 
     source: PrecontactAlgebra
     space: TwoPrecontactSpace
     canonical: object
-    images: tuple
     report: object
 
+    @cached_property
+    def images(self):
+        """images[m]: the clan set of the element m, the union of the
+        atom clan sets of its atoms.  Computed once per object, when
+        asked for."""
+        return tuple(joins_table(self.source._atom_clans))
+
     def image_of(self, element_mask):
-        return self.images[element_mask]
+        return join_at(self.source._atom_clans, element_mask)
 
 
 def _meeting_rows(left, right):
     """rows[p]: the indices q with left[p] meeting right[q], as a mask."""
-    return [mask_of(q for q, r in enumerate(right) if l & r) for l in left]
+    rows = []
+    for l in left:
+        row = 0
+        for q, r in enumerate(right):
+            if l & r:
+                row |= 1 << q
+        rows.append(row)
+    return rows
+
+
+def _bijectivity_witness(space, atom_images, pair_atoms):
+    """Why the join-preserving map with the given atom images is not a
+    bijection onto the unions of the pair's atoms, or None when it is:
+    the first atom whose image is not a pair atom, or is the image of an
+    earlier atom, else the first pair atom that is no atom's image.
+
+    The pair's atoms A_i are the closures of the clopen atoms f_i of a
+    dense part D, so A_i n D = f_i: they are nonempty and disjoint, and
+    the union over an index set T meets D in the union of the f_i over
+    T, which gives T back.  So the 2**k unions of the k pair atoms are
+    distinct.  Let the map g send the element m to the union of the
+    images of its atoms.  If the n atom images are the k pair atoms,
+    each once, then g is a reindexing of the unions: onto, and one to
+    one as the unions are distinct.  Conversely, let g be a bijection
+    onto the unions.  It preserves joins, so it preserves order, and it
+    reflects it: g(m) inside g(m') gives g(m | m') = g(m'), so m | m' =
+    m'.  An order isomorphism sends the atoms, the minimal nonzero
+    elements, to the minimal nonzero unions, which are the pair atoms:
+    every nonzero union holds a pair atom, and no pair atom holds
+    another, as their unions are distinct.  So the n atom images are the
+    k pair atoms, each once.  Bijectivity is decided on the n atom images
+    alone, with no 2**n list."""
+    free = set(pair_atoms)
+    for p, image in enumerate(atom_images):
+        if image not in free:
+            why = "the image of an earlier atom" if image in pair_atoms else "not a pair atom"
+            return f"atom {p} goes to {space.name_set(image)}, {why}"
+        free.remove(image)
+    if free:
+        return f"pair atom {space.name_set(min(free))} is no atom's image"
+    return None
 
 
 def algebra_roundtrip_iso(pca):
     """Verify that sending an element to the set of clans containing it
     is an isomorphism onto the canonical algebra of the dual triple, both
     for the raw relation and, through the contact closure, for the
-    pair's proximity."""
+    pair's proximity.  Bijectivity is decided at the atom images
+    (`_bijectivity_witness`); the 2**n images are built only when it
+    fails."""
     report = ReportBuilder(f"algebra round trip on {pca.algebra.atom_count} atoms")
     triple = canonical_pcs_of_pca(pca)
     report.add(
@@ -358,19 +412,12 @@ def algebra_roundtrip_iso(pca):
     # ones `_canonical_pcs` passed as the closed base), and the members
     # from the triple's pair table: the two sides stay independent.
     atom_clans = pca._atom_clans
-    images = tuple(joins_table(atom_clans))
-    size = len(images)
+    unmatched = _bijectivity_witness(space, atom_clans, alg.atom_masks)
+    bijective = unmatched is None
+    report.add("bijective onto the pair's regular closed sets", bijective, unmatched)
 
-    image_set = set(images)
-    bijective = len(image_set) == size and image_set == set(alg.members)
-    report.add(
-        "bijective onto the pair's regular closed sets",
-        bijective,
-        None if bijective else f"images {sorted(image_set)} vs members {sorted(alg.members)}",
-    )
-
-    # images is built by `joins_table`, which preserves joins by
-    # construction: the check is recorded, not swept.
+    # The images preserve joins by construction, as the union of the
+    # atom images: the check is recorded, not swept.
     report.add("preserves joins", True)
 
     # Complements follow from bijectivity.  `pcs_algebra` accepts only a
@@ -386,10 +433,12 @@ def algebra_roundtrip_iso(pca):
     # (images[a]* | images[b]*)*, since cl(int(F & G)) = (F* | G*)* for
     # any point sets (closure is additive).  So the complement sweep runs
     # only when bijectivity fails, and the meet sweep only when
-    # complements fail.  Both read one table of stars F* = cl(X \ F),
-    # keyed on the point set.
+    # complements fail; only then are the 2**n images built.  Both read
+    # one table of stars F* = cl(X \ F), keyed on the point set.
     comp_witness = meet_witness = None
     if not bijective:
+        images = tuple(joins_table(atom_clans))
+        size = len(images)
         points = space.full_mask
         stars = {}
 
@@ -414,8 +463,16 @@ def algebra_roundtrip_iso(pca):
                 ),
                 None,
             )
-    report.add("preserves meets", meet_witness is None, f"(a, b) = {meet_witness}")
-    report.add("preserves complements", comp_witness is None, f"a = {comp_witness}")
+    report.add(
+        "preserves meets",
+        meet_witness is None,
+        None if meet_witness is None else f"(a, b) = {meet_witness}",
+    )
+    report.add(
+        "preserves complements",
+        comp_witness is None,
+        None if comp_witness is None else f"a = {comp_witness}",
+    )
 
     # Each relation below is additive in a and in b, so each check
     # compares atom rows (`_first_pair_mismatch`).  The kernel relates a
@@ -443,7 +500,7 @@ def algebra_roundtrip_iso(pca):
     report.add(
         "preserves and reflects the relation",
         relation_witness is None,
-        f"(a, b) = {relation_witness}",
+        None if relation_witness is None else f"(a, b) = {relation_witness}",
     )
 
     proximity_witness = _first_pair_mismatch(
@@ -452,7 +509,7 @@ def algebra_roundtrip_iso(pca):
     report.add(
         "contact closure matches the pair's proximity",
         proximity_witness is None,
-        f"(a, b) = {proximity_witness}",
+        None if proximity_witness is None else f"(a, b) = {proximity_witness}",
     )
 
     # Two kernels differ iff their atom rows do, and the first pair of
@@ -470,7 +527,7 @@ def algebra_roundtrip_iso(pca):
         else f"atom pair {tuple(m.bit_length() - 1 for m in kernel_diff)}",
     )
 
-    return AlgebraRoundTrip(pca, triple, alg, images, report.done())
+    return AlgebraRoundTrip(pca, triple, alg, report.done())
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +553,16 @@ def _check_algebra_square(phi):
     b_alg = pcs_algebra(b_trip.space)
 
     # Every map here sends 0 to 0 and preserves joins: the round-trip
-    # images and `to_point_mask` (joins tables), the hom, the preimage
+    # images (`image_of`, unions of atom images) and `to_point_mask` (a
+    # joins table), the hom, the preimage
     # under f, and `from_point_mask`, the inverse on the members of the
     # injective join-preserving `to_point_mask`.  So both checks compare
     # their two composites at the atoms (`_first_map_mismatch`), which
     # names the first element mask where they differ.
     atoms = [1 << p for p in range(phi.source.algebra.atom_count)]
-    hom_images = [b_trip.images[phi.hom.apply_mask(a)] for a in atoms]
+    hom_images = [b_trip.image_of(phi.hom.apply_mask(a)) for a in atoms]
     basic = _first_map_mismatch(
-        [f.preimage_mask(a_trip.images[a]) for a in atoms], hom_images
+        [f.preimage_mask(a_trip.image_of(a)) for a in atoms], hom_images
     )
     report.add(
         "preimages of basic closed sets match the hom images",
@@ -514,7 +572,7 @@ def _check_algebra_square(phi):
     square = _first_map_mismatch(
         hom_images,
         [
-            b_alg.to_point_mask(psi.hom.apply_mask(a_alg.from_point_mask(a_trip.images[a])))
+            b_alg.to_point_mask(psi.hom.apply_mask(a_alg.from_point_mask(a_trip.image_of(a))))
             for a in atoms
         ],
     )

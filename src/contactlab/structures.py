@@ -14,9 +14,14 @@ verdicts from it, and (PCS4), (PCS5), (CS4) and (S2S4) its atoms whose
 closures hold each point; the canonical algebra, the pair-determined
 relation and connectedness read its atoms and their closures.  Only
 the relation's reach, read in one pass into successor masks, is kept
-on the triple.  The canonical triple's space is built from the atom
-clan sets and the clan supports its algebra holds, as its closed base
-and signatures, so its dense part's table is read off them.  Every
+on the triple.  The canonical algebra is held by its atoms; its 2**n
+members are built only when asked for.  The validators and the
+mereocompactness report read T0 off the space, which decides it once;
+on a canonical dual, (CS4) and the report's clan line share one
+overlap-clan pass of the space's closed base
+(`FiniteSpace.base_unrealized`).  The canonical triple's space is built
+from the atom clan sets and the clan supports its algebra holds, as its
+closed base and signatures, so its dense part's table is read off them.  Every
 realization line, (PCS5), (CS4), (S2S4) and the mereocompactness clan
 line, is added by one function (`_realization_check`), which names a
 failing element set by the atoms of its support, at every size.
@@ -43,7 +48,6 @@ from .topology import (
     closure,
     first_unrealized_support,
     held_once,
-    is_t0,
     overlap_clans,
     pair_atoms,
     rc_atoms,
@@ -128,7 +132,7 @@ class TwoPrecontactSpace(CheckList):
             ),
         )
         atoms = tuple(closed[p] for p in order)
-        return PcsAlgebra(self, pca, atoms, unions(atoms))
+        return PcsAlgebra(self, pca, atoms)
 
 
 def validate_pcs(space, subset, relation):
@@ -145,7 +149,7 @@ def validate_pcs(space, subset, relation):
     report = ReportBuilder("(PCS1)..(PCS5)")
 
     dense = closure(space, subset) == space.full_mask
-    t0 = is_t0(space)
+    t0 = space.t0
     pcs1 = dense and t0
     report.add("(PCS1)", pcs1, None if pcs1 else f"dense={dense}, T0={t0}")
 
@@ -340,12 +344,19 @@ def element_point_mask(pca, element_mask):
 @dataclass(frozen=True)
 class PcsAlgebra:
     """The canonical precontact algebra of a 2-precontact space, together
-    with the correspondence between abstract elements and point sets."""
+    with the correspondence between abstract elements and point sets.
+    The algebra is held by its atoms, the closures of the clopen atoms of
+    the dense part, ascending; its 2**n members are built on request."""
 
     source: TwoPrecontactSpace
     pca: PrecontactAlgebra
     atom_masks: tuple
-    members: tuple
+
+    @cached_property
+    def members(self):
+        """All members, the unions of the atoms, ascending as masks.
+        Computed once per object, when asked for."""
+        return unions(self.atom_masks)
 
     @cached_property
     def _point_masks(self):
@@ -401,12 +412,13 @@ class StoneTwoSpace(CheckList):
     checks: tuple = field(default=(), compare=False)
 
 
-def _validate_pair(cls, title, tag, space, subset, supports):
+def _validate_pair(cls, title, tag, space, subset, unrealized):
     """The shared body of `validate_cs` and `validate_s2s`: the density
     precondition, (CS1) T0, (CS2) Stone dense part and (CS3) closed base,
-    then the check ``tag`` that every element set with one of
-    ``supports(closures)`` is a closure trace, where ``closures`` are the
-    closures of the clopen atoms of the dense part (`pair_atoms`)."""
+    then the check ``tag`` that every element set asked about is a
+    closure trace: ``unrealized(space, table)`` is the support of the
+    first that is not, or None, over the table of the dense part
+    (`pair_atoms`)."""
     table = pair_atoms(space, subset)
     report = ReportBuilder(title)
     cl = closure(space, subset)
@@ -416,15 +428,14 @@ def _validate_pair(cls, title, tag, space, subset, supports):
         dense,
         None if dense else f"closure of the subset is {space.name_set(cl)}",
     )
-    report.add("(CS1)", is_t0(space), "space is not T0")
+    report.add("(CS1)", space.t0, "space is not T0")
     report.add("(CS2)", table.stone, "dense part is not a Stone space")
     report.add("(CS3)", table.closed_base, "the pair's regular closed sets are not a closed base")
     # f |-> cl f sends the clopens onto the unions of the atom closures
     # (`rc_atoms_of_subset`), f above an atom iff cl f is above its
     # closure.  So an element set is a closure trace iff its support is
     # the support of a point over the atom closures.
-    unrealized = first_unrealized_support(table.support, supports(table.closures))
-    _realization_check(report, tag, "unrealized ", space, table, unrealized)
+    _realization_check(report, tag, "unrealized ", space, table, unrealized(space, table))
     return cls(space, subset, report.done().checks)
 
 
@@ -433,8 +444,21 @@ def validate_cs(space, subset):
     dense part's clopens (closures meet) must all be closure traces of
     points."""
     return _validate_pair(
-        TwoContactSpace, "2-contact axioms", "(CS4)", space, subset, overlap_clans
+        TwoContactSpace, "2-contact axioms", "(CS4)", space, subset, _unrealized_overlap_clan
     )
+
+
+def _unrealized_overlap_clan(space, table):
+    """The first overlap clan of the table's atom closures, a support
+    over them, that no point support realizes, or None.  When the
+    closures are the base the space was built from, in order, the
+    table's point supports are its signatures (`pair_atoms`), so this is
+    the base's verdict, computed once per space
+    (`FiniteSpace.base_unrealized`) and shared with the clan line of
+    the pair held by the base (`_c_semiregular_tests`)."""
+    if table.closures == getattr(space, "_base", None):
+        return space.base_unrealized
+    return first_unrealized_support(table.support, overlap_clans(table.closures))
 
 
 def validate_s2s(space, subset):
@@ -448,7 +472,9 @@ def validate_s2s(space, subset):
         "(S2S4)",
         space,
         subset,
-        lambda closures: range(1, 1 << len(closures)),
+        lambda space, table: first_unrealized_support(
+            table.support, range(1, 1 << len(table.closures))
+        ),
     )
 
 

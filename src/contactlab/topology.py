@@ -11,17 +11,23 @@ meets by construction, and keeps the name checks.  It also keeps its
 base and the signatures of its points, sig(x) = {i : x in base[i]}, as
 attributes outside the dataclass fields, so equality, hashing and repr
 are those of its closures.  The maximal points are the points held by
-exactly one distinct closure, computed once per space.
+exactly one distinct closure, and T0 is decided, once per space.
 
 Families are held by their atoms: the clopens of a subspace by its
 connected components (`clopen_atoms`), the regular closed sets by the
 closures of the maximal points (`rc_atoms`), and a Boolean subalgebra
 of them, RC(X) and the pair's algebra included, as a
 `MereotopologicalPair` of its atoms, whose constructor takes one
-interior per atom.  A pair (X, X0) is read through one table,
-`pair_atoms`: the clopen atoms of X0, their closures, the atoms whose
-closures hold each point, and the Stone and closed-base verdicts of
-the pair, kept on the space for the last subset asked for.  When the
+interior per atom.  When the atoms are the closed base the space was
+built from, covering it with a point of each singleton signature, as on
+every canonical dual, the interiors are read off the signatures and no
+interior is taken (`_signature_interiors`); the C-semiregularity tests
+of such atoms take the closed-base verdict as True and decide the clans
+once per space, at the base and its signatures, with no `_meets` and no
+`transpose` (`_c_semiregular_tests`).  A pair (X, X0) is read through
+one table, `pair_atoms`: the clopen atoms of X0, their closures, the
+atoms whose closures hold each point, and the Stone and closed-base
+verdicts of the pair, kept on the space for the last subset asked for.  When the
 closures of the clopen atoms are the base the space was built from, in
 order, the point supports are its signatures and the closed-base
 verdict is True, read off the base with no further pass.  A family
@@ -39,8 +45,9 @@ element encoding of the Boolean side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from typing import NamedTuple
 
 from .boolean import bit_indices, join_at, mask_of, transpose
@@ -116,6 +123,43 @@ class FiniteSpace:
         # every closure holding x is cl{x}, which holds x: iff exactly
         # one distinct closure holds x.  No T0 assumption is used.
         return held_once(set(self.point_closures))
+
+    @property
+    def t0(self):
+        """`is_t0`, computed once per object: each validator and report
+        of the space reads it here."""
+        return _kept(self, "_t0", is_t0)
+
+    @property
+    def base_unrealized(self):
+        """On a space built from a closed base whose members are distinct,
+        nonzero and in range: the first overlap clan of the base, a
+        support over its members in base order, that no signature
+        realizes, or None (`first_unrealized_support`).  Computed once
+        per object, so (CS4) of a pair whose atom closures are the base
+        and the clan line of the pair held by the base share one pass."""
+        return _kept(
+            self,
+            "_base_unrealized",
+            lambda space: first_unrealized_support(space._signatures, overlap_clans(space._base)),
+        )
+
+
+_MISSING = object()
+
+
+def _kept(space, name, build):
+    """``build(space)``, computed once per space and kept under ``name``
+    as an attribute of the frozen space, as `pair_atoms` keeps its
+    table: it is set without building the instance dictionary that a
+    ``cached_property`` would, which a canonical dual otherwise never
+    needs (each object a dual keeps alive is one more for the cycle
+    collector to trace)."""
+    value = getattr(space, name, _MISSING)
+    if value is _MISSING:
+        value = build(space)
+        object.__setattr__(space, name, value)
+    return value
 
 
 def _meets(point_count, members):
@@ -634,6 +678,36 @@ def held_once(sets):
     return once & ~twice
 
 
+def _signature_interiors(space, atoms):
+    """The interiors of the members B_0 .. B_{k-1} of the closed base the
+    space was built from, in base order, read off the signatures:
+    int B_j is the set of points whose signature is {j}.  None unless
+    ``atoms`` are that base, ascending, they cover the space, and every
+    B_j has a point whose signature is {j}, as on every canonical dual
+    (the ultrafilter clans)."""
+    # The closure of a point y is the meet of the members holding it
+    # (`_meets`), so x is in cl{y} iff sig(y) lies inside sig(x).  The
+    # smallest open set holding x, the y with x in cl{y}, is therefore
+    # U_x = {y : sig(y) inside sig(x)}, and x is in int B_j iff every
+    # such y has j in sig(y).  The atoms cover the space, so no
+    # signature is empty.  If sig(x) = {j}, every y in U_x has sig(y) =
+    # {j}, so x is in int B_j.  If j is not in sig(x), x is not in B_j.
+    # If sig(x) holds j and some i != j, the point z with sig(z) = {i} is
+    # in U_x and not in B_j, so x is not in int B_j.  Hence int B_j is
+    # the points of signature {j}.  It holds the point z_j of signature
+    # {j}, and cl{z_j} = B_j, so B_j is nonzero and B_j = cl(int B_j)
+    # (B_j is closed); interiors of distinct members are disjoint, as a
+    # point has one signature; and the cover makes every atom in range.
+    base = getattr(space, "_base", None)
+    if base is None or sorted(base) != list(atoms) or reduce(or_, atoms, 0) != space.full_mask:
+        return None
+    interiors = [0] * len(base)
+    for x, s in enumerate(space._signatures):
+        if not s & (s - 1):
+            interiors[s.bit_length() - 1] |= 1 << x
+    return interiors if all(interiors) else None
+
+
 @dataclass(frozen=True)
 class MereotopologicalPair:
     """A space with a chosen Boolean subalgebra of its regular closed
@@ -668,6 +742,12 @@ class MereotopologicalPair:
         space, atoms = self.space, self.atoms
         if list(atoms) != sorted(set(atoms)):
             raise PreconditionError("the atoms must be distinct and ascending")
+        # When the interiors can be read off the signatures, every atom
+        # is nonzero, in range and regular closed, the atoms cover the
+        # space and distinct atoms have disjoint interiors
+        # (`_signature_interiors`): no test below can fail.
+        if _signature_interiors(space, atoms) is not None:
+            return
         # The interior of each atom is taken once, for its regularity
         # test, and each pair is tested by int(A n B) = int A n int B:
         # int A n int B is an open set inside A n B, and int(A n B) lies
@@ -782,15 +862,38 @@ def _c_semiregular_tests(space, atoms):
     closed sets ``atoms``, regular closed and covering the space: do
     their unions form a closed base, is the space T0, and the support
     of the first overlap clan of the atoms that no point realizes, or
-    None.  Each is run when its value is asked for."""
+    None.  Each is run when its value is asked for; when the atoms are
+    the closed base the space was built from, the first is True and the
+    third is read off the base (`FiniteSpace.base_unrealized`)."""
     # A union holding x holds an atom holding x, so the unions and the
     # atoms have the same meet at each point (`is_closed_base`).  The
     # unions are a Boolean subalgebra of RC(X) whose atoms these are, so
     # a clan is a trace iff its support is an atom support
     # (`first_unrealized_support`).
-    yield _is_base_of_closed(space, atoms)
-    yield is_t0(space)
-    yield first_unrealized_support(transpose(atoms, space.point_count), overlap_clans(atoms))
+    #
+    # On the base B, ascending: `_meets` takes the members as a set, so
+    # the atoms and B have the same meets, which are the point closures
+    # by construction (`_of_closed_base`): the space is a closed base.
+    # Atom i is B_j for the j with position[B_j] = i, so the atom support
+    # of x is sig(x) with each j moved to position[B_j], the
+    # `transpose` of the atoms; the overlap clans of the atoms are those
+    # of B moved the same way.  Moving every support by one bijection
+    # keeps "realized", so the clan verdict is that of B in base order,
+    # and the supports in atom order name the first failure.
+    base = getattr(space, "_base", None)
+    on_base = base is not None and sorted(base) == list(atoms)
+    yield on_base or _is_base_of_closed(space, atoms)
+    yield space.t0
+    if on_base:
+        if space.base_unrealized is None:
+            yield None
+            return
+        position = {a: i for i, a in enumerate(atoms)}
+        column = [1 << position[b] for b in base]
+        supports = [join_at(column, s) for s in space._signatures]
+    else:
+        supports = transpose(atoms, space.point_count)
+    yield first_unrealized_support(supports, overlap_clans(atoms))
 
 
 def is_c_semiregular(space):

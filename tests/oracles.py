@@ -855,3 +855,31 @@ def oracle_dual_map_failure(source_atoms, target_atoms, action, reorder):
     ):
         return "atom map does not reproduce the dual action"
     return None
+
+
+def oracle_bijective_onto_unions(atom_images, pair_atoms):
+    """Is the join-preserving map with these atom images a bijection onto
+    the unions of the pair atoms?  Literally: its 2**n values, the
+    unions of the images over every atom set, are distinct, and as a set
+    they are the unions of the pair atoms over every index set."""
+    values = [oracle_point_mask(atom_images, m) for m in range(1 << len(atom_images))]
+    members = {oracle_point_mask(pair_atoms, t) for t in range(1 << len(pair_atoms))}
+    return len(set(values)) == len(values) and set(values) == members
+
+
+def oracle_interior_at(point_closures, mask):
+    """The points x whose smallest open neighbourhood, every y with x in
+    cl{y}, lies inside the mask."""
+    n = len(point_closures)
+    return sum(
+        1 << x
+        for x in range(n)
+        if all(mask >> y & 1 for y in range(n) if point_closures[y] >> x & 1)
+    )
+
+
+def oracle_atom_supports(point_count, atoms):
+    """supports[x]: the indices i with x in atoms[i], for each point x."""
+    return [
+        sum(1 << i for i, a in enumerate(atoms) if a >> x & 1) for x in range(point_count)
+    ]

@@ -15,7 +15,9 @@ when the closures of the clopen atoms are that base, maximal points as
 the points held by one
 distinct closure, RC(X) by the closures of the maximal points and the
 predicates read off them, pairs held by their atoms with one interior
-per atom, u-points of a pair at its atoms), in ``structures`` ((PCS2) by the
+per atom, or none when the atoms are a closed base read at its
+signatures, the C-semiregularity tests read off such a base, u-points
+of a pair at its atoms), in ``structures`` ((PCS2) by the
 Stone trace, (PCS3) to (PCS5), (CS2) to (CS4) and (S2S4) at the atoms
 of the clopen algebra, the pair's algebra and contact relation from
 the closures of the clopen atoms, the closed base of the canonical
@@ -23,7 +25,8 @@ space from the atom clan sets, its point names by prefix, its dense
 subset and relation without a position map,
 the mereocompactness checks at the member atoms and the maximal points)
 in ``boolean`` (``transpose``) and in ``duality`` (the round-trip relation checks at the atom rows,
-complements and meets from bijectivity, trace coherence at the clopen
+bijectivity at the atom images, complements and meets from
+bijectivity, trace coherence at the clopen
 atoms, the algebra naturality square and the invariants of the dual
 algebra map at the atoms) are proved in their docstrings or comments; here they must agree
 with the sweeps of ``oracles.py`` on every kernel with at most 3 atoms,
@@ -40,6 +43,8 @@ import itertools
 import random
 import sys
 import time
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -137,10 +142,13 @@ from oracles import (
     oracle_cs4_s2s4,
     oracle_extremally_disconnected,
     oracle_algebra_square_witnesses,
+    oracle_atom_supports,
+    oracle_bijective_onto_unions,
     oracle_dual_map_failure,
     oracle_first_map_mismatch,
     oracle_first_mismatch,
     oracle_hom_image,
+    oracle_interior_at,
     oracle_preimage,
     oracle_is_clan,
     oracle_is_grill,
@@ -153,6 +161,7 @@ from oracles import (
     oracle_pcs4_pcs5,
     oracle_pcs_algebra,
     oracle_pcs_map_failure,
+    oracle_point_mask,
     oracle_rc_family,
     oracle_sigma_unrealized,
     oracle_subspace_clopens,
@@ -1276,14 +1285,16 @@ def test_pair_atoms_match_the_member_pair_loop():
 
 def test_pair_constructor_takes_one_interior_per_atom(monkeypatch):
     """`MereotopologicalPair(space, atoms)` takes the interior of each
-    atom once, in order, and of no meet of two atoms: on RC(X) of seeded
-    spaces and on the pair algebras of seeded contact duals."""
+    atom once, in order, and of no meet of two atoms, on RC(X) of seeded
+    spaces; on the pair algebras of seeded contact duals, whose atoms
+    are the closed base with a point of each singleton signature, it
+    takes none (`_signature_interiors`)."""
     rng = random.Random(20261022)
-    cases = [(space, rc_atoms(space)) for space in (random_space(rng.randint(3, 8), rng) for _ in range(20))]
+    cases = [(space, rc_atoms(space), True) for space in (random_space(rng.randint(3, 8), rng) for _ in range(20))]
     for n in (3, 4, 5):
         spec = RandomSpec(atoms=n, density=0.3, seed=child_seed(59, n), constraint="contact")
         triple = canonical_pcs_of_pca(random_pca(spec))
-        cases.append((triple.space, rc_atoms_of_subset(triple.space, triple.subset)))
+        cases.append((triple.space, rc_atoms_of_subset(triple.space, triple.subset), False))
     calls = []
     interior_of = topology.interior
 
@@ -1292,11 +1303,11 @@ def test_pair_constructor_takes_one_interior_per_atom(monkeypatch):
         return interior_of(space, mask)
 
     monkeypatch.setattr(topology, "interior", counted)
-    for space, atoms in cases:
+    for space, atoms, plain in cases:
         calls.clear()
         MereotopologicalPair(space, atoms)
-        assert calls == list(atoms), (space.point_closures, atoms, calls)
-    assert max(len(atoms) for _, atoms in cases) >= 3
+        assert calls == (list(atoms) if plain else []), (space.point_closures, atoms, calls)
+    assert max(len(atoms) for _, atoms, _ in cases) >= 3
 
 
 def test_pair_reports_build_no_member_family(monkeypatch):
@@ -1347,27 +1358,33 @@ def _counted(monkeypatch, name, home=topology):
 
 # Per fresh `specialization_report` of a contact algebra, its canonical
 # build included: one `validate_cs` of the dual pair (the contact
-# line's); a T0 test and a realization sweep each for (PCS5), the pair's
-# mereocompactness report and that validation; overlap clans for the
-# last two.
+# line's); one T0 test of the dual space (`FiniteSpace.t0`), read by
+# (PCS1), that validation and the pair's mereocompactness report; one
+# overlap-clan pass and realization sweep of the dual's closed base
+# (`FiniteSpace.base_unrealized`), shared by (CS4) and the report's
+# clan line; and the realization sweep of (PCS5).
 DUAL_PAIR_READS = {
     "validate_cs": 1,
-    "overlap_clans": 2,
-    "first_unrealized_support": 3,
-    "is_t0": 3,
+    "overlap_clans": 1,
+    "first_unrealized_support": 2,
+    "is_t0": 1,
 }
 
 
 def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
     """The canonical build and `specialization_report` of a contact dual
     derive its pair table once (`pair_atoms`): one `clopen_atoms` and at
-    most 2 `_meets` calls per dual, on seeded 3- to 6-atom contact
-    algebras, and validate the pair and sweep its clans as often as
-    `DUAL_PAIR_READS` says; `is_c_semiregular` takes `rc_atoms` once."""
+    most 1 `_meets` call per dual (the canonical build's), on seeded 3-
+    to 6-atom contact algebras, and validate the pair and sweep its
+    clans as often as `DUAL_PAIR_READS` says; `is_c_semiregular` takes
+    `rc_atoms` once."""
     clopen_calls = _counted(monkeypatch, "clopen_atoms")
     meet_calls = _counted(monkeypatch, "_meets")
     rc_calls = _counted(monkeypatch, "rc_atoms")
-    counted = {name: _counted(monkeypatch, name, structures) for name in DUAL_PAIR_READS}
+    counted = {
+        name: _counted(monkeypatch, name, topology if hasattr(topology, name) else structures)
+        for name in DUAL_PAIR_READS
+    }
     for n in range(3, 7):
         for i, density in enumerate((0.15, 0.3, 0.5, 0.7, 0.85)):
             seed = child_seed(61, n * 10 + i)
@@ -1378,7 +1395,7 @@ def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
             assert report.ok, report.failures
             assert "dual pair's member algebra is mereocompact" in [c.name for c in report.checks]
             assert len(clopen_calls) <= 1, (n, density, len(clopen_calls))
-            assert len(meet_calls) <= 2, (n, density, len(meet_calls))
+            assert len(meet_calls) <= 1, (n, density, len(meet_calls))
             counts = {name: len(calls) for name, calls in counted.items()}
             assert counts == DUAL_PAIR_READS, (n, density, counts)
             space = canonical_pcs_of_pca(pca).space
@@ -1602,6 +1619,111 @@ def test_pair_table_of_canonical_duals_is_read_off_the_base(monkeypatch):
         assert _check_table_read_off_the_base(space, triple.subset, memo)
 
 
+def closed_base_population():
+    """Spaces built from a closed base, with the base: the canonical
+    duals of every kernel with at most 3 atoms and of seeded 4- to
+    6-atom kernels, and the spaces of every family of distinct nonzero
+    masks over at most 3 points, of at most 4 such masks over 4 points
+    and of seeded families over 5 to 8 points; some have a point of each
+    singleton signature and cover the space, some do not."""
+    out = []
+    kernels = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    kernels += seeded_kernels(101, {4: 4, 5: 2, 6: 1})
+    for n, pairs in kernels:
+        space = canonical_pcs_of_pca(pca_from_pairs(n, pairs)).space
+        out.append((space, space._base))
+    bases = [
+        base
+        for n in (1, 2, 3)
+        for r in range(1, min(1 << n, 7))
+        for base in itertools.combinations(range(1, 1 << n), r)
+    ]
+    bases += [base for r in range(1, 5) for base in itertools.combinations(range(1, 16), r)]
+    rng = random.Random(20261024)
+    for n in range(5, 9):
+        for _ in range(12):
+            bases.append(tuple({rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))}))
+    for base in bases:
+        n = max(base).bit_length()
+        out.append((space_from_closed_base(_base_names(n), base), base))
+    return out
+
+
+def test_signature_interiors_match_the_literal_interiors():
+    """`_signature_interiors` on the closed-base population, with the base
+    ascending as the atoms: when the base covers the space and each
+    member B_j has a point of signature {j} (literally, over the point
+    supports), the interiors are those of `oracle_interior_at` and of
+    `interior`; otherwise it declines.  The pair constructor then agrees
+    with the one on a copy of the space that keeps no base: both build,
+    or both raise the same message.  Every canonical dual takes the
+    signature path."""
+    seen = set()
+    for space, base in closed_base_population():
+        atoms = tuple(sorted(base))
+        count, full = space.point_count, space.full_mask
+        supports = oracle_atom_supports(count, base)
+        applies = reduce(or_, base) == full and all(1 << j in supports for j in range(len(base)))
+        got = topology._signature_interiors(space, atoms)
+        if applies:
+            closures = space.point_closures
+            assert got == [oracle_interior_at(closures, b) for b in base], (base, got)
+            assert got == [interior(space, b) for b in base]
+        else:
+            assert got is None, (base, got)
+        seen.add(applies)
+        if space.point_names[0] == "c0":
+            assert applies, base
+        outcomes = []
+        for on in (space, copy_of(space)):
+            try:
+                MereotopologicalPair(on, atoms)
+                outcomes.append(None)
+            except (DomainMismatchError, PreconditionError) as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1], (base, outcomes)
+        if applies:
+            assert outcomes[0] is None
+    assert seen == {True, False}
+
+
+def test_c_semiregular_tests_read_off_the_base_match_the_plain_path(monkeypatch):
+    """`_c_semiregular_tests` of the closed-base population, at the base
+    ascending as the atoms, against `_is_base_of_closed`, `is_t0` and the
+    first overlap clan unrealized over the `transpose` of the atoms,
+    which is the literal atom supports; with at most 4 points the
+    closed-base verdict also against `oracle_is_closed_base` of the
+    unions.  The base is always a closed base of its space; the read-off
+    takes no `_meets` and no `transpose`.  Both verdicts of T0 and of the
+    clan test are seen, failing clan witnesses included."""
+    expected, seen = [], set()
+    for space, base in closed_base_population():
+        atoms = tuple(sorted(base))
+        count = space.point_count
+        supports = transpose(atoms, count)
+        assert supports == oracle_atom_supports(count, atoms)
+        plain = [
+            topology._is_base_of_closed(space, atoms),
+            is_t0(space),
+            topology.first_unrealized_support(supports, topology.overlap_clans(atoms)),
+        ]
+        assert plain[0], atoms
+        if count <= 4:
+            unions_of_atoms = {oracle_point_mask(atoms, t) for t in range(1 << len(atoms))}
+            assert oracle_is_closed_base(space.point_closures, unions_of_atoms), atoms
+        expected.append((space, atoms, plain))
+        seen.add((plain[1], plain[2] is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}, seen
+
+    def refuse(*args):
+        raise AssertionError("the base was derived again")
+
+    monkeypatch.setattr(topology, "_meets", refuse)
+    monkeypatch.setattr(topology, "transpose", refuse)
+    for space, atoms, plain in expected:
+        assert list(topology._c_semiregular_tests(space, atoms)) == plain, (atoms, plain)
+
+
 def test_closure_rows_are_the_literal_contact_closure():
     """`RelationKernel._closure_rows` against the symmetric-reflexive
     closure of the kernel pairs, on every kernel with at most 3 atoms
@@ -1752,24 +1874,29 @@ def test_roundtrip_failures_name_witnesses(path_pca, monkeypatch):
     """Break bijectivity, the closure and the contact closure inside the
     round trip: bijectivity, complements, meets, proximity and the closed
     canonical relation fail, each naming its first witness.  Bijectivity
-    is broken by dropping the top member, since the complement and meet
-    sweeps run only when it fails."""
+    is broken by cutting the top pair atom down to its trace on the
+    dense part, since the complement and meet sweeps run only when it
+    fails: the unions of the pair atoms stay distinct, and the atom whose
+    image was the top pair atom is named."""
     real_pcs_algebra = duality.pcs_algebra
 
-    def without_top(triple):
+    def cut_top(triple):
         alg = real_pcs_algebra(triple)
-        return dataclasses.replace(alg, members=alg.members[:-1])
+        top = alg.atom_masks[-1]
+        return dataclasses.replace(alg, atom_masks=alg.atom_masks[:-1] + (top & triple.subset,))
 
-    monkeypatch.setattr(duality, "pcs_algebra", without_top)
+    monkeypatch.setattr(duality, "pcs_algebra", cut_top)
     monkeypatch.setattr(duality, "closure", lambda space, mask: mask)
     # The clans read the real contact closure before the round trip's
     # reads of it are broken.
     clan_supports(path_pca)
     monkeypatch.setattr(RelationKernel, "_closure_rows", property(lambda kernel: kernel._succ))
     round_trip = algebra_roundtrip_iso(path_pca)
-    assert not round_trip.report.check(
-        "bijective onto the pair's regular closed sets"
-    ).passed
+    top = real_pcs_algebra(round_trip.space).atom_masks[-1]
+    moved = path_pca._atom_clans.index(top)
+    assert round_trip.report.check("bijective onto the pair's regular closed sets").witness == (
+        f"atom {moved} goes to {round_trip.space.space.name_set(top)}, not a pair atom"
+    )
     images, size, full = round_trip.images, 8, 7
     points = round_trip.space.space.full_mask
     report = round_trip.report
@@ -1798,6 +1925,75 @@ def test_roundtrip_failures_name_witnesses(path_pca, monkeypatch):
         report.check("closed canonical relation coincides with the pair's proximity").witness
         == f"atom pair {sorted(kernel ^ proximity)[0]}"
     )
+
+
+def _replaced(values, p, value):
+    return values[:p] + (value,) + values[p + 1 :]
+
+
+def test_round_trip_bijectivity_at_the_atoms_matches_the_literal_sweep():
+    """`_bijectivity_witness` against the literal comparison of the 2**n
+    images with the unions of the pair atoms, on every kernel with at
+    most 3 atoms and on seeded 4- to 6-atom kernels, as built and
+    patched: an atom image with one point toggled, joined with another
+    or replaced by another, and the pair atoms with the top one dropped
+    or one cut to its trace on the dense part (the unions of the pair
+    atoms stay distinct).  A failure names the first atom whose image
+    is not a pair atom or repeats an earlier image, else the first pair
+    atom left over."""
+    rng = random.Random(20261023)
+    population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    population += seeded_kernels(89, {4: 6, 5: 3, 6: 2})
+    seen = set()
+    for n, pairs in population:
+        pca = pca_from_pairs(n, pairs)
+        triple = canonical_pcs_of_pca(pca)
+        space, images = triple.space, pca._atom_clans
+        atoms = pcs_algebra(triple).atom_masks
+        p, q = rng.randrange(n), rng.randrange(n)
+        cases = [
+            (images, atoms),
+            (_replaced(images, p, images[p] ^ 1 << rng.randrange(space.point_count)), atoms),
+            (_replaced(images, p, images[p] | images[q]), atoms),
+            (_replaced(images, p, images[q]), atoms),
+            (images, atoms[:-1]),
+            (images, _replaced(atoms, p, atoms[p] & triple.subset)),
+        ]
+        for atom_images, pair in cases:
+            expected = oracle_bijective_onto_unions(atom_images, pair)
+            got = duality._bijectivity_witness(space, atom_images, pair)
+            assert (got is None) == expected, (n, sorted(pairs), atom_images, pair)
+            seen.add(expected)
+            stray = next(
+                (
+                    r
+                    for r, image in enumerate(atom_images)
+                    if image not in pair or image in atom_images[:r]
+                ),
+                None,
+            )
+            if stray is not None:
+                assert got.startswith(f"atom {stray} goes to "), got
+            elif not expected:
+                assert got.startswith("pair atom "), got
+    assert seen == {True, False}
+
+
+def test_instance_suite_round_trip_builds_no_list_of_all_elements(monkeypatch):
+    """On passing instances, `instance_suite` decides the round trip at
+    the atoms: no `joins_table` and no `unions` call, on seeded 1- to
+    6-atom kernels, contact and not."""
+    joins_calls = _counted(monkeypatch, "joins_table", boolean)
+    union_calls = _counted(monkeypatch, "unions")
+    for n in range(1, 7):
+        for i, density in enumerate((0.15, 0.5, 0.85)):
+            for constraint in ("none", "contact"):
+                spec = RandomSpec(
+                    atoms=n, density=density, seed=child_seed(97, n * 10 + i), constraint=constraint
+                )
+                report = instance_suite(random_pca(spec))
+                assert report.ok, report.failures
+    assert not joins_calls and not union_calls, (len(joins_calls), len(union_calls))
 
 
 # ---------------------------------------------------------------------------
