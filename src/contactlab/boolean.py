@@ -14,11 +14,12 @@ explicitly and therefore fall under the enumeration width budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 
 from .config import require_atom_width, require_enum_width
 from .errors import DomainMismatchError, PreconditionError
+from .memo import once
 
 FAMILY_KINDS = ("filter", "ultrafilter", "grill", "clan-candidate", "arbitrary")
 
@@ -62,6 +63,18 @@ def transpose(rows, width):
             row ^= 1 << j
         bit <<= 1
     return out
+
+
+def meeting_rows(left, right):
+    """rows[p]: the indices q with left[p] meeting right[q], as a mask."""
+    rows = []
+    for l in left:
+        row = 0
+        for q, r in enumerate(right):
+            if l & r:
+                row |= 1 << q
+        rows.append(row)
+    return rows
 
 
 def joins_table(atom_values):
@@ -390,7 +403,7 @@ class BooleanHom:
             if not 0 <= p < self.source.atom_count:
                 raise DomainMismatchError(f"atom index {p} out of source range")
 
-    @cached_property
+    @once
     def _atom_images(self):
         # _atom_images[p] = mask of target atoms that pull back to source atom p
         out = [0] * self.source.atom_count

@@ -25,7 +25,6 @@ built only when bijectivity fails or a caller asks for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import permutations, product
 
 from .adjacency import AdjacencySpace, contact_from_adjacency, is_closed_relation
@@ -37,6 +36,7 @@ from .boolean import (
     join_at,
     joins_table,
     mask_of,
+    meeting_rows,
 )
 from .config import ENUMERATION_POINT_CAP, ISOMORPHISM_POINT_CAP
 from .errors import (
@@ -46,7 +46,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .memo import remember
+from .memo import once, remember
 from .precontact import (
     PcaMorphism,
     PrecontactAlgebra,
@@ -60,7 +60,6 @@ from .structures import (
     TwoPrecontactSpace,
     _first_component,
     _local_relation,
-    _reach,
     canonical_pcs_of_pca,
     contact_relation_of_pair,
     mereocompactness_report,
@@ -157,14 +156,14 @@ class PcsMorphism:
     def apply(self, x):
         return self.point_map[x]
 
-    @cached_property
+    @once
     def _fibres(self):
         return _point_fibres(self.target.space.point_count, self.point_map)
 
     def preimage_mask(self, target_mask):
         return join_at(self._fibres, target_mask & self.target.space.full_mask)
 
-    @cached_property
+    @once
     def _dual_algebra_map(self):
         # dual_algebra_map, computed once per object.  The action sends 0
         # to 0 and preserves unions, as each of its steps does: the trace
@@ -336,7 +335,7 @@ class AlgebraRoundTrip:
     canonical: object
     report: object
 
-    @cached_property
+    @once
     def images(self):
         """images[m]: the clan set of the element m, the union of the
         atom clan sets of its atoms.  Computed once per object, when
@@ -345,18 +344,6 @@ class AlgebraRoundTrip:
 
     def image_of(self, element_mask):
         return join_at(self.source._atom_clans, element_mask)
-
-
-def _meeting_rows(left, right):
-    """rows[p]: the indices q with left[p] meeting right[q], as a mask."""
-    rows = []
-    for l in left:
-        row = 0
-        for q, r in enumerate(right):
-            if l & r:
-                row |= 1 << q
-        rows.append(row)
-    return rows
 
 
 def _bijectivity_witness(space, atom_images, pair_atoms):
@@ -486,16 +473,16 @@ def algebra_roundtrip_iso(pca):
     # Here reach[p] is the points related to the dense points of the clan
     # set of atom p, which meets the dense part in {p}, the ultrafilter
     # clan of p: reach[p] = succ[p].  That is the reach `validate_pcs`
-    # kept on the triple (`_reach`), read at the closures of the clopen
-    # atoms of the dense part: `pcs_algebra` above accepts only a valid
-    # triple, whose dense part is discrete by (PCS2), so those atoms are
-    # {0} .. {n-1} in order, each closure meeting the dense part in its
-    # own point.  Overlap of unions is the union of the overlaps, so the
-    # rows of the triple's relation and of the pair's proximity (images[a]
-    # meets images[b]) are `_meeting_rows`.
-    reach = _reach(triple)
+    # kept on the triple (`TwoPrecontactSpace._reach`), read at the
+    # closures of the clopen atoms of the dense part: `pcs_algebra` above
+    # accepts only a valid triple, whose dense part is discrete by
+    # (PCS2), so those atoms are {0} .. {n-1} in order, each closure
+    # meeting the dense part in its own point.  Overlap of unions is the
+    # union of the overlaps, so the rows of the triple's relation and of
+    # the pair's proximity (images[a] meets images[b]) are `meeting_rows`.
+    reach = triple._reach
     relation_witness = _first_pair_mismatch(
-        pca.kernel._succ, _meeting_rows(reach, atom_clans)
+        pca.kernel._succ, meeting_rows(reach, atom_clans)
     )
     report.add(
         "preserves and reflects the relation",
@@ -504,7 +491,7 @@ def algebra_roundtrip_iso(pca):
     )
 
     proximity_witness = _first_pair_mismatch(
-        pca.kernel._closure_rows, _meeting_rows(atom_clans, atom_clans)
+        pca.kernel._closure_rows, meeting_rows(atom_clans, atom_clans)
     )
     report.add(
         "contact closure matches the pair's proximity",
@@ -517,7 +504,7 @@ def algebra_roundtrip_iso(pca):
     # (1 << i, 1 << j) where the rows differ.
     atoms = alg.atom_masks
     kernel_diff = _first_pair_mismatch(
-        alg.pca.kernel._closure_rows, _meeting_rows(atoms, atoms)
+        alg.pca.kernel._closure_rows, meeting_rows(atoms, atoms)
     )
     report.add(
         "closed canonical relation coincides with the pair's proximity",

@@ -1,20 +1,45 @@
-"""Constructions remembered on the immutable object they are built from.
+"""Constructions kept on the immutable object they are built from.
 
-Where a class and a construction on it share a module, the class holds
-the construction in a ``cached_property``.  ``remember`` serves the
-constructions that live in a later module than their class, and the
-tables a validator has already computed for the object it returns (it
-hands them over with ``build`` returning the table): the value is kept
-in the object's ``__dict__`` beside the ``cached_property`` values, so
-the dataclass fields, equality and hashing are untouched and no object
-is ever hashed to find its value.  `topology.pair_atoms`, which depends
-on a subset as well as on the space, keeps its table, for the last
-subset asked for, as an attribute of the space in the same way.
+One mechanism: a value is set on the frozen object as an attribute,
+with ``object.__setattr__``, so the dataclass fields, equality, hashing
+and repr are untouched and no object is hashed to find its value.
+``once`` keeps a method's value under its own name, ``remember`` a
+construction of a later module than its class, and ``once.keep`` a
+value already built (a validator's tables, `topology.pair_atoms`).
+
+Not ``functools.cached_property``: on Python 3.11 it takes a lock on
+every first read, and it writes into the instance dictionary, building
+one that the object otherwise does without.  No lock is taken here: a
+kept value is a pure function of its object, so a race only computes
+it twice.
 """
 
 from __future__ import annotations
 
 import weakref
+
+
+class once:
+    """A method whose value is computed on the first read and kept as an
+    attribute, which shadows this non-data descriptor from then on.
+    ``func`` is the method, as on ``cached_property``."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+    @staticmethod
+    def keep(obj, name, value):
+        """Keep ``value`` on ``obj`` under ``name``, replacing any there."""
+        object.__setattr__(obj, name, value)
 
 
 def remember(obj, name, build, weak=False):
@@ -25,9 +50,9 @@ def remember(obj, name, build, weak=False):
     been collected.  A weak reference does not pickle, so a class that
     remembers weakly leaves such entries out of its pickled state.
     """
-    held = obj.__dict__.get(name)
+    held = getattr(obj, name, None)
     value = held() if weak and held is not None else held
     if value is None:
         value = build(obj)
-        obj.__dict__[name] = weakref.ref(value) if weak else value
+        once.keep(obj, name, weakref.ref(value) if weak else value)
     return value

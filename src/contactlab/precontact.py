@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import NamedTuple
 
@@ -58,6 +58,7 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
+from .memo import once
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class RelationKernel:
             if not (0 <= p < n and 0 <= q < n):
                 raise DomainMismatchError(f"kernel pair ({p}, {q}) out of range")
 
-    @cached_property
+    @once
     def _succ(self):
         # _succ[p] = mask of atoms q with (p, q) in the kernel
         out = [0] * self.algebra.atom_count
@@ -82,7 +83,7 @@ class RelationKernel:
             out[p] |= 1 << q
         return tuple(out)
 
-    @cached_property
+    @once
     def _closure_rows(self):
         """The atom rows of the contact closure of the kernel, computed
         once per object: row p holds p, the successors of p and the
@@ -176,17 +177,17 @@ class PrecontactAlgebra:
         if self.kernel.algebra != self.algebra:
             raise DomainMismatchError("kernel belongs to a different algebra")
 
-    @cached_property
+    @once
     def axioms(self):
         return axiom_report(self)
 
-    @cached_property
+    @once
     def _clan_supports(self):
         # clan_supports, computed once per object
         require_enum_width(self.algebra.atom_count)
         return clique_supports(self.kernel._closure_rows)
 
-    @cached_property
+    @once
     def _atom_clans(self):
         # _atom_clans[p]: the clans holding the atom p, as a mask over
         # the clan supports; the closed base of the dual triple and the

@@ -154,6 +154,16 @@ def encode(obj):
             "algebra": {"atoms": obj.algebra.atom_count},
             "members": sorted(obj.member_masks),
         }
+    if isinstance(obj, (PcaMorphism, PcsMorphism)):
+        pca = isinstance(obj, PcaMorphism)
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "morphism",
+            "variant": "pca" if pca else "pcs",
+            "source": encode(obj.source),
+            "target": encode(obj.target),
+            "map": list(obj.hom.atom_map if pca else obj.point_map),
+        }
     if isinstance(obj, DualityReport):
         return obj.as_dict()
     raise SchemaError(f"cannot encode {type(obj).__name__}")
@@ -163,28 +173,6 @@ def _space_payload(space):
     return {
         "points": list(space.point_names),
         "closed_base": [sorted(bit_indices(cl)) for cl in space.point_closures],
-    }
-
-
-def encode_pca_morphism(morphism):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "morphism",
-        "variant": "pca",
-        "source": encode(morphism.source),
-        "target": encode(morphism.target),
-        "map": list(morphism.hom.atom_map),
-    }
-
-
-def encode_pcs_morphism(morphism):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "morphism",
-        "variant": "pcs",
-        "source": encode(morphism.source),
-        "target": encode(morphism.target),
-        "map": list(morphism.point_map),
     }
 
 

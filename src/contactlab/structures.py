@@ -10,9 +10,10 @@ highest atom, and the ultrafilter clans are the first points.  Every
 reader of a pair (X, X0) at the clopen atoms of X0 reads one table,
 `topology.pair_atoms`, built once per space and subset: the 2-precontact,
 2-contact and Stone 2-space validators take their Stone and closed-base
-verdicts from it, and (PCS4), (PCS5), (CS4) and (S2S4) its atoms whose
-closures hold each point; the canonical algebra, the pair-determined
-relation and connectedness read its atoms and their closures.  Only
+verdicts from it, (PCS5), (CS4) and (S2S4) its atoms whose closures
+hold each point, and (PCS4) which of its atom closures meet; the
+canonical algebra, the pair-determined relation and connectedness read
+its atoms and their closures.  Only
 the relation's reach, read in one pass into successor masks, is kept
 on the triple.  The canonical algebra is held by its atoms; its 2**n
 members are built only when asked for.  The validators and the
@@ -30,14 +31,14 @@ failing element set by the atoms of its support, at every size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 
 from .adjacency import is_closed_relation
-from .boolean import bit_indices, join_at, joins_table, mask_of, transpose
+from .boolean import bit_indices, join_at, joins_table, mask_of, meeting_rows, transpose
 from .config import require_atom_width, require_enum_width
 from .errors import DomainMismatchError, PreconditionError, ValidationError
-from .memo import remember
+from .memo import once, remember
 from .precontact import PrecontactAlgebra, clan_supports, clique_supports, pca_from_pairs
 from .report import CheckList, ReportBuilder
 from .topology import (
@@ -107,7 +108,16 @@ class TwoPrecontactSpace(CheckList):
     relation: frozenset
     checks: tuple = field(default=(), compare=False)
 
-    @cached_property
+    @once
+    def _reach(self):
+        """The reach of the relation at the clopen atoms of the subset
+        (`validate_pcs`): the one `validate_pcs` computed, rebuilt only
+        for a triple constructed directly."""
+        succ = _relation_out_masks(self.space, self.subset, self.relation)
+        closed = pair_atoms(self.space, self.subset).closures
+        return tuple(join_at(succ, c & self.subset) for c in closed)
+
+    @once
     def _algebra(self):
         # pcs_algebra, computed once per object
         if not self.ok:
@@ -120,7 +130,7 @@ class TwoPrecontactSpace(CheckList):
         # iff reach[f] meets g.  reach[f] lies in the subset, which cl g
         # meets in g: iff reach[f] meets cl g.
         closed = pair_atoms(self.space, self.subset).closures
-        reach = _reach(self)
+        reach = self._reach
         order = sorted(range(len(closed)), key=closed.__getitem__)
         pca = pca_from_pairs(
             len(order),
@@ -142,7 +152,8 @@ def validate_pcs(space, subset, relation):
     of range or leaving the subset) raise instead, in the one pass that
     reads the relation into successor masks.  (PCS2) and (PCS3) take the
     Stone and closed-base verdicts of the pair's table (`pair_atoms`),
-    and (PCS4) and (PCS5) its atoms whose closures hold each point.
+    (PCS4) which of its atom closures meet, and (PCS5) its atoms whose
+    closures hold each point.
     """
     relation = frozenset(relation)
     succ = _relation_out_masks(space, subset, relation)
@@ -185,19 +196,21 @@ def validate_pcs(space, subset, relation):
     adj = [(1 << i) | r | b for i, (r, b) in enumerate(zip(reached, reaching))]
 
     # (PCS4) asks that clopens f and g whose closures meet be in contact
-    # under C#.  support[x] is the mask of the atoms whose closures hold
-    # x, so missing[i], the atoms j whose closures meet cl f_i without
-    # f_i C# f_j, is the join of support over cl f_i outside adj[i].  A
-    # failing pair (f, g) has a failing atom pair a <= f, b <= g below
-    # it: closure is additive, so the closures of some such a and b meet,
-    # and a C# b would give f C# g, as reach and overlap are monotone.
-    # So (PCS4) holds iff every missing[i] is 0.  Its first failing pair
-    # among the clopens, in ascending order as masks, is an atom pair
-    # too, since a <= f and b <= g as masks: the first i with missing[i]
-    # nonzero and the lowest atom j of missing[i], the atoms being
-    # ascending.  So the witness is named from the atoms, and no clopen
-    # family is built.
-    missing = [join_at(support, c) & ~a for c, a in zip(closed, adj)]
+    # under C#.  missing[i] is the atoms j whose closures meet cl f_i
+    # without f_i C# f_j: the row i of `meeting_rows` outside adj[i].
+    # That row is the join of support over the points of cl f_i, as
+    # support[x] is the mask of the atoms whose closures hold x: the
+    # join holds j iff some point of cl f_i lies in cl f_j, iff the two
+    # closures meet.  A failing pair (f, g) has a failing atom pair
+    # a <= f, b <= g below it: closure is additive, so the closures of
+    # some such a and b meet, and a C# b would give f C# g, as reach and
+    # overlap are monotone.  So (PCS4) holds iff every missing[i] is 0.
+    # Its first failing pair among the clopens, in ascending order as
+    # masks, is an atom pair too, since a <= f and b <= g as masks: the
+    # first i with missing[i] nonzero and the lowest atom j of
+    # missing[i], the atoms being ascending.  So the witness is named
+    # from the atoms, and no clopen family is built.
+    missing = [m & ~a for m, a in zip(meeting_rows(closed, closed), adj)]
     first = next((i for i, m in enumerate(missing) if m), None)
     pcs4_witness = None
     if first is not None:
@@ -214,20 +227,8 @@ def validate_pcs(space, subset, relation):
     _realization_check(report, "(PCS5)", "unrealized clan ", space, table, unrealized)
 
     triple = TwoPrecontactSpace(space, subset, relation, report.done().checks)
-    remember(triple, "_reach", lambda _: reach)
+    once.keep(triple, "_reach", reach)
     return triple
-
-
-def _reach(triple):
-    """The reach of the relation at the clopen atoms of the triple's
-    subset (`validate_pcs`): the one `validate_pcs` computed, rebuilt
-    only for a triple constructed directly."""
-
-    def build(t):
-        succ = _relation_out_masks(t.space, t.subset, t.relation)
-        return tuple(join_at(succ, c & t.subset) for c in pair_atoms(t.space, t.subset).closures)
-
-    return remember(triple, "_reach", build)
 
 
 def triple_is_connected(triple):
@@ -352,19 +353,19 @@ class PcsAlgebra:
     pca: PrecontactAlgebra
     atom_masks: tuple
 
-    @cached_property
+    @once
     def members(self):
         """All members, the unions of the atoms, ascending as masks.
         Computed once per object, when asked for."""
         return unions(self.atom_masks)
 
-    @cached_property
+    @once
     def _point_masks(self):
         # _point_masks[m]: the point set of the element m, the union of
         # the atom masks of its atoms
         return joins_table(self.atom_masks)
 
-    @cached_property
+    @once
     def _member_index(self):
         return {mask: m for m, mask in enumerate(self._point_masks)}
 

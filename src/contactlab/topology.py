@@ -45,14 +45,15 @@ element encoding of the Boolean side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations
 from operator import or_
 from typing import NamedTuple
 
-from .boolean import bit_indices, join_at, mask_of, transpose
-from .config import require_atom_width, require_enum_width, require_point_budget
+from .boolean import bit_indices, join_at, meeting_rows, transpose
+from .config import require_atom_width, require_point_budget
 from .errors import DomainMismatchError, InternalError, PreconditionError
+from .memo import once
 from .precontact import clique_supports
 
 
@@ -91,15 +92,15 @@ class FiniteSpace:
         of the members holding x (`_meets`).  Its output is in range,
         reflexive and transitive by construction (`space_from_closed_base`),
         so only the checks the names and the count can break are run.
-        The base and the signatures are kept as attributes of the frozen
-        space, not as fields, so equality, hashing and repr see the
+        The base and the signatures are kept on the frozen space
+        (`memo`), not as fields, so equality, hashing and repr see the
         closures only; `pair_atoms` reads them."""
         space = object.__new__(cls)
         object.__setattr__(space, "point_names", point_names)
         object.__setattr__(space, "point_closures", tuple(_meets(len(point_names), base)))
         space._check_shape()
-        object.__setattr__(space, "_base", base)
-        object.__setattr__(space, "_signatures", signatures)
+        once.keep(space, "_base", base)
+        once.keep(space, "_signatures", signatures)
         return space
 
     @property
@@ -113,7 +114,7 @@ class FiniteSpace:
     def name_set(self, mask):
         return "{" + ",".join(self.point_names[i] for i in bit_indices(mask)) + "}"
 
-    @cached_property
+    @once
     def maximal_points(self):
         """The points whose closure holds every point above them (y is
         above x when x is in cl{y}), as a mask: the points held by
@@ -124,13 +125,13 @@ class FiniteSpace:
         # one distinct closure holds x.  No T0 assumption is used.
         return held_once(set(self.point_closures))
 
-    @property
+    @once
     def t0(self):
         """`is_t0`, computed once per object: each validator and report
         of the space reads it here."""
-        return _kept(self, "_t0", is_t0)
+        return is_t0(self)
 
-    @property
+    @once
     def base_unrealized(self):
         """On a space built from a closed base whose members are distinct,
         nonzero and in range: the first overlap clan of the base, a
@@ -138,28 +139,7 @@ class FiniteSpace:
         realizes, or None (`first_unrealized_support`).  Computed once
         per object, so (CS4) of a pair whose atom closures are the base
         and the clan line of the pair held by the base share one pass."""
-        return _kept(
-            self,
-            "_base_unrealized",
-            lambda space: first_unrealized_support(space._signatures, overlap_clans(space._base)),
-        )
-
-
-_MISSING = object()
-
-
-def _kept(space, name, build):
-    """``build(space)``, computed once per space and kept under ``name``
-    as an attribute of the frozen space, as `pair_atoms` keeps its
-    table: it is set without building the instance dictionary that a
-    ``cached_property`` would, which a canonical dual otherwise never
-    needs (each object a dual keeps alive is one more for the cycle
-    collector to trace)."""
-    value = getattr(space, name, _MISSING)
-    if value is _MISSING:
-        value = build(space)
-        object.__setattr__(space, name, value)
-    return value
+        return first_unrealized_support(self._signatures, overlap_clans(self._base))
 
 
 def _meets(point_count, members):
@@ -557,9 +537,6 @@ def pair_atoms(space, subset):
     ``closed_base`` is True, with no `transpose` and no `_meets` pass;
     the proof is beside the code.  Otherwise both are computed as above.
     """
-    # An attribute of the frozen space rather than a `memo` entry: it is
-    # set without building the space's instance dictionary, which a
-    # canonical dual otherwise never needs.
     table = getattr(space, "_pair_atoms", None)
     if table is None or table.subset != subset:
         closures = tuple(closure(space, a) for a in clopen_atoms(space, subset))
@@ -579,7 +556,7 @@ def pair_atoms(space, subset):
         table = PairAtoms(
             subset, closures, support, len(closures) == subset.bit_count(), closed_base
         )
-        object.__setattr__(space, "_pair_atoms", table)
+        once.keep(space, "_pair_atoms", table)
     return table
 
 
@@ -836,10 +813,10 @@ def overlap_clans(atoms):
     atoms[i] meets atoms[j]), in (size, atoms) order."""
     # Overlap is reflexive and symmetric, so it is its own contact
     # closure, and the clans are the cliques of its adjacency.  The
-    # width checks are those of building that algebra and its clans.
+    # width check is that of building that algebra; its clans are grown
+    # clique by clique, with no pass over its 2**n elements.
     require_atom_width(len(atoms))
-    require_enum_width(len(atoms))
-    return clique_supports([mask_of(j for j, b in enumerate(atoms) if a & b) for a in atoms])
+    return clique_supports(meeting_rows(atoms, atoms))
 
 
 def first_unrealized_support(point_supports, supports):

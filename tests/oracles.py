@@ -883,3 +883,17 @@ def oracle_atom_supports(point_count, atoms):
     return [
         sum(1 << i for i, a in enumerate(atoms) if a >> x & 1) for x in range(point_count)
     ]
+
+
+def oracle_support_join_rows(point_count, atoms):
+    """rows[i]: the join, over the points x of atoms[i], of the support
+    of x, the indices j with x in atoms[j]."""
+    supports = oracle_atom_supports(point_count, atoms)
+    rows = []
+    for a in atoms:
+        row = 0
+        for x in range(point_count):
+            if a >> x & 1:
+                row |= supports[x]
+        rows.append(row)
+    return rows

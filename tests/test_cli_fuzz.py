@@ -19,7 +19,7 @@ from contactlab.cli import main
 from contactlab.duality import dual_space_map, identity_pcs_morphism
 from contactlab.precontact import pca_from_pairs
 from contactlab.randgen import random_pca_morphism
-from contactlab.serialize import encode, encode_pca_morphism, encode_pcs_morphism
+from contactlab.serialize import encode
 from contactlab.structures import canonical_pcs_of_pca
 
 XL = {"points": ["c0", "c1", "c0-1"], "closed_base": [[0, 2], [1, 2], [2]]}
@@ -49,9 +49,9 @@ def _base_payloads():
         *({"schema_version": "1", **p} for p in versioned),
         encode(path),
         encode(triple),
-        encode_pca_morphism(phi),
-        encode_pcs_morphism(identity_pcs_morphism(triple)),
-        encode_pcs_morphism(dual_space_map(phi)),
+        encode(phi),
+        encode(identity_pcs_morphism(triple)),
+        encode(dual_space_map(phi)),
     ]
 
 

@@ -548,7 +548,7 @@ def test_specialization_failures_name_witnesses(monkeypatch, which, line, broken
     assert specialization_report(pca, which).check(line).passed
     monkeypatch.setattr(*broken)
     # the verdicts the space computed once are computed again under the patch
-    for name in ("_t0", "_base_unrealized"):
+    for name in ("t0", "base_unrealized"):
         monkeypatch.delitem(triple.space.__dict__, name, raising=False)
     check = specialization_report(pca, which).check(line)
     assert not check.passed

@@ -57,6 +57,7 @@ from contactlab.boolean import (
     _first_pair_mismatch,
     bit_indices,
     mask_of,
+    meeting_rows,
     transpose,
 )
 from contactlab.duality import (
@@ -165,6 +166,7 @@ from oracles import (
     oracle_rc_family,
     oracle_sigma_unrealized,
     oracle_subspace_clopens,
+    oracle_support_join_rows,
     oracle_support_of,
     oracle_u_point,
     oracle_u_point_of_pair,
@@ -1490,6 +1492,19 @@ def test_pair_table_matches_the_subspace_and_closed_base_sweeps():
             ]
             seen.add((stone, base))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}, seen
+
+
+def test_pcs4_missing_rows_are_the_meeting_rows():
+    """(PCS4) of `validate_pcs` reads the atoms whose closures meet each
+    atom closure off `meeting_rows`, not off the join of the point
+    supports over the closure: the two agree on the clopen atom closures
+    of every subset of every space with at most 4 points, against
+    `oracle_support_join_rows`."""
+    for space in (s for n in range(1, 5) for s in all_small_spaces(n)):
+        for sub in range(space.full_mask + 1):
+            closures = pair_atoms(space, sub).closures
+            expected = oracle_support_join_rows(space.point_count, closures)
+            assert meeting_rows(closures, closures) == expected, (space.point_closures, sub)
 
 
 def copy_of(space):

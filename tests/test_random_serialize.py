@@ -4,7 +4,7 @@ import pytest
 
 from contactlab.adjacency import AdjacencySpace
 from contactlab.boolean import Element, ElementFamily, FiniteBooleanAlgebra
-from contactlab.duality import enumerate_pcs_morphisms
+from contactlab.duality import dual_space_map, enumerate_pcs_morphisms
 from contactlab.errors import PreconditionError, SchemaError
 from contactlab.precontact import largest_contact, pca_from_pairs
 from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
@@ -13,8 +13,6 @@ from contactlab.serialize import (
     dot_export,
     dumps,
     encode,
-    encode_pca_morphism,
-    encode_pcs_morphism,
     loads,
 )
 from contactlab.structures import canonical_pcs_of_pca, validate_cs, validate_pcs
@@ -136,13 +134,20 @@ def test_roundtrip_morphisms():
     from contactlab.precontact import PcaMorphism
 
     phi = PcaMorphism(hom_from_atom_map(b4, b4, (1, 0)), rho, rho)
-    back = decode(json.loads(dumps(encode_pca_morphism(phi))))
+    back = decode(json.loads(dumps(encode(phi))))
     assert back.hom.atom_map == (1, 0)
+    assert back == phi
 
     triple = canonical_pcs_of_pca(rho)
     f = enumerate_pcs_morphisms(triple, triple)[0]
-    back_f = decode(json.loads(dumps(encode_pcs_morphism(f))))
+    back_f = decode(json.loads(dumps(encode(f))))
     assert back_f.point_map == f.point_map
+    assert back_f == f
+
+    for i in range(6):
+        phi = random_pca_morphism(3, 3 + i % 2, 0.3 + 0.1 * i, child_seed(20261019, i))
+        assert roundtrip(phi) == phi
+        assert roundtrip(dual_space_map(phi)) == dual_space_map(phi)
 
 
 def test_deterministic_bytes(xl_space):

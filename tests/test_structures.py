@@ -34,11 +34,28 @@ from contactlab.topology import (
     MereotopologicalPair,
     closed_sets,
     discrete_space,
+    is_c_semiregular,
     rc_members,
 )
 
 # ---------------------------------------------------------------------------
 # 2-precontact validation
+
+
+def test_overlap_clans_decide_past_the_enumeration_width(monkeypatch, tmp_path, capsys):
+    """The overlap clans are grown clique by clique, with no 2**n pass,
+    so C-semiregularity and (CS4) decide on 7 points under the default
+    budgets, and `contactlab validate` of such a 2-contact space exits 0."""
+    for name in ("CONTACTLAB_ATOM_LIMIT", "CONTACTLAB_ENUM_LIMIT", "CONTACTLAB_POINT_LIMIT"):
+        monkeypatch.delenv(name, raising=False)
+    space = discrete_space("abcdefg")
+    assert is_c_semiregular(space)
+    cs = validate_cs(space, space.full_mask)
+    assert cs.ok and cs.check("(CS4)").passed
+    path = tmp_path / "cs7.json"
+    path.write_text(dumps(encode(cs)))
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
 def test_validate_pcs_fixture_passes(xl_space):
