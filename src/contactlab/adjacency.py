@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolean import bit_indices
-from .config import require_enum_width
 from .errors import DomainMismatchError, PreconditionError
 from .precontact import (
     PrecontactAlgebra,
@@ -244,7 +243,6 @@ def stone_representation_report(pca):
     algebra = pca.algebra
     if algebra.is_degenerate:
         raise PreconditionError("representation needs a nondegenerate algebra")
-    require_enum_width(algebra.atom_count)
     report = ReportBuilder(f"stone representation of a {algebra.atom_count}-atom algebra")
 
     flags = pca.axioms

@@ -50,6 +50,28 @@ def join_at(values, mask):
     return out
 
 
+def reach(rows, start):
+    """The indices reachable from the set bits of ``start`` along the
+    adjacency ``rows`` (rows[i]: the mask of the indices adjacent to i),
+    ``start`` included, as a mask; one breadth-first pass, each row read
+    once."""
+    seen = frontier = start
+    while frontier:
+        frontier = join_at(rows, frontier) & ~seen
+        seen |= frontier
+    return seen
+
+
+def fibres(width, mapping):
+    """out[y]: the mask of the i with mapping[i] = y, for each of the
+    ``width`` values y.  The preimage of a set is the join of the fibres
+    of its members (`join_at`), so preimage preserves joins."""
+    out = [0] * width
+    for i, y in enumerate(mapping):
+        out[y] |= 1 << i
+    return out
+
+
 def transpose(rows, width):
     """out[j]: the mask of the i with bit j set in rows[i], for each of
     the ``width`` columns j; every row must lie below 1 << width.  One
@@ -406,10 +428,7 @@ class BooleanHom:
     @once
     def _atom_images(self):
         # _atom_images[p] = mask of target atoms that pull back to source atom p
-        out = [0] * self.source.atom_count
-        for q, p in enumerate(self.atom_map):
-            out[p] |= 1 << q
-        return tuple(out)
+        return tuple(fibres(self.source.atom_count, self.atom_map))
 
     def apply_mask(self, mask):
         return join_at(self._atom_images, mask)

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .boolean import FiniteBooleanAlgebra, bit_indices, grills, ultrafilters
+from .config import atom_limit, enum_limit, point_limit
 from .duality import algebra_roundtrip_iso, pcs_iso_report, space_roundtrip_iso
 from .errors import (
     AxiomViolationError,
@@ -377,6 +378,11 @@ def main(argv=None):
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:
+        # Every budget is read before dispatch, so a malformed variable
+        # exits 2 on every subcommand, whether or not the run reads it.
+        atom_limit()
+        enum_limit()
+        point_limit()
         return args.func(args)
     except (SchemaError, CapacityError, DomainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

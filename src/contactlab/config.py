@@ -1,17 +1,23 @@
 """Size budgets, enforced explicitly.
 
-Three independent caps are overridable through the environment:
+Three independent caps are overridable through the environment.  Each
+bounds only what builds a whole family or passes over every element;
+the validators, the axiom flags, the Stone report and the
+C-semiregularity predicates are polynomial and read none of them, so
+they decide at any width:
 
-* atom width (``CONTACTLAB_ATOM_LIMIT``, default 16) bounds plain algebra
-  operations on bitmask elements;
-* enumeration width (``CONTACTLAB_ENUM_LIMIT``, default 6) bounds anything
-  that quantifies over the full 2**n carrier or materialises families;
-* point budget (``CONTACTLAB_POINT_LIMIT``, default 12) bounds only the
+* atom width (``CONTACTLAB_ATOM_LIMIT``, default 16) bounds every
+  `FiniteBooleanAlgebra`;
+* enumeration width (``CONTACTLAB_ENUM_LIMIT``, default 6) bounds the
+  row forms of element-level relations (2**n rows), the element
+  families of `boolean`, `is_clan` and the clans of an algebra, the
+  points of its dual;
+* point budget (``CONTACTLAB_POINT_LIMIT``, default 12) bounds the
   functions that return a whole family of sets of a finite space (all
   closed, clopen or regular closed sets, the clopens of a subspace
-  and their closures); predicates, validators and the regular closed
-  algebras, held by their atoms, are outside it.
+  and their closures) and the specialization line of the suite.
 
+The command line reads all three before it dispatches.
 A budget variable that is set must hold a positive integer written in
 ASCII digits only; any other value, including one with blanks, a sign,
 underscores or non-ASCII digits, raises CapacityError instead of

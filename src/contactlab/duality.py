@@ -33,6 +33,7 @@ from .boolean import (
     _first_map_mismatch,
     _first_pair_mismatch,
     bit_indices,
+    fibres,
     join_at,
     joins_table,
     mask_of,
@@ -86,31 +87,21 @@ from .topology import (
 # morphisms on the space side
 
 
-def _point_fibres(point_count, point_map):
-    """fibres[y]: the points x with point_map[x] = y, for each of the
-    ``point_count`` target points.  The preimage of a set is the union of
-    the fibres of its points (`join_at`), so preimage preserves unions."""
-    fibres = [0] * point_count
-    for x, y in enumerate(point_map):
-        fibres[y] |= 1 << x
-    return fibres
-
-
 def _is_valid_pcs_map(source, target, point_map):
     sp, tp = source.space, target.space
     if len(point_map) != sp.point_count:
         return False
     if any(not 0 <= i < tp.point_count for i in point_map):
         return False
-    fibres = _point_fibres(tp.point_count, point_map)
+    point_fibres = fibres(tp.point_count, point_map)
     # Each condition is an inclusion of preimages, as f(A) <= B iff A <=
     # f^-1(B).  Continuity: f(cl{x}) <= cl{f(x)}, i.e. cl{x} lies inside
     # f^-1(cl{f(x)}), for every x.
     for x, cl in enumerate(sp.point_closures):
-        if cl & ~join_at(fibres, tp.point_closures[point_map[x]]):
+        if cl & ~join_at(point_fibres, tp.point_closures[point_map[x]]):
             return False
     # The dense part: f(X0) <= X0', i.e. X0 lies inside f^-1(X0').
-    if source.subset & ~join_at(fibres, target.subset):
+    if source.subset & ~join_at(point_fibres, target.subset):
         return False
     for x, y in source.relation:
         if (point_map[x], point_map[y]) not in target.relation:
@@ -124,8 +115,8 @@ def _is_valid_pcs_map(source, target, point_map):
     # which the target pair's table holds with their closures.
     table = pair_atoms(tp, target.subset)
     for clopen, target_closure in zip(table.atoms, table.closures):
-        source_closure = closure(sp, join_at(fibres, clopen) & source.subset)
-        if join_at(fibres, target_closure) & ~source_closure:
+        source_closure = closure(sp, join_at(point_fibres, clopen) & source.subset)
+        if join_at(point_fibres, target_closure) & ~source_closure:
             return False
     return True
 
@@ -158,7 +149,7 @@ class PcsMorphism:
 
     @once
     def _fibres(self):
-        return _point_fibres(self.target.space.point_count, self.point_map)
+        return fibres(self.target.space.point_count, self.point_map)
 
     def preimage_mask(self, target_mask):
         return join_at(self._fibres, target_mask & self.target.space.full_mask)
@@ -677,19 +668,6 @@ def pcs_isomorphic(first, second):
             continue
         return pm
     return None
-
-
-def canonical_kernel_form(pca):
-    """Lexicographically minimal kernel under atom permutations."""
-    n = pca.algebra.atom_count
-    if n > ISOMORPHISM_POINT_CAP:
-        raise CapacityError(f"canonical form capped at {ISOMORPHISM_POINT_CAP} atoms")
-    best = None
-    for pm in permutations(range(n)):
-        remapped = tuple(sorted((pm[p], pm[q]) for p, q in pca.kernel.pairs))
-        if best is None or remapped < best:
-            best = remapped
-    return best
 
 
 def pca_isomorphic(first, second):

@@ -49,6 +49,7 @@ from .boolean import (
     join_at,
     joins_table,
     mask_of,
+    reach,
     transpose,
 )
 from .config import require_enum_width
@@ -183,9 +184,10 @@ class PrecontactAlgebra:
 
     @once
     def _clan_supports(self):
-        # clan_supports, computed once per object
+        # clan_supports, computed once per object: every clan is a point
+        # of the dual, so the whole family is built
         require_enum_width(self.algebra.atom_count)
-        return clique_supports(self.kernel._closure_rows)
+        return tuple(clique_supports(self.kernel._closure_rows))
 
     @once
     def _atom_clans(self):
@@ -211,10 +213,11 @@ class PrecontactAlgebra:
 
 
 def clique_supports(adj):
-    """The nonempty cliques of a reflexive and symmetric adjacency on
-    len(adj) atoms (adj[p]: the mask of the atoms adjacent to p), in
+    """Yield the nonempty cliques of a reflexive and symmetric adjacency
+    on len(adj) atoms (adj[p]: the mask of the atoms adjacent to p), in
     (size, atoms) order.  Under the contact closure's adjacency these
-    are the clan supports.
+    are the clan supports.  The walk is lazy (its cost is below), so
+    only a caller that builds the whole family needs a width budget.
 
     Each clique is grown once, from its prefix.  Drop the highest atom j
     of a nonempty clique and what is left, its prefix s, is a clique or
@@ -230,16 +233,20 @@ def clique_supports(adj):
     size k come before those of size k + 1.  Within a size they come in
     (prefix, j) order, which by induction on the size is their atom
     order: two cliques with different prefixes first differ inside
-    them."""
+    them.  Each clique is yielded as it is appended, so the yields keep
+    that order.  Only cliques already yielded are grown, and growing
+    one costs a step plus one per clique it yields: the first m cliques
+    cost O(m) steps on len(adj)-bit masks."""
     cliques, commons = [0], [(1 << len(adj)) - 1]
     for s, common in zip(cliques, commons):
         rest = common & -(1 << s.bit_length())
         while rest:
             low = rest & -rest
-            cliques.append(s | low)
+            clique = s | low
+            yield clique
+            cliques.append(clique)
             commons.append(common & adj[low.bit_length() - 1])
             rest ^= low
-    return tuple(cliques[1:])
 
 
 def pca_from_pairs(atom_count, pairs):
@@ -592,10 +599,7 @@ def _well_inside_flags(n, below):
         lowest = [(row & -row).bit_length() - 1 for row in below]
         ax5 = not any(row & ~below[m] for row, m in zip(below, lowest) if row)
     else:
-        ax5 = not any(
-            row & ~reduce(or_, (below[b] for b in bit_indices(row)), 0)
-            for row in below
-        )
+        ax5 = not any(row & ~join_at(below, row) for row in below)
     ax6 = reduce(or_, below[1:], 0) | 1 == tables.row
     ax7 = all(
         below[full ^ b] >> (full ^ a) & 1
@@ -728,7 +732,6 @@ def axiom_report(pca):
     empty or {q}.
     """
     n = pca.algebra.atom_count
-    require_enum_width(n)
     kernel = pca.kernel
     succ = kernel._succ
     rows = kernel._closure_rows
@@ -737,21 +740,10 @@ def axiom_report(pca):
     csym = kernel.is_symmetric
     ctr = not any(join_at(succ, s) & ~s for s in succ)
     ctr_sharp = not any(join_at(rows, r) & ~r for r in rows)
-    ccon = n == 0 or _reach_from_atom_zero(rows) == pca.algebra.full_mask
+    ccon = n == 0 or reach(rows, 1) == pca.algebra.full_mask
     values = set(succ)
     c6 = 0 in values or all(1 << q in values for q in range(n))
     return RelationAxioms(cref, csym, ctr, ctr_sharp, ccon, c6)
-
-
-def _reach_from_atom_zero(rows):
-    """The atoms reachable from atom 0 along the adjacency ``rows``
-    (rows[p]: the mask of the atoms adjacent to p), as a mask; one
-    breadth-first pass, each atom's row read once."""
-    reach = frontier = 1
-    while frontier:
-        frontier = join_at(rows, frontier) & ~reach
-        reach |= frontier
-    return reach
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from operator import or_
 
 from .adjacency import is_closed_relation
 from .boolean import bit_indices, join_at, joins_table, mask_of, meeting_rows, transpose
-from .config import require_atom_width, require_enum_width
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .memo import once, remember
 from .precontact import PrecontactAlgebra, clan_supports, clique_supports, pca_from_pairs
@@ -153,7 +152,9 @@ def validate_pcs(space, subset, relation):
     reads the relation into successor masks.  (PCS2) and (PCS3) take the
     Stone and closed-base verdicts of the pair's table (`pair_atoms`),
     (PCS4) which of its atom closures meet, and (PCS5) its atoms whose
-    closures hold each point.
+    closures hold each point.  Every check is polynomial in the points,
+    with no family of the clopen algebra built, so the validator decides
+    at any size and reads no budget.
     """
     relation = frozenset(relation)
     succ = _relation_out_masks(space, subset, relation)
@@ -176,9 +177,6 @@ def validate_pcs(space, subset, relation):
     report.add("(PCS2)", pcs2, None if pcs2 else f"stone={stone}, closed relation={closed_rel}")
     report.add("(PCS3)", table.closed_base, "the pair's regular closed sets are not a closed base")
 
-    # The clopen algebra of the dense part is held to the algebra width
-    # like any other, before (PCS4) and (PCS5) read it.
-    require_atom_width(len(closed))
     # reach[i]: the points related to a point of the clopen atom f_i, the
     # atom's closure cut to the subset, so that f C g iff reach[f] meets
     # g, and reach is additive.
@@ -221,8 +219,9 @@ def validate_pcs(space, subset, relation):
 
     # The clans of the clopen algebra under C# are the cliques of adj,
     # and a clan is a closure trace iff its support is the support of a
-    # point (`_validate_pair`).
-    require_enum_width(len(closed))
+    # point (`_validate_pair`).  The walk is read up to the first
+    # unrealized clique, at most point count + 1 of them
+    # (`first_unrealized_support`).
     unrealized = first_unrealized_support(support, clique_supports(adj))
     _realization_check(report, "(PCS5)", "unrealized clan ", space, table, unrealized)
 

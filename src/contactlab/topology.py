@@ -50,8 +50,8 @@ from itertools import combinations
 from operator import or_
 from typing import NamedTuple
 
-from .boolean import bit_indices, join_at, meeting_rows, transpose
-from .config import require_atom_width, require_point_budget
+from .boolean import bit_indices, join_at, meeting_rows, reach, transpose
+from .config import require_point_budget
 from .errors import DomainMismatchError, InternalError, PreconditionError
 from .memo import once
 from .precontact import clique_supports
@@ -466,13 +466,9 @@ def clopen_atoms(space, subset):
     atoms = []
     rest = subset
     while rest:
-        seen = frontier = rest & -rest
-        while frontier:
-            grown = join_at(adj, frontier)
-            frontier = grown & ~seen
-            seen |= grown
-        atoms.append(seen)
-        rest &= ~seen
+        component = reach(adj, rest & -rest)
+        atoms.append(component)
+        rest &= ~component
     return tuple(sorted(atoms))
 
 
@@ -808,14 +804,12 @@ def u_point_of_pair(mereo, x):
 
 
 def overlap_clans(atoms):
-    """The clan supports of the contact algebra on the nonzero sets
+    """Yield the clan supports of the contact algebra on the nonzero sets
     ``atoms`` whose kernel is overlap (atom i related to atom j when
     atoms[i] meets atoms[j]), in (size, atoms) order."""
     # Overlap is reflexive and symmetric, so it is its own contact
-    # closure, and the clans are the cliques of its adjacency.  The
-    # width check is that of building that algebra; its clans are grown
-    # clique by clique, with no pass over its 2**n elements.
-    require_atom_width(len(atoms))
+    # closure, and the clans are the cliques of its adjacency, yielded
+    # one by one as the walk grows them: no algebra is built.
     return clique_supports(meeting_rows(atoms, atoms))
 
 
@@ -823,7 +817,15 @@ def first_unrealized_support(point_supports, supports):
     """The first of ``supports`` (masks over a list of atoms) that is not
     the atom support {i : x in atoms[i]} of any point x, or None.
     ``point_supports[x]`` is that support, the `transpose` of the atoms
-    over the points."""
+    over the points.
+
+    ``supports`` may be a lazy walk (`overlap_clans`), and is read only
+    up to the first unrealized member.  When its members are distinct,
+    as the cliques of a walk are, that is at most P + 1 of them, P the
+    number of points: the realized supports are at most P distinct
+    masks, so among any P + 1 distinct supports one is not realized.
+    On a walk of the cliques of k atoms the scan then takes O(P) steps
+    on k-bit masks (`clique_supports`), however many cliques there are."""
     # On a family of the unions of distinct atoms, atom i inside the
     # union over T iff i is in T, the members above an atom of S are the
     # unions over the T meeting S, and the members holding x those over

@@ -6,7 +6,7 @@ kernel/closure machinery.  Oracles are deliberately slow and only run on
 tiny instances.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def bits(mask):
@@ -897,3 +897,13 @@ def oracle_support_join_rows(point_count, atoms):
                 row |= supports[x]
         rows.append(row)
     return rows
+
+
+def canonical_kernel_form(pca):
+    """The lexicographically least sorted kernel pair list over every
+    permutation of the atoms: equal exactly for isomorphic kernels."""
+    n = pca.algebra.atom_count
+    return min(
+        tuple(sorted((pm[p], pm[q]) for p, q in pca.kernel.pairs))
+        for pm in permutations(range(n))
+    )

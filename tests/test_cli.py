@@ -420,6 +420,33 @@ def test_malformed_budget_variable_exits_2(files, capsys, monkeypatch, raw):
     assert f"CONTACTLAB_ENUM_LIMIT={raw!r}" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "{pca}"],
+        ["dualize", "{pca}"],
+        ["enumerate", "{pca}", "clans"],
+        ["suite", "--atoms", "1", "--count", "1"],
+        ["export-dot", "{pca}"],
+        ["random", "--atoms", "3"],
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize(
+    "variable", ["CONTACTLAB_ATOM_LIMIT", "CONTACTLAB_ENUM_LIMIT", "CONTACTLAB_POINT_LIMIT"]
+)
+def test_malformed_budget_variable_exits_2_on_every_subcommand(
+    files, capsys, monkeypatch, command, variable
+):
+    """Every budget is read before dispatch, so a malformed one exits 2
+    naming the variable, whether or not the subcommand reads it."""
+    monkeypatch.setenv(variable, "abc")
+    code, out, err = run(capsys, *(arg.format(pca=files["pca"]) for arg in command))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {variable}='abc' is not a positive integer\n"
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", "", " 7", "+5", "1_0", "\u0663"])
 @pytest.mark.parametrize(
     "variable, read",

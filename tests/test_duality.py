@@ -8,7 +8,6 @@ from contactlab.adjacency import AdjacencySpace
 from contactlab.duality import (
     PcsMorphism,
     algebra_roundtrip_iso,
-    canonical_kernel_form,
     check_naturality,
     compose_pcs_morphisms,
     dense_part,
@@ -47,7 +46,7 @@ from contactlab import topology
 from contactlab.topology import discrete_space, is_connected, rc_atoms, rc_atoms_of_subset
 
 from conftest import all_kernels
-from oracles import oracle_pcs_map_failure
+from oracles import canonical_kernel_form, oracle_pcs_map_failure
 
 
 def small_algebras():
