@@ -209,15 +209,15 @@ def pcs_iso_report(morphism):
     bijective = (
         len(set(pm)) == len(pm) and dst.space.point_count == src.space.point_count
     )
-    report.add("bijective", bijective, witness=f"map {pm}")
+    report.add("bijective", bijective, witness=None if bijective else f"map {pm}")
     if not bijective:
         return report.done()
-    names = src.space.point_names
+    space = src.space  # its names are read only to word a failure
     moved = next(
         (
-            f"the closure of {names[x]} does not transfer"
-            for x in range(src.space.point_count)
-            if mask_of(pm[y] for y in bit_indices(src.space.point_closures[x]))
+            f"the closure of {space.point_names[x]} does not transfer"
+            for x in range(space.point_count)
+            if mask_of(pm[y] for y in bit_indices(space.point_closures[x]))
             != dst.space.point_closures[pm[x]]
         ),
         None,
@@ -228,14 +228,14 @@ def pcs_iso_report(morphism):
     points = list(bit_indices(src.subset))
     broken = next(
         (
-            f"({names[x]},{names[y]}) is not preserved"
+            f"({space.point_names[x]},{space.point_names[y]}) is not preserved"
             for x, y in sorted(src.relation)
             if (pm[x], pm[y]) not in dst.relation
         ),
         None,
     ) or next(
         (
-            f"({names[x]},{names[y]}) is not reflected"
+            f"({space.point_names[x]},{space.point_names[y]}) is not reflected"
             for x in points
             for y in points
             if (pm[x], pm[y]) in dst.relation and (x, y) not in src.relation
@@ -379,10 +379,11 @@ def algebra_roundtrip_iso(pca):
     fails."""
     report = ReportBuilder(f"algebra round trip on {pca.algebra.atom_count} atoms")
     triple = canonical_pcs_of_pca(pca)
+    valid = triple.ok
     report.add(
         "canonical triple validates",
-        triple.ok,
-        witness=triple.failure_summary(" "),
+        valid,
+        witness=None if valid else triple.failure_summary(" "),
     )
     alg = pcs_algebra(triple)
     space = triple.space
@@ -545,7 +546,7 @@ def _check_algebra_square(phi):
     report.add(
         "preimages of basic closed sets match the hom images",
         basic is None,
-        f"element mask {basic}",
+        None if basic is None else f"element mask {basic}",
     )
     square = _first_map_mismatch(
         hom_images,
@@ -554,7 +555,11 @@ def _check_algebra_square(phi):
             for a in atoms
         ],
     )
-    report.add("the square commutes", square is None, f"element mask {square}")
+    report.add(
+        "the square commutes",
+        square is None,
+        None if square is None else f"element mask {square}",
+    )
     return report.done()
 
 
@@ -625,17 +630,18 @@ def pcs_from_stone_adjacency(adjacency, candidate=None):
     pca = contact_from_adjacency(adjacency)
     triple = canonical_pcs_of_pca(pca)
     report = ReportBuilder("reconstruction from a Stone adjacency space")
+    valid = triple.ok
     report.add(
         "triple validates",
-        triple.ok,
-        witness=triple.failure_summary(" "),
+        valid,
+        witness=None if valid else triple.failure_summary(" "),
     )
     reduct = dense_part(triple)
+    reproduced = reduct.cell_count == adjacency.cell_count and reduct.pairs == adjacency.pairs
     report.add(
         "dense part reproduces the input cells",
-        reduct.cell_count == adjacency.cell_count
-        and reduct.pairs == adjacency.pairs,
-        witness=f"reduct relation {sorted(reduct.pairs)}",
+        reproduced,
+        witness=None if reproduced else f"reduct relation {sorted(reduct.pairs)}",
     )
     if candidate is not None:
         witness_map = pcs_isomorphic(triple, candidate)
@@ -791,15 +797,19 @@ def specialization_report(pca, which=None):
 
     for name in selected:
         if name == "stone":
-            wide = next((s for s in supports if s & (s - 1)), None)
+            # The n singletons are clans, first and in order, so the
+            # clans are more than the ultrafilters iff one is wider.
+            ultrafilters = supports == [1 << p for p in range(n)]
             report.add(
                 "clans are exactly the ultrafilters",
-                supports == [1 << p for p in range(n)],
-                None if wide is None else "clan support " + atom_set(wide),
+                ultrafilters,
+                None
+                if ultrafilters
+                else "clan support " + atom_set(next(s for s in supports if s & (s - 1))),
             )
+            breach = _diagonal_break(triple)
             report.add(
-                "dual triple is the whole space with the diagonal",
-                *_diagonal_break(triple),
+                "dual triple is the whole space with the diagonal", breach is None, breach
             )
         elif name == "connected-stone":
             # The supports are distinct nonzero masks below the size, so
@@ -812,14 +822,20 @@ def specialization_report(pca, which=None):
                 missing = next(g for g in range(1, pca.algebra.size) if g not in clans)
                 witness = f"grill {atom_set(missing)} is not a clan"
             report.add("clans are exactly the grills", grills, witness)
+            # The relation lies in the dense part (`validate_pcs`), so it
+            # is total there iff no pair of dense points is missing.
             x0 = list(bit_indices(triple.subset))
-            absent = next(
-                ((x, y) for x in x0 for y in x0 if (x, y) not in triple.relation), None
-            )
+            total = triple.relation == frozenset((x, y) for x in x0 for y in x0)
             report.add(
                 "dual relation is total on the dense part",
-                triple.relation == frozenset((x, y) for x in x0 for y in x0),
-                None if absent is None else "missing point pair " + _pair_name(space, absent),
+                total,
+                None
+                if total
+                else "missing point pair "
+                + _pair_name(
+                    space,
+                    next((x, y) for x in x0 for y in x0 if (x, y) not in triple.relation),
+                ),
             )
             if n >= 2:
                 connected_line()
@@ -828,7 +844,7 @@ def specialization_report(pca, which=None):
             report.add(
                 "dual pair is a 2-contact space",
                 cs.ok,
-                witness=cs.failure_summary(" "),
+                witness=None if cs.ok else cs.failure_summary(" "),
             )
             if cs.ok:
                 differ = contact_relation_of_pair(cs) ^ triple.relation
@@ -852,10 +868,11 @@ def specialization_report(pca, which=None):
             # on failure the failing lines of that report are the witness.
             # When the line above holds, RC(X) is the pair's algebra.
             result = mereocompactness_report(rc_algebra(space)) if differ else pair_report
+            semiregular = result.is_t0 and result.is_mereocompact
             report.add(
                 "dual space is C-semiregular",
-                result.is_t0 and result.is_mereocompact,
-                result.failure_summary(" "),
+                semiregular,
+                None if semiregular else result.failure_summary(" "),
             )
             extremal = is_extremally_disconnected(subspace(space, triple.subset))
             report.add(
@@ -865,10 +882,11 @@ def specialization_report(pca, which=None):
             )
         elif name == "mereocompact":
             result = pair_report
+            mereocompact = result.is_t0 and result.is_mereocompact
             report.add(
                 "dual pair's member algebra is mereocompact",
-                result.is_t0 and result.is_mereocompact,
-                result.failure_summary(" "),
+                mereocompact,
+                None if mereocompact else result.failure_summary(" "),
             )
             recovered = result.u_set == triple.subset
             report.add(
@@ -879,10 +897,11 @@ def specialization_report(pca, which=None):
         elif name == "connected":
             connected_line()
         elif name == "connected-correspondence":
+            matches = flags.ccon == triple_is_connected(triple)
             report.add(
                 "connectedness axiom matches the dual space",
-                flags.ccon == triple_is_connected(triple),
-                witness=f"Ccon={flags.ccon}",
+                matches,
+                witness=None if matches else f"Ccon={flags.ccon}",
             )
     return report.done()
 
@@ -892,24 +911,23 @@ def _pair_name(space, pair):
 
 
 def _diagonal_break(triple):
-    """Is the triple the whole space with the diagonal relation, on a
-    discrete space?  The verdict and, when it fails, the first breach:
-    a point outside the dense part, else the first point pair of the
-    relation's difference with the diagonal, else a point whose closure
-    is more than itself."""
+    """Why the triple is not the whole space with the diagonal relation,
+    on a discrete space, or None when it is: a point outside the dense
+    part, else the first point pair of the relation's difference with
+    the diagonal, else a point whose closure is more than itself."""
     space = triple.space
-    names = space.point_names
     outside = space.full_mask & ~triple.subset
     if outside:
         x = (outside & -outside).bit_length() - 1
-        return False, f"point {names[x]} outside the dense part"
+        return f"point {space.point_names[x]} outside the dense part"
     differ = triple.relation ^ {(x, x) for x in range(space.point_count)}
     if differ:
-        return False, "point pair " + _pair_name(space, min(differ))
+        return "point pair " + _pair_name(space, min(differ))
     wide = next((x for x, cl in enumerate(space.point_closures) if cl != 1 << x), None)
     if wide is not None:
-        return False, f"closure of {names[wide]} is {space.name_set(space.point_closures[wide])}"
-    return True, None
+        name = space.point_names[wide]
+        return f"closure of {name} is {space.name_set(space.point_closures[wide])}"
+    return None
 
 
 def gmcs_hom_check(source_cs, target_cs, point_map):
@@ -929,10 +947,11 @@ def gmcs_hom_check(source_cs, target_cs, point_map):
         )
 
     images = {h: pre(h) for h in dst_members}
+    outside = sorted(v for v in images.values() if v not in src_members)
     report.add(
         "preimages stay inside the source pair's regular closed sets",
-        all(v in src_members for v in images.values()),
-        witness=str(sorted(v for v in images.values() if v not in src_members)),
+        not outside,
+        witness=str(outside) if outside else None,
     )
     report.add(
         "preserves bounds",

@@ -22,11 +22,12 @@ import weakref
 class once:
     """A method whose value is computed on the first read and kept as an
     attribute, which shadows this non-data descriptor from then on.
-    ``func`` is the method, as on ``cached_property``."""
+    ``func`` is the method, as on ``cached_property``; the value is kept
+    under ``name``, the method's own name unless given."""
 
-    def __init__(self, func):
+    def __init__(self, func, name=None):
         self.func = func
-        self.name = func.__name__
+        self.name = name or func.__name__
         self.__doc__ = func.__doc__
 
     def __get__(self, obj, owner=None):

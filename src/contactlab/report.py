@@ -1,13 +1,22 @@
-"""Structured verification reports: named checks with pass/fail and witnesses."""
+"""Structured verification reports: named checks with pass/fail and witnesses.
+
+A check is one tuple, ``(name, passed, witness)``.  A passing check
+carries no witness, and nothing on the passing path builds one: every
+caller passes its witness text in the form ``None if ok else ...``, so
+the text is formatted only when the check fails (`ReportBuilder.add`).
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
+    """One named verdict; ``witness`` names why it failed, None on a pass.
+    A tuple, so it compares equal to the plain tuple of its fields."""
+
     name: str
     passed: bool
     witness: str | None = None
@@ -67,13 +76,22 @@ class ReportBuilder:
         self._started = time.perf_counter()
 
     def add(self, name, passed, witness=None):
+        """Record the check; a passing one drops ``witness``, which the
+        caller builds only when ``passed`` is false."""
         if passed:
-            witness = None
-        elif witness is None:
-            witness = "no witness recorded"
-        self._checks.append(Check(name, bool(passed), witness))
+            self._checks.append(Check(name, True))
+        else:
+            self._checks.append(
+                Check(name, False, "no witness recorded" if witness is None else witness)
+            )
         return passed
+
+    @property
+    def checks(self):
+        """The checks recorded so far, for a caller that keeps them
+        without a report."""
+        return tuple(self._checks)
 
     def done(self):
         elapsed_ms = (time.perf_counter() - self._started) * 1000.0
-        return DualityReport(self.subject, tuple(self._checks), elapsed_ms)
+        return DualityReport(self.subject, self.checks, elapsed_ms)

@@ -5,12 +5,12 @@ Validators return witness-bearing reports rather than booleans; a failed
 axiom never raises, it is recorded with a concrete counterexample.
 Canonical constructions index their points by clan support in
 (size, atoms) order, which keeps serialization and isomorphism checks
-stable; a point's name extends the name of its support without the
-highest atom, and the ultrafilter clans are the first points.  Every
-reader of a pair (X, X0) at the clopen atoms of X0 reads one table,
-`topology.pair_atoms`, built once per space and subset: the 2-precontact,
-2-contact and Stone 2-space validators take their Stone and closed-base
-verdicts from it, (PCS5), (CS4) and (S2S4) its atoms whose closures
+stable; a point is named by its support's atoms ("c0-2") only when a
+caller reads the names, and the ultrafilter clans are the first
+points.  Every reader of a pair (X, X0) at the clopen atoms of X0 reads
+one table, `topology.pair_atoms`, built once per space and subset: the
+2-precontact, 2-contact and Stone 2-space validators take their Stone
+and closed-base verdicts from it, (PCS5), (CS4) and (S2S4) its atoms whose closures
 hold each point, and (PCS4) which of its atom closures meet; the
 canonical algebra, the pair-determined relation and connectedness read
 its atoms and their closures.  Only
@@ -225,7 +225,7 @@ def validate_pcs(space, subset, relation):
     unrealized = first_unrealized_support(support, clique_supports(adj))
     _realization_check(report, "(PCS5)", "unrealized clan ", space, table, unrealized)
 
-    triple = TwoPrecontactSpace(space, subset, relation, report.done().checks)
+    triple = TwoPrecontactSpace(space, subset, relation, report.checks)
     once.keep(triple, "_reach", reach)
     return triple
 
@@ -289,14 +289,10 @@ def _canonical_pcs(pca):
     """The dual triple of a nondegenerate algebra, validated.
 
     Point i is the clan with support supports[i], in (size, atoms)
-    order, named "c" and its atoms joined by "-" ("c0-2").  Clan
-    supports are the cliques of a reflexive and symmetric adjacency,
-    each grown from its prefix, the support without its highest atom
-    (`clique_supports`).  That prefix is 0 or a support of one atom
-    less, which comes earlier, so a point is named after the prefix its
-    support was grown from: that name with "-" and the highest atom
-    appended.  Every singleton is a clique, as the adjacency is
-    reflexive, and the n singletons come first, in atom order: the
+    order, named by `_clan_name` on the first read of its name.  Clan
+    supports are the cliques of a reflexive and symmetric adjacency
+    (`clique_supports`).  Every singleton is a clique, as the adjacency
+    is reflexive, and the n singletons come first, in atom order: the
     ultrafilter clan of atom p is point p.  So the dense subset is the
     first n points and the relation is the kernel's own pairs.
 
@@ -308,12 +304,6 @@ def _canonical_pcs(pca):
     if algebra.is_degenerate:
         raise PreconditionError("duality rejects the degenerate algebra")
     n = algebra.atom_count
-    supports = clan_supports(pca)
-    name_of = {}
-    for s in supports:
-        top = s.bit_length() - 1
-        rest = s ^ (1 << top)
-        name_of[s] = (name_of[rest] + "-" if rest else "c") + str(top)
     # The closed base is the clan sets of the elements.  The clan set of
     # an element is the union of its atoms' clan sets, so the n atom clan
     # sets B_0 .. B_{n-1}, base = transpose(supports, n), generate the
@@ -328,10 +318,29 @@ def _canonical_pcs(pca):
     # B_p and cl{p} = B_p, which meets the dense part in {p}.  The dense
     # part is discrete, its clopen atoms are {0} .. {n-1} in order, and
     # their closures are the base itself.
-    space = FiniteSpace._of_closed_base(
-        tuple(name_of.values()), pca._atom_clans, pca._clan_supports
-    )
+    #
+    # The space names its points by `_clan_name` of their signatures,
+    # the supports, when the names are first read.  The walk yields each
+    # support once, so the signatures are distinct, and the name lists
+    # the atoms of its support, which it gives back: distinct supports
+    # get distinct names, the condition of `_of_closed_base`.
+    space = FiniteSpace._of_closed_base(_clan_name, pca._atom_clans, pca._clan_supports)
     return validate_pcs(space, (1 << n) - 1, pca.kernel.pairs)
+
+
+def _clan_name(support):
+    """The name of the clan point with the nonzero atom support
+    ``support``: "c" and its atoms in ascending order joined by "-"
+    ("c0-2")."""
+    # This is the name the walk's prefix recursion gave, name(s) =
+    # name(r) + "-" + str(top) for the prefix r = s without its highest
+    # atom top, and "c" + str(top) when r = 0.  By induction on the size
+    # of s: a singleton {top} is named "c" + str(top); for a larger s,
+    # name(r) is "c" and the atoms of r ascending joined by "-", all
+    # below top, and appending "-" + str(top) gives the atoms of s
+    # ascending.  The atoms are read back from the name by splitting it
+    # at "-", so distinct supports get distinct names.
+    return "c" + "-".join(map(str, bit_indices(support)))
 
 
 def element_point_mask(pca, element_mask):
@@ -436,7 +445,7 @@ def _validate_pair(cls, title, tag, space, subset, unrealized):
     # closure.  So an element set is a closure trace iff its support is
     # the support of a point over the atom closures.
     _realization_check(report, tag, "unrealized ", space, table, unrealized(space, table))
-    return cls(space, subset, report.done().checks)
+    return cls(space, subset, report.checks)
 
 
 def validate_cs(space, subset):
@@ -602,10 +611,13 @@ def mereocompactness_report(mereo):
             report.add(line, True)
         else:
             cs = validate_cs(space, u_set) if dense else None
+            contact = cs is not None and cs.ok
             report.add(
                 line,
-                cs is not None and cs.ok,
-                cs.failure_summary(" ") if cs is not None else "u-point set not dense",
+                contact,
+                None
+                if contact
+                else (cs.failure_summary(" ") if cs is not None else "u-point set not dense"),
             )
 
     return MereocompactReport(
@@ -615,5 +627,5 @@ def mereocompactness_report(mereo):
         is_mereocompact=mereocompact,
         u_set=u_set,
         uniqueness_witness=uniqueness_witness,
-        checks=report.done().checks,
+        checks=report.checks,
     )

@@ -7,11 +7,17 @@ keeps closure, interior, subspaces and products polynomial.  A space
 built from a closed base, and the closed-base test, read the closure of
 a point as the meet of the base members that hold it (`_meets`); such a
 space skips the closure checks of `FiniteSpace`, which `_meets` output
-meets by construction, and keeps the name checks.  It also keeps its
-base and the signatures of its points, sig(x) = {i : x in base[i]}, as
-attributes outside the dataclass fields, so equality, hashing and repr
-are those of its closures.  The maximal points are the points held by
-exactly one distinct closure, and T0 is decided, once per space.
+meets by construction, and keeps the name checks when it is given
+names.  It also keeps its base and the signatures of its points,
+sig(x) = {i : x in base[i]}, as attributes outside the dataclass
+fields, so equality, hashing and repr are those of its names and
+closures.  It may be named by a rule on its signatures instead of a
+tuple of names: it then derives its names on their first read and
+keeps them, and its subspaces are named by the same rule.  A canonical
+dual is named so, by its clan supports, and a passing check reads no
+name, so a dual that is only checked builds no text.  The maximal
+points are the points held by exactly one distinct closure, and T0 is
+decided, once per space.
 
 Families are held by their atoms: the clopens of a subspace by its
 connected components (`clopen_atoms`), the regular closed sets by the
@@ -85,27 +91,43 @@ class FiniteSpace:
             raise PreconditionError("one closure mask per point required")
 
     @classmethod
-    def _of_closed_base(cls, point_names, base, signatures):
+    def _of_closed_base(cls, point_names, base, signatures, closures=None):
         """The space of the closed base ``base``, a tuple of masks, whose
         signatures are ``signatures``: sig(x) = {i : x in base[i]}, the
-        `transpose` of the members cut to the points.  cl{x} is the meet
-        of the members holding x (`_meets`).  Its output is in range,
-        reflexive and transitive by construction (`space_from_closed_base`),
-        so only the checks the names and the count can break are run.
-        The base and the signatures are kept on the frozen space
-        (`memo`), not as fields, so equality, hashing and repr see the
-        closures only; `pair_atoms` reads them."""
+        `transpose` of the members cut to the points, one per point.
+        cl{x} is the meet of the members holding x (`_meets`).  Its
+        output is in range, reflexive and transitive by construction
+        (`space_from_closed_base`), so only the checks the names and the
+        count can break are run.  The base and the signatures are kept
+        on the frozen space (`memo`), not as fields, so equality,
+        hashing and repr see the names and closures only; `pair_atoms`
+        reads them.  ``closures`` are the meets, when the caller holds
+        them already (`subspace`).
+
+        ``point_names`` is a tuple of names, or a rule naming a point by
+        its signature.  A rule is kept instead of the names, and
+        `point_names` applies it to the signatures on its first read
+        (`_named_by_rule`); a space whose names are never read builds
+        none.  The caller vouches that the rule names distinct
+        signatures apart and that the signatures are distinct, so the
+        names are distinct and the shape check is not run: there is one
+        closure per signature, hence one per name."""
+        if closures is None:
+            closures = tuple(_meets(len(signatures), base))
         space = object.__new__(cls)
-        object.__setattr__(space, "point_names", point_names)
-        object.__setattr__(space, "point_closures", tuple(_meets(len(point_names), base)))
-        space._check_shape()
+        object.__setattr__(space, "point_closures", closures)
+        if callable(point_names):
+            once.keep(space, "_name_rule", point_names)
+        else:
+            object.__setattr__(space, "point_names", point_names)
+            space._check_shape()
         once.keep(space, "_base", base)
         once.keep(space, "_signatures", signatures)
         return space
 
     @property
     def point_count(self):
-        return len(self.point_names)
+        return len(self.point_closures)
 
     @property
     def full_mask(self):
@@ -140,6 +162,21 @@ class FiniteSpace:
         per object, so (CS4) of a pair whose atom closures are the base
         and the clan line of the pair held by the base share one pass."""
         return first_unrealized_support(self._signatures, overlap_clans(self._base))
+
+
+def _named_by_rule(space):
+    """The names of a space built with a naming rule (`_of_closed_base`):
+    the rule applied to the signature of each point, in point order."""
+    return tuple(map(space._name_rule, space._signatures))
+
+
+# `point_names` is a field without a default, so the class holds no
+# attribute of that name and this non-data descriptor is reached only
+# when the space holds no names: on a space built with a naming rule,
+# until the first read, which keeps the names it derives (`memo.once`).
+# Equality, hashing, repr and every reader of the field read them
+# through it, so they see the same tuple as on a space built with it.
+FiniteSpace.point_names = once(_named_by_rule, "point_names")
 
 
 def _meets(point_count, members):
@@ -403,17 +440,34 @@ def is_semiregular(space):
 
 
 def subspace(space, mask):
-    """Trace topology: singleton closures intersected with the subset."""
+    """Trace topology: singleton closures intersected with the subset.
+    The subspace of a space named by a rule is named by the same rule,
+    on the first read of its names (`FiniteSpace._of_closed_base`)."""
     indices = list(bit_indices(mask))
     position = {x: i for i, x in enumerate(indices)}
-    names = tuple(space.point_names[x] for x in indices)
     closures = []
     for x in indices:
         local = 0
         for y in bit_indices(space.point_closures[x] & mask):
             local |= 1 << position[y]
         closures.append(local)
-    return FiniteSpace(names, tuple(closures))
+    rule = getattr(space, "_name_rule", None)
+    if rule is None:
+        return FiniteSpace(tuple(space.point_names[x] for x in indices), tuple(closures))
+    # Only a space built from a closed base B is named by a rule.  For a
+    # point x of the subset, cl{x} is the meet of the B_i holding x, so
+    # cl{x} n subset is the meet of the B_i n subset holding x, the whole
+    # subset when none does: the subspace is the space of the closed base
+    # B_i n subset, with these closures, and the signature of x there is
+    # its signature in the space.  Those are distinct, as the space's
+    # are, so the rule names the points of the subspace apart, each as
+    # the space names it.
+    return FiniteSpace._of_closed_base(
+        rule,
+        tuple(restrict_to_subspace_mask(mask, b) for b in space._base),
+        tuple(space._signatures[x] for x in indices),
+        tuple(closures),
+    )
 
 
 def restrict_to_subspace_mask(subset_mask, global_mask):

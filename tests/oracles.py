@@ -907,3 +907,27 @@ def canonical_kernel_form(pca):
         tuple(sorted((pm[p], pm[q]) for p, q in pca.kernel.pairs))
         for pm in permutations(range(n))
     )
+
+
+def oracle_prefix_names(supports):
+    """Clan point names by the prefix recursion: a support in (size,
+    atoms) order is named after the support without its highest atom,
+    which comes earlier, with "-" and that atom appended; a singleton
+    {p} is "c" followed by p."""
+    name_of = {}
+    for s in supports:
+        top = s.bit_length() - 1
+        rest = s ^ (1 << top)
+        name_of[s] = (name_of[rest] + "-" if rest else "c") + str(top)
+    return tuple(name_of[s] for s in supports)
+
+
+def oracle_is_symmetric(pairs):
+    """(p, q) in the pairs forces (q, p)."""
+    return all((q, p) in pairs for p, q in pairs)
+
+
+def oracle_is_transitive(pairs):
+    """(p, q) and (q, r) in the pairs force (p, r), over every pair of
+    pairs."""
+    return all((p, r) in pairs for p, q in pairs for q2, r in pairs if q2 == q)

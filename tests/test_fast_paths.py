@@ -21,7 +21,7 @@ of a pair at its atoms), in ``structures`` ((PCS2) by the
 Stone trace, (PCS3) to (PCS5), (CS2) to (CS4) and (S2S4) at the atoms
 of the clopen algebra, the pair's algebra and contact relation from
 the closures of the clopen atoms, the closed base of the canonical
-space from the atom clan sets, its point names by prefix, its dense
+space from the atom clan sets, its point names by support, its dense
 subset and relation without a position map,
 the mereocompactness checks at the member atoms and the maximal points)
 in ``boolean`` (``transpose``) and in ``duality`` (the round-trip relation checks at the atom rows,
@@ -154,6 +154,8 @@ from oracles import (
     oracle_is_clan,
     oracle_is_grill,
     oracle_is_closed_base,
+    oracle_is_symmetric,
+    oracle_is_transitive,
     oracle_is_u_point,
     oracle_maximal_points,
     oracle_mereo_closure_failure,
@@ -853,8 +855,8 @@ def test_canonical_space_matches_the_element_clan_set_base():
 
 
 def test_canonical_names_subset_and_relation_match_the_literal_forms(monkeypatch):
-    """Point names built by prefix against "c" and the support's atoms
-    joined by "-"; the dense subset and the relation against the
+    """Point names, derived on their first read, against "c" and the
+    support's atoms joined by "-"; the dense subset and the relation against the
     position of each ultrafilter clan among the supports."""
     monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "7")
     population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
@@ -2415,3 +2417,36 @@ def test_every_failing_suite_line_names_a_witness(monkeypatch):
     )
     assert all(c.witness != "no witness recorded" for c in report.failures), report.failures
 
+
+def test_is_transitive_matches_the_pair_of_pairs_form():
+    """`RelationKernel.is_transitive`, read off the pairs grouped by
+    source, against the loop over every pair of pairs, on every kernel
+    of at most 3 atoms and seeded kernels of 4 to 8 atoms."""
+    population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
+    population += seeded_kernels(83, {4: 12, 5: 8, 6: 6, 7: 4, 8: 4})
+    verdicts = set()
+    for n, pairs in population:
+        kernel = pca_from_pairs(n, pairs).kernel
+        verdicts.add(kernel.is_transitive)
+        assert kernel.is_transitive == oracle_is_transitive(pairs), (n, sorted(pairs))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("pairs", [{(0, 1)}, {(0, 1), (1, 0), (2, 2)}])
+def test_csym_lines_compare_two_computations(monkeypatch, pairs):
+    """(Csym) is read off the kernel's atom rows and the relation property
+    off its pairs: when `RelationKernel.is_symmetric` lies, the suite's
+    line and the Stone report's line both fail, naming the two values."""
+    monkeypatch.setattr(
+        RelationKernel, "is_symmetric", property(lambda k: not oracle_is_symmetric(k.pairs))
+    )
+    pca = pca_from_pairs(3, pairs)
+    truth = oracle_is_symmetric(pairs)
+    report = instance_suite(pca)
+    assert report.check("(Csym) iff symmetric kernel").witness == (
+        f"Csym={truth}, symmetric kernel={not truth}"
+    )
+    assert report.check("stone representation").witness == (
+        "(Csym) iff the canonical adjacency is symmetric: "
+        f"Csym={truth}, symmetric={not truth}"
+    )

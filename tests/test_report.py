@@ -35,6 +35,14 @@ def test_builder_nulls_witness_on_pass():
     assert [c.name for c in report.failures] == ["bad", "silent"]
 
 
+def test_a_check_is_one_tuple():
+    check = Check("c", False, "why")
+    assert check == ("c", False, "why") and hash(check) == hash(("c", False, "why"))
+    assert Check("c", True) == ("c", True, None)
+    assert repr(check) == "Check(name='c', passed=False, witness='why')"
+    assert check.as_dict() == {"name": "c", "pass": False, "witness": "why"}
+
+
 def test_builder_records_elapsed():
     report = ReportBuilder("timed").done()
     assert report.elapsed_ms is not None and report.elapsed_ms >= 0
