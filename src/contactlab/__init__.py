@@ -11,7 +11,6 @@ from .boolean import (
     ElementFamily,
     FiniteBooleanAlgebra,
     grills,
-    hom_from_atom_map,
     is_family,
     sandwich_ultrafilter,
     stone_map,
@@ -20,7 +19,6 @@ from .boolean import (
 from .errors import (
     AxiomViolationError,
     CapacityError,
-    ClassificationError,
     ContactLabError,
     DomainMismatchError,
     InternalError,
@@ -47,7 +45,6 @@ from .precontact import (
     pca_from_pairs,
     restrict_relation,
     smallest_contact,
-    well_inside,
     well_inside_atom_flags,
     well_inside_atoms,
     well_inside_axiom_report,
@@ -76,7 +73,6 @@ from .topology import (
     interior,
     interior_trace,
     is_c_semiregular,
-    is_u_point,
     point_trace,
     rc_algebra,
     rc_pair_algebra,
@@ -111,14 +107,10 @@ from .duality import (
     dense_part_map,
     dual_algebra_map,
     dual_space_map,
-    enumerate_pca_morphisms,
-    enumerate_pcs_morphisms,
     gmcs_hom_check,
     gt_preimage_check,
-    pca_isomorphic,
     pcs_from_stone_adjacency,
     pcs_iso_report,
-    pcs_isomorphic,
     space_roundtrip_iso,
     specialization_report,
 )

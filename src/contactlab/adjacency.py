@@ -23,7 +23,6 @@ from .precontact import (
     PrecontactAlgebra,
     axiom_report,
     pca_from_pairs,
-    restrict_relation,
 )
 from .report import ReportBuilder
 from .topology import FiniteSpace, discrete_space, is_closed, is_stone
@@ -67,14 +66,10 @@ def r_flat(adjacency):
     return AdjacencySpace(adjacency.cells, frozenset(closed), adjacency.topology)
 
 
-def contact_from_adjacency(adjacency, blocks=None):
+def contact_from_adjacency(adjacency):
     """The precontact algebra of all regions (atoms = cells) with kernel
-    exactly the adjacency relation; optionally restricted to the
-    subalgebra generated by a partition of the cells."""
-    pca = pca_from_pairs(adjacency.cell_count, adjacency.pairs)
-    if blocks is None:
-        return pca
-    return restrict_relation(pca, blocks)
+    exactly the adjacency relation."""
+    return pca_from_pairs(adjacency.cell_count, adjacency.pairs)
 
 
 def has_directed_path(pairs, n, start, goal):
@@ -188,24 +183,23 @@ def canonical_adjacency(pca):
     return CanonicalAdjacency(pca, space)
 
 
-def product_space(space, other=None):
-    """Product topology on pairs; closure of a pair point is the product
+def product_space(space):
+    """The space times itself: the closure of a pair point is the product
     of the closures, which generates the same family as the closed
     rectangles."""
-    other = space if other is None else other
-    n, m = space.point_count, other.point_count
+    n = space.point_count
     names = tuple(
-        f"({space.point_names[i]},{other.point_names[j]})"
+        f"({space.point_names[i]},{space.point_names[j]})"
         for i in range(n)
-        for j in range(m)
+        for j in range(n)
     )
     closures = []
     for i in range(n):
-        for j in range(m):
+        for j in range(n):
             mask = 0
             for a in bit_indices(space.point_closures[i]):
-                for b in bit_indices(other.point_closures[j]):
-                    mask |= 1 << (a * m + b)
+                for b in bit_indices(space.point_closures[j]):
+                    mask |= 1 << (a * n + b)
             closures.append(mask)
     return FiniteSpace(names, tuple(closures))
 

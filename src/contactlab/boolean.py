@@ -439,10 +439,6 @@ class BooleanHom:
         return Element(self.target, self.apply_mask(element.mask))
 
 
-def hom_from_atom_map(source, target, atom_map):
-    return BooleanHom(source, target, tuple(atom_map))
-
-
 def identity_hom(algebra):
     return BooleanHom(algebra, algebra, tuple(range(algebra.atom_count)))
 

@@ -19,7 +19,6 @@ from .duality import algebra_roundtrip_iso, pcs_iso_report, space_roundtrip_iso
 from .errors import (
     AxiomViolationError,
     CapacityError,
-    ClassificationError,
     ContactLabError,
     DomainMismatchError,
     InternalError,
@@ -196,8 +195,13 @@ def cmd_enumerate(args):
         lines = [space.name_set(m) for m in members]
     elif what == "u-points":
         # A u-point is a point held by exactly one atom: of RC(X) for a
-        # space (`is_u_point`), of the member algebra for a pair
-        # (`u_point_of_pair`).  The atoms are computed once per listing.
+        # space, of the member algebra for a pair (`u_point_of_pair`).
+        # For a space, x is in cl U iff the up-set U holds a maximal point
+        # above x.  If only one atom cl{m} of `rc_atoms` holds x, each such
+        # U holds the up-set of m, and so does U n V.  If cl{m} and cl{m'}
+        # are distinct atoms holding x, the up-sets of m and m' are
+        # disjoint opens whose closures hold x.  The atoms are computed
+        # once per listing.
         if isinstance(obj, (FiniteSpace, TopologicalPair, TwoPrecontactSpace, TwoContactSpace)):
             space = obj if isinstance(obj, FiniteSpace) else obj.space
             u_set = held_once(rc_atoms(space))
@@ -391,7 +395,6 @@ def main(argv=None):
         AxiomViolationError,
         PreconditionError,
         ValidationError,
-        ClassificationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL

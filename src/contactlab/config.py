@@ -21,11 +21,8 @@ The command line reads all three before it dispatches.
 A budget variable that is set must hold a positive integer written in
 ASCII digits only; any other value, including one with blanks, a sign,
 underscores or non-ASCII digits, raises CapacityError instead of
-silently falling back.
-
-The two fixed caps below bound the exhaustive morphism and permutation
-searches and are not overridable.  Closed bases need no cap: they are
-resolved point by point, in time polynomial in the base.
+silently falling back.  Closed bases need no cap: they are resolved
+point by point, in time polynomial in the base.
 """
 
 import os
@@ -39,11 +36,6 @@ POINT_LIMIT_ENV = "CONTACTLAB_POINT_LIMIT"
 DEFAULT_ATOM_LIMIT = 16
 DEFAULT_ENUM_LIMIT = 6
 DEFAULT_POINT_LIMIT = 12
-
-# point count above which PCS-morphism enumeration is refused
-ENUMERATION_POINT_CAP = 6
-# point or atom count above which permutation searches are refused
-ISOMORPHISM_POINT_CAP = 8
 
 
 def _read_limit(env_name, default):

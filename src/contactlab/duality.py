@@ -25,7 +25,6 @@ built only when bijectivity fails or a caller asks for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 
 from .adjacency import AdjacencySpace, contact_from_adjacency, is_closed_relation
 from .boolean import (
@@ -39,10 +38,7 @@ from .boolean import (
     mask_of,
     meeting_rows,
 )
-from .config import ENUMERATION_POINT_CAP, ISOMORPHISM_POINT_CAP
 from .errors import (
-    CapacityError,
-    ClassificationError,
     DomainMismatchError,
     InternalError,
     PreconditionError,
@@ -52,7 +48,6 @@ from .precontact import (
     PcaMorphism,
     PrecontactAlgebra,
     clan_supports,
-    is_pca_morphism,
     largest_contact,
     smallest_contact,
 )
@@ -61,15 +56,14 @@ from .structures import (
     TwoPrecontactSpace,
     _first_component,
     _local_relation,
+    canonical_cs_of_ca,
     canonical_pcs_of_pca,
     contact_relation_of_pair,
     mereocompactness_report,
     pcs_algebra,
     triple_is_connected,
-    validate_cs,
 )
 from .topology import (
-    MereotopologicalPair,
     closure,
     interior,
     is_extremally_disconnected,
@@ -79,6 +73,7 @@ from .topology import (
     rc_atoms,
     rc_atoms_of_subset,
     rc_members_of_subset,
+    rc_pair_algebra,
     subspace,
 )
 
@@ -618,10 +613,9 @@ def dense_part_map(f):
     return tuple(dst[f.point_map[x]] for x in src)
 
 
-def pcs_from_stone_adjacency(adjacency, candidate=None):
+def pcs_from_stone_adjacency(adjacency):
     """The unique triple extending a Stone adjacency space, built through
-    the region algebra of the cells; optionally verified isomorphic to a
-    supplied candidate."""
+    the region algebra of the cells."""
     topo = adjacency.topology
     if topo is not None and not (
         is_stone(topo) and is_closed_relation(adjacency.pairs, topo)
@@ -643,109 +637,21 @@ def pcs_from_stone_adjacency(adjacency, candidate=None):
         reproduced,
         witness=None if reproduced else f"reduct relation {sorted(reduct.pairs)}",
     )
-    if candidate is not None:
-        witness_map = pcs_isomorphic(triple, candidate)
-        report.add(
-            "isomorphic to the supplied candidate",
-            witness_map is not None,
-            witness="no isomorphism found",
-        )
     return triple, report.done()
-
-
-def pcs_isomorphic(first, second):
-    """Brute-force search for a triple isomorphism; None when there is
-    none."""
-    n = first.space.point_count
-    if n != second.space.point_count or first.subset.bit_count() != second.subset.bit_count():
-        return None
-    if n > ISOMORPHISM_POINT_CAP:
-        raise CapacityError(f"isomorphism search capped at {ISOMORPHISM_POINT_CAP} points")
-    for pm in permutations(range(n)):
-        if mask_of(pm[x] for x in bit_indices(first.subset)) != second.subset:
-            continue
-        if any(
-            mask_of(pm[y] for y in bit_indices(first.space.point_closures[x]))
-            != second.space.point_closures[pm[x]]
-            for x in range(n)
-        ):
-            continue
-        if frozenset((pm[x], pm[y]) for x, y in first.relation) != second.relation:
-            continue
-        return pm
-    return None
-
-
-def pca_isomorphic(first, second):
-    """An atom permutation carrying one kernel onto the other, or None."""
-    n = first.algebra.atom_count
-    if n != second.algebra.atom_count:
-        return None
-    if n > ISOMORPHISM_POINT_CAP:
-        raise CapacityError(f"isomorphism search capped at {ISOMORPHISM_POINT_CAP} atoms")
-    target = second.kernel.pairs
-    for pm in permutations(range(n)):
-        if frozenset((pm[p], pm[q]) for p, q in first.kernel.pairs) == target:
-            return pm
-    return None
-
-
-# ---------------------------------------------------------------------------
-# morphism enumeration (hom-set experiments)
-
-
-def enumerate_boolean_homs(source, target):
-    maps = product(range(source.atom_count), repeat=target.atom_count)
-    return [BooleanHom(source, target, tuple(m)) for m in maps]
-
-
-def enumerate_pca_morphisms(source_pca, target_pca):
-    out = []
-    for hom in enumerate_boolean_homs(source_pca.algebra, target_pca.algebra):
-        if is_pca_morphism(hom, source_pca, target_pca):
-            out.append(PcaMorphism(hom, source_pca, target_pca))
-    return out
-
-
-def enumerate_pcs_morphisms(source, target):
-    if source.space.point_count > ENUMERATION_POINT_CAP:
-        raise CapacityError(
-            f"morphism enumeration capped at {ENUMERATION_POINT_CAP} points"
-        )
-    out = []
-    for pm in product(range(target.space.point_count), repeat=source.space.point_count):
-        try:
-            out.append(PcsMorphism(source, target, pm))
-        except PreconditionError:
-            continue
-    return out
 
 
 # ---------------------------------------------------------------------------
 # specializations of the duality
 
 
-def specialization_report(pca, which=None):
-    """Run the subcategory specializations that apply to the algebra.
-
-    ``which`` restricts to one named specialization and raises
-    ClassificationError when the object is not in that subcategory.
-    Names: stone, connected-stone, contact, complete-contact,
-    mereocompact, connected.
+def specialization_report(pca):
+    """Run the subcategory specializations that apply to the algebra, in
+    this order: stone, connected-stone, contact, complete-contact,
+    mereocompact and connected; then check that the connectedness axiom
+    matches the dual space.
     """
-    known = (
-        "stone",
-        "connected-stone",
-        "contact",
-        "complete-contact",
-        "mereocompact",
-        "connected",
-    )
-    if which is not None and which not in known:
-        raise ClassificationError(f"unknown specialization {which!r}")
     report = ReportBuilder(f"specializations on {pca.algebra.atom_count} atoms")
     flags = pca.axioms
-
     is_stone_object = pca.kernel.pairs == smallest_contact(pca.algebra).kernel.pairs
     is_connected_stone_object = (
         pca.kernel.pairs == largest_contact(pca.algebra).kernel.pairs
@@ -758,14 +664,8 @@ def specialization_report(pca, which=None):
         "mereocompact": flags.is_contact,
         "connected": flags.ccon,
     }
-    if which is not None and not memberships[which]:
-        raise ClassificationError(
-            f"object is not in the {which} subcategory"
-        )
-
-    selected = [which] if which is not None else [k for k in known if memberships[k]]
-    if which is None:
-        selected.append("connected-correspondence")
+    selected = [name for name, member in memberships.items() if member]
+    selected.append("connected-correspondence")
 
     triple = canonical_pcs_of_pca(pca)
     supports = clan_supports(pca)
@@ -779,7 +679,7 @@ def specialization_report(pca, which=None):
     # and mereocompact lines.
     pair_report = None
     if {"complete-contact", "mereocompact"} & set(selected):
-        pair_report = mereocompactness_report(MereotopologicalPair(space, atoms_of_pair))
+        pair_report = mereocompactness_report(rc_pair_algebra(triple))
 
     def atom_set(mask):
         return "{" + ",".join(map(str, bit_indices(mask))) + "}"
@@ -840,7 +740,7 @@ def specialization_report(pca, which=None):
             if n >= 2:
                 connected_line()
         elif name == "contact":
-            cs = validate_cs(triple.space, triple.subset)
+            cs = canonical_cs_of_ca(pca)
             report.add(
                 "dual pair is a 2-contact space",
                 cs.ok,
@@ -933,18 +833,22 @@ def _diagonal_break(triple):
 def gmcs_hom_check(source_cs, target_cs, point_map):
     """For a continuous map of 2-contact pairs, taking plain preimages of
     the target pair's regular closed sets must give a Boolean
-    homomorphism into the source pair's."""
-    report = ReportBuilder("preimage homomorphism of a pair map")
+    homomorphism into the source pair's.  A point map that does not send
+    every source point to a target point raises DomainMismatchError."""
     if not (source_cs.ok and target_cs.ok):
         raise PreconditionError("both pairs must be valid 2-contact spaces")
-    src_space = source_cs.space
+    src_space, dst_space = source_cs.space, target_cs.space
+    if len(point_map) != src_space.point_count or any(
+        not 0 <= y < dst_space.point_count for y in point_map
+    ):
+        raise DomainMismatchError("the point map must send each source point to a target point")
+    report = ReportBuilder("preimage homomorphism of a pair map")
     src_members = set(rc_members_of_subset(src_space, source_cs.subset))
-    dst_members = rc_members_of_subset(target_cs.space, target_cs.subset)
+    dst_members = rc_members_of_subset(dst_space, target_cs.subset)
+    point_fibres = fibres(dst_space.point_count, point_map)
 
     def pre(mask):
-        return mask_of(
-            x for x in range(src_space.point_count) if mask >> point_map[x] & 1
-        )
+        return join_at(point_fibres, mask)
 
     images = {h: pre(h) for h in dst_members}
     outside = sorted(v for v in images.values() if v not in src_members)
@@ -953,29 +857,43 @@ def gmcs_hom_check(source_cs, target_cs, point_map):
         not outside,
         witness=str(outside) if outside else None,
     )
+    # A total map into the target's points has a preimage map that sends
+    # 0 to 0, the whole target to the whole source (each source point
+    # lands somewhere) and a union to the union of the preimages, as the
+    # preimage of a set is the union of the fibres of its points.  So the
+    # bounds and the joins are preserved by every such map, and only the
+    # meets and complements of the two pairs are compared.
+    def meet(space, f, g):
+        return closure(space, interior(space, f & g))
+
+    broken_meet = next(
+        (
+            (h, k)
+            for h in dst_members
+            for k in dst_members
+            if pre(meet(dst_space, h, k)) != meet(src_space, images[h], images[k])
+        ),
+        None,
+    )
     report.add(
-        "preserves bounds",
-        images[0] == 0 and images[target_cs.space.full_mask] == src_space.full_mask,
+        "preserves meets",
+        broken_meet is None,
+        None
+        if broken_meet is None
+        else "members {} and {}".format(*map(dst_space.name_set, broken_meet)),
     )
-    join_ok = all(
-        images[h | k] == (images[h] | images[k]) for h in dst_members for k in dst_members
+    broken_complement = next(
+        (
+            h
+            for h in dst_members
+            if pre(closure(dst_space, dst_space.full_mask ^ h))
+            != closure(src_space, src_space.full_mask ^ images[h])
+        ),
+        None,
     )
-    report.add("preserves joins", join_ok)
-    meet_ok = all(
-        images[
-            closure(
-                target_cs.space, interior(target_cs.space, h & k)
-            )
-        ]
-        == closure(src_space, interior(src_space, images[h] & images[k]))
-        for h in dst_members
-        for k in dst_members
+    report.add(
+        "preserves complements",
+        broken_complement is None,
+        None if broken_complement is None else "member " + dst_space.name_set(broken_complement),
     )
-    report.add("preserves meets", meet_ok)
-    comp_ok = all(
-        images[closure(target_cs.space, target_cs.space.full_mask ^ h)]
-        == closure(src_space, src_space.full_mask ^ images[h])
-        for h in dst_members
-    )
-    report.add("preserves complements", comp_ok)
     return report.done()

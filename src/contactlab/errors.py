@@ -38,10 +38,6 @@ class ValidationError(ContactLabError):
     """An invalid composite structure was used where a valid one is required."""
 
 
-class ClassificationError(ContactLabError):
-    """An object is outside the requested subcategory."""
-
-
 class InternalError(ContactLabError):
     """An internal invariant of the package failed: a bug, not bad input."""
 

@@ -379,17 +379,6 @@ def normalize_relation(raw):
     return _kernel_of_rows(algebra, _rows_of_pairs(algebra, raw.pairs, "relation"))
 
 
-def expand_kernel(kernel):
-    """The full element-level relation of a kernel, as a RawRelation:
-    a C b iff the forward table at a meets b, so rows[a] = hits[table[a]]."""
-    n = kernel.algebra.atom_count
-    require_enum_width(n)
-    hits = _row_tables(n).hits
-    return RawRelation(
-        kernel.algebra, _pairs_of_rows([hits[t] for t in kernel.forward_table()])
-    )
-
-
 def contact_closure(pca):
     """The smallest contact relation containing the given precontact one:
     symmetrize the kernel and add the diagonal (overlap) pairs."""
@@ -410,14 +399,6 @@ def largest_contact(algebra):
     n = algebra.atom_count
     pairs = frozenset((p, q) for p in range(n) for q in range(n))
     return PrecontactAlgebra(algebra, RelationKernel(algebra, pairs))
-
-
-def well_inside(pca, a, b):
-    """Non-tangential inclusion: a is well inside b iff a is not in
-    contact with the complement of b."""
-    if a.algebra != pca.algebra or b.algebra != pca.algebra:
-        raise DomainMismatchError("elements from a different algebra")
-    return not pca.kernel.holds_masks(a.mask, pca.algebra.full_mask ^ b.mask)
 
 
 def well_inside_rows(pca):

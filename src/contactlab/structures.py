@@ -35,10 +35,10 @@ from functools import reduce
 from operator import or_
 
 from .adjacency import is_closed_relation
-from .boolean import bit_indices, join_at, joins_table, mask_of, meeting_rows, transpose
+from .boolean import bit_indices, join_at, joins_table, meeting_rows, transpose
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .memo import once, remember
-from .precontact import PrecontactAlgebra, clan_supports, clique_supports, pca_from_pairs
+from .precontact import PrecontactAlgebra, clique_supports, pca_from_pairs
 from .report import CheckList, ReportBuilder
 from .topology import (
     FiniteSpace,
@@ -341,13 +341,6 @@ def _clan_name(support):
     # ascending.  The atoms are read back from the name by splitting it
     # at "-", so distinct supports get distinct names.
     return "c" + "-".join(map(str, bit_indices(support)))
-
-
-def element_point_mask(pca, element_mask):
-    """The point set of an element in the canonical space: the clans that
-    contain it."""
-    supports = clan_supports(pca)
-    return mask_of(i for i, s in enumerate(supports) if s & element_mask)
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,9 @@ verdict is True, read off the base with no further pass.  A family
 whose members are closed by construction (atom closures, `rc_atoms`,
 the atoms of a pair) is decided a closed base without a closedness
 pass (`_is_base_of_closed`).  The point budget bounds only the
-functions that return a whole family: `closed_sets`, `clopen_sets`,
-`rc_members`, `clopens_of_subset`, `rc_members_of_subset` and
-`closure_trace`.  Predicates decide at the atoms at any size.
+functions that return a whole family: `closed_sets`, `rc_members`,
+`clopens_of_subset`, `rc_members_of_subset` and `closure_trace`.
+Predicates decide at the atoms at any size.
 
 Point sets are integer bitmasks over the point index, matching the
 element encoding of the Boolean side.
@@ -269,12 +269,6 @@ def closed_sets(space):
     """All closed sets, ascending as masks.  Point-budget bound."""
     require_point_budget(space.point_count)
     return tuple(m for m in range(space.full_mask + 1) if is_closed(space, m))
-
-
-def clopen_sets(space):
-    closed = set(closed_sets(space))
-    full = space.full_mask
-    return tuple(sorted(m for m in closed if (full ^ m) in closed))
 
 
 def is_t0(space):
@@ -683,17 +677,6 @@ def closure_trace(pair, x):
         for f in clopens_of_subset(pair.space, pair.subset)
         if closure(pair.space, f) >> x & 1
     )
-
-
-def is_u_point(space, x):
-    """Membership in two closures of opens forces membership in the
-    closure of their intersection."""
-    # x is in cl U iff the up-set U holds a maximal point above x.  If
-    # only one atom cl{m} of `rc_atoms` holds x, each such U holds the
-    # up-set of m, and so does U n V.  If cl{m} and cl{m'} are distinct
-    # atoms holding x, the up-sets of m and m' are disjoint opens whose
-    # closures hold x.  So x is a u-point iff exactly one atom holds x.
-    return bool(held_once(rc_atoms(space)) >> x & 1)
 
 
 def held_once(sets):

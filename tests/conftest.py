@@ -7,8 +7,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
-from contactlab.boolean import FiniteBooleanAlgebra
-from contactlab.precontact import pca_from_pairs
+from contactlab.boolean import BooleanHom, FiniteBooleanAlgebra
+from contactlab.duality import PcsMorphism
+from contactlab.errors import PreconditionError
+from contactlab.precontact import PcaMorphism, is_pca_morphism, pca_from_pairs
 from contactlab.topology import discrete_space, space_from_closed_base
 
 
@@ -66,3 +68,35 @@ def kernels_upto_2():
 @pytest.fixture(scope="session")
 def kernels_3():
     return list(all_kernels(3))
+
+
+# Hom-sets by literal search, for the hom-set experiments: every atom map
+# and every point map is tried.
+
+
+def enumerate_boolean_homs(source, target):
+    """Every Boolean homomorphism from source to target, one per map of
+    the target's atoms to the source's."""
+    maps = itertools.product(range(source.atom_count), repeat=target.atom_count)
+    return [BooleanHom(source, target, m) for m in maps]
+
+
+def enumerate_pca_morphisms(source_pca, target_pca):
+    """Every PCA-morphism, among all Boolean homomorphisms."""
+    return [
+        PcaMorphism(hom, source_pca, target_pca)
+        for hom in enumerate_boolean_homs(source_pca.algebra, target_pca.algebra)
+        if is_pca_morphism(hom, source_pca, target_pca)
+    ]
+
+
+def enumerate_pcs_morphisms(source, target):
+    """Every PCS-morphism, among all point maps: each is checked once, as
+    the morphism is built."""
+    out = []
+    for pm in itertools.product(range(target.space.point_count), repeat=source.space.point_count):
+        try:
+            out.append(PcsMorphism(source, target, pm))
+        except PreconditionError:
+            continue
+    return out

@@ -931,3 +931,45 @@ def oracle_is_transitive(pairs):
     """(p, q) and (q, r) in the pairs force (p, r), over every pair of
     pairs."""
     return all((p, r) in pairs for p, q in pairs for q2, r in pairs if q2 == q)
+
+
+def pca_isomorphic(first, second):
+    """An atom permutation carrying one kernel onto the other, by trying
+    every permutation, or None."""
+    n = first.algebra.atom_count
+    if n != second.algebra.atom_count:
+        return None
+    target = second.kernel.pairs
+    return next(
+        (
+            pm
+            for pm in permutations(range(n))
+            if frozenset((pm[p], pm[q]) for p, q in first.kernel.pairs) == target
+        ),
+        None,
+    )
+
+
+def pcs_isomorphic(first, second):
+    """A point permutation carrying one triple onto the other, by trying
+    every permutation, or None: it must carry the dense part, each point
+    closure and the relation onto those of the second triple."""
+    n = first.space.point_count
+    if n != second.space.point_count:
+        return None
+
+    def image(pm, mask):
+        return sum(1 << pm[x] for x in bits(mask))
+
+    closures = first.space.point_closures
+    for pm in permutations(range(n)):
+        if (
+            image(pm, first.subset) == second.subset
+            and all(
+                image(pm, closures[x]) == second.space.point_closures[pm[x]]
+                for x in range(n)
+            )
+            and frozenset((pm[x], pm[y]) for x, y in first.relation) == second.relation
+        ):
+            return pm
+    return None

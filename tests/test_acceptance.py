@@ -18,8 +18,6 @@ from contactlab.duality import (
     check_naturality,
     dense_part_map,
     dual_space_map,
-    enumerate_pca_morphisms,
-    enumerate_pcs_morphisms,
     gt_preimage_check,
     specialization_report,
 )
@@ -45,7 +43,7 @@ from contactlab.topology import (
 )
 from contactlab.boolean import grills, sandwich_ultrafilter
 
-from conftest import all_kernels
+from conftest import all_kernels, enumerate_pca_morphisms, enumerate_pcs_morphisms
 from oracles import (
     family_from_base,
     oracle_clan_supports,

@@ -10,7 +10,6 @@ from contactlab.boolean import (
     compose_homs,
     grill_from_support,
     grills,
-    hom_from_atom_map,
     identity_hom,
     is_family,
     principal_ultrafilter,
@@ -201,7 +200,7 @@ def test_sandwich_exhaustive_small():
 
 
 def test_hom_from_atom_map(b4, b2):
-    phi = hom_from_atom_map(b4, b2, (0,))
+    phi = BooleanHom(b4, b2, (0,))
     assert phi.apply(b4.atom(0)) == b2.one
     assert phi.apply(b4.atom(1)) == b2.zero
     assert phi.apply(b4.one) == b2.one
@@ -210,9 +209,9 @@ def test_hom_from_atom_map(b4, b2):
 
 def test_hom_validates_atom_map(b4, b2):
     with pytest.raises(DomainMismatchError):
-        hom_from_atom_map(b4, b2, (2,))
+        BooleanHom(b4, b2, (2,))
     with pytest.raises(DomainMismatchError):
-        hom_from_atom_map(b4, b2, ())
+        BooleanHom(b4, b2, ())
 
 
 def test_identity_hom(b8):
@@ -237,8 +236,8 @@ def test_homs_preserve_operations_exhaustively():
 
 
 def test_hom_composition(b8, b4, b2):
-    inner = hom_from_atom_map(b8, b4, (0, 2))
-    outer = hom_from_atom_map(b4, b2, (1,))
+    inner = BooleanHom(b8, b4, (0, 2))
+    outer = BooleanHom(b4, b2, (1,))
     both = compose_homs(outer, inner)
     for a in b8.elements():
         assert both.apply(a) == outer.apply(inner.apply(a))

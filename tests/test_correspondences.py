@@ -18,10 +18,11 @@ from contactlab.topology import (
     is_c_semiregular,
     is_extremally_disconnected,
     is_t1,
-    is_u_point,
+    rc_algebra,
     rc_members,
     rc_members_of_subset,
     subspace,
+    u_point_of_pair,
 )
 
 from test_topology import all_small_spaces
@@ -42,9 +43,8 @@ def test_c_semiregular_spaces_pair_with_their_u_points():
         if not is_c_semiregular(space):
             continue
         found += 1
-        u_set = sum(
-            1 << x for x in range(space.point_count) if is_u_point(space, x)
-        )
+        rc = rc_algebra(space)
+        u_set = sum(1 << x for x in range(space.point_count) if u_point_of_pair(rc, x))
         assert u_set, space
         assert closure(space, u_set) == space.full_mask
         assert is_t1(subspace(space, u_set))

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from contactlab import duality
-from contactlab.boolean import FiniteBooleanAlgebra, hom_from_atom_map
+from contactlab.boolean import BooleanHom, FiniteBooleanAlgebra
 from contactlab.adjacency import AdjacencySpace
 from contactlab.duality import (
     PcsMorphism,
@@ -14,19 +15,15 @@ from contactlab.duality import (
     dense_part_map,
     dual_algebra_map,
     dual_space_map,
-    enumerate_pca_morphisms,
-    enumerate_pcs_morphisms,
     gmcs_hom_check,
     gt_preimage_check,
     identity_pcs_morphism,
-    pca_isomorphic,
     pcs_from_stone_adjacency,
     pcs_iso_report,
-    pcs_isomorphic,
     space_roundtrip_iso,
     specialization_report,
 )
-from contactlab.errors import ClassificationError, DomainMismatchError, PreconditionError
+from contactlab.errors import DomainMismatchError, PreconditionError
 from contactlab.precontact import (
     PcaMorphism,
     largest_contact,
@@ -45,8 +42,13 @@ from contactlab.structures import (
 from contactlab import topology
 from contactlab.topology import discrete_space, is_connected, rc_atoms, rc_atoms_of_subset
 
-from conftest import all_kernels
-from oracles import canonical_kernel_form, oracle_pcs_map_failure
+from conftest import all_kernels, enumerate_pca_morphisms, enumerate_pcs_morphisms
+from oracles import (
+    canonical_kernel_form,
+    oracle_pcs_map_failure,
+    pca_isomorphic,
+    pcs_isomorphic,
+)
 
 
 def small_algebras():
@@ -78,7 +80,7 @@ def test_dual_algebra_round_trip_on_path_kernel(path_pca):
 
 def test_dual_space_map_example(b4, b2):
     phi = PcaMorphism(
-        hom_from_atom_map(b4, b2, (0,)), smallest_contact(b4), smallest_contact(b2)
+        BooleanHom(b4, b2, (0,)), smallest_contact(b4), smallest_contact(b2)
     )
     f = dual_space_map(phi)
     # the one clan of the one-atom algebra pulls back to the c0 clan
@@ -87,14 +89,14 @@ def test_dual_space_map_example(b4, b2):
 
 def test_dual_space_map_identity(b4):
     rho = largest_contact(b4)
-    ident = PcaMorphism(hom_from_atom_map(b4, b4, (0, 1)), rho, rho)
+    ident = PcaMorphism(BooleanHom(b4, b4, (0, 1)), rho, rho)
     f = dual_space_map(ident)
     assert f.point_map == tuple(range(3))
 
 
 def test_dual_space_map_collapsing_example(b4, b2):
     phi = PcaMorphism(
-        hom_from_atom_map(b4, b2, (0,)), largest_contact(b4), largest_contact(b2)
+        BooleanHom(b4, b2, (0,)), largest_contact(b4), largest_contact(b2)
     )
     f = dual_space_map(phi)
     # the single clan of the one-atom algebra pulls back to the c0 clan
@@ -363,8 +365,9 @@ def test_iso_and_reconstruction_failures_name_witnesses(disc2, sierpinski, monke
 def test_reconstruction_uniqueness_against_candidate():
     total = AdjacencySpace(("a", "b"), frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
     candidate = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
-    _, report = pcs_from_stone_adjacency(total, candidate)
+    triple, report = pcs_from_stone_adjacency(total)
     assert report.ok
+    assert pcs_isomorphic(triple, candidate) is not None
 
 
 def test_pcs_isomorphic_detects_mismatch():
@@ -382,6 +385,43 @@ def test_pca_isomorphic_up_to_permutation():
     assert canonical_kernel_form(a) == canonical_kernel_form(b)
     c = pca_from_pairs(3, {(0, 1), (2, 1)})
     assert pca_isomorphic(a, c) is None
+
+
+def test_the_isomorphism_search_agrees_with_the_canonical_form():
+    """The permutation search finds a map exactly when the atom counts
+    and the canonical kernel forms agree, and the map it finds carries
+    one kernel onto the other: on every pair of kernels on 1 and 2
+    atoms, and on seeded 3- and 4-atom kernels, each paired with a
+    permuted copy of itself and with another seeded kernel.  The atom
+    count matters, as the empty kernels on 1 and 2 atoms have the same
+    form."""
+
+    def isomorphic(a, b):
+        found = pca_isomorphic(a, b)
+        same = a.algebra.atom_count == b.algebra.atom_count and (
+            canonical_kernel_form(a) == canonical_kernel_form(b)
+        )
+        assert (found is not None) == same, (a.kernel.pairs, b.kernel.pairs)
+        if found is not None:
+            assert frozenset((found[p], found[q]) for p, q in a.kernel.pairs) == b.kernel.pairs
+        return same
+
+    empty1, empty2 = pca_from_pairs(1, ()), pca_from_pairs(2, ())
+    assert canonical_kernel_form(empty1) == canonical_kernel_form(empty2)
+    algebras = small_algebras()
+    assert {isomorphic(a, b) for a in algebras for b in algebras} == {True, False}
+    rng = random.Random(20261019)
+
+    def seeded(n):
+        return frozenset((p, q) for p in range(n) for q in range(n) if rng.random() < 0.4)
+
+    for n in (3, 4):
+        for _ in range(20):
+            pairs = seeded(n)
+            pm = rng.sample(range(n), n)
+            a = pca_from_pairs(n, pairs)
+            assert isomorphic(a, pca_from_pairs(n, {(pm[p], pm[q]) for p, q in pairs}))
+            isomorphic(a, pca_from_pairs(n, seeded(n)))
 
 
 def test_every_canonical_dual_is_complete(kernels_upto_2, kernels_3):
@@ -417,17 +457,6 @@ def test_specialization_reports(b4, path_pca):
     assert specialization_report(smallest_contact(b4)).ok
     assert specialization_report(largest_contact(b4)).ok
     assert specialization_report(path_pca).ok
-    assert specialization_report(largest_contact(b4), which="connected-stone").ok
-    assert specialization_report(smallest_contact(b4), which="stone").ok
-
-
-def test_specialization_membership_errors(b4, path_pca):
-    with pytest.raises(ClassificationError):
-        specialization_report(largest_contact(b4), which="stone")
-    with pytest.raises(ClassificationError):
-        specialization_report(path_pca, which="contact")
-    with pytest.raises(ClassificationError):
-        specialization_report(smallest_contact(b4), which="connected")
 
 
 def _first_pair_names(triple):
@@ -544,12 +573,12 @@ def test_specialization_failures_name_witnesses(monkeypatch, which, line, broken
     recorded"."""
     pca = SPECIALIZATION_ALGEBRAS.get(which, CONTACT3)
     triple = canonical_pcs_of_pca(pca)  # built before the patch, and held
-    assert specialization_report(pca, which).check(line).passed
+    assert specialization_report(pca).check(line).passed
     monkeypatch.setattr(*broken)
     # the verdicts the space computed once are computed again under the patch
     for name in ("t0", "base_unrealized"):
         monkeypatch.delitem(triple.space.__dict__, name, raising=False)
-    check = specialization_report(pca, which).check(line)
+    check = specialization_report(pca).check(line)
     assert not check.passed
     assert check.witness == expected(triple), check.witness
 
@@ -561,13 +590,47 @@ def test_connectedness_correspondence(b4):
     assert is_connected(canonical_pcs_of_pca(largest_contact(b4)).space)
 
 
-def test_gmcs_preimage_hom(b4):
-    xl = canonical_pcs_of_pca(largest_contact(b4))
-    cs = validate_cs(xl.space, xl.subset)
-    one_triple = canonical_pcs_of_pca(smallest_contact(FiniteBooleanAlgebra(1)))
-    one = validate_cs(one_triple.space, one_triple.subset)
-    report = gmcs_hom_check(cs, one, (0, 0, 0))
-    assert report.ok
+def _dual_pair(pca):
+    triple = canonical_pcs_of_pca(pca)
+    return validate_cs(triple.space, triple.subset)
+
+
+def test_gmcs_preimage_hom(b4, b2):
+    xl, point = _dual_pair(largest_contact(b4)), _dual_pair(smallest_contact(b2))
+    assert gmcs_hom_check(xl, point, (0, 0, 0)).ok
+
+
+def test_gmcs_rejects_a_point_map_that_is_not_total_into_the_target(b4, b2):
+    two = _dual_pair(smallest_contact(b4))
+    one = _dual_pair(smallest_contact(b2))
+    for point_map in ((0,), (0, 0, 0), (0, -1), (0, 1)):
+        with pytest.raises(DomainMismatchError, match="each source point to a target point"):
+            gmcs_hom_check(two, one, point_map)
+
+
+def test_gmcs_lines_that_can_fail_name_their_witness(b4, b2):
+    """Two continuous maps into the 3-point dual of the largest contact
+    on two atoms: the one point sent to the closed point c0-1, whose
+    preimages are members but miss the meet and the complement of
+    {c0,c0-1}; and a self-map moving the closed point alone, whose
+    preimage of {c0-1} is no member.  Meets and complements fail
+    together: with joins and bounds, each forces the other in a Boolean
+    algebra."""
+    xl = _dual_pair(largest_contact(b4))
+    point = _dual_pair(smallest_contact(b2))
+    failures = {
+        (c.name, c.witness) for c in gmcs_hom_check(point, xl, (2,)).checks if not c.passed
+    }
+    assert failures == {
+        ("preserves meets", "members {c0,c0-1} and {c1,c0-1}"),
+        ("preserves complements", "member {c0,c0-1}"),
+    }
+    # a passing check keeps no witness, so each line here failed
+    assert [(c.name, c.witness) for c in gmcs_hom_check(xl, xl, (0, 0, 2)).checks] == [
+        ("preimages stay inside the source pair's regular closed sets", "[4]"),
+        ("preserves meets", "members {c1,c0-1} and {c1,c0-1}"),
+        ("preserves complements", "member {c0,c0-1}"),
+    ]
 
 
 def test_pcs_morphism_constructor_rejects_incoherent_maps():

@@ -63,7 +63,6 @@ from contactlab.boolean import (
 from contactlab.duality import (
     algebra_roundtrip_iso,
     identity_pcs_morphism,
-    enumerate_pca_morphisms,
     specialization_report,
 )
 from contactlab.errors import AxiomViolationError, DomainMismatchError, InternalError
@@ -78,7 +77,6 @@ from contactlab.precontact import (
     clique_supports,
     contact_from_well_inside,
     contact_from_well_inside_atoms,
-    expand_kernel,
     is_clan,
     normalize_relation,
     pca_from_pairs,
@@ -105,7 +103,6 @@ from contactlab.suite import instance_suite
 from contactlab.topology import (
     FiniteSpace,
     MereotopologicalPair,
-    clopen_sets,
     clopens_of_subset,
     closure,
     interior,
@@ -116,9 +113,9 @@ from contactlab.topology import (
     is_semiregular,
     is_stone,
     is_t0,
-    is_u_point,
     minimal_members,
     pair_atoms,
+    rc_algebra,
     rc_atoms,
     rc_atoms_of_subset,
     rc_members,
@@ -129,7 +126,7 @@ from contactlab.topology import (
     unions,
 )
 
-from conftest import all_kernels
+from conftest import all_kernels, enumerate_boolean_homs, enumerate_pca_morphisms
 from oracles import (
     _closure_of as oracle_closure_of,
     expand_relation,
@@ -245,7 +242,7 @@ def normalize_population():
     for n in (1, 2, 3):
         size = 1 << n
         for pairs in all_kernels(n):
-            rel = expand_kernel(RelationKernel(FiniteBooleanAlgebra(n), pairs)).pairs
+            rel = frozenset(expand_relation(n, pairs))
             out.append((n, rel))
             if n <= 2:
                 out.extend(
@@ -254,7 +251,7 @@ def normalize_population():
             else:
                 out.extend((n, r) for r in one_pair_perturbations(n, rel, rng, 2))
     for n, pairs in seeded_kernels(7, {4: 12, 5: 4, 6: 2}):
-        rel = expand_kernel(RelationKernel(FiniteBooleanAlgebra(n), pairs)).pairs
+        rel = frozenset(expand_relation(n, pairs))
         out.append((n, rel))
         out.extend((n, r) for r in one_pair_perturbations(n, rel, rng, 2))
     return out
@@ -954,9 +951,10 @@ def test_space_predicates_match_the_open_set_sweeps():
         closures = space.point_closures
         ed = oracle_extremally_disconnected(closures)
         assert is_extremally_disconnected(space) == ed, closures
+        rc = rc_algebra(space)
         for x in range(space.point_count):
             u = oracle_is_u_point(closures, x)
-            assert is_u_point(space, x) == u, (closures, x)
+            assert u_point_of_pair(rc, x) == u, (closures, x)
             seen["u"].add(u)
         if len(rc_atoms(space)) <= 5:
             csr = oracle_c_semiregular(closures)
@@ -1080,7 +1078,7 @@ def test_mereocompactness_matches_the_clan_and_candidate_sweeps(monkeypatch):
     spaces += [random_space(rng.randint(5, 6), rng) for _ in range(12)]
     for space in spaces:
         rc = rc_members(space)
-        families += [(space, rc), (space, clopen_sets(space))]
+        families += [(space, rc), (space, clopens_of_subset(space, space.full_mask))]
         if space.point_count != 4:
             families.append((space, rc + rc[1:2]))
     reached = []
@@ -2024,7 +2022,7 @@ def hom_population():
     homs = [
         hom
         for s, t in itertools.product((1, 2, 3), repeat=2)
-        for hom in duality.enumerate_boolean_homs(FiniteBooleanAlgebra(s), FiniteBooleanAlgebra(t))
+        for hom in enumerate_boolean_homs(FiniteBooleanAlgebra(s), FiniteBooleanAlgebra(t))
     ]
     rng = random.Random(20261018)
     for _ in range(24):
@@ -2221,7 +2219,8 @@ def test_row_form_round_trips_on_seven_and_eight_atoms(monkeypatch):
         pca = pca_from_pairs(n, pairs)
         rebuilt = contact_from_well_inside(pca.algebra, well_inside_pairs(pca))
         assert rebuilt.pairs == pairs, (n, sorted(pairs))
-        assert normalize_relation(expand_kernel(pca.kernel)).pairs == pairs
+        expanded = RawRelation(pca.algebra, frozenset(expand_relation(n, pairs)))
+        assert normalize_relation(expanded).pairs == pairs
 
 
 # ---------------------------------------------------------------------------
@@ -2338,7 +2337,6 @@ def test_instance_suite_builds_no_pair_sets(monkeypatch):
         if name == "contactlab" or name.startswith("contactlab."):
             for attr in (
                 "well_inside_pairs",
-                "expand_kernel",
                 "well_inside_rows",
                 "_well_inside_flags",
                 "_well_inside_unary_form",

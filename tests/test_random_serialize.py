@@ -4,7 +4,7 @@ import pytest
 
 from contactlab.adjacency import AdjacencySpace
 from contactlab.boolean import Element, ElementFamily, FiniteBooleanAlgebra
-from contactlab.duality import dual_space_map, enumerate_pcs_morphisms
+from contactlab.duality import dual_space_map
 from contactlab.errors import PreconditionError, SchemaError
 from contactlab.precontact import largest_contact, pca_from_pairs
 from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
@@ -22,6 +22,8 @@ from contactlab.topology import (
     discrete_space,
     rc_members,
 )
+
+from conftest import enumerate_pcs_morphisms
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +132,10 @@ def test_roundtrip_family():
 def test_roundtrip_morphisms():
     b4 = FiniteBooleanAlgebra(2)
     rho = largest_contact(b4)
-    from contactlab.boolean import hom_from_atom_map
+    from contactlab.boolean import BooleanHom
     from contactlab.precontact import PcaMorphism
 
-    phi = PcaMorphism(hom_from_atom_map(b4, b4, (1, 0)), rho, rho)
+    phi = PcaMorphism(BooleanHom(b4, b4, (1, 0)), rho, rho)
     back = decode(json.loads(dumps(encode(phi))))
     assert back.hom.atom_map == (1, 0)
     assert back == phi

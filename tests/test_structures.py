@@ -5,6 +5,7 @@ import pytest
 
 from contactlab.boolean import FiniteBooleanAlgebra
 from contactlab.cli import main
+from contactlab.duality import algebra_roundtrip_iso
 from contactlab.errors import (
     DomainMismatchError,
     PreconditionError,
@@ -22,7 +23,6 @@ from contactlab.structures import (
     canonical_pca_of_pcs,
     canonical_pcs_of_pca,
     contact_relation_of_pair,
-    element_point_mask,
     mereocompactness_report,
     pcs_algebra,
     validate_cs,
@@ -215,18 +215,17 @@ def test_canonical_triple_validates_exhaustively(kernels_upto_2, kernels_3):
         assert triple.ok, (n, sorted(pairs), triple.failures)
 
 
-def test_element_point_mask_additivity(kernels_3):
-    # the clan-set map turns joins into unions and reaches the whole
-    # space at the top
+def test_round_trip_images_are_additive(kernels_3):
+    # the clan-set map turns joins into unions and sends 0 to the empty
+    # set
     for pairs in list(kernels_3)[::11]:
         pca = pca_from_pairs(3, pairs)
+        image_of = algebra_roundtrip_iso(pca).image_of
         size = pca.algebra.size
         for a in range(size):
             for b in range(size):
-                assert element_point_mask(pca, a | b) == (
-                    element_point_mask(pca, a) | element_point_mask(pca, b)
-                )
-        assert element_point_mask(pca, 0) == 0
+                assert image_of(a | b) == image_of(a) | image_of(b)
+        assert image_of(0) == 0
 
 
 def test_canonical_algebra_of_xl_triple(xl_space):

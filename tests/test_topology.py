@@ -12,7 +12,6 @@ from contactlab.topology import (
     closed_sets,
     closure,
     closure_trace,
-    clopen_sets,
     clopens_of_subset,
     delta_contact,
     discrete_space,
@@ -28,7 +27,6 @@ from contactlab.topology import (
     is_semiregular,
     is_stone,
     is_t0,
-    is_u_point,
     point_trace,
     rc_algebra,
     rc_members,
@@ -170,7 +168,7 @@ def test_predicates_fixture(xl_space, disc2, sierpinski):
 def test_connectedness_equals_no_proper_clopen():
     for space in all_small_spaces(3):
         proper = [
-            m for m in clopen_sets(space) if m not in (0, space.full_mask)
+            m for m in clopens_of_subset(space, space.full_mask) if m not in (0, space.full_mask)
         ]
         assert is_connected(space) == (not proper)
 
@@ -383,16 +381,17 @@ def test_grills_between_nu_and_sigma():
 
 
 def test_u_points_fixture(xl_space):
-    assert is_u_point(xl_space, 0)
-    assert is_u_point(xl_space, 1)
-    assert not is_u_point(xl_space, 2)
+    rc = rc_algebra(xl_space)
+    assert u_point_of_pair(rc, 0)
+    assert u_point_of_pair(rc, 1)
+    assert not u_point_of_pair(rc, 2)
 
 
 def test_u_points_match_oracle():
     for space in all_small_spaces(3):
         family = set(closed_sets(space))
         for x in range(space.point_count):
-            assert is_u_point(space, x) == oracle_u_point(
+            assert u_point_of_pair(rc_algebra(space), x) == oracle_u_point(
                 family, space.full_mask, x
             )
 
@@ -400,11 +399,11 @@ def test_u_points_match_oracle():
 def test_u_point_of_pair_agrees_with_space(xl_space):
     mereo = MereotopologicalPair.from_members(xl_space, rc_members(xl_space))
     for x in range(3):
-        assert u_point_of_pair(mereo, x) == is_u_point(xl_space, x)
+        assert u_point_of_pair(mereo, x) == u_point_of_pair(rc_algebra(xl_space), x)
 
 
 def test_u_point_of_clopen_pair_always(xl_space):
-    clopens = clopen_sets(xl_space)
+    clopens = clopens_of_subset(xl_space, xl_space.full_mask)
     mereo = MereotopologicalPair.from_members(xl_space, tuple(clopens))
     assert all(u_point_of_pair(mereo, x) for x in range(3))
 
@@ -479,7 +478,7 @@ def test_point_budget_bounds_only_whole_families(monkeypatch):
             [(c.name, c.passed, c.witness) for c in validate_cs(space, subset).checks],
             [(c.name, c.passed, c.witness) for c in validate_s2s(space, subset).checks],
             is_extremally_disconnected(space),
-            [is_u_point(space, x) for x in range(space.point_count)],
+            [u_point_of_pair(rc_algebra(space), x) for x in range(space.point_count)],
             is_c_semiregular(space),
         )
 
