@@ -52,12 +52,10 @@ from .precontact import (
 )
 from .adjacency import (
     AdjacencySpace,
-    CanonicalAdjacency,
     adjacency_correspondence_report,
     canonical_adjacency,
     contact_from_adjacency,
     is_closed_relation,
-    product_space,
     r_flat,
     stone_representation_report,
 )

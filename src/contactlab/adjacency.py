@@ -19,13 +19,9 @@ from dataclasses import dataclass
 
 from .boolean import bit_indices
 from .errors import DomainMismatchError, PreconditionError
-from .precontact import (
-    PrecontactAlgebra,
-    axiom_report,
-    pca_from_pairs,
-)
+from .precontact import axiom_report, pca_from_pairs
 from .report import ReportBuilder
-from .topology import FiniteSpace, discrete_space, is_closed, is_stone
+from .topology import FiniteSpace, closure, discrete_space, is_stone
 
 
 @dataclass(frozen=True)
@@ -53,9 +49,9 @@ class AdjacencySpace:
 
     @property
     def is_stone_adjacency(self):
-        if self.topology is None:
-            return False
-        return is_stone(self.topology) and is_closed_relation(self.pairs, self.topology)
+        # A finite Stone space is discrete, so is its square, and every
+        # relation on it is closed.
+        return self.topology is not None and is_stone(self.topology)
 
 
 def r_flat(adjacency):
@@ -72,23 +68,6 @@ def contact_from_adjacency(adjacency):
     return pca_from_pairs(adjacency.cell_count, adjacency.pairs)
 
 
-def has_directed_path(pairs, n, start, goal):
-    succ = [0] * n
-    for x, y in pairs:
-        succ[x] |= 1 << y
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for x in bit_indices(frontier):
-            nxt |= succ[x]
-        frontier = nxt & ~seen
-        seen |= nxt
-        if seen >> goal & 1:
-            return True
-    return False
-
-
 def is_connected_relation(pairs, n):
     """Between any two distinct cells there is a path over the
     reflexive-symmetric closure of the relation.
@@ -100,14 +79,25 @@ def is_connected_relation(pairs, n):
     crossed but cells 1 and 2 reach each other only through 0 against
     the arrows).  Connectivity of the symmetric closure matches the
     axiom exhaustively, cut by cut.
+
+    Reachability over a symmetric relation is an equivalence, so every
+    two cells are joined iff every cell is reached from cell 0: one
+    search decides it.
     """
-    flat = set(pairs) | {(y, x) for x, y in pairs}
-    return all(
-        has_directed_path(flat, n, x, y)
-        for x in range(n)
-        for y in range(n)
-        if x != y
-    )
+    if n <= 1:
+        return True
+    adjacent = [0] * n
+    for x, y in pairs:
+        adjacent[x] |= 1 << y
+        adjacent[y] |= 1 << x
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        for x in bit_indices(frontier):
+            nxt |= adjacent[x]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == (1 << n) - 1
 
 
 @dataclass(frozen=True)
@@ -154,14 +144,6 @@ def adjacency_correspondence_report(adjacency):
     )
 
 
-@dataclass(frozen=True)
-class CanonicalAdjacency:
-    """The adjacency space on the ultrafilters of a precontact algebra."""
-
-    source: PrecontactAlgebra
-    space: AdjacencySpace
-
-
 def canonical_adjacency(pca):
     """Cells are the ultrafilters (one per atom), adjacent exactly when
     the corresponding atom pair is in the kernel; the topology is the
@@ -179,43 +161,30 @@ def canonical_adjacency(pca):
     if algebra.is_degenerate:
         raise PreconditionError("the degenerate algebra has no ultrafilters")
     names = tuple(f"u{p}" for p in range(algebra.atom_count))
-    space = AdjacencySpace(names, frozenset(pca.kernel.pairs), discrete_space(names))
-    return CanonicalAdjacency(pca, space)
-
-
-def product_space(space):
-    """The space times itself: the closure of a pair point is the product
-    of the closures, which generates the same family as the closed
-    rectangles."""
-    n = space.point_count
-    names = tuple(
-        f"({space.point_names[i]},{space.point_names[j]})"
-        for i in range(n)
-        for j in range(n)
-    )
-    closures = []
-    for i in range(n):
-        for j in range(n):
-            mask = 0
-            for a in bit_indices(space.point_closures[i]):
-                for b in bit_indices(space.point_closures[j]):
-                    mask |= 1 << (a * n + b)
-            closures.append(mask)
-    return FiniteSpace(names, tuple(closures))
+    return AdjacencySpace(names, frozenset(pca.kernel.pairs), discrete_space(names))
 
 
 def is_closed_relation(pairs, space):
     """Is the relation closed in the product topology on the space with
-    itself?"""
+    itself?
+
+    In the product, the closure of the point (x, y) is cl{x} x cl{y},
+    and a finite set is closed iff it holds the closure of each of its
+    points.  So the relation is closed iff each pair (x, y) in it has
+    cl{x} x cl{y} inside it: for every x and every x' in cl{x}, the
+    closure of x's successors lies in the successors of x'.
+    """
     n = space.point_count
+    succ = [0] * n
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
             raise DomainMismatchError(f"pair ({x}, {y}) outside the space")
-    prod = product_space(space)
-    mask = 0
-    for x, y in pairs:
-        mask |= 1 << (x * n + y)
-    return is_closed(prod, mask)
+        succ[x] |= 1 << y
+    for x, cl in enumerate(space.point_closures):
+        reached = closure(space, succ[x])
+        if any(reached & ~succ[x2] for x2 in bit_indices(cl)):
+            return False
+    return True
 
 
 def stone_representation_report(pca):

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .precontact import PrecontactAlgebra, clan_supports
-from .randgen import RandomSpec, child_seed, random_pca
+from .randgen import CONSTRAINTS, RandomSpec, child_seed, random_pca
 from .serialize import dot_export, dumps, encode, loads
 from .structures import (
     TwoContactSpace,
@@ -346,11 +346,7 @@ def build_parser():
     p.add_argument("--count", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=_density, default=None)
-    p.add_argument(
-        "--constraint",
-        choices=("none", "contact", "connected", "complete"),
-        default="none",
-    )
+    p.add_argument("--constraint", choices=CONSTRAINTS, default="none")
     p.add_argument("--dump-dir", default=None)
     p.add_argument("--text", action="store_true")
     p.set_defaults(func=cmd_suite)
@@ -360,15 +356,10 @@ def build_parser():
     p.set_defaults(func=cmd_export_dot)
 
     p = sub.add_parser("random", help="generate a seeded random instance")
-    p.add_argument("--kind", choices=("pca",), default="pca")
     p.add_argument("--atoms", type=_int_at_least(0), required=True)
     p.add_argument("--density", type=_density, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--constraint",
-        choices=("none", "contact", "connected", "complete"),
-        default="none",
-    )
+    p.add_argument("--constraint", choices=CONSTRAINTS, default="none")
     p.add_argument("--out")
     p.set_defaults(func=cmd_random)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adjacency import AdjacencySpace, contact_from_adjacency, is_closed_relation
+from .adjacency import AdjacencySpace, contact_from_adjacency
 from .boolean import (
     BooleanHom,
     _first_map_mismatch,
@@ -617,9 +617,8 @@ def pcs_from_stone_adjacency(adjacency):
     """The unique triple extending a Stone adjacency space, built through
     the region algebra of the cells."""
     topo = adjacency.topology
-    if topo is not None and not (
-        is_stone(topo) and is_closed_relation(adjacency.pairs, topo)
-    ):
+    # every relation on a finite Stone space is closed (`is_stone_adjacency`)
+    if topo is not None and not is_stone(topo):
         raise PreconditionError("not a Stone adjacency space")
     pca = contact_from_adjacency(adjacency)
     triple = canonical_pcs_of_pca(pca)
@@ -650,36 +649,11 @@ def specialization_report(pca):
     mereocompact and connected; then check that the connectedness axiom
     matches the dual space.
     """
-    report = ReportBuilder(f"specializations on {pca.algebra.atom_count} atoms")
-    flags = pca.axioms
-    is_stone_object = pca.kernel.pairs == smallest_contact(pca.algebra).kernel.pairs
-    is_connected_stone_object = (
-        pca.kernel.pairs == largest_contact(pca.algebra).kernel.pairs
-    )
-    memberships = {
-        "stone": is_stone_object,
-        "connected-stone": is_connected_stone_object,
-        "contact": flags.is_contact,
-        "complete-contact": flags.is_contact,
-        "mereocompact": flags.is_contact,
-        "connected": flags.ccon,
-    }
-    selected = [name for name, member in memberships.items() if member]
-    selected.append("connected-correspondence")
-
-    triple = canonical_pcs_of_pca(pca)
-    supports = clan_supports(pca)
     n = pca.algebra.atom_count
+    report = ReportBuilder(f"specializations on {n} atoms")
+    flags = pca.axioms
+    triple = canonical_pcs_of_pca(pca)
     space = triple.space
-    # The closures of the dense part's clopen atoms, ascending: the
-    # pair's atoms, read off the pair's table (`pair_atoms`).
-    atoms_of_pair = rc_atoms_of_subset(space, triple.subset)
-
-    # One report of the pair's member algebra serves the complete-contact
-    # and mereocompact lines.
-    pair_report = None
-    if {"complete-contact", "mereocompact"} & set(selected):
-        pair_report = mereocompactness_report(rc_pair_algebra(triple))
 
     def atom_set(mask):
         return "{" + ",".join(map(str, bit_indices(mask))) + "}"
@@ -695,114 +669,122 @@ def specialization_report(pca):
             None if connected else "proper clopen atom " + space.name_set(component),
         )
 
-    for name in selected:
-        if name == "stone":
-            # The n singletons are clans, first and in order, so the
-            # clans are more than the ultrafilters iff one is wider.
-            ultrafilters = supports == [1 << p for p in range(n)]
-            report.add(
-                "clans are exactly the ultrafilters",
-                ultrafilters,
-                None
-                if ultrafilters
-                else "clan support " + atom_set(next(s for s in supports if s & (s - 1))),
-            )
-            breach = _diagonal_break(triple)
-            report.add(
-                "dual triple is the whole space with the diagonal", breach is None, breach
-            )
-        elif name == "connected-stone":
-            # The supports are distinct nonzero masks below the size, so
-            # they are all the grills iff there are size - 1 of them; the
-            # sweep for a missing grill runs only when there are fewer.
-            grills = len(supports) == pca.algebra.size - 1
-            witness = None
-            if not grills:
-                clans = set(supports)
-                missing = next(g for g in range(1, pca.algebra.size) if g not in clans)
-                witness = f"grill {atom_set(missing)} is not a clan"
-            report.add("clans are exactly the grills", grills, witness)
-            # The relation lies in the dense part (`validate_pcs`), so it
-            # is total there iff no pair of dense points is missing.
-            x0 = list(bit_indices(triple.subset))
-            total = triple.relation == frozenset((x, y) for x in x0 for y in x0)
-            report.add(
-                "dual relation is total on the dense part",
-                total,
-                None
-                if total
-                else "missing point pair "
-                + _pair_name(
-                    space,
-                    next((x, y) for x in x0 for y in x0 if (x, y) not in triple.relation),
-                ),
-            )
-            if n >= 2:
-                connected_line()
-        elif name == "contact":
-            cs = canonical_cs_of_ca(pca)
-            report.add(
-                "dual pair is a 2-contact space",
-                cs.ok,
-                witness=None if cs.ok else cs.failure_summary(" "),
-            )
-            if cs.ok:
-                differ = contact_relation_of_pair(cs) ^ triple.relation
-                report.add(
-                    "the pair determines the relation",
-                    not differ,
-                    "point pair " + _pair_name(space, min(differ)) if differ else None,
-                )
-        elif name == "complete-contact":
-            # Both families are the unions of their atoms, so they are
-            # equal iff their atom sets are; the pair's atoms are distinct,
-            # as a clopen f of the dense part has cl f n subset = f.
-            differ = set(rc_atoms(space)) ^ set(atoms_of_pair)
-            report.add(
-                "regular closed sets of the dual all come from the pair",
-                not differ,
-                "atom " + space.name_set(min(differ)) if differ else None,
-            )
-            # X is C-semiregular iff it is T0 and (X, RC(X)) is
-            # mereocompact (both read `topology._c_semiregular_tests`);
-            # on failure the failing lines of that report are the witness.
-            # When the line above holds, RC(X) is the pair's algebra.
-            result = mereocompactness_report(rc_algebra(space)) if differ else pair_report
-            semiregular = result.is_t0 and result.is_mereocompact
-            report.add(
-                "dual space is C-semiregular",
-                semiregular,
-                None if semiregular else result.failure_summary(" "),
-            )
-            extremal = is_extremally_disconnected(subspace(space, triple.subset))
-            report.add(
-                "dense part is extremally disconnected",
-                extremal,
-                None if extremal else "dense part " + space.name_set(triple.subset),
-            )
-        elif name == "mereocompact":
-            result = pair_report
-            mereocompact = result.is_t0 and result.is_mereocompact
-            report.add(
-                "dual pair's member algebra is mereocompact",
-                mereocompact,
-                None if mereocompact else result.failure_summary(" "),
-            )
-            recovered = result.u_set == triple.subset
-            report.add(
-                "u-points recover the dense part",
-                recovered,
-                None if recovered else space.name_set(result.u_set),
-            )
-        elif name == "connected":
+    if pca.kernel.pairs == smallest_contact(pca.algebra).kernel.pairs:
+        # stone: the n singletons are clans, first and in order, so the
+        # clans are more than the ultrafilters iff one is wider.
+        supports = clan_supports(pca)
+        ultrafilters = supports == [1 << p for p in range(n)]
+        report.add(
+            "clans are exactly the ultrafilters",
+            ultrafilters,
+            None
+            if ultrafilters
+            else "clan support " + atom_set(next(s for s in supports if s & (s - 1))),
+        )
+        breach = _diagonal_break(triple)
+        report.add("dual triple is the whole space with the diagonal", breach is None, breach)
+
+    if pca.kernel.pairs == largest_contact(pca.algebra).kernel.pairs:
+        # connected-stone: the supports are distinct nonzero masks below
+        # the size, so they are all the grills iff there are size - 1 of
+        # them; the sweep for a missing grill runs only when there are
+        # fewer.
+        supports = clan_supports(pca)
+        grills = len(supports) == pca.algebra.size - 1
+        witness = None
+        if not grills:
+            clans = set(supports)
+            missing = next(g for g in range(1, pca.algebra.size) if g not in clans)
+            witness = f"grill {atom_set(missing)} is not a clan"
+        report.add("clans are exactly the grills", grills, witness)
+        # The relation lies in the dense part (`validate_pcs`), so it
+        # is total there iff no pair of dense points is missing.
+        x0 = list(bit_indices(triple.subset))
+        total = triple.relation == frozenset((x, y) for x in x0 for y in x0)
+        report.add(
+            "dual relation is total on the dense part",
+            total,
+            None
+            if total
+            else "missing point pair "
+            + _pair_name(
+                space,
+                next((x, y) for x in x0 for y in x0 if (x, y) not in triple.relation),
+            ),
+        )
+        if n >= 2:
             connected_line()
-        elif name == "connected-correspondence":
-            matches = flags.ccon == triple_is_connected(triple)
+
+    if flags.is_contact:
+        # contact
+        cs = canonical_cs_of_ca(pca)
+        report.add(
+            "dual pair is a 2-contact space",
+            cs.ok,
+            witness=None if cs.ok else cs.failure_summary(" "),
+        )
+        if cs.ok:
+            differ = contact_relation_of_pair(cs) ^ triple.relation
             report.add(
-                "connectedness axiom matches the dual space",
-                matches,
-                witness=None if matches else f"Ccon={flags.ccon}",
+                "the pair determines the relation",
+                not differ,
+                "point pair " + _pair_name(space, min(differ)) if differ else None,
             )
+
+        # complete-contact: both families are the unions of their atoms,
+        # so they are equal iff their atom sets are; the pair's atoms
+        # (the closures of the dense part's clopen atoms, `pair_atoms`)
+        # are distinct, as a clopen f of the dense part has
+        # cl f n subset = f.
+        differ = set(rc_atoms(space)) ^ set(rc_atoms_of_subset(space, triple.subset))
+        report.add(
+            "regular closed sets of the dual all come from the pair",
+            not differ,
+            "atom " + space.name_set(min(differ)) if differ else None,
+        )
+        # X is C-semiregular iff it is T0 and (X, RC(X)) is mereocompact
+        # (both read `topology._c_semiregular_tests`); on failure the
+        # failing lines of that report are the witness.  When the line
+        # above holds, RC(X) is the pair's algebra, whose report also
+        # serves the mereocompact lines.
+        pair_report = mereocompactness_report(rc_pair_algebra(triple))
+        result = mereocompactness_report(rc_algebra(space)) if differ else pair_report
+        semiregular = result.is_t0 and result.is_mereocompact
+        report.add(
+            "dual space is C-semiregular",
+            semiregular,
+            None if semiregular else result.failure_summary(" "),
+        )
+        extremal = is_extremally_disconnected(subspace(space, triple.subset))
+        report.add(
+            "dense part is extremally disconnected",
+            extremal,
+            None if extremal else "dense part " + space.name_set(triple.subset),
+        )
+
+        # mereocompact
+        mereocompact = pair_report.is_t0 and pair_report.is_mereocompact
+        report.add(
+            "dual pair's member algebra is mereocompact",
+            mereocompact,
+            None if mereocompact else pair_report.failure_summary(" "),
+        )
+        recovered = pair_report.u_set == triple.subset
+        report.add(
+            "u-points recover the dense part",
+            recovered,
+            None if recovered else space.name_set(pair_report.u_set),
+        )
+
+    if flags.ccon:
+        connected_line()
+
+    matches = flags.ccon == triple_is_connected(triple)
+    report.add(
+        "connectedness axiom matches the dual space",
+        matches,
+        witness=None if matches else f"Ccon={flags.ccon}",
+    )
     return report.done()
 
 

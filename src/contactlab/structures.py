@@ -169,7 +169,7 @@ def validate_pcs(space, subset, relation):
     closed, support, stone = table.closures, table.support, table.stone
     # A finite Stone dense part is discrete, so is its square, and every
     # relation on it is closed.  Only a dense part that is not Stone needs
-    # the product topology, to name the second half of the witness.
+    # the closedness check, to name the second half of the witness.
     closed_rel = stone or is_closed_relation(
         _local_relation(subset, relation), subspace(space, subset)
     )

@@ -3,7 +3,7 @@
 A finite topology is determined by its singleton closures: a set is
 closed exactly when it contains the closure of each of its points.  A
 space is therefore stored as the tuple of point-closure masks, which
-keeps closure, interior, subspaces and products polynomial.  A space
+keeps closure, interior and subspaces polynomial.  A space
 built from a closed base, and the closed-base test, read the closure of
 a point as the meet of the base members that hold it (`_meets`); such a
 space skips the closure checks of `FiniteSpace`, which `_meets` output

@@ -323,6 +323,43 @@ def oracle_product_family(point_count, family):
     return family_from_base(n * n, rectangles)
 
 
+def oracle_closed_in_product(point_closures, mask):
+    """Is ``mask``, a set of pair points x * n + y, closed in the product
+    of the space with itself?  Literally: its complement is a union of
+    open rectangles U x V, each missing the set."""
+    n = len(point_closures)
+    full = (1 << n) - 1
+    opens = [full ^ c for c in oracle_closed_family(point_closures)]
+    covered = 0
+    for u in opens:
+        for v in opens:
+            rect = 0
+            for x in bits(u):
+                for y in bits(v):
+                    rect |= 1 << (x * n + y)
+            if not rect & mask:
+                covered |= rect
+    return covered | mask == (1 << (n * n)) - 1
+
+
+def oracle_is_connected_relation(pairs, n):
+    """Between any two distinct cells there is a path over the symmetric
+    closure of the relation: one search per ordered pair of cells."""
+    flat = set(pairs) | {(y, x) for x, y in pairs}
+
+    def path(start, goal):
+        seen, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for a, b in flat:
+                if a == x and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+        return goal in seen
+
+    return all(path(x, y) for x in range(n) for y in range(n) if x != y)
+
+
 def oracle_closed_family(point_closures):
     """Closed sets of a space given by its singleton closures: the sets
     that hold the closure of each of their points."""

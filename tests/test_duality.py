@@ -475,6 +475,48 @@ CONTACT3 = pca_from_pairs(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)})
 SPECIALIZATION_ALGEBRAS = {"stone": DIAGONAL3, "connected-stone": TOTAL3, "connected": PATH3}
 
 
+def expected_specialization_lines(pca):
+    """The line names of `specialization_report` on an algebra whose
+    lines all pass, in order, from its memberships: the diagonal kernel
+    (stone), all n**2 pairs (connected-stone), the contact axioms and
+    (Ccon)."""
+    n = pca.algebra.atom_count
+    pairs = pca.kernel.pairs
+    lines = []
+    if pairs == {(p, p) for p in range(n)}:
+        lines += [
+            "clans are exactly the ultrafilters",
+            "dual triple is the whole space with the diagonal",
+        ]
+    if pairs == {(p, q) for p in range(n) for q in range(n)}:
+        lines += ["clans are exactly the grills", "dual relation is total on the dense part"]
+        if n >= 2:
+            lines.append("dual space is connected")
+    if pca.axioms.is_contact:
+        lines += [
+            "dual pair is a 2-contact space",
+            "the pair determines the relation",
+            "regular closed sets of the dual all come from the pair",
+            "dual space is C-semiregular",
+            "dense part is extremally disconnected",
+            "dual pair's member algebra is mereocompact",
+            "u-points recover the dense part",
+        ]
+    if pca.axioms.ccon:
+        lines.append("dual space is connected")
+    return lines + ["connectedness axiom matches the dual space"]
+
+
+def test_specialization_line_order():
+    algebras = [pca_from_pairs(n, pairs) for n in (1, 2) for pairs in all_kernels(n)]
+    algebras += [DIAGONAL3, TOTAL3, PATH3, CONTACT3]
+    for pca in algebras:
+        report = specialization_report(pca)
+        assert report.ok, report.failure_summary(" ")
+        names = [c.name for c in report.checks]
+        assert names == expected_specialization_lines(pca), sorted(pca.kernel.pairs)
+
+
 def _clans_of(pca):
     return (duality, "clan_supports", lambda _: precontact.clan_supports(pca))
 

@@ -542,7 +542,7 @@ def test_ultrafilter_adjacency_matches_the_literal_quantifier():
     population = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
     population += seeded_kernels(17, {4: 12, 5: 4, 6: 2})
     for n, pairs in population:
-        got = canonical_adjacency(pca_from_pairs(n, pairs)).space.pairs
+        got = canonical_adjacency(pca_from_pairs(n, pairs)).pairs
         expected = oracle_ultrafilter_adjacency(n, expand_relation(n, pairs))
         assert got == expected, (n, sorted(pairs))
 
