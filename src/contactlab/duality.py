@@ -67,7 +67,6 @@ from .topology import (
     closure,
     interior,
     is_extremally_disconnected,
-    is_stone,
     pair_atoms,
     rc_algebra,
     rc_atoms,
@@ -615,10 +614,10 @@ def dense_part_map(f):
 
 def pcs_from_stone_adjacency(adjacency):
     """The unique triple extending a Stone adjacency space, built through
-    the region algebra of the cells."""
-    topo = adjacency.topology
+    the region algebra of the cells.  An adjacency space without a
+    topology, or whose topology is not Stone, is refused."""
     # every relation on a finite Stone space is closed (`is_stone_adjacency`)
-    if topo is not None and not is_stone(topo):
+    if not adjacency.is_stone_adjacency:
         raise PreconditionError("not a Stone adjacency space")
     pca = contact_from_adjacency(adjacency)
     triple = canonical_pcs_of_pca(pca)
@@ -669,7 +668,9 @@ def specialization_report(pca):
             None if connected else "proper clopen atom " + space.name_set(component),
         )
 
-    if pca.kernel.pairs == smallest_contact(pca.algebra).kernel.pairs:
+    # The subcategories are told apart by the kernel's atom rows, which
+    # fix its pairs.
+    if pca.kernel._succ == smallest_contact(pca.algebra).kernel._succ:
         # stone: the n singletons are clans, first and in order, so the
         # clans are more than the ultrafilters iff one is wider.
         supports = clan_supports(pca)
@@ -684,7 +685,7 @@ def specialization_report(pca):
         breach = _diagonal_break(triple)
         report.add("dual triple is the whole space with the diagonal", breach is None, breach)
 
-    if pca.kernel.pairs == largest_contact(pca.algebra).kernel.pairs:
+    if pca.kernel._succ == largest_contact(pca.algebra).kernel._succ:
         # connected-stone: the supports are distinct nonzero masks below
         # the size, so they are all the grills iff there are size - 1 of
         # them; the sweep for a missing grill runs only when there are

@@ -18,13 +18,19 @@ relation has a unary form exactly when it defines a precontact relation,
 and is read into that form whenever it has one; without it, the inverse
 decides the defining axioms in order and stops at the first that fails.
 
-The atom rows of the contact closure are computed once per kernel
-(`RelationKernel._closure_rows`), and the clan supports and the atom
-clan sets (the clans holding each atom, the closed base of the dual)
-once per algebra; the clans, (Ctr#), `is_clan`, `contact_closure` and
-the round trip read those copies.  The six axiom flags of
-`axiom_report` are read off the kernel's atom rows (its successors and
-the closure rows) in O(n**2), with no 2**n table.
+A kernel is held by its n atom rows (`RelationKernel._succ`, the
+successors of each atom) as well as by its pairs.  A kernel built from
+rows (`RelationKernel._of_rows`: the canonical algebra of a triple, the
+contact closure, the extremal contacts and the inverse of
+interdefinability) keeps them and derives its pair set only on the
+first read of `pairs`, so a check that compares such kernels by their
+rows builds no pair set while it passes.  The atom rows of the contact
+closure are computed once per kernel (`RelationKernel._closure_rows`),
+and the clan supports and the atom clan sets (the clans holding each
+atom, the closed base of the dual) once per algebra; the clans, (Ctr#),
+`is_clan`, `contact_closure` and the round trip read those copies.  The
+six axiom flags of `axiom_report` are read off the kernel's atom rows
+(its successors and the closure rows) in O(n**2), with no 2**n table.
 
 Axiom checks decide exactly over the carrier, never by sampling; every
 reduction is proved next to its code and tested against the literal
@@ -76,6 +82,20 @@ class RelationKernel:
             if not (0 <= p < n and 0 <= q < n):
                 raise DomainMismatchError(f"kernel pair ({p}, {q}) out of range")
 
+    @classmethod
+    def _of_rows(cls, algebra, succ):
+        """The kernel whose atom p has the successors succ[p], a mask of
+        atoms.  The rows are kept (`memo`) and the pair set is derived
+        on its first read (`_kernel_pairs`), so equality, hashing, repr,
+        pickling and `encode` see the same pairs as on a kernel built
+        with them.  The caller vouches that every row lies below
+        ``1 << n``, the one condition the range check of the pairs
+        could break, so that check is not run."""
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "algebra", algebra)
+        once.keep(kernel, "_succ", tuple(succ))
+        return kernel
+
     @once
     def _succ(self):
         # _succ[p] = mask of atoms q with (p, q) in the kernel
@@ -88,9 +108,9 @@ class RelationKernel:
     def _closure_rows(self):
         """The atom rows of the contact closure of the kernel, computed
         once per object: row p holds p, the successors of p and the
-        atoms that have p as a successor.  The clans, (Ctr#), `is_clan`
-        and the round trip read the closure in this form; the closed
-        kernel's pair set is built only by `contact_closure`."""
+        atoms that have p as a successor.  The clans, (Ctr#), `is_clan`,
+        the round trip and `contact_closure`, which builds the closed
+        kernel from them, read the closure in this form."""
         succ = self._succ
         rows = [s | 1 << p for p, s in enumerate(succ)]
         for p, s in enumerate(succ):
@@ -109,15 +129,19 @@ class RelationKernel:
         a C b iff table[a] & b != 0.  Size 2**n."""
         return joins_table(self._succ)
 
-    @property
+    # The relation properties, read by the Stone report and again by the
+    # suite, are computed once per kernel, off the pair set (see
+    # `is_transitive`).
+
+    @once
     def is_symmetric(self):
         return all((q, p) in self.pairs for p, q in self.pairs)
 
-    @property
+    @once
     def is_reflexive(self):
         return all((p, p) in self.pairs for p in range(self.algebra.atom_count))
 
-    @property
+    @once
     def is_transitive(self):
         """(p, q) and (q, r) in the pairs force (p, r): the successors of
         q lie among those of p, for every pair (p, q).  Read off the pair
@@ -127,6 +151,21 @@ class RelationKernel:
         for p, q in self.pairs:
             succ[p] = succ.get(p, 0) | 1 << q
         return not any(succ.get(q, 0) & ~succ[p] for p, q in self.pairs)
+
+
+def _kernel_pairs(kernel):
+    """The pair set of a kernel built from its rows (`_of_rows`): the
+    pairs (p, q) with q a successor of p."""
+    return _pairs_of_rows(kernel._succ)
+
+
+# `pairs` is a field without a default, so the class holds no attribute
+# of that name and this non-data descriptor is reached only on a kernel
+# built from rows, until the first read, which keeps the pairs it
+# derives (`memo.once`).  Equality, hashing, repr and every reader of the
+# field read them through it, so they see the same set as on a kernel
+# built with it.
+RelationKernel.pairs = once(_kernel_pairs, "pairs")
 
 
 @dataclass(frozen=True)
@@ -382,23 +421,23 @@ def normalize_relation(raw):
 def contact_closure(pca):
     """The smallest contact relation containing the given precontact one:
     symmetrize the kernel and add the diagonal (overlap) pairs."""
-    pairs = frozenset(
-        (p, q) for p, row in enumerate(pca.kernel._closure_rows) for q in bit_indices(row)
-    )
-    return PrecontactAlgebra(pca.algebra, RelationKernel(pca.algebra, pairs))
+    # each closure row is a join of kernel rows and atoms, below 1 << n
+    kernel = RelationKernel._of_rows(pca.algebra, pca.kernel._closure_rows)
+    return PrecontactAlgebra(pca.algebra, kernel)
 
 
 def smallest_contact(algebra):
     """Overlap contact: a C b iff a.b != 0; kernel is the atom diagonal."""
-    pairs = frozenset((p, p) for p in range(algebra.atom_count))
-    return PrecontactAlgebra(algebra, RelationKernel(algebra, pairs))
+    # row p is the atom p < n itself
+    rows = [1 << p for p in range(algebra.atom_count)]
+    return PrecontactAlgebra(algebra, RelationKernel._of_rows(algebra, rows))
 
 
 def largest_contact(algebra):
     """a C b iff both are nonzero; kernel is every atom pair."""
-    n = algebra.atom_count
-    pairs = frozenset((p, q) for p in range(n) for q in range(n))
-    return PrecontactAlgebra(algebra, RelationKernel(algebra, pairs))
+    # every row is the full mask, (1 << n) - 1
+    rows = [algebra.full_mask] * algebra.atom_count
+    return PrecontactAlgebra(algebra, RelationKernel._of_rows(algebra, rows))
 
 
 def well_inside_rows(pca):
@@ -669,11 +708,10 @@ def contact_from_well_inside_atoms(algebra, m):
     atom masks are a unary form: the precontact-defining flags hold by
     construction (`well_inside_atom_flags`)."""
     n = algebra.atom_count
+    # the check below puts every row between 0 and (1 << n) - 1
     if len(m) != n or not all(0 <= v <= algebra.full_mask for v in m):
         raise DomainMismatchError(f"expected {n} atom masks of {n} bits")
-    return RelationKernel(
-        algebra, frozenset((p, q) for p, v in enumerate(m) for q in bit_indices(v))
-    )
+    return RelationKernel._of_rows(algebra, m)
 
 
 def axiom_report(pca):

@@ -35,10 +35,17 @@ from functools import reduce
 from operator import or_
 
 from .adjacency import is_closed_relation
-from .boolean import bit_indices, join_at, joins_table, meeting_rows, transpose
+from .boolean import (
+    FiniteBooleanAlgebra,
+    bit_indices,
+    join_at,
+    joins_table,
+    meeting_rows,
+    transpose,
+)
 from .errors import DomainMismatchError, PreconditionError, ValidationError
 from .memo import once, remember
-from .precontact import PrecontactAlgebra, clique_supports, pca_from_pairs
+from .precontact import PrecontactAlgebra, RelationKernel, clique_supports
 from .report import CheckList, ReportBuilder
 from .topology import (
     FiniteSpace,
@@ -127,20 +134,15 @@ class TwoPrecontactSpace(CheckList):
         # order.  cl f meets the dense part in f, so cl f and cl g are in
         # contact iff some point of f is related to some point of g, i.e.
         # iff reach[f] meets g.  reach[f] lies in the subset, which cl g
-        # meets in g: iff reach[f] meets cl g.
+        # meets in g: iff reach[f] meets cl g.  The kernel is built from
+        # those rows, masks over the n atoms, so below 1 << n.
         closed = pair_atoms(self.space, self.subset).closures
         reach = self._reach
         order = sorted(range(len(closed)), key=closed.__getitem__)
-        pca = pca_from_pairs(
-            len(order),
-            (
-                (i, j)
-                for i, p in enumerate(order)
-                for j, q in enumerate(order)
-                if reach[p] & closed[q]
-            ),
-        )
         atoms = tuple(closed[p] for p in order)
+        algebra = FiniteBooleanAlgebra(len(order))
+        rows = meeting_rows([reach[p] for p in order], atoms)
+        pca = PrecontactAlgebra(algebra, RelationKernel._of_rows(algebra, rows))
         return PcsAlgebra(self, pca, atoms)
 
 

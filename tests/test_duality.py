@@ -363,11 +363,23 @@ def test_iso_and_reconstruction_failures_name_witnesses(disc2, sierpinski, monke
 
 
 def test_reconstruction_uniqueness_against_candidate():
-    total = AdjacencySpace(("a", "b"), frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
+    total = AdjacencySpace(("a", "b"), frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}),
+                           discrete_space(("a", "b")))
     candidate = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
     triple, report = pcs_from_stone_adjacency(total)
     assert report.ok
     assert pcs_isomorphic(triple, candidate) is not None
+
+
+def test_reconstruction_refuses_what_is_not_a_stone_adjacency(sierpinski):
+    """An adjacency space with no topology, or a topology that is not
+    Stone, reads False on `is_stone_adjacency` and is refused."""
+    untopologized = AdjacencySpace(("a", "b"), frozenset({(0, 1)}))
+    not_stone = AdjacencySpace(("s0", "s1"), frozenset({(0, 1)}), sierpinski)
+    for adjacency in (untopologized, not_stone):
+        assert not adjacency.is_stone_adjacency
+        with pytest.raises(PreconditionError, match="not a Stone adjacency space"):
+            pcs_from_stone_adjacency(adjacency)
 
 
 def test_pcs_isomorphic_detects_mismatch():
