@@ -5,8 +5,12 @@ Objects travel through ``canonical_pcs_of_pca`` and
 ``dual_space_map`` (clan preimages) and ``dual_algebra_map`` (closures
 of preimages of dense clopens).  The two round-trip isomorphisms send
 an element to its clan set and a point to its trace in the pair's
-regular closed sets.  Everything here returns explicit witness maps or
-witness-bearing reports, never bare booleans.
+regular closed sets.  The canonical algebra of the dual of an algebra is
+the algebra itself (`structures.TwoPrecontactSpace._algebra`), so the
+space round trip of a canonical dual is the identity onto that dual,
+and the double dual of an algebra morphism is the morphism.  Everything
+here returns explicit witness maps or witness-bearing reports, never
+bare booleans.
 
 The maps compared here preserve joins and the relations compared are
 additive, so each comparison is decided at the atoms: a map by its
@@ -293,7 +297,11 @@ def dual_algebra_map(f):
 
 def space_roundtrip_iso(pcs):
     """The triple against the dual of its dual: a point goes to its
-    trace in the pair's regular closed sets, read as a clan."""
+    trace in the pair's regular closed sets, read as a clan.  On a
+    canonical dual the dual of its dual is the triple itself and the map
+    is the identity: point x is the clan with support supports[x], and
+    its trace is the atom clan sets B_i holding it, those i in
+    supports[x]."""
     alg = pcs_algebra(pcs)
     rebuilt = canonical_pcs_of_pca(alg.pca)
     positions = {s: i for i, s in enumerate(clan_supports(alg.pca))}

@@ -15,11 +15,15 @@ hold each point, and (PCS4) which of its atom closures meet; the
 canonical algebra, the pair-determined relation and connectedness read
 its atoms and their closures.  Only
 the relation's reach, read in one pass into successor masks, is kept
-on the triple.  The canonical algebra is held by its atoms; its 2**n
-members are built only when asked for.  The validators and the
-mereocompactness report read T0 off the space, which decides it once;
-on a canonical dual, (CS4) and the report's clan line share one
-overlap-clan pass of the space's closed base
+on the triple.  The canonical algebra is held by its atoms, the
+closures of the dense part's clopen atoms in the table's order; its
+2**n members are built only when asked for.  A canonical dual keeps the
+algebra it was built from, and its canonical algebra is that algebra
+itself once the rows read off the triple are checked to be its
+kernel's, so the dual of the dual of an algebra is its dual again.  The
+validators and the mereocompactness report read T0 off the space, which
+decides it once; on a canonical dual, (CS4) and the report's clan line
+share one overlap-clan pass of the space's closed base
 (`FiniteSpace.base_unrealized`).  The canonical triple's space is built
 from the atom clan sets and the clan supports its algebra holds, as its
 closed base and signatures, so its dense part's table is read off them.  Every
@@ -130,20 +134,34 @@ class TwoPrecontactSpace(CheckList):
             raise ValidationError("not a 2-precontact space: " + self.failure_summary(" "))
         # The members are the closures cl f of the clopens f of the dense
         # part: the unions of the closures of the clopen atoms, which are
-        # their atoms (`rc_atoms_of_subset`), taken here in ascending
-        # order.  cl f meets the dense part in f, so cl f and cl g are in
-        # contact iff some point of f is related to some point of g, i.e.
-        # iff reach[f] meets g.  reach[f] lies in the subset, which cl g
-        # meets in g: iff reach[f] meets cl g.  The kernel is built from
-        # those rows, masks over the n atoms, so below 1 << n.
+        # their atoms (`rc_atoms_of_subset`), taken here in the table's
+        # order, that of the clopen atoms ascending as masks (`pair_atoms`).
+        # cl f meets the dense part in f, so cl f and cl g are in contact
+        # iff some point of f is related to some point of g, i.e. iff
+        # reach[f] meets g.  reach[f] lies in the subset, which cl g meets
+        # in g: iff reach[f] meets cl g.  The kernel's rows are those,
+        # masks over the n atoms, so below 1 << n.
+        #
+        # On the canonical dual T_A of an algebra A (`_canonical_pcs`)
+        # these rows are A's own.  Its dense part is discrete with the
+        # clopen atoms {0} .. {n-1}, in order, and their closures are the
+        # atom clan sets B_0 .. B_{n-1}, each meeting the dense part in
+        # its own point (the proof at `_canonical_pcs`).  reach[i] is the
+        # points related to i, which are the kernel successors of i, and
+        # it lies in the dense part, so it meets B_j iff it holds j: row i
+        # is the successor mask of atom i.  So the triple keeps A
+        # (`_source`), and when the rows read off the triple are A's, the
+        # canonical algebra is A itself, whose dual is this triple (an
+        # equal one, for a copied triple); any other triple gets a kernel
+        # built from the rows.
         closed = pair_atoms(self.space, self.subset).closures
-        reach = self._reach
-        order = sorted(range(len(closed)), key=closed.__getitem__)
-        atoms = tuple(closed[p] for p in order)
-        algebra = FiniteBooleanAlgebra(len(order))
-        rows = meeting_rows([reach[p] for p in order], atoms)
+        rows = tuple(meeting_rows(self._reach, closed))
+        source = getattr(self, "_source", None)
+        if source is not None and rows == source.kernel._succ:
+            return PcsAlgebra(self, source, closed)
+        algebra = FiniteBooleanAlgebra(len(closed))
         pca = PrecontactAlgebra(algebra, RelationKernel._of_rows(algebra, rows))
-        return PcsAlgebra(self, pca, atoms)
+        return PcsAlgebra(self, pca, closed)
 
 
 def validate_pcs(space, subset, relation):
@@ -326,8 +344,14 @@ def _canonical_pcs(pca):
     # support once, so the signatures are distinct, and the name lists
     # the atoms of its support, which it gives back: distinct supports
     # get distinct names, the condition of `_of_closed_base`.
+    #
+    # The triple keeps the algebra, so that its canonical algebra is the
+    # algebra itself once the rows read off the triple are checked to be
+    # the kernel's (`TwoPrecontactSpace._algebra`).
     space = FiniteSpace._of_closed_base(_clan_name, pca._atom_clans, pca._clan_supports)
-    return validate_pcs(space, (1 << n) - 1, pca.kernel.pairs)
+    triple = validate_pcs(space, (1 << n) - 1, pca.kernel.pairs)
+    once.keep(triple, "_source", pca)
+    return triple
 
 
 def _clan_name(support):
@@ -350,7 +374,10 @@ class PcsAlgebra:
     """The canonical precontact algebra of a 2-precontact space, together
     with the correspondence between abstract elements and point sets.
     The algebra is held by its atoms, the closures of the clopen atoms of
-    the dense part, ascending; its 2**n members are built on request."""
+    the dense part, in the order of those clopen atoms (`pair_atoms`);
+    on a canonical dual they are the atom clan sets of its algebra, in
+    atom order, and ``pca`` is that algebra.  Its 2**n members are built
+    on request."""
 
     source: TwoPrecontactSpace
     pca: PrecontactAlgebra
@@ -389,8 +416,10 @@ class PcsAlgebra:
 
 def pcs_algebra(pcs):
     """The canonical algebra of a valid triple: the pair's regular
-    closed sets under the existential relation of the triple.  Computed
-    once per object."""
+    closed sets under the existential relation of the triple, atom i the
+    closure of the dense part's clopen atom i.  Computed once per
+    object; on a canonical dual its algebra is the one it was built
+    from."""
     return pcs._algebra
 
 

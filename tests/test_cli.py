@@ -120,6 +120,61 @@ def test_dualize_back_to_algebra(files, capsys):
     assert len(first["kernel"]) == 4
 
 
+def test_dualize_twice_prints_the_input(tmp_path, capsys):
+    """The algebra of the dual of an algebra is the algebra: its atoms are
+    numbered by the dense part's clopen atoms, the ultrafilter clans in
+    atom order, not by their closures ({c1,c0-1} < {c2,c0-2} < {c0,c0-1,c0-2}
+    as masks here)."""
+    source = tmp_path / "pca.json"
+    source.write_text(dumps(encode(pca_from_pairs(3, [(0, 1), (0, 2)]))))
+    dual = tmp_path / "dual.json"
+    assert run(capsys, "dualize", source, "--out", dual) == (0, "", "")
+    assert run(capsys, "dualize", dual) == (0, source.read_text(), "")
+
+
+# The dense points a, b, c have the closures {a,p}, {b,p} and {c}: the
+# atoms of the pair's algebra follow the dense points, though {c} is the
+# least closure as a mask.
+PCS_BOUNDARY_LAST = {
+    "kind": "pcs",
+    "space": {"points": ["a", "b", "c", "p"], "closed_base": [[0, 3], [1, 3], [2], [3]]},
+    "subset": [0, 1, 2],
+    "R": [[0, 1], [2, 2]],
+}
+
+
+def test_dualize_golden_numbers_atoms_by_the_dense_part(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"schema_version": "1", **PCS_BOUNDARY_LAST}))
+    assert run(capsys, "dualize", path, "--roundtrip", "--text") == (
+        0,
+        """\
+{
+  "algebra": {
+    "atoms": 3
+  },
+  "kernel": [
+    [
+      0,
+      1
+    ],
+    [
+      2,
+      2
+    ]
+  ],
+  "kind": "pca",
+  "schema_version": "1"
+}
+bijective: pass
+homeomorphism: pass
+dense parts correspond: pass
+relation preserved and reflected: pass
+""",
+        "",
+    )
+
+
 def test_dualize_degenerate_algebra_fails(tmp_path, capsys):
     degenerate = tmp_path / "deg.json"
     degenerate.write_text(dumps(encode(pca_from_pairs(0, frozenset()))))

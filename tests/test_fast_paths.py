@@ -1014,24 +1014,33 @@ def test_closure_trace_checks_match_the_all_clopens_sweeps(spaces_with_subsets):
 def test_pcs_algebra_matches_the_pair_family():
     """The canonical algebra of a valid triple: atoms, members and kernel
     of the closures of all clopens of the dense part, whether the triple
-    comes from ``validate_pcs`` or is constructed directly."""
-    seen = set()
+    comes from ``validate_pcs`` or is constructed directly.  Its atoms
+    are the closures of the dense part's clopen atoms in the pair table's
+    order (`pair_atoms`), and the oracle's atoms and kernel, ascending,
+    are read in that order; both orders are seen."""
+    seen, reordered = set(), set()
     for space, subset, relation in pcs_population():
         triple = validate_pcs(space, subset, relation)
         if not triple.ok:
             continue
         atoms, members, kernel = oracle_pcs_algebra(space.point_closures, subset, relation)
+        closures = pair_atoms(space, subset).closures
+        position = [closures.index(a) for a in atoms]
+        reindexed = {(position[i], position[j]) for i, j in kernel}
         # the atom table handed over by validate_pcs, and rebuilt on a
         # triple constructed directly
         rebuilt = TwoPrecontactSpace(space, subset, relation, triple.checks)
         for algebra in (pcs_algebra(triple), pcs_algebra(rebuilt)):
-            assert list(algebra.atom_masks) == atoms
+            assert algebra.atom_masks == closures
+            assert sorted(algebra.atom_masks) == atoms
             assert list(algebra.members) == members
-            assert algebra.pca.kernel.pairs == kernel
+            assert algebra.pca.kernel.pairs == reindexed
         seen.update(
             (i, j) in kernel for i in range(len(atoms)) for j in range(len(atoms))
         )
+        reordered.add(list(closures) != atoms)
     assert seen == {True, False}
+    assert reordered == {True, False}
 
 
 def test_pcs_map_check_matches_the_all_clopens_trace_coherence():
@@ -1427,8 +1436,8 @@ def test_round_trip_derives_each_table_once(monkeypatch):
     build included, derives each table once, on seeded 1- to 6-atom
     algebras: one `_meets` (the point closures of the closed base), two
     `transpose` calls (the atom clan sets and the reaching rows of
-    (PCS4)), and one pass of contact-closure rows per kernel, the
-    algebra's and its canonical algebra's."""
+    (PCS4)), and one pass of contact-closure rows, the algebra's: the
+    canonical algebra of its dual is the algebra itself."""
     meet_calls = _counted(monkeypatch, "_meets")
     transpose_calls = _counted(monkeypatch, "transpose", boolean)
     rows_of = RelationKernel._closure_rows.func
@@ -1449,9 +1458,9 @@ def test_round_trip_derives_each_table_once(monkeypatch):
             roundtrip = algebra_roundtrip_iso(pca)
             assert roundtrip.report.ok, roundtrip.report.failures
             counts = (len(meet_calls), len(transpose_calls), len(row_calls))
-            assert counts == (1, 2, 2), (n, density, counts)
+            assert counts == (1, 2, 1), (n, density, counts)
             assert row_calls[0] is pca.kernel
-            assert row_calls[1] is roundtrip.canonical.pca.kernel
+            assert roundtrip.canonical.pca is pca
 
 
 def test_pair_table_matches_the_subspace_and_closed_base_sweeps():

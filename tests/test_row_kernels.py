@@ -1,8 +1,10 @@
 """Kernels built from atom rows (`RelationKernel._of_rows`).
 
-The canonical algebra of a triple, the contact closure, the extremal
-contacts and the inverse of interdefinability build their kernels from
-atom rows and derive the pair set only on its first read.  Each must be
+The canonical algebra of a triple that holds no source algebra, the
+contact closure, the extremal contacts and the inverse of
+interdefinability build their kernels from atom rows and derive the pair
+set only on its first read; the canonical algebra of a canonical dual is
+the algebra it was built from.  Each must be
 the kernel of the literal pair set, under equality, hashing, repr,
 pickling, deepcopy and `encode`, on every kernel with at most 3 atoms
 and on seeded kernels of 4 to 6 atoms.  The round trip derives no pair
@@ -29,7 +31,7 @@ from contactlab.precontact import (
 )
 from contactlab.randgen import RandomSpec, child_seed, random_pca
 from contactlab.serialize import encode
-from contactlab.structures import canonical_pcs_of_pca, pcs_algebra
+from contactlab.structures import TwoPrecontactSpace, canonical_pcs_of_pca, pcs_algebra
 from contactlab.suite import instance_suite
 
 from conftest import all_kernels
@@ -49,20 +51,24 @@ def _population():
 
 
 def _canonical_algebra(n, pairs):
-    """The canonical algebra of the dual of a fresh algebra, so that no
-    read of its pairs is shared."""
-    return pcs_algebra(canonical_pcs_of_pca(pca_from_pairs(n, pairs)))
+    """The canonical algebra of a triple constructed directly on the dual
+    of a fresh algebra: it holds no source algebra, so its kernel is
+    built from rows, and no read of its pairs is shared."""
+    dual = canonical_pcs_of_pca(pca_from_pairs(n, pairs))
+    return pcs_algebra(TwoPrecontactSpace(dual.space, dual.subset, dual.relation, dual.checks))
 
 
 def _literal_canonical_pairs(n, pairs):
-    """The oracle's kernel of the canonical algebra, over the same atoms."""
+    """The oracle's kernel of the canonical algebra, its atoms ascending,
+    read over the algebra's atoms."""
     alg = _canonical_algebra(n, pairs)
     triple = alg.source
     atoms, _, kernel = oracle_pcs_algebra(
         triple.space.point_closures, triple.subset, triple.relation
     )
-    assert tuple(atoms) == alg.atom_masks
-    return kernel
+    assert sorted(alg.atom_masks) == atoms
+    position = [alg.atom_masks.index(a) for a in atoms]
+    return {(position[i], position[j]) for i, j in kernel}
 
 
 def _constructions(n, pairs):
@@ -94,6 +100,8 @@ def _constructions(n, pairs):
 
 def test_row_built_kernels_are_the_literal_kernels():
     for n, pairs in _population():
+        pca = pca_from_pairs(n, pairs)
+        assert pcs_algebra(canonical_pcs_of_pca(pca)).pca is pca
         for name, build, literal_pairs in _constructions(n, pairs):
             # ascending, the order each construction listed its pairs in
             # before it kept rows: a frozenset's repr follows the order
