@@ -17,14 +17,11 @@ from .boolean import FiniteBooleanAlgebra, bit_indices, grills, ultrafilters
 from .config import atom_limit, enum_limit, point_limit
 from .duality import algebra_roundtrip_iso, pcs_iso_report, space_roundtrip_iso
 from .errors import (
-    AxiomViolationError,
     CapacityError,
     ContactLabError,
     DomainMismatchError,
     InternalError,
-    PreconditionError,
     SchemaError,
-    ValidationError,
 )
 from .precontact import PrecontactAlgebra, clan_supports
 from .randgen import CONSTRAINTS, RandomSpec, child_seed, random_pca
@@ -382,13 +379,6 @@ def main(argv=None):
     except (SchemaError, CapacityError, DomainMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except (
-        AxiomViolationError,
-        PreconditionError,
-        ValidationError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return FAIL

@@ -15,15 +15,18 @@ bare booleans.
 The maps compared here preserve joins and the relations compared are
 additive, so each comparison is decided at the atoms: a map by its
 values at the atoms (`_first_map_mismatch`: the naturality square of
-the algebra round trip and the invariants of the dual algebra map), a
-relation by its atom rows (`_first_pair_mismatch`: the round trip's
-relation and proximity checks), and the first witness is read off the
-first atom where they differ.  A point map is read through its fibres,
-so a preimage costs one union per target point.  The algebra round trip
-is a join-preserving map, held by its n atom images: it is a bijection
-onto the pair's regular closed sets iff those images are the pair's
-atoms, each once (`_bijectivity_witness`), and its 2**n images are
-built only when bijectivity fails or a caller asks for them.
+the algebra round trip), a relation by its atom rows
+(`_first_pair_mismatch`: the round trip's relation and proximity
+checks), and the first witness is read off the first atom where they
+differ.  A point map is read through its fibres, so a preimage costs
+one union per target point.  The dual algebra map of a space morphism
+is read off where it sends one point of each clopen atom of the dense
+part, and a point of a dual is found by its clan support
+(`_clan_points`) in both functors and in the space round trip.  The
+algebra round trip is a join-preserving map, held by its n atom images:
+it is a bijection onto the pair's regular closed sets iff those images
+are the pair's atoms, each once (`_bijectivity_witness`), and its 2**n
+images are built only when bijectivity fails or a caller asks for them.
 """
 
 from __future__ import annotations
@@ -154,34 +157,33 @@ class PcsMorphism:
 
     @once
     def _dual_algebra_map(self):
-        # dual_algebra_map, computed once per object.  The action sends 0
-        # to 0 and preserves unions, as each of its steps does: the trace
-        # on X0', the preimage, the cut to X0 and the closure.  So the
-        # image of an element is the union of the images of its atoms,
-        # and the action is evaluated at the target atoms only:
-        # * the members are the unions of the source atoms, so every
-        #   image is a member iff the image of every atom is;
-        # * the hom and `to_point_mask` (a joins table) send 0 to 0 and
-        #   preserve joins, so the atom map reproduces the action on
-        #   every element iff it does at the atoms (`_first_map_mismatch`).
+        # dual_algebra_map, computed once per object: a member F' of the
+        # target pair goes to cl(f^-1(F' n X0') n X0).  Both canonical
+        # algebras are numbered by the clopen atoms of their dense parts
+        # (`pair_atoms`), f_p of X0 with closure A_p and g_q of X0' with
+        # closure B_q, and the map is read at one point of each f_p.
+        # * The clopen atoms of X0 are the components of the graph
+        #   joining x to the points of cl{x} n X0 (`clopen_atoms`).
+        #   Continuity gives f(cl{x}) <= cl{f(x)}, and f(X0) <= X0', so
+        #   f sends an edge x ~ y of that graph to an edge (or a point)
+        #   of the target's graph, and each f_p into one g_q: the q with
+        #   f(x_p) in g_q, for the lowest point x_p of f_p.  A point of
+        #   X0' is held by the closure of its own atom only, so q is the
+        #   one bit of the table's support of f(x_p).
+        # * Hence f^-1(g_q) n X0 is the union of the f_p with
+        #   atom_map[p] = q.  B_q meets X0' in g_q, and F' is the union
+        #   of the B_q over the atoms q of its element, so its image is
+        #   the closure of the union of those f_p over them: the union of
+        #   the A_p with atom_map[p] among them, `apply_mask` of F'.
         source_alg = pcs_algebra(self.source)
         target_alg = pcs_algebra(self.target)
-        action = _pointwise_dual_hom(self)
-        images = [action(atom) for atom in target_alg.atom_masks]
-        if not all(source_alg.is_member(img) for img in images):
-            raise InternalError("image leaves the pair's regular closed sets")
+        support = pair_atoms(self.target.space, self.target.subset).support
         atom_map = []
-        for atom_mask in source_alg.atom_masks:
-            hits = [p for p, img in enumerate(images) if atom_mask | img == img]
-            if len(hits) != 1:
-                raise InternalError("the dual map is not a Boolean homomorphism")
-            atom_map.append(hits[0])
+        for closed in source_alg.atom_masks:
+            dense = closed & self.source.subset
+            x = (dense & -dense).bit_length() - 1
+            atom_map.append(support[self.point_map[x]].bit_length() - 1)
         hom = BooleanHom(target_alg.pca.algebra, source_alg.pca.algebra, tuple(atom_map))
-        reproduced = [
-            source_alg.to_point_mask(hom.apply_mask(1 << p)) for p in range(len(images))
-        ]
-        if _first_map_mismatch(reproduced, images) is not None:
-            raise InternalError("atom map does not reproduce the dual action")
         return PcaMorphism(hom, target_alg.pca, source_alg.pca)
 
 
@@ -257,30 +259,25 @@ def dual_space_map(morphism):
 def _dual_space_map(morphism):
     source_pca, target_pca = morphism.source, morphism.target
     amap = morphism.hom.atom_map
-    dual_of_target = canonical_pcs_of_pca(target_pca)
-    dual_of_source = canonical_pcs_of_pca(source_pca)
-    source_positions = {s: i for i, s in enumerate(clan_supports(source_pca))}
-    point_map = []
-    for support in clan_supports(target_pca):
-        image = mask_of(amap[q] for q in bit_indices(support))
-        if image not in source_positions:
-            raise InternalError("preimage of a clan must be a clan")
-        point_map.append(source_positions[image])
-    return PcsMorphism(dual_of_target, dual_of_source, tuple(point_map))
+    images = (
+        mask_of(amap[q] for q in bit_indices(support))
+        for support in clan_supports(target_pca)
+    )
+    return PcsMorphism(
+        canonical_pcs_of_pca(target_pca),
+        canonical_pcs_of_pca(source_pca),
+        _clan_points(source_pca, images),
+    )
 
 
-def _pointwise_dual_hom(f):
-    """The point-set action of the algebra map of a space morphism:
-    a member of the target pair goes to the closure of the preimage of
-    its dense trace."""
-    source = f.source
-
-    def action(member_mask):
-        trace = member_mask & f.target.subset
-        pre = f.preimage_mask(trace) & source.subset
-        return closure(source.space, pre)
-
-    return action
+def _clan_points(pca, supports):
+    """The point of the dual of ``pca`` at each of the clan supports,
+    its position in `clan_supports`, the dual's point order."""
+    positions = {s: i for i, s in enumerate(clan_supports(pca))}
+    points = tuple(positions.get(s) for s in supports)
+    if None in points:
+        raise InternalError("a support must be a clan of the algebra")
+    return points
 
 
 def dual_algebra_map(f):
@@ -297,23 +294,17 @@ def dual_algebra_map(f):
 
 def space_roundtrip_iso(pcs):
     """The triple against the dual of its dual: a point goes to its
-    trace in the pair's regular closed sets, read as a clan.  On a
+    trace in the pair's regular closed sets, read as a clan.  The
+    canonical algebra's atoms are the closures in the pair's table, in
+    its order, so the trace of x is held by its support there.  On a
     canonical dual the dual of its dual is the triple itself and the map
     is the identity: point x is the clan with support supports[x], and
     its trace is the atom clan sets B_i holding it, those i in
     supports[x]."""
     alg = pcs_algebra(pcs)
     rebuilt = canonical_pcs_of_pca(alg.pca)
-    positions = {s: i for i, s in enumerate(clan_supports(alg.pca))}
-    point_map = []
-    for x in range(pcs.space.point_count):
-        support = mask_of(
-            i for i, atom in enumerate(alg.atom_masks) if atom >> x & 1
-        )
-        if support not in positions:
-            raise InternalError("a point trace must be a clan of the dual algebra")
-        point_map.append(positions[support])
-    return PcsMorphism(pcs, rebuilt, tuple(point_map))
+    support = pair_atoms(pcs.space, pcs.subset).support
+    return PcsMorphism(pcs, rebuilt, _clan_points(alg.pca, support))
 
 
 @dataclass(frozen=True)
@@ -534,8 +525,8 @@ def _check_algebra_square(phi):
     b_alg = pcs_algebra(b_trip.space)
 
     # Every map here sends 0 to 0 and preserves joins: the round-trip
-    # images (`image_of`, unions of atom images) and `to_point_mask` (a
-    # joins table), the hom, the preimage
+    # images (`image_of`, unions of atom images) and `to_point_mask`
+    # (unions of the canonical algebra's atoms), the hom, the preimage
     # under f, and `from_point_mask`, the inverse on the members of the
     # injective join-preserving `to_point_mask`.  So both checks compare
     # their two composites at the atoms (`_first_map_mismatch`), which

@@ -101,12 +101,7 @@ def encode(obj):
             "kernel": sorted([p, q] for p, q in obj.kernel.pairs),
         }
     if isinstance(obj, FiniteSpace):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "space",
-            "points": list(obj.point_names),
-            "closed_base": [sorted(bit_indices(cl)) for cl in obj.point_closures],
-        }
+        return {"schema_version": SCHEMA_VERSION, "kind": "space", **_space_payload(obj)}
     if isinstance(obj, TopologicalPair):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -377,12 +372,10 @@ def dot_export(obj):
     dashed, dense-part nodes double-circled."""
     if isinstance(obj, FiniteSpace):
         body = _dot_space_lines(obj)
-    elif isinstance(obj, TopologicalPair):
+    elif isinstance(obj, (TopologicalPair, TwoContactSpace)):
         body = _dot_space_lines(obj.space, obj.subset)
     elif isinstance(obj, TwoPrecontactSpace):
         body = _dot_space_lines(obj.space, obj.subset, obj.relation)
-    elif isinstance(obj, TwoContactSpace):
-        body = _dot_space_lines(obj.space, obj.subset)
     elif isinstance(obj, AdjacencySpace):
         body = [f'  "{name}" [shape=circle];' for name in obj.cells]
         body.extend(

@@ -43,7 +43,6 @@ from .boolean import (
     FiniteBooleanAlgebra,
     bit_indices,
     join_at,
-    joins_table,
     meeting_rows,
     transpose,
 )
@@ -376,8 +375,9 @@ class PcsAlgebra:
     The algebra is held by its atoms, the closures of the clopen atoms of
     the dense part, in the order of those clopen atoms (`pair_atoms`);
     on a canonical dual they are the atom clan sets of its algebra, in
-    atom order, and ``pca`` is that algebra.  Its 2**n members are built
-    on request."""
+    atom order, and ``pca`` is that algebra.  An element's point set is
+    the union of its atoms, and a member's element the atoms below it,
+    both read off the n atoms; the 2**n members are built on request."""
 
     source: TwoPrecontactSpace
     pca: PrecontactAlgebra
@@ -389,29 +389,20 @@ class PcsAlgebra:
         Computed once per object, when asked for."""
         return unions(self.atom_masks)
 
-    @once
-    def _point_masks(self):
-        # _point_masks[m]: the point set of the element m, the union of
-        # the atom masks of its atoms
-        return joins_table(self.atom_masks)
-
-    @once
-    def _member_index(self):
-        return {mask: m for m, mask in enumerate(self._point_masks)}
-
     def to_point_mask(self, element_mask):
-        return self._point_masks[element_mask]
+        return join_at(self.atom_masks, element_mask)
 
     def from_point_mask(self, point_mask):
         """The element whose point set is ``point_mask``; raises
         DomainMismatchError when no member has that point set."""
-        element = self._member_index.get(point_mask)
-        if element is None:
+        # The atoms A_i meet the dense part in its clopen atoms f_i, which
+        # are disjoint and nonempty, so a union of the A_i over T holds A_i
+        # iff i is in T: a member's element is the atoms below it.
+        atoms = self.atom_masks
+        element = sum(1 << i for i, atom in enumerate(atoms) if atom & ~point_mask == 0)
+        if join_at(atoms, element) != point_mask:
             raise DomainMismatchError(f"point mask {point_mask} is not a member")
         return element
-
-    def is_member(self, point_mask):
-        return point_mask in self._member_index
 
 
 def pcs_algebra(pcs):
@@ -590,7 +581,7 @@ def mereocompactness_report(mereo):
 
     if t0 and mereocompact:
         # The u-point lines read the pair (X, u-points) at its atoms, in
-        # the table that `validate_cs` below reads too (`pair_atoms`).
+        # its table (`pair_atoms`).
         dense = closure(space, u_set) == space.full_mask
         report.add("u-point set is dense", dense, None if dense else space.name_set(u_set))
         stone = bool(u_set) and pair_atoms(space, u_set).stone
@@ -620,29 +611,18 @@ def mereocompactness_report(mereo):
             uniqueness_witness is None,
             None if uniqueness_witness is None else space.name_set(candidate),
         )
-        # When the Stone and reproduction lines hold, `validate_cs(space,
-        # u_set)` holds, and it runs only to name a failure.  Its
-        # precondition is `dense`.  (CS1) is `t0`.  (CS2) is the Stone
-        # line, off the same table.  (CS3) is the closed-base test of the
-        # closures of the clopen atoms of the u-points, which are the
+        # When the Stone and reproduction lines hold, the pair with its
+        # u-points is a 2-contact space, so no line records it:
+        # `validate_cs(space, u_set)` holds.  Its precondition is `dense`,
+        # which the reproduction line holds.  (CS1) is `t0`.  (CS2) is the
+        # Stone line, off the same table.  (CS3) is the closed-base test of
+        # the closures of the clopen atoms of the u-points, which are the
         # pair's atoms, and `_meets` takes them as a set, so it is
         # `space_ok`.  (CS4) asks whether the overlap clans of the same
         # closures, in the table's order, are realized: a permutation of
-        # the atoms permutes the clans and the point supports alike, so
-        # it is the clan line.
-        line = "the pair with its u-points is a 2-contact space"
-        if stone and reproduced:
-            report.add(line, True)
-        else:
-            cs = validate_cs(space, u_set) if dense else None
-            contact = cs is not None and cs.ok
-            report.add(
-                line,
-                contact,
-                None
-                if contact
-                else (cs.failure_summary(" ") if cs is not None else "u-point set not dense"),
-            )
+        # the atoms permutes the clans and the point supports alike, so it
+        # is the clan line.  When either line fails, the report has failed
+        # already.
 
     return MereocompactReport(
         pair=mereo,

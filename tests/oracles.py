@@ -869,29 +869,19 @@ def oracle_algebra_square_witnesses(size, maps, images, atoms):
     return basic, square
 
 
-def oracle_dual_map_failure(source_atoms, target_atoms, action, reorder):
-    """The message of the first invariant of the dual algebra map broken
-    by the sweeps over all target elements, or None.  ``action`` sends a
-    target point set to a source point set; ``reorder`` is applied to
-    the atom map before it is checked against the action."""
-    members = {oracle_point_mask(source_atoms, m) for m in range(1 << len(source_atoms))}
-    size = 1 << len(target_atoms)
-    images = [action(oracle_point_mask(target_atoms, m)) for m in range(size)]
-    if any(image not in members for image in images):
-        return "image leaves the pair's regular closed sets"
-    atom_map = []
-    for atom in source_atoms:
-        hits = [p for p in range(len(target_atoms)) if atom | images[1 << p] == images[1 << p]]
-        if len(hits) != 1:
-            return "the dual map is not a Boolean homomorphism"
-        atom_map.append(hits[0])
-    atom_map = reorder(tuple(atom_map))
-    if any(
-        oracle_point_mask(source_atoms, oracle_hom_image(atom_map, m)) != images[m]
-        for m in range(size)
-    ):
-        return "atom map does not reproduce the dual action"
-    return None
+def oracle_dual_images(source, target, point_map, members):
+    """cl(f^-1(F' n X0') n X0) for each target member F': its image
+    under the algebra map of the space morphism f.  ``source`` and
+    ``target`` are (point closures, subset)."""
+    (s_cl, s_sub), (_, t_sub) = source, target
+    closures = {}
+    out = []
+    for member in members:
+        pre = oracle_preimage(point_map, member & t_sub) & s_sub
+        if pre not in closures:
+            closures[pre] = _closure_of(s_cl, pre)
+        out.append(closures[pre])
+    return out
 
 
 def oracle_bijective_onto_unions(atom_images, pair_atoms):

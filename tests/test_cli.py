@@ -183,6 +183,25 @@ def test_dualize_degenerate_algebra_fails(tmp_path, capsys):
     assert "degenerate" in err
 
 
+def test_dualize_invalid_pcs_to_algebra_exits_1(files, capsys):
+    code, out, err = run(capsys, "dualize", "--direction", "to-algebra", files["bad"])
+    assert (code, out) == (1, "")
+    assert err == "error: not a 2-precontact space: (PCS4) ({c0},{c1})\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "dualize"])
+def test_raw_relation_breaking_cplus_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "raw.json"
+    path.write_text(
+        json.dumps(
+            {"schema_version": "1", "kind": "pca", "algebra": {"atoms": 2}, "relation": [[1, 2]]}
+        )
+    )
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (1, "")
+    assert err == "error: axiom (C+) violated, witness (1, 1, 2)\n"
+
+
 def test_enumerate_clans(files, capsys):
     code, out, _ = run(capsys, "enumerate", files["path"], "clans")
     assert code == 0
@@ -799,11 +818,6 @@ GOLDEN_VALIDATE = {
     },
     {
       "name": "no other dense Stone subspace reproduces the members",
-      "pass": true,
-      "witness": null
-    },
-    {
-      "name": "the pair with its u-points is a 2-contact space",
       "pass": true,
       "witness": null
     }
