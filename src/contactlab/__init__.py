@@ -27,18 +27,15 @@ from .errors import (
     ValidationError,
 )
 from .precontact import (
-    Clan,
     PcaMorphism,
     PrecontactAlgebra,
     RawRelation,
     RelationKernel,
     axiom_report,
     clan_supports,
-    clans,
     contact_closure,
     contact_from_well_inside,
     contact_from_well_inside_atoms,
-    is_clan,
     is_pca_morphism,
     largest_contact,
     normalize_relation,
@@ -66,15 +63,12 @@ from .topology import (
     closure,
     closure_trace,
     discrete_space,
-    extend_regular_closed,
-    indiscrete_space,
     interior,
     interior_trace,
     is_c_semiregular,
     point_trace,
     rc_algebra,
     rc_pair_algebra,
-    restrict_regular_closed,
     space_from_closed_base,
     space_predicates,
     subspace,

@@ -10,12 +10,12 @@ they decide at any width:
   `FiniteBooleanAlgebra`;
 * enumeration width (``CONTACTLAB_ENUM_LIMIT``, default 6) bounds the
   row forms of element-level relations (2**n rows), the element
-  families of `boolean`, `is_clan` and the clans of an algebra, the
-  points of its dual;
+  families of `boolean` and the clans of an algebra, the points of its
+  dual;
 * point budget (``CONTACTLAB_POINT_LIMIT``, default 12) bounds the
   functions that return a whole family of sets of a finite space (all
-  closed, clopen or regular closed sets, the clopens of a subspace
-  and their closures) and the specialization line of the suite.
+  regular closed sets, the clopens of a subspace and their closures)
+  and the specialization line of the suite.
 
 The command line reads all three before it dispatches.
 A budget variable that is set must hold a positive integer written in

@@ -72,13 +72,11 @@ from .structures import (
 )
 from .topology import (
     closure,
-    interior,
     is_extremally_disconnected,
     pair_atoms,
     rc_algebra,
     rc_atoms,
     rc_atoms_of_subset,
-    rc_members_of_subset,
     rc_pair_algebra,
     subspace,
 )
@@ -656,17 +654,6 @@ def specialization_report(pca):
     def atom_set(mask):
         return "{" + ",".join(map(str, bit_indices(mask))) + "}"
 
-    def connected_line():
-        # the clopen atom grown from the first dense closure is the whole
-        # space iff the space is connected (`triple_is_connected`)
-        component = _first_component(triple)
-        connected = component == space.full_mask
-        report.add(
-            "dual space is connected",
-            connected,
-            None if connected else "proper clopen atom " + space.name_set(component),
-        )
-
     # The subcategories are told apart by the kernel's atom rows, which
     # fix its pairs.
     if pca.kernel._succ == smallest_contact(pca.algebra).kernel._succ:
@@ -712,8 +699,6 @@ def specialization_report(pca):
                 next((x, y) for x in x0 for y in x0 if (x, y) not in triple.relation),
             ),
         )
-        if n >= 2:
-            connected_line()
 
     if flags.is_contact:
         # contact
@@ -777,7 +762,16 @@ def specialization_report(pca):
         )
 
     if flags.ccon:
-        connected_line()
+        # connected: the clopen atom grown from the first dense closure
+        # is the whole space iff the space is connected
+        # (`triple_is_connected`)
+        component = _first_component(triple)
+        connected = component == space.full_mask
+        report.add(
+            "dual space is connected",
+            connected,
+            None if connected else "proper clopen atom " + space.name_set(component),
+        )
 
     matches = flags.ccon == triple_is_connected(triple)
     report.add(
@@ -815,8 +809,9 @@ def _diagonal_break(triple):
 def gmcs_hom_check(source_cs, target_cs, point_map):
     """For a continuous map of 2-contact pairs, taking plain preimages of
     the target pair's regular closed sets must give a Boolean
-    homomorphism into the source pair's.  A point map that does not send
-    every source point to a target point raises DomainMismatchError."""
+    homomorphism into the source pair's.  Decided at the atoms of both
+    pairs (`pair_atoms`).  A point map that does not send every source
+    point to a target point raises DomainMismatchError."""
     if not (source_cs.ok and target_cs.ok):
         raise PreconditionError("both pairs must be valid 2-contact spaces")
     src_space, dst_space = source_cs.space, target_cs.space
@@ -825,57 +820,56 @@ def gmcs_hom_check(source_cs, target_cs, point_map):
     ):
         raise DomainMismatchError("the point map must send each source point to a target point")
     report = ReportBuilder("preimage homomorphism of a pair map")
-    src_members = set(rc_members_of_subset(src_space, source_cs.subset))
-    dst_members = rc_members_of_subset(dst_space, target_cs.subset)
+    src_atoms = pair_atoms(src_space, source_cs.subset).closures
+    dst_atoms = pair_atoms(dst_space, target_cs.subset).closures
     point_fibres = fibres(dst_space.point_count, point_map)
-
-    def pre(mask):
-        return join_at(point_fibres, mask)
-
-    images = {h: pre(h) for h in dst_members}
-    outside = sorted(v for v in images.values() if v not in src_members)
+    # The members of a pair are the unions of its atoms, one per set of
+    # atom indices (distinct, as cl f n X0 = f for a clopen f of the
+    # dense part), and the member algebra is that of the index sets.  A
+    # preimage of a union is the union of the preimages, so every
+    # member's preimage is a member iff each target atom's is, and a set
+    # is a union of atoms iff it is the union of the atoms inside it:
+    # inside[q] for the preimage of atom q.  Then the preimage map sends
+    # an index set T to the union of inside[q] over q in T: it sends 0
+    # to 0, the whole target to the whole source (the map is total) and
+    # joins to joins.  Such a map is a Boolean homomorphism iff it
+    # preserves meets, complements then following from the bounds.  Two
+    # distinct atoms meet in 0, so meets force the inside[q] pairwise
+    # disjoint; disjoint ones give the union over T n U, which is the
+    # meet of the unions over T and over U.
+    preimages = [join_at(point_fibres, b) for b in dst_atoms]
+    inside = [sum(1 << p for p, a in enumerate(src_atoms) if not a & ~pre) for pre in preimages]
+    outside = next(
+        (q for q, pre in enumerate(preimages) if join_at(src_atoms, inside[q]) != pre), None
+    )
     report.add(
         "preimages stay inside the source pair's regular closed sets",
-        not outside,
-        witness=str(outside) if outside else None,
-    )
-    # A total map into the target's points has a preimage map that sends
-    # 0 to 0, the whole target to the whole source (each source point
-    # lands somewhere) and a union to the union of the preimages, as the
-    # preimage of a set is the union of the fibres of its points.  So the
-    # bounds and the joins are preserved by every such map, and only the
-    # meets and complements of the two pairs are compared.
-    def meet(space, f, g):
-        return closure(space, interior(space, f & g))
-
-    broken_meet = next(
-        (
-            (h, k)
-            for h in dst_members
-            for k in dst_members
-            if pre(meet(dst_space, h, k)) != meet(src_space, images[h], images[k])
-        ),
-        None,
-    )
-    report.add(
-        "preserves meets",
-        broken_meet is None,
+        outside is None,
         None
-        if broken_meet is None
-        else "members {} and {}".format(*map(dst_space.name_set, broken_meet)),
+        if outside is None
+        else "preimage {} of atom {}".format(
+            src_space.name_set(preimages[outside]), dst_space.name_set(dst_atoms[outside])
+        ),
     )
-    broken_complement = next(
+    k = len(inside)
+    shared = next(
         (
-            h
-            for h in dst_members
-            if pre(closure(dst_space, dst_space.full_mask ^ h))
-            != closure(src_space, src_space.full_mask ^ images[h])
+            (q, r, next(bit_indices(inside[q] & inside[r])))
+            for q in range(k)
+            for r in range(q + 1, k)
+            if inside[q] & inside[r]
         ),
         None,
     )
     report.add(
-        "preserves complements",
-        broken_complement is None,
-        None if broken_complement is None else "member " + dst_space.name_set(broken_complement),
+        "preimages of distinct target atoms share no source atom",
+        shared is None,
+        None
+        if shared is None
+        else "atoms {} and {} share {}".format(
+            dst_space.name_set(dst_atoms[shared[0]]),
+            dst_space.name_set(dst_atoms[shared[1]]),
+            src_space.name_set(src_atoms[shared[2]]),
+        ),
     )
     return report.done()

@@ -28,7 +28,7 @@ rows builds no pair set while it passes.  The atom rows of the contact
 closure are computed once per kernel (`RelationKernel._closure_rows`),
 and the clan supports and the atom clan sets (the clans holding each
 atom, the closed base of the dual) once per algebra; the clans, (Ctr#),
-`is_clan`, `contact_closure` and the round trip read those copies.  The
+`contact_closure` and the round trip read those copies.  The
 six axiom flags of `axiom_report` are read off the kernel's atom rows
 (its successors and the closure rows) in O(n**2), with no 2**n table.
 
@@ -48,9 +48,7 @@ from typing import NamedTuple
 
 from .boolean import (
     BooleanHom,
-    Element,
     FiniteBooleanAlgebra,
-    _is_grill,
     bit_indices,
     join_at,
     joins_table,
@@ -108,9 +106,9 @@ class RelationKernel:
     def _closure_rows(self):
         """The atom rows of the contact closure of the kernel, computed
         once per object: row p holds p, the successors of p and the
-        atoms that have p as a successor.  The clans, (Ctr#), `is_clan`,
-        the round trip and `contact_closure`, which builds the closed
-        kernel from them, read the closure in this form."""
+        atoms that have p as a successor.  The clans, (Ctr#), the round
+        trip and `contact_closure`, which builds the closed kernel from
+        them, read the closure in this form."""
         succ = self._succ
         rows = [s | 1 << p for p, s in enumerate(succ)]
         for p, s in enumerate(succ):
@@ -480,20 +478,6 @@ class WellInsideAxioms:
     def defines_precontact(self):
         return self.ax2 and self.ax2_prime and self.ax3 and self.ax4 and self.ax4_prime
 
-    def as_dict(self):
-        return {
-            "<<1": self.ax1,
-            "<<2": self.ax2,
-            "<<2'": self.ax2_prime,
-            "<<3": self.ax3,
-            "<<4": self.ax4,
-            "<<4'": self.ax4_prime,
-            "<<5": self.ax5,
-            "<<6": self.ax6,
-            "<<7": self.ax7,
-            "defines_precontact": self.defines_precontact,
-        }
-
 
 def well_inside_axiom_report(algebra, pairs):
     """Flags for (<<1)..(<<7), (<<2') and (<<4') on an explicit relation,
@@ -770,58 +754,11 @@ def axiom_report(pca):
     return RelationAxioms(cref, csym, ctr, ctr_sharp, ccon, c6)
 
 
-@dataclass(frozen=True)
-class Clan:
-    """A clan stored by its atom support; the member set is the upward
-    closure of the support's atoms."""
-
-    algebra: FiniteBooleanAlgebra
-    support: frozenset
-
-    def __post_init__(self):
-        if not self.support:
-            raise PreconditionError("a clan has a nonempty atom support")
-        for p in self.support:
-            if not 0 <= p < self.algebra.atom_count:
-                raise DomainMismatchError(f"atom index {p} out of range")
-
-    @property
-    def support_mask(self):
-        return mask_of(self.support)
-
-    def member_masks(self):
-        smask = self.support_mask
-        return frozenset(m for m in range(self.algebra.size) if m & smask)
-
-
 def clan_supports(pca):
     """Supports of all clans: nonempty atom sets pairwise related under
     the contact-closure kernel, in (size, atoms) order.  Computed once
     per object; each call returns a fresh list."""
     return list(pca._clan_supports)
-
-
-def clans(pca):
-    return [Clan(pca.algebra, frozenset(bit_indices(m))) for m in clan_supports(pca)]
-
-
-def is_clan(pca, members):
-    """Check the four clan conditions on an explicit element set.
-
-    A grill of a finite algebra holds exactly the elements that meet its
-    atom support S (each member is a join of atoms, one of which the
-    grill must hold).  Its members are pairwise in contact under the
-    contact closure iff the atoms of S are: every member holds an atom
-    of S, and the closure's relation is monotone.
-    """
-    algebra = pca.algebra
-    require_enum_width(algebra.atom_count)
-    masks = frozenset(e.mask if isinstance(e, Element) else e for e in members)
-    if not _is_grill(algebra.size, masks):
-        return False
-    support = mask_of(p for p in range(algebra.atom_count) if 1 << p in masks)
-    succ = pca.kernel._closure_rows
-    return all(succ[p] & support == support for p in bit_indices(support))
 
 
 def restrict_relation(pca, blocks):

@@ -27,11 +27,13 @@ class Check(NamedTuple):
 
 class CheckList:
     """The reading shared by reports and validated structures: the
-    ``checks`` field of their dataclass, a tuple of `Check` entries."""
+    ``checks`` field of their dataclass, a tuple of `Check` entries.  A
+    list with no check is not ok: a structure built without its checks
+    has not been validated."""
 
     @property
     def ok(self):
-        return all(c.passed for c in self.checks)
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     @property
     def failures(self):

@@ -130,7 +130,9 @@ class TwoPrecontactSpace(CheckList):
     def _algebra(self):
         # pcs_algebra, computed once per object
         if not self.ok:
-            raise ValidationError("not a 2-precontact space: " + self.failure_summary(" "))
+            raise ValidationError(
+                "not a 2-precontact space: " + (self.failure_summary(" ") or "no checks")
+            )
         # The members are the closures cl f of the clopens f of the dense
         # part: the unions of the closures of the clopen atoms, which are
         # their atoms (`rc_atoms_of_subset`), taken here in the table's

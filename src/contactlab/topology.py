@@ -40,8 +40,8 @@ verdict is True, read off the base with no further pass.  A family
 whose members are closed by construction (atom closures, `rc_atoms`,
 the atoms of a pair) is decided a closed base without a closedness
 pass (`_is_base_of_closed`).  The point budget bounds only the
-functions that return a whole family: `closed_sets`, `rc_members`,
-`clopens_of_subset`, `rc_members_of_subset` and `closure_trace`.
+functions that return a whole family: `rc_members`, `clopens_of_subset`,
+`rc_members_of_subset` and `closure_trace`.
 Predicates decide at the atoms at any size.
 
 Point sets are integer bitmasks over the point index, matching the
@@ -228,12 +228,6 @@ def discrete_space(point_names):
     return FiniteSpace(names, tuple(1 << i for i in range(len(names))))
 
 
-def indiscrete_space(point_names):
-    names = tuple(point_names)
-    full = (1 << len(names)) - 1
-    return FiniteSpace(names, tuple(full for _ in names))
-
-
 def closure(space, mask):
     closures = space.point_closures
     out = 0
@@ -263,12 +257,6 @@ def minimal_open(space, x):
     return sum(
         1 << y for y in range(space.point_count) if space.point_closures[y] >> x & 1
     )
-
-
-def closed_sets(space):
-    """All closed sets, ascending as masks.  Point-budget bound."""
-    require_point_budget(space.point_count)
-    return tuple(m for m in range(space.full_mask + 1) if is_closed(space, m))
 
 
 def is_t0(space):
@@ -314,27 +302,19 @@ def is_extremally_disconnected(space):
     )
 
 
-def is_closed_base(space, members):
-    """Is the family a closed base, i.e. is every closed set an
-    intersection of finite unions of members?
+def _is_base_of_closed(space, members):
+    """Is the family of closed members a closed base, i.e. is every
+    closed set an intersection of finite unions of members?  Iff the
+    meets of the members holding each point are the point closures.
 
     Checked on singleton closures, since every closed set is a finite
-    union of them: the members must be closed, and the hull of each
-    cl{x} must be cl{x} itself.  The hull of the empty set is always
-    empty.  With closed members that hull is meet[x] (`_meets`): the
-    hull of {x} is an intersection of finite unions of closed sets, so
-    a closed set holding x, and it holds cl{x}; the hull is monotone,
-    and the hull of a hull is itself, so hull(cl{x}) = hull({x}).
+    union of them: the hull of each cl{x} must be cl{x} itself.  The
+    hull of the empty set is always empty.  With closed members that
+    hull is meet[x] (`_meets`): the hull of {x} is an intersection of
+    finite unions of closed sets, so a closed set holding x, and it
+    holds cl{x}; the hull is monotone, and the hull of a hull is itself,
+    so hull(cl{x}) = hull({x}).
     """
-    members = set(members)
-    if any(not is_closed(space, m) for m in members):
-        return False
-    return _is_base_of_closed(space, members)
-
-
-def _is_base_of_closed(space, members):
-    """`is_closed_base` of members that are closed by construction: the
-    meets of the members holding each point are the point closures."""
     return _meets(space.point_count, members) == list(space.point_closures)
 
 
@@ -429,7 +409,7 @@ def is_semiregular(space):
     """RC(X) is a closed base."""
     # The members are the finite unions of the atoms, the closures of
     # points.  A member holding x holds an atom holding x, so both
-    # families have the same meet at each point (`is_closed_base`).
+    # families have the same meet at each point (`_is_base_of_closed`).
     return _is_base_of_closed(space, rc_atoms(space))
 
 
@@ -484,10 +464,6 @@ class TopologicalPair:
             raise DomainMismatchError("subset mask out of range")
         if closure(self.space, self.subset) != self.space.full_mask:
             raise PreconditionError("the subset is not dense")
-
-    @property
-    def dense_part(self):
-        return subspace(self.space, self.subset)
 
 
 def clopen_atoms(space, subset):
@@ -568,7 +544,7 @@ def pair_atoms(space, subset):
     the atom closures.  A union holds x iff one of its members does, so
     both families have the same meet of the members holding each point,
     and both consist of closed sets: they get the same verdict
-    (`is_closed_base`).  The atom closures are closed without a test:
+    (`_is_base_of_closed`).  The atom closures are closed without a test:
     for y in cl{x}, cl{y} lies inside cl{x}, as point closures are
     transitive (checked by `FiniteSpace`, and given by `_meets` to a
     space built from a closed base), so a union of point closures holds
@@ -632,30 +608,6 @@ def rc_pair_algebra(pair):
     """Closures of the clopens of the dense part: the pair's regular
     closed algebra, held by its atoms (`rc_atoms_of_subset`)."""
     return MereotopologicalPair(pair.space, rc_atoms_of_subset(pair.space, pair.subset))
-
-
-def delta_contact(pair, f, g):
-    """Proximity of clopens of the dense part: closures meet in the
-    ambient space."""
-    return bool(closure(pair.space, f) & closure(pair.space, g))
-
-
-def restrict_regular_closed(pair, f):
-    """RC(X) -> RC(X0), F |-> F n X0; inverse of extend_regular_closed."""
-    if closure(pair.space, interior(pair.space, f)) != f:
-        raise DomainMismatchError("input is not regular closed in the space")
-    return f & pair.subset
-
-
-def extend_regular_closed(pair, g):
-    """RC(X0) -> RC(X), G |-> cl(G) taken in the ambient space."""
-    sub = pair.dense_part
-    local = restrict_to_subspace_mask(pair.subset, g)
-    if g & ~pair.subset:
-        raise DomainMismatchError("input is not a subset of the dense part")
-    if closure(sub, interior(sub, local)) != local:
-        raise DomainMismatchError("input is not regular closed in the dense part")
-    return closure(pair.space, g)
 
 
 def point_trace(members, x):
@@ -882,7 +834,7 @@ def _c_semiregular_tests(space, atoms):
     the closed base the space was built from, the first is True and the
     third is read off the base (`FiniteSpace.base_unrealized`)."""
     # A union holding x holds an atom holding x, so the unions and the
-    # atoms have the same meet at each point (`is_closed_base`).  The
+    # atoms have the same meet at each point (`_is_base_of_closed`).  The
     # unions are a Boolean subalgebra of RC(X) whose atoms these are, so
     # a clan is a trace iff its support is an atom support
     # (`first_unrealized_support`).

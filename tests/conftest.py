@@ -11,7 +11,7 @@ from contactlab.boolean import BooleanHom, FiniteBooleanAlgebra
 from contactlab.duality import PcsMorphism
 from contactlab.errors import PreconditionError
 from contactlab.precontact import PcaMorphism, is_pca_morphism, pca_from_pairs
-from contactlab.topology import discrete_space, space_from_closed_base
+from contactlab.topology import FiniteSpace, discrete_space, space_from_closed_base
 
 
 @pytest.fixture
@@ -45,6 +45,15 @@ def xl_space():
 @pytest.fixture
 def disc2():
     return discrete_space(("a", "b"))
+
+
+def indiscrete_space(point_names):
+    """The space whose only closed sets are the empty set and the whole
+    space: the smallest space that is not T0, as (PCS1) and (CS1)
+    require."""
+    names = tuple(point_names)
+    full = (1 << len(names)) - 1
+    return FiniteSpace(names, tuple(full for _ in names))
 
 
 @pytest.fixture

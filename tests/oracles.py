@@ -6,6 +6,7 @@ kernel/closure machinery.  Oracles are deliberately slow and only run on
 tiny instances.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 
@@ -884,6 +885,44 @@ def oracle_dual_images(source, target, point_map, members):
     return out
 
 
+@lru_cache(maxsize=1 << 14)
+def _regular_meet(point_closures, f, g):
+    """cl int(F n G), kept per space and pair of sets, as the maps into
+    one pair meet the same sets again."""
+    return _closure_of(point_closures, oracle_interior_at(point_closures, f & g))
+
+
+def oracle_gmcs_hom(source, target, point_map):
+    """The preimage map of a point map between two 2-contact pairs, by
+    the sweeps over every member of the target pair: is each preimage a
+    member of the source pair, does the map preserve the meets
+    cl int(F n G), and does it preserve the complements cl(X \\ F).
+    ``source`` and ``target`` are (point closures, subset); the members
+    of a pair are the closures of the clopens of its dense part."""
+
+    def members(closures, subset):
+        return [_closure_of(closures, f) for f in oracle_subspace_clopens(closures, subset)]
+
+    def complement(closures, f):
+        return _closure_of(closures, ((1 << len(closures)) - 1) ^ f)
+
+    (s_cl, s_sub), (t_cl, t_sub) = source, target
+    src, dst = set(members(s_cl, s_sub)), members(t_cl, t_sub)
+    pre = {h: oracle_preimage(point_map, h) for h in dst}
+    inside = all(v in src for v in pre.values())
+    meets = all(
+        oracle_preimage(point_map, _regular_meet(t_cl, h, k))
+        == _regular_meet(s_cl, pre[h], pre[k])
+        for h in dst
+        for k in dst
+    )
+    complements = all(
+        oracle_preimage(point_map, complement(t_cl, h)) == complement(s_cl, pre[h])
+        for h in dst
+    )
+    return inside, meets, complements
+
+
 def oracle_bijective_onto_unions(atom_images, pair_atoms):
     """Is the join-preserving map with these atom images a bijection onto
     the unions of the pair atoms?  Literally: its 2**n values, the
@@ -903,6 +942,30 @@ def oracle_interior_at(point_closures, mask):
         for x in range(n)
         if all(mask >> y & 1 for y in range(n) if point_closures[y] >> x & 1)
     )
+
+
+def restrict_regular_closed(pair, f):
+    """RC(X) -> RC(X0), F |-> F n X0, the inverse of
+    `extend_regular_closed`; F must be regular closed in X."""
+    closures = pair.space.point_closures
+    if _closure_of(closures, oracle_interior_at(closures, f)) != f:
+        raise ValueError("input is not regular closed in the space")
+    return f & pair.subset
+
+
+def extend_regular_closed(pair, g):
+    """RC(X0) -> RC(X), G |-> cl G taken in X; G must be regular closed
+    in the dense part X0.  In X0 the closure of G is cl G n X0, and the
+    smallest open set of a point is its smallest open set in X cut down
+    to X0, so the interior of G in X0 is int(G u (X \\ X0)) n X0."""
+    closures, subset = pair.space.point_closures, pair.subset
+    if g & ~subset:
+        raise ValueError("input is not a subset of the dense part")
+    outside = ((1 << len(closures)) - 1) ^ subset
+    inner = oracle_interior_at(closures, g | outside) & subset
+    if _closure_of(closures, inner) & subset != g:
+        raise ValueError("input is not regular closed in the dense part")
+    return _closure_of(closures, g)
 
 
 def oracle_atom_supports(point_count, atoms):

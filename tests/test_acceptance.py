@@ -48,6 +48,7 @@ from oracles import (
     family_from_base,
     oracle_clan_supports,
     oracle_clans,
+    oracle_closed_family,
     oracle_closure,
     oracle_grills,
     oracle_interior,
@@ -466,9 +467,7 @@ def test_criterion_9_fixture_regression():
     assert oracle_closure(family, 0b111, 0b001) == 0b101
     assert oracle_interior(family, 0b111, 0b101) == 0b001
     xl = space_from_closed_base(("g1", "g2", "g3"), base)
-    from contactlab.topology import closed_sets
-
-    assert set(closed_sets(xl)) == family
+    assert oracle_closed_family(xl.point_closures) == family
 
     # RC(X_L) by literal regular-closedness over all candidates
     assert oracle_rc(family, 0b111) == [0, 0b101, 0b110, 0b111]

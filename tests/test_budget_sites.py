@@ -30,8 +30,6 @@ ALLOWED = {
     ("precontact", "well_inside_rows"): "the 2**n rows of the well-inside relation",
     ("precontact", "well_inside_axiom_report"): "the 2**n rows of an explicit relation",
     ("precontact", "contact_from_well_inside"): "the 2**n rows of an explicit relation",
-    ("precontact", "is_clan"): "the grill test over the 2**n elements",
-    ("topology", "closed_sets"): "every closed set of the space",
     ("topology", "rc_members"): "every regular closed set",
     ("topology", "clopens_of_subset"): "every clopen of the subspace",
     ("topology", "rc_members_of_subset"): "the closures of every clopen of the subspace",

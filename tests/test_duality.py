@@ -502,8 +502,6 @@ def expected_specialization_lines(pca):
         ]
     if pairs == {(p, q) for p in range(n) for q in range(n)}:
         lines += ["clans are exactly the grills", "dual relation is total on the dense part"]
-        if n >= 2:
-            lines.append("dual space is connected")
     if pca.axioms.is_contact:
         lines += [
             "dual pair is a 2-contact space",
@@ -565,12 +563,6 @@ BROKEN_SPECIALIZATION_LINES = [
         lambda t: "missing point pair (c0, c1)",
     ),
     (
-        "connected-stone",
-        "dual space is connected",
-        _dual_of(DIAGONAL3),
-        lambda t: "proper clopen atom {c0}",
-    ),
-    (
         "connected",
         "dual space is connected",
         _dual_of(DIAGONAL3),
@@ -615,7 +607,7 @@ BROKEN_SPECIALIZATION_LINES = [
     "which, line, broken, expected",
     BROKEN_SPECIALIZATION_LINES,
     # the lines of the stone, connected-stone and connected algebras are
-    # named with their specialization: two of them share a line name
+    # named with their specialization
     ids=[
         f"{which}: {line}" if which in SPECIALIZATION_ALGEBRAS else line
         for which, line, _, _ in BROKEN_SPECIALIZATION_LINES
@@ -664,26 +656,27 @@ def test_gmcs_rejects_a_point_map_that_is_not_total_into_the_target(b4, b2):
 
 def test_gmcs_lines_that_can_fail_name_their_witness(b4, b2):
     """Two continuous maps into the 3-point dual of the largest contact
-    on two atoms: the one point sent to the closed point c0-1, whose
-    preimages are members but miss the meet and the complement of
-    {c0,c0-1}; and a self-map moving the closed point alone, whose
-    preimage of {c0-1} is no member.  Meets and complements fail
-    together: with joins and bounds, each forces the other in a Boolean
-    algebra."""
+    on two atoms: the one point sent to the closed point c0-1, which lies
+    in both target atoms, so both preimages hold the one source atom;
+    and a self-map moving the closed point alone, whose preimage of the
+    atom {c1,c0-1} is {c0-1}, no union of source atoms."""
     xl = _dual_pair(largest_contact(b4))
     point = _dual_pair(smallest_contact(b2))
-    failures = {
-        (c.name, c.witness) for c in gmcs_hom_check(point, xl, (2,)).checks if not c.passed
-    }
-    assert failures == {
-        ("preserves meets", "members {c0,c0-1} and {c1,c0-1}"),
-        ("preserves complements", "member {c0,c0-1}"),
-    }
-    # a passing check keeps no witness, so each line here failed
-    assert [(c.name, c.witness) for c in gmcs_hom_check(xl, xl, (0, 0, 2)).checks] == [
-        ("preimages stay inside the source pair's regular closed sets", "[4]"),
-        ("preserves meets", "members {c1,c0-1} and {c1,c0-1}"),
-        ("preserves complements", "member {c0,c0-1}"),
+    assert [tuple(c) for c in gmcs_hom_check(point, xl, (2,)).checks] == [
+        ("preimages stay inside the source pair's regular closed sets", True, None),
+        (
+            "preimages of distinct target atoms share no source atom",
+            False,
+            "atoms {c0,c0-1} and {c1,c0-1} share {c0}",
+        ),
+    ]
+    assert [tuple(c) for c in gmcs_hom_check(xl, xl, (0, 0, 2)).checks] == [
+        (
+            "preimages stay inside the source pair's regular closed sets",
+            False,
+            "preimage {c0-1} of atom {c1,c0-1}",
+        ),
+        ("preimages of distinct target atoms share no source atom", True, None),
     ]
 
 

@@ -4,8 +4,7 @@ quantifier it replaces.
 The reductions in ``precontact`` (the row form of (C+), the well-inside
 axioms read off the rows and at the unary form, the unary form of an
 explicit well-inside relation and its inverse, the six axiom flags at
-the kernel's atom rows, the clique pass of
-``clique_supports``, the grill and clan conditions of ``is_clan``, the
+the kernel's atom rows, the clique pass of ``clique_supports``, the
 contact-closure rows of a kernel), in
 ``adjacency`` (the ultrafilter adjacency read off the kernel's pairs), in ``topology``
 (closed bases by the meet of the members holding each point, clopens of
@@ -27,10 +26,12 @@ the mereocompactness checks at the member atoms and the maximal points)
 in ``boolean`` (``transpose``) and in ``duality`` (the round-trip relation checks at the atom rows,
 bijectivity at the atom images, complements and meets from
 bijectivity, trace coherence at the clopen
-atoms, the algebra naturality square and the invariants of the dual
-algebra map at the atoms) are proved in their docstrings or comments; here they must agree
-with the sweeps of ``oracles.py`` on every kernel with at most 3 atoms,
-on seeded kernels with 4 to 6 atoms, on every space with at most 4
+atoms, the algebra naturality square, the invariants of the dual
+algebra map at the atoms and the preimage homomorphism of a map of
+2-contact pairs at the atoms of both pairs) are proved in their
+docstrings or comments; here they must agree with the sweeps of
+``oracles.py`` on every kernel with at most 3 atoms, on seeded kernels
+with 4 to 6 atoms, on every space with at most 4
 points or seeded spaces of up to 8 points, and on perturbations that
 break the axioms.  The row form is also run on seeded 7- and 8-atom
 kernels, and the suite is run with the element pair sets made
@@ -62,6 +63,7 @@ from contactlab.boolean import (
 )
 from contactlab.duality import (
     algebra_roundtrip_iso,
+    gmcs_hom_check,
     identity_pcs_morphism,
     specialization_report,
 )
@@ -77,7 +79,6 @@ from contactlab.precontact import (
     clique_supports,
     contact_from_well_inside,
     contact_from_well_inside_atoms,
-    is_clan,
     normalize_relation,
     pca_from_pairs,
     well_inside_atom_flags,
@@ -103,11 +104,11 @@ from contactlab.suite import instance_suite
 from contactlab.topology import (
     FiniteSpace,
     MereotopologicalPair,
+    _is_base_of_closed,
     clopens_of_subset,
     closure,
     interior,
     is_c_semiregular,
-    is_closed_base,
     is_connected,
     is_extremally_disconnected,
     is_semiregular,
@@ -145,10 +146,9 @@ from oracles import (
     oracle_dual_images,
     oracle_first_map_mismatch,
     oracle_first_mismatch,
+    oracle_gmcs_hom,
     oracle_hom_image,
     oracle_interior_at,
-    oracle_is_clan,
-    oracle_is_grill,
     oracle_is_closed_base,
     oracle_is_symmetric,
     oracle_is_transitive,
@@ -593,25 +593,6 @@ def test_clique_pass_on_wide_sparse_adjacencies():
     assert tuple(clique_supports(path)) == singletons + edges
 
 
-def test_is_clan_matches_the_literal_conditions():
-    """Every element set on at most 3 atoms, under every kernel on at most
-    2 atoms and seeded 3-atom kernels: the grill condition by the join of
-    the non-members, the clan condition on the atom support."""
-    population = [(n, k) for n in (1, 2) for k in all_kernels(n)]
-    population += seeded_kernels(47, {3: 3})
-    outcomes = set()
-    for n, pairs in population:
-        pca = pca_from_pairs(n, pairs)
-        rel = expand_relation(n, pairs)
-        size = 1 << n
-        for chosen in range(1 << size):
-            masks = frozenset(m for m in range(size) if chosen >> m & 1)
-            got = is_clan(pca, masks)
-            assert got == oracle_is_clan(n, masks, rel), (n, sorted(pairs), sorted(masks))
-            outcomes.add((oracle_is_grill(n, masks), got))
-    assert outcomes == {(False, False), (True, False), (True, True)}, outcomes
-
-
 # ---------------------------------------------------------------------------
 # closed bases: the meet of the members holding each point
 
@@ -671,9 +652,11 @@ def test_space_from_closed_base_matches_the_generated_family():
 
 
 def test_is_closed_base_matches_the_union_closure_hull():
-    """Member families of random spaces on 1 to 6 points, and of seeded
-    7- and 8-point spaces with the empty set, the full mask, a repeated
-    member or no member."""
+    """The closed-base verdict on closed members, the meets of the
+    members holding each point against the literal hull: closed member
+    families of random spaces on 1 to 6 points, and of seeded 7- and
+    8-point spaces with the empty set, the full mask, a repeated member
+    or no member."""
     rng = random.Random(20261002)
     seen = set()
     cases = []
@@ -687,7 +670,7 @@ def test_is_closed_base_matches_the_union_closure_hull():
             (
                 space,
                 rng.sample(closed, rng.randint(0, len(closed)))
-                + [rng.randrange(space.full_mask + 1)],
+                + [closure(space, rng.randrange(space.full_mask + 1))],
             ),
         ]
     for k in range(24):
@@ -698,11 +681,11 @@ def test_is_closed_base_matches_the_union_closure_hull():
             list(space.point_closures),
             list(rc_atoms(space)),
             rng.sample(closed, min(len(closed), rng.randint(1, 6))),
-            [rng.randrange(space.full_mask + 1) for _ in range(rng.randint(1, 4))],
+            [closure(space, rng.randrange(space.full_mask + 1)) for _ in range(rng.randint(1, 4))],
         ):
             cases.append((space, with_edge_members(members, space.full_mask, rng, kind)))
     for space, members in cases:
-        got = is_closed_base(space, members)
+        got = _is_base_of_closed(space, members)
         assert got == oracle_is_closed_base(space.point_closures, members), (
             space.point_closures,
             members,
@@ -1040,6 +1023,48 @@ def test_pcs_algebra_matches_the_pair_family():
         reordered.add(list(closures) != atoms)
     assert seen == {True, False}
     assert reordered == {True, False}
+
+
+def test_gmcs_hom_check_matches_the_member_sweep():
+    """On every continuous map between the valid canonical 2-contact
+    pairs of at most 3 atoms and 5 points: the first line against "each
+    preimage of a target member is a source member", and the verdict
+    against that and the preservation of meets and complements, by the
+    sweeps over every member; each verdict of both lines is seen."""
+    pairs = {}
+    for n in (1, 2, 3):
+        for kernel in all_kernels(n):
+            pca = pca_from_pairs(n, kernel)
+            if pca.axioms.is_contact:
+                triple = canonical_pcs_of_pca(pca)
+                cs = validate_cs(triple.space, triple.subset)
+                if cs.ok and triple.space.point_count <= 5:
+                    pairs.setdefault((triple.space.point_closures, triple.subset), cs)
+    assert len(pairs) == 10
+    seen, count = set(), 0
+    for source, target in itertools.product(pairs.values(), repeat=2):
+        s_cl, t_cl = source.space.point_closures, target.space.point_closures
+        for point_map in itertools.product(range(len(t_cl)), repeat=len(s_cl)):
+            # continuous: z in cl{x} forces f(z) in cl{f(x)}
+            if not all(
+                t_cl[point_map[x]] >> point_map[z] & 1
+                for x, cl in enumerate(s_cl)
+                for z in bit_indices(cl)
+            ):
+                continue
+            count += 1
+            lines = [c.passed for c in gmcs_hom_check(source, target, point_map).checks]
+            inside, meets, complements = oracle_gmcs_hom(
+                (s_cl, source.subset), (t_cl, target.subset), point_map
+            )
+            assert (lines[0], all(lines)) == (inside, inside and meets and complements), (
+                s_cl,
+                t_cl,
+                point_map,
+            )
+            seen.add(tuple(lines))
+    assert count == 3856
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}, seen
 
 
 def test_pcs_map_check_matches_the_all_clopens_trace_coherence():
@@ -2386,14 +2411,15 @@ def test_triple_connectivity_falls_back_off_a_dense_subset(validated):
     """A Sierpinski space is connected, but its closed point is not
     dense: the triple fails (PCS1), and the closure of that point alone
     would read the space as disconnected.  A triple built without
-    validation, whose check list is empty, takes the same pass."""
+    validation, whose check list is empty, is not valid either, and
+    takes the same pass."""
     space = FiniteSpace(("a", "b"), (0b01, 0b11))
     if validated:
         triple = validate_pcs(space, 0b01, frozenset())
         assert not triple.check("(PCS1)").passed
     else:
         triple = TwoPrecontactSpace(space, 0b01, frozenset())
-        assert triple.ok
+        assert not triple.ok
     assert is_connected(space)
     assert triple_is_connected(triple)
 

@@ -28,17 +28,50 @@ def private_functions(tree):
     ]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_names(function):
+    """The names a function binds in its own scope: its arguments and
+    the names it assigns, less those it declares global or nonlocal.
+    The bodies of the functions nested in it are their own scopes."""
+    args = function.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    declared = set()
+    stack = list(function.body) if isinstance(function.body, list) else [function.body]
+    while stack:
+        sub = stack.pop()
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, (ast.Store, ast.Del)):
+            bound.add(sub.id)
+        elif isinstance(sub, (ast.Global, ast.Nonlocal)):
+            declared.update(sub.names)
+        if not isinstance(sub, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(sub))
+    return bound - declared
+
+
 def references(node, imports=True):
     """How often each name is loaded, read as an attribute or, unless
-    ``imports`` is false, imported in the subtree."""
+    ``imports`` is false, imported in the subtree.  A name that a
+    function around the load binds itself, as an argument or by an
+    assignment, is a local, not a reference."""
     out = Counter()
-    for sub in ast.walk(node):
+
+    def visit(sub, local):
+        if isinstance(sub, FUNCTIONS):
+            local = local | local_names(sub)
         if isinstance(sub, ast.Name):
-            out[sub.id] += 1
+            if sub.id not in local:
+                out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
         elif isinstance(sub, ast.alias) and imports:
             out[sub.name] += 1
+        for child in ast.iter_child_nodes(sub):
+            visit(child, local)
+
+    visit(node, frozenset())
     return out
 
 
@@ -213,26 +246,12 @@ READ_ONLY_BY_TESTS = {
     "relation; test_acceptance::test_criterion_7_interdefinability",
     ("precontact", "contact_from_well_inside"): "the inverse of interdefinability; "
     "test_precontact::test_interdefinability_round_trip",
-    ("precontact", "is_clan"): "the clan conditions, which define the points of the dual; "
-    "test_fast_paths::test_is_clan_matches_the_literal_conditions",
     ("precontact", "restrict_relation"): "a partition of the atoms generates a precontact "
     "subalgebra; test_precontact::test_restrict_relation_blocks",
     ("precontact", "restrict_clan_support"): "a clan restricts to a clan of such a subalgebra; "
     "test_precontact::test_clan_traces_restrict_to_clans",
     ("structures", "validate_s2s"): "the Stone 2-spaces of BBSV and GG are the duals of the "
     "total relations; test_correspondences::test_stone_two_space_iff_total_relation_triple",
-    ("topology", "indiscrete_space"): "the smallest space that is not T0, as (PCS1) and (CS1) "
-    "require; test_topology::test_predicates_fixture",
-    ("topology", "closed_sets"): "a finite topology by its closed sets, the literal family; "
-    "test_topology::test_generated_family_matches_oracle",
-    ("topology", "is_closed_base"): "the closed-base condition of (PCS3) and (CS3) on any "
-    "family; test_fast_paths::test_is_closed_base_matches_the_union_closure_hull",
-    ("topology", "delta_contact"): "the contact of a 2-contact space: closures meet; "
-    "test_topology::test_delta_contact",
-    ("topology", "restrict_regular_closed"): "RC(X) and RC(X0) are isomorphic by F |-> F n X0; "
-    "test_topology::test_restriction_extension_inverse_on_small_pairs",
-    ("topology", "extend_regular_closed"): "the inverse G |-> cl G of that isomorphism; "
-    "test_topology::test_restriction_extension_inverse_on_small_pairs",
     ("topology", "point_trace"): "the sigma trace of a point is a grill; "
     "test_topology::test_grills_between_nu_and_sigma",
     ("topology", "interior_trace"): "the nu trace of a point is a filter inside its sigma "
@@ -277,17 +296,25 @@ def test_the_rule_sees_public_functions_without_a_reader(tmp_path):
         "    return 4\n"
         "def _private():\n"
         "    return 5\n"
+        "def shadowed():\n"
+        "    return 6\n"
+        "def takes(shadowed):\n"
+        "    return shadowed + sum(shadowed for shadowed in range(2))\n"
     )
     package.write_text("from .module import reexported\n")
     user.write_text(
         "import module\n"
         "from module import only_imported, used\n"
-        "print(used(), module.attribute())\n"
+        "def local():\n"
+        "    shadowed = 1\n"
+        "    return (lambda: shadowed)()\n"
+        "print(used(), module.attribute(), module.takes(0), local())\n"
     )
     assert unread_public_functions([module, package], [user]) == [
         ("module", "only_imported"),
         ("module", "recursive"),
         ("module", "reexported"),
+        ("module", "shadowed"),
     ]
 
 

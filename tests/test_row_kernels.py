@@ -228,7 +228,6 @@ def test_connected_stone_gate_reads_the_kernel(monkeypatch):
     assert _failures(specialization_report(contact)) == [
         ("clans are exactly the grills", "grill {0,2} is not a clan"),
         ("dual relation is total on the dense part", "missing point pair (c0, c2)"),
-        ("dual space is connected", "proper clopen atom {c0,c1,c0-1}"),
     ]
     algebra = contact.algebra
     monkeypatch.setattr(duality, "largest_contact", smallest_contact)

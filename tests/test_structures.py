@@ -19,6 +19,8 @@ from contactlab.precontact import (
 )
 from contactlab.serialize import dumps, encode
 from contactlab.structures import (
+    TwoContactSpace,
+    TwoPrecontactSpace,
     canonical_cs_of_ca,
     canonical_pca_of_pcs,
     canonical_pcs_of_pca,
@@ -32,11 +34,12 @@ from contactlab.structures import (
 from contactlab.topology import (
     FiniteSpace,
     MereotopologicalPair,
-    closed_sets,
     discrete_space,
     is_c_semiregular,
     rc_members,
 )
+
+from conftest import indiscrete_space
 
 # ---------------------------------------------------------------------------
 # 2-precontact validation
@@ -250,6 +253,21 @@ def test_canonical_algebra_requires_valid_triple(xl_space):
         canonical_pca_of_pcs(bad)
 
 
+def test_structures_built_without_their_checks_are_not_valid():
+    """A triple or a pair built directly carries no checks, so it is not
+    ok, and what needs a valid one refuses it: on the indiscrete space
+    both fail (PCS1) and (CS1)."""
+    space = indiscrete_space(("a", "b"))
+    assert not validate_pcs(space, 0b01, frozenset()).check("(PCS1)").passed
+    triple = TwoPrecontactSpace(space, 0b01, frozenset())
+    pair = TwoContactSpace(space, 0b01)
+    assert not triple.ok and not pair.ok
+    with pytest.raises(ValidationError, match="no checks"):
+        pcs_algebra(triple)
+    with pytest.raises(ValidationError):
+        contact_relation_of_pair(pair)
+
+
 def test_proximities_coincide_on_canonical_algebra(kernels_3):
     # the closed canonical relation equals the pair's proximity kernel
     for pairs in list(kernels_3)[::7]:
@@ -353,7 +371,7 @@ def test_mereo_trivial_subalgebra_is_not_a_space(xl_space):
 
 
 def test_mereo_discrete_powerset(disc2):
-    mereo = MereotopologicalPair.from_members(disc2, closed_sets(disc2))
+    mereo = MereotopologicalPair.from_members(disc2, rc_members(disc2))
     report = mereocompactness_report(mereo)
     assert report.is_mereocompact
     assert report.u_set == disc2.full_mask

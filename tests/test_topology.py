@@ -9,42 +9,42 @@ from contactlab.topology import (
     FiniteSpace,
     MereotopologicalPair,
     TopologicalPair,
-    closed_sets,
+    _is_base_of_closed,
     closure,
     closure_trace,
     clopens_of_subset,
-    delta_contact,
     discrete_space,
-    extend_regular_closed,
-    indiscrete_space,
     interior,
     interior_trace,
     is_c_semiregular,
     is_closed,
-    is_closed_base,
     is_connected,
     is_extremally_disconnected,
     is_semiregular,
     is_stone,
     is_t0,
+    pair_atoms,
     point_trace,
     rc_algebra,
     rc_members,
     rc_members_of_subset,
     rc_pair_algebra,
-    restrict_regular_closed,
     space_from_closed_base,
     space_predicates,
     subspace,
     u_point_of_pair,
 )
 
+from conftest import indiscrete_space
 from oracles import (
+    extend_regular_closed,
     family_from_base,
+    oracle_closed_family,
     oracle_closure,
     oracle_interior,
     oracle_rc,
     oracle_u_point,
+    restrict_regular_closed,
 )
 
 
@@ -69,7 +69,7 @@ def all_small_spaces(n):
 
 
 def test_space_from_closed_base_fixture(xl_space):
-    assert set(closed_sets(xl_space)) == {0, 0b100, 0b101, 0b110, 0b111}
+    assert oracle_closed_family(xl_space.point_closures) == {0, 0b100, 0b101, 0b110, 0b111}
     assert xl_space.point_closures == (0b101, 0b110, 0b100)
 
 
@@ -97,8 +97,8 @@ def test_closed_base_with_a_huge_union_closure():
     singletons = [1 << i for i in range(20)]
     space = space_from_closed_base(names, singletons)
     assert space == discrete_space(names)
-    assert is_closed_base(space, singletons)
-    assert not is_closed_base(space, singletons[1:])
+    assert _is_base_of_closed(space, singletons)
+    assert not _is_base_of_closed(space, singletons[1:])
 
 
 def test_generated_family_matches_oracle():
@@ -110,7 +110,7 @@ def test_generated_family_matches_oracle():
     ]
     for n, base in cases:
         space = space_from_closed_base(tuple(f"p{i}" for i in range(n)), base)
-        assert set(closed_sets(space)) == family_from_base(n, base)
+        assert oracle_closed_family(space.point_closures) == family_from_base(n, base)
 
 
 def test_space_validates_closure_tuples():
@@ -133,7 +133,7 @@ def test_closure_interior_fixture(xl_space):
 
 def test_closure_interior_match_oracle():
     for space in all_small_spaces(3):
-        family = set(closed_sets(space))
+        family = oracle_closed_family(space.point_closures)
         full = space.full_mask
         for mask in range(space.full_mask + 1):
             assert closure(space, mask) == oracle_closure(family, full, mask)
@@ -196,7 +196,7 @@ def test_rc_discrete_is_powerset(disc2):
 
 def test_rc_matches_oracle():
     for space in all_small_spaces(3):
-        family = set(closed_sets(space))
+        family = oracle_closed_family(space.point_closures)
         assert list(rc_members(space)) == oracle_rc(family, space.full_mask)
 
 
@@ -277,12 +277,6 @@ def test_rc_pair_equality_iff_extremally_disconnected(xl_space, disc2):
     )
 
 
-def test_delta_contact(xl_space):
-    pair = TopologicalPair(xl_space, 0b011)
-    assert delta_contact(pair, 0b001, 0b010)
-    assert not delta_contact(pair, 0b001, 0)
-
-
 def test_restriction_extension_maps(xl_space):
     pair = TopologicalPair(xl_space, 0b011)
     assert extend_regular_closed(pair, 0b001) == 0b101
@@ -295,7 +289,7 @@ def test_restriction_extension_maps(xl_space):
 
 def test_restriction_rejects_non_regular(xl_space):
     pair = TopologicalPair(xl_space, 0b011)
-    with pytest.raises(DomainMismatchError):
+    with pytest.raises(ValueError):
         restrict_regular_closed(pair, 0b100)
 
 
@@ -322,6 +316,22 @@ def test_restriction_extension_inverse_on_small_pairs():
                 assert extend_regular_closed(
                     pair, restrict_regular_closed(pair, f)
                 ) == f
+
+
+def test_pair_atom_closures_extend_their_clopen_atoms():
+    """Each closure in the pair table is the regular closed set of X that
+    its clopen atom of X0 extends to, on every dense subset of every
+    space on at most 3 points."""
+    for space in all_small_spaces(3):
+        full = space.full_mask
+        for sub in range(1, full + 1):
+            if closure(space, sub) != full:
+                continue
+            table = pair_atoms(space, sub)
+            pair = TopologicalPair(space, sub)
+            assert table.closures == tuple(
+                extend_regular_closed(pair, atom) for atom in table.atoms
+            ), (space.point_closures, sub)
 
 
 def test_traces_fixture(xl_space):
@@ -389,7 +399,7 @@ def test_u_points_fixture(xl_space):
 
 def test_u_points_match_oracle():
     for space in all_small_spaces(3):
-        family = set(closed_sets(space))
+        family = oracle_closed_family(space.point_closures)
         for x in range(space.point_count):
             assert u_point_of_pair(rc_algebra(space), x) == oracle_u_point(
                 family, space.full_mask, x
@@ -460,7 +470,7 @@ def test_point_budget(monkeypatch):
     monkeypatch.setenv("CONTACTLAB_POINT_LIMIT", "3")
     big = discrete_space(tuple(f"x{i}" for i in range(4)))
     with pytest.raises(CapacityError):
-        closed_sets(big)
+        rc_members(big)
 
 
 def test_point_budget_bounds_only_whole_families(monkeypatch):
@@ -487,7 +497,6 @@ def test_point_budget_bounds_only_whole_families(monkeypatch):
     monkeypatch.setenv("CONTACTLAB_POINT_LIMIT", "3")
     assert verdicts() == expected
     for family in (
-        lambda: closed_sets(space),
         lambda: rc_members(space),
         lambda: clopens_of_subset(space, space.full_mask),
     ):
