@@ -31,7 +31,7 @@ from contactlab.precontact import (
     smallest_contact,
 )
 from contactlab import precontact, structures
-from contactlab.randgen import random_pca_morphism
+from contactlab.randgen import RandomSpec, random_pca, random_pca_morphism
 from contactlab.structures import (
     TwoPrecontactSpace,
     canonical_pca_of_pcs,
@@ -524,6 +524,26 @@ def test_specialization_line_order():
         report = specialization_report(pca)
         assert report.ok, report.failure_summary(" ")
         names = [c.name for c in report.checks]
+        assert names == expected_specialization_lines(pca), sorted(pca.kernel.pairs)
+
+
+def test_specialization_lines_are_added_once():
+    """Above the widths `test_specialization_line_order` walks, each line
+    is added once, in the order the memberships give: the smallest and
+    largest contact and seeded contact kernels on 4 to 6 atoms.  The
+    largest contact is both connected-stone and (Ccon), and reads "dual
+    space is connected" once."""
+    algebras = [
+        make(FiniteBooleanAlgebra(n)) for n in (4, 5, 6) for make in (smallest_contact, largest_contact)
+    ]
+    algebras += [
+        random_pca(RandomSpec(n, 0.4, seed, "contact")) for n in (4, 5, 6) for seed in range(3)
+    ]
+    for pca in algebras:
+        report = specialization_report(pca)
+        assert report.ok, report.failure_summary(" ")
+        names = [c.name for c in report.checks]
+        assert len(set(names)) == len(names), sorted(pca.kernel.pairs)
         assert names == expected_specialization_lines(pca), sorted(pca.kernel.pairs)
 
 
