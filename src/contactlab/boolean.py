@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import and_
 
 from .config import require_atom_width, require_enum_width
 from .errors import DomainMismatchError, PreconditionError
 from .memo import once
 
-FAMILY_KINDS = ("filter", "ultrafilter", "grill", "clan-candidate", "arbitrary")
+FAMILY_KINDS = ("filter", "ultrafilter", "grill", "arbitrary")
 
 
 def bit_indices(mask):
@@ -211,10 +211,6 @@ class Element:
             )
 
     @property
-    def atoms(self):
-        return frozenset(bit_indices(self.mask))
-
-    @property
     def is_zero(self):
         return self.mask == 0
 
@@ -255,7 +251,7 @@ class ElementFamily:
     """A finite set of elements tagged with what it claims to be.
 
     The tags ``filter``, ``ultrafilter`` and ``grill`` are verified on
-    construction; ``clan-candidate`` and ``arbitrary`` are not.
+    construction; ``arbitrary`` is not.
     """
 
     algebra: FiniteBooleanAlgebra
@@ -281,29 +277,6 @@ class ElementFamily:
         return element in self.members
 
 
-def _upward_closed(size, masks):
-    for m in masks:
-        rest = (size - 1) ^ m
-        extra = rest
-        while True:
-            if (m | extra) not in masks:
-                return False
-            if extra == 0:
-                break
-            extra = (extra - 1) & rest
-    return True
-
-
-def _is_grill(size, masks):
-    """Nonempty, 0-free, upward closed, and a + b inside forces a or b
-    inside.  The complement of an up-set is a down-set, and the last
-    condition says it is closed under joins, which for a down-set holds
-    iff it holds its own join: O(2**n) instead of the pair sweep."""
-    if not masks or 0 in masks or not _upward_closed(size, masks):
-        return False
-    return reduce(or_, (m for m in range(size) if m not in masks), 0) not in masks
-
-
 def is_family(kind, algebra, members):
     """Decide whether ``members`` satisfies the invariants of ``kind``.
 
@@ -311,23 +284,45 @@ def is_family(kind, algebra, members):
     ultrafilter: a filter that contains a or a* for every a.
     grill: nonempty, excludes 0, upward closed, and a+b inside forces
     a or b inside.
+
+    Each is decided by its generator, with no pass over the 2**n
+    elements; a mask outside the algebra gives False.
+
+    * A family F is a filter iff it is 0-free and has 2**(n - |s|)
+      members, s the meet of its members.  Every member lies above s,
+      and the 2**(n - |s|) elements above s are the principal filter of
+      s, so F has that many members iff it is that filter, which is
+      0-free iff s != 0.  Conversely a finite filter holds the meet s of
+      its members and, upward closed, everything above it.
+    * A filter is an ultrafilter iff |s| = 1: the principal filter of s
+      holds one of a and a* for every a iff s is an atom.
+    * With t the atoms p whose singleton {p} is a member, a family G is
+      a grill iff it is nonempty, every member meets t, and it has
+      2**n - 2**(n - |t|) members.  A member a of a grill is the join
+      of its atoms, so by the last condition one of them is a member
+      and a meets t; conversely, upward closed, a grill holds every a
+      meeting t.  So a grill is the set of the elements meeting t, of
+      2**n - 2**(n - |t|) members.  The other way, a nonempty family of
+      that size whose members meet t is that set, which is upward
+      closed, excludes 0, and holds a+b only when a or b meets t.
     """
-    require_enum_width(algebra.atom_count)
     masks = frozenset(e.mask for e in members)
     full = algebra.full_mask
-    size = algebra.size
+    n = algebra.atom_count
+    if not all(0 <= m <= full for m in masks):
+        return False
     if kind == "filter" or kind == "ultrafilter":
-        if full not in masks or 0 in masks:
+        s = reduce(and_, masks, full)
+        if 0 in masks or len(masks) != 1 << (n - s.bit_count()):
             return False
-        if not _upward_closed(size, masks):
-            return False
-        if any((a & b) not in masks for a in masks for b in masks):
-            return False
-        if kind == "ultrafilter":
-            return all(a in masks or (full ^ a) in masks for a in range(size))
-        return True
+        return kind == "filter" or s.bit_count() == 1
     if kind == "grill":
-        return _is_grill(size, masks)
+        t = sum(1 << p for p in range(n) if 1 << p in masks)
+        return (
+            bool(masks)
+            and all(m & t for m in masks)
+            and len(masks) == (1 << n) - (1 << (n - t.bit_count()))
+        )
     raise PreconditionError(f"is_family does not check kind {kind!r}")
 
 
@@ -398,7 +393,7 @@ def sandwich_ultrafilter(filter_family, grill_family):
         raise PreconditionError("second argument is not a grill")
     if not filter_family.members <= grill_family.members:
         raise PreconditionError("the filter is not contained in the grill")
-    stem = reduce(lambda a, b: a & b, filter_family.member_masks)
+    stem = reduce(and_, filter_family.member_masks)
     support = grill_support(grill_family)
     for p in bit_indices(stem & support):
         return principal_ultrafilter(algebra, p)

@@ -89,9 +89,6 @@ def _checks_lines(checks):
 
 def cmd_validate(args):
     obj = _load_file(args.file)
-    if getattr(args, "dot", False):
-        sys.stdout.write(dot_export(obj))
-        return PASS
     if isinstance(obj, FiniteSpace):
         predicates = space_predicates(obj).as_dict()
         payload = {"kind": "space", "valid": True, "predicates": predicates}
@@ -128,21 +125,16 @@ def cmd_validate(args):
 
 def cmd_dualize(args):
     obj = _load_file(args.file)
-    direction = args.direction
-    if direction == "auto":
-        direction = "to-space" if isinstance(obj, PrecontactAlgebra) else "to-algebra"
-    if direction == "to-space":
-        if not isinstance(obj, PrecontactAlgebra):
-            raise SchemaError("to-space needs a pca instance", args.file)
+    if isinstance(obj, PrecontactAlgebra):
         payload = encode(canonical_pcs_of_pca(obj))
         if args.roundtrip:
             report = algebra_roundtrip_iso(obj).report
-    else:
-        if not isinstance(obj, TwoPrecontactSpace):
-            raise SchemaError("to-algebra needs a pcs instance", args.file)
+    elif isinstance(obj, TwoPrecontactSpace):
         payload = encode(canonical_pca_of_pcs(obj))
         if args.roundtrip:
             report = pcs_iso_report(space_roundtrip_iso(obj))
+    else:
+        raise SchemaError("dualize needs a pca or pcs instance", args.file)
     body = dumps(payload)
     if args.out:
         _write_file(args.out, body)
@@ -317,14 +309,10 @@ def build_parser():
     p = sub.add_parser("validate", help="validate an instance file")
     p.add_argument("file")
     p.add_argument("--text", action="store_true")
-    p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("dualize", help="send an instance through the duality")
     p.add_argument("file")
-    p.add_argument(
-        "--direction", choices=("auto", "to-space", "to-algebra"), default="auto"
-    )
     p.add_argument("--roundtrip", action="store_true")
     p.add_argument("--out")
     p.add_argument("--text", action="store_true")

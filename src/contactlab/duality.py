@@ -143,9 +143,6 @@ class PcsMorphism:
         if not _is_valid_pcs_map(self.source, self.target, self.point_map):
             raise PreconditionError("not a morphism of 2-precontact spaces")
 
-    def apply(self, x):
-        return self.point_map[x]
-
     @once
     def _fibres(self):
         return fibres(self.target.space.point_count, self.point_map)
@@ -465,7 +462,7 @@ def algebra_roundtrip_iso(pca):
     # the pair's proximity (images[a] meets images[b]) are `meeting_rows`.
     reach = triple._reach
     relation_witness = _first_pair_mismatch(
-        pca.kernel._succ, meeting_rows(reach, atom_clans)
+        pca.kernel.succ, meeting_rows(reach, atom_clans)
     )
     report.add(
         "preserves and reflects the relation",
@@ -656,7 +653,7 @@ def specialization_report(pca):
 
     # The subcategories are told apart by the kernel's atom rows, which
     # fix its pairs.
-    if pca.kernel._succ == smallest_contact(pca.algebra).kernel._succ:
+    if pca.kernel.succ == smallest_contact(pca.algebra).kernel.succ:
         # stone: the n singletons are clans, first and in order, so the
         # clans are more than the ultrafilters iff one is wider.
         supports = clan_supports(pca)
@@ -671,7 +668,7 @@ def specialization_report(pca):
         breach = _diagonal_break(triple)
         report.add("dual triple is the whole space with the diagonal", breach is None, breach)
 
-    if pca.kernel._succ == largest_contact(pca.algebra).kernel._succ:
+    if pca.kernel.succ == largest_contact(pca.algebra).kernel.succ:
         # connected-stone: the supports are distinct nonzero masks below
         # the size, so they are all the grills iff there are size - 1 of
         # them; the sweep for a missing grill runs only when there are

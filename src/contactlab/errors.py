@@ -19,15 +19,13 @@ class AxiomViolationError(ContactLabError):
     Carries the axiom tag and, when available, a concrete witness.
     """
 
-    def __init__(self, axiom, witness=None, message=None):
+    def __init__(self, axiom, witness=None):
         self.axiom = axiom
         self.witness = witness
-        if message is None:
-            if witness is None:
-                message = f"axiom {axiom} violated"
-            else:
-                message = f"axiom {axiom} violated, witness {witness!r}"
-        super().__init__(message)
+        if witness is None:
+            super().__init__(f"axiom {axiom} violated")
+        else:
+            super().__init__(f"axiom {axiom} violated, witness {witness!r}")
 
 
 class PreconditionError(ContactLabError):

@@ -5,7 +5,8 @@ with ``object.__setattr__``, so the dataclass fields, equality, hashing
 and repr are untouched and no object is hashed to find its value.
 ``once`` keeps a method's value under its own name, ``remember`` a
 construction of a later module than its class, and ``once.keep`` a
-value already built (a validator's tables, `topology.pair_atoms`).
+value already built (a validator's tables, `topology.pair_atoms`; the
+pair set a kernel was built from, `RelationKernel.of_pairs`).
 
 Not ``functools.cached_property``: on Python 3.11 it takes a lock on
 every first read, and it writes into the instance dictionary, building

@@ -18,19 +18,18 @@ relation has a unary form exactly when it defines a precontact relation,
 and is read into that form whenever it has one; without it, the inverse
 decides the defining axioms in order and stops at the first that fails.
 
-A kernel is held by its n atom rows (`RelationKernel._succ`, the
-successors of each atom) as well as by its pairs.  A kernel built from
-rows (`RelationKernel._of_rows`: the canonical algebra of a triple, the
-contact closure, the extremal contacts and the inverse of
-interdefinability) keeps them and derives its pair set only on the
-first read of `pairs`, so a check that compares such kernels by their
-rows builds no pair set while it passes.  The atom rows of the contact
-closure are computed once per kernel (`RelationKernel._closure_rows`),
-and the clan supports and the atom clan sets (the clans holding each
-atom, the closed base of the dual) once per algebra; the clans, (Ctr#),
-`contact_closure` and the round trip read those copies.  The
-six axiom flags of `axiom_report` are read off the kernel's atom rows
-(its successors and the closure rows) in O(n**2), with no 2**n table.
+A kernel is its n atom rows (`RelationKernel.succ`, the successors of
+each atom), checked at construction; its pair set is a view derived on
+the first read.  `RelationKernel.of_pairs` builds the rows from a pair
+set and keeps that set, so a kernel built from pairs never derives it,
+and a check that compares kernels by their rows builds no pair set
+while it passes.  The atom rows of the contact closure are computed
+once per kernel (`RelationKernel._closure_rows`), and the clan supports
+and the atom clan sets (the clans holding each atom, the closed base of
+the dual) once per algebra; the clans, (Ctr#), `contact_closure` and
+the round trip read those copies.  The six axiom flags of
+`axiom_report` are read off the kernel's atom rows (its successors and
+the closure rows) in O(n**2), with no 2**n table.
 
 Axiom checks decide exactly over the carrier, never by sampling; every
 reduction is proved next to its code and tested against the literal
@@ -53,6 +52,7 @@ from .boolean import (
     join_at,
     joins_table,
     mask_of,
+    meeting_rows,
     reach,
     transpose,
 )
@@ -68,39 +68,38 @@ from .memo import once
 
 @dataclass(frozen=True)
 class RelationKernel:
-    """Atom-pair kernel of a precontact relation; satisfies (C0) and (C+)
-    by construction."""
+    """Atom-pair kernel of a precontact relation, held by its n atom
+    rows: succ[p] is the mask of the atoms q with (p, q) in the kernel.
+    Satisfies (C0) and (C+) by construction."""
 
     algebra: FiniteBooleanAlgebra
-    pairs: frozenset
+    succ: tuple
 
     def __post_init__(self):
-        n = self.algebra.atom_count
-        for p, q in self.pairs:
-            if not (0 <= p < n and 0 <= q < n):
-                raise DomainMismatchError(f"kernel pair ({p}, {q}) out of range")
+        n, full = self.algebra.atom_count, self.algebra.full_mask
+        if len(self.succ) != n or not all(0 <= s <= full for s in self.succ):
+            raise DomainMismatchError(f"expected {n} atom masks of {n} bits")
 
     @classmethod
-    def _of_rows(cls, algebra, succ):
-        """The kernel whose atom p has the successors succ[p], a mask of
-        atoms.  The rows are kept (`memo`) and the pair set is derived
-        on its first read (`_kernel_pairs`), so equality, hashing, repr,
-        pickling and `encode` see the same pairs as on a kernel built
-        with them.  The caller vouches that every row lies below
-        ``1 << n``, the one condition the range check of the pairs
-        could break, so that check is not run."""
-        kernel = object.__new__(cls)
-        object.__setattr__(kernel, "algebra", algebra)
-        once.keep(kernel, "_succ", tuple(succ))
+    def of_pairs(cls, algebra, pairs):
+        """The kernel holding the atom pairs ``pairs``, which it keeps as
+        its pair set."""
+        pairs = frozenset(pairs)
+        n = algebra.atom_count
+        succ = [0] * n
+        for p, q in pairs:
+            if not (0 <= p < n and 0 <= q < n):
+                raise DomainMismatchError(f"kernel pair ({p}, {q}) out of range")
+            succ[p] |= 1 << q
+        kernel = cls(algebra, tuple(succ))
+        once.keep(kernel, "pairs", pairs)
         return kernel
 
     @once
-    def _succ(self):
-        # _succ[p] = mask of atoms q with (p, q) in the kernel
-        out = [0] * self.algebra.atom_count
-        for p, q in self.pairs:
-            out[p] |= 1 << q
-        return tuple(out)
+    def pairs(self):
+        """The pairs (p, q) with q a successor of p, derived on the first
+        read of a kernel built from its rows."""
+        return _pairs_of_rows(self.succ)
 
     @once
     def _closure_rows(self):
@@ -109,7 +108,7 @@ class RelationKernel:
         atoms that have p as a successor.  The clans, (Ctr#), the round
         trip and `contact_closure`, which builds the closed kernel from
         them, read the closure in this form."""
-        succ = self._succ
+        succ = self.succ
         rows = [s | 1 << p for p, s in enumerate(succ)]
         for p, s in enumerate(succ):
             while s:
@@ -119,13 +118,13 @@ class RelationKernel:
         return tuple(rows)
 
     def holds_masks(self, a_mask, b_mask):
-        succ = self._succ
+        succ = self.succ
         return any(succ[p] & b_mask for p in bit_indices(a_mask))
 
     def forward_table(self):
         """table[a] = mask of atoms q reachable from the atoms of a; then
         a C b iff table[a] & b != 0.  Size 2**n."""
-        return joins_table(self._succ)
+        return joins_table(self.succ)
 
     # The relation properties, read by the Stone report and again by the
     # suite, are computed once per kernel, off the pair set (see
@@ -143,27 +142,12 @@ class RelationKernel:
     def is_transitive(self):
         """(p, q) and (q, r) in the pairs force (p, r): the successors of
         q lie among those of p, for every pair (p, q).  Read off the pair
-        set, grouped by source once, in O(|pairs|); not off `_succ`, so
+        set, grouped by source once, in O(|pairs|); not off `succ`, so
         it stays independent of the (Ctr) flag of `axiom_report`."""
         succ = {}
         for p, q in self.pairs:
             succ[p] = succ.get(p, 0) | 1 << q
         return not any(succ.get(q, 0) & ~succ[p] for p, q in self.pairs)
-
-
-def _kernel_pairs(kernel):
-    """The pair set of a kernel built from its rows (`_of_rows`): the
-    pairs (p, q) with q a successor of p."""
-    return _pairs_of_rows(kernel._succ)
-
-
-# `pairs` is a field without a default, so the class holds no attribute
-# of that name and this non-data descriptor is reached only on a kernel
-# built from rows, until the first read, which keeps the pairs it
-# derives (`memo.once`).  Equality, hashing, repr and every reader of the
-# field read them through it, so they see the same set as on a kernel
-# built with it.
-RelationKernel.pairs = once(_kernel_pairs, "pairs")
 
 
 @dataclass(frozen=True)
@@ -242,11 +226,6 @@ class PrecontactAlgebra:
             k: v for k, v in self.__dict__.items() if not isinstance(v, weakref.ref)
         }
 
-    def contact(self, a, b):
-        if a.algebra != self.algebra or b.algebra != self.algebra:
-            raise DomainMismatchError("elements from a different algebra")
-        return self.kernel.holds_masks(a.mask, b.mask)
-
     def holds_masks(self, a_mask, b_mask):
         return self.kernel.holds_masks(a_mask, b_mask)
 
@@ -290,7 +269,7 @@ def clique_supports(adj):
 
 def pca_from_pairs(atom_count, pairs):
     algebra = FiniteBooleanAlgebra(atom_count)
-    return PrecontactAlgebra(algebra, RelationKernel(algebra, frozenset(pairs)))
+    return PrecontactAlgebra(algebra, RelationKernel.of_pairs(algebra, pairs))
 
 
 class _RowTables(NamedTuple):
@@ -393,9 +372,7 @@ def _kernel_of_rows(algebra, rows):
         if witness is None:
             raise InternalError("(C+) fails on the rows but no triple breaks it")
         raise AxiomViolationError("(C+)", witness)
-    return RelationKernel(
-        algebra, frozenset((p, q) for p in range(n) for q in bit_indices(succ[p]))
-    )
+    return RelationKernel(algebra, tuple(succ))
 
 
 def normalize_relation(raw):
@@ -419,23 +396,19 @@ def normalize_relation(raw):
 def contact_closure(pca):
     """The smallest contact relation containing the given precontact one:
     symmetrize the kernel and add the diagonal (overlap) pairs."""
-    # each closure row is a join of kernel rows and atoms, below 1 << n
-    kernel = RelationKernel._of_rows(pca.algebra, pca.kernel._closure_rows)
-    return PrecontactAlgebra(pca.algebra, kernel)
+    return PrecontactAlgebra(pca.algebra, RelationKernel(pca.algebra, pca.kernel._closure_rows))
 
 
 def smallest_contact(algebra):
     """Overlap contact: a C b iff a.b != 0; kernel is the atom diagonal."""
-    # row p is the atom p < n itself
-    rows = [1 << p for p in range(algebra.atom_count)]
-    return PrecontactAlgebra(algebra, RelationKernel._of_rows(algebra, rows))
+    rows = tuple(1 << p for p in range(algebra.atom_count))
+    return PrecontactAlgebra(algebra, RelationKernel(algebra, rows))
 
 
 def largest_contact(algebra):
     """a C b iff both are nonzero; kernel is every atom pair."""
-    # every row is the full mask, (1 << n) - 1
-    rows = [algebra.full_mask] * algebra.atom_count
-    return PrecontactAlgebra(algebra, RelationKernel._of_rows(algebra, rows))
+    rows = (algebra.full_mask,) * algebra.atom_count
+    return PrecontactAlgebra(algebra, RelationKernel(algebra, rows))
 
 
 def well_inside_rows(pca):
@@ -647,7 +620,7 @@ def well_inside_atoms(pca):
     With m extended to elements by joins, below[a] = up[m(a)] (see
     `well_inside_rows`), so m fixes the relation.  Every m of n atom
     masks is the unary form of the kernel p K q iff q in m(p)."""
-    return pca.kernel._succ
+    return pca.kernel.succ
 
 
 def well_inside_atom_flags(m):
@@ -690,12 +663,9 @@ def contact_from_well_inside_atoms(algebra, m):
     """Invert interdefinability on the unary form: a C b iff not a <<
     b*, iff m(a) meets b, so the kernel is p K q iff q in m(p).  Any n
     atom masks are a unary form: the precontact-defining flags hold by
-    construction (`well_inside_atom_flags`)."""
-    n = algebra.atom_count
-    # the check below puts every row between 0 and (1 << n) - 1
-    if len(m) != n or not all(0 <= v <= algebra.full_mask for v in m):
-        raise DomainMismatchError(f"expected {n} atom masks of {n} bits")
-    return RelationKernel._of_rows(algebra, m)
+    construction (`well_inside_atom_flags`).  Any other m raises
+    DomainMismatchError (`RelationKernel`'s check)."""
+    return RelationKernel(algebra, tuple(m))
 
 
 def axiom_report(pca):
@@ -741,7 +711,7 @@ def axiom_report(pca):
     """
     n = pca.algebra.atom_count
     kernel = pca.kernel
-    succ = kernel._succ
+    succ = kernel.succ
     rows = kernel._closure_rows
 
     cref = all(s >> p & 1 for p, s in enumerate(succ))
@@ -764,7 +734,6 @@ def clan_supports(pca):
 def restrict_relation(pca, blocks):
     """The subalgebra generated by a partition of the atoms, with the
     relation cut down to it.  Blocks become the atoms of the result."""
-    n = pca.algebra.atom_count
     block_masks = []
     seen = 0
     for block in blocks:
@@ -775,15 +744,13 @@ def restrict_relation(pca, blocks):
         block_masks.append(m)
     if seen != pca.algebra.full_mask:
         raise DomainMismatchError("blocks must cover every atom")
-    k = len(block_masks)
-    pairs = frozenset(
-        (i, j)
-        for i in range(k)
-        for j in range(k)
-        if pca.kernel.holds_masks(block_masks[i], block_masks[j])
-    )
-    sub = FiniteBooleanAlgebra(k)
-    return PrecontactAlgebra(sub, RelationKernel(sub, pairs))
+    # block i relates to block j iff some kernel pair (p, q) has p in
+    # block i and q in block j: iff the successors of block i's atoms
+    # meet block j
+    succ = pca.kernel.succ
+    rows = meeting_rows([join_at(succ, b) for b in block_masks], block_masks)
+    sub = FiniteBooleanAlgebra(len(block_masks))
+    return PrecontactAlgebra(sub, RelationKernel(sub, tuple(rows)))
 
 
 def restrict_clan_support(blocks, support_mask):

@@ -14,7 +14,7 @@ from .boolean import BooleanHom, FiniteBooleanAlgebra
 from .errors import PreconditionError
 from .precontact import PcaMorphism, PrecontactAlgebra, RelationKernel
 
-CONSTRAINTS = ("none", "contact", "connected", "complete")
+CONSTRAINTS = ("none", "contact", "connected")
 _MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -51,8 +51,9 @@ def random_pca(spec):
     given density, then post-processed by the constraint tag.
 
     ``contact`` symmetrizes and reflexivizes; ``connected`` rejection
-    samples until the connectedness axiom holds; ``complete`` is a no-op
-    at finite scale, where every algebra is complete.
+    samples until the connectedness axiom holds.  There is no tag for
+    complete contact algebras: at finite scale every algebra is
+    complete, so they are the contact algebras.
     """
     algebra = FiniteBooleanAlgebra(spec.atoms)
     rng = random.Random(child_seed(spec.seed, 0))
@@ -62,7 +63,7 @@ def random_pca(spec):
         if spec.constraint == "contact":
             pairs |= {(q, p) for p, q in pairs}
             pairs |= {(p, p) for p in range(spec.atoms)}
-        pca = PrecontactAlgebra(algebra, RelationKernel(algebra, frozenset(pairs)))
+        pca = PrecontactAlgebra(algebra, RelationKernel.of_pairs(algebra, pairs))
         if spec.constraint != "connected":
             return pca
         if pca.axioms.ccon:
@@ -86,10 +87,10 @@ def random_pca_morphism(atoms_source, atoms_target, density, seed):
     pulled = {(atom_map[p], atom_map[q]) for p, q in target_pairs}
     extra = _raw_pairs(atoms_source, density, rng)
     source = PrecontactAlgebra(
-        source_algebra, RelationKernel(source_algebra, frozenset(pulled | extra))
+        source_algebra, RelationKernel.of_pairs(source_algebra, pulled | extra)
     )
     target = PrecontactAlgebra(
-        target_algebra, RelationKernel(target_algebra, frozenset(target_pairs))
+        target_algebra, RelationKernel.of_pairs(target_algebra, target_pairs)
     )
     hom = BooleanHom(source_algebra, target_algebra, atom_map)
     return PcaMorphism(hom, source, target)

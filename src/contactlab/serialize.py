@@ -267,8 +267,8 @@ def _decode_pca(payload, location):
             algebra, frozenset(_pair_list(relation, f"{location}.relation"))
         )
         return PrecontactAlgebra(algebra, normalize_relation(raw))
-    pairs = frozenset(_pair_list(kernel, f"{location}.kernel"))
-    return PrecontactAlgebra(algebra, RelationKernel(algebra, pairs))
+    pairs = _pair_list(kernel, f"{location}.kernel")
+    return PrecontactAlgebra(algebra, RelationKernel.of_pairs(algebra, pairs))
 
 
 def _decode_space(payload, location):

@@ -62,6 +62,7 @@ from .topology import (
     pair_atoms,
     rc_atoms,
     rc_atoms_of_subset,
+    require_subset,
     subspace,
     unions,
 )
@@ -140,8 +141,7 @@ class TwoPrecontactSpace(CheckList):
         # cl f meets the dense part in f, so cl f and cl g are in contact
         # iff some point of f is related to some point of g, i.e. iff
         # reach[f] meets g.  reach[f] lies in the subset, which cl g meets
-        # in g: iff reach[f] meets cl g.  The kernel's rows are those,
-        # masks over the n atoms, so below 1 << n.
+        # in g: iff reach[f] meets cl g.  The kernel's rows are those.
         #
         # On the canonical dual T_A of an algebra A (`_canonical_pcs`)
         # these rows are A's own.  Its dense part is discrete with the
@@ -158,10 +158,10 @@ class TwoPrecontactSpace(CheckList):
         closed = pair_atoms(self.space, self.subset).closures
         rows = tuple(meeting_rows(self._reach, closed))
         source = getattr(self, "_source", None)
-        if source is not None and rows == source.kernel._succ:
+        if source is not None and rows == source.kernel.succ:
             return PcsAlgebra(self, source, closed)
         algebra = FiniteBooleanAlgebra(len(closed))
-        pca = PrecontactAlgebra(algebra, RelationKernel._of_rows(algebra, rows))
+        pca = PrecontactAlgebra(algebra, RelationKernel(algebra, rows))
         return PcsAlgebra(self, pca, closed)
 
 
@@ -177,6 +177,7 @@ def validate_pcs(space, subset, relation):
     with no family of the clopen algebra built, so the validator decides
     at any size and reads no budget.
     """
+    require_subset(space, subset)
     relation = frozenset(relation)
     succ = _relation_out_masks(space, subset, relation)
     report = ReportBuilder("(PCS1)..(PCS5)")
@@ -274,6 +275,7 @@ def _first_component(triple):
     # X are therefore the unions of the classes: the class grown from the
     # first closure is the clopen atom holding it.
     space = triple.space
+    require_subset(space, triple.subset)
     if closure(space, triple.subset) != space.full_mask:
         return next(iter(clopen_atoms(space, space.full_mask)), 0)
     closed = pair_atoms(space, triple.subset).closures
@@ -444,7 +446,7 @@ def _validate_pair(cls, title, tag, space, subset, unrealized):
     then the check ``tag`` that every element set asked about is a
     closure trace: ``unrealized(space, table)`` is the support of the
     first that is not, or None, over the table of the dense part
-    (`pair_atoms`)."""
+    (`pair_atoms`, which checks the subset)."""
     table = pair_atoms(space, subset)
     report = ReportBuilder(title)
     cl = closure(space, subset)

@@ -91,7 +91,7 @@ def instance_suite(pca):
     # Two kernels are equal, or one inside the other, iff their atom rows
     # are; the pair sets are built only to name a failure.
     reclosed = contact_closure(closed).kernel
-    idempotent = reclosed._succ == closed.kernel._succ
+    idempotent = reclosed.succ == closed.kernel.succ
     report.add(
         "contact closure is idempotent",
         idempotent,
@@ -105,7 +105,7 @@ def instance_suite(pca):
     everything = largest_contact(pca.algebra).kernel
     between = not any(
         d & ~c or c & ~e
-        for d, c, e in zip(diagonal._succ, closed.kernel._succ, everything._succ)
+        for d, c, e in zip(diagonal.succ, closed.kernel.succ, everything.succ)
     )
     report.add(
         "closure sits between the extremal contacts",

@@ -228,6 +228,13 @@ def discrete_space(point_names):
     return FiniteSpace(names, tuple(1 << i for i in range(len(names))))
 
 
+def require_subset(space, mask):
+    """Raise DomainMismatchError unless ``mask`` is a set of the space's
+    points."""
+    if not 0 <= mask <= space.full_mask:
+        raise DomainMismatchError("subset mask out of range")
+
+
 def closure(space, mask):
     closures = space.point_closures
     out = 0
@@ -417,6 +424,7 @@ def subspace(space, mask):
     """Trace topology: singleton closures intersected with the subset.
     The subspace of a space named by a rule is named by the same rule,
     on the first read of its names (`FiniteSpace._of_closed_base`)."""
+    require_subset(space, mask)
     indices = list(bit_indices(mask))
     position = {x: i for i, x in enumerate(indices)}
     closures = []
@@ -460,8 +468,7 @@ class TopologicalPair:
     subset: int
 
     def __post_init__(self):
-        if not 0 <= self.subset <= self.space.full_mask:
-            raise DomainMismatchError("subset mask out of range")
+        require_subset(self.space, self.subset)
         if closure(self.space, self.subset) != self.space.full_mask:
             raise PreconditionError("the subset is not dense")
 
@@ -559,6 +566,7 @@ def pair_atoms(space, subset):
     """
     table = getattr(space, "_pair_atoms", None)
     if table is None or table.subset != subset:
+        require_subset(space, subset)
         closures = tuple(closure(space, a) for a in clopen_atoms(space, subset))
         # A space built from a closed base whose members are these
         # closures, in this order, holds the table already.  The point

@@ -21,7 +21,6 @@ BUDGET_CALLS = {
 }
 ALLOWED = {
     ("boolean", "FiniteBooleanAlgebra.__post_init__"): "the algebra's 2**n elements",
-    ("boolean", "is_family"): "the sweeps of a family over the 2**n elements",
     ("boolean", "principal_ultrafilter"): "the 2**(n-1) members of an ultrafilter",
     ("boolean", "grill_from_support"): "the members of a grill",
     ("boolean", "grills"): "every grill, one per nonempty atom support",

@@ -184,7 +184,7 @@ def test_dualize_degenerate_algebra_fails(tmp_path, capsys):
 
 
 def test_dualize_invalid_pcs_to_algebra_exits_1(files, capsys):
-    code, out, err = run(capsys, "dualize", "--direction", "to-algebra", files["bad"])
+    code, out, err = run(capsys, "dualize", files["bad"])
     assert (code, out) == (1, "")
     assert err == "error: not a 2-precontact space: (PCS4) ({c0},{c1})\n"
 
@@ -408,12 +408,30 @@ def test_validate_space_reports_predicates(tmp_path, capsys):
     assert payload["predicates"]["is_stone"] is False
 
 
-def test_validate_dot_flag(files, capsys):
-    code, out, _ = run(capsys, "validate", files["pcs"], "--dot")
-    assert code == 0
-    assert out.startswith("digraph")
-    code2, _, _ = run(capsys, "validate", files["pca"], "--dot")
-    assert code2 == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "PCS", "--dot"],
+        ["dualize", "PCA", "--direction", "auto"],
+        ["suite", "--atoms", "2", "--count", "1", "--constraint", "complete"],
+        ["random", "--atoms", "2", "--constraint", "complete"],
+    ],
+)
+def test_removed_options_exit_2(files, capsys, argv):
+    """`export-dot` prints the DOT rendering, the input's type decides
+    the direction of `dualize`, and at finite scale the complete contact
+    algebras are the contact algebras."""
+    argv = [{"PCS": files["pcs"], "PCA": files["pca"]}.get(a, a) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (2, "")
+
+
+def test_dualize_needs_an_algebra_or_a_triple(tmp_path, capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(dumps(encode(FiniteBooleanAlgebra(2))))
+    code, out, err = run(capsys, "dualize", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: dualize needs a pca or pcs instance\n"
 
 
 def test_validate_non_dense_pair_fails(tmp_path, capsys):

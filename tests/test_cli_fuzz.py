@@ -59,11 +59,9 @@ BASES = _base_payloads()
 COMMANDS = [
     ["validate"],
     ["validate", "--text"],
-    ["validate", "--dot"],
     ["dualize"],
     ["dualize", "--roundtrip"],
-    ["dualize", "--direction", "to-space"],
-    ["dualize", "--direction", "to-algebra", "--roundtrip", "--text"],
+    ["dualize", "--roundtrip", "--text"],
     *(["enumerate", what] for what in ("ultrafilters", "grills", "clans", "rc", "u-points")),
     ["export-dot"],
 ]

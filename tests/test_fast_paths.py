@@ -1874,7 +1874,7 @@ def test_first_pair_mismatch_matches_the_literal_sweep():
         toggled = pairs ^ {(rng.randrange(n), rng.randrange(n))}
         for other in (pairs, toggled):
             got = _first_pair_mismatch(
-                pca_from_pairs(n, pairs).kernel._succ, pca_from_pairs(n, other).kernel._succ
+                pca_from_pairs(n, pairs).kernel.succ, pca_from_pairs(n, other).kernel.succ
             )
             expected = oracle_first_mismatch(
                 n, expand_relation(n, pairs), expand_relation(n, other)
@@ -1936,7 +1936,7 @@ def test_roundtrip_failures_name_witnesses(path_pca, monkeypatch):
     # The clans read the real contact closure before the round trip's
     # reads of it are broken.
     clan_supports(path_pca)
-    monkeypatch.setattr(RelationKernel, "_closure_rows", property(lambda kernel: kernel._succ))
+    monkeypatch.setattr(RelationKernel, "_closure_rows", property(lambda kernel: kernel.succ))
     round_trip = algebra_roundtrip_iso(path_pca)
     top = real_pcs_algebra(round_trip.space).atom_masks[-1]
     moved = path_pca._atom_clans.index(top)

@@ -1,7 +1,9 @@
 """Every module-level private function of the package is used: some code
 in ``src/`` outside its own definition names it.  Every public method of
 a package class is used too: some code in ``src/``, ``tests/`` or
-``benchmarks/`` outside its own definition names it.  Every public
+``benchmarks/`` outside its own definition reads it as an attribute or
+names it in a string, as ``getattr`` does; a bare name or an import of
+the same spelling, such as a module function's, is not a use.  Every public
 module-level function has a reader: some code in ``src/`` or
 ``benchmarks/`` outside its own definition uses it, where an import,
 the ``__init__`` re-exports included, is not a use.  A public function
@@ -128,20 +130,34 @@ def public_methods(tree):
     ]
 
 
+def attribute_reads(node):
+    """How often each name is loaded as an attribute (``x.name``) or
+    spelled as a whole string constant (``getattr(x, "name")``) in the
+    subtree."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out[sub.value] += 1
+    return out
+
+
 def dead_methods(package_paths, other_paths):
     """(file name, class name, method name) of each public method of a
-    class in ``package_paths`` that nothing in either set of files refers
-    to outside the method's own body."""
+    class in ``package_paths`` that nothing in either set of files reads
+    as an attribute or names in a string outside the method's own
+    body."""
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
         for path in [*package_paths, *other_paths]
     }
-    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    everywhere = sum((attribute_reads(tree) for tree in trees.values()), Counter())
     return sorted(
         (path.name, cls, method.name)
         for path in package_paths
         for cls, method in public_methods(trees[path])
-        if everywhere[method.name] == references(method)[method.name]
+        if everywhere[method.name] == attribute_reads(method)[method.name]
     )
 
 
@@ -202,10 +218,20 @@ def test_the_guard_sees_unused_public_methods(tmp_path):
         "    @property\n"
         "    def stale(self):\n"
         "        return 3\n"
+        "    def shared(self):\n"
+        "        return 4\n"
+        "    def by_name(self):\n"
+        "        return 5\n"
+        "def shared():\n"
+        "    return 6\n"
     )
-    user.write_text("from package import Shape\nprint(Shape().area())\n")
+    user.write_text(
+        "from package import Shape, shared\n"
+        "print(Shape().area(), shared(), getattr(Shape(), 'by_name')())\n"
+    )
     assert dead_methods([package], [user]) == [
         ("package.py", "Shape", "recursive"),
+        ("package.py", "Shape", "shared"),
         ("package.py", "Shape", "stale"),
         ("package.py", "Shape", "unused"),
     ]

@@ -6,8 +6,8 @@ themselves.  The only ``functools`` cache of the package is
 A value is kept on a frozen object one way, through ``memo``: no
 ``cached_property``, and outside ``memo.py`` no ``.__dict__`` and no
 ``object.__setattr__`` beyond the field writes of
-``FiniteSpace._of_closed_base`` and ``RelationKernel._of_rows`` and the
-weak-reference filter of ``PrecontactAlgebra.__getstate__``."""
+``FiniteSpace._of_closed_base`` and the weak-reference filter of
+``PrecontactAlgebra.__getstate__``."""
 
 import ast
 from pathlib import Path
@@ -18,7 +18,6 @@ ALLOWED = {("precontact.py", "_row_tables")}
 RAW_ACCESS_ALLOWED = {
     ("topology.py", "FiniteSpace._of_closed_base", "object.__setattr__", "point_names"),
     ("topology.py", "FiniteSpace._of_closed_base", "object.__setattr__", "point_closures"),
-    ("precontact.py", "RelationKernel._of_rows", "object.__setattr__", "algebra"),
     ("precontact.py", "PrecontactAlgebra.__getstate__", "__dict__", None),
 }
 

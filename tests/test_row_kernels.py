@@ -1,16 +1,16 @@
-"""Kernels built from atom rows (`RelationKernel._of_rows`).
+"""Kernels built from atom rows (`RelationKernel(algebra, succ)`).
 
-The canonical algebra of a triple that holds no source algebra, the
-contact closure, the extremal contacts and the inverse of
-interdefinability build their kernels from atom rows and derive the pair
-set only on its first read; the canonical algebra of a canonical dual is
-the algebra it was built from.  Each must be
-the kernel of the literal pair set, under equality, hashing, repr,
-pickling, deepcopy and `encode`, on every kernel with at most 3 atoms
-and on seeded kernels of 4 to 6 atoms.  The round trip derives no pair
-set and the instance suite exactly one, and the suite lines and
-specialization gates that now compare rows still name the witnesses
-they named when they compared pair sets."""
+A kernel is its atom rows, and its pair set is derived on the first
+read unless it was built from pairs (`RelationKernel.of_pairs`).  The
+canonical algebra of a triple that holds no source algebra, the contact
+closure, the extremal contacts and the inverse of interdefinability
+build their kernels from rows; the canonical algebra of a canonical dual
+is the algebra it was built from.  Each must be the kernel of the
+literal pair set, under equality, hashing, repr, pickling, deepcopy and
+`encode`, on every kernel with at most 3 atoms and on seeded kernels of
+4 to 6 atoms.  The round trip derives no pair set and the instance suite
+exactly one, and the suite lines and specialization gates that compare
+rows name the witnesses they named when they compared pair sets."""
 
 import copy
 import pickle
@@ -103,9 +103,6 @@ def test_row_built_kernels_are_the_literal_kernels():
         pca = pca_from_pairs(n, pairs)
         assert pcs_algebra(canonical_pcs_of_pca(pca)).pca is pca
         for name, build, literal_pairs in _constructions(n, pairs):
-            # ascending, the order each construction listed its pairs in
-            # before it kept rows: a frozenset's repr follows the order
-            # its members were added in
             literal = pca_from_pairs(n, sorted(literal_pairs))
             where = (name, n, sorted(pairs))
             assert "pairs" not in vars(build().kernel), where
@@ -118,7 +115,7 @@ def test_row_built_kernels_are_the_literal_kernels():
             for restored in (pickle.loads(pickle.dumps(build())), copy.deepcopy(build())):
                 assert restored == literal, where
                 assert restored.kernel.pairs == literal.kernel.pairs, where
-                assert restored.kernel._succ == literal.kernel._succ, where
+                assert restored.kernel.succ == literal.kernel.succ, where
 
 
 def _count_pair_derivations(monkeypatch):
@@ -162,7 +159,7 @@ def test_the_suite_derives_one_pair_set(monkeypatch):
         derived.clear()
         report = instance_suite(pca)
         assert report.ok, report.failures
-        assert derived == [pca.kernel._succ]
+        assert derived == [pca.kernel.succ]
         specialized += any(name == "specialization suite" for name, _, _ in report.checks)
     assert specialized == 3
 

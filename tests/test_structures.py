@@ -27,6 +27,7 @@ from contactlab.structures import (
     contact_relation_of_pair,
     mereocompactness_report,
     pcs_algebra,
+    triple_is_connected,
     validate_cs,
     validate_pcs,
     validate_s2s,
@@ -36,7 +37,10 @@ from contactlab.topology import (
     MereotopologicalPair,
     discrete_space,
     is_c_semiregular,
+    pair_atoms,
     rc_members,
+    rc_pair_algebra,
+    subspace,
 )
 
 from conftest import indiscrete_space
@@ -108,6 +112,33 @@ def test_validate_pcs_names_the_pair_that_leaves_its_span(xl_space, bad, message
     with pytest.raises(DomainMismatchError) as caught:
         validate_pcs(xl_space, 0b011, relation)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("mask", [1 << 5, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda space, mask: validate_pcs(space, mask, frozenset()),
+        lambda space, mask: validate_cs(space, mask),
+        lambda space, mask: validate_s2s(space, mask),
+        pair_atoms,
+        subspace,
+        lambda space, mask: triple_is_connected(TwoPrecontactSpace(space, mask, frozenset())),
+        lambda space, mask: rc_pair_algebra(TwoContactSpace(space, mask)),
+    ],
+    ids=[
+        "validate_pcs",
+        "validate_cs",
+        "validate_s2s",
+        "pair_atoms",
+        "subspace",
+        "triple_is_connected",
+        "rc_pair_algebra",
+    ],
+)
+def test_a_subset_outside_the_space_is_refused(call, mask):
+    with pytest.raises(DomainMismatchError, match="^subset mask out of range$"):
+        call(discrete_space("abc"), mask)
 
 
 def test_validate_pcs_reports_density_failure(disc2):
