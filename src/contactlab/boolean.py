@@ -25,7 +25,10 @@ FAMILY_KINDS = ("filter", "ultrafilter", "grill", "arbitrary")
 
 
 def bit_indices(mask):
-    """Indices of the set bits of ``mask``, ascending."""
+    """Indices of the set bits of ``mask``, ascending.  A negative mask
+    has infinitely many set bits, so it raises DomainMismatchError."""
+    if mask < 0:
+        raise DomainMismatchError("negative mask")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -18,8 +18,12 @@ values at the atoms (`_first_map_mismatch`: the naturality square of
 the algebra round trip), a relation by its atom rows
 (`_first_pair_mismatch`: the round trip's relation and proximity
 checks), and the first witness is read off the first atom where they
-differ.  A point map is read through its fibres, so a preimage costs
-one union per target point.  The dual algebra map of a space morphism
+differ.  A space morphism is checked at the k clopen atoms of the
+target's dense part (`_is_valid_pcs_map`): into a valid target,
+continuity and trace coherence are one comparison per atom, and the
+preimages of the atoms' closures are kept, so the preimage of a member
+of the target pair is the union of those of its atoms
+(`gt_preimage_check`).  The dual algebra map of a space morphism
 is read off where it sends one point of each clopen atom of the dense
 part, and a point of a dual is found by its clan support
 (`_clan_points`) in both functors and in the space round trip.  The
@@ -87,37 +91,63 @@ from .topology import (
 
 
 def _is_valid_pcs_map(source, target, point_map):
+    """The preimages f^-1(B_q) of the closures B_q of the clopen atoms of
+    the target's dense part, in the order of its table (`pair_atoms`),
+    when the point map is a morphism of 2-precontact spaces; else None.
+
+    Continuity and trace coherence are decided in one pass over the k
+    atoms g_q of the target's dense part when the closures B_q form a
+    closed base (the table's ``closed_base``): then f is continuous and
+    trace coherent iff f^-1(B_q) == cl(f^-1(g_q) n X0) for every q.
+    * (<=) Each f^-1(B_q) is then a closure, so it is closed.  Every
+      cl{y} is the meet of the B_q that hold y, or the whole space when
+      none does (the closed-base verdict), and preimage preserves meets (and sends the whole
+      space to the whole space).  So every f^-1(cl{y}) is closed, and
+      every closed set of a finite space is a union of point closures:
+      f is continuous.  The inclusion of the left side in the right is
+      trace coherence at the atoms, which gives it at every clopen (see
+      below).
+    * (=>) Continuity makes f^-1(B_q) closed.  It holds f^-1(g_q) n X0,
+      as g_q lies in B_q, so it holds the closure of that set too.
+      Trace coherence gives the other inclusion.
+    So the per-point continuity loop runs only when the table is not a
+    closed base, which (PCS3) rules out for a valid target.  It runs
+    first there, and once f is continuous the inclusion of the right
+    side in the left holds as in (=>), so `!=` is exact there too."""
     sp, tp = source.space, target.space
     if len(point_map) != sp.point_count:
-        return False
-    if any(not 0 <= i < tp.point_count for i in point_map):
-        return False
+        return None
+    if point_map and not (0 <= min(point_map) and max(point_map) < tp.point_count):
+        return None
     point_fibres = fibres(tp.point_count, point_map)
-    # Each condition is an inclusion of preimages, as f(A) <= B iff A <=
-    # f^-1(B).  Continuity: f(cl{x}) <= cl{f(x)}, i.e. cl{x} lies inside
-    # f^-1(cl{f(x)}), for every x.
-    for x, cl in enumerate(sp.point_closures):
-        if cl & ~join_at(point_fibres, tp.point_closures[point_map[x]]):
-            return False
+    table = pair_atoms(tp, target.subset)
+    if not table.closed_base:
+        # Each condition is an inclusion of preimages, as f(A) <= B iff
+        # A <= f^-1(B).  Continuity: f(cl{x}) <= cl{f(x)}, i.e. cl{x} lies
+        # inside f^-1(cl{f(x)}), for every x.
+        for x, cl in enumerate(sp.point_closures):
+            if cl & ~join_at(point_fibres, tp.point_closures[point_map[x]]):
+                return None
     # The dense part: f(X0) <= X0', i.e. X0 lies inside f^-1(X0').
     if source.subset & ~join_at(point_fibres, target.subset):
-        return False
+        return None
     for x, y in source.relation:
         if (point_map[x], point_map[y]) not in target.relation:
-            return False
-    # trace coherence: the map is determined by its dense restriction.
+            return None
+    # Trace coherence: the map is determined by its dense restriction.
     # Landing in the closure of a dense clopen must force membership in
-    # the closure of that clopen's preimage (the converse is continuity):
-    # f^-1(cl c) lies inside cl(f^-1(c) n X0).  A clopen is the union of
-    # the clopen atoms below it, and closure and preimage are additive:
-    # the condition holds for every clopen iff it holds for the atoms,
-    # which the target pair's table holds with their closures.
-    table = pair_atoms(tp, target.subset)
+    # the closure of that clopen's preimage: f^-1(cl c) lies inside
+    # cl(f^-1(c) n X0).  A clopen is the union of the clopen atoms below
+    # it, and closure and preimage are additive: the condition holds for
+    # every clopen iff it holds for the atoms, which the target pair's
+    # table holds with their closures.
+    preimages = []
     for clopen, target_closure in zip(table.atoms, table.closures):
-        source_closure = closure(sp, join_at(point_fibres, clopen) & source.subset)
-        if join_at(point_fibres, target_closure) & ~source_closure:
-            return False
-    return True
+        preimage = join_at(point_fibres, target_closure)
+        if preimage != closure(sp, join_at(point_fibres, clopen) & source.subset):
+            return None
+        preimages.append(preimage)
+    return tuple(preimages)
 
 
 @dataclass(frozen=True)
@@ -133,6 +163,12 @@ class PcsMorphism:
     of its dense restriction, which breaks faithfulness, the naturality
     squares and the hom-set bijection with the algebra side.  On
     discrete spaces the condition is vacuous.
+
+    The conditions are decided at the clopen atoms of the target's dense
+    part (`_is_valid_pcs_map`), and the preimages of their closures are
+    kept (``_atom_preimages``): a member of the target pair is the union
+    of its atoms' closures, and preimage is additive, so its preimage is
+    the union of theirs (`gt_preimage_check`).
     """
 
     source: TwoPrecontactSpace
@@ -140,8 +176,10 @@ class PcsMorphism:
     point_map: tuple
 
     def __post_init__(self):
-        if not _is_valid_pcs_map(self.source, self.target, self.point_map):
+        preimages = _is_valid_pcs_map(self.source, self.target, self.point_map)
+        if preimages is None:
             raise PreconditionError("not a morphism of 2-precontact spaces")
+        once.keep(self, "_atom_preimages", preimages)
 
     @once
     def _fibres(self):
@@ -253,11 +291,10 @@ def dual_space_map(morphism):
 
 def _dual_space_map(morphism):
     source_pca, target_pca = morphism.source, morphism.target
-    amap = morphism.hom.atom_map
-    images = (
-        mask_of(amap[q] for q in bit_indices(support))
-        for support in clan_supports(target_pca)
-    )
+    # The preimage of the clan with support S has the support of the
+    # source atoms atom_map[q] over the q in S.
+    atom_bits = [1 << p for p in morphism.hom.atom_map]
+    images = (join_at(atom_bits, support) for support in target_pca._clan_supports)
     return PcsMorphism(
         canonical_pcs_of_pca(target_pca),
         canonical_pcs_of_pca(source_pca),
@@ -268,8 +305,8 @@ def _dual_space_map(morphism):
 def _clan_points(pca, supports):
     """The point of the dual of ``pca`` at each of the clan supports,
     its position in `clan_supports`, the dual's point order."""
-    positions = {s: i for i, s in enumerate(clan_supports(pca))}
-    points = tuple(positions.get(s) for s in supports)
+    positions = pca._clan_positions
+    points = tuple(map(positions.get, supports))
     if None in points:
         raise InternalError("a support must be a clan of the algebra")
     return points
@@ -577,7 +614,11 @@ def gt_preimage_check(f, member_mask):
     psi = dual_algebra_map(f)
     element = target_alg.from_point_mask(member_mask)
     through_hom = source_alg.to_point_mask(psi.hom.apply_mask(element))
-    plain = f.preimage_mask(member_mask)
+    # `from_point_mask` has checked that the member is the union of its
+    # element's atoms, the closures B_q in the target's table order, and
+    # preimage is additive: the plain preimage is the union of the kept
+    # f^-1(B_q) (`PcsMorphism`), independent of psi's atom map.
+    plain = join_at(f._atom_preimages, element)
     passed = through_hom == plain
     return Check(
         "algebra map acts as preimage",

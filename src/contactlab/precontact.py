@@ -219,6 +219,13 @@ class PrecontactAlgebra:
         # round trip's images, computed once per object
         return tuple(transpose(self._clan_supports, self.algebra.atom_count))
 
+    @once
+    def _clan_positions(self):
+        # _clan_positions[s]: the position of the clan support s in
+        # _clan_supports, the dual's point order; the lookup of
+        # `duality._clan_points`, computed once per object
+        return {s: i for i, s in enumerate(self._clan_supports)}
+
     def __getstate__(self):
         # the dual triple is held weakly (see memo.remember), and a weak
         # reference does not pickle

@@ -381,7 +381,8 @@ class PcsAlgebra:
     on a canonical dual they are the atom clan sets of its algebra, in
     atom order, and ``pca`` is that algebra.  An element's point set is
     the union of its atoms, and a member's element the atoms below it,
-    both read off the n atoms; the 2**n members are built on request."""
+    read off the atoms of its dense points; the 2**n members are built
+    on request."""
 
     source: TwoPrecontactSpace
     pca: PrecontactAlgebra
@@ -401,9 +402,16 @@ class PcsAlgebra:
         DomainMismatchError when no member has that point set."""
         # The atoms A_i meet the dense part in its clopen atoms f_i, which
         # are disjoint and nonempty, so a union of the A_i over T holds A_i
-        # iff i is in T: a member's element is the atoms below it.
+        # iff i is in T: a member's element is the atoms below it.  A
+        # dense point is held by the closure of its own atom only, its
+        # one bit in the table's support, so for a member F the atoms
+        # meeting F n X0 are exactly the atoms below F: the element is
+        # the join of the supports of the dense points of F.  A mask that
+        # is no member is not the union of any atoms, this join's
+        # included, so the comparison below refuses it.
         atoms = self.atom_masks
-        element = sum(1 << i for i, atom in enumerate(atoms) if atom & ~point_mask == 0)
+        table = pair_atoms(self.source.space, self.source.subset)
+        element = join_at(table.support, point_mask & table.subset)
         if join_at(atoms, element) != point_mask:
             raise DomainMismatchError(f"point mask {point_mask} is not a member")
         return element

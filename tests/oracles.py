@@ -371,6 +371,25 @@ def oracle_closed_family(point_closures):
     }
 
 
+def oracle_closed_unions(point_closures):
+    """The unions of the singleton closures, grown from the empty set one
+    closure at a time: the family of `oracle_closed_family`, as a set
+    holding the closure of each of its points is the union of those
+    closures, and a union of closures holds the closure of each of its
+    points, closures being transitive.  Its cost is the family's size
+    times the points, not 2**points, so it reaches the canonical duals
+    of 5 atoms."""
+    family, frontier = {0}, [0]
+    while frontier:
+        grown = frontier.pop()
+        for closed in point_closures:
+            union = grown | closed
+            if union not in family:
+                family.add(union)
+                frontier.append(union)
+    return family
+
+
 def oracle_is_closed_base(point_closures, members):
     """Members are closed, and the intersections of their finite unions
     are every closed set."""
@@ -732,12 +751,14 @@ def oracle_pcs_map_failure(source, target, point_map):
     but x outside the closure of the dense points mapped into c).
     ``source`` and ``target`` are (point closures, subset, relation)."""
     (s_cl, s_sub, s_rel), (t_cl, t_sub, t_rel) = source, target
-    s_closed = oracle_closed_family(s_cl)
 
     def preimage(mask):
         return sum(1 << x for x in range(len(s_cl)) if mask >> point_map[x] & 1)
 
-    if any(preimage(c) not in s_closed for c in oracle_closed_family(t_cl)):
+    def closed(mask):
+        return all(s_cl[x] | mask == mask for x in bits(mask))
+
+    if any(not closed(preimage(c)) for c in oracle_closed_unions(t_cl)):
         return "continuity"
     if any(not t_sub >> point_map[x] & 1 for x in bits(s_sub)):
         return "dense part"

@@ -44,6 +44,7 @@ import itertools
 import random
 import sys
 import time
+import types
 from functools import reduce
 from operator import or_
 
@@ -57,6 +58,7 @@ from contactlab.boolean import (
     _first_map_mismatch,
     _first_pair_mismatch,
     bit_indices,
+    join_at,
     mask_of,
     meeting_rows,
     transpose,
@@ -64,10 +66,11 @@ from contactlab.boolean import (
 from contactlab.duality import (
     algebra_roundtrip_iso,
     gmcs_hom_check,
+    gt_preimage_check,
     identity_pcs_morphism,
     specialization_report,
 )
-from contactlab.errors import AxiomViolationError, DomainMismatchError
+from contactlab.errors import AxiomViolationError, DomainMismatchError, InternalError
 from contactlab.precontact import (
     RawRelation,
     RelationKernel,
@@ -137,6 +140,7 @@ from oracles import (
     oracle_clan_supports,
     oracle_clique_supports,
     oracle_closed_family,
+    oracle_closed_unions,
     oracle_contact_relation,
     oracle_cs4_s2s4,
     oracle_extremally_disconnected,
@@ -161,6 +165,7 @@ from oracles import (
     oracle_pcs_algebra,
     oracle_pcs_map_failure,
     oracle_point_mask,
+    oracle_preimage,
     oracle_rc_family,
     oracle_sigma_unrealized,
     oracle_subspace_clopens,
@@ -1067,30 +1072,76 @@ def test_gmcs_hom_check_matches_the_member_sweep():
     assert seen == {(True, True), (True, False), (False, True), (False, False)}, seen
 
 
-def test_pcs_map_check_matches_the_all_clopens_trace_coherence():
-    """Trace coherence on the clopen atoms of the target's dense part
-    against the sweep over all its clopens, on seeded point maps between
-    triples on at most 3 points; every failing condition is seen."""
-    rng = random.Random(20261010)
-    triples = []
-    for space in (s for n in range(1, 4) for s in all_small_spaces(n)):
-        for sub in range(1, space.full_mask + 1):
-            if closure(space, sub) == space.full_mask:
-                triples.append(TwoPrecontactSpace(space, sub, random_relation(sub, rng)))
-    seen = set()
-    for _ in range(4000):
-        source, target = rng.choice(triples), rng.choice(triples)
-        point_map = tuple(
-            rng.randrange(target.space.point_count) for _ in range(source.space.point_count)
+def perturbed_dual_space_maps(rng, count):
+    """Seeded dual space maps between canonical duals of 3 to 5 atoms,
+    each with the image of one point moved to another target point."""
+    out = []
+    for i in range(count):
+        sizes = (rng.randint(3, 5), rng.randint(3, 5))
+        phi = random_pca_morphism(*sizes, rng.choice((0.3, 0.45, 0.6)), child_seed(20261030, i))
+        f = duality.dual_space_map(phi)
+        point_map = list(f.point_map)
+        x = rng.randrange(len(point_map))
+        point_map[x] = rng.choice(
+            [y for y in range(f.target.space.point_count) if y != point_map[x]]
         )
+        out.append((f.source, f.target, tuple(point_map)))
+    return out
+
+
+def test_pcs_map_check_matches_the_all_clopens_trace_coherence():
+    """The morphism conditions, decided at the clopen atoms of the target's
+    dense part, against the literal sweeps over all closed sets and all
+    clopens (`oracle_pcs_map_failure`): on seeded point maps between
+    triples on at most 3 points and between triples on 4 points, and on
+    one-point perturbations of dual space maps between canonical duals
+    of 3 to 5 atoms.  Both kinds of target are seen: those whose atom
+    closures are a closed base, decided by the one atom pass, and those
+    whose are not, with the per-point continuity loop; and every failing
+    condition is seen, each but the relation in the atom pass."""
+    rng = random.Random(20261010)
+
+    def dense_triples(spaces):
+        return [
+            TwoPrecontactSpace(space, sub, random_relation(sub, rng))
+            for space in spaces
+            for sub in range(1, space.full_mask + 1)
+            if closure(space, sub) == space.full_mask
+        ]
+
+    small = dense_triples(s for n in range(1, 4) for s in all_small_spaces(n))
+    four = dense_triples(all_small_spaces(4))
+    cases = []
+    for triples, count in ((small, 4000), (four, 1500)):
+        for _ in range(count):
+            source, target = rng.choice(triples), rng.choice(triples)
+            point_map = tuple(
+                rng.randrange(target.space.point_count) for _ in range(source.space.point_count)
+            )
+            cases.append((source, target, point_map))
+    cases += perturbed_dual_space_maps(rng, 120)
+    seen = {True: set(), False: set()}
+    for source, target, point_map in cases:
         failure = oracle_pcs_map_failure(
             (source.space.point_closures, source.subset, source.relation),
             (target.space.point_closures, target.subset, target.relation),
             point_map,
         )
-        assert duality._is_valid_pcs_map(source, target, point_map) == (failure is None)
-        seen.add(failure)
-    assert seen == {None, "continuity", "dense part", "relation", "trace coherence"}, seen
+        valid = duality._is_valid_pcs_map(source, target, point_map) is not None
+        assert valid == (failure is None), (source, target, point_map)
+        seen[pair_atoms(target.space, target.subset).closed_base].add(failure)
+    every = {None, "continuity", "dense part", "relation", "trace coherence"}
+    assert seen[False] | seen[True] == every, seen
+    assert seen[True] >= every - {"relation"}, seen
+
+
+def test_closed_unions_are_the_closed_family():
+    """The map oracle grows the target's closed sets as unions of point
+    closures: the literal closed family on every space with at most 4
+    points."""
+    for space in (s for n in range(1, 5) for s in all_small_spaces(n)):
+        closures = space.point_closures
+        assert oracle_closed_unions(closures) == oracle_closed_family(closures)
 
 
 def test_mereocompactness_matches_the_clan_and_candidate_sweeps(monkeypatch):
@@ -2256,6 +2307,76 @@ def test_point_masks_match_the_members():
     assert seen == {True, False}
 
 
+def seeded_space_morphisms():
+    """The dual space maps of `morphism_population` and of seeded 5-atom
+    morphisms, and the space round trips of their sources."""
+    phis = morphism_population() + [
+        random_pca_morphism(s, t, 0.4, child_seed(20261032, i))
+        for i, (s, t) in enumerate([(5, 4), (4, 5), (5, 5)])
+    ]
+    maps = [duality.dual_space_map(phi) for phi in phis]
+    return maps + [duality.space_roundtrip_iso(f.source) for f in maps]
+
+
+def test_preimage_checks_match_the_literal_preimages():
+    """On seeded space morphisms, every member of the target pair against
+    the oracles: `from_point_mask` gives the element whose atoms' union
+    is the member, the kept atom preimages join to the literal preimage
+    of the member, and `gt_preimage_check` passes.  Non-members, in
+    range, above it or negative, raise DomainMismatchError in both."""
+    seen = set()
+    for f in seeded_space_morphisms():
+        alg = pcs_algebra(f.target)
+        members = member_elements(f.target)
+        full = f.target.space.full_mask
+        for member, element in members.items():
+            assert alg.from_point_mask(member) == element
+            assert oracle_point_mask(alg.atom_masks, element) == member
+            plain = oracle_preimage(f.point_map, member)
+            assert join_at(f._atom_preimages, element) == plain
+            assert gt_preimage_check(f, member).passed
+        others = [m for m in range(min(full, 255) + 1) if m not in members]
+        others += [full + 1, -1, -2, ~full, -(1 << 40)] + [~m for m in list(members)[:4]]
+        for mask in others:
+            with pytest.raises(DomainMismatchError, match=f"point mask {mask} is not a member"):
+                alg.from_point_mask(mask)
+            with pytest.raises(DomainMismatchError, match=f"point mask {mask} is not a member"):
+                gt_preimage_check(f, mask)
+        seen.add(f.source.space.point_count == f.target.space.point_count)
+    assert seen == {True, False}
+
+
+def test_preimage_check_names_the_members_of_a_moved_atom(monkeypatch):
+    """With one atom of the dual algebra map moved to another target
+    atom, the preimage check fails at exactly the members whose element
+    holds one of the two atoms, and names each of them."""
+    checked = 0
+    for f in seeded_space_morphisms():
+        target_alg, source_alg = pcs_algebra(f.target), pcs_algebra(f.source)
+        if len(target_alg.atom_masks) < 2:
+            continue
+        real = duality.dual_algebra_map(f).hom
+        amap = list(real.atom_map)
+        q = amap[0]
+        amap[0] = (q + 1) % len(target_alg.atom_masks)
+        broken = types.SimpleNamespace(hom=BooleanHom(real.source, real.target, tuple(amap)))
+        fresh = duality.PcsMorphism(f.source, f.target, f.point_map)
+        monkeypatch.setattr(duality.PcsMorphism, "_dual_algebra_map", property(lambda g: broken))
+        for member, element in member_elements(f.target).items():
+            through = oracle_point_mask(
+                source_alg.atom_masks, oracle_hom_image(amap, element)
+            )
+            moved = through != oracle_preimage(f.point_map, member)
+            assert moved == (bool(element >> q & 1) != bool(element >> amap[0] & 1))
+            check = gt_preimage_check(fresh, member)
+            assert check.passed is not moved, (f, member)
+            if moved:
+                assert check.witness == f"member {f.target.space.name_set(member)}"
+        monkeypatch.undo()
+        checked += 1
+    assert checked > 20
+
+
 def test_space_round_trip_is_the_literal_trace_map():
     """On every valid triple of `pcs_population`, canonical or not, the
     space round trip sends a point x to the clan of the atoms whose
@@ -2312,6 +2433,49 @@ def test_naturality_evaluates_maps_at_the_atoms_only(monkeypatch):
     hom_arguments.clear()
     duality.dual_algebra_map(duality.PcsMorphism(f.source, f.target, f.point_map))
     assert preimages == [] and hom_arguments == [], (preimages, hom_arguments)
+
+
+def test_morphism_check_into_a_closed_base_is_one_pass_over_the_atoms(monkeypatch):
+    """Validating a space morphism into a target whose atom closures are
+    a closed base takes 1 + 2k unions of fibres for the k atoms of the
+    target's dense part: one for the dense part and two per atom, with
+    no per-point continuity pass, whatever the source's point count."""
+    calls = []
+    real_join = duality.join_at
+
+    def counted_join(values, mask):
+        calls.append(mask)
+        return real_join(values, mask)
+
+    phi = random_pca_morphism(4, 5, 0.5, child_seed(20261033, 0))
+    f = duality.dual_space_map(phi)
+    target = f.target
+    table = pair_atoms(target.space, target.subset)
+    assert table.closed_base
+    k = len(table.closures)
+    sources = [
+        (f.source, f.point_map),
+        (target, tuple(range(target.space.point_count))),
+    ]
+    assert f.source.space.point_count != target.space.point_count
+    monkeypatch.setattr(duality, "join_at", counted_join)
+    for source, point_map in sources:
+        calls.clear()
+        duality.PcsMorphism(source, target, point_map)
+        assert len(calls) == 1 + 2 * k, (source.space.point_count, len(calls))
+
+
+def test_clan_points_refuse_a_support_that_is_not_a_clan():
+    """A support that is no clique under the contact closure is no point
+    of the dual: `_clan_points` raises InternalError."""
+    pca = pca_from_pairs(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)})
+    assert duality._clan_points(pca, [0b011, 0b100]) == (
+        clan_supports(pca).index(0b011),
+        clan_supports(pca).index(0b100),
+    )
+    for support in (0b101, 0b111, 0, 1 << 3):
+        with pytest.raises(InternalError, match="a support must be a clan of the algebra"):
+            duality._clan_points(pca, [0b001, support])
 
 
 # ---------------------------------------------------------------------------

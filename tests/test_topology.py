@@ -30,6 +30,7 @@ from contactlab.topology import (
     rc_members_of_subset,
     rc_pair_algebra,
     space_from_closed_base,
+    restrict_to_subspace_mask,
     space_predicates,
     subspace,
     u_point_of_pair,
@@ -502,3 +503,15 @@ def test_point_budget_bounds_only_whole_families(monkeypatch):
     ):
         with pytest.raises(CapacityError):
             family()
+
+
+def test_a_negative_mask_is_refused_not_walked():
+    """A negative mask has no finite set of bits: walking it raises
+    DomainMismatchError at once instead of looping or running off the
+    point names."""
+    with pytest.raises(DomainMismatchError, match="negative mask"):
+        restrict_to_subspace_mask(-1, 1)
+    with pytest.raises(DomainMismatchError, match="negative mask"):
+        discrete_space("abc").name_set(-1)
+    assert restrict_to_subspace_mask(0b1010, 0b1000) == 0b10
+    assert discrete_space("abc").name_set(0b101) == "{a,c}"
