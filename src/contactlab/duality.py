@@ -18,15 +18,18 @@ values at the atoms (`_first_map_mismatch`: the naturality square of
 the algebra round trip), a relation by its atom rows
 (`_first_pair_mismatch`: the round trip's relation and proximity
 checks), and the first witness is read off the first atom where they
-differ.  A space morphism is checked at the k clopen atoms of the
-target's dense part (`_is_valid_pcs_map`): into a valid target,
+differ.  A space morphism joins two valid triples, and it is checked
+at the k clopen atoms of the target's dense part (`_is_valid_pcs_map`):
 continuity and trace coherence are one comparison per atom, and the
 preimages of the atoms' closures are kept, so the preimage of a member
 of the target pair is the union of those of its atoms
 (`gt_preimage_check`).  The dual algebra map of a space morphism
-is read off where it sends one point of each clopen atom of the dense
-part, and a point of a dual is found by its clan support
-(`_clan_points`) in both functors and in the space round trip.  The
+is read off where it sends each dense point, and a point of a dual is
+found by its clan support (`_clan_points`) in both functors and in the
+space round trip.  The naturality squares read the unit maps where
+they are defined, and run no round-trip check: the algebra square the
+atom clan sets of its two algebras, the space square the point maps of
+the two space round trips (`_unit_points`).  The
 algebra round trip is a join-preserving map, held by its n atom images:
 it is a bijection onto the pair's regular closed sets iff those images
 are the pair's atoms, each once (`_bijectivity_witness`), and its 2**n
@@ -53,6 +56,7 @@ from .errors import (
     DomainMismatchError,
     InternalError,
     PreconditionError,
+    ValidationError,
 )
 from .memo import once, remember
 from .precontact import (
@@ -95,10 +99,11 @@ def _is_valid_pcs_map(source, target, point_map):
     the target's dense part, in the order of its table (`pair_atoms`),
     when the point map is a morphism of 2-precontact spaces; else None.
 
-    Continuity and trace coherence are decided in one pass over the k
-    atoms g_q of the target's dense part when the closures B_q form a
-    closed base (the table's ``closed_base``): then f is continuous and
-    trace coherent iff f^-1(B_q) == cl(f^-1(g_q) n X0) for every q.
+    The target is valid (`PcsMorphism`), so by (PCS3) the closures B_q
+    form a closed base, and continuity and trace coherence are decided
+    in one pass over the k atoms g_q of the target's dense part: f is
+    continuous and trace coherent iff f^-1(B_q) == cl(f^-1(g_q) n X0)
+    for every q.
     * (<=) Each f^-1(B_q) is then a closure, so it is closed.  Every
       cl{y} is the meet of the B_q that hold y, or the whole space when
       none does (the closed-base verdict), and preimage preserves meets (and sends the whole
@@ -109,11 +114,7 @@ def _is_valid_pcs_map(source, target, point_map):
       below).
     * (=>) Continuity makes f^-1(B_q) closed.  It holds f^-1(g_q) n X0,
       as g_q lies in B_q, so it holds the closure of that set too.
-      Trace coherence gives the other inclusion.
-    So the per-point continuity loop runs only when the table is not a
-    closed base, which (PCS3) rules out for a valid target.  It runs
-    first there, and once f is continuous the inclusion of the right
-    side in the left holds as in (=>), so `!=` is exact there too."""
+      Trace coherence gives the other inclusion."""
     sp, tp = source.space, target.space
     if len(point_map) != sp.point_count:
         return None
@@ -121,13 +122,6 @@ def _is_valid_pcs_map(source, target, point_map):
         return None
     point_fibres = fibres(tp.point_count, point_map)
     table = pair_atoms(tp, target.subset)
-    if not table.closed_base:
-        # Each condition is an inclusion of preimages, as f(A) <= B iff
-        # A <= f^-1(B).  Continuity: f(cl{x}) <= cl{f(x)}, i.e. cl{x} lies
-        # inside f^-1(cl{f(x)}), for every x.
-        for x, cl in enumerate(sp.point_closures):
-            if cl & ~join_at(point_fibres, tp.point_closures[point_map[x]]):
-                return None
     # The dense part: f(X0) <= X0', i.e. X0 lies inside f^-1(X0').
     if source.subset & ~join_at(point_fibres, target.subset):
         return None
@@ -164,11 +158,13 @@ class PcsMorphism:
     squares and the hom-set bijection with the algebra side.  On
     discrete spaces the condition is vacuous.
 
-    The conditions are decided at the clopen atoms of the target's dense
-    part (`_is_valid_pcs_map`), and the preimages of their closures are
-    kept (``_atom_preimages``): a member of the target pair is the union
-    of its atoms' closures, and preimage is additive, so its preimage is
-    the union of theirs (`gt_preimage_check`).
+    Both ends must be valid triples: a morphism with an end that fails
+    (PCS1)..(PCS5) raises ValidationError.  The conditions are decided
+    at the clopen atoms of the target's dense part (`_is_valid_pcs_map`),
+    and the preimages of their closures are kept (``_atom_preimages``):
+    a member of the target pair is the union of its atoms' closures, and
+    preimage is additive, so its preimage is the union of theirs
+    (`gt_preimage_check`).
     """
 
     source: TwoPrecontactSpace
@@ -176,6 +172,12 @@ class PcsMorphism:
     point_map: tuple
 
     def __post_init__(self):
+        for end, pcs in (("source", self.source), ("target", self.target)):
+            if not pcs.ok:
+                raise ValidationError(
+                    f"the {end} is not a 2-precontact space: "
+                    + (pcs.failure_summary(" ") or "no checks")
+                )
         preimages = _is_valid_pcs_map(self.source, self.target, self.point_map)
         if preimages is None:
             raise PreconditionError("not a morphism of 2-precontact spaces")
@@ -194,15 +196,12 @@ class PcsMorphism:
         # target pair goes to cl(f^-1(F' n X0') n X0).  Both canonical
         # algebras are numbered by the clopen atoms of their dense parts
         # (`pair_atoms`), f_p of X0 with closure A_p and g_q of X0' with
-        # closure B_q, and the map is read at one point of each f_p.
-        # * The clopen atoms of X0 are the components of the graph
-        #   joining x to the points of cl{x} n X0 (`clopen_atoms`).
-        #   Continuity gives f(cl{x}) <= cl{f(x)}, and f(X0) <= X0', so
-        #   f sends an edge x ~ y of that graph to an edge (or a point)
-        #   of the target's graph, and each f_p into one g_q: the q with
-        #   f(x_p) in g_q, for the lowest point x_p of f_p.  A point of
-        #   X0' is held by the closure of its own atom only, so q is the
-        #   one bit of the table's support of f(x_p).
+        # closure B_q.  Both triples are valid, so by (PCS2) each clopen
+        # atom is one dense point: f_p = {x_p}.
+        # * f sends the dense point x_p to a dense point of the target,
+        #   the one point of some g_q.  A point of X0' is held by the
+        #   closure of its own atom only, so q is the one bit of the
+        #   table's support of f(x_p).
         # * Hence f^-1(g_q) n X0 is the union of the f_p with
         #   atom_map[p] = q.  B_q meets X0' in g_q, and F' is the union
         #   of the B_q over the atoms q of its element, so its image is
@@ -324,19 +323,22 @@ def dual_algebra_map(f):
 # the natural isomorphisms
 
 
-def space_roundtrip_iso(pcs):
-    """The triple against the dual of its dual: a point goes to its
-    trace in the pair's regular closed sets, read as a clan.  The
-    canonical algebra's atoms are the closures in the pair's table, in
-    its order, so the trace of x is held by its support there.  On a
+def _unit_points(pcs):
+    """The point map of the space round trip of a valid triple: a point
+    goes to its trace in the pair's regular closed sets, read as a clan.
+    The canonical algebra's atoms are the closures in the pair's table,
+    in its order, so the trace of x is held by its support there.  On a
     canonical dual the dual of its dual is the triple itself and the map
     is the identity: point x is the clan with support supports[x], and
     its trace is the atom clan sets B_i holding it, those i in
     supports[x]."""
-    alg = pcs_algebra(pcs)
-    rebuilt = canonical_pcs_of_pca(alg.pca)
-    support = pair_atoms(pcs.space, pcs.subset).support
-    return PcsMorphism(pcs, rebuilt, _clan_points(alg.pca, support))
+    return _clan_points(pcs_algebra(pcs).pca, pair_atoms(pcs.space, pcs.subset).support)
+
+
+def space_roundtrip_iso(pcs):
+    """The triple against the dual of its dual, as a morphism of
+    triples: a point goes to its trace (`_unit_points`)."""
+    return PcsMorphism(pcs, canonical_pcs_of_pca(pcs_algebra(pcs).pca), _unit_points(pcs))
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,6 @@ class AlgebraRoundTrip:
 
     source: PrecontactAlgebra
     space: TwoPrecontactSpace
-    canonical: object
     report: object
 
     @once
@@ -357,9 +358,6 @@ class AlgebraRoundTrip:
         atom clan sets of its atoms.  Computed once per object, when
         asked for."""
         return tuple(joins_table(self.source._atom_clans))
-
-    def image_of(self, element_mask):
-        return join_at(self.source._atom_clans, element_mask)
 
 
 def _bijectivity_witness(space, atom_images, pair_atoms):
@@ -531,7 +529,7 @@ def algebra_roundtrip_iso(pca):
         else f"atom pair {tuple(m.bit_length() - 1 for m in kernel_diff)}",
     )
 
-    return AlgebraRoundTrip(pca, triple, alg, report.done())
+    return AlgebraRoundTrip(pca, triple, report.done())
 
 
 # ---------------------------------------------------------------------------
@@ -549,25 +547,24 @@ def check_naturality(morphism):
 def _check_algebra_square(phi):
     """g_target o phi must equal the double dual of phi after g_source."""
     report = ReportBuilder("naturality of the algebra round trip")
-    a_trip = algebra_roundtrip_iso(phi.source)
-    b_trip = algebra_roundtrip_iso(phi.target)
+    # The duals of the source and the target are the ends of f, and the
+    # unit map of an algebra sends atom p to its atom clan set.
     f = dual_space_map(phi)
     psi = dual_algebra_map(f)
-    a_alg = pcs_algebra(a_trip.space)
-    b_alg = pcs_algebra(b_trip.space)
+    a_alg = pcs_algebra(f.target)
+    b_alg = pcs_algebra(f.source)
+    a_clans, b_clans = phi.source._atom_clans, phi.target._atom_clans
 
-    # Every map here sends 0 to 0 and preserves joins: the round-trip
-    # images (`image_of`, unions of atom images) and `to_point_mask`
-    # (unions of the canonical algebra's atoms), the hom, the preimage
-    # under f, and `from_point_mask`, the inverse on the members of the
-    # injective join-preserving `to_point_mask`.  So both checks compare
-    # their two composites at the atoms (`_first_map_mismatch`), which
-    # names the first element mask where they differ.
+    # Every map here sends 0 to 0 and preserves joins: the unit maps
+    # (unions of atom clan sets) and `to_point_mask` (unions of the
+    # canonical algebra's atoms), the hom, the preimage under f, and
+    # `from_point_mask`, the inverse on the members of the injective
+    # join-preserving `to_point_mask`.  So both checks compare their two
+    # composites at the atoms (`_first_map_mismatch`), which names the
+    # first element mask where they differ.
     atoms = [1 << p for p in range(phi.source.algebra.atom_count)]
-    hom_images = [b_trip.image_of(phi.hom.apply_mask(a)) for a in atoms]
-    basic = _first_map_mismatch(
-        [f.preimage_mask(a_trip.image_of(a)) for a in atoms], hom_images
-    )
+    hom_images = [join_at(b_clans, phi.hom.apply_mask(a)) for a in atoms]
+    basic = _first_map_mismatch([f.preimage_mask(clans) for clans in a_clans], hom_images)
     report.add(
         "preimages of basic closed sets match the hom images",
         basic is None,
@@ -576,8 +573,8 @@ def _check_algebra_square(phi):
     square = _first_map_mismatch(
         hom_images,
         [
-            b_alg.to_point_mask(psi.hom.apply_mask(a_alg.from_point_mask(a_trip.image_of(a))))
-            for a in atoms
+            b_alg.to_point_mask(psi.hom.apply_mask(a_alg.from_point_mask(clans)))
+            for clans in a_clans
         ],
     )
     report.add(
@@ -591,18 +588,16 @@ def _check_algebra_square(phi):
 def _check_space_square(f):
     """The double dual of f must match f through the point traces."""
     report = ReportBuilder("naturality of the space round trip")
-    t_src = space_roundtrip_iso(f.source)
-    t_dst = space_roundtrip_iso(f.target)
-    psi = dual_algebra_map(f)
-    f_sharp = dual_space_map(psi)
-    ok, witness = True, None
-    for x in range(f.source.space.point_count):
-        left = f_sharp.point_map[t_src.point_map[x]]
-        right = t_dst.point_map[f.point_map[x]]
-        if left != right:
-            ok, witness = False, f"point {f.source.space.point_names[x]}"
-            break
-    report.add("the square commutes", ok, witness)
+    f_sharp = dual_space_map(dual_algebra_map(f)).point_map
+    t_src, t_dst = _unit_points(f.source), _unit_points(f.target)
+    moved = next(
+        (x for x, y in enumerate(f.point_map) if f_sharp[t_src[x]] != t_dst[y]), None
+    )
+    report.add(
+        "the square commutes",
+        moved is None,
+        None if moved is None else f"point {f.source.space.point_names[moved]}",
+    )
     return report.done()
 
 

@@ -233,9 +233,6 @@ class PrecontactAlgebra:
             k: v for k, v in self.__dict__.items() if not isinstance(v, weakref.ref)
         }
 
-    def holds_masks(self, a_mask, b_mask):
-        return self.kernel.holds_masks(a_mask, b_mask)
-
 
 def clique_supports(adj):
     """Yield the nonempty cliques of a reflexive and symmetric adjacency

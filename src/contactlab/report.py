@@ -61,11 +61,8 @@ class DualityReport(CheckList):
     checks: tuple[Check, ...] = ()
     elapsed_ms: float | None = field(default=None, compare=False)
 
-    def as_dict(self, include_elapsed=False):
-        out = {"subject": self.subject, "checks": [c.as_dict() for c in self.checks]}
-        if include_elapsed and self.elapsed_ms is not None:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
+    def as_dict(self):
+        return {"subject": self.subject, "checks": [c.as_dict() for c in self.checks]}
 
 
 class ReportBuilder:

@@ -52,7 +52,6 @@ from .precontact import PrecontactAlgebra, RelationKernel, clique_supports
 from .report import CheckList, ReportBuilder
 from .topology import (
     FiniteSpace,
-    MereotopologicalPair,
     _c_semiregular_tests,
     clopen_atoms,
     closure,
@@ -558,7 +557,6 @@ class MereocompactReport(CheckList):
     none for mereocompact T0 pairs).
     """
 
-    pair: MereotopologicalPair
     is_space: bool
     is_t0: bool
     is_mereocompact: bool
@@ -637,7 +635,6 @@ def mereocompactness_report(mereo):
         # already.
 
     return MereocompactReport(
-        pair=mereo,
         is_space=space_ok,
         is_t0=t0,
         is_mereocompact=mereocompact,

@@ -250,6 +250,7 @@ def is_closed(space, mask):
 
 
 def interior(space, mask):
+    require_subset(space, mask)
     full = space.full_mask
     return full ^ closure(space, full ^ mask)
 

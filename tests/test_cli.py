@@ -644,6 +644,21 @@ DISCRETE2 = {"points": ["a", "b"], "closed_base": [[0], [1]]}
 # RC is {0, X}, which does not generate the closed set {b}
 SIERPINSKI = {"points": ["a", "b"], "closed_base": [[0, 1], [1]]}
 DISCRETE4 = {"points": ["a", "b", "c", "d"], "closed_base": [[0], [1], [2], [3]]}
+# dense but not T0: the indiscrete space on two points with subset {a}
+NOT_T0 = {
+    "schema_version": "1",
+    "kind": "pcs",
+    "space": {"points": ["a", "b"], "closed_base": []},
+    "subset": [0],
+    "R": [],
+}
+INVALID_END_MORPHISM = {
+    "kind": "morphism",
+    "variant": "pcs",
+    "source": NOT_T0,
+    "target": NOT_T0,
+    "map": [0, 1],
+}
 
 GOLDEN_VALIDATE = {
     "pcs-valid": (
@@ -892,7 +907,14 @@ GOLDEN_VALIDATE = {
         "",
         "error: subalgebra not closed under join/meet\n",
     ),
-
+    # the identity on a triple that fails (PCS1): a morphism joins valid
+    # triples, so the file is refused at its source
+    "pcs-morphism-invalid-end": (
+        INVALID_END_MORPHISM,
+        1,
+        "",
+        "error: the source is not a 2-precontact space: (PCS1) dense=True, T0=False\n",
+    ),
 }
 
 

@@ -22,6 +22,8 @@ from contactlab.randgen import random_pca_morphism
 from contactlab.serialize import encode
 from contactlab.structures import canonical_pcs_of_pca
 
+from test_cli import INVALID_END_MORPHISM
+
 XL = {"points": ["c0", "c1", "c0-1"], "closed_base": [[0, 2], [1, 2], [2]]}
 
 
@@ -44,6 +46,7 @@ def _base_payloads():
             "topology": {"points": ["a", "b"], "closed_base": [[0], [1]]},
         },
         {"kind": "family", "family_kind": "grill", "algebra": {"atoms": 2}, "members": [1, 3]},
+        INVALID_END_MORPHISM,
     ]
     return [
         *({"schema_version": "1", **p} for p in versioned),

@@ -12,7 +12,7 @@ kernels of 4 to 6 atoms, and on seeded morphisms of 1 to 5 atoms."""
 import copy
 import pickle
 
-from contactlab import structures
+from contactlab import duality, structures
 from contactlab.duality import (
     check_naturality,
     dual_algebra_map,
@@ -93,3 +93,30 @@ def test_a_naturality_operation_builds_two_duals(monkeypatch):
         assert check_naturality(f).ok
         assert all(gt_preimage_check(f, m).passed for m in pcs_algebra(f.target).members)
         assert sorted(map(id, built)) == sorted(map(id, (phi.source, phi.target)))
+
+
+def test_a_naturality_operation_runs_no_round_trip_check(monkeypatch):
+    """The benchmark's naturality operation on a seeded morphism: both
+    squares, the dual space map and the preimage checks on every member.
+    The squares read the unit maps, so neither round-trip check runs, and
+    the morphism check runs twice: once for the dual space map, once for
+    the dual of its dual algebra map in the space square."""
+    counts = dict.fromkeys(("algebra_roundtrip_iso", "space_roundtrip_iso", "_is_valid_pcs_map"), 0)
+
+    def counted(name):
+        original = getattr(duality, name)
+
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(duality, name, counted(name))
+    phi = random_pca_morphism(3, 4, 0.45, child_seed(20261020, 0))
+    assert check_naturality(phi).ok
+    f = dual_space_map(phi)
+    assert check_naturality(f).ok
+    assert all(gt_preimage_check(f, m).passed for m in pcs_algebra(f.target).members)
+    assert counts == {"algebra_roundtrip_iso": 0, "space_roundtrip_iso": 0, "_is_valid_pcs_map": 2}

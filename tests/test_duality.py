@@ -4,7 +4,7 @@ import random
 import pytest
 
 from contactlab import duality
-from contactlab.boolean import BooleanHom, FiniteBooleanAlgebra
+from contactlab.boolean import BooleanHom, FiniteBooleanAlgebra, bit_indices, mask_of
 from contactlab.adjacency import AdjacencySpace
 from contactlab.duality import (
     PcsMorphism,
@@ -38,9 +38,16 @@ from contactlab.structures import (
     canonical_pcs_of_pca,
     pcs_algebra,
     validate_cs,
+    validate_pcs,
 )
 from contactlab import topology
-from contactlab.topology import discrete_space, is_connected, rc_atoms, rc_atoms_of_subset
+from contactlab.topology import (
+    FiniteSpace,
+    discrete_space,
+    is_connected,
+    rc_atoms,
+    rc_atoms_of_subset,
+)
 
 from conftest import all_kernels, enumerate_pca_morphisms, enumerate_pcs_morphisms
 from oracles import (
@@ -185,12 +192,12 @@ def test_algebra_roundtrip_exhaustive_3_atoms(kernels_3):
 def test_algebra_roundtrip_images_fixture(b4, path_pca):
     trip = algebra_roundtrip_iso(largest_contact(b4))
     # the first atom lands on the clans containing it: c0 and c0-1
-    assert trip.image_of(0b01) == 0b101
-    assert trip.image_of(0b11) == 0b111
+    assert trip.images[0b01] == 0b101
+    assert trip.images[0b11] == 0b111
     path_trip = algebra_roundtrip_iso(path_pca)
     # the last atom lands on the clans c2 and c1-2 (points 2 and 4)
-    assert path_trip.image_of(0b100) == 0b10100
-    assert path_trip.image_of(0b111) == 0b11111
+    assert path_trip.images[0b100] == 0b10100
+    assert path_trip.images[0b111] == 0b11111
 
 
 def test_space_roundtrip_iso_fixture(xl_space):
@@ -223,10 +230,31 @@ def test_naturality_full_hom_sets_small():
     assert total == 502
 
 
+def _reversed_points(triple):
+    """The triple with its points listed in reverse order: a valid triple
+    that is no canonical dual, so its space round trip moves points."""
+    space, last = triple.space, triple.space.point_count - 1
+
+    def moved(mask):
+        return mask_of(last - x for x in bit_indices(mask))
+
+    return validate_pcs(
+        FiniteSpace(space.point_names[::-1], tuple(map(moved, space.point_closures[::-1]))),
+        moved(triple.subset),
+        frozenset((last - x, last - y) for x, y in triple.relation),
+    )
+
+
 def test_naturality_for_space_morphisms():
+    """Every morphism between sampled canonical duals of 2 atoms and
+    their point reversals, whose unit maps are not the identity."""
     spaces = [
         canonical_pcs_of_pca(pca_from_pairs(2, pairs)) for pairs in all_kernels(2)
     ]
+    spaces += [_reversed_points(s) for s in spaces]
+    assert any(
+        duality._unit_points(s) != tuple(range(s.space.point_count)) for s in spaces[::3]
+    )
     seen = 0
     for s in spaces[::3]:
         for t in spaces[::5]:
@@ -335,16 +363,29 @@ def test_reconstruction_from_stone_adjacency(xl_space):
     assert triple3.space.point_count == 5
 
 
+def _unchecked_morphism(source, target, point_map):
+    """A `PcsMorphism` built without its checks: `pcs_iso_report` reads
+    only the three fields.  No bijective morphism between valid triples
+    of at most 4 points fails the homeomorphism line, so a witness for it
+    needs an unchecked input."""
+    morphism = object.__new__(PcsMorphism)
+    for name, value in (("source", source), ("target", target), ("point_map", point_map)):
+        object.__setattr__(morphism, name, value)
+    return morphism
+
+
 def test_iso_and_reconstruction_failures_name_witnesses(disc2, sierpinski, monkeypatch):
     """Break each check on purpose: a continuous bijection onto the
     Sierpinski space, a bijection onto a larger relation, and a
     reconstruction whose triple fails (PCS1)."""
     plain = TwoPrecontactSpace(disc2, 0b11, frozenset())
-    onto_sierpinski = PcsMorphism(
+    onto_sierpinski = _unchecked_morphism(
         plain, TwoPrecontactSpace(sierpinski, 0b11, frozenset()), (0, 1)
     )
     onto_larger = PcsMorphism(
-        plain, TwoPrecontactSpace(disc2, 0b11, frozenset({(0, 1)})), (0, 1)
+        validate_pcs(disc2, 0b11, frozenset()),
+        validate_pcs(disc2, 0b11, frozenset({(0, 0)})),
+        (0, 1),
     )
     assert (
         pcs_iso_report(onto_sierpinski).check("homeomorphism").witness
@@ -352,7 +393,7 @@ def test_iso_and_reconstruction_failures_name_witnesses(disc2, sierpinski, monke
     )
     assert (
         pcs_iso_report(onto_larger).check("relation preserved and reflected").witness
-        == "(a,b) is not reflected"
+        == "(a,a) is not reflected"
     )
 
     monkeypatch.setattr(topology, "is_t0", lambda space: False)

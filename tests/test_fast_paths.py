@@ -70,7 +70,12 @@ from contactlab.duality import (
     identity_pcs_morphism,
     specialization_report,
 )
-from contactlab.errors import AxiomViolationError, DomainMismatchError, InternalError
+from contactlab.errors import (
+    AxiomViolationError,
+    DomainMismatchError,
+    InternalError,
+    ValidationError,
+)
 from contactlab.precontact import (
     RawRelation,
     RelationKernel,
@@ -1093,12 +1098,12 @@ def test_pcs_map_check_matches_the_all_clopens_trace_coherence():
     """The morphism conditions, decided at the clopen atoms of the target's
     dense part, against the literal sweeps over all closed sets and all
     clopens (`oracle_pcs_map_failure`): on seeded point maps between
-    triples on at most 3 points and between triples on 4 points, and on
-    one-point perturbations of dual space maps between canonical duals
-    of 3 to 5 atoms.  Both kinds of target are seen: those whose atom
-    closures are a closed base, decided by the one atom pass, and those
-    whose are not, with the per-point continuity loop; and every failing
-    condition is seen, each but the relation in the atom pass."""
+    triples on at most 3 points and between triples on 4 points, into
+    targets whose atom closures are a closed base, as (PCS3) makes them
+    for every valid target, and on one-point perturbations of dual space
+    maps between canonical duals of 3 to 5 atoms.  Every failing
+    condition is seen.  A morphism refuses a source or a target that is
+    not a valid triple before it looks at the point map."""
     rng = random.Random(20261010)
 
     def dense_triples(spaces):
@@ -1113,14 +1118,15 @@ def test_pcs_map_check_matches_the_all_clopens_trace_coherence():
     four = dense_triples(all_small_spaces(4))
     cases = []
     for triples, count in ((small, 4000), (four, 1500)):
+        targets = [t for t in triples if pair_atoms(t.space, t.subset).closed_base]
         for _ in range(count):
-            source, target = rng.choice(triples), rng.choice(triples)
+            source, target = rng.choice(triples), rng.choice(targets)
             point_map = tuple(
                 rng.randrange(target.space.point_count) for _ in range(source.space.point_count)
             )
             cases.append((source, target, point_map))
     cases += perturbed_dual_space_maps(rng, 120)
-    seen = {True: set(), False: set()}
+    seen = set()
     for source, target, point_map in cases:
         failure = oracle_pcs_map_failure(
             (source.space.point_closures, source.subset, source.relation),
@@ -1129,10 +1135,18 @@ def test_pcs_map_check_matches_the_all_clopens_trace_coherence():
         )
         valid = duality._is_valid_pcs_map(source, target, point_map) is not None
         assert valid == (failure is None), (source, target, point_map)
-        seen[pair_atoms(target.space, target.subset).closed_base].add(failure)
-    every = {None, "continuity", "dense part", "relation", "trace coherence"}
-    assert seen[False] | seen[True] == every, seen
-    assert seen[True] >= every - {"relation"}, seen
+        seen.add(failure)
+    assert seen == {None, "continuity", "dense part", "relation", "trace coherence"}, seen
+
+    # the indiscrete two-point space is not T0, so this triple fails (PCS1)
+    invalid = validate_pcs(space_from_closed_base(("a", "b"), []), 0b01, frozenset())
+    valid = validate_pcs(space_from_closed_base(("a", "b"), [0b01, 0b10]), 0b11, frozenset())
+    assert not invalid.ok and valid.ok
+    for end, ends in (("source", (invalid, valid)), ("target", (valid, invalid))):
+        with pytest.raises(
+            ValidationError, match=rf"^the {end} is not a 2-precontact space: \(PCS1\) "
+        ):
+            duality.PcsMorphism(*ends, (0, 1))
 
 
 def test_closed_unions_are_the_closed_family():
@@ -1533,7 +1547,7 @@ def test_round_trip_derives_each_table_once(monkeypatch):
             counts = (len(meet_calls), len(transpose_calls), len(row_calls))
             assert counts == (1, 2, 1), (n, density, counts)
             assert row_calls[0] is pca.kernel
-            assert roundtrip.canonical.pca is pca
+            assert pcs_algebra(roundtrip.space).pca is pca
 
 
 def test_pair_table_matches_the_subspace_and_closed_base_sweeps():
@@ -2007,8 +2021,9 @@ def test_roundtrip_failures_name_witnesses(path_pca, monkeypatch):
     )
     rel = expand_relation(3, path_pca.kernel.pairs)
     overlap = {(a, b) for a in range(size) for b in range(size) if images[a] & images[b]}
-    atoms = round_trip.canonical.atom_masks
-    kernel = round_trip.canonical.pca.kernel.pairs
+    canonical = cut_top(round_trip.space)
+    atoms = canonical.atom_masks
+    kernel = canonical.pca.kernel.pairs
     proximity = {
         (i, j) for i in range(len(atoms)) for j in range(len(atoms)) if atoms[i] & atoms[j]
     }

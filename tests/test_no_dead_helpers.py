@@ -9,7 +9,9 @@ module-level function has a reader: some code in ``src/`` or
 the ``__init__`` re-exports included, is not a use.  A public function
 that only tests read is listed in ``READ_ONLY_BY_TESTS`` with the reason
 it stays.  No module-level function of the package is only another name
-for a call of another function on its own parameters."""
+for a call of another function on its own parameters, and no undecorated
+method only forwards its other parameters to a method reached from its
+first."""
 
 import ast
 from collections import Counter
@@ -344,29 +346,62 @@ def test_the_rule_sees_public_functions_without_a_reader(tmp_path):
     ]
 
 
+def _forwarded_call(function):
+    """The call ``g(...)``, with no keywords, when the body of
+    ``function`` after its docstring is only ``return g(...)``; else
+    None."""
+    body = function.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) == 1 and isinstance(body[0], ast.Return):
+        call = body[0].value
+        if isinstance(call, ast.Call) and not call.keywords:
+            return call
+    return None
+
+
+def _root(node):
+    """The name an attribute chain ``a.b.c`` starts from, or None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def alias_functions(paths):
     """(file name, function name) of each module-level function whose
     body, after its docstring, is only ``return g(<its own parameters,
-    in order>)``: another name for ``g``."""
+    in order>)``: another name for ``g``; and (file name,
+    ``Class.method``) of each undecorated method whose body is only
+    ``return self.<attributes>.g(<its other parameters, in order>)``:
+    another name for a method its first parameter reaches."""
     out = []
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+        functions = [(None, node) for node in tree.body if isinstance(node, defs)]
+        functions += [
+            (node.name, method)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for method in node.body
+            if isinstance(method, defs) and not method.decorator_list
+        ]
+        for cls, node in functions:
+            call = _forwarded_call(node)
+            if call is None:
                 continue
-            body = node.body
-            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
-                body = body[1:]
-            if len(body) != 1 or not isinstance(body[0], ast.Return):
-                continue
-            call = body[0].value
             params = [a.arg for a in node.args.posonlyargs + node.args.args]
-            if (
-                isinstance(call, ast.Call)
-                and not call.keywords
-                and [a.id if isinstance(a, ast.Name) else None for a in call.args] == params
-            ):
-                out.append((path.name, node.name))
+            args = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+            if cls is None:
+                forwards = args == params
+            else:
+                forwards = (
+                    isinstance(call.func, ast.Attribute)
+                    and params[:1] == [_root(call.func)]
+                    and args == params[1:]
+                )
+            if forwards:
+                out.append((path.name, node.name if cls is None else f"{cls}.{node.name}"))
     return sorted(out)
 
 
@@ -401,5 +436,20 @@ def test_the_guard_sees_alias_functions(tmp_path):
         "class Shape:\n"
         "    def method(self):\n"
         "        return target(self)\n"
+        "    def forward(self, a, b):\n"
+        "        return self.inner.target(a, b)\n"
+        "    def forward_swapped(self, a, b):\n"
+        "        return self.inner.target(b, a)\n"
+        "    def forward_partial(self, a):\n"
+        "        return self.inner.target(a, 1)\n"
+        "    def elsewhere(self, a):\n"
+        "        return math.floor(a)\n"
+        "    @property\n"
+        "    def decorated(self):\n"
+        "        return self.inner.value()\n"
     )
-    assert alias_functions([module]) == [("module.py", "alias"), ("module.py", "documented")]
+    assert alias_functions([module]) == [
+        ("module.py", "Shape.forward"),
+        ("module.py", "alias"),
+        ("module.py", "documented"),
+    ]

@@ -66,9 +66,9 @@ def test_kernel_expansion_round_trip_exhaustive(kernels_upto_2, kernels_3):
 
 def test_holds_examples(b4, b8, path_pca):
     rho_s = smallest_contact(b4)
-    assert rho_s.holds_masks(0b01, 0b11)
-    assert not rho_s.holds_masks(0, 0b10)
-    assert path_pca.holds_masks(0b001, 0b110)
+    assert rho_s.kernel.holds_masks(0b01, 0b11)
+    assert not rho_s.kernel.holds_masks(0, 0b10)
+    assert path_pca.kernel.holds_masks(0b001, 0b110)
 
 
 # ---------------------------------------------------------------------------

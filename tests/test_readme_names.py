@@ -20,6 +20,7 @@ WORDS = {
     "CONTACTLAB_ENUM_LIMIT",
     "CONTACTLAB_POINT_LIMIT",
     "schema_version",
+    "pair",
     "cs",
     "pcs",
     "mereo",

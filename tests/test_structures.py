@@ -36,6 +36,7 @@ from contactlab.topology import (
     FiniteSpace,
     MereotopologicalPair,
     discrete_space,
+    interior,
     is_c_semiregular,
     pair_atoms,
     rc_members,
@@ -114,10 +115,11 @@ def test_validate_pcs_names_the_pair_that_leaves_its_span(xl_space, bad, message
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("mask", [1 << 5, -1])
+@pytest.mark.parametrize("mask", [1 << 5, -1, -2])
 @pytest.mark.parametrize(
     "call",
     [
+        interior,
         lambda space, mask: validate_pcs(space, mask, frozenset()),
         lambda space, mask: validate_cs(space, mask),
         lambda space, mask: validate_s2s(space, mask),
@@ -127,6 +129,7 @@ def test_validate_pcs_names_the_pair_that_leaves_its_span(xl_space, bad, message
         lambda space, mask: rc_pair_algebra(TwoContactSpace(space, mask)),
     ],
     ids=[
+        "interior",
         "validate_pcs",
         "validate_cs",
         "validate_s2s",
@@ -254,12 +257,12 @@ def test_round_trip_images_are_additive(kernels_3):
     # set
     for pairs in list(kernels_3)[::11]:
         pca = pca_from_pairs(3, pairs)
-        image_of = algebra_roundtrip_iso(pca).image_of
+        images = algebra_roundtrip_iso(pca).images
         size = pca.algebra.size
         for a in range(size):
             for b in range(size):
-                assert image_of(a | b) == image_of(a) | image_of(b)
-        assert image_of(0) == 0
+                assert images[a | b] == images[a] | images[b]
+        assert images[0] == 0
 
 
 def test_canonical_algebra_of_xl_triple(xl_space):
