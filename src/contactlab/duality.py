@@ -66,7 +66,7 @@ from .precontact import (
     largest_contact,
     smallest_contact,
 )
-from .report import Check, ReportBuilder
+from .report import ReportBuilder, verdict
 from .structures import (
     TwoPrecontactSpace,
     _first_component,
@@ -185,7 +185,7 @@ class PcsMorphism:
 
     @once
     def _fibres(self):
-        return fibres(self.target.space.point_count, self.point_map)
+        return tuple(fibres(self.target.space.point_count, self.point_map))
 
     def preimage_mask(self, target_mask):
         return join_at(self._fibres, target_mask & self.target.space.full_mask)
@@ -615,12 +615,10 @@ def gt_preimage_check(f, member_mask):
     # f^-1(B_q) (`PcsMorphism`), independent of psi's atom map.
     plain = join_at(f._atom_preimages, element)
     passed = through_hom == plain
-    return Check(
+    return verdict(
         "algebra map acts as preimage",
         passed,
-        None
-        if passed
-        else f"member {f.target.space.name_set(member_mask)}",
+        None if passed else f"member {f.target.space.name_set(member_mask)}",
     )
 
 

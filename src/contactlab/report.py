@@ -3,7 +3,8 @@
 A check is one tuple, ``(name, passed, witness)``.  A passing check
 carries no witness, and nothing on the passing path builds one: every
 caller passes its witness text in the form ``None if ok else ...``, so
-the text is formatted only when the check fails (`ReportBuilder.add`).
+the text is formatted only when the check fails, and a pass is the one
+tuple of its name (`verdict`): results kept in bulk share their passes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,23 @@ class Check(NamedTuple):
 
     def as_dict(self):
         return {"name": self.name, "pass": self.passed, "witness": self.witness}
+
+
+_PASSED = {}
+_PASSED_BOUND = 256
+
+
+def verdict(name, passed, witness=None):
+    """The check ``name`` with its outcome; a pass drops ``witness`` and is
+    shared, up to a bound on the names, against a caller making them up."""
+    if not passed:
+        return Check(name, False, "no witness recorded" if witness is None else witness)
+    check = _PASSED.get(name)
+    if check is None:
+        check = Check(name, True)
+        if len(_PASSED) < _PASSED_BOUND:
+            _PASSED[name] = check
+    return check
 
 
 class CheckList:
@@ -75,14 +93,8 @@ class ReportBuilder:
         self._started = time.perf_counter()
 
     def add(self, name, passed, witness=None):
-        """Record the check; a passing one drops ``witness``, which the
-        caller builds only when ``passed`` is false."""
-        if passed:
-            self._checks.append(Check(name, True))
-        else:
-            self._checks.append(
-                Check(name, False, "no witness recorded" if witness is None else witness)
-            )
+        """Record the check (`verdict`); return ``passed``."""
+        self._checks.append(verdict(name, passed, witness))
         return passed
 
     @property

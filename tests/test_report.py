@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from contactlab.report import Check, CheckList, DualityReport, ReportBuilder
+from contactlab.report import Check, CheckList, DualityReport, ReportBuilder, verdict
 from contactlab.structures import (
     MereocompactReport,
     StoneTwoSpace,
@@ -41,6 +41,18 @@ def test_a_check_is_one_tuple():
     assert Check("c", True) == ("c", True, None)
     assert repr(check) == "Check(name='c', passed=False, witness='why')"
     assert check.as_dict() == {"name": "c", "pass": False, "witness": "why"}
+
+
+def test_passing_checks_are_shared_by_name():
+    first, second = ReportBuilder("a"), ReportBuilder("b")
+    for builder in (first, second):
+        builder.add("shared", True, "dropped")
+        builder.add("failed", False, "why")
+    (good, bad), (good_again, bad_again) = first.checks, second.checks
+    assert good is good_again and good == ("shared", True, None)
+    assert bad == bad_again and bad is not bad_again
+    assert verdict("shared", True, "dropped") is good
+    assert verdict("failed", False) == ("failed", False, "no witness recorded")
 
 
 def test_builder_records_elapsed():
