@@ -21,7 +21,7 @@ from .boolean import bit_indices
 from .errors import DomainMismatchError, PreconditionError
 from .precontact import axiom_report, pca_from_pairs
 from .report import ReportBuilder
-from .topology import FiniteSpace, closure, discrete_space, is_stone
+from .topology import FiniteSpace, closure, discrete_space, is_t1
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,10 @@ class AdjacencySpace:
 
     @property
     def is_stone_adjacency(self):
-        # A finite Stone space is discrete, so is its square, and every
-        # relation on it is closed.
-        return self.topology is not None and is_stone(self.topology)
+        # A finite space is Stone iff it is T1 (`is_t1`).  A finite Stone
+        # space is discrete, so is its square, and every relation on it
+        # is closed.
+        return self.topology is not None and is_t1(self.topology)
 
 
 def r_flat(adjacency):

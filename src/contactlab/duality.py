@@ -49,7 +49,6 @@ from .boolean import (
     fibres,
     join_at,
     joins_table,
-    mask_of,
     meeting_rows,
 )
 from .errors import (
@@ -76,11 +75,9 @@ from .structures import (
     contact_relation_of_pair,
     mereocompactness_report,
     pcs_algebra,
-    triple_is_connected,
 )
 from .topology import (
     closure,
-    is_extremally_disconnected,
     pair_atoms,
     rc_algebra,
     rc_atoms,
@@ -234,8 +231,24 @@ def compose_pcs_morphisms(outer, inner):
 
 
 def pcs_iso_report(morphism):
-    """Is the morphism an isomorphism of triples: a homeomorphism that
-    matches the dense parts and the relations in both directions?"""
+    """Is the morphism an isomorphism of triples: a bijection that
+    reflects the relation on the dense parts?  A bijective morphism is a
+    homeomorphism that matches the dense parts (proof below)."""
+    # A `PcsMorphism` joins valid triples, is continuous, sends the dense
+    # part into the target's and preserves the relation
+    # (`_is_valid_pcs_map`), so only reflection is swept.  Why no line
+    # checks the homeomorphism or the dense parts:
+    # * (PCS1) makes X T0 with X0 dense and (PCS2) makes X0 discrete, so
+    #   X0 is the set of maximal points (see `mereocompactness_report`);
+    #   likewise Y0 in Y.
+    # * A continuous injection sends a point x below a maximal m, x != m,
+    #   to f(x) != f(m) inside cl{f(m)}; by T0, f(x) is not maximal.
+    #   With f(X0) <= Y0 and f bijective, f(X0) = Y0.
+    # * By (PCS2) each clopen atom of Y0 is one point, so the atom test
+    #   of `_is_valid_pcs_map` reads f^-1(cl{f(m)}) = cl{m} for each m in
+    #   X0.  By (PCS3) every cl{x} is the meet of the cl{m}, m in X0,
+    #   that hold x, on both sides, and a bijection preserves meets:
+    #   f(cl{x}) = cl{f(x)}.
     report = ReportBuilder("2-precontact space isomorphism")
     src, dst, pm = morphism.source, morphism.target, morphism.point_map
     bijective = (
@@ -245,27 +258,8 @@ def pcs_iso_report(morphism):
     if not bijective:
         return report.done()
     space = src.space  # its names are read only to word a failure
-    moved = next(
-        (
-            f"the closure of {space.point_names[x]} does not transfer"
-            for x in range(space.point_count)
-            if mask_of(pm[y] for y in bit_indices(space.point_closures[x]))
-            != dst.space.point_closures[pm[x]]
-        ),
-        None,
-    )
-    report.add("homeomorphism", moved is None, witness=moved)
-    iso1 = mask_of(pm[x] for x in bit_indices(src.subset)) == dst.subset
-    report.add("dense parts correspond", iso1, witness="image of the dense part differs")
     points = list(bit_indices(src.subset))
     broken = next(
-        (
-            f"({space.point_names[x]},{space.point_names[y]}) is not preserved"
-            for x, y in sorted(src.relation)
-            if (pm[x], pm[y]) not in dst.relation
-        ),
-        None,
-    ) or next(
         (
             f"({space.point_names[x]},{space.point_names[y]}) is not reflected"
             for x in points
@@ -672,9 +666,13 @@ def pcs_from_stone_adjacency(adjacency):
 
 def specialization_report(pca):
     """Run the subcategory specializations that apply to the algebra, in
-    this order: stone, connected-stone, contact, complete-contact,
-    mereocompact and connected; then check that the connectedness axiom
-    matches the dual space.
+    this order: stone, connected-stone, contact, complete-contact and
+    mereocompact; then check that the connectedness axiom matches the
+    dual space, which is the connected specialization when (Ccon) holds.
+
+    A line that cannot fail once an earlier line or the construction of
+    the dual holds is left out, with its proof beside the line that
+    makes it redundant.
     """
     n = pca.algebra.atom_count
     report = ReportBuilder(f"specializations on {n} atoms")
@@ -715,21 +713,10 @@ def specialization_report(pca):
             missing = next(g for g in range(1, pca.algebra.size) if g not in clans)
             witness = f"grill {atom_set(missing)} is not a clan"
         report.add("clans are exactly the grills", grills, witness)
-        # The relation lies in the dense part (`validate_pcs`), so it
-        # is total there iff no pair of dense points is missing.
-        x0 = list(bit_indices(triple.subset))
-        total = triple.relation == frozenset((x, y) for x in x0 for y in x0)
-        report.add(
-            "dual relation is total on the dense part",
-            total,
-            None
-            if total
-            else "missing point pair "
-            + _pair_name(
-                space,
-                next((x, y) for x in x0 for y in x0 if (x, y) not in triple.relation),
-            ),
-        )
+        # The dual relation is total on the dense part by construction:
+        # `_canonical_pcs` takes the kernel's pairs as the relation on the
+        # first n points, its dense part, and the gate has just read every
+        # kernel row full.
 
     if flags.is_contact:
         # contact
@@ -762,7 +749,7 @@ def specialization_report(pca):
         # (both read `topology._c_semiregular_tests`); on failure the
         # failing lines of that report are the witness.  When the line
         # above holds, RC(X) is the pair's algebra, whose report also
-        # serves the mereocompact lines.
+        # serves the mereocompact line.
         pair_report = mereocompactness_report(rc_pair_algebra(triple))
         result = mereocompactness_report(rc_algebra(space)) if differ else pair_report
         semiregular = result.is_t0 and result.is_mereocompact
@@ -771,20 +758,14 @@ def specialization_report(pca):
             semiregular,
             None if semiregular else result.failure_summary(" "),
         )
-        extremal = is_extremally_disconnected(subspace(space, triple.subset))
-        report.add(
-            "dense part is extremally disconnected",
-            extremal,
-            None if extremal else "dense part " + space.name_set(triple.subset),
-        )
+        # The dense part is extremally disconnected once the 2-contact
+        # line holds: its (CS2) makes the dense part discrete, and every
+        # discrete space is.
 
-        # mereocompact
-        mereocompact = pair_report.is_t0 and pair_report.is_mereocompact
-        report.add(
-            "dual pair's member algebra is mereocompact",
-            mereocompact,
-            None if mereocompact else pair_report.failure_summary(" "),
-        )
+        # mereocompact: the pair's member algebra is mereocompact iff
+        # `pair_report` reads T0 and mereocompact, the C-semiregular line
+        # itself once the complete-contact line holds (`result is
+        # pair_report`), so no line repeats it.
         recovered = pair_report.u_set == triple.subset
         report.add(
             "u-points recover the dense part",
@@ -792,24 +773,16 @@ def specialization_report(pca):
             None if recovered else space.name_set(pair_report.u_set),
         )
 
-    if flags.ccon:
-        # connected: the clopen atom grown from the first dense closure
-        # is the whole space iff the space is connected
-        # (`triple_is_connected`)
-        component = _first_component(triple)
-        connected = component == space.full_mask
-        report.add(
-            "dual space is connected",
-            connected,
-            None if connected else "proper clopen atom " + space.name_set(component),
-        )
-
-    matches = flags.ccon == triple_is_connected(triple)
-    report.add(
-        "connectedness axiom matches the dual space",
-        matches,
-        witness=None if matches else f"Ccon={flags.ccon}",
-    )
+    # connected: the clopen atom grown from the first dense closure is
+    # the whole space iff the space is connected (`triple_is_connected`).
+    # Under (Ccon) this line is the connected specialization, and a
+    # failure names the proper clopen atom.
+    component = _first_component(triple)
+    matches = flags.ccon == (component == space.full_mask)
+    witness = None
+    if not matches:
+        witness = "proper clopen atom " + space.name_set(component) if flags.ccon else "Ccon=False"
+    report.add("connectedness axiom matches the dual space", matches, witness)
     return report.done()
 
 
@@ -818,18 +791,19 @@ def _pair_name(space, pair):
 
 
 def _diagonal_break(triple):
-    """Why the triple is not the whole space with the diagonal relation,
-    on a discrete space, or None when it is: a point outside the dense
-    part, else the first point pair of the relation's difference with
-    the diagonal, else a point whose closure is more than itself."""
+    """Why the dual triple of an algebra with the diagonal kernel is not
+    the whole space with the diagonal relation, on a discrete space, or
+    None when it is: a point outside the dense part, else a point whose
+    closure is more than itself."""
+    # The relation is the diagonal by construction once the dense part is
+    # the whole space: `_canonical_pcs` takes the kernel's pairs, here the
+    # diagonal rows, as the relation on the first n points, the dense
+    # part.
     space = triple.space
     outside = space.full_mask & ~triple.subset
     if outside:
         x = (outside & -outside).bit_length() - 1
         return f"point {space.point_names[x]} outside the dense part"
-    differ = triple.relation ^ {(x, x) for x in range(space.point_count)}
-    if differ:
-        return "point pair " + _pair_name(space, min(differ))
     wide = next((x for x, cl in enumerate(space.point_closures) if cl != 1 << x), None)
     if wide is not None:
         name = space.point_names[wide]

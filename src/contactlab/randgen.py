@@ -78,7 +78,14 @@ def random_pca(spec):
 def random_pca_morphism(atoms_source, atoms_target, density, seed):
     """A seeded valid morphism: draw the target kernel and the atom map,
     then force the source kernel to contain the pullback of the target
-    one (plus independent extra pairs)."""
+    one (plus independent extra pairs).
+
+    Refused before the first draw: a density outside [0, 1], and target
+    atoms with no source atom to map them to."""
+    if not 0.0 <= density <= 1.0:
+        raise PreconditionError("density must be in [0, 1]")
+    if atoms_target > 0 and atoms_source == 0:
+        raise PreconditionError(f"no atom map sends {atoms_target} target atoms to no source atom")
     rng = random.Random(child_seed(seed, 1))
     source_algebra = FiniteBooleanAlgebra(atoms_source)
     target_algebra = FiniteBooleanAlgebra(atoms_target)

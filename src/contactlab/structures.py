@@ -586,14 +586,17 @@ def mereocompactness_report(mereo):
     # exactly the points whose trace is an ultrafilter, on every pair:
     # both point sets are `held_once(atoms)`, so a line comparing them
     # could not fail.
+    #
+    # The u-points are dense on every pair, so no line checks it.  Each
+    # atom A is regular closed, and int A misses the other atoms (the
+    # proof in `MereotopologicalPair`), so int A lies in the u-points.
+    # Then X, the union of the cl(int A), lies in cl(u-points).
     u_set = held_once(atoms)
     uniqueness_witness = None
 
     if t0 and mereocompact:
         # The u-point lines read the pair (X, u-points) at its atoms, in
         # its table (`pair_atoms`).
-        dense = closure(space, u_set) == space.full_mask
-        report.add("u-point set is dense", dense, None if dense else space.name_set(u_set))
         stone = bool(u_set) and pair_atoms(space, u_set).stone
         report.add(
             "u-point set is a Stone subspace", stone, None if stone else space.name_set(u_set)
@@ -601,7 +604,7 @@ def mereocompactness_report(mereo):
         # The closures of the clopens of a subset are the unions of
         # `rc_atoms_of_subset`, and the members the unions of their atoms:
         # the two families are equal iff their atom lists are.
-        reproduced = dense and rc_atoms_of_subset(space, u_set) == atoms
+        reproduced = rc_atoms_of_subset(space, u_set) == atoms
         report.add(
             "closures of u-point clopens reproduce the members",
             reproduced,
@@ -623,16 +626,16 @@ def mereocompactness_report(mereo):
         )
         # When the Stone and reproduction lines hold, the pair with its
         # u-points is a 2-contact space, so no line records it:
-        # `validate_cs(space, u_set)` holds.  Its precondition is `dense`,
-        # which the reproduction line holds.  (CS1) is `t0`.  (CS2) is the
-        # Stone line, off the same table.  (CS3) is the closed-base test of
-        # the closures of the clopen atoms of the u-points, which are the
-        # pair's atoms, and `_meets` takes them as a set, so it is
-        # `space_ok`.  (CS4) asks whether the overlap clans of the same
-        # closures, in the table's order, are realized: a permutation of
-        # the atoms permutes the clans and the point supports alike, so it
-        # is the clan line.  When either line fails, the report has failed
-        # already.
+        # `validate_cs(space, u_set)` holds.  Its precondition is that the
+        # u-points are dense, which holds on every pair (above `u_set`).
+        # (CS1) is `t0`.  (CS2) is the Stone line, off the same table.
+        # (CS3) is the closed-base test of the closures of the clopen
+        # atoms of the u-points, which are the pair's atoms, and `_meets`
+        # takes them as a set, so it is `space_ok`.  (CS4) asks whether the
+        # overlap clans of the same closures, in the table's order, are
+        # realized: a permutation of the atoms permutes the clans and the
+        # point supports alike, so it is the clan line.  When either line
+        # fails, the report has failed already.
 
     return MereocompactReport(
         is_space=space_ok,

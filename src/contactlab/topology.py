@@ -272,6 +272,10 @@ def is_t0(space):
 
 
 def is_t1(space):
+    # On a finite space T1 is also Hausdorff and Stone: a finite space is
+    # compact, and T1 makes it discrete, as every set, a finite union of
+    # points, is closed; a discrete space is zero-dimensional, as every
+    # set is clopen.
     return all(cl == 1 << x for x, cl in enumerate(space.point_closures))
 
 
@@ -292,11 +296,6 @@ def is_zero_dimensional(space):
     return all(
         is_closed(space, minimal_open(space, x)) for x in range(space.point_count)
     )
-
-
-def is_stone(space):
-    # at finite scale Hausdorff collapses to T1 (and then to discrete)
-    return is_compact(space) and is_t1(space) and is_zero_dimensional(space)
 
 
 def is_extremally_disconnected(space):
@@ -351,14 +350,16 @@ class SpacePredicates:
 
 
 def space_predicates(space):
+    # Hausdorff and Stone are T1 at finite scale (`is_t1`).
+    t1 = is_t1(space)
     return SpacePredicates(
         is_t0=is_t0(space),
         is_semiregular=is_semiregular(space),
         is_connected=is_connected(space),
         is_compact=is_compact(space),
-        is_hausdorff=is_t1(space),
+        is_hausdorff=t1,
         is_zero_dimensional=is_zero_dimensional(space),
-        is_stone=is_stone(space),
+        is_stone=t1,
         is_extremally_disconnected=is_extremally_disconnected(space),
     )
 

@@ -146,7 +146,7 @@ def test_criterion_2_and_specializations_on_seven_and_eight_atoms(monkeypatch):
     contact_lines = {
         "the pair determines the relation",
         "regular closed sets of the dual all come from the pair",
-        "dual pair's member algebra is mereocompact",
+        "u-points recover the dense part",
     }
     shapes = ((7, 0.15), (7, 0.3), (7, 0.5), (8, 0.15), (8, 0.3), (8, 0.5))
     specs = seven_and_eight_atom_specs(shapes) + seven_and_eight_atom_specs(shapes, "contact")

@@ -33,7 +33,6 @@ from contactlab.precontact import (
 from contactlab import precontact, structures
 from contactlab.randgen import RandomSpec, random_pca, random_pca_morphism
 from contactlab.structures import (
-    TwoPrecontactSpace,
     canonical_pca_of_pcs,
     canonical_pcs_of_pca,
     pcs_algebra,
@@ -50,6 +49,7 @@ from contactlab.topology import (
 )
 
 from conftest import all_kernels, enumerate_pca_morphisms, enumerate_pcs_morphisms
+from test_topology import all_small_spaces
 from oracles import (
     canonical_kernel_form,
     oracle_pcs_map_failure,
@@ -363,33 +363,60 @@ def test_reconstruction_from_stone_adjacency(xl_space):
     assert triple3.space.point_count == 5
 
 
-def _unchecked_morphism(source, target, point_map):
-    """A `PcsMorphism` built without its checks: `pcs_iso_report` reads
-    only the three fields.  No bijective morphism between valid triples
-    of at most 4 points fails the homeomorphism line, so a witness for it
-    needs an unchecked input."""
-    morphism = object.__new__(PcsMorphism)
-    for name, value in (("source", source), ("target", target), ("point_map", point_map)):
-        object.__setattr__(morphism, name, value)
-    return morphism
+def labelled_valid_triples(max_points):
+    """Every valid triple on at most ``max_points`` points: each space of
+    `all_small_spaces`, each subset, each relation on the subset.  A
+    subset whose triple fails (PCS1), (PCS2) or (PCS3) with no relation
+    fails them with every relation, and is skipped."""
+    out = []
+    for space in (s for n in range(1, max_points + 1) for s in all_small_spaces(n)):
+        for subset in range(1, space.full_mask + 1):
+            empty = validate_pcs(space, subset, frozenset())
+            if not all(empty.check(name).passed for name in ("(PCS1)", "(PCS2)", "(PCS3)")):
+                continue
+            points = list(bit_indices(subset))
+            square = [(x, y) for x in points for y in points]
+            for pairs in itertools.product((False, True), repeat=len(square)):
+                relation = frozenset(p for p, keep in zip(square, pairs) if keep)
+                triple = validate_pcs(space, subset, relation)
+                if triple.ok:
+                    out.append(triple)
+    return out
 
 
-def test_iso_and_reconstruction_failures_name_witnesses(disc2, sierpinski, monkeypatch):
-    """Break each check on purpose: a continuous bijection onto the
-    Sierpinski space, a bijection onto a larger relation, and a
-    reconstruction whose triple fails (PCS1)."""
-    plain = TwoPrecontactSpace(disc2, 0b11, frozenset())
-    onto_sierpinski = _unchecked_morphism(
-        plain, TwoPrecontactSpace(sierpinski, 0b11, frozenset()), (0, 1)
-    )
+def test_bijective_morphisms_are_homeomorphisms_matching_the_dense_parts():
+    """Every bijective morphism between the valid triples on at most 3
+    points maps each point closure onto the closure of the point's
+    image, and the dense part onto the target's: `pcs_iso_report` need
+    not check either (the proof is beside it)."""
+    triples = labelled_valid_triples(3)
+    bijective = 0
+    for source in triples:
+        closures = source.space.point_closures
+        for target in triples:
+            if target.space.point_count != source.space.point_count:
+                continue
+            for pm in itertools.permutations(range(source.space.point_count)):
+                try:
+                    PcsMorphism(source, target, pm)
+                except PreconditionError:
+                    continue
+                bijective += 1
+                for x, closure in enumerate(closures):
+                    image = mask_of(pm[y] for y in bit_indices(closure))
+                    assert image == target.space.point_closures[pm[x]], (source, target, pm)
+                dense = mask_of(pm[x] for x in bit_indices(source.subset))
+                assert dense == target.subset, (source, target, pm)
+    assert (len(triples), bijective) == (50, 993)
+
+
+def test_iso_and_reconstruction_failures_name_witnesses(disc2, monkeypatch):
+    """Break each check on purpose: a bijection onto a larger relation,
+    and a reconstruction whose triple fails (PCS1)."""
     onto_larger = PcsMorphism(
         validate_pcs(disc2, 0b11, frozenset()),
         validate_pcs(disc2, 0b11, frozenset({(0, 0)})),
         (0, 1),
-    )
-    assert (
-        pcs_iso_report(onto_sierpinski).check("homeomorphism").witness
-        == "the closure of b does not transfer"
     )
     assert (
         pcs_iso_report(onto_larger).check("relation preserved and reflected").witness
@@ -531,8 +558,9 @@ SPECIALIZATION_ALGEBRAS = {"stone": DIAGONAL3, "connected-stone": TOTAL3, "conne
 def expected_specialization_lines(pca):
     """The line names of `specialization_report` on an algebra whose
     lines all pass, in order, from its memberships: the diagonal kernel
-    (stone), all n**2 pairs (connected-stone), the contact axioms and
-    (Ccon)."""
+    (stone), all n**2 pairs (connected-stone) and the contact axioms; the
+    connectedness line, which is the connected specialization under
+    (Ccon), comes last on every algebra."""
     n = pca.algebra.atom_count
     pairs = pca.kernel.pairs
     lines = []
@@ -542,19 +570,15 @@ def expected_specialization_lines(pca):
             "dual triple is the whole space with the diagonal",
         ]
     if pairs == {(p, q) for p in range(n) for q in range(n)}:
-        lines += ["clans are exactly the grills", "dual relation is total on the dense part"]
+        lines.append("clans are exactly the grills")
     if pca.axioms.is_contact:
         lines += [
             "dual pair is a 2-contact space",
             "the pair determines the relation",
             "regular closed sets of the dual all come from the pair",
             "dual space is C-semiregular",
-            "dense part is extremally disconnected",
-            "dual pair's member algebra is mereocompact",
             "u-points recover the dense part",
         ]
-    if pca.axioms.ccon:
-        lines.append("dual space is connected")
     return lines + ["connectedness axiom matches the dual space"]
 
 
@@ -572,8 +596,8 @@ def test_specialization_lines_are_added_once():
     """Above the widths `test_specialization_line_order` walks, each line
     is added once, in the order the memberships give: the smallest and
     largest contact and seeded contact kernels on 4 to 6 atoms.  The
-    largest contact is both connected-stone and (Ccon), and reads "dual
-    space is connected" once."""
+    largest contact is both connected-stone and (Ccon), and reads its
+    connectedness line once."""
     algebras = [
         make(FiniteBooleanAlgebra(n)) for n in (4, 5, 6) for make in (smallest_contact, largest_contact)
     ]
@@ -618,14 +642,8 @@ BROKEN_SPECIALIZATION_LINES = [
         lambda t: "grill {0,1} is not a clan",
     ),
     (
-        "connected-stone",
-        "dual relation is total on the dense part",
-        _dual_of(DIAGONAL3),
-        lambda t: "missing point pair (c0, c1)",
-    ),
-    (
         "connected",
-        "dual space is connected",
+        "connectedness axiom matches the dual space",
         _dual_of(DIAGONAL3),
         lambda t: "proper clopen atom {c0}",
     ),
@@ -648,18 +666,6 @@ BROKEN_SPECIALIZATION_LINES = [
         lambda t: "every clan is a point trace unrealized clan support {"
         + ",".join(t.space.name_set(a) for a in rc_atoms(t.space))
         + "}",
-    ),
-    (
-        "complete-contact",
-        "dense part is extremally disconnected",
-        (duality, "is_extremally_disconnected", lambda space: False),
-        lambda t: "dense part " + t.space.name_set(t.subset),
-    ),
-    (
-        "mereocompact",
-        "dual pair's member algebra is mereocompact",
-        (topology, "is_t0", lambda space: False),
-        lambda t: "space is T0 not T0",
     ),
 ]
 

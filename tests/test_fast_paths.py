@@ -120,8 +120,9 @@ from contactlab.topology import (
     is_connected,
     is_extremally_disconnected,
     is_semiregular,
-    is_stone,
     is_t0,
+    is_t1,
+    is_zero_dimensional,
     minimal_members,
     pair_atoms,
     rc_algebra,
@@ -1433,7 +1434,7 @@ def test_pair_reports_build_no_member_family(monkeypatch):
     for pca, (special, mereo) in zip(population, expected):
         got_special, got_mereo = reports(pca)
         assert special.ok and mereo.ok, (pca.kernel.pairs, special.failures, mereo.failures)
-        assert "dual pair's member algebra is mereocompact" in [c.name for c in special.checks]
+        assert "u-points recover the dense part" in [c.name for c in special.checks]
         assert got_special.checks == special.checks
         assert got_mereo.checks == mereo.checks
 
@@ -1491,7 +1492,7 @@ def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
                 calls.clear()
             report = specialization_report(pca)
             assert report.ok, report.failures
-            assert "dual pair's member algebra is mereocompact" in [c.name for c in report.checks]
+            assert "u-points recover the dense part" in [c.name for c in report.checks]
             assert len(clopen_calls) <= 1, (n, density, len(clopen_calls))
             assert len(meet_calls) <= 1, (n, density, len(meet_calls))
             counts = {name: len(calls) for name, calls in counted.items()}
@@ -1553,8 +1554,9 @@ def test_round_trip_derives_each_table_once(monkeypatch):
 def test_pair_table_matches_the_subspace_and_closed_base_sweeps():
     """`pair_atoms` on every space with at most 4 points and every subset:
     its atoms and their closures against the clopens of the subspace
-    (`oracle_subspace_clopens`), its Stone verdict against `is_stone` of
-    the subspace, its closed-base verdict against `oracle_is_closed_base`
+    (`oracle_subspace_clopens`), its Stone verdict against the literal
+    conjunction on the subspace (T1 and zero-dimensional; every finite
+    space is compact), its closed-base verdict against `oracle_is_closed_base`
     on the closures of the clopens, and its point supports against the
     atom closures.  The subsets are asked for in a sequence that
     alternates between two of them on one space object, and each answer
@@ -1567,10 +1569,11 @@ def test_pair_table_matches_the_subspace_and_closed_base_sweeps():
         for sub in subsets:
             clopens = oracle_subspace_clopens(closures, sub)
             atoms = tuple(minimal_members(clopens))
+            part = subspace(space, sub)
             expected[sub] = (
                 atoms,
                 tuple(oracle_closure_of(closures, a) for a in atoms),
-                is_stone(subspace(space, sub)),
+                is_t1(part) and is_zero_dimensional(part),
                 oracle_is_closed_base(closures, {oracle_closure_of(closures, f) for f in clopens}),
             )
         order = [s for pair in zip(subsets, reversed(subsets)) for s in pair]

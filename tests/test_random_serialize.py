@@ -1,4 +1,5 @@
 import json
+import types
 
 import pytest
 
@@ -7,6 +8,7 @@ from contactlab.boolean import Element, ElementFamily, FiniteBooleanAlgebra
 from contactlab.duality import dual_space_map
 from contactlab.errors import PreconditionError, SchemaError
 from contactlab.precontact import largest_contact, pca_from_pairs
+from contactlab import randgen
 from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
 from contactlab.serialize import (
     decode,
@@ -75,6 +77,26 @@ def test_random_morphism_is_valid():
         again = random_pca_morphism(3, 3, 0.4, seed)
         assert morphism.hom.atom_map == again.hom.atom_map
         assert morphism.source == again.source
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 2, 0.5, 1), "no atom map sends 2 target atoms to no source atom"),
+        ((2, 2, 1.7, 1), r"density must be in \[0, 1\]"),
+        ((2, 2, -0.2, 1), r"density must be in \[0, 1\]"),
+    ],
+)
+def test_random_morphism_refuses_its_input_before_drawing(monkeypatch, args, message):
+    """No total atom map into an algebra with no atoms, and a density
+    outside [0, 1], are refused with a typed error before any draw."""
+
+    def no_draws(seed):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(randgen, "random", types.SimpleNamespace(Random=no_draws))
+    with pytest.raises(PreconditionError, match=message):
+        random_pca_morphism(*args)
 
 
 # ---------------------------------------------------------------------------

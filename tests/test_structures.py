@@ -1,5 +1,7 @@
+import functools
 import itertools
 import json
+import operator
 
 import pytest
 
@@ -36,15 +38,18 @@ from contactlab.topology import (
     FiniteSpace,
     MereotopologicalPair,
     discrete_space,
+    held_once,
     interior,
     is_c_semiregular,
     pair_atoms,
+    rc_atoms,
     rc_members,
     rc_pair_algebra,
     subspace,
 )
 
 from conftest import indiscrete_space
+from test_topology import all_small_spaces
 
 # ---------------------------------------------------------------------------
 # 2-precontact validation
@@ -396,6 +401,38 @@ def test_mereo_report_on_xl(xl_space):
     assert report.u_set == 0b011
     assert report.uniqueness_witness is None
     assert report.ok
+
+
+def _partitions(items):
+    """Every partition of the list into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _partitions(rest):
+        yield [[first], *partition]
+        for i in range(len(partition)):
+            yield partition[:i] + [[first, *partition[i]]] + partition[i + 1 :]
+
+
+def test_u_points_are_dense_on_every_pair():
+    """The u-points of a mereotopological pair, the points held by
+    exactly one atom, are dense: on every space of at most 4 points,
+    with every Boolean subalgebra of RC(X), each the unions of the
+    blocks of a partition of the atoms of RC(X)."""
+    pairs = 0
+    for space in (s for n in range(1, 5) for s in all_small_spaces(n)):
+        for partition in _partitions(list(rc_atoms(space))):
+            atoms = sorted(functools.reduce(operator.or_, block) for block in partition)
+            pair = MereotopologicalPair(space, tuple(atoms))
+            u_points = held_once(pair.atoms)
+            dense = 0
+            for x in range(space.point_count):
+                if u_points >> x & 1:
+                    dense |= space.point_closures[x]
+            assert dense == space.full_mask, (space.point_closures, atoms)
+            pairs += 1
+    assert pairs == 731
 
 
 def test_mereo_trivial_subalgebra_is_not_a_space(xl_space):

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 
@@ -21,8 +23,8 @@ from contactlab.topology import (
     is_connected,
     is_extremally_disconnected,
     is_semiregular,
-    is_stone,
     is_t0,
+    is_t1,
     pair_atoms,
     point_trace,
     rc_algebra,
@@ -43,6 +45,7 @@ from oracles import (
     oracle_closed_family,
     oracle_closure,
     oracle_interior,
+    oracle_open_family,
     oracle_rc,
     oracle_u_point,
     restrict_regular_closed,
@@ -164,6 +167,30 @@ def test_predicates_fixture(xl_space, disc2, sierpinski):
     ind = space_predicates(indiscrete_space(("a", "b")))
     assert not ind.is_t0
     assert space_predicates(sierpinski).is_t0
+
+
+def test_stone_is_t1_at_finite_scale():
+    """Stone, read off `is_t1` alone, against the literal conjunction on
+    every space of at most 4 points: Hausdorff (distinct points have
+    disjoint open neighbourhoods) and zero-dimensional (every open set is
+    a union of clopens); a finite space is compact."""
+    for space in (s for n in range(1, 5) for s in all_small_spaces(n)):
+        opens = oracle_open_family(space.point_closures)
+        clopens = [u for u in opens if space.full_mask ^ u in opens]
+        hausdorff = all(
+            any(u >> x & 1 and v >> y & 1 and not u & v for u in opens for v in opens)
+            for x in range(space.point_count)
+            for y in range(space.point_count)
+            if x != y
+        )
+        zero_dimensional = all(
+            u == functools.reduce(operator.or_, (c for c in clopens if not c & ~u), 0)
+            for u in opens
+        )
+        literal = hausdorff and zero_dimensional
+        assert is_t1(space) == literal, space.point_closures
+        predicates = space_predicates(space)
+        assert predicates.is_stone == predicates.is_hausdorff == literal
 
 
 def test_connectedness_equals_no_proper_clopen():
