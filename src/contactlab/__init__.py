@@ -34,7 +34,6 @@ from .precontact import (
     axiom_report,
     clan_supports,
     contact_closure,
-    contact_from_well_inside,
     contact_from_well_inside_atoms,
     is_pca_morphism,
     largest_contact,
@@ -42,10 +41,7 @@ from .precontact import (
     pca_from_pairs,
     restrict_relation,
     smallest_contact,
-    well_inside_atom_flags,
     well_inside_atoms,
-    well_inside_axiom_report,
-    well_inside_pairs,
 )
 from .adjacency import (
     AdjacencySpace,

@@ -44,12 +44,17 @@ def mask_of(indices):
 
 def join_at(values, mask):
     """The union of values[i] over the set bits i of ``mask``: the entry
-    at ``mask`` of `joins_table`, without building the table."""
+    at ``mask`` of `joins_table`, without building the table.  A mask
+    with a bit at no value, a negative one included (it has infinitely
+    many set bits), raises DomainMismatchError."""
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= values[low.bit_length() - 1]
-        mask ^= low
+    try:
+        while mask:
+            low = mask & -mask
+            out |= values[low.bit_length() - 1]
+            mask ^= low
+    except IndexError:
+        raise DomainMismatchError(f"mask has a bit outside the {len(values)} values") from None
     return out
 
 

@@ -9,7 +9,7 @@ they decide at any width:
 * atom width (``CONTACTLAB_ATOM_LIMIT``, default 16) bounds every
   `FiniteBooleanAlgebra`;
 * enumeration width (``CONTACTLAB_ENUM_LIMIT``, default 6) bounds the
-  row forms of element-level relations (2**n rows), the element
+  row form of a raw element-level relation (2**n rows), the element
   families of `boolean` and the clans of an algebra, the points of its
   dual;
 * point budget (``CONTACTLAB_POINT_LIMIT``, default 12) bounds the

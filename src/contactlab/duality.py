@@ -687,7 +687,14 @@ def specialization_report(pca):
     # fix its pairs.
     if pca.kernel.succ == smallest_contact(pca.algebra).kernel.succ:
         # stone: the n singletons are clans, first and in order, so the
-        # clans are more than the ultrafilters iff one is wider.
+        # clans are more than the ultrafilters iff one is wider.  When
+        # they are exactly the ultrafilters, the dual triple is the whole
+        # space with the diagonal on a discrete space, so that needs no
+        # line of its own: the dual's points are these n supports, all of
+        # them the dense part (`_canonical_pcs` makes the first n points
+        # dense); the closed base is the atom clan sets, here the n
+        # singletons, so each point's closure is itself; and the relation
+        # is the kernel's pairs on the dense part, the diagonal.
         supports = clan_supports(pca)
         ultrafilters = supports == [1 << p for p in range(n)]
         report.add(
@@ -697,8 +704,6 @@ def specialization_report(pca):
             if ultrafilters
             else "clan support " + atom_set(next(s for s in supports if s & (s - 1))),
         )
-        breach = _diagonal_break(triple)
-        report.add("dual triple is the whole space with the diagonal", breach is None, breach)
 
     if pca.kernel.succ == largest_contact(pca.algebra).kernel.succ:
         # connected-stone: the supports are distinct nonzero masks below
@@ -788,27 +793,6 @@ def specialization_report(pca):
 
 def _pair_name(space, pair):
     return "({}, {})".format(*(space.point_names[x] for x in pair))
-
-
-def _diagonal_break(triple):
-    """Why the dual triple of an algebra with the diagonal kernel is not
-    the whole space with the diagonal relation, on a discrete space, or
-    None when it is: a point outside the dense part, else a point whose
-    closure is more than itself."""
-    # The relation is the diagonal by construction once the dense part is
-    # the whole space: `_canonical_pcs` takes the kernel's pairs, here the
-    # diagonal rows, as the relation on the first n points, the dense
-    # part.
-    space = triple.space
-    outside = space.full_mask & ~triple.subset
-    if outside:
-        x = (outside & -outside).bit_length() - 1
-        return f"point {space.point_names[x]} outside the dense part"
-    wide = next((x for x, cl in enumerate(space.point_closures) if cl != 1 << x), None)
-    if wide is not None:
-        name = space.point_names[wide]
-        return f"closure of {name} is {space.name_set(space.point_closures[wide])}"
-    return None
 
 
 def gmcs_hom_check(source_cs, target_cs, point_map):

@@ -7,16 +7,15 @@ is always derived:
 
     a C b  iff  some kernel pair (p, q) has p in a and q in b.
 
-Element-level relations (a raw relation to normalize, an explicit
-well-inside relation) are held as rows of bitsets: 2**n Python ints, bit
-b of rows[a] meaning a R b.  Sets of element pairs appear only where a
-public function takes or returns them, and are converted once there.
-The well-inside relation of an algebra is also held in a unary form, its
-n values on the atoms (`well_inside_atoms`), where its flags and the
-inverse of interdefinability take O(n**2).  An explicit well-inside
-relation has a unary form exactly when it defines a precontact relation,
-and is read into that form whenever it has one; without it, the inverse
-decides the defining axioms in order and stops at the first that fails.
+The one element-level relation taken as input, a raw relation to
+normalize, is held as rows of bitsets: 2**n Python ints, bit b of
+rows[a] meaning a R b, converted once from its pairs.  The well-inside
+relation a << b (not a C b*) is held only in its unary form, its n
+values on the atoms (`well_inside_atoms`), which are the kernel's
+successors; the inverse of interdefinability reads a kernel back from
+that form (`contact_from_well_inside_atoms`).  No element-level << is
+built: the suite's interdefinability line reads the unary form, and the
+literal relation and its axioms are oracles in `tests/oracles.py`.
 
 A kernel is its n atom rows (`RelationKernel.succ`, the successors of
 each atom), checked at construction; its pair set is a view derived on
@@ -41,9 +40,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
-from typing import NamedTuple
+from functools import lru_cache
 
 from .boolean import (
     BooleanHom,
@@ -120,11 +117,6 @@ class RelationKernel:
     def holds_masks(self, a_mask, b_mask):
         succ = self.succ
         return any(succ[p] & b_mask for p in bit_indices(a_mask))
-
-    def forward_table(self):
-        """table[a] = mask of atoms q reachable from the atoms of a; then
-        a C b iff table[a] & b != 0.  Size 2**n."""
-        return joins_table(self.succ)
 
     # The relation properties, read by the Stone report and again by the
     # suite, are computed once per kernel, off the pair set (see
@@ -276,24 +268,15 @@ def pca_from_pairs(atom_count, pairs):
     return PrecontactAlgebra(algebra, RelationKernel.of_pairs(algebra, pairs))
 
 
-class _RowTables(NamedTuple):
-    """Constants of the row form for one atom count n, with size = 2**n:
-    a relation is held as ``size`` rows, bit b of rows[a] meaning a R b."""
-
-    row: int  # the full row, every b
-    hits: list  # hits[s]: the b with b & s != 0
-    up: list  # up[m]: the b containing m
-
-
 @lru_cache(maxsize=4)
 def _row_tables(n):
-    # Keyed on the atom count alone.  For an atom m = 2**q, up[m] (the b
+    """hits[s] for each atom mask s of n atoms: the row of the elements b
+    with b & s != 0, one bit per element of the 2**n."""
+    # Keyed on the atom count alone.  For an atom m = 2**q, hits[m] (the b
     # holding q) repeats m clear bits then m set ones, built by doubling;
-    # every other entry of hits and up is one join or meet of two earlier
-    # ones.
+    # every other entry is the join of two earlier ones.
     size = 1 << n
-    row = (1 << size) - 1
-    hits, up = [0] * size, [row] * size
+    hits = [0] * size
     for m in range(1, size):
         low = m & -m
         if m == low:
@@ -301,11 +284,10 @@ def _row_tables(n):
             while period < size:
                 pattern |= pattern << period
                 period *= 2
-            hits[m] = up[m] = pattern
+            hits[m] = pattern
         else:
             hits[m] = hits[m ^ low] | hits[low]
-            up[m] = up[m ^ low] & up[low]
-    return _RowTables(row=row, hits=hits, up=up)
+    return hits
 
 
 def _rows_of_pairs(algebra, pairs, what):
@@ -370,7 +352,7 @@ def _kernel_of_rows(algebra, rows):
     """
     n = algebra.atom_count
     succ = [_atoms_in(rows[1 << p], n) for p in range(n)]
-    hits = _row_tables(n).hits
+    hits = _row_tables(n)
     if rows != [hits[t] for t in joins_table(succ)]:
         witness = _first_cplus_witness(rows)
         if witness is None:
@@ -415,260 +397,27 @@ def largest_contact(algebra):
     return PrecontactAlgebra(algebra, RelationKernel(algebra, rows))
 
 
-def well_inside_rows(pca):
-    """below[a] = the elements b with a well inside b, as 2**n bitsets.
-
-    a << b iff tab[a] & b* = 0 iff tab[a] <= b, with tab the forward
-    table, so below[a] = up[tab[a]].
-    """
-    n = pca.algebra.atom_count
-    require_enum_width(n)
-    up = _row_tables(n).up
-    return [up[t] for t in pca.kernel.forward_table()]
-
-
-def well_inside_pairs(pca):
-    """All mask pairs (a, b) with a well inside b."""
-    return _pairs_of_rows(well_inside_rows(pca))
-
-
-@dataclass(frozen=True)
-class WellInsideAxioms:
-    """Axioms of the well-inside relation, each decided exactly.
-
-    Tags (<<1)..(<<7) plus the derived forms (<<2') and (<<4').  The set
-    {(<<2), (<<2'), (<<3), (<<4), (<<4')} characterises the relations
-    whose induced contact is a precontact relation.
-    """
-
-    ax1: bool
-    ax2: bool
-    ax2_prime: bool
-    ax3: bool
-    ax4: bool
-    ax4_prime: bool
-    ax5: bool
-    ax6: bool
-    ax7: bool
-
-    @property
-    def defines_precontact(self):
-        return self.ax2 and self.ax2_prime and self.ax3 and self.ax4 and self.ax4_prime
-
-
-def well_inside_axiom_report(algebra, pairs):
-    """Flags for (<<1)..(<<7), (<<2') and (<<4') on an explicit relation,
-    each decided exactly over the carrier: at the atoms when the relation
-    has a unary form (`_well_inside_unary_form`), else off its rows
-    (`_well_inside_flags`)."""
-    n = algebra.atom_count
-    require_enum_width(n)
-    below = _rows_of_pairs(algebra, pairs, "well-inside")
-    m = _well_inside_unary_form(n, below)
-    if m is None:
-        return _well_inside_flags(n, below)
-    return well_inside_atom_flags(m)
-
-
-def _well_inside_unary_form(n, below):
-    """The unary form m of the relation with rows ``below``,
-    below[a] = {b : a << b}, or None when it has none.
-
-    m[p] is the numerically smallest member of below[{p}], and the rows
-    have the unary form iff every atom row is nonempty and below[a] =
-    up[m(a)] for every a, with m extended to elements by joins.  That
-    holds iff (<<2), (<<2'), (<<3), (<<4) and (<<4') all hold, so the
-    test decides `WellInsideAxioms.defines_precontact`.  Proof:
-
-    * If: rows of the form up[m(a)] satisfy the five axioms by
-      construction (see `well_inside_atom_flags`).
-    * Only if: let a C b iff not a << b*.  (C0) holds: (<<2) and (<<3)
-      put every b in below[0], and (<<2') and (<<3) put 1 in every row.
-      (C+) holds: by (<<3) and (<<4), a << b* & c* iff a << b* and a <<
-      c*, so a C (b | c) iff a C b or a C c; by (<<3) and (<<4') the
-      same holds on the left.  So C is a precontact relation, and its
-      well-inside relation is not a C b*, which is a << b.  Hence
-      below[a] = up[tab[a]], with tab the forward table of C's kernel
-      (see `well_inside_rows`).  Every member of up[tab[{p}]] contains
-      tab[{p}], so is numerically at least tab[{p}]: m[p] = tab[{p}],
-      the atom rows are nonempty, and tab, a join-homomorphism, is the
-      joins table of m.
-    """
-    atom_rows = [below[1 << p] for p in range(n)]
-    if not all(atom_rows):
-        return None
-    m = tuple((row & -row).bit_length() - 1 for row in atom_rows)
-    up = _row_tables(n).up
-    if not all(row == up[t] for row, t in zip(below, joins_table(m))):
-        return None
-    return m
-
-
-def _defining_flags(n, below):
-    """(<<2), (<<2'), (<<3), (<<4) and (<<4') of the relation with rows
-    ``below``, below[a] = {b : a << b}, as (tag, holds) pairs in that
-    order, each decided only when its pair is asked for.  A caller that
-    stops at the first failure (`contact_from_well_inside`) reaches
-    (<<4) and (<<4') only when (<<3) holds, and so never runs the
-    literal sweeps.  Reductions, O(2**n) row operations each:
-
-    * (<<3) holds iff every row is an up-set and below[a] lies inside
-      below[a - p] for each atom p of a: any smaller left side and
-      larger right side is reached by removing or adding one atom at a
-      time.  A row is an up-set iff, for each atom q, adding q to its
-      members without q gives members: one shifted test per atom.
-    * Given (<<3), a nonempty row is an up-set, so it is closed under
-      meets iff it is up[m] for its numerically smallest member m:
-      up[m] is a filter, and a member x not above m would put x & m,
-      smaller than m, in a meet-closed row.  That decides (<<4).
-    * Given (<<3), rows shrink as a grows, so below[a | b] lies inside
-      below[a] & below[b], and (<<4') asks for equality: below is a
-      join-to-meet map, which holds iff below[m] = below[m - low] &
-      below[low] for every m, low its lowest atom.
-    * Without (<<3), (<<4) and (<<4') are the literal meet and join
-      sweeps over the rows.
-    """
-    size = 1 << n
-    full = size - 1
-    up = _row_tables(n).up
-    yield "(<<2)", bool(below[0] & 1)
-    yield "(<<2')", bool(below[full] >> full & 1)
-    ax3 = not any(
-        (row & ~up[1 << q]) << (1 << q) & ~row for q in range(n) for row in below
-    ) and not any(
-        below[a] & ~below[a ^ (1 << p)] for a in range(size) for p in bit_indices(a)
-    )
-    yield "(<<3)", ax3
-    if ax3:
-        yield "(<<4)", all(row == up[(row & -row).bit_length() - 1] for row in below if row)
-        yield "(<<4')", all(
-            below[m] == below[m ^ (m & -m)] & below[m & -m] for m in range(1, size)
-        )
-    else:
-        yield "(<<4)", all(
-            row >> (x & y) & 1
-            for row in below
-            for x in bit_indices(row)
-            for y in bit_indices(row)
-        )
-        yield "(<<4')", not any(
-            below[a] & below[b] & ~below[a | b] for a in range(size) for b in range(a)
-        )
-
-
-def _well_inside_flags(n, below):
-    """The nine well-inside flags of the relation with rows ``below``,
-    below[a] = {b : a << b}, read off the rows; exact on every relation,
-    and run on those without a unary form.
-
-    (<<2), (<<2'), (<<3), (<<4) and (<<4') come from `_defining_flags`.
-    The others are O(2**n) row operations except (<<7), one test per
-    listed pair, and the literal (<<5) sweep, run only where (<<3) or
-    (<<4) fails:
-
-    * (<<1) asks row a to lie inside up[a].
-    * Given (<<3) and (<<4), with below[a] = up[m]: a << b << c forces
-      m << c by (<<3), and a << m, so (<<5) holds iff below[a] lies
-      inside below[m].  Otherwise (<<5) asks each row to lie inside the
-      join of the rows of its members.
-    * (<<6) asks the join of the nonzero rows to hold every nonzero b.
-    * (<<7) asks b* << a* for each listed pair (a, b).
-    """
-    tables = _row_tables(n)
-    full = (1 << n) - 1
-    ax2, ax2_prime, ax3, ax4, ax4_prime = (holds for _, holds in _defining_flags(n, below))
-    ax1 = not any(row & ~tables.up[a] for a, row in enumerate(below))
-    if ax3 and ax4:
-        lowest = [(row & -row).bit_length() - 1 for row in below]
-        ax5 = not any(row & ~below[m] for row, m in zip(below, lowest) if row)
-    else:
-        ax5 = not any(row & ~join_at(below, row) for row in below)
-    ax6 = reduce(or_, below[1:], 0) | 1 == tables.row
-    ax7 = all(
-        below[full ^ b] >> (full ^ a) & 1
-        for a, row in enumerate(below)
-        for b in bit_indices(row)
-    )
-    return WellInsideAxioms(ax1, ax2, ax2_prime, ax3, ax4, ax4_prime, ax5, ax6, ax7)
-
-
-def contact_from_well_inside(algebra, pairs):
-    """Invert interdefinability: a C b iff a is not well inside b*.
-
-    The pairs must satisfy the precontact-defining well-inside axioms,
-    which hold iff the relation has a unary form m
-    (`_well_inside_unary_form`); the kernel is then read off m by
-    `contact_from_well_inside_atoms`, and the round trip through
-    ``well_inside_pairs`` is the identity.  Otherwise
-    AxiomViolationError names the first of (<<2), (<<2'), (<<3), (<<4)
-    and (<<4') that fails, deciding them in that order and stopping
-    there (`_defining_flags`): (<<4) and (<<4') are reached only when
-    (<<3) holds, and read in their forms given (<<3).
-    """
-    n = algebra.atom_count
-    require_enum_width(n)
-    below = _rows_of_pairs(algebra, pairs, "well-inside")
-    m = _well_inside_unary_form(n, below)
-    if m is not None:
-        return contact_from_well_inside_atoms(algebra, m)
-    for tag, holds in _defining_flags(n, below):
-        if not holds:
-            raise AxiomViolationError(tag)
-    raise InternalError("the precontact-defining axioms hold off the unary form")
-
-
 def well_inside_atoms(pca):
     """The unary form of the well-inside relation: m at the n atoms, the
     forward table's values on the singletons (the kernel's successors).
 
-    With m extended to elements by joins, below[a] = up[m(a)] (see
-    `well_inside_rows`), so m fixes the relation.  Every m of n atom
-    masks is the unary form of the kernel p K q iff q in m(p)."""
+    a << b iff not a C b*, iff tab[a] misses b*, iff tab[a] <= b, with
+    tab the forward table, the join-preserving extension of m.  So m
+    fixes the relation, and every m of n atom masks is the unary form of
+    the kernel p K q iff q in m(p)."""
     return pca.kernel.succ
-
-
-def well_inside_atom_flags(m):
-    """The nine well-inside flags of the relation with unary form ``m``,
-    decided in O(n**2) at the atoms.
-
-    With below[a] = up[m(a)] and m join-preserving:
-
-    * (<<2), (<<2'), (<<3), (<<4) and (<<4') hold by construction: m(0)
-      = 0, each row is the filter up[m(a)], which shrinks as a grows,
-      and up[m(a | b)] = up[m(a)] & up[m(b)].
-    * (<<1): up[m(a)] inside up[a] iff a <= m(a), and m(a) is the join
-      of the m(p) over the atoms p of a, so (<<1) iff p in m(p).
-    * (<<5): m(a) is the least b with a << b, and m is monotone, so some
-      b has a << b << c iff m(m(a)) <= c; (<<5) iff m(m(a)) <= m(a),
-      which by joins holds iff it holds at each atom.
-    * (<<6): b has a nonzero a << b iff some atom p has m(p) <= b (take
-      an atom of a), so every atom q needs a p with m(p) inside {q}, and
-      that is enough, as b holds an atom.
-    * (<<7): a << b iff m(a) misses b*, so (<<7) says m(a) misses b*
-      iff m(b*) misses a: the kernel is symmetric, q in m(p) iff p in
-      m(q).
-    """
-    n = len(m)
-    values = set(m)
-    return WellInsideAxioms(
-        ax1=all(v >> p & 1 for p, v in enumerate(m)),
-        ax2=True,
-        ax2_prime=True,
-        ax3=True,
-        ax4=True,
-        ax4_prime=True,
-        ax5=all(not join_at(m, v) & ~v for v in m),
-        ax6=0 in values or all(1 << q in values for q in range(n)),
-        ax7=all(m[q] >> p & 1 for p, v in enumerate(m) for q in bit_indices(v)),
-    )
 
 
 def contact_from_well_inside_atoms(algebra, m):
     """Invert interdefinability on the unary form: a C b iff not a <<
-    b*, iff m(a) meets b, so the kernel is p K q iff q in m(p).  Any n
-    atom masks are a unary form: the precontact-defining flags hold by
-    construction (`well_inside_atom_flags`).  Any other m raises
-    DomainMismatchError (`RelationKernel`'s check)."""
+    b*, iff m(a) meets b, so the kernel is p K q iff q in m(p).
+
+    Any n atom masks are a unary form.  With m extended by joins, the
+    relation a << b iff m(a) <= b satisfies the precontact-defining
+    axioms (<<2), (<<2'), (<<3), (<<4) and (<<4') by construction: m(0)
+    = 0, the elements above m(a) form a filter, which shrinks as a
+    grows, and m(a | b) <= c iff m(a) <= c and m(b) <= c.  Any other m
+    raises DomainMismatchError (`RelationKernel`'s check)."""
     return RelationKernel(algebra, tuple(m))
 
 

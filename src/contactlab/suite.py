@@ -6,8 +6,7 @@ triple, axiom/relation correspondences, interdefinability, closure
 behaviour and, when the dual space fits the point budget, the
 complete-contact and mereocompactness specializations.  The
 interdefinability line reads the unary well-inside form, the kernel's n
-atom values, not the 2**n rows of the explicit relation, and
-connectedness of the dual is read at the closures of its dense clopen
+atom values, and connectedness of the dual is read at the closures of its dense clopen
 atoms (`triple_is_connected`), not by a pass over its points.  The specializations
 read the dual pair at its atoms and build no family; the point-budget
 gate stays only because the benchmark's deep-run check expects them to

@@ -236,12 +236,19 @@ def require_subset(space, mask):
 
 
 def closure(space, mask):
+    """The closure of a set of points, the join of their closures.  A
+    mask outside the space, a negative one included, raises
+    DomainMismatchError as `require_subset` does; the walk meets it, so
+    an in-range mask pays no test."""
     closures = space.point_closures
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= closures[low.bit_length() - 1]
-        mask ^= low
+    try:
+        while mask:
+            low = mask & -mask
+            out |= closures[low.bit_length() - 1]
+            mask ^= low
+    except IndexError:
+        raise DomainMismatchError("subset mask out of range") from None
     return out
 
 

@@ -142,6 +142,33 @@ def oracle_ultrafilter_adjacency(n, rel):
     )
 
 
+def oracle_well_inside(n, rel):
+    """The well-inside relation of an element-level relation C, by
+    definition: a << b iff not a C b*."""
+    size = 1 << n
+    full = size - 1
+    return {(a, b) for a in range(size) for b in range(size) if (a, full ^ b) not in rel}
+
+
+def oracle_contact_from_well_inside(n, ll):
+    """The inverse of interdefinability, by definition: a C b iff a is
+    not well inside b*."""
+    size = 1 << n
+    full = size - 1
+    return {(a, b) for a in range(size) for b in range(size) if (a, full ^ b) not in ll}
+
+
+def oracle_unary_relation(n, m):
+    """The relation a << b iff m(a) <= b, with m given at the n atoms
+    and extended to elements by joins."""
+    size = 1 << n
+    m_of = [0] * size
+    for a in range(size):
+        for p in bits(a):
+            m_of[a] |= m[p]
+    return {(a, b) for a in range(size) for b in range(size) if m_of[a] | b == b}
+
+
 def oracle_well_inside_axioms(n, rel):
     """Literal quantifiers for (<<1)..(<<7), (<<2') and (<<4') on an
     explicit relation, keyed by the report's field names."""

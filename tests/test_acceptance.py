@@ -22,12 +22,11 @@ from contactlab.duality import (
     specialization_report,
 )
 from contactlab.precontact import (
-    contact_from_well_inside,
+    contact_from_well_inside_atoms,
     largest_contact,
     pca_from_pairs,
     smallest_contact,
-    well_inside_axiom_report,
-    well_inside_pairs,
+    well_inside_atoms,
 )
 from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
 from contactlab.structures import canonical_pcs_of_pca, pcs_algebra, validate_cs
@@ -45,6 +44,7 @@ from contactlab.boolean import grills, sandwich_ultrafilter
 
 from conftest import all_kernels, enumerate_pca_morphisms, enumerate_pcs_morphisms
 from oracles import (
+    expand_relation,
     family_from_base,
     oracle_clan_supports,
     oracle_clans,
@@ -52,7 +52,11 @@ from oracles import (
     oracle_closure,
     oracle_grills,
     oracle_interior,
+    oracle_contact_from_well_inside,
     oracle_rc,
+    oracle_unary_relation,
+    oracle_well_inside,
+    oracle_well_inside_axioms,
     satisfies_c0_cplus,
 )
 
@@ -355,35 +359,39 @@ def test_criterion_6_mereocompact_machinery(monkeypatch):
 
 
 def test_criterion_7_interdefinability():
-    # round trip on every kernel with up to 3 atoms
-    trips = 0
-    for n in (1, 2, 3):
-        for pairs in all_kernels(n):
-            pca = pca_from_pairs(n, pairs)
-            rebuilt = contact_from_well_inside(
-                pca.algebra, well_inside_pairs(pca)
-            )
-            assert rebuilt.pairs == pairs
-            trips += 1
+    # the unary form against the literal well-inside relation, and the
+    # round trip through both inverses, on every kernel with up to 3
+    # atoms and on seeded 4-atom kernels
+    kernels = [(n, pairs) for n in (1, 2, 3) for pairs in all_kernels(n)]
+    rng = random.Random(BASE_SEED + 7)
+    for _ in range(200):
+        density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        kernels.append(
+            (4, frozenset((p, q) for p in range(4) for q in range(4) if rng.random() < density))
+        )
+    for n, pairs in kernels:
+        pca = pca_from_pairs(n, pairs)
+        contact = expand_relation(n, pairs)
+        ll = oracle_well_inside(n, contact)
+        m = well_inside_atoms(pca)
+        assert oracle_unary_relation(n, m) == ll, (n, sorted(pairs))
+        assert oracle_contact_from_well_inside(n, ll) == contact, (n, sorted(pairs))
+        assert contact_from_well_inside_atoms(pca.algebra, m).pairs == pairs
+    trips = len(kernels)
+    assert trips == 530 + 200
 
     # the defining axiom set holds exactly when the induced relation is a
     # precontact relation: exhaustive on one atom, seeded beyond
-    def induced_contact(n, ll):
-        size = 1 << n
-        full = size - 1
-        return {
-            (a, b)
-            for a in range(size)
-            for b in range(size)
-            if (a, full ^ b) not in ll
-        }
+    defining = ("ax2", "ax2_prime", "ax3", "ax4", "ax4_prime")
+    outcomes = set()
 
     def check_iff(n, ll):
-        algebra = FiniteBooleanAlgebra(n)
-        report = well_inside_axiom_report(algebra, ll)
-        assert report.defines_precontact == satisfies_c0_cplus(
-            n, induced_contact(n, ll)
+        flags = oracle_well_inside_axioms(n, ll)
+        defines = all(flags[name] for name in defining)
+        assert defines == satisfies_c0_cplus(
+            n, oracle_contact_from_well_inside(n, ll)
         ), (n, sorted(ll))
+        outcomes.add(defines)
 
     checked = 0
     size1 = 1 << 1
@@ -411,7 +419,7 @@ def test_criterion_7_interdefinability():
                         for _ in range(3)
                     ]
                 )
-                ll = set(well_inside_pairs(pca_from_pairs(n, pairs)))
+                ll = oracle_well_inside(n, expand_relation(n, pairs))
                 if style == 2:
                     for _ in range(rng.randrange(1, 3)):
                         flip = rng.choice(candidates)
@@ -419,8 +427,10 @@ def test_criterion_7_interdefinability():
                 ll = frozenset(ll)
             check_iff(n, ll)
             checked += 1
+    assert outcomes == {True, False}
     verdict(
         7,
+        f"the unary well-inside form is the literal relation and the "
         f"interdefinability round trip is the identity on {trips} kernels; "
         f"the axiom set characterises precontact on {checked} relations",
     )

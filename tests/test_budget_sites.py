@@ -26,9 +26,6 @@ ALLOWED = {
     ("boolean", "grills"): "every grill, one per nonempty atom support",
     ("precontact", "PrecontactAlgebra._clan_supports"): "every clan, a point of the dual",
     ("precontact", "normalize_relation"): "the 2**n rows of an element-level relation",
-    ("precontact", "well_inside_rows"): "the 2**n rows of the well-inside relation",
-    ("precontact", "well_inside_axiom_report"): "the 2**n rows of an explicit relation",
-    ("precontact", "contact_from_well_inside"): "the 2**n rows of an explicit relation",
     ("topology", "rc_members"): "every regular closed set",
     ("topology", "clopens_of_subset"): "every clopen of the subspace",
     ("topology", "rc_members_of_subset"): "the closures of every clopen of the subspace",

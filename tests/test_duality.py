@@ -565,10 +565,7 @@ def expected_specialization_lines(pca):
     pairs = pca.kernel.pairs
     lines = []
     if pairs == {(p, p) for p in range(n)}:
-        lines += [
-            "clans are exactly the ultrafilters",
-            "dual triple is the whole space with the diagonal",
-        ]
+        lines.append("clans are exactly the ultrafilters")
     if pairs == {(p, q) for p in range(n) for q in range(n)}:
         lines.append("clans are exactly the grills")
     if pca.axioms.is_contact:
@@ -628,12 +625,6 @@ BROKEN_SPECIALIZATION_LINES = [
         "clans are exactly the ultrafilters",
         _clans_of(TOTAL3),
         lambda t: "clan support {0,1}",
-    ),
-    (
-        "stone",
-        "dual triple is the whole space with the diagonal",
-        _dual_of(TOTAL3),
-        lambda t: "point c0-1 outside the dense part",
     ),
     (
         "connected-stone",

@@ -1,10 +1,8 @@
 """Differential tests: each reduced decision procedure against the literal
 quantifier it replaces.
 
-The reductions in ``precontact`` (the row form of (C+), the well-inside
-axioms read off the rows and at the unary form, the unary form of an
-explicit well-inside relation and its inverse, the six axiom flags at
-the kernel's atom rows, the clique pass of ``clique_supports``, the
+The reductions in ``precontact`` (the row form of (C+), the six axiom
+flags at the kernel's atom rows, the clique pass of ``clique_supports``, the
 contact-closure rows of a kernel), in
 ``adjacency`` (the ultrafilter adjacency read off the kernel's pairs), in ``topology``
 (closed bases by the meet of the members holding each point, clopens of
@@ -79,21 +77,13 @@ from contactlab.errors import (
 from contactlab.precontact import (
     RawRelation,
     RelationKernel,
-    _rows_of_pairs,
-    _well_inside_flags,
-    _well_inside_unary_form,
     axiom_report,
     clan_supports,
     clique_supports,
-    contact_from_well_inside,
     contact_from_well_inside_atoms,
     normalize_relation,
     pca_from_pairs,
-    well_inside_atom_flags,
     well_inside_atoms,
-    well_inside_axiom_report,
-    well_inside_pairs,
-    well_inside_rows,
 )
 from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
 from contactlab.structures import (
@@ -147,6 +137,7 @@ from oracles import (
     oracle_clique_supports,
     oracle_closed_family,
     oracle_closed_unions,
+    oracle_contact_from_well_inside,
     oracle_contact_relation,
     oracle_cs4_s2s4,
     oracle_extremally_disconnected,
@@ -182,13 +173,12 @@ from oracles import (
     oracle_ultrafilter_adjacency,
     oracle_ultrafilter_points,
     oracle_uniqueness_witness,
+    oracle_unary_relation,
+    oracle_well_inside,
     oracle_well_inside_axioms,
 )
 from test_topology import all_small_spaces
 
-WELL_INSIDE_FLAGS = (
-    "ax1", "ax2", "ax2_prime", "ax3", "ax4", "ax4_prime", "ax5", "ax6", "ax7",
-)
 AXIOM_FLAGS = ("cref", "csym", "ctr", "ctr_sharp", "ccon", "c6")
 
 
@@ -309,175 +299,6 @@ def test_normalize_reports_zero_pairs_before_range(b4):
 
 
 # ---------------------------------------------------------------------------
-# well_inside_axiom_report: all nine flags
-
-
-def well_inside_flags(n, rel):
-    report = well_inside_axiom_report(FiniteBooleanAlgebra(n), rel)
-    return {name: getattr(report, name) for name in WELL_INSIDE_FLAGS}
-
-
-DEFINING_FLAGS = (
-    ("ax2", "(<<2)"),
-    ("ax2_prime", "(<<2')"),
-    ("ax3", "(<<3)"),
-    ("ax4", "(<<4)"),
-    ("ax4_prime", "(<<4')"),
-)
-
-
-def unary_form_and_inverse(n, rel, want):
-    """Check the unary test and the inverse on one relation against the
-    literal flags ``want``.  The relation has a unary form iff the five
-    precontact-defining flags hold; the inverse then round-trips, and
-    otherwise raises the first failing flag in the order (<<2), (<<2'),
-    (<<3), (<<4), (<<4').  Returns "defines" or that flag's tag."""
-    algebra = FiniteBooleanAlgebra(n)
-    failing = [tag for name, tag in DEFINING_FLAGS if not want[name]]
-    unary = _well_inside_unary_form(n, _rows_of_pairs(algebra, rel, "well-inside"))
-    assert (unary is None) == bool(failing), (n, sorted(rel))
-    if not failing:
-        kernel = contact_from_well_inside(algebra, rel)
-        assert well_inside_pairs(pca_from_pairs(n, kernel.pairs)) == rel, (n, sorted(rel))
-        return "defines"
-    with pytest.raises(AxiomViolationError) as err:
-        contact_from_well_inside(algebra, rel)
-    assert err.value.axiom == failing[0], (n, sorted(rel))
-    return failing[0]
-
-
-def well_inside_population():
-    """Every relation on 0 and 1 atoms; the well-inside relations of every
-    kernel on at most 3 atoms and of seeded 4-5 atom kernels, with seeded
-    one-pair perturbations; seeded arbitrary relations on 2-3 atoms."""
-    rng = random.Random(20260902)
-    out = [(0, frozenset()), (0, frozenset({(0, 0)}))]
-    pairs_1 = [(a, b) for a in range(2) for b in range(2)]
-    for chosen in range(1 << len(pairs_1)):
-        out.append((1, frozenset(p for i, p in enumerate(pairs_1) if chosen >> i & 1)))
-    kernels = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
-    kernels += seeded_kernels(11, {4: 6, 5: 3})
-    for n, pairs in kernels:
-        rel = well_inside_pairs(pca_from_pairs(n, pairs))
-        out.append((n, rel))
-        out.extend((n, r) for r in one_pair_perturbations(n, rel, rng, 1))
-    for n, count in ((2, 300), (3, 100)):
-        size = 1 << n
-        for _ in range(count):
-            density = rng.choice((0.2, 0.5, 0.8))
-            out.append((n, frozenset(
-                (a, b) for a in range(size) for b in range(size) if rng.random() < density
-            )))
-    return out
-
-
-def test_well_inside_axiom_report_matches_the_literal_quantifiers():
-    """The nine flags, the unary test and the inverse (see
-    `unary_form_and_inverse`) against the literal quantifiers."""
-    seen = {name: set() for name in WELL_INSIDE_FLAGS}
-    ax3_false_ax4_values = set()
-    outcomes = set()
-    for n, rel in well_inside_population():
-        want = oracle_well_inside_axioms(n, rel)
-        got = well_inside_flags(n, rel)
-        assert got == want, (n, sorted(rel))
-        outcomes.add(unary_form_and_inverse(n, rel, want))
-        for name, value in got.items():
-            seen[name].add(value)
-        if not got["ax3"]:
-            ax3_false_ax4_values.add((got["ax4"], got["ax4_prime"]))
-    # every flag is seen both ways, and (<<4)/(<<4') both ways off the
-    # up-set path that (<<3) enables
-    assert all(values == {True, False} for values in seen.values()), seen
-    assert {v for pair in ax3_false_ax4_values for v in pair} == {True, False}
-    assert outcomes == {"defines"} | {tag for _, tag in DEFINING_FLAGS}, outcomes
-
-
-def test_well_inside_rejects_pairs_outside_the_algebra(b4):
-    with pytest.raises(DomainMismatchError):
-        well_inside_axiom_report(b4, frozenset({(0, 0), (0, 4)}))
-
-
-def test_well_inside_inverse_stops_at_the_first_failing_tag(monkeypatch):
-    """`contact_from_well_inside` on seeded 3- to 6-atom well-inside
-    relations with one chosen or random pair toggled raises the first failing tag of the
-    literal quantifiers (see `unary_form_and_inverse`), and decides no
-    flag after it: a relation that fails (<<3) never reaches (<<4) or
-    (<<4').  Each of the five tags is seen."""
-    decided = []
-    flags_in_order = precontact._defining_flags
-
-    def recorded(n, below):
-        for tag, holds in flags_in_order(n, below):
-            decided.append(tag)
-            yield tag, holds
-
-    monkeypatch.setattr(precontact, "_defining_flags", recorded)
-    rng = random.Random(20261021)
-    seen = set()
-    for n, pairs in seeded_kernels(61, {3: 12, 4: 10, 5: 6, 6: 4}):
-        pca = pca_from_pairs(n, pairs)
-        rel = well_inside_pairs(pca)
-        full = (1 << n) - 1
-        m = well_inside_atoms(pca)[0]
-        # (0, 0) and (full, full) break (<<2) and (<<2'); adding (atom 0, the
-        # complement of one atom of m(0)) keeps row 0 an up-set, which
-        # (<<4) or (<<4') then catch; a random pair mostly breaks (<<3)
-        toggles = ((0, 0), (full, full), (1, full ^ (m & -m)))
-        for pair in toggles + ((rng.randint(0, full), rng.randint(0, full)),):
-            toggled = rel ^ {pair}
-            decided.clear()
-            tag = unary_form_and_inverse(n, toggled, oracle_well_inside_axioms(n, toggled))
-            # a relation with the unary form decides no flag
-            assert decided[-1:] == ([] if tag == "defines" else [tag]), (n, pair, decided)
-            seen.add(tag)
-    assert seen - {"defines"} == {tag for _, tag in DEFINING_FLAGS}, seen
-
-
-def moves_closure(n, generators):
-    """The smallest relation holding the generator pairs and closed
-    under (<<3): every smaller left side and larger right side."""
-    size = 1 << n
-    return frozenset(
-        (x, y)
-        for a, b in generators
-        for x in range(size)
-        if x | a == a
-        for y in range(size)
-        if y | b == y
-    )
-
-
-def test_well_inside_flags_on_relations_closed_under_moves():
-    """Relations that satisfy (<<3) without coming from a kernel: the
-    (<<4), (<<4'), (<<5) and (<<7) reductions that (<<3) enables, and
-    the unary test and the inverse (see `unary_form_and_inverse`)."""
-    rng = random.Random(20261005)
-    seen = {name: set() for name in WELL_INSIDE_FLAGS}
-    ax4_ax5 = set()
-    outcomes = set()
-    for _ in range(3000):
-        n = rng.randint(1, 3)
-        size = 1 << n
-        generators = [
-            (rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(0, 4))
-        ]
-        rel = moves_closure(n, generators)
-        want = oracle_well_inside_axioms(n, rel)
-        got = well_inside_flags(n, rel)
-        assert got == want, (n, generators)
-        outcomes.add(unary_form_and_inverse(n, rel, want))
-        for name, value in got.items():
-            seen[name].add(value)
-        ax4_ax5.add((got["ax4"], got["ax5"]))
-    assert seen.pop("ax3") == {True}
-    assert all(values == {True, False} for values in seen.values()), seen
-    # (<<5) both ways on the path where (<<4) holds and on the one where it fails
-    assert len(ax4_ax5) == 4, ax4_ax5
-    assert outcomes == {"defines", "(<<2)", "(<<2')", "(<<4)", "(<<4')"}, outcomes
-
-
-# ---------------------------------------------------------------------------
 # axiom_report: the six flags at the kernel's atom rows
 
 
@@ -514,7 +335,6 @@ def test_axiom_report_builds_no_table(monkeypatch):
         raise AssertionError("axiom_report built a 2**n table")
 
     monkeypatch.setattr(precontact, "joins_table", refuse)
-    monkeypatch.setattr(RelationKernel, "forward_table", refuse)
     seeded = seeded_kernels(41, {n: 4 for n in range(1, 7)})
     population = [pca_from_pairs(n, pairs) for n, pairs in seeded]
     population += [precontact.contact_closure(pca) for pca in population]
@@ -2501,14 +2321,10 @@ def test_clan_points_refuse_a_support_that_is_not_a_clan():
 
 
 def test_row_form_round_trips_on_seven_and_eight_atoms(monkeypatch):
-    """The interdefinability round trip through the explicit well-inside
-    relation and the kernel expansion both give back the kernel."""
+    """Normalizing the kernel's expansion gives back the kernel."""
     monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
     for n, pairs in seeded_kernels(41, {7: 2, 8: 1}):
-        pca = pca_from_pairs(n, pairs)
-        rebuilt = contact_from_well_inside(pca.algebra, well_inside_pairs(pca))
-        assert rebuilt.pairs == pairs, (n, sorted(pairs))
-        expanded = RawRelation(pca.algebra, frozenset(expand_relation(n, pairs)))
+        expanded = RawRelation(FiniteBooleanAlgebra(n), frozenset(expand_relation(n, pairs)))
         assert normalize_relation(expanded).pairs == pairs
 
 
@@ -2516,43 +2332,54 @@ def test_row_form_round_trips_on_seven_and_eight_atoms(monkeypatch):
 # the unary well-inside form: m at the atoms
 
 
-def test_unary_well_inside_form_matches_the_literal_quantifiers(monkeypatch):
-    """The unary flags against the literal quantifiers on every kernel of
-    at most 3 atoms and seeded 4-atom kernels, and against the flags
-    read off the rows on seeded 5- to 8-atom kernels; the unary inverse
-    against the inverse of the explicit relation on all of them.  Every
-    flag not fixed by construction is seen both ways."""
-    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
-    small = [(n, k) for n in (1, 2, 3) for k in all_kernels(n)]
-    small += seeded_kernels(47, {4: 8})
-    large = seeded_kernels(53, {5: 4, 6: 3, 7: 2, 8: 1})
-    seen = {name: set() for name in WELL_INSIDE_FLAGS}
-    for n, pairs in small + large:
-        pca = pca_from_pairs(n, pairs)
-        m = well_inside_atoms(pca)
-        flags = well_inside_atom_flags(m)
-        got = {name: getattr(flags, name) for name in WELL_INSIDE_FLAGS}
-        if n <= 4:
-            want = oracle_well_inside_axioms(n, well_inside_pairs(pca))
-        else:
-            from_rows = _well_inside_flags(n, well_inside_rows(pca))
-            want = {name: getattr(from_rows, name) for name in WELL_INSIDE_FLAGS}
-        assert got == want, (n, sorted(pairs))
-        for name, value in got.items():
-            seen[name].add(value)
-        rebuilt = contact_from_well_inside_atoms(pca.algebra, m)
-        explicit = contact_from_well_inside(pca.algebra, well_inside_pairs(pca))
-        assert rebuilt == explicit, (n, sorted(pairs))
-        assert rebuilt.pairs == pairs
-    fixed = ("ax2", "ax2_prime", "ax3", "ax4", "ax4_prime")
-    assert all(seen[name] == {True} for name in fixed), seen
-    assert all(seen[name] == {True, False} for name in WELL_INSIDE_FLAGS if name not in fixed), seen
-
-
 @pytest.mark.parametrize("m", [(0b01,), (0b01, 0b10, 0b11), (0b01, 0b100), (-1, 0b10)])
 def test_unary_inverse_rejects_a_malformed_form(m):
     with pytest.raises(DomainMismatchError, match="expected 2 atom masks of 2 bits"):
         contact_from_well_inside_atoms(FiniteBooleanAlgebra(2), m)
+
+
+def test_well_inside_rejects_pairs_outside_the_algebra():
+    """A form whose mask at atom p holds a bit q past the atoms, the
+    kernel pair (p, q) outside the algebra, is refused at every atom of
+    algebras of 1 to 4 atoms."""
+    for n in range(1, 5):
+        algebra = FiniteBooleanAlgebra(n)
+        for p in range(n):
+            m = [algebra.full_mask] * n
+            m[p] |= 1 << n
+            with pytest.raises(DomainMismatchError, match=f"expected {n} atom masks of {n} bits"):
+                contact_from_well_inside_atoms(algebra, m)
+
+
+def test_unary_well_inside_form_matches_the_literal_quantifiers():
+    """The unary form induces the literal well-inside relation of the
+    kernel's expansion, and the atom inverse gives back the kernel, on
+    seeded 5- and 6-atom kernels; criterion 7 covers every kernel of at
+    most 3 atoms and seeded 4-atom ones."""
+    for n, pairs in seeded_kernels(47, {5: 4, 6: 3}):
+        pca = pca_from_pairs(n, pairs)
+        m = well_inside_atoms(pca)
+        literal = oracle_well_inside(n, expand_relation(n, pairs))
+        assert oracle_unary_relation(n, m) == literal, (n, sorted(pairs))
+        assert contact_from_well_inside_atoms(pca.algebra, m).pairs == pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_unary_form_defines_a_precontact_relation(n):
+    """Every n atom masks m, as `contact_from_well_inside_atoms` takes
+    them: a << b iff m(a) <= b satisfies (<<2), (<<2'), (<<3), (<<4)
+    and (<<4') under the literal quantifiers, the atom inverse is the
+    literal inverse of that relation, and `well_inside_atoms` reads m
+    back from it.  Exhaustive over the 2**(n*n) forms."""
+    algebra = FiniteBooleanAlgebra(n)
+    defining = ("ax2", "ax2_prime", "ax3", "ax4", "ax4_prime")
+    for m in itertools.product(range(1 << n), repeat=n):
+        relation = oracle_unary_relation(n, m)
+        flags = oracle_well_inside_axioms(n, relation)
+        assert all(flags[name] for name in defining), (m, flags)
+        kernel = contact_from_well_inside_atoms(algebra, m)
+        assert expand_relation(n, kernel.pairs) == oracle_contact_from_well_inside(n, relation)
+        assert well_inside_atoms(pca_from_pairs(n, kernel.pairs)) == m
 
 
 # ---------------------------------------------------------------------------
@@ -2617,21 +2444,15 @@ def test_trusted_construction_keeps_the_name_checks():
 
 
 def test_instance_suite_builds_no_pair_sets(monkeypatch):
-    """Nor the rows of a well-inside relation, nor a whole-space pass on
-    the dual for its connectedness."""
+    """Nor the rows of an element-level relation, nor a whole-space pass
+    on the dual for its connectedness."""
 
     def refuse(*args):
         raise AssertionError("an element relation or a whole-dual pass on the suite path")
 
     for name, module in list(sys.modules.items()):
         if name == "contactlab" or name.startswith("contactlab."):
-            for attr in (
-                "well_inside_pairs",
-                "well_inside_rows",
-                "_well_inside_flags",
-                "_well_inside_unary_form",
-                "is_connected",
-            ):
+            for attr in ("_rows_of_pairs", "is_connected"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     pca = random_pca(RandomSpec(atoms=6, density=0.5, seed=20261007))

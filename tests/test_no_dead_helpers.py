@@ -268,12 +268,6 @@ READ_ONLY_BY_TESTS = {
     "adjacency space as a suite line; test_duality::test_reconstruction_from_stone_adjacency",
     ("duality", "gmcs_hom_check"): "ROADMAP item 8, GG's condition on maps of 2-contact pairs; "
     "test_duality::test_gmcs_lines_that_can_fail_name_their_witness",
-    ("precontact", "well_inside_pairs"): "contact and well-inside relations are interdefinable; "
-    "test_acceptance::test_criterion_7_interdefinability",
-    ("precontact", "well_inside_axiom_report"): "the well-inside axioms of an interdefined "
-    "relation; test_acceptance::test_criterion_7_interdefinability",
-    ("precontact", "contact_from_well_inside"): "the inverse of interdefinability; "
-    "test_precontact::test_interdefinability_round_trip",
     ("precontact", "restrict_relation"): "a partition of the atoms generates a precontact "
     "subalgebra; test_precontact::test_restrict_relation_blocks",
     ("precontact", "restrict_clan_support"): "a clan restricts to a clan of such a subalgebra; "

@@ -9,7 +9,7 @@ from contactlab.precontact import (
     axiom_report,
     clan_supports,
     contact_closure,
-    contact_from_well_inside,
+    contact_from_well_inside_atoms,
     is_pca_morphism,
     largest_contact,
     normalize_relation,
@@ -17,15 +17,18 @@ from contactlab.precontact import (
     restrict_clan_support,
     restrict_relation,
     smallest_contact,
-    well_inside_axiom_report,
-    well_inside_pairs,
+    well_inside_atoms,
 )
 
 from oracles import (
     expand_relation,
     oracle_axioms,
     oracle_clans,
+    oracle_contact_from_well_inside,
     oracle_is_pca_morphism,
+    oracle_unary_relation,
+    oracle_well_inside,
+    oracle_well_inside_axioms,
     satisfies_c0_cplus,
 )
 
@@ -140,52 +143,57 @@ def test_extremal_bounds_for_contacts(kernels_upto_2, kernels_3):
 
 
 # ---------------------------------------------------------------------------
-# the well-inside relation
+# the well-inside relation, by its literal definition and its unary form
+
+
+def literal_well_inside(pca):
+    n = pca.algebra.atom_count
+    return oracle_well_inside(n, expand_relation(n, pca.kernel.pairs))
 
 
 def test_well_inside_of_smallest_contact_is_order(b4):
-    inside = well_inside_pairs(smallest_contact(b4))
+    inside = literal_well_inside(smallest_contact(b4))
     for a in b4.elements():
         for b in b4.elements():
             assert ((a.mask, b.mask) in inside) == a.leq(b)
 
 
 def test_well_inside_of_largest_contact(b4):
-    inside = well_inside_pairs(largest_contact(b4))
+    inside = literal_well_inside(largest_contact(b4))
     for a in b4.elements():
         for b in b4.elements():
             assert ((a.mask, b.mask) in inside) == (a.is_zero or b.is_one)
 
 
 def test_well_inside_axioms_of_extremal_relations(b4):
-    order = well_inside_axiom_report(b4, well_inside_pairs(smallest_contact(b4)))
-    assert all(
-        [order.ax1, order.ax2, order.ax2_prime, order.ax3, order.ax4,
-         order.ax4_prime, order.ax5, order.ax7]
-    )
-    # exhaustive evaluation is the oracle for the largest contact: its
-    # well-inside relation keeps (<<1) but loses (<<6)
-    loose = well_inside_axiom_report(b4, well_inside_pairs(largest_contact(b4)))
-    assert loose.ax1
-    assert loose.ax6 is False
-    assert loose.defines_precontact
+    order = oracle_well_inside_axioms(b4.atom_count, literal_well_inside(smallest_contact(b4)))
+    assert all(order.values())
+    # the largest contact's well-inside relation keeps (<<1) and the
+    # precontact-defining axioms but loses (<<6)
+    loose = oracle_well_inside_axioms(b4.atom_count, literal_well_inside(largest_contact(b4)))
+    assert {name for name, holds in loose.items() if not holds} == {"ax6"}
 
 
 def test_empty_well_inside_fails_second_axiom(b4):
-    report = well_inside_axiom_report(b4, frozenset())
-    assert not report.ax2
+    """The empty relation fails (<<2), 0 << 0, under the literal
+    quantifiers, so it is the well-inside relation of no precontact
+    relation: the relation of every unary form holds 0 << 0."""
+    n = b4.atom_count
+    assert not oracle_well_inside_axioms(n, frozenset())["ax2"]
+    for m in itertools.product(range(1 << n), repeat=n):
+        assert (0, 0) in oracle_unary_relation(n, m)
 
 
 def test_interdefinability_round_trip(kernels_upto_2, kernels_3):
+    """The literal inverse takes the literal well-inside relation back to
+    the contact relation, and the kernel read back from the unary form
+    is the kernel, on every kernel of at most 3 atoms."""
     for n, pairs in list(kernels_upto_2) + [(3, k) for k in kernels_3]:
         pca = pca_from_pairs(n, pairs)
-        rebuilt = contact_from_well_inside(pca.algebra, well_inside_pairs(pca))
+        contact = expand_relation(n, pairs)
+        assert oracle_contact_from_well_inside(n, oracle_well_inside(n, contact)) == contact
+        rebuilt = contact_from_well_inside_atoms(pca.algebra, well_inside_atoms(pca))
         assert rebuilt.pairs == pairs
-
-
-def test_contact_from_well_inside_rejects_bad_axioms(b4):
-    with pytest.raises(AxiomViolationError):
-        contact_from_well_inside(b4, frozenset())
 
 
 # ---------------------------------------------------------------------------

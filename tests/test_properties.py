@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from contactlab.duality import algebra_roundtrip_iso
 from contactlab.precontact import (
     contact_closure,
-    contact_from_well_inside,
+    contact_from_well_inside_atoms,
     pca_from_pairs,
-    well_inside_pairs,
+    well_inside_atoms,
 )
 from contactlab.serialize import decode, encode
 from contactlab.topology import (
@@ -17,6 +17,8 @@ from contactlab.topology import (
     is_closed,
     space_from_closed_base,
 )
+
+from oracles import expand_relation, oracle_unary_relation, oracle_well_inside
 
 
 @st.composite
@@ -55,12 +57,15 @@ def test_contact_closure_laws(pca):
 
 
 @settings(max_examples=60, deadline=None)
-@given(kernels(max_atoms=3))
+@given(kernels(max_atoms=4))
 def test_interdefinability_random(pca):
-    assert (
-        contact_from_well_inside(pca.algebra, well_inside_pairs(pca)).pairs
-        == pca.kernel.pairs
-    )
+    """The unary form induces the literal well-inside relation of the
+    kernel's expansion, and the atom inverse gives back the kernel."""
+    n = pca.algebra.atom_count
+    m = well_inside_atoms(pca)
+    contact = expand_relation(n, pca.kernel.pairs)
+    assert oracle_unary_relation(n, m) == oracle_well_inside(n, contact)
+    assert contact_from_well_inside_atoms(pca.algebra, m).pairs == pca.kernel.pairs
 
 
 @settings(max_examples=40, deadline=None)

@@ -206,11 +206,10 @@ def _names(report):
 
 def test_stone_gate_reads_the_kernel(monkeypatch):
     """The gate opens on a kernel equal to the foreign diagonal, and then
-    names the wider clan and the point off the dense part."""
+    names the wider clan."""
     monkeypatch.setattr(duality, "smallest_contact", lambda algebra: PATH)
     assert _failures(specialization_report(PATH)) == [
         ("clans are exactly the ultrafilters", "clan support {0,1}"),
-        ("dual triple is the whole space with the diagonal", "point c0-1 outside the dense part"),
     ]
     algebra = PATH.algebra
     monkeypatch.setattr(duality, "smallest_contact", largest_contact)

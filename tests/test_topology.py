@@ -4,6 +4,7 @@ import operator
 
 import pytest
 
+from contactlab.boolean import join_at
 from contactlab.errors import CapacityError, DomainMismatchError, PreconditionError
 from contactlab.precontact import pca_from_pairs
 from contactlab.structures import canonical_pcs_of_pca, validate_cs, validate_s2s
@@ -542,3 +543,19 @@ def test_a_negative_mask_is_refused_not_walked():
         discrete_space("abc").name_set(-1)
     assert restrict_to_subspace_mask(0b1010, 0b1000) == 0b10
     assert discrete_space("abc").name_set(0b101) == "{a,c}"
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda: closure(discrete_space("abc"), -1),
+        lambda: closure(discrete_space("abc"), 1 << 5),
+        lambda: join_at([1, 2], -1),
+    ],
+    ids=["closure-negative", "closure-past-the-points", "join_at-negative"],
+)
+def test_a_mask_walk_off_its_table_raises_a_typed_error(walk):
+    """A bit walk that reaches an index past its table, as every
+    negative mask does, raises DomainMismatchError, not IndexError."""
+    with pytest.raises(DomainMismatchError):
+        walk()
