@@ -7,7 +7,6 @@ both directions, and verifies the duality laws on concrete instances.
 
 from .boolean import (
     BooleanHom,
-    Element,
     ElementFamily,
     FiniteBooleanAlgebra,
     grills,
@@ -61,14 +60,12 @@ from .topology import (
     discrete_space,
     interior,
     interior_trace,
-    is_c_semiregular,
     point_trace,
     rc_algebra,
     rc_pair_algebra,
     space_from_closed_base,
     space_predicates,
     subspace,
-    u_point_of_pair,
 )
 from .structures import (
     MereocompactReport,

@@ -1,14 +1,17 @@
-"""Finite Boolean algebras with atom-indexed elements.
+"""Finite Boolean algebras whose elements are atom bitmasks.
 
 An algebra with n atoms has exactly the 2**n subsets of {0, ..., n-1} as
-its carrier.  An element is held as an integer bitmask (bit i set iff
-atom i belongs to it), so join, meet, complement are bitwise operations
-and the algebra order is mask inclusion.  The carrier is never
-materialised as a collection; exhaustive operations iterate by counting
-over range(2**n).
+its carrier.  At finite scale an element is its set of atoms (Stone
+duality: its ultrafilters), so it is held as an integer bitmask, bit i
+set iff atom i belongs to it: join, meet and complement are bitwise
+operations, the algebra order is mask inclusion, and no element object
+is built.  The carrier is never materialised as a collection;
+exhaustive operations iterate by counting over range(2**n).
 
-Families of elements (filters, ultrafilters, grills) are materialised
-explicitly and therefore fall under the enumeration width budget.
+A family of elements (a filter, an ultrafilter, a grill) is the
+frozenset of its member masks, each checked to lie in the algebra
+(`require_mask`).  Families are materialised explicitly and therefore
+fall under the enumeration width budget.
 """
 
 from __future__ import annotations
@@ -36,9 +39,14 @@ def bit_indices(mask):
 
 
 def mask_of(indices):
+    """The mask with the bits ``indices`` set; a negative index raises
+    DomainMismatchError."""
     out = 0
-    for i in indices:
-        out |= 1 << i
+    try:
+        for i in indices:
+            out |= 1 << i
+    except ValueError:
+        raise DomainMismatchError(f"atom index {i} out of range") from None
     return out
 
 
@@ -180,86 +188,26 @@ class FiniteBooleanAlgebra:
         return (1 << self.atom_count) - 1
 
     @property
-    def zero(self):
-        return Element(self, 0)
-
-    @property
-    def one(self):
-        return Element(self, self.full_mask)
-
-    @property
     def is_degenerate(self):
         return self.atom_count == 0
 
-    def element(self, mask):
-        if not 0 <= mask <= self.full_mask:
-            raise DomainMismatchError(f"mask {mask} outside algebra with {self.atom_count} atoms")
-        return Element(self, mask)
 
-    def atom(self, index):
-        if not 0 <= index < self.atom_count:
-            raise DomainMismatchError(f"atom index {index} out of range")
-        return Element(self, 1 << index)
-
-    def elements(self):
-        return (Element(self, m) for m in range(self.size))
-
-
-@dataclass(frozen=True)
-class Element:
-    """One element of a finite Boolean algebra, stored as an atom bitmask."""
-
-    algebra: FiniteBooleanAlgebra
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask <= self.algebra.full_mask:
-            raise DomainMismatchError(
-                f"mask {self.mask} outside algebra with {self.algebra.atom_count} atoms"
-            )
-
-    @property
-    def is_zero(self):
-        return self.mask == 0
-
-    @property
-    def is_one(self):
-        return self.mask == self.algebra.full_mask
-
-    def _same(self, other):
-        if not isinstance(other, Element) or other.algebra != self.algebra:
-            raise DomainMismatchError("operands belong to different algebras")
-
-    def join(self, other):
-        self._same(other)
-        return Element(self.algebra, self.mask | other.mask)
-
-    def meet(self, other):
-        self._same(other)
-        return Element(self.algebra, self.mask & other.mask)
-
-    def complement(self):
-        return Element(self.algebra, self.algebra.full_mask ^ self.mask)
-
-    def leq(self, other):
-        self._same(other)
-        return self.mask | other.mask == other.mask
-
-    __add__ = join
-    __mul__ = meet
-    __invert__ = complement
-    __le__ = leq
-
-    def __repr__(self):
-        return f"Element({self.algebra.atom_count}, 0b{self.mask:0{max(self.algebra.atom_count, 1)}b})"
+def require_mask(algebra, mask):
+    """``mask``, when it is an element of ``algebra``; else
+    DomainMismatchError."""
+    if not 0 <= mask <= algebra.full_mask:
+        raise DomainMismatchError(f"mask {mask} outside algebra with {algebra.atom_count} atoms")
+    return mask
 
 
 @dataclass(frozen=True)
 class ElementFamily:
-    """A finite set of elements tagged with what it claims to be.
+    """A finite set of elements, the frozenset of their masks, tagged
+    with what it claims to be.
 
-    The tags ``filter``, ``ultrafilter`` and ``grill`` are verified on
-    construction; ``arbitrary`` is not.
+    Each member must lie in the algebra.  The tags ``filter``,
+    ``ultrafilter`` and ``grill`` are verified on construction;
+    ``arbitrary`` is not.
     """
 
     algebra: FiniteBooleanAlgebra
@@ -269,24 +217,15 @@ class ElementFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise PreconditionError(f"unknown family kind {self.kind!r}")
-        for e in self.members:
-            if e.algebra != self.algebra:
-                raise DomainMismatchError("family member from a different algebra")
-        if self.kind in ("filter", "ultrafilter", "grill") and not is_family(
-            self.kind, self.algebra, self.members
-        ):
+        for m in self.members:
+            require_mask(self.algebra, m)
+        if self.kind != "arbitrary" and not is_family(self.kind, self.algebra, self.members):
             raise PreconditionError(f"member set is not a {self.kind}")
-
-    @property
-    def member_masks(self):
-        return frozenset(e.mask for e in self.members)
-
-    def __contains__(self, element):
-        return element in self.members
 
 
 def is_family(kind, algebra, members):
-    """Decide whether ``members`` satisfies the invariants of ``kind``.
+    """Decide whether the masks ``members`` satisfy the invariants of
+    ``kind``.
 
     filter: contains 1, excludes 0, upward closed, closed under meet.
     ultrafilter: a filter that contains a or a* for every a.
@@ -314,7 +253,7 @@ def is_family(kind, algebra, members):
       that size whose members meet t is that set, which is upward
       closed, excludes 0, and holds a+b only when a or b meets t.
     """
-    masks = frozenset(e.mask for e in members)
+    masks = frozenset(members)
     full = algebra.full_mask
     n = algebra.atom_count
     if not all(0 <= m <= full for m in masks):
@@ -325,7 +264,7 @@ def is_family(kind, algebra, members):
             return False
         return kind == "filter" or s.bit_count() == 1
     if kind == "grill":
-        t = sum(1 << p for p in range(n) if 1 << p in masks)
+        t = _singleton_support(n, masks)
         return (
             bool(masks)
             and all(m & t for m in masks)
@@ -334,13 +273,18 @@ def is_family(kind, algebra, members):
     raise PreconditionError(f"is_family does not check kind {kind!r}")
 
 
+def _singleton_support(atom_count, masks):
+    """The atoms p whose singleton 1 << p is one of ``masks``, as a mask."""
+    return sum(1 << p for p in range(atom_count) if 1 << p in masks)
+
+
 def principal_ultrafilter(algebra, atom_index):
     """All elements above the given atom, tagged as an ultrafilter."""
     require_enum_width(algebra.atom_count)
+    if not 0 <= atom_index < algebra.atom_count:
+        raise DomainMismatchError(f"atom index {atom_index} out of range")
     bit = 1 << atom_index
-    members = frozenset(
-        Element(algebra, m) for m in range(algebra.size) if m & bit
-    )
+    members = frozenset(m for m in range(algebra.size) if m & bit)
     return ElementFamily(algebra, members, "ultrafilter")
 
 
@@ -349,22 +293,20 @@ def ultrafilters(algebra):
     return [principal_ultrafilter(algebra, p) for p in range(algebra.atom_count)]
 
 
-def stone_map(algebra, element):
-    """The ultrafilters containing ``element``; a Boolean isomorphism onto
-    the clopen algebra of the finite Stone space."""
-    if element.algebra != algebra:
-        raise DomainMismatchError("element from a different algebra")
-    return frozenset(principal_ultrafilter(algebra, p) for p in bit_indices(element.mask))
+def stone_map(algebra, mask):
+    """The ultrafilters containing the element ``mask``; a Boolean
+    isomorphism onto the clopen algebra of the finite Stone space."""
+    return frozenset(
+        principal_ultrafilter(algebra, p) for p in bit_indices(require_mask(algebra, mask))
+    )
 
 
 def grill_from_support(algebra, support_mask):
     """The grill that is the union of the ultrafilters of ``support_mask``."""
     require_enum_width(algebra.atom_count)
-    if support_mask == 0:
+    if require_mask(algebra, support_mask) == 0:
         raise PreconditionError("a grill needs a nonempty atom support")
-    members = frozenset(
-        Element(algebra, m) for m in range(algebra.size) if m & support_mask
-    )
+    members = frozenset(m for m in range(algebra.size) if m & support_mask)
     return ElementFamily(algebra, members, "grill")
 
 
@@ -380,10 +322,7 @@ def grills(algebra):
 
 def grill_support(grill_family):
     """Atoms whose principal ultrafilter sits inside the grill."""
-    masks = grill_family.member_masks
-    return mask_of(
-        p for p in range(grill_family.algebra.atom_count) if (1 << p) in masks
-    )
+    return _singleton_support(grill_family.algebra.atom_count, grill_family.members)
 
 
 def sandwich_ultrafilter(filter_family, grill_family):
@@ -401,7 +340,7 @@ def sandwich_ultrafilter(filter_family, grill_family):
         raise PreconditionError("second argument is not a grill")
     if not filter_family.members <= grill_family.members:
         raise PreconditionError("the filter is not contained in the grill")
-    stem = reduce(and_, filter_family.member_masks)
+    stem = reduce(and_, filter_family.members)
     support = grill_support(grill_family)
     for p in bit_indices(stem & support):
         return principal_ultrafilter(algebra, p)
@@ -413,7 +352,7 @@ class BooleanHom:
     """A Boolean homomorphism between finite algebras.
 
     Determined by a total map from target atoms back to source atoms:
-    apply(a) = { q : atom_map[q] in a }.  This preserves 0, 1, join,
+    apply_mask(a) = { q : atom_map[q] in a }.  This preserves 0, 1, join,
     meet and complement by construction.
     """
 
@@ -435,11 +374,6 @@ class BooleanHom:
 
     def apply_mask(self, mask):
         return join_at(self._atom_images, mask)
-
-    def apply(self, element):
-        if element.algebra != self.source:
-            raise DomainMismatchError("element not in the hom's source algebra")
-        return Element(self.target, self.apply_mask(element.mask))
 
 
 def identity_hom(algebra):

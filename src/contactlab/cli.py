@@ -90,7 +90,7 @@ def _checks_lines(checks):
 def cmd_validate(args):
     obj = _load_file(args.file)
     if isinstance(obj, FiniteSpace):
-        predicates = space_predicates(obj).as_dict()
+        predicates = space_predicates(obj)
         payload = {"kind": "space", "valid": True, "predicates": predicates}
         lines = ["space: pass"] + [f"{k}: {v}" for k, v in predicates.items()]
         _emit(payload, lines, args.text)
@@ -149,7 +149,7 @@ def cmd_dualize(args):
 
 def _family_listing(families):
     return [
-        {"kind": f.kind, "members": sorted(f.member_masks)} for f in families
+        {"kind": f.kind, "members": sorted(f.members)} for f in families
     ]
 
 
@@ -184,7 +184,8 @@ def cmd_enumerate(args):
         lines = [space.name_set(m) for m in members]
     elif what == "u-points":
         # A u-point is a point held by exactly one atom: of RC(X) for a
-        # space, of the member algebra for a pair (`u_point_of_pair`).
+        # space, of the member algebra for a pair (the `u_set` of
+        # `mereocompactness_report`).
         # For a space, x is in cl U iff the up-set U holds a maximal point
         # above x.  If only one atom cl{m} of `rc_atoms` holds x, each such
         # U holds the up-set of m, and so does U n V.  If cl{m} and cl{m'}

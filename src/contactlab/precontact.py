@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .boolean import (
     BooleanHom,
@@ -113,10 +114,6 @@ class RelationKernel:
                 rows[low.bit_length() - 1] |= 1 << p
                 s ^= low
         return tuple(rows)
-
-    def holds_masks(self, a_mask, b_mask):
-        succ = self.succ
-        return any(succ[p] & b_mask for p in bit_indices(a_mask))
 
     # The relation properties, read by the Stone report and again by the
     # suite, are computed once per kernel, off the pair set (see
@@ -507,10 +504,16 @@ def restrict_relation(pca, blocks):
 
 
 def restrict_clan_support(blocks, support_mask):
-    """Image of a clan support under a partition restriction."""
-    return frozenset(
-        i for i, block in enumerate(blocks) if mask_of(block) & support_mask
-    )
+    """Image of a clan support, a mask over the atoms the blocks
+    partition, under a partition restriction."""
+    block_masks = [mask_of(block) for block in blocks]
+    full = reduce(or_, block_masks, 0)
+    # a negative mask has bits past every block
+    if support_mask & ~full:
+        raise DomainMismatchError(
+            f"mask {support_mask} outside algebra with {full.bit_length()} atoms"
+        )
+    return frozenset(i for i, m in enumerate(block_masks) if m & support_mask)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ import json
 from .adjacency import AdjacencySpace
 from .boolean import (
     BooleanHom,
-    Element,
     ElementFamily,
     FiniteBooleanAlgebra,
     bit_indices,
     mask_of,
+    require_mask,
 )
 from .duality import PcsMorphism
 from .errors import SchemaError
@@ -147,7 +147,7 @@ def encode(obj):
             "kind": "family",
             "family_kind": obj.kind,
             "algebra": {"atoms": obj.algebra.atom_count},
-            "members": sorted(obj.member_masks),
+            "members": sorted(obj.members),
         }
     if isinstance(obj, (PcaMorphism, PcsMorphism)):
         pca = isinstance(obj, PcaMorphism)
@@ -232,7 +232,7 @@ def decode(payload):
         members = _int_list(payload.get("members"), "expected mask list", "$.members")
         family_kind = payload.get("family_kind", "arbitrary")
         return ElementFamily(
-            algebra, frozenset(Element(algebra, m) for m in members), family_kind
+            algebra, frozenset(require_mask(algebra, m) for m in members), family_kind
         )
     if kind == "morphism":
         return _decode_morphism(payload)

@@ -570,7 +570,8 @@ def mereocompactness_report(mereo):
     report = ReportBuilder("mereocompactness")
 
     # The members are the unions of the atoms, a Boolean subalgebra of
-    # RC(X): the three tests of `is_c_semiregular`, over these atoms.
+    # RC(X): the three tests of C-semiregularity, over these atoms.  A
+    # space is C-semiregular iff it is T0 and (X, RC(X)) is mereocompact.
     space_ok, t0, unrealized = _c_semiregular_tests(space, atoms)
     report.add("members form a closed base", space_ok, "not a mereotopological space")
     report.add("space is T0", t0, "not T0")
@@ -579,13 +580,19 @@ def mereocompactness_report(mereo):
     )
     mereocompact = space_ok and unrealized is None
 
-    # x is a u-point iff exactly one atom holds x (see `u_point_of_pair`).
-    # Its trace, the members holding x, is the unions over the T meeting
-    # the atom support of x; that is an ultrafilter, the members above
-    # one atom, iff the support is a single atom.  So the u-points are
-    # exactly the points whose trace is an ultrafilter, on every pair:
-    # both point sets are `held_once(atoms)`, so a line comparing them
-    # could not fail.
+    # x is a u-point of (X, B) when x in F n G forces x in cl(int(F n G))
+    # for all members F, G.  cl(int(F n G)) is the meet F . G of B, a
+    # Boolean subalgebra of RC(X) whose join is union: each member is the
+    # union of the distinct atoms of B below it, and those atoms cover X,
+    # the top member.  If exactly one atom a holds x, each member holding
+    # x holds a, so F . G holds a and x.  If distinct atoms a and b hold
+    # x, then a . b = 0 misses x.  So x is a u-point iff exactly one atom
+    # holds x.  Its trace, the members holding x, is the unions over the
+    # T meeting the atom support of x; that is an ultrafilter, the
+    # members above one atom, iff the support is a single atom.  So the
+    # u-points are exactly the points whose trace is an ultrafilter, on
+    # every pair: both point sets are `held_once(atoms)`, so a line
+    # comparing them could not fail.
     #
     # The u-points are dense on every pair, so no line checks it.  Each
     # atom A is regular closed, and int A misses the other atoms (the

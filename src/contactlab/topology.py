@@ -134,7 +134,12 @@ class FiniteSpace:
         return (1 << self.point_count) - 1
 
     def name_set(self, mask):
-        return "{" + ",".join(self.point_names[i] for i in bit_indices(mask)) + "}"
+        try:
+            return "{" + ",".join(self.point_names[i] for i in bit_indices(mask)) + "}"
+        except IndexError:
+            raise DomainMismatchError(
+                f"mask {mask} outside space with {self.point_count} points"
+            ) from None
 
     @once
     def maximal_points(self):
@@ -286,10 +291,6 @@ def is_t1(space):
     return all(cl == 1 << x for x, cl in enumerate(space.point_closures))
 
 
-def is_compact(space):
-    return True
-
-
 def is_connected(space):
     """No proper nonempty clopen set: at most one clopen atom.  A pass
     over every point; a valid triple's space is read at its dense part
@@ -332,43 +333,21 @@ def _is_base_of_closed(space, members):
     return _meets(space.point_count, members) == list(space.point_closures)
 
 
-@dataclass(frozen=True)
-class SpacePredicates:
-    is_t0: bool
-    is_semiregular: bool
-    is_connected: bool
-    is_compact: bool
-    is_hausdorff: bool
-    is_zero_dimensional: bool
-    is_stone: bool
-    is_extremally_disconnected: bool
-
-    def as_dict(self):
-        return {
-            "is_T0": self.is_t0,
-            "is_semiregular": self.is_semiregular,
-            "is_connected": self.is_connected,
-            "is_compact": self.is_compact,
-            "is_hausdorff": self.is_hausdorff,
-            "is_zero_dimensional": self.is_zero_dimensional,
-            "is_stone": self.is_stone,
-            "is_extremally_disconnected": self.is_extremally_disconnected,
-        }
-
-
 def space_predicates(space):
+    """The predicates that `validate` of a space prints, by name."""
     # Hausdorff and Stone are T1 at finite scale (`is_t1`).
     t1 = is_t1(space)
-    return SpacePredicates(
-        is_t0=is_t0(space),
-        is_semiregular=is_semiregular(space),
-        is_connected=is_connected(space),
-        is_compact=is_compact(space),
-        is_hausdorff=t1,
-        is_zero_dimensional=is_zero_dimensional(space),
-        is_stone=t1,
-        is_extremally_disconnected=is_extremally_disconnected(space),
-    )
+    return {
+        "is_T0": is_t0(space),
+        "is_semiregular": is_semiregular(space),
+        "is_connected": is_connected(space),
+        # a finite space is compact: every open cover is finite
+        "is_compact": True,
+        "is_hausdorff": t1,
+        "is_zero_dimensional": is_zero_dimensional(space),
+        "is_stone": t1,
+        "is_extremally_disconnected": is_extremally_disconnected(space),
+    }
 
 
 def minimal_members(masks):
@@ -797,18 +776,6 @@ class MereotopologicalPair:
         return bool(f & g)
 
 
-def u_point_of_pair(mereo, x):
-    """u-point of (X, B): x in F n G forces x in cl(int(F n G)) for all
-    members F, G."""
-    # cl(int(F n G)) is the meet F . G of B, a Boolean subalgebra of RC(X)
-    # whose join is union: each member is the union of the distinct atoms
-    # of B below it, and those atoms cover X, the top member.  If exactly
-    # one atom a holds x, each member holding x holds a, so F . G holds
-    # a and x.  If distinct atoms a and b hold x, then a . b = 0 misses x.
-    # So x is a u-point iff exactly one atom holds x.
-    return bool(held_once(mereo.atoms) >> x & 1)
-
-
 def overlap_clans(atoms):
     """Yield the clan supports of the contact algebra on the nonzero sets
     ``atoms`` whose kernel is overlap (atom i related to atom j when
@@ -847,9 +814,9 @@ def _c_semiregular_tests(space, atoms):
     closed sets ``atoms``, regular closed and covering the space: do
     their unions form a closed base, is the space T0, and the support
     of the first overlap clan of the atoms that no point realizes, or
-    None.  Each is run when its value is asked for; when the atoms are
-    the closed base the space was built from, the first is True and the
-    third is read off the base (`FiniteSpace.base_unrealized`)."""
+    None.  When the atoms are the closed base the space was built from,
+    the first is True and the third is read off the base
+    (`FiniteSpace.base_unrealized`)."""
     # A union holding x holds an atom holding x, so the unions and the
     # atoms have the same meet at each point (`_is_base_of_closed`).  The
     # unions are a Boolean subalgebra of RC(X) whose atoms these are, so
@@ -867,23 +834,13 @@ def _c_semiregular_tests(space, atoms):
     # and the supports in atom order name the first failure.
     base = getattr(space, "_base", None)
     on_base = base is not None and sorted(base) == list(atoms)
-    yield on_base or _is_base_of_closed(space, atoms)
-    yield space.t0
+    if on_base and space.base_unrealized is None:
+        return True, space.t0, None
     if on_base:
-        if space.base_unrealized is None:
-            yield None
-            return
         position = {a: i for i, a in enumerate(atoms)}
         column = [1 << position[b] for b in base]
         supports = [join_at(column, s) for s in space._signatures]
     else:
         supports = transpose(atoms, space.point_count)
-    yield first_unrealized_support(supports, overlap_clans(atoms))
-
-
-def is_c_semiregular(space):
-    """Semiregular T0 space where every clan of the regular closed
-    contact algebra is the sigma trace of a point: the tests of
-    `_c_semiregular_tests` over `rc_atoms`, up to the first that fails."""
-    tests = _c_semiregular_tests(space, rc_atoms(space))
-    return next(tests) and next(tests) and next(tests) is None
+    closed_base = on_base or _is_base_of_closed(space, atoms)
+    return closed_base, space.t0, first_unrealized_support(supports, overlap_clans(atoms))

@@ -11,7 +11,8 @@ from contactlab.boolean import BooleanHom, FiniteBooleanAlgebra
 from contactlab.duality import PcsMorphism
 from contactlab.errors import PreconditionError
 from contactlab.precontact import PcaMorphism, is_pca_morphism, pca_from_pairs
-from contactlab.topology import FiniteSpace, discrete_space, space_from_closed_base
+from contactlab.structures import mereocompactness_report
+from contactlab.topology import FiniteSpace, discrete_space, rc_algebra, space_from_closed_base
 
 
 @pytest.fixture
@@ -54,6 +55,14 @@ def indiscrete_space(point_names):
     names = tuple(point_names)
     full = (1 << len(names)) - 1
     return FiniteSpace(names, tuple(full for _ in names))
+
+
+def c_semiregular(space):
+    """C-semiregularity as the package decides it: the space is T0 and
+    (X, RC(X)) is mereocompact, so RC(X) is a closed base and every clan
+    of it is the sigma trace of a point."""
+    report = mereocompactness_report(rc_algebra(space))
+    return report.is_t0 and report.is_mereocompact
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from contactlab.boolean import Element, ElementFamily, FiniteBooleanAlgebra
+from contactlab.boolean import ElementFamily, FiniteBooleanAlgebra
 from contactlab.duality import (
     algebra_roundtrip_iso,
     check_naturality,
@@ -29,7 +29,12 @@ from contactlab.precontact import (
     well_inside_atoms,
 )
 from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
-from contactlab.structures import canonical_pcs_of_pca, pcs_algebra, validate_cs
+from contactlab.structures import (
+    canonical_pcs_of_pca,
+    mereocompactness_report,
+    pcs_algebra,
+    validate_cs,
+)
 from contactlab.topology import (
     MereotopologicalPair,
     closure,
@@ -318,12 +323,7 @@ def test_criterion_6_mereocompact_machinery(monkeypatch):
             members = tuple(rc_members_of_subset(triple.space, triple.subset))
             mereo = MereotopologicalPair.from_members(triple.space, members)
 
-            u_set = 0
-            from contactlab.topology import u_point_of_pair
-
-            for x in range(triple.space.point_count):
-                if u_point_of_pair(mereo, x):
-                    u_set |= 1 << x
+            u_set = mereocompactness_report(mereo).u_set
             assert u_set == triple.subset
 
             atoms = [m for m in members if m and not any(
@@ -442,9 +442,7 @@ def test_criterion_8_grill_lemma():
         algebra = FiniteBooleanAlgebra(n)
         filters = []
         for stem in range(1, algebra.size):
-            members = frozenset(
-                Element(algebra, m) for m in range(algebra.size) if m | stem == m
-            )
+            members = frozenset(m for m in range(algebra.size) if m | stem == m)
             filters.append(ElementFamily(algebra, members, "filter"))
         for f in filters:
             for g in grills(algebra):
@@ -454,14 +452,10 @@ def test_criterion_8_grill_lemma():
                 assert f.members <= u.members <= g.members
                 # deterministic tie-break: smallest eligible atom
                 stem = 0
-                for e in f.members:
-                    stem = e.mask if stem == 0 else stem & e.mask
-                eligible = [
-                    p
-                    for p in range(n)
-                    if stem >> p & 1 and Element(algebra, 1 << p) in g.members
-                ]
-                assert u.member_masks == {
+                for m in f.members:
+                    stem = m if stem == 0 else stem & m
+                eligible = [p for p in range(n) if stem >> p & 1 and 1 << p in g.members]
+                assert u.members == {
                     m for m in range(algebra.size) if m >> eligible[0] & 1
                 }
                 checked += 1

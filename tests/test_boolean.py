@@ -4,7 +4,6 @@ import pytest
 
 from contactlab.boolean import (
     BooleanHom,
-    Element,
     ElementFamily,
     FiniteBooleanAlgebra,
     compose_homs,
@@ -12,6 +11,7 @@ from contactlab.boolean import (
     grills,
     identity_hom,
     is_family,
+    mask_of,
     principal_ultrafilter,
     sandwich_ultrafilter,
     stone_map,
@@ -33,8 +33,7 @@ def test_algebra_sizes():
 
 
 def test_degenerate_algebra_bounds_coincide():
-    degenerate = FiniteBooleanAlgebra(0)
-    assert degenerate.zero == degenerate.one
+    assert FiniteBooleanAlgebra(0).full_mask == 0
 
 
 def test_width_cap(monkeypatch):
@@ -44,24 +43,31 @@ def test_width_cap(monkeypatch):
     assert FiniteBooleanAlgebra(18).atom_count == 18
 
 
-def test_element_ops(b4, b8):
-    p, q = b4.atom(0), b4.atom(1)
-    assert p + q == b4.one
-    assert p * q == b4.zero
-    assert (b8.atom(0) + b8.atom(1)).complement() == b8.atom(2)
-    assert p <= b4.one and not b4.one <= p
-
-
-def test_element_ops_reject_mixed_algebras(b4, b8):
-    with pytest.raises(DomainMismatchError):
-        b4.atom(0) + b8.atom(0)
-
-
 def test_element_mask_range(b4):
-    with pytest.raises(DomainMismatchError):
-        b4.element(4)
-    with pytest.raises(DomainMismatchError):
-        b4.atom(2)
+    with pytest.raises(DomainMismatchError, match="mask 4 outside algebra with 2 atoms"):
+        ElementFamily(b4, frozenset({1, 4}))
+    with pytest.raises(DomainMismatchError, match="mask -1 outside algebra with 2 atoms"):
+        ElementFamily(b4, frozenset({-1}))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda b: principal_ultrafilter(b, -1), "atom index -1 out of range"),
+        (lambda b: principal_ultrafilter(b, 3), "atom index 3 out of range"),
+        (lambda b: principal_ultrafilter(b, 5), "atom index 5 out of range"),
+        (lambda b: grill_from_support(b, -1), "mask -1 outside algebra with 3 atoms"),
+        (lambda b: grill_from_support(b, 1 << 5), "mask 32 outside algebra with 3 atoms"),
+        (lambda b: mask_of([0, -1]), "atom index -1 out of range"),
+        (lambda b: stone_map(b, -1), "mask -1 outside algebra with 3 atoms"),
+        (lambda b: stone_map(b, b.size), "mask 8 outside algebra with 3 atoms"),
+    ],
+    ids=["ultrafilter-negative", "ultrafilter-first-past", "ultrafilter-past", "grill-negative",
+         "grill-past", "mask-of-negative", "stone-negative", "stone-past"],
+)
+def test_an_index_or_mask_off_the_algebra_raises_a_typed_error(b8, call, message):
+    with pytest.raises(DomainMismatchError, match=message):
+        call(b8)
 
 
 def test_ultrafilters(b4, b8):
@@ -69,28 +75,27 @@ def test_ultrafilters(b4, b8):
     assert len(ultrafilters(b8)) == 3
     assert ultrafilters(FiniteBooleanAlgebra(0)) == []
     up = ultrafilters(b4)[0]
-    assert up.member_masks == {0b01, 0b11}
+    assert up.members == {0b01, 0b11}
 
 
 def test_stone_map(b4, b8):
-    p = b4.atom(0)
-    assert stone_map(b4, p) == frozenset({principal_ultrafilter(b4, 0)})
-    assert stone_map(b4, b4.one) == frozenset(ultrafilters(b4))
-    pq = b8.atom(0) + b8.atom(1)
-    assert stone_map(b8, pq) == frozenset(
+    assert stone_map(b4, 0b01) == frozenset({principal_ultrafilter(b4, 0)})
+    assert stone_map(b4, b4.full_mask) == frozenset(ultrafilters(b4))
+    assert stone_map(b8, 0b011) == frozenset(
         {principal_ultrafilter(b8, 0), principal_ultrafilter(b8, 1)}
     )
 
 
 def test_stone_map_is_boolean_isomorphism(b8):
     seen = set()
-    for a in b8.elements():
+    for a in range(b8.size):
         image = stone_map(b8, a)
         assert image not in seen
         seen.add(image)
-        for b in b8.elements():
-            assert stone_map(b8, a + b) == stone_map(b8, a) | stone_map(b8, b)
-        assert stone_map(b8, a.complement()) == frozenset(ultrafilters(b8)) - image
+        for b in range(b8.size):
+            assert stone_map(b8, a | b) == stone_map(b8, a) | stone_map(b8, b)
+            assert stone_map(b8, a & b) == stone_map(b8, a) & stone_map(b8, b)
+        assert stone_map(b8, b8.full_mask ^ a) == frozenset(ultrafilters(b8)) - image
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -98,10 +103,10 @@ def test_is_family_matches_literal_oracle(n):
     """Every family on at most 3 atoms, 256 of them on 3; with a member
     of a wider algebra added, no family is of any kind."""
     algebra = FiniteBooleanAlgebra(n)
-    outside = Element(FiniteBooleanAlgebra(n + 1), algebra.size)
+    outside = algebra.size
     for r in range(algebra.size + 1):
         for masks in itertools.combinations(range(algebra.size), r):
-            members = frozenset(Element(algebra, m) for m in masks)
+            members = frozenset(masks)
             assert is_family("filter", algebra, members) == oracle_is_filter(n, masks), masks
             assert is_family("ultrafilter", algebra, members) == oracle_is_ultrafilter(
                 n, masks
@@ -112,18 +117,18 @@ def test_is_family_matches_literal_oracle(n):
 
 
 def test_family_examples(b4):
-    grill = frozenset(Element(b4, m) for m in (0b01, 0b10, 0b11))
-    assert is_family("grill", b4, grill)
-    not_upward = frozenset(Element(b4, m) for m in (0b01, 0b10))
-    assert not is_family("grill", b4, not_upward)
-    trivial_filter = frozenset({b4.one})
-    assert is_family("filter", b4, trivial_filter)
+    assert is_family("grill", b4, frozenset({0b01, 0b10, 0b11}))
+    assert not is_family("grill", b4, frozenset({0b01, 0b10}))
+    assert is_family("filter", b4, frozenset({b4.full_mask}))
+    assert not is_family("filter", b4, frozenset({-1, b4.full_mask}))
 
 
 def test_family_kind_validated_on_construction(b4):
     with pytest.raises(PreconditionError):
-        ElementFamily(b4, frozenset({b4.zero}), "filter")
-    ElementFamily(b4, frozenset({b4.zero}), "arbitrary")
+        ElementFamily(b4, frozenset({0}), "filter")
+    ElementFamily(b4, frozenset({0}), "arbitrary")
+    with pytest.raises(PreconditionError, match="unknown family kind"):
+        ElementFamily(b4, frozenset({0}), "clan")
 
 
 def test_grills_count():
@@ -136,7 +141,7 @@ def test_grills_count():
 
 
 def test_grills_are_unions_of_ultrafilters(b4):
-    listed = [g.member_masks for g in grills(b4)]
+    listed = [g.members for g in grills(b4)]
     assert listed == [
         {0b01, 0b11},
         {0b10, 0b11},
@@ -145,10 +150,8 @@ def test_grills_are_unions_of_ultrafilters(b4):
 
 
 def test_sandwich_ultrafilter_examples(b4):
-    trivial = ElementFamily(b4, frozenset({b4.one}), "filter")
-    grill = ElementFamily(
-        b4, frozenset(Element(b4, m) for m in (0b01, 0b10, 0b11)), "grill"
-    )
+    trivial = ElementFamily(b4, frozenset({b4.full_mask}), "filter")
+    grill = ElementFamily(b4, frozenset({0b01, 0b10, 0b11}), "grill")
     assert sandwich_ultrafilter(trivial, grill) == principal_ultrafilter(b4, 0)
     up = principal_ultrafilter(b4, 0)
     assert sandwich_ultrafilter(
@@ -171,13 +174,7 @@ def test_sandwich_exhaustive_small():
         algebra = FiniteBooleanAlgebra(n)
         filters = [
             ElementFamily(
-                algebra,
-                frozenset(
-                    Element(algebra, m)
-                    for m in range(algebra.size)
-                    if m | stem == m
-                ),
-                "filter",
+                algebra, frozenset(m for m in range(algebra.size) if m | stem == m), "filter"
             )
             for stem in range(1, algebra.size)
         ]
@@ -192,10 +189,13 @@ def test_sandwich_exhaustive_small():
 
 def test_hom_from_atom_map(b4, b2):
     phi = BooleanHom(b4, b2, (0,))
-    assert phi.apply(b4.atom(0)) == b2.one
-    assert phi.apply(b4.atom(1)) == b2.zero
-    assert phi.apply(b4.one) == b2.one
-    assert phi.apply(b4.zero) == b2.zero
+    assert phi.apply_mask(0b01) == b2.full_mask
+    assert phi.apply_mask(0b10) == 0
+    assert phi.apply_mask(b4.full_mask) == b2.full_mask
+    assert phi.apply_mask(0) == 0
+    for outside in (-1, b4.size):
+        with pytest.raises(DomainMismatchError):
+            phi.apply_mask(outside)
 
 
 def test_hom_validates_atom_map(b4, b2):
@@ -207,8 +207,8 @@ def test_hom_validates_atom_map(b4, b2):
 
 def test_identity_hom(b8):
     ident = identity_hom(b8)
-    for a in b8.elements():
-        assert ident.apply(a) == a
+    for a in range(b8.size):
+        assert ident.apply_mask(a) == a
 
 
 def test_homs_preserve_operations_exhaustively():
@@ -218,17 +218,18 @@ def test_homs_preserve_operations_exhaustively():
             source = FiniteBooleanAlgebra(ns)
             target = FiniteBooleanAlgebra(nt)
             for amap in itertools.product(range(ns), repeat=nt):
-                h = BooleanHom(source, target, amap)
-                for a in source.elements():
-                    assert h.apply(a.complement()) == h.apply(a).complement()
-                    for b in source.elements():
-                        assert h.apply(a + b) == h.apply(a) + h.apply(b)
-                        assert h.apply(a * b) == h.apply(a) * h.apply(b)
+                h = BooleanHom(source, target, amap).apply_mask
+                assert h(0) == 0 and h(source.full_mask) == target.full_mask
+                for a in range(source.size):
+                    assert h(source.full_mask ^ a) == target.full_mask ^ h(a)
+                    for b in range(source.size):
+                        assert h(a | b) == h(a) | h(b)
+                        assert h(a & b) == h(a) & h(b)
 
 
 def test_hom_composition(b8, b4, b2):
     inner = BooleanHom(b8, b4, (0, 2))
     outer = BooleanHom(b4, b2, (1,))
     both = compose_homs(outer, inner)
-    for a in b8.elements():
-        assert both.apply(a) == outer.apply(inner.apply(a))
+    for a in range(b8.size):
+        assert both.apply_mask(a) == outer.apply_mask(inner.apply_mask(a))

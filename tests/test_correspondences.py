@@ -8,6 +8,7 @@ from contactlab.precontact import largest_contact, pca_from_pairs
 from contactlab.boolean import FiniteBooleanAlgebra
 from contactlab.structures import (
     canonical_pcs_of_pca,
+    mereocompactness_report,
     validate_cs,
     validate_pcs,
     validate_s2s,
@@ -15,16 +16,15 @@ from contactlab.structures import (
 from contactlab.topology import (
     FiniteSpace,
     closure,
-    is_c_semiregular,
     is_extremally_disconnected,
     is_t1,
     rc_algebra,
     rc_members,
     rc_members_of_subset,
     subspace,
-    u_point_of_pair,
 )
 
+from conftest import c_semiregular
 from test_topology import all_small_spaces
 
 
@@ -40,11 +40,10 @@ def test_c_semiregular_spaces_pair_with_their_u_points():
     # is the unique dense discrete subspace
     found = 0
     for space in all_small_spaces(3):
-        if not is_c_semiregular(space):
+        if not c_semiregular(space):
             continue
         found += 1
-        rc = rc_algebra(space)
-        u_set = sum(1 << x for x in range(space.point_count) if u_point_of_pair(rc, x))
+        u_set = mereocompactness_report(rc_algebra(space)).u_set
         assert u_set, space
         assert closure(space, u_set) == space.full_mask
         assert is_t1(subspace(space, u_set))
@@ -71,7 +70,7 @@ def test_extremally_disconnected_dense_part_forces_c_semiregular():
             if not cs.ok:
                 continue
             assert is_extremally_disconnected(subspace(space, sub))
-            assert is_c_semiregular(space), (space, bin(sub))
+            assert c_semiregular(space), (space, bin(sub))
             checked += 1
     assert checked >= 4
 

@@ -106,7 +106,6 @@ from contactlab.topology import (
     clopens_of_subset,
     closure,
     interior,
-    is_c_semiregular,
     is_connected,
     is_extremally_disconnected,
     is_semiregular,
@@ -122,11 +121,10 @@ from contactlab.topology import (
     rc_members_of_subset,
     space_from_closed_base,
     subspace,
-    u_point_of_pair,
     unions,
 )
 
-from conftest import all_kernels, enumerate_boolean_homs, enumerate_pca_morphisms
+from conftest import all_kernels, c_semiregular, enumerate_boolean_homs, enumerate_pca_morphisms
 from oracles import (
     _closure_of as oracle_closure_of,
     expand_relation,
@@ -764,14 +762,14 @@ def test_space_predicates_match_the_open_set_sweeps():
         closures = space.point_closures
         ed = oracle_extremally_disconnected(closures)
         assert is_extremally_disconnected(space) == ed, closures
-        rc = rc_algebra(space)
+        u_set = mereocompactness_report(rc_algebra(space)).u_set
         for x in range(space.point_count):
             u = oracle_is_u_point(closures, x)
-            assert u_point_of_pair(rc, x) == u, (closures, x)
+            assert bool(u_set >> x & 1) == u, (closures, x)
             seen["u"].add(u)
         if len(rc_atoms(space)) <= 5:
             csr = oracle_c_semiregular(closures)
-            assert is_c_semiregular(space) == csr, closures
+            assert c_semiregular(space) == csr, closures
             seen["csr"].add(csr)
         seen["ed"].add(ed)
     assert all(v == {True, False} for v in seen.values()), seen
@@ -1295,8 +1293,9 @@ def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
     derive its pair table once (`pair_atoms`): one `clopen_atoms` and at
     most 1 `_meets` call per dual (the canonical build's), on seeded 3-
     to 6-atom contact algebras, and validate the pair and sweep its
-    clans as often as `DUAL_PAIR_READS` says; `is_c_semiregular` takes
-    `rc_atoms` once."""
+    clans as often as `DUAL_PAIR_READS` says; the C-semiregularity of the
+    dual, read off the mereocompactness report of RC(X), takes `rc_atoms`
+    once."""
     clopen_calls = _counted(monkeypatch, "clopen_atoms")
     meet_calls = _counted(monkeypatch, "_meets")
     rc_calls = _counted(monkeypatch, "rc_atoms")
@@ -1319,7 +1318,7 @@ def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
             assert counts == DUAL_PAIR_READS, (n, density, counts)
             space = canonical_pcs_of_pca(pca).space
             rc_calls.clear()
-            assert is_c_semiregular(space)
+            assert c_semiregular(space)
             assert len(rc_calls) == 1
 
 
@@ -1713,7 +1712,7 @@ def test_triples_on_one_space_keep_their_own_pair_reading():
             assert identity_pcs_morphism(triple).point_map == tuple(range(space.point_count))
 
 
-def test_u_point_of_pair_matches_the_member_pair_sweep():
+def test_u_points_match_the_member_pair_sweep():
     """u-points of a pair by the distinct atoms holding the point,
     against the sweep over all member pairs: on every Boolean subalgebra
     of RC(X) for every space with at most 4 points, and on seeded
@@ -1735,12 +1734,13 @@ def test_u_point_of_pair_matches_the_member_pair_sweep():
     seen = set()
     for space, members in pairs:
         mereo = MereotopologicalPair.from_members(space, members)
+        u_set = mereocompactness_report(mereo).u_set
         closures = space.point_closures
         whole = space.point_count <= 4 and members == rc_members(space)
         family = oracle_closed_family(closures) if whole else None
         for x in range(space.point_count):
             expected = oracle_u_point_of_pair(closures, members, x)
-            assert u_point_of_pair(mereo, x) == expected, (closures, members, x)
+            assert bool(u_set >> x & 1) == expected, (closures, members, x)
             if whole:
                 assert expected == oracle_u_point(family, space.full_mask, x)
             seen.add((expected, space.point_count > 4))

@@ -9,9 +9,10 @@ module-level function has a reader: some code in ``src/`` or
 the ``__init__`` re-exports included, is not a use.  A public function
 that only tests read is listed in ``READ_ONLY_BY_TESTS`` with the reason
 it stays.  No module-level function of the package is only another name
-for a call of another function on its own parameters, and no undecorated
+for a call of another function on its own parameters, no undecorated
 method only forwards its other parameters to a method reached from its
-first."""
+first, and no class body binds a second name to one of its own
+methods."""
 
 import ast
 from collections import Counter
@@ -280,10 +281,6 @@ READ_ONLY_BY_TESTS = {
     "trace; test_topology::test_interior_trace_is_filter_inside_sigma",
     ("topology", "closure_trace"): "the Gamma trace of a point, the clan it is sent to; "
     "test_topology::test_traces_fixture",
-    ("topology", "u_point_of_pair"): "the u-points of a mereotopological pair; "
-    "test_topology::test_u_points_match_oracle",
-    ("topology", "is_c_semiregular"): "the dual of a complete contact algebra is "
-    "C-semiregular; test_topology::test_c_semiregular",
 }
 
 
@@ -367,7 +364,10 @@ def alias_functions(paths):
     in order>)``: another name for ``g``; and (file name,
     ``Class.method``) of each undecorated method whose body is only
     ``return self.<attributes>.g(<its other parameters, in order>)``:
-    another name for a method its first parameter reaches."""
+    another name for a method its first parameter reaches; and (file
+    name, ``Class.name``) of each class-body assignment ``name =
+    method`` of a method the class defines, such as ``__add__ =
+    join``."""
     out = []
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -396,6 +396,19 @@ def alias_functions(paths):
                 )
             if forwards:
                 out.append((path.name, node.name if cls is None else f"{cls}.{node.name}"))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {m.name for m in node.body if isinstance(m, defs)}
+            out += [
+                (path.name, f"{node.name}.{target.id}")
+                for stmt in node.body
+                if isinstance(stmt, ast.Assign)
+                and isinstance(stmt.value, ast.Name)
+                and stmt.value.id in methods
+                for target in stmt.targets
+                if isinstance(target, ast.Name)
+            ]
     return sorted(out)
 
 
@@ -441,8 +454,12 @@ def test_the_guard_sees_alias_functions(tmp_path):
         "    @property\n"
         "    def decorated(self):\n"
         "        return self.inner.value()\n"
+        "    __call__ = method\n"
+        "    rebound = target\n"
+        "    constant = 3\n"
     )
     assert alias_functions([module]) == [
+        ("module.py", "Shape.__call__"),
         ("module.py", "Shape.forward"),
         ("module.py", "alias"),
         ("module.py", "documented"),

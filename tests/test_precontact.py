@@ -69,9 +69,11 @@ def test_kernel_expansion_round_trip_exhaustive(kernels_upto_2, kernels_3):
 
 def test_holds_examples(b4, b8, path_pca):
     rho_s = smallest_contact(b4)
-    assert rho_s.kernel.holds_masks(0b01, 0b11)
-    assert not rho_s.kernel.holds_masks(0, 0b10)
-    assert path_pca.kernel.holds_masks(0b001, 0b110)
+    assert rho_s.kernel.succ == (0b01, 0b10)
+    assert (0b01, 0b11) in expand_relation(2, rho_s.kernel.pairs)
+    assert not any((0, b) in expand_relation(2, rho_s.kernel.pairs) for b in range(4))
+    assert path_pca.kernel.succ == (0b010, 0b100, 0)
+    assert (0b001, 0b110) in expand_relation(3, path_pca.kernel.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +155,16 @@ def literal_well_inside(pca):
 
 def test_well_inside_of_smallest_contact_is_order(b4):
     inside = literal_well_inside(smallest_contact(b4))
-    for a in b4.elements():
-        for b in b4.elements():
-            assert ((a.mask, b.mask) in inside) == a.leq(b)
+    for a in range(b4.size):
+        for b in range(b4.size):
+            assert ((a, b) in inside) == (a | b == b)
 
 
 def test_well_inside_of_largest_contact(b4):
     inside = literal_well_inside(largest_contact(b4))
-    for a in b4.elements():
-        for b in b4.elements():
-            assert ((a.mask, b.mask) in inside) == (a.is_zero or b.is_one)
+    for a in range(b4.size):
+        for b in range(b4.size):
+            assert ((a, b) in inside) == (a == 0 or b == b4.full_mask)
 
 
 def test_well_inside_axioms_of_extremal_relations(b4):
@@ -268,6 +270,17 @@ def test_restrict_relation_validates_partition(path_pca):
         restrict_relation(path_pca, [[0], [1]])
     with pytest.raises(DomainMismatchError):
         restrict_relation(path_pca, [[0, 1], [1, 2]])
+
+
+def test_a_negative_atom_or_support_is_refused(path_pca):
+    with pytest.raises(DomainMismatchError, match="atom index -1 out of range"):
+        restrict_relation(path_pca, [[0], [1], [-1]])
+    blocks = [[0], [1, 2]]
+    with pytest.raises(DomainMismatchError, match="mask -1 outside algebra with 3 atoms"):
+        restrict_clan_support(blocks, -1)
+    with pytest.raises(DomainMismatchError, match="mask 8 outside algebra with 3 atoms"):
+        restrict_clan_support(blocks, 0b1000)
+    assert restrict_clan_support(blocks, 0b100) == {1}
 
 
 def test_clan_traces_restrict_to_clans(kernels_3):

@@ -4,7 +4,7 @@ import types
 import pytest
 
 from contactlab.adjacency import AdjacencySpace
-from contactlab.boolean import Element, ElementFamily, FiniteBooleanAlgebra
+from contactlab.boolean import ElementFamily, FiniteBooleanAlgebra
 from contactlab.duality import dual_space_map
 from contactlab.errors import PreconditionError, SchemaError
 from contactlab.precontact import largest_contact, pca_from_pairs
@@ -145,9 +145,7 @@ def test_roundtrip_adjacency(disc2):
 
 def test_roundtrip_family():
     algebra = FiniteBooleanAlgebra(2)
-    family = ElementFamily(
-        algebra, frozenset(Element(algebra, m) for m in (1, 3)), "ultrafilter"
-    )
+    family = ElementFamily(algebra, frozenset({1, 3}), "ultrafilter")
     assert roundtrip(family) == family
 
 

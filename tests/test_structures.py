@@ -40,7 +40,6 @@ from contactlab.topology import (
     discrete_space,
     held_once,
     interior,
-    is_c_semiregular,
     pair_atoms,
     rc_atoms,
     rc_members,
@@ -48,7 +47,7 @@ from contactlab.topology import (
     subspace,
 )
 
-from conftest import indiscrete_space
+from conftest import c_semiregular, indiscrete_space
 from test_topology import all_small_spaces
 
 # ---------------------------------------------------------------------------
@@ -62,7 +61,7 @@ def test_overlap_clans_decide_past_the_enumeration_width(monkeypatch, tmp_path, 
     for name in ("CONTACTLAB_ATOM_LIMIT", "CONTACTLAB_ENUM_LIMIT", "CONTACTLAB_POINT_LIMIT"):
         monkeypatch.delenv(name, raising=False)
     space = discrete_space("abcdefg")
-    assert is_c_semiregular(space)
+    assert c_semiregular(space)
     cs = validate_cs(space, space.full_mask)
     assert cs.ok and cs.check("(CS4)").passed
     path = tmp_path / "cs7.json"

@@ -7,7 +7,12 @@ import pytest
 from contactlab.boolean import join_at
 from contactlab.errors import CapacityError, DomainMismatchError, PreconditionError
 from contactlab.precontact import pca_from_pairs
-from contactlab.structures import canonical_pcs_of_pca, validate_cs, validate_s2s
+from contactlab.structures import (
+    canonical_pcs_of_pca,
+    mereocompactness_report,
+    validate_cs,
+    validate_s2s,
+)
 from contactlab.topology import (
     FiniteSpace,
     MereotopologicalPair,
@@ -19,7 +24,6 @@ from contactlab.topology import (
     discrete_space,
     interior,
     interior_trace,
-    is_c_semiregular,
     is_closed,
     is_connected,
     is_extremally_disconnected,
@@ -36,10 +40,9 @@ from contactlab.topology import (
     restrict_to_subspace_mask,
     space_predicates,
     subspace,
-    u_point_of_pair,
 )
 
-from conftest import indiscrete_space
+from conftest import c_semiregular, indiscrete_space
 from oracles import (
     extend_regular_closed,
     family_from_base,
@@ -162,12 +165,14 @@ def test_kuratowski_laws():
 
 def test_predicates_fixture(xl_space, disc2, sierpinski):
     xl = space_predicates(xl_space)
-    assert xl.is_t0 and xl.is_semiregular and xl.is_connected and not xl.is_stone
+    assert xl["is_T0"] and xl["is_semiregular"] and xl["is_connected"] and not xl["is_stone"]
     d = space_predicates(disc2)
-    assert d.is_stone and not d.is_connected
+    assert d["is_stone"] and not d["is_connected"]
     ind = space_predicates(indiscrete_space(("a", "b")))
-    assert not ind.is_t0
-    assert space_predicates(sierpinski).is_t0
+    assert not ind["is_T0"]
+    assert space_predicates(sierpinski)["is_T0"]
+    # every finite space is compact
+    assert all(space_predicates(s)["is_compact"] for s in (xl_space, disc2, sierpinski))
 
 
 def test_stone_is_t1_at_finite_scale():
@@ -191,7 +196,7 @@ def test_stone_is_t1_at_finite_scale():
         literal = hausdorff and zero_dimensional
         assert is_t1(space) == literal, space.point_closures
         predicates = space_predicates(space)
-        assert predicates.is_stone == predicates.is_hausdorff == literal
+        assert predicates["is_stone"] == predicates["is_hausdorff"] == literal
 
 
 def test_connectedness_equals_no_proper_clopen():
@@ -419,32 +424,32 @@ def test_grills_between_nu_and_sigma():
 # u-points and C-semiregularity
 
 
+def u_points(mereo):
+    """The u-points of a pair, as a mask: the report's `u_set`."""
+    return mereocompactness_report(mereo).u_set
+
+
 def test_u_points_fixture(xl_space):
-    rc = rc_algebra(xl_space)
-    assert u_point_of_pair(rc, 0)
-    assert u_point_of_pair(rc, 1)
-    assert not u_point_of_pair(rc, 2)
+    assert u_points(rc_algebra(xl_space)) == 0b011
 
 
 def test_u_points_match_oracle():
     for space in all_small_spaces(3):
         family = oracle_closed_family(space.point_closures)
+        u_set = u_points(rc_algebra(space))
         for x in range(space.point_count):
-            assert u_point_of_pair(rc_algebra(space), x) == oracle_u_point(
-                family, space.full_mask, x
-            )
+            assert bool(u_set >> x & 1) == oracle_u_point(family, space.full_mask, x)
 
 
-def test_u_point_of_pair_agrees_with_space(xl_space):
+def test_u_points_of_rc_members_agree_with_space(xl_space):
     mereo = MereotopologicalPair.from_members(xl_space, rc_members(xl_space))
-    for x in range(3):
-        assert u_point_of_pair(mereo, x) == u_point_of_pair(rc_algebra(xl_space), x)
+    assert u_points(mereo) == u_points(rc_algebra(xl_space))
 
 
 def test_u_point_of_clopen_pair_always(xl_space):
     clopens = clopens_of_subset(xl_space, xl_space.full_mask)
     mereo = MereotopologicalPair.from_members(xl_space, tuple(clopens))
-    assert all(u_point_of_pair(mereo, x) for x in range(3))
+    assert u_points(mereo) == xl_space.full_mask
 
 
 def test_u_points_restrict_to_dense_subspaces():
@@ -471,8 +476,9 @@ def test_u_points_restrict_to_dense_subspaces():
                 inner_pair = MereotopologicalPair.from_members(inner, tuple(sorted(set(traced))))
             except (PreconditionError, DomainMismatchError):
                 continue
+            outer, inner_set = u_points(mereo), u_points(inner_pair)
             for i, x in enumerate(positions):
-                assert u_point_of_pair(mereo, x) == u_point_of_pair(inner_pair, i)
+                assert outer >> x & 1 == inner_set >> i & 1
 
 
 def test_sigma_ultrafilter_characterizes_u_points():
@@ -480,15 +486,16 @@ def test_sigma_ultrafilter_characterizes_u_points():
         members = rc_members(space)
         mereo = MereotopologicalPair.from_members(space, members)
         atoms = rc_algebra(space).atoms
+        u_set = u_points(mereo)
         for x in range(space.point_count):
             support = [a for a in atoms if a >> x & 1]
-            assert u_point_of_pair(mereo, x) == (len(support) == 1)
+            assert bool(u_set >> x & 1) == (len(support) == 1)
 
 
 def test_c_semiregular(xl_space, disc2, sierpinski):
-    assert is_c_semiregular(xl_space)
-    assert is_c_semiregular(disc2)
-    assert not is_c_semiregular(sierpinski)
+    assert c_semiregular(xl_space)
+    assert c_semiregular(disc2)
+    assert not c_semiregular(sierpinski)
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +524,8 @@ def test_point_budget_bounds_only_whole_families(monkeypatch):
             [(c.name, c.passed, c.witness) for c in validate_cs(space, subset).checks],
             [(c.name, c.passed, c.witness) for c in validate_s2s(space, subset).checks],
             is_extremally_disconnected(space),
-            [u_point_of_pair(rc_algebra(space), x) for x in range(space.point_count)],
-            is_c_semiregular(space),
+            u_points(rc_algebra(space)),
+            c_semiregular(space),
         )
 
     expected = verdicts()
@@ -551,8 +558,9 @@ def test_a_negative_mask_is_refused_not_walked():
         lambda: closure(discrete_space("abc"), -1),
         lambda: closure(discrete_space("abc"), 1 << 5),
         lambda: join_at([1, 2], -1),
+        lambda: discrete_space("abc").name_set(1 << 5),
     ],
-    ids=["closure-negative", "closure-past-the-points", "join_at-negative"],
+    ids=["closure-negative", "closure-past-the-points", "join_at-negative", "name_set-past"],
 )
 def test_a_mask_walk_off_its_table_raises_a_typed_error(walk):
     """A bit walk that reaches an index past its table, as every

@@ -27,7 +27,7 @@ from contactlab.precontact import (
 from contactlab.randgen import RandomSpec, random_pca
 from contactlab.serialize import dumps, encode
 from contactlab.structures import mereocompactness_report, validate_cs, validate_pcs
-from contactlab.topology import discrete_space, is_c_semiregular, rc_algebra
+from contactlab.topology import discrete_space, rc_algebra
 
 BUDGET_VARIABLES = ("CONTACTLAB_ATOM_LIMIT", "CONTACTLAB_ENUM_LIMIT", "CONTACTLAB_POINT_LIMIT")
 
@@ -65,9 +65,8 @@ def test_pair_predicates_decide_a_40_point_discrete_space():
     space = _discrete(40)
     cs = validate_cs(space, space.full_mask)
     assert cs.ok and cs.check("(CS4)").passed
-    assert is_c_semiregular(space)
     report = mereocompactness_report(rc_algebra(space))
-    assert report.ok and report.is_mereocompact
+    assert report.ok and report.is_t0 and report.is_mereocompact
 
 
 def _wide_kernels():
