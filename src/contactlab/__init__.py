@@ -44,10 +44,8 @@ from .precontact import (
 )
 from .adjacency import (
     AdjacencySpace,
-    adjacency_correspondence_report,
     canonical_adjacency,
     contact_from_adjacency,
-    is_closed_relation,
     r_flat,
     stone_representation_report,
 )

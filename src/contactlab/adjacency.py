@@ -10,7 +10,10 @@ are identified with atoms throughout.  The ultrafilter-pair quantifier
 holds exactly on the kernel's pairs (proved at `canonical_adjacency`,
 which builds the adjacency from them); the literal sweep over the
 ultrafilters' members is kept in `tests/oracles.py`, and the two are
-compared there.
+compared there.  `stone_representation_report` checks four
+correspondences: (Cref), (Csym), (Ctr) and (Ccon) of the algebra
+against reflexivity, symmetry, transitivity and connectedness of the
+canonical adjacency.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 
 from .boolean import bit_indices
 from .errors import DomainMismatchError, PreconditionError
-from .precontact import axiom_report, pca_from_pairs
+from .precontact import pca_from_pairs
 from .report import ReportBuilder
-from .topology import FiniteSpace, closure, discrete_space, is_t1
+from .topology import FiniteSpace, discrete_space, is_t1
 
 
 @dataclass(frozen=True)
@@ -101,50 +104,6 @@ def is_connected_relation(pairs, n):
     return seen == (1 << n) - 1
 
 
-@dataclass(frozen=True)
-class AdjacencyCorrespondence:
-    """Agreement of relation properties with the axioms of the induced
-    region algebra, on one instance."""
-
-    relation_reflexive: bool
-    relation_symmetric: bool
-    relation_transitive: bool
-    relation_connected: bool
-    axioms: object
-    is_contact_iff: bool
-    ctr_iff: bool
-    ccon_iff: bool
-
-    @property
-    def all_agree(self):
-        return self.is_contact_iff and self.ctr_iff and self.ccon_iff
-
-
-def adjacency_correspondence_report(adjacency):
-    """Both sides of each biconditional computed independently: relation
-    properties on the left, exhaustive axiom flags of the region algebra
-    on the right."""
-    n = adjacency.cell_count
-    pairs = adjacency.pairs
-    reflexive = all((x, x) in pairs for x in range(n))
-    symmetric = all((y, x) in pairs for x, y in pairs)
-    transitive = all(
-        (x, z) in pairs for x, y in pairs for y2, z in pairs if y2 == y
-    )
-    connected = is_connected_relation(pairs, n)
-    flags = axiom_report(contact_from_adjacency(adjacency))
-    return AdjacencyCorrespondence(
-        relation_reflexive=reflexive,
-        relation_symmetric=symmetric,
-        relation_transitive=transitive,
-        relation_connected=connected,
-        axioms=flags,
-        is_contact_iff=(reflexive and symmetric) == flags.is_contact,
-        ctr_iff=transitive == flags.ctr,
-        ccon_iff=connected == flags.ccon,
-    )
-
-
 def canonical_adjacency(pca):
     """Cells are the ultrafilters (one per atom), adjacent exactly when
     the corresponding atom pair is in the kernel; the topology is the
@@ -165,33 +124,10 @@ def canonical_adjacency(pca):
     return AdjacencySpace(names, frozenset(pca.kernel.pairs), discrete_space(names))
 
 
-def is_closed_relation(pairs, space):
-    """Is the relation closed in the product topology on the space with
-    itself?
-
-    In the product, the closure of the point (x, y) is cl{x} x cl{y},
-    and a finite set is closed iff it holds the closure of each of its
-    points.  So the relation is closed iff each pair (x, y) in it has
-    cl{x} x cl{y} inside it: for every x and every x' in cl{x}, the
-    closure of x's successors lies in the successors of x'.
-    """
-    n = space.point_count
-    succ = [0] * n
-    for x, y in pairs:
-        if not (0 <= x < n and 0 <= y < n):
-            raise DomainMismatchError(f"pair ({x}, {y}) outside the space")
-        succ[x] |= 1 << y
-    for x, cl in enumerate(space.point_closures):
-        reached = closure(space, succ[x])
-        if any(reached & ~succ[x2] for x2 in bit_indices(cl)):
-            return False
-    return True
-
-
 def stone_representation_report(pca):
-    """Verify that the reflexivity, symmetry and transitivity axioms of
-    the algebra match the relation properties of its canonical adjacency
-    space.
+    """Verify that the reflexivity, symmetry, transitivity and
+    connectedness axioms of the algebra match the relation properties of
+    its canonical adjacency space.
 
     The Stone map onto that space's region algebra needs no check at
     finite scale: the ultrafilters are the principal ones, one per atom,
@@ -202,7 +138,9 @@ def stone_representation_report(pca):
     preserves and reflects the relation as well.  The axiom flags come
     from `axiom_report`, read off the kernel's atom rows, and the
     relation properties from the kernel's pair set, computed
-    independently.
+    independently: connectedness by `is_connected_relation`, a search
+    over the symmetrized pairs, not the reach of the closure rows that
+    (Ccon) reads.
     """
     algebra = pca.algebra
     if algebra.is_degenerate:
@@ -211,10 +149,12 @@ def stone_representation_report(pca):
 
     flags = pca.axioms
     kernel = pca.kernel
+    connected = is_connected_relation(kernel.pairs, algebra.atom_count)
     for tag, flag, prop, holds in (
         ("Cref", flags.cref, "reflexive", kernel.is_reflexive),
         ("Csym", flags.csym, "symmetric", kernel.is_symmetric),
         ("Ctr", flags.ctr, "transitive", kernel.is_transitive),
+        ("Ccon", flags.ccon, "connected", connected),
     ):
         report.add(
             f"({tag}) iff the canonical adjacency is {prop}",

@@ -1,13 +1,16 @@
 """Size budgets, enforced explicitly.
 
-Three independent caps are overridable through the environment.  Each
-bounds only what builds a whole family or passes over every element;
-the validators, the axiom flags, the Stone report and the
-C-semiregularity predicates are polynomial and read none of them, so
-they decide at any width:
+Three independent caps are overridable through the environment.  The
+atom width bounds the size of an algebra, and each of the others only
+what builds a whole family or passes over every element; the
+validators, the axiom flags, the Stone report and the C-semiregularity
+predicates are polynomial and read none of them, so they decide at any
+width:
 
 * atom width (``CONTACTLAB_ATOM_LIMIT``, default 16) bounds every
-  `FiniteBooleanAlgebra`;
+  `FiniteBooleanAlgebra`.  An algebra lists none of its 2**n elements,
+  so the width bounds its n-row atom tables (kernel rows, atom maps)
+  and, with them, the size of an input;
 * enumeration width (``CONTACTLAB_ENUM_LIMIT``, default 6) bounds the
   row form of a raw element-level relation (2**n rows), the element
   families of `boolean` and the clans of an algebra, the points of its

@@ -69,7 +69,6 @@ from .report import ReportBuilder, verdict
 from .structures import (
     TwoPrecontactSpace,
     _first_component,
-    _local_relation,
     canonical_cs_of_ca,
     canonical_pcs_of_pca,
     contact_relation_of_pair,
@@ -624,7 +623,10 @@ def dense_part(pcs):
     """Forget down to the dense part with its relation: a Stone adjacency
     space at finite scale."""
     sub = subspace(pcs.space, pcs.subset)
-    return AdjacencySpace(sub.point_names, _local_relation(pcs.subset, pcs.relation), sub)
+    # the relation in the point indexing of the subspace
+    position = {x: i for i, x in enumerate(bit_indices(pcs.subset))}
+    pairs = frozenset((position[x], position[y]) for x, y in pcs.relation)
+    return AdjacencySpace(sub.point_names, pairs, sub)
 
 
 def dense_part_map(f):

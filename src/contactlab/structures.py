@@ -11,9 +11,10 @@ points.  Every reader of a pair (X, X0) at the clopen atoms of X0 reads
 one table, `topology.pair_atoms`, built once per space and subset: the
 2-precontact, 2-contact and Stone 2-space validators take their Stone
 and closed-base verdicts from it, (PCS5), (CS4) and (S2S4) its atoms whose closures
-hold each point, and (PCS4) which of its atom closures meet; the
-canonical algebra, the pair-determined relation and connectedness read
-its atoms and their closures.  Only
+hold each point, and (PCS4) which of its atom closures meet; (PCS2)
+decides closedness of the relation on the ambient masks, building no
+subspace; the canonical algebra, the pair-determined relation and
+connectedness read its atoms and their closures.  Only
 the relation's reach, read in one pass into successor masks, is kept
 on the triple.  The canonical algebra is held by its atoms, the
 closures of the dense part's clopen atoms in the table's order; its
@@ -38,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
-from .adjacency import is_closed_relation
 from .boolean import (
     FiniteBooleanAlgebra,
     bit_indices,
@@ -62,7 +62,6 @@ from .topology import (
     rc_atoms,
     rc_atoms_of_subset,
     require_subset,
-    subspace,
     unions,
 )
 
@@ -172,9 +171,12 @@ def validate_pcs(space, subset, relation):
     reads the relation into successor masks.  (PCS2) and (PCS3) take the
     Stone and closed-base verdicts of the pair's table (`pair_atoms`),
     (PCS4) which of its atom closures meet, and (PCS5) its atoms whose
-    closures hold each point.  Every check is polynomial in the points,
-    with no family of the clopen algebra built, so the validator decides
-    at any size and reads no budget.
+    closures hold each point.  On a dense part that is not Stone, (PCS2)
+    decides the closedness of the relation at the successor masks and
+    the point closures of the space, with no subspace built.  Every
+    check is polynomial in the points, with no family of the clopen
+    algebra built, so the validator decides at any size and reads no
+    budget.
     """
     require_subset(space, subset)
     relation = frozenset(relation)
@@ -191,8 +193,18 @@ def validate_pcs(space, subset, relation):
     # A finite Stone dense part is discrete, so is its square, and every
     # relation on it is closed.  Only a dense part that is not Stone needs
     # the closedness check, to name the second half of the witness.
-    closed_rel = stone or is_closed_relation(
-        _local_relation(subset, relation), subspace(space, subset)
+    #
+    # In the square of the dense part D the closure of a point (x, w) is
+    # cl_D{x} x cl_D{w}, and a finite set is closed iff it holds the
+    # closure of each of its points.  So the relation is closed iff, for
+    # each x in D and each y in cl_D{x}, every cl_D{w} with w in succ[x]
+    # lies in succ[y]: iff their join cl_D(succ[x]) does.  In the subspace
+    # a set S inside D has closure cl(S) n D, and cl_D{x} = cl{x} n D, so
+    # the test reads the ambient masks.
+    closed_rel = stone or not any(
+        closure(space, succ[x]) & subset & ~succ[y]
+        for x in bit_indices(subset)
+        for y in bit_indices(space.point_closures[x] & subset)
     )
     pcs2 = stone and closed_rel
     report.add("(PCS2)", pcs2, None if pcs2 else f"stone={stone}, closed relation={closed_rel}")
@@ -284,12 +296,6 @@ def _first_component(triple):
         if wider == grown:
             return grown
         grown = wider
-
-
-def _local_relation(subset, relation):
-    """The relation in the point indexing of `subspace(space, subset)`."""
-    position = {x: i for i, x in enumerate(bit_indices(subset))}
-    return frozenset((position[x], position[y]) for x, y in relation)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ sig(x) = {i : x in base[i]}, as attributes outside the dataclass
 fields, so equality, hashing and repr are those of its names and
 closures.  It may be named by a rule on its signatures instead of a
 tuple of names: it then derives its names on their first read and
-keeps them, and its subspaces are named by the same rule.  A canonical
-dual is named so, by its clan supports, and a passing check reads no
-name, so a dual that is only checked builds no text.  The maximal
+keeps them; a subspace takes its names from the space, so it reads
+them.  A canonical dual is named so, by its clan supports, and a
+passing check reads no name, so a dual that is only checked builds no
+text.  The maximal
 points are the points held by exactly one distinct closure, and T0 is
 decided, once per space.
 
@@ -28,10 +29,10 @@ interior per atom.  When the atoms are the closed base the space was
 built from, covering it with a point of each singleton signature, as on
 every canonical dual, the interiors are read off the signatures and no
 interior is taken (`_signature_interiors`); the C-semiregularity tests
-of such atoms take the closed-base verdict as True and decide the clans
-once per space, at the base and its signatures, with no `_meets` and no
-`transpose` (`_c_semiregular_tests`).  A pair (X, X0) is read through
-one table, `pair_atoms`: the clopen atoms of X0, their closures, the
+of such atoms decide the clans once per space, at the base and its
+signatures, and when all of them are realized they pass with no
+`_meets` and no `transpose` (`_c_semiregular_tests`).  A pair (X, X0)
+is read through one table, `pair_atoms`: the clopen atoms of X0, their closures, the
 atoms whose closures hold each point, and the Stone and closed-base
 verdicts of the pair, kept on the space for the last subset asked for.  When the
 closures of the clopen atoms are the base the space was built from, in
@@ -91,7 +92,7 @@ class FiniteSpace:
             raise PreconditionError("one closure mask per point required")
 
     @classmethod
-    def _of_closed_base(cls, point_names, base, signatures, closures=None):
+    def _of_closed_base(cls, point_names, base, signatures):
         """The space of the closed base ``base``, a tuple of masks, whose
         signatures are ``signatures``: sig(x) = {i : x in base[i]}, the
         `transpose` of the members cut to the points, one per point.
@@ -101,8 +102,7 @@ class FiniteSpace:
         count can break are run.  The base and the signatures are kept
         on the frozen space (`memo`), not as fields, so equality,
         hashing and repr see the names and closures only; `pair_atoms`
-        reads them.  ``closures`` are the meets, when the caller holds
-        them already (`subspace`).
+        reads them.
 
         ``point_names`` is a tuple of names, or a rule naming a point by
         its signature.  A rule is kept instead of the names, and
@@ -112,8 +112,7 @@ class FiniteSpace:
         signatures apart and that the signatures are distinct, so the
         names are distinct and the shape check is not run: there is one
         closure per signature, hence one per name."""
-        if closures is None:
-            closures = tuple(_meets(len(signatures), base))
+        closures = tuple(_meets(len(signatures), base))
         space = object.__new__(cls)
         object.__setattr__(space, "point_closures", closures)
         if callable(point_names):
@@ -240,6 +239,13 @@ def require_subset(space, mask):
         raise DomainMismatchError("subset mask out of range")
 
 
+def require_point(space, x):
+    """Raise DomainMismatchError unless ``x`` is a point index of the
+    space."""
+    if not 0 <= x < space.point_count:
+        raise DomainMismatchError(f"point {x} outside space with {space.point_count} points")
+
+
 def closure(space, mask):
     """The closure of a set of points, the join of their closures.  A
     mask outside the space, a negative one included, raises
@@ -274,6 +280,7 @@ def is_open(space, mask):
 def minimal_open(space, x):
     """Smallest open set containing the point: everyone whose closure
     reaches x."""
+    require_point(space, x)
     return sum(
         1 << y for y in range(space.point_count) if space.point_closures[y] >> x & 1
     )
@@ -409,9 +416,8 @@ def is_semiregular(space):
 
 
 def subspace(space, mask):
-    """Trace topology: singleton closures intersected with the subset.
-    The subspace of a space named by a rule is named by the same rule,
-    on the first read of its names (`FiniteSpace._of_closed_base`)."""
+    """Trace topology: singleton closures intersected with the subset,
+    the points named as the space names them."""
     require_subset(space, mask)
     indices = list(bit_indices(mask))
     position = {x: i for i, x in enumerate(indices)}
@@ -421,31 +427,7 @@ def subspace(space, mask):
         for y in bit_indices(space.point_closures[x] & mask):
             local |= 1 << position[y]
         closures.append(local)
-    rule = getattr(space, "_name_rule", None)
-    if rule is None:
-        return FiniteSpace(tuple(space.point_names[x] for x in indices), tuple(closures))
-    # Only a space built from a closed base B is named by a rule.  For a
-    # point x of the subset, cl{x} is the meet of the B_i holding x, so
-    # cl{x} n subset is the meet of the B_i n subset holding x, the whole
-    # subset when none does: the subspace is the space of the closed base
-    # B_i n subset, with these closures, and the signature of x there is
-    # its signature in the space.  Those are distinct, as the space's
-    # are, so the rule names the points of the subspace apart, each as
-    # the space names it.
-    return FiniteSpace._of_closed_base(
-        rule,
-        tuple(restrict_to_subspace_mask(mask, b) for b in space._base),
-        tuple(space._signatures[x] for x in indices),
-        tuple(closures),
-    )
-
-
-def restrict_to_subspace_mask(subset_mask, global_mask):
-    out = 0
-    for i, x in enumerate(bit_indices(subset_mask)):
-        if global_mask >> x & 1:
-            out |= 1 << i
-    return out
+    return FiniteSpace(tuple(space.point_names[x] for x in indices), tuple(closures))
 
 
 @dataclass(frozen=True)
@@ -607,19 +589,24 @@ def rc_pair_algebra(pair):
 
 
 def point_trace(members, x):
-    """The members containing the point (sigma trace)."""
+    """The members containing the point (sigma trace).  The members are
+    masks of no given space, so only a negative index is refused."""
+    if x < 0:
+        raise DomainMismatchError(f"point {x} is negative")
     return frozenset(m for m in members if m >> x & 1)
 
 
 def interior_trace(space, members, x):
     """The members whose interior contains the point (nu trace); always a
     filter inside the sigma trace."""
+    require_point(space, x)
     return frozenset(m for m in members if interior(space, m) >> x & 1)
 
 
 def closure_trace(pair, x):
     """The clopens of the dense part whose ambient closure contains the
     point (the Gamma trace)."""
+    require_point(pair.space, x)
     return frozenset(
         f
         for f in clopens_of_subset(pair.space, pair.subset)
@@ -814,9 +801,10 @@ def _c_semiregular_tests(space, atoms):
     closed sets ``atoms``, regular closed and covering the space: do
     their unions form a closed base, is the space T0, and the support
     of the first overlap clan of the atoms that no point realizes, or
-    None.  When the atoms are the closed base the space was built from,
-    the first is True and the third is read off the base
-    (`FiniteSpace.base_unrealized`)."""
+    None.  When the atoms are the closed base the space was built from
+    and every overlap clan of that base is realized
+    (`FiniteSpace.base_unrealized`), the first is True and the third
+    None, with no `_meets` and no `transpose`."""
     # A union holding x holds an atom holding x, so the unions and the
     # atoms have the same meet at each point (`_is_base_of_closed`).  The
     # unions are a Boolean subalgebra of RC(X) whose atoms these are, so
@@ -826,21 +814,16 @@ def _c_semiregular_tests(space, atoms):
     # On the base B, ascending: `_meets` takes the members as a set, so
     # the atoms and B have the same meets, which are the point closures
     # by construction (`_of_closed_base`): the space is a closed base.
-    # Atom i is B_j for the j with position[B_j] = i, so the atom support
-    # of x is sig(x) with each j moved to position[B_j], the
-    # `transpose` of the atoms; the overlap clans of the atoms are those
-    # of B moved the same way.  Moving every support by one bijection
-    # keeps "realized", so the clan verdict is that of B in base order,
-    # and the supports in atom order name the first failure.
+    # Atom i is B_j for the j with atoms[i] = B_j, so the atom support of
+    # x is sig(x) with each j moved to that i, and the overlap clans of
+    # the atoms are those of B moved the same way.  Moving every support
+    # by one bijection keeps "realized", so when every clan of B in base
+    # order is realized, so is every clan of the atoms.  Otherwise the
+    # general path below names the first failure in atom order, and its
+    # closed-base verdict is True, as above.
     base = getattr(space, "_base", None)
-    on_base = base is not None and sorted(base) == list(atoms)
-    if on_base and space.base_unrealized is None:
+    if base is not None and sorted(base) == list(atoms) and space.base_unrealized is None:
         return True, space.t0, None
-    if on_base:
-        position = {a: i for i, a in enumerate(atoms)}
-        column = [1 << position[b] for b in base]
-        supports = [join_at(column, s) for s in space._signatures]
-    else:
-        supports = transpose(atoms, space.point_count)
-    closed_base = on_base or _is_base_of_closed(space, atoms)
+    supports = transpose(atoms, space.point_count)
+    closed_base = _is_base_of_closed(space, atoms)
     return closed_base, space.t0, first_unrealized_support(supports, overlap_clans(atoms))

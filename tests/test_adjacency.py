@@ -2,31 +2,26 @@ import random
 
 import pytest
 
+from contactlab import adjacency
 from contactlab.adjacency import (
     AdjacencySpace,
-    adjacency_correspondence_report,
     canonical_adjacency,
     contact_from_adjacency,
-    is_closed_relation,
     is_connected_relation,
     r_flat,
     stone_representation_report,
 )
-from contactlab.errors import DomainMismatchError, PreconditionError
+from contactlab.errors import PreconditionError
 from contactlab.precontact import largest_contact, pca_from_pairs, smallest_contact
-from contactlab.topology import space_from_closed_base
 
 from conftest import all_kernels
 from oracles import (
-    bits,
     expand_relation,
-    oracle_closed_family,
-    oracle_closed_in_product,
     oracle_is_connected_relation,
-    oracle_product_family,
+    oracle_is_symmetric,
+    oracle_is_transitive,
     oracle_ultrafilter_adjacency,
 )
-from test_topology import all_small_spaces
 
 
 def adj(n, pairs, topology=None):
@@ -77,21 +72,51 @@ def test_contact_from_flat_equals_closure_of_contact():
         assert flat.kernel.pairs == closed.kernel.pairs
 
 
-def test_correspondence_report_examples():
-    one = adjacency_correspondence_report(adj(2, {(0, 1)}))
-    assert one.ctr_iff and one.ccon_iff and one.is_contact_iff
-    assert one.relation_connected
-    empty = adjacency_correspondence_report(adj(2, set()))
-    assert not empty.relation_connected
+STONE_LINES = (
+    "(Cref) iff the canonical adjacency is reflexive",
+    "(Csym) iff the canonical adjacency is symmetric",
+    "(Ctr) iff the canonical adjacency is transitive",
+    "(Ccon) iff the canonical adjacency is connected",
+)
+
+
+def test_correspondence_report_examples(monkeypatch):
+    one = stone_representation_report(contact_from_adjacency(adj(2, {(0, 1)})))
+    assert [c.name for c in one.checks] == list(STONE_LINES)
+    assert one.ok
+    empty = contact_from_adjacency(adj(2, set()))
     assert not empty.axioms.ccon
-    assert empty.ccon_iff
+    assert stone_representation_report(empty).ok
+    # a connectedness search that lies fails the fourth line only, and
+    # names both sides
+    monkeypatch.setattr(adjacency, "is_connected_relation", lambda pairs, n: True)
+    report = stone_representation_report(empty)
+    assert [(c.name, c.witness) for c in report.failures] == [
+        (STONE_LINES[3], "Ccon=False, connected=True")
+    ]
 
 
 def test_correspondence_biconditionals_exhaustive():
+    """Every relation on 1 to 3 cells: the four lines of the Stone report
+    on its region algebra pass, and the axiom flags they compare are the
+    literal relation properties."""
+    connected = set()
     for n in (1, 2, 3):
         for pairs in all_kernels(n):
-            report = adjacency_correspondence_report(adj(n, pairs))
-            assert report.all_agree, (n, sorted(pairs))
+            pca = contact_from_adjacency(adj(n, pairs))
+            report = stone_representation_report(pca)
+            assert [c.name for c in report.checks] == list(STONE_LINES)
+            assert report.ok, (n, sorted(pairs), report.failures)
+            flags = pca.axioms
+            expected = (
+                all((x, x) in pairs for x in range(n)),
+                oracle_is_symmetric(pairs),
+                oracle_is_transitive(pairs),
+                oracle_is_connected_relation(pairs, n),
+            )
+            assert (flags.cref, flags.csym, flags.ctr, flags.ccon) == expected, (n, sorted(pairs))
+            connected.add(flags.ccon)
+    assert connected == {True, False}
 
 
 def test_canonical_adjacency(b4, path_pca):
@@ -125,90 +150,6 @@ def test_adjacency_roundtrip_through_regions():
             space = adj(n, pairs)
             rebuilt = canonical_adjacency(contact_from_adjacency(space))
             assert rebuilt.pairs == pairs
-
-
-def test_is_closed_relation(xl_space, disc2):
-    assert is_closed_relation(frozenset({(0, 1)}), disc2)
-    assert is_closed_relation(frozenset(), xl_space)
-    # a single pair through open points is not closed: its closure picks
-    # up the pairs through the bottom point
-    assert not is_closed_relation(frozenset({(0, 1)}), xl_space)
-    assert is_closed_relation(
-        frozenset({(0, 1), (2, 1), (0, 2), (2, 2)}), xl_space
-    )
-
-
-def test_is_closed_relation_checks_the_range_first(disc2):
-    with pytest.raises(DomainMismatchError, match=r"pair \(0, 2\) outside the space"):
-        is_closed_relation(frozenset({(0, 2)}), disc2)
-
-
-def all_relations(n):
-    """(mask, relation) for every relation on n points; the pair (x, y)
-    is the bit x * n + y of the mask, its point in the product."""
-    pairs = [(x, y) for x in range(n) for y in range(n)]
-    for mask in range(1 << len(pairs)):
-        yield mask, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-
-
-def product_mask(n, pairs):
-    return sum(1 << (x * n + y) for x, y in pairs)
-
-
-def test_is_closed_relation_matches_the_product_family():
-    """Every relation on every space of at most 3 points is closed iff
-    its mask is a member of the product's closed family, generated by
-    the closed rectangles."""
-    cases = 0
-    for n in (1, 2, 3):
-        for space in all_small_spaces(n):
-            closed = oracle_closed_family(space.point_closures)
-            family = oracle_product_family(n, closed)
-            for mask, pairs in all_relations(n):
-                got = is_closed_relation(pairs, space)
-                assert got == (mask in family), (space.point_closures, sorted(pairs))
-                cases += 1
-    assert cases == 14914
-
-
-def test_product_oracles_agree(xl_space):
-    """The open-rectangle oracle and the generated closed family agree on
-    every set of pair points of the spaces of at most 2 points and of
-    the three-point space xl."""
-    for space in [s for n in (1, 2) for s in all_small_spaces(n)] + [xl_space]:
-        n = space.point_count
-        family = oracle_product_family(n, oracle_closed_family(space.point_closures))
-        for mask in range(1 << (n * n)):
-            assert oracle_closed_in_product(space.point_closures, mask) == (mask in family)
-
-
-def test_is_closed_relation_on_seeded_spaces():
-    """Seeded spaces of 4 and 5 points, against the open-rectangle
-    definition of the product topology: unions of closed rectangles,
-    each also with one pair toggled, and random relations."""
-    rng = random.Random(20261019)
-    outcomes = set()
-    for n in (4, 5):
-        names = tuple(f"p{x}" for x in range(n))
-        for _ in range(15):
-            base = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
-            space = space_from_closed_base(names, base)
-            closed = sorted(oracle_closed_family(space.point_closures))
-            for _ in range(5):
-                rectangles = set()
-                for _ in range(rng.randint(1, 3)):
-                    c, d = rng.choice(closed), rng.choice(closed)
-                    rectangles |= {(x, y) for x in bits(c) for y in bits(d)}
-                toggled = rectangles ^ {(rng.randrange(n), rng.randrange(n))}
-                noise = {(x, y) for x in range(n) for y in range(n) if rng.random() < 0.5}
-                for pairs in (rectangles, toggled, noise):
-                    got = is_closed_relation(frozenset(pairs), space)
-                    expected = oracle_closed_in_product(
-                        space.point_closures, product_mask(n, pairs)
-                    )
-                    assert got == expected, (space.point_closures, sorted(pairs))
-                    outcomes.add(got)
-    assert outcomes == {True, False}
 
 
 def test_is_connected_relation_matches_pairwise_paths():

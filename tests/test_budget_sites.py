@@ -20,7 +20,8 @@ BUDGET_CALLS = {
     "point_limit",
 }
 ALLOWED = {
-    ("boolean", "FiniteBooleanAlgebra.__post_init__"): "the algebra's 2**n elements",
+    ("boolean", "FiniteBooleanAlgebra.__post_init__"): "the algebra's n-row atom tables, "
+    "and with them input size",
     ("boolean", "principal_ultrafilter"): "the 2**(n-1) members of an ultrafilter",
     ("boolean", "grill_from_support"): "the members of a grill",
     ("boolean", "grills"): "every grill, one per nonempty atom support",

@@ -1626,9 +1626,10 @@ def test_c_semiregular_tests_read_off_the_base_match_the_plain_path(monkeypatch)
     first overlap clan unrealized over the `transpose` of the atoms,
     which is the literal atom supports; with at most 4 points the
     closed-base verdict also against `oracle_is_closed_base` of the
-    unions.  The base is always a closed base of its space; the read-off
-    takes no `_meets` and no `transpose`.  Both verdicts of T0 and of the
-    clan test are seen, failing clan witnesses included."""
+    unions.  The base is always a closed base of its space; when every
+    clan is realized the read-off takes no `_meets` and no `transpose`,
+    and a failing clan is named on the plain path.  Both verdicts of T0
+    and of the clan test are seen, failing clan witnesses included."""
     expected, seen = [], set()
     for space, base in closed_base_population():
         atoms = tuple(sorted(base))
@@ -1651,10 +1652,14 @@ def test_c_semiregular_tests_read_off_the_base_match_the_plain_path(monkeypatch)
     def refuse(*args):
         raise AssertionError("the base was derived again")
 
+    for space, atoms, plain in expected:
+        if plain[2] is not None:
+            assert list(topology._c_semiregular_tests(space, atoms)) == plain, (atoms, plain)
     monkeypatch.setattr(topology, "_meets", refuse)
     monkeypatch.setattr(topology, "transpose", refuse)
     for space, atoms, plain in expected:
-        assert list(topology._c_semiregular_tests(space, atoms)) == plain, (atoms, plain)
+        if plain[2] is None:
+            assert list(topology._c_semiregular_tests(space, atoms)) == plain, (atoms, plain)
 
 
 def test_closure_rows_are_the_literal_contact_closure():
@@ -2461,6 +2466,30 @@ def test_instance_suite_builds_no_pair_sets(monkeypatch):
     assert report.check("interdefinability round trip").passed
 
 
+def test_validate_pcs_builds_no_subspace(monkeypatch):
+    """(PCS2) decides the closedness of the relation at the ambient point
+    closures and successor masks: with `subspace` refused in every module
+    that holds it, `validate_pcs` runs over the whole triple population,
+    and both outcomes of the closedness test are seen on dense parts
+    that are not Stone."""
+    population = pcs_population()
+
+    def refuse(*args):
+        raise AssertionError("a subspace built by the 2-precontact validator")
+
+    for name, module in list(sys.modules.items()):
+        if name == "contactlab" or name.startswith("contactlab."):
+            if hasattr(module, "subspace"):
+                monkeypatch.setattr(module, "subspace", refuse)
+    witnesses = set()
+    for space, subset, relation in population:
+        witnesses.add(validate_pcs(space, subset, relation).check("(PCS2)").witness)
+    assert {
+        "stone=False, closed relation=True",
+        "stone=False, closed relation=False",
+    } <= witnesses
+
+
 def test_interdefinability_line_fails_on_a_foreign_relation(monkeypatch):
     """The suite line compares the kernel with the one read back from the
     unary well-inside form: the form of another kernel makes it fail."""
@@ -2516,12 +2545,13 @@ def test_every_failing_suite_line_names_a_witness(monkeypatch):
         "closure sits between the extremal contacts": "diagonal pair (0, 0) missing",
         "serialization round trip": "first differing kernel pair (0, 1)",
     }
-    # the flipped flags break exactly the three lines of the Stone report
+    # the flipped flags break exactly the four lines of the Stone report
     assert report.check("stone representation").witness == "; ".join(
         (
             "(Cref) iff the canonical adjacency is reflexive: Cref=False, reflexive=True",
             "(Csym) iff the canonical adjacency is symmetric: Csym=True, symmetric=False",
             "(Ctr) iff the canonical adjacency is transitive: Ctr=False, transitive=True",
+            "(Ccon) iff the canonical adjacency is connected: Ccon=True, connected=False",
         )
     )
     assert all(c.witness != "no witness recorded" for c in report.failures), report.failures

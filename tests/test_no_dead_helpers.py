@@ -247,8 +247,6 @@ READ_ONLY_BY_TESTS = {
     ("adjacency", "r_flat"): "the reflexive symmetric closure of an adjacency gives the "
     "contact closure of its regions; "
     "test_adjacency::test_contact_from_flat_equals_closure_of_contact",
-    ("adjacency", "adjacency_correspondence_report"): "ROADMAP item 9, the Stone side of the "
-    "duality as a suite line; test_adjacency::test_correspondence_biconditionals_exhaustive",
     ("adjacency", "canonical_adjacency"): "the ultrafilter adjacency of a finite algebra is its "
     "kernel; test_adjacency::test_canonical_adjacency_matches_literal_quantifier",
     ("boolean", "stone_map"): "Stone duality: the Stone map is a Boolean isomorphism; "

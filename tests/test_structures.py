@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import operator
+import random
 
 import pytest
 
@@ -37,6 +38,7 @@ from contactlab.structures import (
 from contactlab.topology import (
     FiniteSpace,
     MereotopologicalPair,
+    closure,
     discrete_space,
     held_once,
     interior,
@@ -44,10 +46,17 @@ from contactlab.topology import (
     rc_atoms,
     rc_members,
     rc_pair_algebra,
+    space_from_closed_base,
     subspace,
 )
 
 from conftest import c_semiregular, indiscrete_space
+from oracles import (
+    bits,
+    oracle_closed_family,
+    oracle_closed_in_product,
+    oracle_product_family,
+)
 from test_topology import all_small_spaces
 
 # ---------------------------------------------------------------------------
@@ -158,6 +167,129 @@ def test_empty_relation_on_one_point_is_valid():
     one = discrete_space(("u",))
     triple = validate_pcs(one, 0b1, frozenset())
     assert triple.ok
+
+
+# ---------------------------------------------------------------------------
+# (PCS2): is the relation closed in the square of the dense part?
+
+
+def pcs2_reading(space, subset, pairs):
+    """(stone, closed relation) as `validate_pcs` reports them: a passing
+    (PCS2) has a Stone dense part, whose square is discrete, so every
+    relation on it is closed; a failing one names both in its witness."""
+    check = validate_pcs(space, subset, frozenset(pairs)).check("(PCS2)")
+    if check.passed:
+        return True, True
+    readings = {
+        f"stone={stone}, closed relation={closed}": (stone, closed)
+        for stone in (True, False)
+        for closed in (True, False)
+    }
+    return readings[check.witness]
+
+
+def local_closures(space, subset):
+    """The point closures of the subspace on ``subset``, cut to it and
+    indexed by its points in ascending order."""
+    points = bits(subset)
+    return [
+        sum(1 << i for i, y in enumerate(points) if space.point_closures[x] >> y & 1)
+        for x in points
+    ]
+
+
+def all_relations(points):
+    """(mask, relation) for every relation on the given points; the pair
+    of the i-th and j-th points is the bit i * k + j of the mask, its
+    point in the square of the k points."""
+    pairs = [(x, y) for x in points for y in points]
+    for mask in range(1 << len(pairs)):
+        yield mask, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+
+
+def product_mask(points, pairs):
+    position = {x: i for i, x in enumerate(points)}
+    return sum(1 << (position[x] * len(points) + position[y]) for x, y in pairs)
+
+
+def test_pcs2_names_whether_the_relation_is_closed(xl_space, disc2):
+    assert pcs2_reading(disc2, 0b11, {(0, 1)}) == (True, True)
+    assert pcs2_reading(xl_space, 0b111, set()) == (False, True)
+    # a single pair through open points is not closed: its closure picks
+    # up the pairs through the bottom point
+    assert pcs2_reading(xl_space, 0b111, {(0, 1)}) == (False, False)
+    assert pcs2_reading(xl_space, 0b111, {(0, 1), (2, 1), (0, 2), (2, 2)}) == (False, True)
+
+
+def test_pcs2_closed_relation_matches_the_product_family():
+    """Every relation on every dense part of every space of at most 3
+    points is closed iff its mask is a member of the closed family of
+    the square of the dense part, generated by the closed rectangles.
+    Both outcomes are seen on dense parts that are not Stone."""
+    cases, seen = 0, set()
+    for n in (1, 2, 3):
+        for space in all_small_spaces(n):
+            for subset in range(1, space.full_mask + 1):
+                if closure(space, subset) != space.full_mask:
+                    continue
+                points = bits(subset)
+                closed = oracle_closed_family(local_closures(space, subset))
+                family = oracle_product_family(len(points), closed)
+                for mask, pairs in all_relations(points):
+                    stone, got = pcs2_reading(space, subset, pairs)
+                    assert got == (mask in family), (space.point_closures, subset, sorted(pairs))
+                    seen.add((stone, got))
+                    cases += 1
+    assert cases == 15780
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_product_oracles_agree(xl_space):
+    """The open-rectangle oracle and the generated closed family agree on
+    every set of pair points of the spaces of at most 2 points and of
+    the three-point space xl."""
+    for space in [s for n in (1, 2) for s in all_small_spaces(n)] + [xl_space]:
+        n = space.point_count
+        family = oracle_product_family(n, oracle_closed_family(space.point_closures))
+        for mask in range(1 << (n * n)):
+            assert oracle_closed_in_product(space.point_closures, mask) == (mask in family)
+
+
+def test_pcs2_closed_relation_on_seeded_spaces():
+    """Seeded spaces of 4 and 5 points and dense parts of them, the whole
+    space or not, against the open-rectangle definition of the product
+    topology on the dense part: unions of its closed rectangles, each
+    also with one pair toggled, and random relations.  Both outcomes are
+    seen on dense parts that are not Stone."""
+    rng = random.Random(20261019)
+    seen = set()
+    for n in (4, 5):
+        names = tuple(f"p{x}" for x in range(n))
+        for _ in range(15):
+            base = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
+            space = space_from_closed_base(names, base)
+            dense = [
+                sub for sub in range(1, space.full_mask + 1)
+                if closure(space, sub) == space.full_mask
+            ]
+            subset = space.full_mask if rng.random() < 0.3 else rng.choice(dense)
+            points = bits(subset)
+            local = local_closures(space, subset)
+            closed = sorted(oracle_closed_family(local))
+            for _ in range(5):
+                rectangles = set()
+                for _ in range(rng.randint(1, 3)):
+                    c, d = rng.choice(closed), rng.choice(closed)
+                    rectangles |= {(points[i], points[j]) for i in bits(c) for j in bits(d)}
+                toggled = rectangles ^ {(rng.choice(points), rng.choice(points))}
+                noise = {(x, y) for x in points for y in points if rng.random() < 0.5}
+                for pairs in (rectangles, toggled, noise):
+                    stone, got = pcs2_reading(space, subset, pairs)
+                    expected = oracle_closed_in_product(local, product_mask(points, pairs))
+                    assert got == expected, (space.point_closures, subset, sorted(pairs))
+                    seen.add((stone, got, subset == space.full_mask))
+    assert {(False, True), (False, False)} <= {(s, g) for s, g, _ in seen}
+    assert {(False, full) for full in (True, False)} <= {(s, f) for s, _, f in seen}
 
 
 def test_failing_pcs4_names_its_witness_past_the_point_budget(monkeypatch, tmp_path, capsys):

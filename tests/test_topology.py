@@ -4,7 +4,7 @@ import operator
 
 import pytest
 
-from contactlab.boolean import join_at
+from contactlab.boolean import bit_indices, join_at
 from contactlab.errors import CapacityError, DomainMismatchError, PreconditionError
 from contactlab.precontact import pca_from_pairs
 from contactlab.structures import (
@@ -36,8 +36,8 @@ from contactlab.topology import (
     rc_members,
     rc_members_of_subset,
     rc_pair_algebra,
+    minimal_open,
     space_from_closed_base,
-    restrict_to_subspace_mask,
     space_predicates,
     subspace,
 )
@@ -545,10 +545,10 @@ def test_a_negative_mask_is_refused_not_walked():
     DomainMismatchError at once instead of looping or running off the
     point names."""
     with pytest.raises(DomainMismatchError, match="negative mask"):
-        restrict_to_subspace_mask(-1, 1)
+        list(bit_indices(-1))
     with pytest.raises(DomainMismatchError, match="negative mask"):
         discrete_space("abc").name_set(-1)
-    assert restrict_to_subspace_mask(0b1010, 0b1000) == 0b10
+    assert list(bit_indices(0b1010)) == [1, 3]
     assert discrete_space("abc").name_set(0b101) == "{a,c}"
 
 
@@ -567,3 +567,31 @@ def test_a_mask_walk_off_its_table_raises_a_typed_error(walk):
     negative mask does, raises DomainMismatchError, not IndexError."""
     with pytest.raises(DomainMismatchError):
         walk()
+
+
+
+@pytest.mark.parametrize("x", [-1, 3, 5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda space, x: interior_trace(space, rc_members(space), x),
+        lambda space, x: closure_trace(TopologicalPair(space, space.full_mask), x),
+        minimal_open,
+    ],
+    ids=["interior_trace", "closure_trace", "minimal_open"],
+)
+def test_a_point_outside_the_space_is_refused(call, x):
+    """A point index outside the space raises DomainMismatchError, where
+    a negative one raised a bare ValueError from the shift and one past
+    the points gave an empty trace or open set."""
+    with pytest.raises(DomainMismatchError, match=f"^point {x} outside space with 3 points$"):
+        call(discrete_space("abc"), x)
+
+
+def test_point_trace_refuses_a_negative_point():
+    """`point_trace` is given members of no space, so it refuses a
+    negative index only: no member holds a point past their bits."""
+    members = rc_members(discrete_space("abc"))
+    with pytest.raises(DomainMismatchError, match="^point -1 is negative$"):
+        point_trace(members, -1)
+    assert point_trace(members, 5) == frozenset()
