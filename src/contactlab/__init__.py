@@ -63,7 +63,6 @@ from .topology import (
     rc_pair_algebra,
     space_from_closed_base,
     space_predicates,
-    subspace,
 )
 from .structures import (
     MereocompactReport,
@@ -86,7 +85,6 @@ from .duality import (
     PcsMorphism,
     algebra_roundtrip_iso,
     check_naturality,
-    dense_part,
     dense_part_map,
     dual_algebra_map,
     dual_space_map,

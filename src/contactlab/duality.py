@@ -34,13 +34,17 @@ algebra round trip is a join-preserving map, held by its n atom images:
 it is a bijection onto the pair's regular closed sets iff those images
 are the pair's atoms, each once (`_bijectivity_witness`), and its 2**n
 images are built only when bijectivity fails or a caller asks for them.
+It reads the triple only through its canonical algebra (`pcs_algebra`):
+the relation at that algebra's kernel rows, which `validate_pcs` kept,
+and the pair's proximity at one table of the atoms that meet, read by
+both proximity lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .adjacency import AdjacencySpace, contact_from_adjacency
+from .adjacency import contact_from_adjacency
 from .boolean import (
     BooleanHom,
     _first_map_mismatch,
@@ -82,7 +86,6 @@ from .topology import (
     rc_atoms,
     rc_atoms_of_subset,
     rc_pair_algebra,
-    subspace,
 )
 
 
@@ -470,50 +473,37 @@ def algebra_roundtrip_iso(pca):
     )
 
     # Each relation below is additive in a and in b, so each check
-    # compares atom rows (`_first_pair_mismatch`).  The kernel relates a
-    # and b iff its forward table at a meets b: its rows are the kernel's
-    # successors, and those of the contact closure C# are the kernel's
-    # `_closure_rows`.
-    # The relation of the triple lies inside the dense part, so it relates
-    # the point sets images[a] and images[b] iff the points related to a
-    # dense point of images[a], the union of reach[p] over the atoms p of
-    # a, meet images[b], the union of the clan sets of the atoms of b.
-    # Here reach[p] is the points related to the dense points of the clan
-    # set of atom p, which meets the dense part in {p}, the ultrafilter
-    # clan of p: reach[p] = succ[p].  That is the reach `validate_pcs`
-    # kept on the triple (`TwoPrecontactSpace._reach`), read at the
-    # closures of the clopen atoms of the dense part: `pcs_algebra` above
-    # accepts only a valid triple, whose dense part is discrete by
-    # (PCS2), so those atoms are {0} .. {n-1} in order, each closure
-    # meeting the dense part in its own point.  Overlap of unions is the
-    # union of the overlaps, so the rows of the triple's relation and of
-    # the pair's proximity (images[a] meets images[b]) are `meeting_rows`.
-    reach = triple._reach
-    relation_witness = _first_pair_mismatch(
-        pca.kernel.succ, meeting_rows(reach, atom_clans)
-    )
+    # compares atom rows (`_first_pair_mismatch`), and the first pair of
+    # a difference, in sorted order, is the first atom pair (1 << i,
+    # 1 << j) where the rows differ.  The kernel relates a and b iff its
+    # forward table at a meets b: its rows are the kernel's successors,
+    # and those of the contact closure C# are the kernel's
+    # `_closure_rows`.  The canonical algebra is held by its atoms, the
+    # pair's atoms A_i; the triple's relation relates the unions of the
+    # A_i over a and b iff its canonical kernel relates a and b (proof
+    # at `TwoPrecontactSpace._algebra`), and overlap of unions is the
+    # union of the overlaps, so the pair's proximity has the rows
+    # `meeting_rows` of the A_i.  On a canonical dual the A_i are the
+    # atom clan sets, the images of the atoms (`_canonical_pcs`), so
+    # these are the relation and the proximity of images[a] and
+    # images[b].
+    relation_witness = _first_pair_mismatch(pca.kernel.succ, alg.pca.kernel.succ)
     report.add(
         "preserves and reflects the relation",
         relation_witness is None,
         None if relation_witness is None else f"(a, b) = {relation_witness}",
     )
 
-    proximity_witness = _first_pair_mismatch(
-        pca.kernel._closure_rows, meeting_rows(atom_clans, atom_clans)
-    )
+    atoms = alg.atom_masks
+    proximity = meeting_rows(atoms, atoms)
+    proximity_witness = _first_pair_mismatch(pca.kernel._closure_rows, proximity)
     report.add(
         "contact closure matches the pair's proximity",
         proximity_witness is None,
         None if proximity_witness is None else f"(a, b) = {proximity_witness}",
     )
 
-    # Two kernels differ iff their atom rows do, and the first pair of
-    # their symmetric difference, in sorted order, is the first atom pair
-    # (1 << i, 1 << j) where the rows differ.
-    atoms = alg.atom_masks
-    kernel_diff = _first_pair_mismatch(
-        alg.pca.kernel._closure_rows, meeting_rows(atoms, atoms)
-    )
+    kernel_diff = _first_pair_mismatch(alg.pca.kernel._closure_rows, proximity)
     report.add(
         "closed canonical relation coincides with the pair's proximity",
         kernel_diff is None,
@@ -619,16 +609,6 @@ def gt_preimage_check(f, member_mask):
 # the adjacency reduct and reconstruction
 
 
-def dense_part(pcs):
-    """Forget down to the dense part with its relation: a Stone adjacency
-    space at finite scale."""
-    sub = subspace(pcs.space, pcs.subset)
-    # the relation in the point indexing of the subspace
-    position = {x: i for i, x in enumerate(bit_indices(pcs.subset))}
-    pairs = frozenset((position[x], position[y]) for x, y in pcs.relation)
-    return AdjacencySpace(sub.point_names, pairs, sub)
-
-
 def dense_part_map(f):
     """Restriction of a PCS-morphism to the dense parts, as a cell map."""
     src = list(bit_indices(f.source.subset))
@@ -652,13 +632,13 @@ def pcs_from_stone_adjacency(adjacency):
         valid,
         witness=None if valid else triple.failure_summary(" "),
     )
-    reduct = dense_part(triple)
-    reproduced = reduct.cell_count == adjacency.cell_count and reduct.pairs == adjacency.pairs
-    report.add(
-        "dense part reproduces the input cells",
-        reproduced,
-        witness=None if reproduced else f"reduct relation {sorted(reduct.pairs)}",
-    )
+    # No line compares the dense part with the input: it reproduces the
+    # cells and their adjacency by construction.  `contact_from_adjacency`
+    # keeps the adjacency's pairs as the kernel's pair set
+    # (`RelationKernel.of_pairs`), and `_canonical_pcs` passes that set
+    # to `validate_pcs` as the relation on the first n points, the dense
+    # part, where n is the cell count.  Read in the dense part's own
+    # point order, point p is point p, so its relation is the input's.
     return triple, report.done()
 
 

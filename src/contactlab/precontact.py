@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 
 from .boolean import (
     BooleanHom,
@@ -483,12 +482,19 @@ def clan_supports(pca):
 
 def restrict_relation(pca, blocks):
     """The subalgebra generated by a partition of the atoms, with the
-    relation cut down to it.  Blocks become the atoms of the result."""
+    relation cut down to it.  Blocks become the atoms of the result; an
+    atom index outside the algebra raises DomainMismatchError before
+    any mask is built from it."""
+    n = pca.algebra.atom_count
     block_masks = []
     seen = 0
     for block in blocks:
+        block = tuple(block)
+        outside = next((i for i in block if not 0 <= i < n), None)
+        if outside is not None:
+            raise DomainMismatchError(f"atom index {outside} out of range")
         m = mask_of(block)
-        if m == 0 or (m & seen) or m > pca.algebra.full_mask:
+        if m == 0 or (m & seen):
             raise DomainMismatchError("blocks must be nonempty, disjoint atom sets")
         seen |= m
         block_masks.append(m)
@@ -505,15 +511,21 @@ def restrict_relation(pca, blocks):
 
 def restrict_clan_support(blocks, support_mask):
     """Image of a clan support, a mask over the atoms the blocks
-    partition, under a partition restriction."""
-    block_masks = [mask_of(block) for block in blocks]
-    full = reduce(or_, block_masks, 0)
+    partition, under a partition restriction.  Membership is read off
+    the support's bits, so no mask is built from a block index, and a
+    negative index is refused."""
+    blocks = [frozenset(block) for block in blocks]
+    covered = frozenset().union(*blocks)
+    negative = next((i for i in covered if i < 0), None)
+    if negative is not None:
+        raise DomainMismatchError(f"atom index {negative} out of range")
     # a negative mask has bits past every block
-    if support_mask & ~full:
-        raise DomainMismatchError(
-            f"mask {support_mask} outside algebra with {full.bit_length()} atoms"
-        )
-    return frozenset(i for i, m in enumerate(block_masks) if m & support_mask)
+    if support_mask < 0 or not covered.issuperset(bit_indices(support_mask)):
+        atoms = max(covered, default=-1) + 1
+        raise DomainMismatchError(f"mask {support_mask} outside algebra with {atoms} atoms")
+    return frozenset(
+        k for k, block in enumerate(blocks) if any(support_mask >> i & 1 for i in block)
+    )
 
 
 @dataclass(frozen=True)

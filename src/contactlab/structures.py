@@ -14,10 +14,11 @@ and closed-base verdicts from it, (PCS5), (CS4) and (S2S4) its atoms whose closu
 hold each point, and (PCS4) which of its atom closures meet; (PCS2)
 decides closedness of the relation on the ambient masks, building no
 subspace; the canonical algebra, the pair-determined relation and
-connectedness read its atoms and their closures.  Only
-the relation's reach, read in one pass into successor masks, is kept
-on the triple.  The canonical algebra is held by its atoms, the
-closures of the dense part's clopen atoms in the table's order; its
+connectedness read its atoms and their closures.  Only the kernel
+rows of the canonical algebra, which (PCS4) and (PCS5) read off the
+relation's reach, are kept on the triple (`_kernel_rows`), and the
+canonical algebra reads them.  The canonical algebra is held by its
+atoms, the closures of the dense part's clopen atoms in the table's order; its
 2**n members are built only when asked for.  A canonical dual keeps the
 algebra it was built from, and its canonical algebra is that algebra
 itself once the rows read off the triple are checked to be its
@@ -117,13 +118,12 @@ class TwoPrecontactSpace(CheckList):
     checks: tuple = field(default=(), compare=False)
 
     @once
-    def _reach(self):
-        """The reach of the relation at the clopen atoms of the subset
-        (`validate_pcs`): the one `validate_pcs` computed, rebuilt only
-        for a triple constructed directly."""
+    def _rows(self):
+        """The kernel rows of the canonical algebra (`_kernel_rows`): the
+        ones `validate_pcs` computed, rebuilt only for a triple
+        constructed directly."""
         succ = _relation_out_masks(self.space, self.subset, self.relation)
-        closed = pair_atoms(self.space, self.subset).closures
-        return tuple(join_at(succ, c & self.subset) for c in closed)
+        return _kernel_rows(succ, pair_atoms(self.space, self.subset))
 
     @once
     def _algebra(self):
@@ -139,7 +139,8 @@ class TwoPrecontactSpace(CheckList):
         # cl f meets the dense part in f, so cl f and cl g are in contact
         # iff some point of f is related to some point of g, i.e. iff
         # reach[f] meets g.  reach[f] lies in the subset, which cl g meets
-        # in g: iff reach[f] meets cl g.  The kernel's rows are those.
+        # in g: iff reach[f] meets cl g.  The kernel's rows are those, the
+        # rows `validate_pcs` kept (`_kernel_rows`).
         #
         # On the canonical dual T_A of an algebra A (`_canonical_pcs`)
         # these rows are A's own.  Its dense part is discrete with the
@@ -154,7 +155,7 @@ class TwoPrecontactSpace(CheckList):
         # equal one, for a copied triple); any other triple gets a kernel
         # built from the rows.
         closed = pair_atoms(self.space, self.subset).closures
-        rows = tuple(meeting_rows(self._reach, closed))
+        rows = self._rows
         source = getattr(self, "_source", None)
         if source is not None and rows == source.kernel.succ:
             return PcsAlgebra(self, source, closed)
@@ -210,19 +211,11 @@ def validate_pcs(space, subset, relation):
     report.add("(PCS2)", pcs2, None if pcs2 else f"stone={stone}, closed relation={closed_rel}")
     report.add("(PCS3)", table.closed_base, "the pair's regular closed sets are not a closed base")
 
-    # reach[i]: the points related to a point of the clopen atom f_i, the
-    # atom's closure cut to the subset, so that f C g iff reach[f] meets
-    # g, and reach is additive.
-    reach = tuple(join_at(succ, c & subset) for c in closed)
     # adj[i]: the atoms j with f_i C# f_j under the contact closure C# of
-    # C (the overlap of distinct atoms is empty).  reach[i] lies in the
-    # subset (the span check of `_relation_out_masks`), and a point y of
-    # the subset is held by the closure of its own atom only (cl f n
-    # subset = f for a clopen f): support[y] is that atom's bit, and
-    # reached[i], the atoms j that reach[i] meets, is the join of support
-    # over reach[i].  The atoms j whose reach meets f_i are the transpose
-    # of those rows.
-    reached = [join_at(support, r) for r in reach]
+    # C (the overlap of distinct atoms is empty): the atoms j that
+    # reach[i] meets (`_kernel_rows`), and the atoms j whose reach meets
+    # f_i, the transpose of those rows.
+    reached = _kernel_rows(succ, table)
     reaching = transpose(reached, len(closed))
     adj = [(1 << i) | r | b for i, (r, b) in enumerate(zip(reached, reaching))]
 
@@ -259,8 +252,24 @@ def validate_pcs(space, subset, relation):
     _realization_check(report, "(PCS5)", "unrealized clan ", space, table, unrealized)
 
     triple = TwoPrecontactSpace(space, subset, relation, report.checks)
-    once.keep(triple, "_reach", reach)
+    once.keep(triple, "_rows", reached)
     return triple
+
+
+def _kernel_rows(succ, table):
+    """rows[i]: the clopen atoms j of the pair's table whose closures
+    meet reach[i], the points related to a point of the clopen atom
+    f_i, so that f C g iff reach[f] meets g, and reach is additive.
+    These are the kernel rows of the canonical algebra
+    (`TwoPrecontactSpace._algebra`)."""
+    # reach[i] is the union of succ over the closure of f_i cut to the
+    # subset, which is f_i.  It lies in the subset (the span check of
+    # `_relation_out_masks`), and a point y of the subset is held by the
+    # closure of its own atom only (cl f n subset = f for a clopen f):
+    # support[y] is that atom's bit, and the atoms j that reach[i] meets
+    # are the join of support over reach[i].
+    subset, support = table.subset, table.support
+    return tuple(join_at(support, join_at(succ, c & subset)) for c in table.closures)
 
 
 def triple_is_connected(triple):

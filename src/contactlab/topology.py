@@ -3,7 +3,7 @@
 A finite topology is determined by its singleton closures: a set is
 closed exactly when it contains the closure of each of its points.  A
 space is therefore stored as the tuple of point-closure masks, which
-keeps closure, interior and subspaces polynomial.  A space
+keeps closure and interior polynomial.  A space
 built from a closed base, and the closed-base test, read the closure of
 a point as the meet of the base members that hold it (`_meets`); such a
 space skips the closure checks of `FiniteSpace`, which `_meets` output
@@ -13,8 +13,7 @@ sig(x) = {i : x in base[i]}, as attributes outside the dataclass
 fields, so equality, hashing and repr are those of its names and
 closures.  It may be named by a rule on its signatures instead of a
 tuple of names: it then derives its names on their first read and
-keeps them; a subspace takes its names from the space, so it reads
-them.  A canonical dual is named so, by its clan supports, and a
+keeps them.  A canonical dual is named so, by its clan supports, and a
 passing check reads no name, so a dual that is only checked builds no
 text.  The maximal
 points are the points held by exactly one distinct closure, and T0 is
@@ -413,21 +412,6 @@ def is_semiregular(space):
     # points.  A member holding x holds an atom holding x, so both
     # families have the same meet at each point (`_is_base_of_closed`).
     return _is_base_of_closed(space, rc_atoms(space))
-
-
-def subspace(space, mask):
-    """Trace topology: singleton closures intersected with the subset,
-    the points named as the space names them."""
-    require_subset(space, mask)
-    indices = list(bit_indices(mask))
-    position = {x: i for i, x in enumerate(indices)}
-    closures = []
-    for x in indices:
-        local = 0
-        for y in bit_indices(space.point_closures[x] & mask):
-            local |= 1 << position[y]
-        closures.append(local)
-    return FiniteSpace(tuple(space.point_names[x] for x in indices), tuple(closures))
 
 
 @dataclass(frozen=True)

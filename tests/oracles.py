@@ -3,11 +3,15 @@
 Everything here recomputes expected values from literal definitions,
 using explicit set families and quantifier loops, never the package's
 kernel/closure machinery.  Oracles are deliberately slow and only run on
-tiny instances.
+tiny instances.  `subspace` hands its trace topology back as the
+package's `FiniteSpace`, a container of point closures, so that the
+package's predicates can be asked about it.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations
+
+from contactlab.topology import FiniteSpace
 
 
 def bits(mask):
@@ -512,6 +516,19 @@ def oracle_mereo_closure_failure(point_closures, members):
             if (f | g) not in family or star(star(f & g)) not in family:
                 return "subalgebra not closed under join/meet"
     return None
+
+
+def subspace(space, mask):
+    """The trace topology on the points of ``mask``, by definition: the
+    closure of a point there is its closure in the space cut to the
+    subset, read in the subset's point order, and each point keeps the
+    name the space gives it."""
+    points = bits(mask)
+    closures = tuple(
+        sum(1 << i for i, y in enumerate(points) if space.point_closures[x] >> y & 1)
+        for x in points
+    )
+    return FiniteSpace(tuple(space.point_names[x] for x in points), closures)
 
 
 def oracle_subspace_clopens(point_closures, subset):

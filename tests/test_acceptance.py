@@ -43,7 +43,6 @@ from contactlab.topology import (
     is_t1,
     rc_members_of_subset,
     space_from_closed_base,
-    subspace,
 )
 from contactlab.boolean import grills, sandwich_ultrafilter
 
@@ -63,6 +62,7 @@ from oracles import (
     oracle_well_inside,
     oracle_well_inside_axioms,
     satisfies_c0_cplus,
+    subspace,
 )
 
 BASE_SEED = 20260810

@@ -21,10 +21,10 @@ from contactlab.topology import (
     rc_algebra,
     rc_members,
     rc_members_of_subset,
-    subspace,
 )
 
 from conftest import c_semiregular
+from oracles import subspace
 from test_topology import all_small_spaces
 
 

@@ -11,7 +11,6 @@ from contactlab.duality import (
     algebra_roundtrip_iso,
     check_naturality,
     compose_pcs_morphisms,
-    dense_part,
     dense_part_map,
     dual_algebra_map,
     dual_space_map,
@@ -55,6 +54,7 @@ from oracles import (
     oracle_pcs_map_failure,
     pca_isomorphic,
     pcs_isomorphic,
+    subspace,
 )
 
 
@@ -290,18 +290,23 @@ def test_gt_rejects_a_point_set_that_is_not_a_member():
 # the adjacency reduct
 
 
-def test_dense_part_of_xl():
-    xl = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(2)))
-    reduct = dense_part(xl)
-    assert reduct.cells == ("c0", "c1")
-    assert reduct.pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert reduct.is_stone_adjacency
-
-
-def test_dense_part_of_discrete():
-    disc = canonical_pcs_of_pca(smallest_contact(FiniteBooleanAlgebra(2)))
-    reduct = dense_part(disc)
-    assert reduct.pairs == {(0, 0), (1, 1)}
+def test_reconstruction_keeps_the_input_on_the_dense_part():
+    """The triple over a Stone adjacency space holds the input on its
+    dense part, on every relation on at most 3 cells: the first n points,
+    discrete as a subspace (`oracles.subspace`), related by the input's
+    pairs.  So `pcs_from_stone_adjacency` reports one line, and none
+    compares the dense part with the input (the proof is beside it)."""
+    for n in range(1, 4):
+        cells = "abc"[:n]
+        for pairs in all_kernels(n):
+            adjacency = AdjacencySpace(tuple(cells), pairs, discrete_space(cells))
+            triple, report = pcs_from_stone_adjacency(adjacency)
+            assert [c.name for c in report.checks] == ["triple validates"]
+            assert report.ok
+            assert triple.subset == (1 << n) - 1
+            assert triple.relation == adjacency.pairs
+            dense = subspace(triple.space, triple.subset)
+            assert dense == discrete_space([f"c{p}" for p in range(n)])
 
 
 def test_restriction_determines_morphism():

@@ -120,7 +120,6 @@ from contactlab.topology import (
     rc_members,
     rc_members_of_subset,
     space_from_closed_base,
-    subspace,
     unions,
 )
 
@@ -174,6 +173,7 @@ from oracles import (
     oracle_unary_relation,
     oracle_well_inside,
     oracle_well_inside_axioms,
+    subspace,
 )
 from test_topology import all_small_spaces
 
@@ -1322,20 +1322,41 @@ def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
             assert len(rc_calls) == 1
 
 
-def test_round_trip_reads_the_reach_of_the_canonical_build(monkeypatch):
+def test_round_trip_reads_the_rows_of_the_canonical_build(monkeypatch):
     """After the canonical build, `algebra_roundtrip_iso` reads the
-    triple's relation through the reach `validate_pcs` kept on it
-    (`_reach`), on seeded 1- to 6-atom algebras: no `_relation_out_masks`
-    call."""
+    triple only through its canonical algebra, whose kernel rows
+    `validate_pcs` kept on it (`_rows`), on seeded 1- to 6-atom
+    algebras: no `_relation_out_masks` call, and one `meeting_rows`
+    call, the pair's proximity, shared by its two proximity lines."""
     out_mask_calls = _counted(monkeypatch, "_relation_out_masks", structures)
+    meeting_calls = _counted(monkeypatch, "meeting_rows", boolean)
     for n in range(1, 7):
         for i, density in enumerate((0.15, 0.5, 0.85)):
             pca = random_pca(RandomSpec(atoms=n, density=density, seed=child_seed(71, n * 10 + i)))
             triple = canonical_pcs_of_pca(pca)  # built, and held
             out_mask_calls.clear()
+            meeting_calls.clear()
             roundtrip = algebra_roundtrip_iso(pca)
             assert roundtrip.report.ok and roundtrip.space is triple
-            assert not out_mask_calls, (n, density, len(out_mask_calls))
+            counts = (len(out_mask_calls), len(meeting_calls))
+            assert counts == (0, 1), (n, density, counts)
+
+
+def test_a_triple_built_directly_derives_the_rows_validate_pcs_kept():
+    """The kernel rows a triple constructed directly derives on first
+    read (`TwoPrecontactSpace._rows`) are the ones `validate_pcs` kept
+    on its validated twin, on every triple of the population, valid or
+    not; on a canonical dual they are its algebra's kernel rows."""
+    for space, subset, relation in pcs_population():
+        triple = validate_pcs(space, subset, relation)
+        copy = TwoPrecontactSpace(space, subset, triple.relation, triple.checks)
+        assert "_rows" not in vars(copy)
+        assert copy._rows == vars(triple)["_rows"], (space, subset, sorted(relation))
+    for n, pairs in seeded_kernels(47, {3: 10, 4: 10, 5: 5}):
+        pca = pca_from_pairs(n, pairs)
+        triple = canonical_pcs_of_pca(pca)
+        copy = TwoPrecontactSpace(triple.space, triple.subset, triple.relation, triple.checks)
+        assert copy._rows == vars(triple)["_rows"] == pca.kernel.succ
 
 
 def test_round_trip_derives_each_table_once(monkeypatch):
@@ -1343,10 +1364,13 @@ def test_round_trip_derives_each_table_once(monkeypatch):
     build included, derives each table once, on seeded 1- to 6-atom
     algebras: one `_meets` (the point closures of the closed base), two
     `transpose` calls (the atom clan sets and the reaching rows of
-    (PCS4)), and one pass of contact-closure rows, the algebra's: the
-    canonical algebra of its dual is the algebra itself."""
+    (PCS4)), one pass of contact-closure rows, the algebra's: the
+    canonical algebra of its dual is the algebra itself; and two
+    `meeting_rows` calls, the meeting atom closures of (PCS4) and the
+    pair's proximity of the round trip."""
     meet_calls = _counted(monkeypatch, "_meets")
     transpose_calls = _counted(monkeypatch, "transpose", boolean)
+    meeting_calls = _counted(monkeypatch, "meeting_rows", boolean)
     rows_of = RelationKernel._closure_rows.func
     row_calls = []
 
@@ -1360,12 +1384,12 @@ def test_round_trip_derives_each_table_once(monkeypatch):
     for n in range(1, 7):
         for i, density in enumerate((0.15, 0.5, 0.85)):
             pca = random_pca(RandomSpec(atoms=n, density=density, seed=child_seed(73, n * 10 + i)))
-            for calls in (meet_calls, transpose_calls, row_calls):
+            for calls in (meet_calls, transpose_calls, row_calls, meeting_calls):
                 calls.clear()
             roundtrip = algebra_roundtrip_iso(pca)
             assert roundtrip.report.ok, roundtrip.report.failures
-            counts = (len(meet_calls), len(transpose_calls), len(row_calls))
-            assert counts == (1, 2, 1), (n, density, counts)
+            counts = tuple(map(len, (meet_calls, transpose_calls, row_calls, meeting_calls)))
+            assert counts == (1, 2, 1, 2), (n, density, counts)
             assert row_calls[0] is pca.kernel
             assert pcs_algebra(roundtrip.space).pca is pca
 
@@ -2464,30 +2488,6 @@ def test_instance_suite_builds_no_pair_sets(monkeypatch):
     report = instance_suite(pca)
     assert report.ok, report.failures
     assert report.check("interdefinability round trip").passed
-
-
-def test_validate_pcs_builds_no_subspace(monkeypatch):
-    """(PCS2) decides the closedness of the relation at the ambient point
-    closures and successor masks: with `subspace` refused in every module
-    that holds it, `validate_pcs` runs over the whole triple population,
-    and both outcomes of the closedness test are seen on dense parts
-    that are not Stone."""
-    population = pcs_population()
-
-    def refuse(*args):
-        raise AssertionError("a subspace built by the 2-precontact validator")
-
-    for name, module in list(sys.modules.items()):
-        if name == "contactlab" or name.startswith("contactlab."):
-            if hasattr(module, "subspace"):
-                monkeypatch.setattr(module, "subspace", refuse)
-    witnesses = set()
-    for space, subset, relation in population:
-        witnesses.add(validate_pcs(space, subset, relation).check("(PCS2)").witness)
-    assert {
-        "stone=False, closed relation=True",
-        "stone=False, closed relation=False",
-    } <= witnesses
 
 
 def test_interdefinability_line_fails_on_a_foreign_relation(monkeypatch):

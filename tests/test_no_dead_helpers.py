@@ -6,10 +6,12 @@ names it in a string, as ``getattr`` does; a bare name or an import of
 the same spelling, such as a module function's, is not a use.  Every public
 module-level function has a reader: some code in ``src/`` or
 ``benchmarks/`` outside its own definition uses it, where an import,
-the ``__init__`` re-exports included, is not a use.  A public function
-that only tests read is listed in ``READ_ONLY_BY_TESTS`` with the reason
-it stays.  No module-level function of the package is only another name
-for a call of another function on its own parameters, no undecorated
+the ``__init__`` re-exports included, is not a use, and neither is a
+read inside a public function that has no reader.  A public function
+that only tests read, or that only such functions read, is listed in
+``READ_ONLY_BY_TESTS`` with the reason it stays.  No module-level
+function of the package is only another name for a call of another
+function on its own parameters, no undecorated
 method only forwards its other parameters to a method reached from its
 first, and no class body binds a second name to one of its own
 methods."""
@@ -107,17 +109,28 @@ def public_functions(tree):
 def unread_public_functions(package_paths, other_paths):
     """(module, function name) of each public module-level function in
     ``package_paths`` that no code in either set of files uses outside
-    its own body; an import is not a use."""
+    its own body; an import is not a use, and neither is a read inside
+    a function flagged here: a function that only flagged functions
+    read is flagged too, so the set is grown until it stops changing."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in package_paths}
     everywhere = sum((references(tree, imports=False) for tree in trees.values()), Counter())
     for path in other_paths:
         everywhere += references(ast.parse(path.read_text(), filename=str(path)), imports=False)
-    return sorted(
-        (path.stem, function.name)
+    bodies = {
+        (path.stem, function.name): references(function, imports=False)
         for path, tree in trees.items()
         for function in public_functions(tree)
-        if everywhere[function.name] == references(function)[function.name]
-    )
+    }
+    flagged = set()
+    while True:
+        grown = {
+            key
+            for key in bodies
+            if everywhere[key[1]] == sum(bodies[k][key[1]] for k in flagged | {key})
+        }
+        if grown == flagged:
+            return sorted(flagged)
+        flagged = grown
 
 
 def public_methods(tree):
@@ -247,12 +260,17 @@ READ_ONLY_BY_TESTS = {
     ("adjacency", "r_flat"): "the reflexive symmetric closure of an adjacency gives the "
     "contact closure of its regions; "
     "test_adjacency::test_contact_from_flat_equals_closure_of_contact",
+    ("adjacency", "contact_from_adjacency"): "the region algebra of an adjacency space has the "
+    "adjacency as its kernel, read only by pcs_from_stone_adjacency; "
+    "test_adjacency::test_contact_from_adjacency",
     ("adjacency", "canonical_adjacency"): "the ultrafilter adjacency of a finite algebra is its "
     "kernel; test_adjacency::test_canonical_adjacency_matches_literal_quantifier",
     ("boolean", "stone_map"): "Stone duality: the Stone map is a Boolean isomorphism; "
     "test_boolean::test_stone_map_is_boolean_isomorphism",
     ("boolean", "sandwich_ultrafilter"): "the grill lemma: an ultrafilter between a filter and "
     "a grill above it; test_acceptance::test_criterion_8_grill_lemma",
+    ("boolean", "grill_support"): "the atoms a grill holds, read only by sandwich_ultrafilter to "
+    "pick its ultrafilter; test_acceptance::test_criterion_8_grill_lemma",
     ("boolean", "identity_hom"): "ROADMAP item 8, the functor law S(id) = id; "
     "test_boolean::test_identity_hom",
     ("boolean", "compose_homs"): "ROADMAP item 8, the functor law on composites; "
@@ -273,6 +291,10 @@ READ_ONLY_BY_TESTS = {
     "test_precontact::test_clan_traces_restrict_to_clans",
     ("structures", "validate_s2s"): "the Stone 2-spaces of BBSV and GG are the duals of the "
     "total relations; test_correspondences::test_stone_two_space_iff_total_relation_triple",
+    ("topology", "discrete_space"): "the finite Stone topology on the cells, read only by "
+    "canonical_adjacency; test_topology::test_space_from_closed_base_discrete",
+    ("topology", "clopens_of_subset"): "the clopens of the dense part, read only by closure_trace "
+    "for the Gamma trace; test_fast_paths::test_clopen_and_rc_atoms_match_the_family_sweeps",
     ("topology", "point_trace"): "the sigma trace of a point is a grill; "
     "test_topology::test_grills_between_nu_and_sigma",
     ("topology", "interior_trace"): "the nu trace of a point is a filter inside its sigma "
@@ -306,6 +328,10 @@ def test_the_rule_sees_public_functions_without_a_reader(tmp_path):
         "def reexported():\n"
         "    return 2\n"
         "def only_imported():\n"
+        "    return chained()\n"
+        "def chained():\n"
+        "    return deeper()\n"
+        "def deeper():\n"
         "    return 3\n"
         "def recursive(n):\n"
         "    return recursive(n - 1) if n else 0\n"
@@ -328,6 +354,8 @@ def test_the_rule_sees_public_functions_without_a_reader(tmp_path):
         "print(used(), module.attribute(), module.takes(0), local())\n"
     )
     assert unread_public_functions([module, package], [user]) == [
+        ("module", "chained"),
+        ("module", "deeper"),
         ("module", "only_imported"),
         ("module", "recursive"),
         ("module", "reexported"),

@@ -26,10 +26,10 @@ from contactlab.report import CheckList
 from contactlab.serialize import encode
 from contactlab.structures import canonical_pcs_of_pca, pcs_algebra
 from contactlab.suite import instance_suite
-from contactlab.topology import FiniteSpace, discrete_space, subspace
+from contactlab.topology import FiniteSpace, discrete_space
 
 from conftest import all_kernels
-from oracles import oracle_prefix_names
+from oracles import oracle_prefix_names, subspace
 
 
 def _population(seed, counts):

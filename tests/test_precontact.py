@@ -283,6 +283,22 @@ def test_a_negative_atom_or_support_is_refused(path_pca):
     assert restrict_clan_support(blocks, 0b100) == {1}
 
 
+def test_an_atom_index_off_the_algebra_is_refused_before_a_mask_is_built(path_pca):
+    """An index past the atoms is refused with a typed error naming it,
+    not by building the mask 1 << index, which at 2**40 runs out of
+    memory; the support image reads no block index as a shift."""
+    huge = 2**40
+    for blocks, outside in (([[huge], [0], [1], [2]], huge), ([[0], [1], [2, 3]], 3)):
+        with pytest.raises(DomainMismatchError, match=f"atom index {outside} out of range"):
+            restrict_relation(path_pca, blocks)
+    with pytest.raises(DomainMismatchError, match=f"mask 1 outside algebra with {huge + 1} atoms"):
+        restrict_clan_support([[huge]], 1)
+    assert restrict_clan_support([[huge], [0]], 1) == {1}
+    assert restrict_clan_support([[huge], [0]], 0) == frozenset()
+    with pytest.raises(DomainMismatchError, match="atom index -1 out of range"):
+        restrict_clan_support([[0], [-1]], 1)
+
+
 def test_clan_traces_restrict_to_clans(kernels_3):
     # every clan of the big algebra traces to a clan of any restriction,
     # for every kernel and every partition of the three atoms

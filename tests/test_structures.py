@@ -44,10 +44,10 @@ from contactlab.topology import (
     interior,
     pair_atoms,
     rc_atoms,
+    rc_atoms_of_subset,
     rc_members,
     rc_pair_algebra,
     space_from_closed_base,
-    subspace,
 )
 
 from conftest import c_semiregular, indiscrete_space
@@ -137,7 +137,7 @@ def test_validate_pcs_names_the_pair_that_leaves_its_span(xl_space, bad, message
         lambda space, mask: validate_cs(space, mask),
         lambda space, mask: validate_s2s(space, mask),
         pair_atoms,
-        subspace,
+        rc_atoms_of_subset,
         lambda space, mask: triple_is_connected(TwoPrecontactSpace(space, mask, frozenset())),
         lambda space, mask: rc_pair_algebra(TwoContactSpace(space, mask)),
     ],
@@ -147,7 +147,7 @@ def test_validate_pcs_names_the_pair_that_leaves_its_span(xl_space, bad, message
         "validate_cs",
         "validate_s2s",
         "pair_atoms",
-        "subspace",
+        "rc_atoms_of_subset",
         "triple_is_connected",
         "rc_pair_algebra",
     ],

@@ -39,7 +39,6 @@ from contactlab.topology import (
     minimal_open,
     space_from_closed_base,
     space_predicates,
-    subspace,
 )
 
 from conftest import c_semiregular, indiscrete_space
@@ -53,6 +52,7 @@ from oracles import (
     oracle_rc,
     oracle_u_point,
     restrict_regular_closed,
+    subspace,
 )
 
 
