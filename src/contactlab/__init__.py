@@ -28,7 +28,6 @@ from .errors import (
 from .precontact import (
     PcaMorphism,
     PrecontactAlgebra,
-    RawRelation,
     RelationKernel,
     axiom_report,
     clan_supports,

@@ -11,10 +11,10 @@ width:
   `FiniteBooleanAlgebra`.  An algebra lists none of its 2**n elements,
   so the width bounds its n-row atom tables (kernel rows, atom maps)
   and, with them, the size of an input;
-* enumeration width (``CONTACTLAB_ENUM_LIMIT``, default 6) bounds the
-  row form of a raw element-level relation (2**n rows), the element
-  families of `boolean` and the clans of an algebra, the points of its
-  dual;
+* enumeration width (``CONTACTLAB_ENUM_LIMIT``, default 6) bounds a
+  raw element-level relation (its 4**n-pair input, checked against a
+  2**n joins table), the element families of `boolean` and the clans
+  of an algebra, the points of its dual;
 * point budget (``CONTACTLAB_POINT_LIMIT``, default 12) bounds the
   functions that return a whole family of sets of a finite space (all
   regular closed sets, the clopens of a subspace and their closures)

@@ -72,7 +72,6 @@ from .precontact import (
 from .report import ReportBuilder, verdict
 from .structures import (
     TwoPrecontactSpace,
-    _first_component,
     canonical_cs_of_ca,
     canonical_pcs_of_pca,
     contact_relation_of_pair,
@@ -404,6 +403,9 @@ def algebra_roundtrip_iso(pca):
         valid,
         witness=None if valid else triple.failure_summary(" "),
     )
+    if not valid:
+        # `pcs_algebra` accepts only a valid triple
+        return AlgebraRoundTrip(pca, triple, report.done())
     alg = pcs_algebra(triple)
     space = triple.space
     # The images come from the algebra alone, its atom clan sets (the
@@ -649,8 +651,12 @@ def pcs_from_stone_adjacency(adjacency):
 def specialization_report(pca):
     """Run the subcategory specializations that apply to the algebra, in
     this order: stone, connected-stone, contact, complete-contact and
-    mereocompact; then check that the connectedness axiom matches the
-    dual space, which is the connected specialization when (Ccon) holds.
+    mereocompact.  The connected specialization is the suite's line
+    "(Ccon) iff connected dual space" (`suite.instance_suite`), which
+    reads the same flag and the same dual, so no line here repeats it.
+    An algebra in none of these subcategories gets a report with no
+    line, which like every empty report is not ``ok``: read its
+    ``failures``.
 
     A line that cannot fail once an earlier line or the construction of
     the dual holds is left out, with its proof beside the line that
@@ -752,24 +758,15 @@ def specialization_report(pca):
         # mereocompact: the pair's member algebra is mereocompact iff
         # `pair_report` reads T0 and mereocompact, the C-semiregular line
         # itself once the complete-contact line holds (`result is
-        # pair_report`), so no line repeats it.
+        # pair_report`), so no line repeats that.  This line also reads
+        # the u-point lines of `pair_report` (a Stone subspace whose
+        # clopens' closures are the members, and the only dense one),
+        # and a failure there is named by the failing lines.
         recovered = pair_report.u_set == triple.subset
-        report.add(
-            "u-points recover the dense part",
-            recovered,
-            None if recovered else space.name_set(pair_report.u_set),
-        )
-
-    # connected: the clopen atom grown from the first dense closure is
-    # the whole space iff the space is connected (`triple_is_connected`).
-    # Under (Ccon) this line is the connected specialization, and a
-    # failure names the proper clopen atom.
-    component = _first_component(triple)
-    matches = flags.ccon == (component == space.full_mask)
-    witness = None
-    if not matches:
-        witness = "proper clopen atom " + space.name_set(component) if flags.ccon else "Ccon=False"
-    report.add("connectedness axiom matches the dual space", matches, witness)
+        witness = None if recovered else space.name_set(pair_report.u_set)
+        if recovered and not pair_report.ok:
+            witness = pair_report.failure_summary(" ")
+        report.add("u-points recover the dense part", witness is None, witness)
     return report.done()
 
 

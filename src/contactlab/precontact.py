@@ -8,8 +8,9 @@ is always derived:
     a C b  iff  some kernel pair (p, q) has p in a and q in b.
 
 The one element-level relation taken as input, a raw relation to
-normalize, is held as rows of bitsets: 2**n Python ints, bit b of
-rows[a] meaning a R b, converted once from its pairs.  The well-inside
+normalize, is held only as the pair set it is given: it is checked
+against the kernel read off its singleton pairs by counting, with no
+2**n rows (`normalize_relation`).  The well-inside
 relation a << b (not a C b*) is held only in its unary form, its n
 values on the atoms (`well_inside_atoms`), which are the kernel's
 successors; the inverse of interdefinability reads a kernel back from
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .boolean import (
     BooleanHom,
@@ -136,14 +136,6 @@ class RelationKernel:
         for p, q in self.pairs:
             succ[p] = succ.get(p, 0) | 1 << q
         return not any(succ.get(q, 0) & ~succ[p] for p, q in self.pairs)
-
-
-@dataclass(frozen=True)
-class RawRelation:
-    """An unvalidated element-level relation: ordered pairs of element masks."""
-
-    algebra: FiniteBooleanAlgebra
-    pairs: frozenset
 
 
 @dataclass(frozen=True)
@@ -264,60 +256,17 @@ def pca_from_pairs(atom_count, pairs):
     return PrecontactAlgebra(algebra, RelationKernel.of_pairs(algebra, pairs))
 
 
-@lru_cache(maxsize=4)
-def _row_tables(n):
-    """hits[s] for each atom mask s of n atoms: the row of the elements b
-    with b & s != 0, one bit per element of the 2**n."""
-    # Keyed on the atom count alone.  For an atom m = 2**q, hits[m] (the b
-    # holding q) repeats m clear bits then m set ones, built by doubling;
-    # every other entry is the join of two earlier ones.
-    size = 1 << n
-    hits = [0] * size
-    for m in range(1, size):
-        low = m & -m
-        if m == low:
-            pattern, period = ((1 << m) - 1) << m, 2 * m
-            while period < size:
-                pattern |= pattern << period
-                period *= 2
-            hits[m] = pattern
-        else:
-            hits[m] = hits[m ^ low] | hits[low]
-    return hits
-
-
-def _rows_of_pairs(algebra, pairs, what):
-    """Rows of an explicit relation; a pair outside the algebra raises
-    DomainMismatchError, naming the first one met."""
-    full = algebra.full_mask
-    rows = [0] * algebra.size
-    for a, b in frozenset(pairs):
-        if not (0 <= a <= full and 0 <= b <= full):
-            raise DomainMismatchError(
-                f"{what} pair {(a, b)} outside algebra with {algebra.atom_count} atoms"
-            )
-        rows[a] |= 1 << b
-    return rows
-
-
 def _pairs_of_rows(rows):
     return frozenset((a, b) for a, row in enumerate(rows) for b in bit_indices(row))
 
 
-def _atoms_in(row, n):
-    """The atoms q whose singleton 1 << q is a member of the element
-    bitmask ``row``, as an atom mask."""
-    out = 0
-    for q in range(n):
-        if row >> (1 << q) & 1:
-            out |= 1 << q
-    return out
-
-
-def _first_cplus_witness(rows):
+def _first_cplus_witness(pairs, size):
     """The lexicographically first triple (a, b, c) breaking (C+) on the
-    literal relation, or None."""
-    size = len(rows)
+    literal relation given by its pairs, or None.  Read on the failure
+    path only, off rows of the pairs: bit b of rows[a] for a R b."""
+    rows = [0] * size
+    for a, b in pairs:
+        rows[a] |= 1 << b
     for a in range(size):
         row = rows[a]
         for b in range(size):
@@ -329,50 +278,49 @@ def _first_cplus_witness(rows):
     return None
 
 
-def _kernel_of_rows(algebra, rows):
-    """The kernel of a relation given by rows that satisfy (C0), after
-    deciding (C+); AxiomViolationError names the first breaking triple.
+def normalize_relation(algebra, pairs):
+    """Validate (C0) and (C+) over the whole carrier for the element-level
+    relation R with the given pairs, and return the unique kernel
+    reproducing it.  AxiomViolationError names a witness pair for (C0)
+    or triple (a, b, c) for (C+), and DomainMismatchError a pair outside
+    the algebra; a pair with a zero side is reported as (C0) before any
+    pair is checked for range.
 
-    Reduction, O(2**n) row comparisons instead of the 8**n triple sweep:
-    write S_a for the atoms q with a C {q}.  Under (C0), (C+) holds iff
-    rows[a] = hits[S_a] for every a and S is a join-homomorphism.  Proof:
-    (C0) and (C+) make each row and each column a join-preserving map
-    into {0, 1} sending 0 to 0, which is fixed by its value on the atoms,
-    so rows[a] = hits[S_a]; and then the columns are additive iff
-    S_{b | c} = S_b | S_c, as the atoms tell the sets S apart.
-    Conversely rows of that form are additive in b, and with S additive
-    in a.  S is a join-homomorphism with S_0 = 0 iff it is the joins
-    table of its atom values, the kernel's forward table, so both halves
-    are the single test rows == hits[table].  On failure the literal
-    triple search names the lexicographically first witness.
+    (C+) is decided on the pairs, with no 2**n rows.  Write succ[p] for
+    the atoms q with {p} R {q}, tab for its joins table and
+    E = {(a, b) : tab[a] meets b}.  Under (C0), (C+) holds iff R = E:
+    (C0) and (C+) make each row and each column of R a join-preserving
+    map into {0, 1} sending 0 to 0, which is fixed by its atom values,
+    so a R b iff some atoms p of a and q of b have {p} R {q}, iff tab[a]
+    meets b; conversely E has (C0), as tab[0] = 0, and (C+), as tab
+    preserves joins.  R = E iff R lies in E and |R| = |E|, and |E| sums
+    2**n - 2**(n - |tab[a]|) over a, the b missing tab[a] being the
+    subsets of its complement.  On failure the literal triple search
+    names the lexicographically first witness.
     """
     n = algebra.atom_count
-    succ = [_atoms_in(rows[1 << p], n) for p in range(n)]
-    hits = _row_tables(n)
-    if rows != [hits[t] for t in joins_table(succ)]:
-        witness = _first_cplus_witness(rows)
-        if witness is None:
-            raise InternalError("(C+) fails on the rows but no triple breaks it")
-        raise AxiomViolationError("(C+)", witness)
-    return RelationKernel(algebra, tuple(succ))
-
-
-def normalize_relation(raw):
-    """Validate (C0) and (C+) on the full carrier and return the unique
-    kernel reproducing the relation.
-
-    Raises AxiomViolationError with a concrete witness pair for (C0) or a
-    witness triple (a, b, c) for (C+), and DomainMismatchError for a pair
-    outside the algebra; a pair with a zero side is reported as (C0)
-    before any pair is checked for range.  The pairs are read into rows
-    once; (C+) is decided on the rows (see `_kernel_of_rows`).
-    """
-    algebra = raw.algebra
-    require_enum_width(algebra.atom_count)
-    for a, b in raw.pairs:
+    require_enum_width(n)
+    pairs = frozenset(pairs)
+    for a, b in pairs:
         if a == 0 or b == 0:
             raise AxiomViolationError("(C0)", (a, b))
-    return _kernel_of_rows(algebra, _rows_of_pairs(algebra, raw.pairs, "relation"))
+    full = algebra.full_mask
+    succ = [0] * n
+    for a, b in pairs:
+        if not (0 <= a <= full and 0 <= b <= full):
+            raise DomainMismatchError(f"relation pair {(a, b)} outside algebra with {n} atoms")
+        if not (a & (a - 1) or b & (b - 1)):  # {p} R {q}
+            succ[a.bit_length() - 1] |= b
+    tab = joins_table(succ)
+    size = algebra.size
+    if len(pairs) != sum(size - (size >> t.bit_count()) for t in tab) or not all(
+        tab[a] & b for a, b in pairs
+    ):
+        witness = _first_cplus_witness(pairs, size)
+        if witness is None:
+            raise InternalError("(C+) fails on the pairs but no triple breaks it")
+        raise AxiomViolationError("(C+)", witness)
+    return RelationKernel(algebra, tuple(succ))
 
 
 def contact_closure(pca):

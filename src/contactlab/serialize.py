@@ -25,7 +25,6 @@ from .errors import SchemaError
 from .precontact import (
     PcaMorphism,
     PrecontactAlgebra,
-    RawRelation,
     RelationKernel,
     normalize_relation,
 )
@@ -263,10 +262,8 @@ def _decode_pca(payload, location):
             "pca requires a kernel or a raw relation",
             f"{location}.kernel",
         )
-        raw = RawRelation(
-            algebra, frozenset(_pair_list(relation, f"{location}.relation"))
-        )
-        return PrecontactAlgebra(algebra, normalize_relation(raw))
+        pairs = _pair_list(relation, f"{location}.relation")
+        return PrecontactAlgebra(algebra, normalize_relation(algebra, pairs))
     pairs = _pair_list(kernel, f"{location}.kernel")
     return PrecontactAlgebra(algebra, RelationKernel.of_pairs(algebra, pairs))
 

@@ -124,11 +124,13 @@ def instance_suite(pca):
 
     # Suite6.problems (benchmarks/workloads.py) fails deep runs on duals over 12 points
     if triple.space.point_count <= point_limit():
+        # an algebra in no subcategory has no specialization line
         special = specialization_report(pca)
+        passed = not special.failures
         report.add(
             "specialization suite",
-            special.ok,
-            witness=None if special.ok else special.failure_summary(": "),
+            passed,
+            witness=None if passed else special.failure_summary(": "),
         )
     return report.done()
 

@@ -26,7 +26,8 @@ ALLOWED = {
     ("boolean", "grill_from_support"): "the members of a grill",
     ("boolean", "grills"): "every grill, one per nonempty atom support",
     ("precontact", "PrecontactAlgebra._clan_supports"): "every clan, a point of the dual",
-    ("precontact", "normalize_relation"): "the 2**n rows of an element-level relation",
+    ("precontact", "normalize_relation"): "the 4**n-pair input of an element-level "
+    "relation and its 2**n joins table",
     ("topology", "rc_members"): "every regular closed set",
     ("topology", "clopens_of_subset"): "every clopen of the subspace",
     ("topology", "rc_members_of_subset"): "the closures of every clopen of the subspace",

@@ -1,12 +1,18 @@
 import json
+import random
 
 import pytest
 
+from contactlab import topology
 from contactlab.boolean import FiniteBooleanAlgebra
 from contactlab.cli import main
 from contactlab.precontact import largest_contact, pca_from_pairs
+from contactlab.randgen import RandomSpec, child_seed, random_pca
 from contactlab.serialize import dumps, encode
 from contactlab.structures import canonical_pcs_of_pca, validate_pcs
+
+from conftest import all_kernels
+from oracles import expand_relation, oracle_normalize
 
 
 @pytest.fixture
@@ -198,6 +204,70 @@ def test_raw_relation_breaking_cplus_exits_1(tmp_path, capsys, command):
     code, out, err = run(capsys, command, path)
     assert (code, out) == (1, "")
     assert err == "error: axiom (C+) violated, witness (1, 1, 2)\n"
+
+
+COMMANDS = (("validate",), ("validate", "--text"), ("dualize",))
+
+
+def _relation_population():
+    """Every kernel on at most 2 atoms, then seeded 3- to 5-atom ones."""
+    out = [pca_from_pairs(n, pairs) for n in (0, 1, 2) for pairs in all_kernels(n)]
+    for n in (3, 4, 5):
+        for i, density in enumerate((0.2, 0.5, 0.8)):
+            out.append(random_pca(RandomSpec(n, density, child_seed(40, 10 * n + i))))
+    return out
+
+
+def _relation_file(path, n, pairs):
+    payload = {"schema_version": "1", "kind": "pca", "algebra": {"atoms": n}}
+    payload["relation"] = [list(pair) for pair in pairs]
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_a_raw_relation_file_reads_as_its_kernel(tmp_path, capsys):
+    """A pca file given by an element-level relation prints, under
+    `validate`, `validate --text` and `dualize`, the bytes of the
+    kernel-form file of the literal sweep's kernel, or exits 1 with the
+    sweep's (C0) or (C+) witness: on the full relation of each kernel,
+    and on two one-pair toggles of it (on one atom a toggle can give
+    another relation)."""
+    rng = random.Random(20261021)
+    kernel_path, relation_path = tmp_path / "kernel.json", tmp_path / "relation.json"
+    tags = set()
+    for pca in _relation_population():
+        n, size = pca.algebra.atom_count, pca.algebra.size
+        relation = sorted(expand_relation(n, pca.kernel.pairs))
+        assert oracle_normalize(n, frozenset(relation)) == ("ok", pca.kernel.pairs)
+        toggled = [(0, rng.randrange(size)), (rng.randrange(size), rng.randrange(size))]
+        for pair in [None] + toggled:
+            rel = relation if pair is None else sorted(set(relation) ^ {pair})
+            tag, found = oracle_normalize(n, frozenset(rel))
+            tags.add(tag)
+            _relation_file(relation_path, n, rel)
+            if tag == "ok":
+                kernel_path.write_text(dumps(encode(pca_from_pairs(n, found))))
+            for command in COMMANDS:
+                if tag == "ok":
+                    expected = run(capsys, *command, kernel_path)
+                else:
+                    expected = (1, "", f"error: axiom {tag} violated, witness {found!r}\n")
+                assert run(capsys, *command, relation_path) == expected, (command, rel)
+    assert tags == {"ok", "(C0)", "(C+)"}
+
+
+def test_suite_reports_an_invalid_dual(capsys, monkeypatch, tmp_path):
+    """A canonical triple that fails (PCS1)..(PCS5) is a failing case of
+    the suite, dumped to --dump-dir, not a crash."""
+    monkeypatch.setattr(topology, "is_t0", lambda space: False)
+    code, out, _ = run(
+        capsys, "suite", "--atoms", "3", "--count", "2", "--dump-dir", tmp_path
+    )
+    assert code == 1
+    assert json.loads(out)["failures"] == 2
+    for case in (0, 1):
+        dump = json.loads((tmp_path / f"failure_seed0_case{case}.json").read_text())
+        assert "canonical triple validates" in dumps(dump["report"])
 
 
 def test_enumerate_clans(files, capsys):

@@ -31,9 +31,11 @@ from contactlab.precontact import (
 )
 from contactlab import precontact, structures
 from contactlab.randgen import RandomSpec, random_pca, random_pca_morphism
+from contactlab.suite import instance_suite
 from contactlab.structures import (
     canonical_pca_of_pcs,
     canonical_pcs_of_pca,
+    mereocompactness_report,
     pcs_algebra,
     validate_cs,
     validate_pcs,
@@ -45,6 +47,7 @@ from contactlab.topology import (
     is_connected,
     rc_atoms,
     rc_atoms_of_subset,
+    rc_pair_algebra,
 )
 
 from conftest import all_kernels, enumerate_pca_morphisms, enumerate_pcs_morphisms
@@ -187,6 +190,22 @@ def test_algebra_roundtrip_exhaustive_3_atoms(kernels_3):
         trip = algebra_roundtrip_iso(pca_from_pairs(3, pairs))
         assert trip.report.ok
         assert pcs_iso_report(space_roundtrip_iso(trip.space)).ok
+
+
+@pytest.mark.parametrize("constraint", ["none", "contact"])
+def test_an_invalid_dual_is_reported_not_raised(monkeypatch, constraint):
+    """When the canonical triple fails (PCS1)..(PCS5), the round trip
+    records that line failing and stops there, as the canonical algebra
+    of an invalid triple is refused; the instance suite reports it and
+    still runs the specializations on that triple."""
+    monkeypatch.setattr(topology, "is_t0", lambda space: False)
+    expected = ("canonical triple validates", False, "(PCS1) dense=True, T0=False")
+    trip = algebra_roundtrip_iso(pca_from_pairs(2, {(0, 1)}))
+    assert trip.report.checks == (expected,)
+    for seed in range(3):
+        report = instance_suite(random_pca(RandomSpec(3, 0.4, seed, constraint)))
+        assert report.check("algebra round trip").witness == ": ".join(expected[::2])
+        assert [c.name for c in report.checks][-1] == "specialization suite"
 
 
 def test_algebra_roundtrip_images_fixture(b4, path_pca):
@@ -541,7 +560,9 @@ def test_hom_set_bijection_small():
 def test_specialization_reports(b4, path_pca):
     assert specialization_report(smallest_contact(b4)).ok
     assert specialization_report(largest_contact(b4)).ok
-    assert specialization_report(path_pca).ok
+    # the path is in no subcategory: its connected case is the suite's
+    # line "(Ccon) iff connected dual space"
+    assert specialization_report(path_pca).checks == ()
 
 
 def _first_pair_names(triple):
@@ -549,23 +570,22 @@ def _first_pair_names(triple):
     return f"point pair ({triple.space.point_names[x]}, {triple.space.point_names[y]})"
 
 
-# Three-atom algebras in the stone, connected-stone and connected
-# subcategories; the other lines are broken on the contact algebra
-# CONTACT3.  A line of the first three is made to fail by reading the
-# clans or the dual triple of another of these algebras.
+# Three-atom algebras in the stone and connected-stone subcategories;
+# the other lines are broken on the contact algebra CONTACT3.  A line of
+# the first two is made to fail by reading the clans of the other.
 DIAGONAL3 = smallest_contact(FiniteBooleanAlgebra(3))
 TOTAL3 = largest_contact(FiniteBooleanAlgebra(3))
 PATH3 = pca_from_pairs(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)})
 CONTACT3 = pca_from_pairs(3, {(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)})
-SPECIALIZATION_ALGEBRAS = {"stone": DIAGONAL3, "connected-stone": TOTAL3, "connected": PATH3}
+SPECIALIZATION_ALGEBRAS = {"stone": DIAGONAL3, "connected-stone": TOTAL3}
 
 
 def expected_specialization_lines(pca):
     """The line names of `specialization_report` on an algebra whose
     lines all pass, in order, from its memberships: the diagonal kernel
-    (stone), all n**2 pairs (connected-stone) and the contact axioms; the
-    connectedness line, which is the connected specialization under
-    (Ccon), comes last on every algebra."""
+    (stone), all n**2 pairs (connected-stone) and the contact axioms.  An
+    algebra in none of them has no line: its connected case is the
+    suite's line."""
     n = pca.algebra.atom_count
     pairs = pca.kernel.pairs
     lines = []
@@ -581,7 +601,7 @@ def expected_specialization_lines(pca):
             "dual space is C-semiregular",
             "u-points recover the dense part",
         ]
-    return lines + ["connectedness axiom matches the dual space"]
+    return lines
 
 
 def test_specialization_line_order():
@@ -589,7 +609,7 @@ def test_specialization_line_order():
     algebras += [DIAGONAL3, TOTAL3, PATH3, CONTACT3]
     for pca in algebras:
         report = specialization_report(pca)
-        assert report.ok, report.failure_summary(" ")
+        assert not report.failures, report.failure_summary(" ")
         names = [c.name for c in report.checks]
         assert names == expected_specialization_lines(pca), sorted(pca.kernel.pairs)
 
@@ -598,8 +618,8 @@ def test_specialization_lines_are_added_once():
     """Above the widths `test_specialization_line_order` walks, each line
     is added once, in the order the memberships give: the smallest and
     largest contact and seeded contact kernels on 4 to 6 atoms.  The
-    largest contact is both connected-stone and (Ccon), and reads its
-    connectedness line once."""
+    largest contact is both connected-stone and contact, and has the
+    lines of both."""
     algebras = [
         make(FiniteBooleanAlgebra(n)) for n in (4, 5, 6) for make in (smallest_contact, largest_contact)
     ]
@@ -618,10 +638,6 @@ def _clans_of(pca):
     return (duality, "clan_supports", lambda _: precontact.clan_supports(pca))
 
 
-def _dual_of(pca):
-    return (duality, "canonical_pcs_of_pca", lambda _: structures.canonical_pcs_of_pca(pca))
-
-
 # (specialization, line, module and function made to fail, expected
 # witness on the dual triple)
 BROKEN_SPECIALIZATION_LINES = [
@@ -636,12 +652,6 @@ BROKEN_SPECIALIZATION_LINES = [
         "clans are exactly the grills",
         _clans_of(DIAGONAL3),
         lambda t: "grill {0,1} is not a clan",
-    ),
-    (
-        "connected",
-        "connectedness axiom matches the dual space",
-        _dual_of(DIAGONAL3),
-        lambda t: "proper clopen atom {c0}",
     ),
     (
         "contact",
@@ -669,8 +679,8 @@ BROKEN_SPECIALIZATION_LINES = [
 @pytest.mark.parametrize(
     "which, line, broken, expected",
     BROKEN_SPECIALIZATION_LINES,
-    # the lines of the stone, connected-stone and connected algebras are
-    # named with their specialization
+    # the lines of the stone and connected-stone algebras are named with
+    # their specialization
     ids=[
         f"{which}: {line}" if which in SPECIALIZATION_ALGEBRAS else line
         for which, line, _, _ in BROKEN_SPECIALIZATION_LINES
@@ -690,6 +700,25 @@ def test_specialization_failures_name_witnesses(monkeypatch, which, line, broken
     check = specialization_report(pca).check(line)
     assert not check.passed
     assert check.witness == expected(triple), check.witness
+
+
+def test_the_mereocompact_line_reads_the_u_point_lines(monkeypatch):
+    """"u-points recover the dense part" fails, naming the failing lines
+    of the pair's mereocompactness report, when a u-point line of that
+    report fails and the u-points are still the dense part."""
+    pca = random_pca(RandomSpec(4, 0.4, 3, "contact"))
+    assert specialization_report(pca).ok
+    monkeypatch.setattr(structures, "rc_atoms_of_subset", lambda space, subset: ())
+    triple = canonical_pcs_of_pca(pca)
+    assert mereocompactness_report(rc_pair_algebra(triple)).u_set == triple.subset
+    report = specialization_report(pca)
+    assert [(c.name, c.witness) for c in report.failures] == [
+        (
+            "u-points recover the dense part",
+            "closures of u-point clopens reproduce the members "
+            + triple.space.name_set(triple.subset),
+        )
+    ]
 
 
 def test_connectedness_correspondence(b4):

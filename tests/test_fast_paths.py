@@ -1,7 +1,8 @@
 """Differential tests: each reduced decision procedure against the literal
 quantifier it replaces.
 
-The reductions in ``precontact`` (the row form of (C+), the six axiom
+The reductions in ``precontact`` ((C+) by counting against the
+kernel read off the singleton pairs, the six axiom
 flags at the kernel's atom rows, the clique pass of ``clique_supports``, the
 contact-closure rows of a kernel), in
 ``adjacency`` (the ultrafilter adjacency read off the kernel's pairs), in ``topology``
@@ -31,9 +32,8 @@ docstrings or comments; here they must agree with the sweeps of
 ``oracles.py`` on every kernel with at most 3 atoms, on seeded kernels
 with 4 to 6 atoms, on every space with at most 4
 points or seeded spaces of up to 8 points, and on perturbations that
-break the axioms.  The row form is also run on seeded 7- and 8-atom
-kernels, and the suite is run with the element pair sets made
-unavailable.
+break the axioms.  Normalization is also run on seeded 7- and 8-atom
+kernels, and the suite is run with normalization made unavailable.
 """
 
 import dataclasses
@@ -75,7 +75,6 @@ from contactlab.errors import (
     ValidationError,
 )
 from contactlab.precontact import (
-    RawRelation,
     RelationKernel,
     axiom_report,
     clan_supports,
@@ -225,7 +224,7 @@ def one_pair_perturbations(n, rel, rng, count):
 
 def normalize_verdict(n, rel):
     try:
-        kernel = normalize_relation(RawRelation(FiniteBooleanAlgebra(n), rel))
+        kernel = normalize_relation(FiniteBooleanAlgebra(n), rel)
     except AxiomViolationError as err:
         return err.axiom, err.witness
     return "ok", kernel.pairs
@@ -287,12 +286,12 @@ def test_normalize_rows_of_the_row_form_with_a_non_additive_s():
 @pytest.mark.parametrize("pair", [(1, 4), (4, 1), (-1, 1), (1, -2)])
 def test_normalize_rejects_pairs_outside_the_algebra(b4, pair):
     with pytest.raises(DomainMismatchError):
-        normalize_relation(RawRelation(b4, frozenset({(1, 1), pair})))
+        normalize_relation(b4, frozenset({(1, 1), pair}))
 
 
 def test_normalize_reports_zero_pairs_before_range(b4):
     with pytest.raises(AxiomViolationError) as err:
-        normalize_relation(RawRelation(b4, frozenset({(0, 9)})))
+        normalize_relation(b4, frozenset({(0, 9)}))
     assert err.value.axiom == "(C0)"
 
 
@@ -2346,15 +2345,15 @@ def test_clan_points_refuse_a_support_that_is_not_a_clan():
 
 
 # ---------------------------------------------------------------------------
-# the row form above the default enumeration width
+# normalization above the default enumeration width
 
 
 def test_row_form_round_trips_on_seven_and_eight_atoms(monkeypatch):
     """Normalizing the kernel's expansion gives back the kernel."""
     monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
     for n, pairs in seeded_kernels(41, {7: 2, 8: 1}):
-        expanded = RawRelation(FiniteBooleanAlgebra(n), frozenset(expand_relation(n, pairs)))
-        assert normalize_relation(expanded).pairs == pairs
+        expanded = frozenset(expand_relation(n, pairs))
+        assert normalize_relation(FiniteBooleanAlgebra(n), expanded).pairs == pairs
 
 
 # ---------------------------------------------------------------------------
@@ -2473,15 +2472,15 @@ def test_trusted_construction_keeps_the_name_checks():
 
 
 def test_instance_suite_builds_no_pair_sets(monkeypatch):
-    """Nor the rows of an element-level relation, nor a whole-space pass
-    on the dual for its connectedness."""
+    """Nor normalizes an element-level relation, nor makes a whole-space
+    pass on the dual for its connectedness."""
 
     def refuse(*args):
         raise AssertionError("an element relation or a whole-dual pass on the suite path")
 
     for name, module in list(sys.modules.items()):
         if name == "contactlab" or name.startswith("contactlab."):
-            for attr in ("_rows_of_pairs", "is_connected"):
+            for attr in ("normalize_relation", "is_connected"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     pca = random_pca(RandomSpec(atoms=6, density=0.5, seed=20261007))

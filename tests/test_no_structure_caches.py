@@ -1,7 +1,6 @@
 """Canonical constructions are computed once per object (``memo``),
 never in a module-level cache keyed on hashing the structures
-themselves.  The only ``functools`` cache of the package is
-``precontact._row_tables``, keyed on an atom count.
+themselves.  The package has no ``functools`` cache.
 
 A value is kept on a frozen object one way, through ``memo``: no
 ``cached_property``, and outside ``memo.py`` no ``.__dict__`` and no
@@ -14,7 +13,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "contactlab"
 CACHE_DECORATORS = {"lru_cache", "cache"}
-ALLOWED = {("precontact.py", "_row_tables")}
+ALLOWED = set()
 RAW_ACCESS_ALLOWED = {
     ("topology.py", "FiniteSpace._of_closed_base", "object.__setattr__", "point_names"),
     ("topology.py", "FiniteSpace._of_closed_base", "object.__setattr__", "point_closures"),

@@ -5,7 +5,6 @@ import pytest
 from contactlab.boolean import BooleanHom, FiniteBooleanAlgebra
 from contactlab.errors import AxiomViolationError, DomainMismatchError
 from contactlab.precontact import (
-    RawRelation,
     axiom_report,
     clan_supports,
     contact_closure,
@@ -41,13 +40,13 @@ def test_normalize_overlap_relation(b4):
     rel = frozenset(
         (a, b) for a in range(4) for b in range(4) if a & b
     )
-    kernel = normalize_relation(RawRelation(b4, rel))
+    kernel = normalize_relation(b4, rel)
     assert kernel.pairs == {(0, 0), (1, 1)}
 
 
 def test_normalize_rejects_zero_contact(b4):
     with pytest.raises(AxiomViolationError) as err:
-        normalize_relation(RawRelation(b4, frozenset({(0b11, 0)})))
+        normalize_relation(b4, frozenset({(0b11, 0)}))
     assert err.value.axiom == "(C0)"
     assert err.value.witness == (0b11, 0)
 
@@ -55,16 +54,16 @@ def test_normalize_rejects_zero_contact(b4):
 def test_normalize_rejects_additivity_failure(b4):
     # p related to 1 but to neither atom
     with pytest.raises(AxiomViolationError) as err:
-        normalize_relation(RawRelation(b4, frozenset({(0b01, 0b11)})))
+        normalize_relation(b4, frozenset({(0b01, 0b11)}))
     assert err.value.axiom == "(C+)"
 
 
 def test_kernel_expansion_round_trip_exhaustive(kernels_upto_2, kernels_3):
     for n, pairs in list(kernels_upto_2) + [(3, k) for k in kernels_3]:
         algebra = FiniteBooleanAlgebra(n)
-        raw = RawRelation(algebra, frozenset(expand_relation(n, pairs)))
-        assert satisfies_c0_cplus(n, raw.pairs)
-        assert normalize_relation(raw).pairs == pairs
+        rel = frozenset(expand_relation(n, pairs))
+        assert satisfies_c0_cplus(n, rel)
+        assert normalize_relation(algebra, rel).pairs == pairs
 
 
 def test_holds_examples(b4, b8, path_pca):
