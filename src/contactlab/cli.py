@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from .adjacency import AdjacencySpace
 from .boolean import FiniteBooleanAlgebra, bit_indices, grills, ultrafilters
 from .config import atom_limit, enum_limit, point_limit
 from .duality import algebra_roundtrip_iso, pcs_iso_report, space_roundtrip_iso
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .precontact import PrecontactAlgebra, clan_supports
 from .randgen import CONSTRAINTS, RandomSpec, child_seed, random_pca
+from .report import verdict
 from .serialize import dot_export, dumps, encode, loads
 from .structures import (
     TwoContactSpace,
@@ -117,10 +119,26 @@ def cmd_validate(args):
         }
         _emit(payload, _checks_lines(result.checks), args.text)
         return PASS if result.is_space else FAIL
+    if isinstance(obj, AdjacencySpace):
+        stone = obj.is_stone_adjacency
+        check = verdict("is_stone_adjacency", stone, None if stone else _not_stone_witness(obj))
+        payload = {"kind": "adjacency", "valid": stone, "checks": [check.as_dict()]}
+        _emit(payload, _checks_lines([check]), args.text)
+        return PASS if stone else FAIL
     kind = type(obj).__name__
     payload = {"kind": kind, "valid": True}
     _emit(payload, [f"{kind}: pass"], args.text)
     return PASS
+
+
+def _not_stone_witness(adjacency):
+    """Why an adjacency space is not a Stone adjacency space: it has no
+    topology, or the first cell whose closure is not itself (`is_t1`)."""
+    space = adjacency.topology
+    if space is None:
+        return "no topology"
+    x, cl = next((x, cl) for x, cl in enumerate(space.point_closures) if cl != 1 << x)
+    return f"closure of {adjacency.cells[x]} is {space.name_set(cl)}"
 
 
 def cmd_dualize(args):

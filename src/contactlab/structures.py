@@ -28,7 +28,10 @@ decides it once; on a canonical dual, (CS4) and the report's clan line
 share one overlap-clan pass of the space's closed base
 (`FiniteSpace.base_unrealized`).  The canonical triple's space is built
 from the atom clan sets and the clan supports its algebra holds, as its
-closed base and signatures, so its dense part's table is read off them.  Every
+closed base and signatures, and is held by them: its dense part's table
+is read off them, each point closure a check reads is the meet of the
+base members its signature names, and no table of P point closures of
+P bits each is built (`topology.FiniteSpace._of_closed_base`).  Every
 realization line, (PCS5), (CS4), (S2S4) and the mereocompactness clan
 line, is added by one function (`_realization_check`), which names a
 failing element set by the atoms of its support, at every size.
@@ -205,7 +208,7 @@ def validate_pcs(space, subset, relation):
     closed_rel = stone or not any(
         closure(space, succ[x]) & subset & ~succ[y]
         for x in bit_indices(subset)
-        for y in bit_indices(space.point_closures[x] & subset)
+        for y in bit_indices(closure(space, 1 << x) & subset)
     )
     pcs2 = stone and closed_rel
     report.add("(PCS2)", pcs2, None if pcs2 else f"stone={stone}, closed relation={closed_rel}")
@@ -506,7 +509,7 @@ def _unrealized_overlap_clan(space, table):
     the base's verdict, computed once per space
     (`FiniteSpace.base_unrealized`) and shared with the clan line of
     the pair held by the base (`_c_semiregular_tests`)."""
-    if table.closures == getattr(space, "_base", None):
+    if table.closures == space._base:
         return space.base_unrealized
     return first_unrealized_support(table.support, overlap_clans(table.closures))
 

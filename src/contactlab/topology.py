@@ -2,22 +2,30 @@
 
 A finite topology is determined by its singleton closures: a set is
 closed exactly when it contains the closure of each of its points.  A
-space is therefore stored as the tuple of point-closure masks, which
-keeps closure and interior polynomial.  A space
-built from a closed base, and the closed-base test, read the closure of
-a point as the meet of the base members that hold it (`_meets`); such a
-space skips the closure checks of `FiniteSpace`, which `_meets` output
-meets by construction, and keeps the name checks when it is given
-names.  It also keeps its base and the signatures of its points,
-sig(x) = {i : x in base[i]}, as attributes outside the dataclass
-fields, so equality, hashing and repr are those of its names and
-closures.  It may be named by a rule on its signatures instead of a
-tuple of names: it then derives its names on their first read and
-keeps them.  A canonical dual is named so, by its clan supports, and a
-passing check reads no name, so a dual that is only checked builds no
-text.  The maximal
-points are the points held by exactly one distinct closure, and T0 is
-decided, once per space.
+space is held in one of two ways, and each reader of the topology
+branches once on which (`FiniteSpace._base`):
+
+- by the tuple of its point-closure masks, checked in range, reflexive
+  and transitive, for a space given by them;
+- by a closed base B and the signatures of its points,
+  sig(x) = {i : x in B_i}, for a space built from a closed base, every
+  canonical dual included.  The closure of a point is the meet of the
+  members holding it, so y is in cl{x} iff sig(x) lies inside sig(y):
+  `closure` reads each point closure off its signature, T0 is the
+  signatures being distinct, and the maximal points are those of
+  minimal signature.  No P-bit closure is built per point; the closure
+  table is derived on its first read (`_closures_of_base`) by the
+  readers that list every closure, which are off the canonical path:
+  equality, hashing and repr, the space file and `space_predicates`.
+  The base and the signatures are attributes outside the dataclass
+  fields, so equality, hashing and repr are those of the names and
+  closures.  Such a space may be named by a rule on its signatures
+  instead of a tuple of names: it then derives its names on their
+  first read and keeps them.  A canonical dual is named so, by its
+  clan supports, and a passing check reads no name, so a dual that is
+  only checked builds no text.
+
+The maximal points and T0 are decided once per space.
 
 Families are held by their atoms: the clopens of a subspace by its
 connected components (`clopen_atoms`), the regular closed sets by the
@@ -70,6 +78,11 @@ class FiniteSpace:
     point_names: tuple
     point_closures: tuple
 
+    # The closed base of a space built from one, kept on the space by
+    # `_of_closed_base`; None, read from the class, on every other
+    # space.  Each reader of the topology branches once on it.
+    _base = None
+
     def __post_init__(self):
         self._check_shape()
         full = self.full_mask
@@ -87,7 +100,7 @@ class FiniteSpace:
         n = len(self.point_names)
         if len(set(self.point_names)) != n:
             raise PreconditionError("point names must be distinct")
-        if len(self.point_closures) != n:
+        if self.point_count != n:
             raise PreconditionError("one closure mask per point required")
 
     @classmethod
@@ -95,13 +108,16 @@ class FiniteSpace:
         """The space of the closed base ``base``, a tuple of masks, whose
         signatures are ``signatures``: sig(x) = {i : x in base[i]}, the
         `transpose` of the members cut to the points, one per point.
-        cl{x} is the meet of the members holding x (`_meets`).  Its
-        output is in range, reflexive and transitive by construction
-        (`space_from_closed_base`), so only the checks the names and the
-        count can break are run.  The base and the signatures are kept
-        on the frozen space (`memo`), not as fields, so equality,
-        hashing and repr see the names and closures only; `pair_atoms`
-        reads them.
+        The space is held by them: it keeps the base, the signatures and
+        their count on the frozen space (`memo`), and builds no closure
+        table.  Its readers take cl{x} as the meet of the members
+        holding x, read off sig(x) (`closure`); `point_closures` is
+        derived on its first read (`_closures_of_base`) and serves only
+        the readers that list every closure: equality, hashing and repr,
+        which see the names and closures only, the space file
+        (`serialize`) and `space_predicates`.  The closures are in range,
+        reflexive and transitive by construction (`space_from_closed_base`),
+        so only the checks the names and the count can break are run.
 
         ``point_names`` is a tuple of names, or a rule naming a point by
         its signature.  A rule is kept instead of the names, and
@@ -110,21 +126,22 @@ class FiniteSpace:
         none.  The caller vouches that the rule names distinct
         signatures apart and that the signatures are distinct, so the
         names are distinct and the shape check is not run: there is one
-        closure per signature, hence one per name."""
-        closures = tuple(_meets(len(signatures), base))
+        point per signature, hence one per name."""
         space = object.__new__(cls)
-        object.__setattr__(space, "point_closures", closures)
+        once.keep(space, "_base", base)
+        once.keep(space, "_signatures", signatures)
+        once.keep(space, "point_count", len(signatures))
         if callable(point_names):
             once.keep(space, "_name_rule", point_names)
         else:
             object.__setattr__(space, "point_names", point_names)
             space._check_shape()
-        once.keep(space, "_base", base)
-        once.keep(space, "_signatures", signatures)
         return space
 
-    @property
+    @once
     def point_count(self):
+        """The number of points, kept on the first read; a space built
+        from a closed base keeps the number of its signatures."""
         return len(self.point_closures)
 
     @property
@@ -142,13 +159,23 @@ class FiniteSpace:
     @once
     def maximal_points(self):
         """The points whose closure holds every point above them (y is
-        above x when x is in cl{y}), as a mask: the points held by
-        exactly one distinct closure.  Computed once per object."""
-        # If x is in cl{y}, then cl{x} lies inside cl{y}, and y is in
-        # cl{x} iff the two closures are equal.  So x is maximal iff
-        # every closure holding x is cl{x}, which holds x: iff exactly
-        # one distinct closure holds x.  No T0 assumption is used.
-        return held_once(set(self.point_closures))
+        above x when x is in cl{y}), as a mask.  Computed once per
+        object."""
+        if self._base is None:
+            # If x is in cl{y}, then cl{x} lies inside cl{y}, and y is in
+            # cl{x} iff the two closures are equal.  So x is maximal iff
+            # every closure holding x is cl{x}, which holds x: iff exactly
+            # one distinct closure holds x.  No T0 assumption is used.
+            return held_once(set(self.point_closures))
+        # y is above x iff sig(y) lies inside sig(x) (`closure`), and then
+        # x is above y iff the signatures are equal.  So x is maximal iff
+        # no signature lies strictly inside sig(x): iff sig(x) is a
+        # minimal signature.  The empty signature lies inside every other,
+        # so when some point has it, the maximal points are those that do.
+        signatures = self._signatures
+        distinct = set(signatures)
+        lowest = {0} if 0 in distinct else set(minimal_members(distinct))
+        return sum(1 << x for x, s in enumerate(signatures) if s in lowest)
 
     @once
     def t0(self):
@@ -173,13 +200,22 @@ def _named_by_rule(space):
     return tuple(map(space._name_rule, space._signatures))
 
 
-# `point_names` is a field without a default, so the class holds no
-# attribute of that name and this non-data descriptor is reached only
-# when the space holds no names: on a space built with a naming rule,
-# until the first read, which keeps the names it derives (`memo.once`).
-# Equality, hashing, repr and every reader of the field read them
-# through it, so they see the same tuple as on a space built with it.
+def _closures_of_base(space):
+    """The point closures of a space built from a closed base
+    (`_of_closed_base`): cl{x} is the meet of the members holding x
+    (`_meets`)."""
+    return tuple(_meets(space.point_count, space._base))
+
+
+# `point_names` and `point_closures` are fields without a default, so
+# the class holds no attribute of either name and these non-data
+# descriptors are reached only when the space does not hold the field:
+# on a space built with a naming rule, or from a closed base, until the
+# first read, which keeps the value it derives (`memo.once`).  Equality,
+# hashing, repr and every reader of the fields read them through these,
+# so they see the same tuples as on a space built with them.
 FiniteSpace.point_names = once(_named_by_rule, "point_names")
+FiniteSpace.point_closures = once(_closures_of_base, "point_closures")
 
 
 def _meets(point_count, members):
@@ -208,17 +244,17 @@ def space_from_closed_base(point_names, base_masks):
     unions of the base members, plus the empty set and the whole space.
 
     cl{x} is the hull of {x}, the meet of the members holding x
-    (`_meets`), in one pass over the bits of the members.  The space is
-    built without the closure checks of `FiniteSpace`, which `_meets`
-    output passes by construction: each meet[x] starts as the whole
-    space and is only intersected with members cut down to the points,
-    so it is in range; every member it is cut by holds x, so x is in meet[x]; and
-    for y in meet[x], every member holding x holds y, so the members
-    holding y include those holding x and meet[y] lies inside meet[x],
-    which is transitivity.  The name checks, which the input can
-    break, still run.  The space keeps the base and the signatures
+    (`_meets`).  The space is held by the base and the signatures
     sig(x) = {i : x in base[i]} of its points, one `transpose` of the
-    members cut to the points (`FiniteSpace._of_closed_base`)."""
+    members cut to the points, and builds no closure table
+    (`FiniteSpace._of_closed_base`).  It is built without the closure
+    checks of `FiniteSpace`, which the meets pass by construction: each
+    meet[x] starts as the whole space and is only intersected with
+    members cut down to the points, so it is in range; every member it
+    is cut by holds x, so x is in meet[x]; and for y in meet[x], every
+    member holding x holds y, so the members holding y include those
+    holding x and meet[y] lies inside meet[x], which is transitivity.
+    The name checks, which the input can break, still run."""
     names = tuple(point_names)
     base = tuple(base_masks)
     full = (1 << len(names)) - 1
@@ -249,17 +285,40 @@ def closure(space, mask):
     """The closure of a set of points, the join of their closures.  A
     mask outside the space, a negative one included, raises
     DomainMismatchError as `require_subset` does; the walk meets it, so
-    an in-range mask pays no test."""
-    closures = space.point_closures
-    out = 0
+    an in-range mask pays no test.
+
+    On a space built from a closed base B, cl{x} is read off the
+    signatures: it is the meet of the B_i over i in sig(x), the whole
+    space when sig(x) is empty (`_meets`).  So y is in cl{x} iff every
+    member holding x holds y: iff sig(x) lies inside sig(y).  A point
+    of the closure found so far is skipped: that closure is a union of
+    point closures, which holds the closure of each of its points, as
+    point closures are transitive."""
+    base = space._base
     try:
+        if base is None:
+            closures = space.point_closures
+            out = 0
+            while mask:
+                low = mask & -mask
+                out |= closures[low.bit_length() - 1]
+                mask ^= low
+            return out
+        signatures = space._signatures
+        full = (1 << len(signatures)) - 1
+        out = 0
         while mask:
-            low = mask & -mask
-            out |= closures[low.bit_length() - 1]
-            mask ^= low
+            s = signatures[(mask & -mask).bit_length() - 1]
+            cl = full
+            while s:
+                low = s & -s
+                cl &= base[low.bit_length() - 1]
+                s ^= low
+            out |= cl
+            mask &= ~out
+        return out
     except IndexError:
         raise DomainMismatchError("subset mask out of range") from None
-    return out
 
 
 def is_closed(space, mask):
@@ -286,7 +345,12 @@ def minimal_open(space, x):
 
 
 def is_t0(space):
-    return len(set(space.point_closures)) == space.point_count
+    """No two points have the same closure.  On a space built from a
+    closed base, cl{x} = cl{y} iff sig(x) = sig(y), as each holds the
+    other iff each signature lies inside the other (`closure`): T0 iff
+    the signatures are distinct."""
+    rows = space.point_closures if space._base is None else space._signatures
+    return len(set(rows)) == space.point_count
 
 
 def is_t1(space):
@@ -391,8 +455,7 @@ def rc_atoms(space):
     # unions of the cl{m}.  A nonzero cl S inside cl{m} has a point s of
     # S below m, so m is below s and cl S holds cl{m}: each cl{m} is
     # minimal, and cl{m} = cl{m'} only for m, m' below each other.
-    closures = space.point_closures
-    return tuple(sorted({closures[m] for m in bit_indices(space.maximal_points)}))
+    return tuple(sorted({closure(space, 1 << m) for m in bit_indices(space.maximal_points)}))
 
 
 def rc_members(space):
@@ -435,13 +498,12 @@ def clopen_atoms(space, subset):
     # i.e. iff it holds each point of the subset whose closure meets A.
     # So the clopens are the unions of connected components of the graph
     # joining x to the points of cl{x} n subset: those are the atoms.
-    closures = space.point_closures
-    adj = [0] * len(closures)
+    adj = [0] * space.point_count
     rest = subset
     while rest:
         low = rest & -rest
         x = low.bit_length() - 1
-        near = closures[x] & subset
+        near = closure(space, low) & subset
         adj[x] |= near
         while near:
             y = near & -near
@@ -507,16 +569,20 @@ def pair_atoms(space, subset):
     and both consist of closed sets: they get the same verdict
     (`_is_base_of_closed`).  The atom closures are closed without a test:
     for y in cl{x}, cl{y} lies inside cl{x}, as point closures are
-    transitive (checked by `FiniteSpace`, and given by `_meets` to a
-    space built from a closed base), so a union of point closures holds
-    the closure of each of its points.  So the verdict is the comparison
-    of the meets with the point closures (`_is_base_of_closed`).
+    transitive (checked by `FiniteSpace`, and true by construction on a
+    space built from a closed base, `space_from_closed_base`), so a union
+    of point closures holds the closure of each of its points.  So the
+    verdict is the comparison of the meets with the point closures
+    (`_is_base_of_closed`).
 
-    A space built from a closed base keeps the base and the signatures
-    of its points (`FiniteSpace._of_closed_base`).  When the closures
-    are that base, in order, ``support`` is the signatures and
-    ``closed_base`` is True, with no `transpose` and no `_meets` pass;
-    the proof is beside the code.  Otherwise both are computed as above.
+    A space built from a closed base is held by the base and the
+    signatures of its points (`FiniteSpace._of_closed_base`), and the
+    atom closures are read off the signatures (`closure`).  When the
+    closures are that base, in order, ``support`` is the signatures and
+    ``closed_base`` is True, with no `transpose`, no `_meets` pass and
+    no point closure table; the proof is beside the code.  Otherwise
+    both are computed as above, and the closed-base comparison derives
+    the space's point closures (`_closures_of_base`).
     """
     table = getattr(space, "_pair_atoms", None)
     if table is None or table.subset != subset:
@@ -524,13 +590,13 @@ def pair_atoms(space, subset):
         closures = tuple(closure(space, a) for a in clopen_atoms(space, subset))
         # A space built from a closed base whose members are these
         # closures, in this order, holds the table already.  The point
-        # closures are `_meets` of that base, so they are the meets of
-        # the closures holding each point: the closed-base verdict is
-        # True.  The members are then in range, as closures are, so the
+        # closures are the meets of the members of that base holding each
+        # point (`closure`), the meets of the closures holding it: the
+        # closed-base verdict is True.  The members are then in range, as closures are, so the
         # signatures are `transpose(closures)`: support[x] is sig(x).  On
         # every canonical dual this holds for the dense part (see
         # `structures._canonical_pcs`).
-        if closures == getattr(space, "_base", None):
+        if closures == space._base:
             support, closed_base = space._signatures, True
         else:
             support = transpose(closures, space.point_count)
@@ -614,8 +680,8 @@ def _signature_interiors(space, atoms):
     ``atoms`` are that base, ascending, they cover the space, and every
     B_j has a point whose signature is {j}, as on every canonical dual
     (the ultrafilter clans)."""
-    # The closure of a point y is the meet of the members holding it
-    # (`_meets`), so x is in cl{y} iff sig(y) lies inside sig(x).  The
+    # The closure of a point y is the meet of the members holding it,
+    # so x is in cl{y} iff sig(y) lies inside sig(x) (`closure`).  The
     # smallest open set holding x, the y with x in cl{y}, is therefore
     # U_x = {y : sig(y) inside sig(x)}, and x is in int B_j iff every
     # such y has j in sig(y).  The atoms cover the space, so no
@@ -627,7 +693,7 @@ def _signature_interiors(space, atoms):
     # {j}, and cl{z_j} = B_j, so B_j is nonzero and B_j = cl(int B_j)
     # (B_j is closed); interiors of distinct members are disjoint, as a
     # point has one signature; and the cover makes every atom in range.
-    base = getattr(space, "_base", None)
+    base = space._base
     if base is None or sorted(base) != list(atoms) or reduce(or_, atoms, 0) != space.full_mask:
         return None
     interiors = [0] * len(base)
@@ -645,6 +711,9 @@ class MereotopologicalPair:
 
         F + G = F u G,   F . G = cl(int(F n G)),   F* = cl(X \\ F),
         F C G  iff  F n G is nonempty.
+
+    Its readers decide at the atoms, so the pair keeps no method for
+    these operations.
     """
 
     space: FiniteSpace
@@ -737,15 +806,6 @@ class MereotopologicalPair:
         """All members, the unions of the atoms, ascending as masks."""
         return unions(self.atoms)
 
-    def meet(self, f, g):
-        return closure(self.space, interior(self.space, f & g))
-
-    def complement(self, f):
-        return closure(self.space, self.space.full_mask ^ f)
-
-    def contact(self, f, g):
-        return bool(f & g)
-
 
 def overlap_clans(atoms):
     """Yield the clan supports of the contact algebra on the nonzero sets
@@ -795,9 +855,10 @@ def _c_semiregular_tests(space, atoms):
     # a clan is a trace iff its support is an atom support
     # (`first_unrealized_support`).
     #
-    # On the base B, ascending: `_meets` takes the members as a set, so
-    # the atoms and B have the same meets, which are the point closures
-    # by construction (`_of_closed_base`): the space is a closed base.
+    # On the base B, ascending: the atoms and B are the same set of
+    # members, so they have the same meets at each point, which are the
+    # point closures by construction (`closure`): the space is a closed
+    # base.
     # Atom i is B_j for the j with atoms[i] = B_j, so the atom support of
     # x is sig(x) with each j moved to that i, and the overlap clans of
     # the atoms are those of B moved the same way.  Moving every support
@@ -805,7 +866,7 @@ def _c_semiregular_tests(space, atoms):
     # order is realized, so is every clan of the atoms.  Otherwise the
     # general path below names the first failure in atom order, and its
     # closed-base verdict is True, as above.
-    base = getattr(space, "_base", None)
+    base = space._base
     if base is not None and sorted(base) == list(atoms) and space.base_unrealized is None:
         return True, space.t0, None
     supports = transpose(atoms, space.point_count)

@@ -711,6 +711,8 @@ TRIANGLE = {
 DISCRETE2 = {"points": ["a", "b"], "closed_base": [[0], [1]]}
 # RC is {0, X}, which does not generate the closed set {b}
 SIERPINSKI = {"points": ["a", "b"], "closed_base": [[0, 1], [1]]}
+# the closed base {a}, {a,b}: cl{a} = {a} and cl{b} = {a,b}
+SIERPINSKI_A = {"points": ["a", "b"], "closed_base": [[0], [0, 1]]}
 DISCRETE4 = {"points": ["a", "b", "c", "d"], "closed_base": [[0], [1], [2], [3]]}
 # dense but not T0: the indiscrete space on two points with subset {a}
 NOT_T0 = {
@@ -969,6 +971,61 @@ GOLDEN_VALIDATE = {
         1,
         "",
         "error: subalgebra not closed under join/meet\n",
+    ),
+    "adjacency-stone": (
+        {"kind": "adjacency", "cells": ["a", "b"], "R": [[0, 1]], "topology": DISCRETE2},
+        0,
+        """\
+{
+  "checks": [
+    {
+      "name": "is_stone_adjacency",
+      "pass": true,
+      "witness": null
+    }
+  ],
+  "kind": "adjacency",
+  "valid": true
+}
+""",
+        "",
+    ),
+    # cl{a} = {a} and cl{b} = {a,b}: not T1, so not Stone
+    "adjacency-not-stone": (
+        {"kind": "adjacency", "cells": ["a", "b"], "R": [[0, 1]], "topology": SIERPINSKI_A},
+        1,
+        """\
+{
+  "checks": [
+    {
+      "name": "is_stone_adjacency",
+      "pass": false,
+      "witness": "closure of b is {a,b}"
+    }
+  ],
+  "kind": "adjacency",
+  "valid": false
+}
+""",
+        "",
+    ),
+    "adjacency-without-topology": (
+        {"kind": "adjacency", "cells": ["a", "b"], "R": [[0, 1]]},
+        1,
+        """\
+{
+  "checks": [
+    {
+      "name": "is_stone_adjacency",
+      "pass": false,
+      "witness": "no topology"
+    }
+  ],
+  "kind": "adjacency",
+  "valid": false
+}
+""",
+        "",
     ),
     # the identity on a triple that fails (PCS1): a morphism joins valid
     # triples, so the file is refused at its source

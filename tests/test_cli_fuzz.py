@@ -45,6 +45,13 @@ def _base_payloads():
             "R": [[0, 0], [1, 1]],
             "topology": {"points": ["a", "b"], "closed_base": [[0], [1]]},
         },
+        # a topology that is not Stone: `validate` exits 1 with a witness
+        {
+            "kind": "adjacency",
+            "cells": ["a", "b"],
+            "R": [[0, 1]],
+            "topology": {"points": ["a", "b"], "closed_base": [[0], [0, 1]]},
+        },
         {"kind": "family", "family_kind": "grill", "algebra": {"atoms": 2}, "members": [1, 3]},
         INVALID_END_MORPHISM,
     ]

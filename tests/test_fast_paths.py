@@ -1289,8 +1289,8 @@ DUAL_PAIR_READS = {
 
 def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
     """The canonical build and `specialization_report` of a contact dual
-    derive its pair table once (`pair_atoms`): one `clopen_atoms` and at
-    most 1 `_meets` call per dual (the canonical build's), on seeded 3-
+    derive its pair table once (`pair_atoms`): one `clopen_atoms` and no
+    `_meets` call per dual, which builds no point closures, on seeded 3-
     to 6-atom contact algebras, and validate the pair and sweep its
     clans as often as `DUAL_PAIR_READS` says; the C-semiregularity of the
     dual, read off the mereocompactness report of RC(X), takes `rc_atoms`
@@ -1312,7 +1312,7 @@ def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
             assert report.ok, report.failures
             assert "u-points recover the dense part" in [c.name for c in report.checks]
             assert len(clopen_calls) <= 1, (n, density, len(clopen_calls))
-            assert len(meet_calls) <= 1, (n, density, len(meet_calls))
+            assert not meet_calls, (n, density, len(meet_calls))
             counts = {name: len(calls) for name, calls in counted.items()}
             assert counts == DUAL_PAIR_READS, (n, density, counts)
             space = canonical_pcs_of_pca(pca).space
@@ -1361,8 +1361,8 @@ def test_a_triple_built_directly_derives_the_rows_validate_pcs_kept():
 def test_round_trip_derives_each_table_once(monkeypatch):
     """One `algebra_roundtrip_iso` of a fresh algebra, its canonical
     build included, derives each table once, on seeded 1- to 6-atom
-    algebras: one `_meets` (the point closures of the closed base), two
-    `transpose` calls (the atom clan sets and the reaching rows of
+    algebras: no `_meets`, as the dual is read through its closed base
+    and signatures and builds no point closures, two `transpose` calls (the atom clan sets and the reaching rows of
     (PCS4)), one pass of contact-closure rows, the algebra's: the
     canonical algebra of its dual is the algebra itself; and two
     `meeting_rows` calls, the meeting atom closures of (PCS4) and the
@@ -1388,7 +1388,7 @@ def test_round_trip_derives_each_table_once(monkeypatch):
             roundtrip = algebra_roundtrip_iso(pca)
             assert roundtrip.report.ok, roundtrip.report.failures
             counts = tuple(map(len, (meet_calls, transpose_calls, row_calls, meeting_calls)))
-            assert counts == (1, 2, 1, 2), (n, density, counts)
+            assert counts == (0, 2, 1, 2), (n, density, counts)
             assert row_calls[0] is pca.kernel
             assert pcs_algebra(roundtrip.space).pca is pca
 

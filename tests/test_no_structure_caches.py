@@ -4,7 +4,7 @@ themselves.  The package has no ``functools`` cache.
 
 A value is kept on a frozen object one way, through ``memo``: no
 ``cached_property``, and outside ``memo.py`` no ``.__dict__`` and no
-``object.__setattr__`` beyond the field writes of
+``object.__setattr__`` beyond the name field write of
 ``FiniteSpace._of_closed_base`` and the weak-reference filter of
 ``PrecontactAlgebra.__getstate__``."""
 
@@ -16,7 +16,6 @@ CACHE_DECORATORS = {"lru_cache", "cache"}
 ALLOWED = set()
 RAW_ACCESS_ALLOWED = {
     ("topology.py", "FiniteSpace._of_closed_base", "object.__setattr__", "point_names"),
-    ("topology.py", "FiniteSpace._of_closed_base", "object.__setattr__", "point_closures"),
     ("precontact.py", "PrecontactAlgebra.__getstate__", "__dict__", None),
 }
 

@@ -1,0 +1,126 @@
+"""A space built from a closed base is read through its base and the
+signatures of its points, sig(x) = {i : x in B_i}: cl{x} is the meet of
+the B_i over sig(x), T0 is the signatures being distinct, and the
+maximal points are those of minimal signature.  Each reader is compared
+with the same space given by its point closures, the `_meets` of the
+base, which takes the closure-table path; and the canonical paths are
+run with `_meets` refused, so that they build no table of point
+closures."""
+
+import itertools
+import random
+import sys
+
+import pytest
+
+from contactlab.duality import algebra_roundtrip_iso, check_naturality, dual_space_map
+from contactlab.errors import DomainMismatchError
+from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
+from contactlab.structures import canonical_pcs_of_pca
+from contactlab.suite import instance_suite
+from contactlab.topology import (
+    FiniteSpace,
+    _meets,
+    clopen_atoms,
+    closure,
+    is_t0,
+    rc_atoms,
+    space_from_closed_base,
+)
+
+
+def _reference(space, base):
+    """The space given by the point closures of ``base``, the meets of
+    its members holding each point: the closure-table path."""
+    names = tuple(f"p{x}" for x in range(space.point_count))
+    return FiniteSpace(names, tuple(_meets(space.point_count, base)))
+
+
+def _assert_same_topology(space, reference, subsets):
+    """Every signature-path reader of ``space`` against ``reference``:
+    the closure of every point and of each subset, T0, the maximal
+    points, the clopen atoms of each subset and the atoms of RC(X)."""
+    assert space._base is not None and reference._base is None
+    n = reference.point_count
+    assert space.point_count == n
+    for x in range(n):
+        assert closure(space, 1 << x) == reference.point_closures[x], x
+    for mask in subsets:
+        assert closure(space, mask) == closure(reference, mask), mask
+        assert clopen_atoms(space, mask) == clopen_atoms(reference, mask), mask
+    assert is_t0(space) == space.t0 == is_t0(reference)
+    assert space.maximal_points == reference.maximal_points
+    assert rc_atoms(space) == rc_atoms(reference)
+    for outside in (reference.full_mask + 1, 1 << n, -1):
+        with pytest.raises(DomainMismatchError):
+            closure(space, outside)
+    # the table derived on request is the reference's
+    assert space.point_closures == reference.point_closures
+
+
+def test_every_small_closed_base_reads_its_signatures():
+    """Every family of at most 3 members over at most 4 points, the
+    empty member and members outside the points included, and every
+    subset of its points."""
+    for n in range(1, 5):
+        masks = range(1 << (n + 1))
+        for r in range(4):
+            for base in itertools.combinations(masks, r):
+                space = space_from_closed_base((f"p{x}" for x in range(n)), base)
+                reference = _reference(space, base)
+                _assert_same_topology(space, reference, range(reference.full_mask + 1))
+
+
+def test_seeded_canonical_duals_read_their_signatures(monkeypatch):
+    """Canonical duals of seeded 4- to 8-atom algebras, with and without
+    the contact constraint: every point, the dense part, its complement,
+    the whole space and seeded subsets."""
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
+    rng = random.Random(20261022)
+    for n in range(4, 9):
+        for i, density in enumerate((0.15, 0.5, 0.85)):
+            for constraint in ("none", "contact"):
+                spec = RandomSpec(
+                    atoms=n, density=density, seed=child_seed(83, n * 10 + i), constraint=constraint
+                )
+                triple = canonical_pcs_of_pca(random_pca(spec))
+                space = triple.space
+                reference = _reference(space, space._base)
+                full = reference.full_mask
+                subsets = [triple.subset, full ^ triple.subset, full, 0]
+                subsets += [rng.randrange(full + 1) for _ in range(6)]
+                subsets += [
+                    sum(1 << x for x in rng.sample(range(space.point_count), k))
+                    for k in (1, 2, 3)
+                    if k <= space.point_count
+                ]
+                _assert_same_topology(space, reference, subsets)
+
+
+def _refuse_meets(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table of point closures on the canonical path")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "contactlab" or name.startswith("contactlab.")) and hasattr(module, "_meets"):
+            monkeypatch.setattr(module, "_meets", refuse)
+
+
+def test_canonical_paths_build_no_point_closures(monkeypatch):
+    """With `_meets` refused: the suite of a seeded dense 8-atom contact
+    algebra with the specializations on, the algebra round trip of a
+    seeded algebra, and both naturality squares of a seeded morphism."""
+    monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
+    monkeypatch.setenv("CONTACTLAB_POINT_LIMIT", "100000")
+    _refuse_meets(monkeypatch)
+    pca = random_pca(RandomSpec(atoms=8, density=0.85, seed=20261022, constraint="contact"))
+    report = instance_suite(pca)
+    assert report.ok, report.failures
+    assert report.check("specialization suite").passed
+    roundtrip = algebra_roundtrip_iso(
+        random_pca(RandomSpec(atoms=6, density=0.5, seed=child_seed(20261022, 1)))
+    )
+    assert roundtrip.report.ok, roundtrip.report.failures
+    phi = random_pca_morphism(5, 4, 0.5, child_seed(20261022, 2))
+    assert check_naturality(phi).ok
+    assert check_naturality(dual_space_map(phi)).ok
