@@ -65,7 +65,6 @@ from .topology import (
 )
 from .structures import (
     MereocompactReport,
-    StoneTwoSpace,
     TwoContactSpace,
     TwoPrecontactSpace,
     canonical_cs_of_ca,
@@ -77,7 +76,6 @@ from .structures import (
     triple_is_connected,
     validate_cs,
     validate_pcs,
-    validate_s2s,
 )
 from .duality import (
     AlgebraRoundTrip,

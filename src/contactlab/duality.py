@@ -742,7 +742,11 @@ def specialization_report(pca):
         # (both read `topology._c_semiregular_tests`); on failure the
         # failing lines of that report are the witness.  When the line
         # above holds, RC(X) is the pair's algebra, whose report also
-        # serves the mereocompact line.
+        # serves the mereocompact line.  Both reports read the clans of
+        # the dual's closed base in one pass kept on the space
+        # (`FiniteSpace.base_unrealized`); the 2-contact line's (CS4)
+        # walks the clans of the pair's meeting relation as its (PCS5)
+        # (`validate_cs`).
         pair_report = mereocompactness_report(rc_pair_algebra(triple))
         result = mereocompactness_report(rc_algebra(space)) if differ else pair_report
         semiregular = result.is_t0 and result.is_mereocompact

@@ -1,5 +1,5 @@
 """Composite space structures: 2-precontact spaces, 2-contact spaces,
-Stone 2-spaces, mereotopological pairs and their validators.
+mereotopological pairs and their validators.
 
 Validators return witness-bearing reports rather than booleans; a failed
 axiom never raises, it is recorded with a concrete counterexample.
@@ -7,13 +7,18 @@ Canonical constructions index their points by clan support in
 (size, atoms) order, which keeps serialization and isomorphism checks
 stable; a point is named by its support's atoms ("c0-2") only when a
 caller reads the names, and the ultrafilter clans are the first
-points.  Every reader of a pair (X, X0) at the clopen atoms of X0 reads
-one table, `topology.pair_atoms`, built once per space and subset: the
-2-precontact, 2-contact and Stone 2-space validators take their Stone
-and closed-base verdicts from it, (PCS5), (CS4) and (S2S4) its atoms whose closures
-hold each point, and (PCS4) which of its atom closures meet; (PCS2)
-decides closedness of the relation on the ambient masks, building no
-subspace; the canonical algebra, the pair-determined relation and
+points.  There is one validator body, (PCS1)..(PCS5) of a relation
+given by its successor masks (`_pcs_checks`).  A 2-contact pair is the
+triple of its meeting relation, two dense points related when the
+closures of their clopen atoms meet, and `validate_cs` reads its lines
+off that body's verdicts; a Stone 2-space is the triple of the total
+relation on the dense part, which `validate_pcs` checks as it is.
+Every reader of a pair (X, X0) at the clopen atoms of X0 reads one
+table, `topology.pair_atoms`, built once per space and subset: the body
+takes its Stone and closed-base verdicts from it, (PCS5) its atoms
+whose closures hold each point, and (PCS4) which of its atom closures
+meet; (PCS2) decides closedness of the relation on the ambient masks,
+building no subspace; the canonical algebra, the meeting relation and
 connectedness read its atoms and their closures.  Only the kernel
 rows of the canonical algebra, which (PCS4) and (PCS5) read off the
 relation's reach, are kept on the triple (`_kernel_rows`), and the
@@ -24,17 +29,17 @@ algebra it was built from, and its canonical algebra is that algebra
 itself once the rows read off the triple are checked to be its
 kernel's, so the dual of the dual of an algebra is its dual again.  The
 validators and the mereocompactness report read T0 off the space, which
-decides it once; on a canonical dual, (CS4) and the report's clan line
-share one overlap-clan pass of the space's closed base
-(`FiniteSpace.base_unrealized`).  The canonical triple's space is built
+decides it once.  The canonical triple's space is built
 from the atom clan sets and the clan supports its algebra holds, as its
 closed base and signatures, and is held by them: its dense part's table
 is read off them, each point closure a check reads is the meet of the
 base members its signature names, and no table of P point closures of
 P bits each is built (`topology.FiniteSpace._of_closed_base`).  Every
-realization line, (PCS5), (CS4), (S2S4) and the mereocompactness clan
-line, is added by one function (`_realization_check`), which names a
-failing element set by the atoms of its support, at every size.
+realization line, (PCS5), (CS4) and the mereocompactness clan line, is
+added by one function (`_realization_check`), which names a failing
+element set by the atoms of its support, at every size; (CS4) is the
+(PCS5) walk of the meeting relation, so the walk of clans that
+(PCS5) reads is the only one in this module.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ from .topology import (
     closure,
     first_unrealized_support,
     held_once,
-    overlap_clans,
     pair_atoms,
     rc_atoms,
     rc_atoms_of_subset,
@@ -172,21 +176,33 @@ def validate_pcs(space, subset, relation):
 
     Failures carry witnesses; precondition breaches (a relation pair out
     of range or leaving the subset) raise instead, in the one pass that
-    reads the relation into successor masks.  (PCS2) and (PCS3) take the
-    Stone and closed-base verdicts of the pair's table (`pair_atoms`),
-    (PCS4) which of its atom closures meet, and (PCS5) its atoms whose
-    closures hold each point.  On a dense part that is not Stone, (PCS2)
-    decides the closedness of the relation at the successor masks and
-    the point closures of the space, with no subspace built.  Every
-    check is polynomial in the points, with no family of the clopen
-    algebra built, so the validator decides at any size and reads no
-    budget.
+    reads the relation into successor masks.  The checks are those of
+    `_pcs_checks` on these masks.  Every check is polynomial in the
+    points, with no family of the clopen algebra built, so the validator
+    decides at any size and reads no budget.
     """
     require_subset(space, subset)
     relation = frozenset(relation)
-    succ = _relation_out_masks(space, subset, relation)
-    report = ReportBuilder("(PCS1)..(PCS5)")
+    checks, reached, _ = _pcs_checks(space, subset, _relation_out_masks(space, subset, relation))
+    triple = TwoPrecontactSpace(space, subset, relation, checks)
+    once.keep(triple, "_rows", reached)
+    return triple
 
+
+def _pcs_checks(space, subset, succ):
+    """(PCS1)..(PCS5) of the relation on a subset of the space whose
+    successor masks are ``succ``, each inside the subset
+    (`_relation_out_masks`): the checks, the kernel rows of the
+    canonical algebra (`_kernel_rows`) and the (PCS5) support of the
+    first unrealized clan, or None.
+
+    (PCS2) and (PCS3) take the Stone and closed-base verdicts of the
+    pair's table (`pair_atoms`), (PCS4) which of its atom closures
+    meet, and (PCS5) its atoms whose closures hold each point.  On a
+    dense part that is not Stone, (PCS2) decides the closedness of the
+    relation at the successor masks and the point closures of the
+    space, with no subspace built."""
+    report = ReportBuilder("(PCS1)..(PCS5)")
     dense = closure(space, subset) == space.full_mask
     t0 = space.t0
     pcs1 = dense and t0
@@ -204,10 +220,11 @@ def validate_pcs(space, subset, relation):
     # each x in D and each y in cl_D{x}, every cl_D{w} with w in succ[x]
     # lies in succ[y]: iff their join cl_D(succ[x]) does.  In the subspace
     # a set S inside D has closure cl(S) n D, and cl_D{x} = cl{x} n D, so
-    # the test reads the ambient masks.
+    # the test reads the ambient masks, cl_D(succ[x]) once per x.
     closed_rel = stone or not any(
-        closure(space, succ[x]) & subset & ~succ[y]
+        cl_succ & ~succ[y]
         for x in bit_indices(subset)
+        for cl_succ in [closure(space, succ[x]) & subset]
         for y in bit_indices(closure(space, 1 << x) & subset)
     )
     pcs2 = stone and closed_rel
@@ -246,17 +263,16 @@ def validate_pcs(space, subset, relation):
         pcs4_witness = f"({space.name_set(atoms[first])},{space.name_set(atoms[j])})"
     report.add("(PCS4)", first is None, pcs4_witness)
 
-    # The clans of the clopen algebra under C# are the cliques of adj,
-    # and a clan is a closure trace iff its support is the support of a
-    # point (`_validate_pair`).  The walk is read up to the first
-    # unrealized clique, at most point count + 1 of them
+    # The clans of the clopen algebra under C# are the cliques of adj.
+    # f |-> cl f sends the clopens onto the unions of the atom closures
+    # (`rc_atoms_of_subset`), f above an atom iff cl f is above its
+    # closure, so a clan is a closure trace iff its support is the
+    # support of a point over the atom closures.  The walk is read up to
+    # the first unrealized clique, at most point count + 1 of them
     # (`first_unrealized_support`).
     unrealized = first_unrealized_support(support, clique_supports(adj))
     _realization_check(report, "(PCS5)", "unrealized clan ", space, table, unrealized)
-
-    triple = TwoPrecontactSpace(space, subset, relation, report.checks)
-    once.keep(triple, "_rows", reached)
-    return triple
+    return report.checks, reached, unrealized
 
 
 def _kernel_rows(succ, table):
@@ -448,7 +464,7 @@ def canonical_pca_of_pcs(pcs):
 
 
 # ---------------------------------------------------------------------------
-# 2-contact spaces and Stone 2-spaces
+# 2-contact spaces
 
 
 @dataclass(frozen=True)
@@ -458,22 +474,37 @@ class TwoContactSpace(CheckList):
     checks: tuple = field(default=(), compare=False)
 
 
-@dataclass(frozen=True)
-class StoneTwoSpace(CheckList):
-    space: FiniteSpace
-    subset: int
-    checks: tuple = field(default=(), compare=False)
-
-
-def _validate_pair(cls, title, tag, space, subset, unrealized):
-    """The shared body of `validate_cs` and `validate_s2s`: the density
-    precondition, (CS1) T0, (CS2) Stone dense part and (CS3) closed base,
-    then the check ``tag`` that every element set asked about is a
-    closure trace: ``unrealized(space, table)`` is the support of the
-    first that is not, or None, over the table of the dense part
-    (`pair_atoms`, which checks the subset)."""
+def validate_cs(space, subset):
+    """Check the 2-contact axioms: the clans of the proximity of the
+    dense part's clopens (closures meet) must all be closure traces of
+    points.  The lines are read off (PCS1)..(PCS5) of the pair's meeting
+    relation (`_meeting_successors`)."""
     table = pair_atoms(space, subset)
-    report = ReportBuilder(title)
+    pcs, _, unrealized = _pcs_checks(space, subset, _meeting_successors(space, table))
+    passed = {c.name: c.passed for c in pcs}
+    # The line map, for the meeting relation M:
+    # - (CS-precondition) is the density half of (PCS1), tested again
+    #   here for its witness, the closure of the subset;
+    # - (CS1) is its T0 half, `space.t0`;
+    # - (CS2) is (PCS2), which passes iff the dense part is Stone and M
+    #   is closed: M is closed whenever the dense part is Stone, as
+    #   every relation on a finite discrete space is;
+    # - (CS3) is (PCS3), both the closed-base verdict of the table;
+    # - (CS4) is the (PCS5) walk.  The contact closure C# of M relates
+    #   the atoms f_i and f_j iff their closures meet, by the (PCS4)
+    #   proof below, so the clans of the clopens under C# are the clans
+    #   of the proximity "closures meet", and (PCS5) returns the first
+    #   of them, in (size, atoms) order, whose support no point
+    #   realizes over the same atom closures.
+    #
+    # (PCS4) holds for M by construction.  reach[i], the points M relates
+    # to a point of f_i, is the union of the atoms f_j whose closures
+    # meet cl f_i.  The atoms are disjoint and nonempty, and reach[i]
+    # lies in the subset, which cl f_k meets in f_k: reach[i] meets cl f_k
+    # iff k is in row i of the meeting rows of the closures.  So the
+    # kernel rows (`_kernel_rows`) are the meeting rows, adj[i] holds
+    # row i and every missing[i] of (PCS4) is 0.
+    report = ReportBuilder("2-contact axioms")
     cl = closure(space, subset)
     dense = cl == space.full_mask
     report.add(
@@ -482,53 +513,23 @@ def _validate_pair(cls, title, tag, space, subset, unrealized):
         None if dense else f"closure of the subset is {space.name_set(cl)}",
     )
     report.add("(CS1)", space.t0, "space is not T0")
-    report.add("(CS2)", table.stone, "dense part is not a Stone space")
-    report.add("(CS3)", table.closed_base, "the pair's regular closed sets are not a closed base")
-    # f |-> cl f sends the clopens onto the unions of the atom closures
-    # (`rc_atoms_of_subset`), f above an atom iff cl f is above its
-    # closure.  So an element set is a closure trace iff its support is
-    # the support of a point over the atom closures.
-    _realization_check(report, tag, "unrealized ", space, table, unrealized(space, table))
-    return cls(space, subset, report.checks)
+    report.add("(CS2)", passed["(PCS2)"], "dense part is not a Stone space")
+    report.add("(CS3)", passed["(PCS3)"], "the pair's regular closed sets are not a closed base")
+    _realization_check(report, "(CS4)", "unrealized ", space, table, unrealized)
+    return TwoContactSpace(space, subset, report.checks)
 
 
-def validate_cs(space, subset):
-    """Check the 2-contact axioms: the clans of the proximity of the
-    dense part's clopens (closures meet) must all be closure traces of
-    points."""
-    return _validate_pair(
-        TwoContactSpace, "2-contact axioms", "(CS4)", space, subset, _unrealized_overlap_clan
-    )
-
-
-def _unrealized_overlap_clan(space, table):
-    """The first overlap clan of the table's atom closures, a support
-    over them, that no point support realizes, or None.  When the
-    closures are the base the space was built from, in order, the
-    table's point supports are its signatures (`pair_atoms`), so this is
-    the base's verdict, computed once per space
-    (`FiniteSpace.base_unrealized`) and shared with the clan line of
-    the pair held by the base (`_c_semiregular_tests`)."""
-    if table.closures == space._base:
-        return space.base_unrealized
-    return first_unrealized_support(table.support, overlap_clans(table.closures))
-
-
-def validate_s2s(space, subset):
-    """Stone 2-space: like a 2-contact space but every grill of the
-    clopen algebra must be a closure trace.  The grills are the nonzero
-    supports; at most one per point is realized, so the scan stops
-    within point count + 1 of them."""
-    return _validate_pair(
-        StoneTwoSpace,
-        "Stone 2-space axioms",
-        "(S2S4)",
-        space,
-        subset,
-        lambda space, table: first_unrealized_support(
-            table.support, range(1, 1 << len(table.closures))
-        ),
-    )
+def _meeting_successors(space, table):
+    """succ[x] of the pair's meeting relation M, over the table of the
+    pair (`pair_atoms`): for x in the clopen atom f_i, the union of the
+    atoms f_j whose closures meet cl f_i; 0 off the subset."""
+    closed, atoms = table.closures, table.atoms
+    succ = [0] * space.point_count
+    for atom, row in zip(atoms, meeting_rows(closed, closed)):
+        related = join_at(atoms, row)
+        for x in bit_indices(atom):
+            succ[x] = related
+    return succ
 
 
 def canonical_cs_of_ca(pca):
@@ -547,17 +548,9 @@ def contact_relation_of_pair(cs):
         raise ValidationError("not a 2-contact space")
     # Every clopen holding x holds the clopen atom of x, and meeting
     # closures is monotone in both sides: x and y are related iff the
-    # closures of their clopen atoms meet.  Each atom is its closure cut
-    # to the subset.
-    closures = pair_atoms(cs.space, cs.subset).closures
-    return frozenset(
-        (x, y)
-        for cl_a in closures
-        for cl_b in closures
-        if cl_a & cl_b
-        for x in bit_indices(cl_a & cs.subset)
-        for y in bit_indices(cl_b & cs.subset)
-    )
+    # closures of their clopen atoms meet, which is the meeting relation.
+    succ = _meeting_successors(cs.space, pair_atoms(cs.space, cs.subset))
+    return frozenset((x, y) for x, s in enumerate(succ) for y in bit_indices(s))
 
 
 # ---------------------------------------------------------------------------
@@ -656,11 +649,12 @@ def mereocompactness_report(mereo):
         # (CS1) is `t0`.  (CS2) is the Stone line, off the same table.
         # (CS3) is the closed-base test of the closures of the clopen
         # atoms of the u-points, which are the pair's atoms, and `_meets`
-        # takes them as a set, so it is `space_ok`.  (CS4) asks whether the
+        # takes them as a set, so it is `space_ok`.  (CS4) is the (PCS5)
+        # walk of the pair's meeting relation, which asks whether the
         # overlap clans of the same closures, in the table's order, are
-        # realized: a permutation of the atoms permutes the clans and the
-        # point supports alike, so it is the clan line.  When either line
-        # fails, the report has failed already.
+        # realized (`validate_cs`): a permutation of the atoms permutes
+        # the clans and the point supports alike, so it is the clan line.
+        # When either line fails, the report has failed already.
 
     return MereocompactReport(
         is_space=space_ok,

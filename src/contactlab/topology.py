@@ -189,8 +189,9 @@ class FiniteSpace:
         nonzero and in range: the first overlap clan of the base, a
         support over its members in base order, that no signature
         realizes, or None (`first_unrealized_support`).  Computed once
-        per object, so (CS4) of a pair whose atom closures are the base
-        and the clan line of the pair held by the base share one pass."""
+        per object, so the clan lines of the mereocompactness reports of
+        the pairs held by the base, RC(X) and the pair's algebra of a
+        canonical dual, share one pass (`_c_semiregular_tests`)."""
         return first_unrealized_support(self._signatures, overlap_clans(self._base))
 
 
@@ -848,7 +849,8 @@ def _c_semiregular_tests(space, atoms):
     None.  When the atoms are the closed base the space was built from
     and every overlap clan of that base is realized
     (`FiniteSpace.base_unrealized`), the first is True and the third
-    None, with no `_meets` and no `transpose`."""
+    None, with no `_meets` and no `transpose`; every report on a pair
+    held by that base reads the one pass the space keeps."""
     # A union holding x holds an atom holding x, so the unions and the
     # atoms have the same meet at each point (`_is_base_of_closed`).  The
     # unions are a Boolean subalgebra of RC(X) whose atoms these are, so

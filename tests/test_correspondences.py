@@ -2,6 +2,8 @@
 the bridges between C-semiregularity, u-points, 2-contact pairs, Stone
 2-spaces and total-relation triples."""
 
+import itertools
+
 import pytest
 
 from contactlab.precontact import largest_contact, pca_from_pairs
@@ -11,7 +13,6 @@ from contactlab.structures import (
     mereocompactness_report,
     validate_cs,
     validate_pcs,
-    validate_s2s,
 )
 from contactlab.topology import (
     FiniteSpace,
@@ -24,7 +25,7 @@ from contactlab.topology import (
 )
 
 from conftest import c_semiregular
-from oracles import subspace
+from oracles import bits, oracle_cs4_s2s4, oracle_pcs2_pcs3, subspace
 from test_topology import all_small_spaces
 
 
@@ -84,21 +85,35 @@ def test_rc_pair_equals_rc_iff_dense_part_extremally_disconnected():
 
 
 def test_stone_two_space_iff_total_relation_triple():
-    # a pair is a Stone 2-space exactly when adding the total relation on
-    # the dense part gives a valid triple
-    for space in all_small_spaces(3):
-        for sub in dense_subsets(space):
-            x0 = [x for x in range(space.point_count) if sub >> x & 1]
-            total = frozenset((x, y) for x in x0 for y in x0)
-            s2s = validate_s2s(space, sub)
-            triple = validate_pcs(space, sub, total)
-            assert s2s.ok == triple.ok, (space, bin(sub))
+    """A pair is a Stone 2-space exactly when adding the total relation
+    on the dense part gives a valid triple: on every dense pair of at
+    most 4 points, `validate_pcs` of that triple passes iff the literal
+    conditions hold.  They are T0 (distinct points have distinct
+    closures), a Stone dense part, a closed base of the pair's regular
+    closed sets, and (S2S4): every grill of the dense part's clopens is
+    the closure trace of a point."""
+    seen = set()
+    for n in range(1, 5):
+        for space in all_small_spaces(n):
+            closures = space.point_closures
+            t0 = len(set(closures)) == n
+            for sub in dense_subsets(space):
+                total = frozenset(itertools.product(bits(sub), repeat=2))
+                stone, _, closed_base = oracle_pcs2_pcs3(closures, sub, total)
+                _, s2s4 = oracle_cs4_s2s4(closures, sub)
+                literal = t0 and stone and closed_base and s2s4 is None
+                assert validate_pcs(space, sub, total).ok == literal, (closures, bin(sub))
+                seen.add(literal)
+    assert seen == {True, False}
 
 
 def test_canonical_duals_of_total_contacts_are_stone_two_spaces():
+    # the dual of the largest contact is a valid triple whose relation is
+    # total on its dense part: the triple of a Stone 2-space
     for n in (1, 2, 3):
         triple = canonical_pcs_of_pca(largest_contact(FiniteBooleanAlgebra(n)))
-        assert validate_s2s(triple.space, triple.subset).ok
+        assert triple.relation == frozenset(itertools.product(bits(triple.subset), repeat=2))
+        assert triple.ok
 
 
 def test_diagonal_triple_iff_discrete_stone_space():

@@ -39,6 +39,7 @@ kernels, and the suite is run with normalization made unavailable.
 import dataclasses
 import functools
 import itertools
+import operator
 import random
 import sys
 import time
@@ -94,7 +95,6 @@ from contactlab.structures import (
     triple_is_connected,
     validate_cs,
     validate_pcs,
-    validate_s2s,
 )
 from contactlab.errors import PreconditionError
 from contactlab.suite import instance_suite
@@ -790,28 +790,23 @@ def test_maximal_points_match_the_literal_definition():
 
 
 def test_closure_trace_checks_match_the_all_clopens_sweeps(spaces_with_subsets):
-    """(CS4) and (S2S4) by the closure supports of the points, with the
-    witness of the literal sweep, and the pair's contact relation by the
-    closures of the clopen atoms."""
+    """(CS4) by the closure supports of the points, with the witness of
+    the literal sweep; (S2S4), every grill a closure trace, as (PCS5) of
+    the total relation on the subset, whose clans are the grills; and
+    the pair's contact relation by the closures of the clopen atoms."""
     seen = {"(CS4)": set(), "(S2S4)": set(), "related": set()}
     for space, sub in spaces_with_subsets:
         closures = space.point_closures
         cs4, s2s4 = oracle_cs4_s2s4(closures, sub)
         cs = validate_cs(space, sub)
-        checks = {c.name: c for c in cs.checks + validate_s2s(space, sub).checks}
-        for name, unrealized in (("(CS4)", cs4), ("(S2S4)", s2s4)):
-            witness = (
-                None
-                if unrealized is None
-                else "unrealized " + support_witness(space, unrealized)
-            )
-            got = checks[name]
-            assert (got.passed, got.witness) == (witness is None, witness), (
-                name,
-                closures,
-                sub,
-            )
-            seen[name].add(got.passed)
+        witness = None if cs4 is None else "unrealized " + support_witness(space, cs4)
+        got = cs.check("(CS4)")
+        assert (got.passed, got.witness) == (witness is None, witness), (closures, sub)
+        seen["(CS4)"].add(got.passed)
+        total = frozenset(itertools.product(bit_indices(sub), repeat=2))
+        pcs5 = validate_pcs(space, sub, total).check("(PCS5)").passed
+        assert pcs5 == (s2s4 is None), (closures, sub)
+        seen["(S2S4)"].add(pcs5)
         if cs.ok:
             relation = oracle_contact_relation(closures, sub)
             assert contact_relation_of_pair(cs) == relation, (closures, sub)
@@ -819,6 +814,96 @@ def test_closure_trace_checks_match_the_all_clopens_sweeps(spaces_with_subsets):
                 (x, y) in relation for x in bit_indices(sub) for y in bit_indices(sub)
             )
     assert all(v == {True, False} for v in seen.values()), seen
+
+
+def meeting_pairs():
+    """Every pair of at most 4 points, every subset of every space, empty
+    and not dense included, and seeded 5-point spaces with 8 random
+    subsets each."""
+    out = [
+        (space, sub)
+        for n in range(5)
+        for space in all_small_spaces(n)
+        for sub in range(space.full_mask + 1)
+    ]
+    rng = random.Random(20261022)
+    for _ in range(40):
+        space = random_space(5, rng)
+        out += [(space, rng.randrange(1 << 5)) for _ in range(8)]
+    return out
+
+
+def test_validate_cs_is_the_triple_of_the_meeting_relation():
+    """The meeting relation M of a pair relates two points of the subset
+    when every clopen holding one and every clopen holding the other
+    have meeting closures (`oracle_contact_relation`).  (PCS4) holds for
+    M, by `validate_pcs` and by the literal sweep; `validate_cs` has the
+    verdict of the M-triple; and each of its lines equals the literal
+    one: the closure of the subset, distinct point closures (T0), the
+    Stone dense part and the closed base (`oracle_pcs2_pcs3`), and
+    (CS4) with the witness of the clan sweep (`oracle_cs4_s2s4`)."""
+    seen = {name: set() for name in ("(CS-precondition)", "(CS1)", "(CS2)", "(CS3)", "(CS4)")}
+    for space, sub in meeting_pairs():
+        closures = space.point_closures
+        meeting = oracle_contact_relation(closures, sub)
+        triple = validate_pcs(space, sub, meeting)
+        assert triple.check("(PCS4)").passed, (closures, sub)
+        assert oracle_pcs4_pcs5(closures, sub, meeting)[0] is None, (closures, sub)
+        cs = validate_cs(space, sub)
+        assert cs.ok == triple.ok, (closures, sub)
+
+        cl = functools.reduce(operator.or_, (closures[x] for x in bit_indices(sub)), 0)
+        t0 = len(set(closures)) == len(closures)
+        stone, _, closed_base = oracle_pcs2_pcs3(closures, sub, meeting)
+        cs4, _ = oracle_cs4_s2s4(closures, sub)
+        expected = [
+            (
+                "(CS-precondition)",
+                cl == space.full_mask,
+                None if cl == space.full_mask else f"closure of the subset is {space.name_set(cl)}",
+            ),
+            ("(CS1)", t0, None if t0 else "space is not T0"),
+            ("(CS2)", stone, None if stone else "dense part is not a Stone space"),
+            (
+                "(CS3)",
+                closed_base,
+                None if closed_base else "the pair's regular closed sets are not a closed base",
+            ),
+            (
+                "(CS4)",
+                cs4 is None,
+                None if cs4 is None else "unrealized " + support_witness(space, cs4),
+            ),
+        ]
+        assert list(cs.checks) == expected, (closures, sub)
+        for name, passed, _ in expected:
+            seen[name].add(passed)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_pcs5_and_cs4_read_one_realization_walk(monkeypatch):
+    """(CS4) is the (PCS5) walk of the meeting relation: when the clique
+    walk that `structures` reads yields one more support, which no point
+    realizes, both (PCS5) of the canonical triple and (CS4) of its pair
+    fail on it, on a seeded contact dual."""
+    pca = random_pca(RandomSpec(atoms=5, density=0.3, seed=child_seed(42, 1), constraint="contact"))
+    triple = canonical_pcs_of_pca(pca)
+    space, subset = triple.space, triple.subset
+    table = pair_atoms(space, subset)
+    extra = next(s for s in range(1, 1 << len(table.closures)) if s not in set(table.support))
+    walk = structures.clique_supports
+
+    def one_more(adj):
+        yield from walk(adj)
+        yield extra
+
+    monkeypatch.setattr(structures, "clique_supports", one_more)
+    named = ",".join(space.name_set(table.atoms[i]) for i in bit_indices(extra))
+    support = "support {" + named + "}"
+    pcs = validate_pcs(space, subset, triple.relation)
+    assert [(c.name, c.witness) for c in pcs.failures] == [("(PCS5)", "unrealized clan " + support)]
+    cs = validate_cs(space, subset)
+    assert [(c.name, c.witness) for c in cs.failures] == [("(CS4)", "unrealized " + support)]
 
 
 def test_pcs_algebra_matches_the_pair_family():
@@ -1277,12 +1362,13 @@ def _counted(monkeypatch, name, home=topology):
 # line's); one T0 test of the dual space (`FiniteSpace.t0`), read by
 # (PCS1), that validation and the pair's mereocompactness report; one
 # overlap-clan pass and realization sweep of the dual's closed base
-# (`FiniteSpace.base_unrealized`), shared by (CS4) and the report's
-# clan line; and the realization sweep of (PCS5).
+# (`FiniteSpace.base_unrealized`), read by the report's clan line; and
+# the realization sweeps of (PCS5), one in the canonical build and one
+# in `validate_cs`, whose (CS4) is the (PCS5) of the meeting relation.
 DUAL_PAIR_READS = {
     "validate_cs": 1,
     "overlap_clans": 1,
-    "first_unrealized_support": 2,
+    "first_unrealized_support": 3,
     "is_t0": 1,
 }
 

@@ -289,8 +289,6 @@ READ_ONLY_BY_TESTS = {
     "subalgebra; test_precontact::test_restrict_relation_blocks",
     ("precontact", "restrict_clan_support"): "a clan restricts to a clan of such a subalgebra; "
     "test_precontact::test_clan_traces_restrict_to_clans",
-    ("structures", "validate_s2s"): "the Stone 2-spaces of BBSV and GG are the duals of the "
-    "total relations; test_correspondences::test_stone_two_space_iff_total_relation_triple",
     ("topology", "discrete_space"): "the finite Stone topology on the cells, read only by "
     "canonical_adjacency; test_topology::test_space_from_closed_base_discrete",
     ("topology", "clopens_of_subset"): "the clopens of the dense part, read only by closure_trace "

@@ -5,13 +5,11 @@ import pytest
 from contactlab.report import Check, CheckList, DualityReport, ReportBuilder, verdict
 from contactlab.structures import (
     MereocompactReport,
-    StoneTwoSpace,
     TwoContactSpace,
     TwoPrecontactSpace,
     mereocompactness_report,
     validate_cs,
     validate_pcs,
-    validate_s2s,
 )
 from contactlab.topology import (
     FiniteSpace,
@@ -119,11 +117,6 @@ BROKEN = {
         lambda: validate_cs(DISC2, 0b01),
         "(CS-precondition)",
         "closure of the subset is {a}",
-    ),
-    StoneTwoSpace: (
-        lambda: validate_s2s(DISC2, 0b11),
-        "(S2S4)",
-        "unrealized support {{a},{b}}",
     ),
     MereocompactReport: (
         _broken_mereo,

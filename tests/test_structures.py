@@ -33,7 +33,6 @@ from contactlab.structures import (
     triple_is_connected,
     validate_cs,
     validate_pcs,
-    validate_s2s,
 )
 from contactlab.topology import (
     FiniteSpace,
@@ -134,8 +133,19 @@ def test_validate_pcs_names_the_pair_that_leaves_its_span(xl_space, bad, message
     [
         interior,
         lambda space, mask: validate_pcs(space, mask, frozenset()),
+        # A Stone 2-space is the triple of the total relation on its dense
+        # part: the mask is refused with a nonempty relation too.
+        lambda space, mask: validate_pcs(
+            space,
+            mask,
+            frozenset(
+                (x, y)
+                for x in range(space.point_count)
+                for y in range(space.point_count)
+                if mask >> x & mask >> y & 1
+            ),
+        ),
         lambda space, mask: validate_cs(space, mask),
-        lambda space, mask: validate_s2s(space, mask),
         pair_atoms,
         rc_atoms_of_subset,
         lambda space, mask: triple_is_connected(TwoPrecontactSpace(space, mask, frozenset())),
@@ -144,8 +154,8 @@ def test_validate_pcs_names_the_pair_that_leaves_its_span(xl_space, bad, message
     ids=[
         "interior",
         "validate_pcs",
+        "validate_pcs_total",
         "validate_cs",
-        "validate_s2s",
         "pair_atoms",
         "rc_atoms_of_subset",
         "triple_is_connected",
@@ -318,15 +328,17 @@ def test_failing_pcs4_names_its_witness_past_the_point_budget(monkeypatch, tmp_p
 def test_failing_closure_trace_checks_name_their_support_past_the_point_budget(
     monkeypatch, tmp_path, capsys
 ):
-    """A failed axiom never raises: an unrealized element set of (S2S4)
+    """A failed axiom never raises: an unrealized element set of (PCS5)
     or (CS4) is named by the atoms of its support, within the point
-    budget and past it alike.  (S2S4): the discrete space on seven
-    points, whose grill {a,b} no point realizes.  (CS4): seven discrete
+    budget and past it alike.  (PCS5): the total relation on the
+    discrete space on seven points, the triple of a Stone 2-space,
+    whose clan {a,b} no point realizes.  (CS4): seven discrete
     dense points p0..p6, where the closures of p0, p1 and p2 meet pairwise
     in the points q01, q12 and q02 outside, so the clan {p0,p1,p2} of
     the overlap has no point."""
     monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "7")
     discrete = discrete_space("abcdefg")
+    total = frozenset(itertools.product(range(7), repeat=2))
     names = tuple(f"p{i}" for i in range(7)) + ("q01", "q12", "q02")
     q01, q12, q02 = 1 << 7, 1 << 8, 1 << 9
     closures = (1 | q01 | q02, 2 | q01 | q12, 4 | q12 | q02) + tuple(
@@ -336,9 +348,9 @@ def test_failing_closure_trace_checks_name_their_support_past_the_point_budget(
     path = tmp_path / "wide.json"
     for budget in ("7", "6"):
         monkeypatch.setenv("CONTACTLAB_POINT_LIMIT", budget)
-        s2s = validate_s2s(discrete, 0b1111111)
-        expected = [("(S2S4)", "unrealized support {{a},{b}}")]
-        assert [(c.name, c.witness) for c in s2s.failures] == expected
+        triple = validate_pcs(discrete, 0b1111111, total)
+        expected = [("(PCS5)", "unrealized clan support {{a},{b}}")]
+        assert [(c.name, c.witness) for c in triple.failures] == expected
 
         cs = validate_cs(triangle, 0b1111111)
         expected = [("(CS4)", "unrealized support {{p0},{p1},{p2}}")]
@@ -460,15 +472,14 @@ def test_proximities_coincide_on_canonical_algebra(kernels_3):
 def test_validate_cs_fixture(xl_space):
     cs = validate_cs(xl_space, 0b011)
     assert cs.ok
-    s2s = validate_s2s(xl_space, 0b011)
-    assert s2s.ok
 
 
 def test_discrete_pair_is_cs_but_not_s2s(disc2):
+    """The discrete pair is a 2-contact space, and not a Stone 2-space:
+    the triple of the total relation on it fails (PCS5) only."""
     assert validate_cs(disc2, 0b11).ok
-    s2s = validate_s2s(disc2, 0b11)
-    assert not s2s.ok
-    assert s2s.failures[0].name == "(S2S4)"
+    triple = validate_pcs(disc2, 0b11, itertools.product(range(2), repeat=2))
+    assert [c.name for c in triple.failures] == ["(PCS5)"]
 
 
 def test_cs_density_precondition_reported(disc2):

@@ -11,7 +11,7 @@ from contactlab.structures import (
     canonical_pcs_of_pca,
     mereocompactness_report,
     validate_cs,
-    validate_s2s,
+    validate_pcs,
 )
 from contactlab.topology import (
     FiniteSpace,
@@ -515,11 +515,12 @@ def test_point_budget_bounds_only_whole_families(monkeypatch):
     triple = canonical_pcs_of_pca(pca_from_pairs(3, kernel))
     space, subset = triple.space, triple.subset
     assert space.point_count == 5
+    total = frozenset(itertools.product(bit_indices(subset), repeat=2))
 
     def verdicts():
         return (
             [(c.name, c.passed, c.witness) for c in validate_cs(space, subset).checks],
-            [(c.name, c.passed, c.witness) for c in validate_s2s(space, subset).checks],
+            [(c.name, c.passed, c.witness) for c in validate_pcs(space, subset, total).checks],
             is_extremally_disconnected(space),
             u_points(rc_algebra(space)),
             c_semiregular(space),
