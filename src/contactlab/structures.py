@@ -15,7 +15,7 @@ off that body's verdicts; a Stone 2-space is the triple of the total
 relation on the dense part, which `validate_pcs` checks as it is.
 Every reader of a pair (X, X0) at the clopen atoms of X0 reads one
 table, `topology.pair_atoms`, built once per space and subset: the body
-takes its Stone and closed-base verdicts from it, (PCS5) its atoms
+takes its density, Stone and closed-base verdicts from it, (PCS5) its atoms
 whose closures hold each point, and (PCS4) which of its atom closures
 meet; (PCS2) decides closedness of the relation on the ambient masks,
 building no subspace; the canonical algebra, the meeting relation and
@@ -196,20 +196,23 @@ def _pcs_checks(space, subset, succ):
     canonical algebra (`_kernel_rows`) and the (PCS5) support of the
     first unrealized clan, or None.
 
-    (PCS2) and (PCS3) take the Stone and closed-base verdicts of the
-    pair's table (`pair_atoms`), (PCS4) which of its atom closures
-    meet, and (PCS5) its atoms whose closures hold each point.  On a
+    (PCS1) takes density as the join of the atom closures of the pair's
+    table (`pair_atoms`), (PCS2) and (PCS3) its Stone and closed-base
+    verdicts, (PCS4) which of its atom closures meet, and (PCS5) its
+    atoms whose closures hold each point.  On a
     dense part that is not Stone, (PCS2) decides the closedness of the
     relation at the successor masks and the point closures of the
     space, with no subspace built."""
     report = ReportBuilder("(PCS1)..(PCS5)")
-    dense = closure(space, subset) == space.full_mask
+    table = pair_atoms(space, subset)
+    closed, support, stone = table.closures, table.support, table.stone
+    # The subset is the union of its clopen atoms and closure is
+    # additive, so its closure is the join of the atom closures.
+    dense = reduce(or_, closed, 0) == space.full_mask
     t0 = space.t0
     pcs1 = dense and t0
     report.add("(PCS1)", pcs1, None if pcs1 else f"dense={dense}, T0={t0}")
 
-    table = pair_atoms(space, subset)
-    closed, support, stone = table.closures, table.support, table.stone
     # A finite Stone dense part is discrete, so is its square, and every
     # relation on it is closed.  Only a dense part that is not Stone needs
     # the closedness check, to name the second half of the witness.
@@ -369,11 +372,14 @@ def _canonical_pcs(pca):
     # support lies below 1 << n, so transpose(base, P) = supports.  The
     # space keeps both tuples the algebra already holds.
     #
-    # `pair_atoms` then reads the dense part's table off them: the
-    # signature of dense point p is {p}, so the one member holding p is
-    # B_p and cl{p} = B_p, which meets the dense part in {p}.  The dense
-    # part is discrete, its clopen atoms are {0} .. {n-1} in order, and
-    # their closures are the base itself.
+    # `pair_atoms` then reads the dense part's table off them, in one
+    # pass over the dense points with no clopen atom and no closure
+    # taken (`topology._signature_table`): the signature of dense point
+    # p is {p}, so the fibres are {0} .. {n-1}, ascending, and each
+    # atom clan set B_p is a set of the P clans, in range.  So the one
+    # member holding p is B_p and cl{p} = B_p, which meets the dense part
+    # in {p}: the dense part is discrete, its clopen atoms are {0} ..
+    # {n-1} in order, and their closures are the base itself.
     #
     # The space names its points by `_clan_name` of their signatures,
     # the supports, when the names are first read.  The walk yields each

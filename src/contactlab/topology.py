@@ -43,11 +43,14 @@ is read through one table, `pair_atoms`: the clopen atoms of X0, their closures,
 atoms whose closures hold each point, and the Stone and closed-base
 verdicts of the pair, kept on the space for the last subset asked for.  When the
 closures of the clopen atoms are the base the space was built from, in
-order, the point supports are its signatures and the closed-base
-verdict is True, read off the base with no further pass.  A family
-whose members are closed by construction (atom closures, `rc_atoms`,
-the atoms of a pair) is decided a closed base without a closedness
-pass (`_is_base_of_closed`).  The point budget bounds only the
+order, as for the dense part of every canonical dual, that is decided
+off the signatures of the subset's points before any closure is taken
+(`_signature_table`): the closures are the base, the point supports
+are its signatures and the closed-base verdict is True, with no
+`clopen_atoms` pass.  A family whose members are closed by
+construction (atom closures, `rc_atoms`, the atoms of a pair) is
+decided a closed base without a closedness pass
+(`_is_base_of_closed`).  The point budget bounds only the
 functions that return a whole family: `rc_members`, `clopens_of_subset`,
 `rc_members_of_subset` and `closure_trace`.
 Predicates decide at the atoms at any size.
@@ -577,36 +580,83 @@ def pair_atoms(space, subset):
     (`_is_base_of_closed`).
 
     A space built from a closed base is held by the base and the
-    signatures of its points (`FiniteSpace._of_closed_base`), and the
-    atom closures are read off the signatures (`closure`).  When the
-    closures are that base, in order, ``support`` is the signatures and
-    ``closed_base`` is True, with no `transpose`, no `_meets` pass and
-    no point closure table; the proof is beside the code.  Otherwise
-    both are computed as above, and the closed-base comparison derives
-    the space's point closures (`_closures_of_base`).
+    signatures of its points (`FiniteSpace._of_closed_base`).  When the
+    closures of the clopen atoms are that base, in order, the table is
+    read off the signatures of the subset's points in one pass
+    (`_signature_table`), with no `clopen_atoms`, no closure, no
+    `transpose`, no `_meets` pass and no point closure table; the proof
+    is beside the code.  Otherwise it is computed as above, and the
+    closed-base comparison derives the space's point closures
+    (`_closures_of_base`).
     """
     table = getattr(space, "_pair_atoms", None)
     if table is None or table.subset != subset:
         require_subset(space, subset)
-        closures = tuple(closure(space, a) for a in clopen_atoms(space, subset))
-        # A space built from a closed base whose members are these
-        # closures, in this order, holds the table already.  The point
-        # closures are the meets of the members of that base holding each
-        # point (`closure`), the meets of the closures holding it: the
-        # closed-base verdict is True.  The members are then in range, as closures are, so the
-        # signatures are `transpose(closures)`: support[x] is sig(x).  On
-        # every canonical dual this holds for the dense part (see
-        # `structures._canonical_pcs`).
-        if closures == space._base:
-            support, closed_base = space._signatures, True
-        else:
-            support = transpose(closures, space.point_count)
-            closed_base = _is_base_of_closed(space, closures)
-        table = PairAtoms(
-            subset, closures, support, len(closures) == subset.bit_count(), closed_base
-        )
+        table = _signature_table(space, subset)
+        if table is None:
+            closures = tuple(closure(space, a) for a in clopen_atoms(space, subset))
+            table = PairAtoms(
+                subset,
+                closures,
+                transpose(closures, space.point_count),
+                len(closures) == subset.bit_count(),
+                _is_base_of_closed(space, closures),
+            )
         once.keep(space, "_pair_atoms", table)
     return table
+
+
+def _signature_table(space, subset):
+    """The table of `pair_atoms` on a space built from a closed base
+    B_0 .. B_{k-1} whose members are the closures of the subset's clopen
+    atoms, in order, read off the signatures; None on every other space
+    and subset.  On every canonical dual the dense part is read so (see
+    `structures._canonical_pcs`).
+
+    The test: every point x of the subset D has one index in its
+    signature, sig(x) = {s(x)}; the fibres s^-1(i) n D hit every index
+    and ascend as masks; and every B_i lies inside the points."""
+    # When the test holds, let x be in D with s(x) = i.  B_i is the one
+    # member holding x, so cl{x} = B_i (`closure`), and cl{x} n D is the
+    # points y of D with i in sig(y): the fibre of i.  So the graph of
+    # `clopen_atoms`, x joined to cl{x} n D, joins x to its own fibre
+    # only, and the clopen atoms are the fibres, nonempty and ascending
+    # in index order.  The closure of fibre i is the join of cl{x} = B_i
+    # over its points: B_i, in range.  So the closures are the base in
+    # order, and the point closures are the meets of the members holding
+    # each point (`closure`), the meets of the closures holding it: the
+    # closed-base verdict is True (`_is_base_of_closed`).  The members
+    # are in range, so `transpose(closures)` is the signatures: support
+    # is the signatures.  Stone is one point per atom, k == |D|.
+    #
+    # Conversely, let the closures of the clopen atoms f_0 .. f_{k-1}
+    # be B_0 .. B_{k-1}.  Each B_i is a closure, in range.  A point x of
+    # D lies in the closure of its own atom only (`pair_atoms`), so
+    # sig(x) = {i} for the atom f_i holding x, and the fibre of i is
+    # f_i: nonempty, and ascending as the atoms are.  So the test holds
+    # exactly when the general path would find closures == base.
+    base = space._base
+    if base is None:
+        return None
+    signatures = space._signatures
+    fibres = [0] * len(base)
+    rest = subset
+    while rest:
+        low = rest & -rest
+        s = signatures[low.bit_length() - 1]
+        if not s or s & (s - 1):
+            return None
+        fibres[s.bit_length() - 1] |= low
+        rest ^= low
+    below = 0
+    for fibre in fibres:
+        if fibre <= below:
+            return None
+        below = fibre
+    full = space.full_mask
+    if any(b & ~full for b in base):
+        return None
+    return PairAtoms(subset, base, signatures, len(base) == subset.bit_count(), True)
 
 
 def clopens_of_subset(space, subset):

@@ -97,6 +97,7 @@ from contactlab.structures import (
     validate_pcs,
 )
 from contactlab.errors import PreconditionError
+from contactlab.memo import once
 from contactlab.suite import instance_suite
 from contactlab.topology import (
     FiniteSpace,
@@ -1375,8 +1376,9 @@ DUAL_PAIR_READS = {
 
 def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
     """The canonical build and `specialization_report` of a contact dual
-    derive its pair table once (`pair_atoms`): one `clopen_atoms` and no
-    `_meets` call per dual, which builds no point closures, on seeded 3-
+    derive its pair table once (`pair_atoms`), off the signatures of its
+    dense points: no `clopen_atoms` and no `_meets` call per dual, which
+    builds no point closures, on seeded 3-
     to 6-atom contact algebras, and validate the pair and sweep its
     clans as often as `DUAL_PAIR_READS` says; the C-semiregularity of the
     dual, read off the mereocompactness report of RC(X), takes `rc_atoms`
@@ -1397,7 +1399,7 @@ def test_each_dual_pair_is_read_at_its_atoms_once(monkeypatch):
             report = specialization_report(pca)
             assert report.ok, report.failures
             assert "u-points recover the dense part" in [c.name for c in report.checks]
-            assert len(clopen_calls) <= 1, (n, density, len(clopen_calls))
+            assert not clopen_calls, (n, density, len(clopen_calls))
             assert not meet_calls, (n, density, len(meet_calls))
             counts = {name: len(calls) for name, calls in counted.items()}
             assert counts == DUAL_PAIR_READS, (n, density, counts)
@@ -2298,33 +2300,43 @@ def test_preimage_checks_match_the_literal_preimages():
     assert seen == {True, False}
 
 
-def test_preimage_check_names_the_members_of_a_moved_atom(monkeypatch):
-    """With one atom of the dual algebra map moved to another target
-    atom, the preimage check fails at exactly the members whose element
+def test_preimage_check_names_the_members_of_a_moved_atom():
+    """"algebra map acts as preimage", decided at the atoms once per
+    morphism, against the literal per-member comparison on seeded space
+    morphisms: with the dual algebra map every member passes.  With a
+    morphism whose kept dual algebra map has one atom moved to another
+    target atom, the check fails at exactly the members whose element
     holds one of the two atoms, and names each of them."""
     checked = 0
     for f in seeded_space_morphisms():
         target_alg, source_alg = pcs_algebra(f.target), pcs_algebra(f.source)
+        real = duality.dual_algebra_map(f).hom
+        members = member_elements(f.target)
+
+        def literal(atom_map, member, element):
+            through = oracle_point_mask(source_alg.atom_masks, oracle_hom_image(atom_map, element))
+            return through == oracle_preimage(f.point_map, member)
+
+        for member, element in members.items():
+            check = gt_preimage_check(f, member)
+            assert check.name == "algebra map acts as preimage"
+            assert check.passed is literal(real.atom_map, member, element) is True
         if len(target_alg.atom_masks) < 2:
             continue
-        real = duality.dual_algebra_map(f).hom
         amap = list(real.atom_map)
         q = amap[0]
         amap[0] = (q + 1) % len(target_alg.atom_masks)
         broken = types.SimpleNamespace(hom=BooleanHom(real.source, real.target, tuple(amap)))
         fresh = duality.PcsMorphism(f.source, f.target, f.point_map)
-        monkeypatch.setattr(duality.PcsMorphism, "_dual_algebra_map", property(lambda g: broken))
-        for member, element in member_elements(f.target).items():
-            through = oracle_point_mask(
-                source_alg.atom_masks, oracle_hom_image(amap, element)
-            )
-            moved = through != oracle_preimage(f.point_map, member)
+        once.keep(fresh, "_dual_algebra_map", broken)
+        for member, element in members.items():
+            moved = not literal(amap, member, element)
             assert moved == (bool(element >> q & 1) != bool(element >> amap[0] & 1))
             check = gt_preimage_check(fresh, member)
+            assert check.name == "algebra map acts as preimage"
             assert check.passed is not moved, (f, member)
             if moved:
                 assert check.witness == f"member {f.target.space.name_set(member)}"
-        monkeypatch.undo()
         checked += 1
     assert checked > 20
 

@@ -13,10 +13,15 @@ import sys
 
 import pytest
 
-from contactlab.duality import algebra_roundtrip_iso, check_naturality, dual_space_map
+from contactlab.duality import (
+    algebra_roundtrip_iso,
+    check_naturality,
+    dual_space_map,
+    gt_preimage_check,
+)
 from contactlab.errors import DomainMismatchError
 from contactlab.randgen import RandomSpec, child_seed, random_pca, random_pca_morphism
-from contactlab.structures import canonical_pcs_of_pca
+from contactlab.structures import canonical_pcs_of_pca, pcs_algebra
 from contactlab.suite import instance_suite
 from contactlab.topology import (
     FiniteSpace,
@@ -24,6 +29,7 @@ from contactlab.topology import (
     clopen_atoms,
     closure,
     is_t0,
+    pair_atoms,
     rc_atoms,
     space_from_closed_base,
 )
@@ -39,7 +45,8 @@ def _reference(space, base):
 def _assert_same_topology(space, reference, subsets):
     """Every signature-path reader of ``space`` against ``reference``:
     the closure of every point and of each subset, T0, the maximal
-    points, the clopen atoms of each subset and the atoms of RC(X)."""
+    points, the clopen atoms and the pair table of each subset and the
+    atoms of RC(X)."""
     assert space._base is not None and reference._base is None
     n = reference.point_count
     assert space.point_count == n
@@ -48,6 +55,10 @@ def _assert_same_topology(space, reference, subsets):
     for mask in subsets:
         assert closure(space, mask) == closure(reference, mask), mask
         assert clopen_atoms(space, mask) == clopen_atoms(reference, mask), mask
+        table, expected = pair_atoms(space, mask), pair_atoms(reference, mask)
+        assert table.closures == expected.closures, mask
+        assert tuple(table.support) == tuple(expected.support), mask
+        assert (table.stone, table.closed_base) == (expected.stone, expected.closed_base), mask
     assert is_t0(space) == space.t0 == is_t0(reference)
     assert space.maximal_points == reference.maximal_points
     assert rc_atoms(space) == rc_atoms(reference)
@@ -60,12 +71,12 @@ def _assert_same_topology(space, reference, subsets):
 
 def test_every_small_closed_base_reads_its_signatures():
     """Every family of at most 3 members over at most 4 points, the
-    empty member and members outside the points included, and every
-    subset of its points."""
+    empty member, repeated members and members outside the points
+    included, and every subset of its points."""
     for n in range(1, 5):
         masks = range(1 << (n + 1))
         for r in range(4):
-            for base in itertools.combinations(masks, r):
+            for base in itertools.combinations_with_replacement(masks, r):
                 space = space_from_closed_base((f"p{x}" for x in range(n)), base)
                 reference = _reference(space, base)
                 _assert_same_topology(space, reference, range(reference.full_mask + 1))
@@ -97,22 +108,26 @@ def test_seeded_canonical_duals_read_their_signatures(monkeypatch):
                 _assert_same_topology(space, reference, subsets)
 
 
-def _refuse_meets(monkeypatch):
+def _refuse(monkeypatch, name, what):
+    """Make every `contactlab` module that binds ``name`` raise on a call
+    to it."""
+
     def refuse(*args):
-        raise AssertionError("a table of point closures on the canonical path")
+        raise AssertionError(f"{what} on the canonical path")
 
-    for name, module in list(sys.modules.items()):
-        if (name == "contactlab" or name.startswith("contactlab.")) and hasattr(module, "_meets"):
-            monkeypatch.setattr(module, "_meets", refuse)
+    for module_name, module in list(sys.modules.items()):
+        in_package = module_name == "contactlab" or module_name.startswith("contactlab.")
+        if in_package and hasattr(module, name):
+            monkeypatch.setattr(module, name, refuse)
 
 
-def test_canonical_paths_build_no_point_closures(monkeypatch):
-    """With `_meets` refused: the suite of a seeded dense 8-atom contact
-    algebra with the specializations on, the algebra round trip of a
-    seeded algebra, and both naturality squares of a seeded morphism."""
+def _run_canonical_paths(monkeypatch):
+    """The suite of a seeded dense 8-atom contact algebra with the
+    specializations on, the algebra round trip of a seeded algebra, both
+    naturality squares of a seeded morphism and every preimage check of
+    its dual space map."""
     monkeypatch.setenv("CONTACTLAB_ENUM_LIMIT", "8")
     monkeypatch.setenv("CONTACTLAB_POINT_LIMIT", "100000")
-    _refuse_meets(monkeypatch)
     pca = random_pca(RandomSpec(atoms=8, density=0.85, seed=20261022, constraint="contact"))
     report = instance_suite(pca)
     assert report.ok, report.failures
@@ -123,4 +138,19 @@ def test_canonical_paths_build_no_point_closures(monkeypatch):
     assert roundtrip.report.ok, roundtrip.report.failures
     phi = random_pca_morphism(5, 4, 0.5, child_seed(20261022, 2))
     assert check_naturality(phi).ok
-    assert check_naturality(dual_space_map(phi)).ok
+    f = dual_space_map(phi)
+    assert check_naturality(f).ok
+    assert all(gt_preimage_check(f, m).passed for m in pcs_algebra(f.target).members)
+
+
+def test_canonical_paths_build_no_point_closures(monkeypatch):
+    """The canonical paths with `_meets` refused."""
+    _refuse(monkeypatch, "_meets", "a table of point closures")
+    _run_canonical_paths(monkeypatch)
+
+
+def test_canonical_paths_take_no_clopen_atoms(monkeypatch):
+    """The canonical paths with `clopen_atoms` refused: every pair they
+    read is a dense part whose table is read off the signatures."""
+    _refuse(monkeypatch, "clopen_atoms", "a clopen-atom pass")
+    _run_canonical_paths(monkeypatch)
